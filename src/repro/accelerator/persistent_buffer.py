@@ -118,10 +118,6 @@ class PersistentBuffer:
         self.capacity_bytes = int(capacity_bytes)
         self._cached = CachedSubGraph.empty()
         self.stats = PBStats()
-        self.generation = 0
-        """Bumped whenever the cached contents may have changed.  Between two
-        generations the PB is immutable, so per-(generation, SubNet) results
-        — latency breakdowns, hit ratios, hit bytes — can be memoized."""
 
     # ------------------------------------------------------------- state
     @property
@@ -177,14 +173,12 @@ class PersistentBuffer:
             )
             fetched += max(0, new_slice.weight_bytes - already)
         self._cached = fitted
-        self.generation += 1
         self.stats.cache_loads += 1
         self.stats.cache_load_bytes_total += fetched
         return fetched
 
     def clear(self) -> None:
         self._cached = CachedSubGraph.empty()
-        self.generation += 1
 
     # ------------------------------------------------------------ serving
     def hit_bytes(self, subnet: SubNet) -> int:
@@ -197,8 +191,8 @@ class PersistentBuffer:
     def record_serve(self, subnet: SubNet, *, hit_bytes: int | None = None) -> None:
         """Update hit statistics after serving ``subnet``.
 
-        ``hit_bytes`` may be passed when the caller already computed the
-        overlap for this (generation, SubNet) pair — it must equal
+        ``hit_bytes`` may be passed when the caller already knows the overlap
+        of ``subnet`` with the cached SubGraph — it must equal
         ``self.hit_bytes(subnet)``.
         """
         self.stats.queries_served += 1

@@ -17,7 +17,7 @@ from repro.core.encoding import (
     normalized_overlap,
 )
 from repro.core.candidates import CandidateSet, build_candidate_set
-from repro.core.latency_table import LatencyTable, LookupTimer
+from repro.core.latency_table import LatencyTable
 from repro.core.policies import Policy, select_subnet
 from repro.core.running_average import RunningAverageNet
 from repro.core.scheduler import SushiSched, SchedulerDecision
@@ -31,7 +31,6 @@ __all__ = [
     "CandidateSet",
     "build_candidate_set",
     "LatencyTable",
-    "LookupTimer",
     "Policy",
     "select_subnet",
     "RunningAverageNet",

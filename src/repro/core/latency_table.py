@@ -4,14 +4,14 @@ The abstraction between SushiSched and any SGS-capable accelerator is a
 lookup table ``L[i][j]`` giving the latency of serving SubNet ``i`` while
 SubGraph ``j`` is cached (paper Section 3.2).  Rows are the servable SubNets
 (set ``X``), columns the candidate SubGraphs (set ``S``).  The table is small
-— ``O(|S| x |X|)`` with ``|X| = O(1)`` — and lookups are O(1), keeping the
-scheduler off the query critical path (Table 6 measures lookup time).
+— ``O(|S| x |X|)`` with ``|X| = O(1)`` — and a policy lookup is a binary
+search over ``|X|`` precomputed breakpoints, keeping the scheduler off the
+query critical path (Table 6 measures lookup time).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,20 +19,6 @@ import numpy as np
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.core.candidates import CandidateSet
 from repro.supernet.subnet import SubNet
-
-
-@dataclass
-class LookupTimer:
-    """Accumulates wall-clock time spent in table lookups (Table 6)."""
-
-    lookups: int = 0
-    total_seconds: float = 0.0
-
-    @property
-    def mean_microseconds(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.total_seconds / self.lookups * 1e6
 
 
 class LatencyTable:
@@ -59,8 +45,10 @@ class LatencyTable:
     ) -> None:
         self.subnets = list(subnets)
         self.candidates = candidates
-        self.latencies_ms = np.asarray(latencies_ms, dtype=np.float64)
-        self.accuracies = np.asarray(accuracies, dtype=np.float64)
+        if not self.subnets:
+            raise ValueError("a latency table needs at least one SubNet")
+        self.latencies_ms = np.array(latencies_ms, dtype=np.float64)
+        self.accuracies = np.array(accuracies, dtype=np.float64)
         if self.latencies_ms.shape != (len(self.subnets), len(candidates)):
             raise ValueError(
                 f"latency matrix shape {self.latencies_ms.shape} does not match "
@@ -71,11 +59,44 @@ class LatencyTable:
                 f"accuracies shape {self.accuracies.shape} does not match "
                 f"number of SubNets ({len(self.subnets)})"
             )
-        if np.any(self.latencies_ms <= 0):
+        if not np.all(self.latencies_ms > 0):
             raise ValueError("all latencies must be positive")
-        if np.any((self.accuracies <= 0) | (self.accuracies >= 1)):
+        if not np.all((self.accuracies > 0) & (self.accuracies < 1)):
             raise ValueError("accuracies must be fractions in (0, 1)")
-        self.timer = LookupTimer()
+        # The breakpoints below describe these arrays, so they stay frozen.
+        self.latencies_ms.flags.writeable = False
+        self.accuracies.flags.writeable = False
+
+        self._rows: list[list[float]] = self.latencies_ms.tolist()
+        accs: list[float] = self.accuracies.tolist()
+        self._accuracy_list = accs
+        rows = range(len(accs))
+        # STRICT_LATENCY: per column, latencies in ascending order, and the
+        # most accurate SubNet among the first k+1 of them (lowest index wins
+        # accuracy ties, as np.argmax does).
+        self._sorted_latencies: list[list[float]] = []
+        self._most_accurate_within: list[list[int]] = []
+        # STRICT_ACCURACY: the distinct accuracies in ascending order and, per
+        # column, the fastest SubNet meeting each (first minimum wins).
+        self._accuracy_levels = sorted(set(accs))
+        self._fastest_from: list[list[int]] = []
+        for col in zip(*self._rows):
+            by_latency = sorted(rows, key=col.__getitem__)
+            self._sorted_latencies.append([col[i] for i in by_latency])
+            self._most_accurate_within.append(
+                [
+                    max(sorted(by_latency[: k + 1]), key=accs.__getitem__)
+                    for k in rows
+                ]
+            )
+            self._fastest_from.append(
+                [
+                    min((i for i in rows if accs[i] >= level), key=col.__getitem__)
+                    for level in self._accuracy_levels
+                ]
+            )
+        self.most_accurate = int(np.argmax(self.accuracies))
+        """The most accurate SubNet (STRICT_ACCURACY's fallback)."""
 
     # ------------------------------------------------------------ factory
     @classmethod
@@ -104,28 +125,15 @@ class LatencyTable:
         return len(self.candidates)
 
     def latency(self, subnet_idx: int, subgraph_idx: int) -> float:
-        """O(1) lookup of ``L[i][j]`` (timed for Table 6)."""
-        start = time.perf_counter()
-        value = float(self.latencies_ms[subnet_idx, subgraph_idx])
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += 1
-        return value
-
-    def latency_batch(self, subnet_idxs, subgraph_idx: int) -> np.ndarray:
-        """Vectorized ``L[i][j]`` lookup for many SubNets under one cache state."""
-        idxs = np.asarray(subnet_idxs, dtype=np.intp)
-        start = time.perf_counter()
-        values = self.latencies_ms[idxs, subgraph_idx]
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += int(idxs.size)
-        return values
+        """O(1) lookup of ``L[i][j]``."""
+        return self._rows[subnet_idx][subgraph_idx]
 
     def column(self, subgraph_idx: int) -> np.ndarray:
         """Latencies of every SubNet under cached SubGraph ``j``."""
         return self.latencies_ms[:, subgraph_idx]
 
     def accuracy(self, subnet_idx: int) -> float:
-        return float(self.accuracies[subnet_idx])
+        return self._accuracy_list[subnet_idx]
 
     def subnet_index(self, subnet: SubNet) -> int:
         for i, sn in enumerate(self.subnets):
@@ -133,73 +141,32 @@ class LatencyTable:
                 return i
         raise KeyError(f"SubNet {subnet.name} not in latency table")
 
+    def fastest(self, subgraph_idx: int) -> int:
+        """The fastest SubNet under SubGraph ``j`` (STRICT_LATENCY's fallback)."""
+        return self._fastest_from[subgraph_idx][0]
+
     # ------------------------------------------------------- policy queries
     def best_under_accuracy(self, min_accuracy: float, subgraph_idx: int) -> int | None:
         """STRICT_ACCURACY selection: fastest SubNet with accuracy >= bound.
 
         Returns ``None`` when no SubNet satisfies the accuracy constraint
-        (the caller then falls back to the most accurate SubNet).
+        (the caller then falls back to the most accurate SubNet).  A NaN
+        bound is met by no SubNet.
         """
-        feasible = np.flatnonzero(self.accuracies >= min_accuracy)
-        if feasible.size == 0:
+        k = bisect_left(self._accuracy_levels, min_accuracy)
+        if k == len(self._accuracy_levels) or min_accuracy != min_accuracy:
             return None
-        start = time.perf_counter()
-        col = self.latencies_ms[feasible, subgraph_idx]
-        best = int(feasible[int(np.argmin(col))])
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += 1
-        return best
+        return self._fastest_from[subgraph_idx][k]
 
     def best_under_latency(self, max_latency_ms: float, subgraph_idx: int) -> int | None:
-        """STRICT_LATENCY selection: most accurate SubNet with latency <= bound."""
-        start = time.perf_counter()
-        col = self.latencies_ms[:, subgraph_idx]
-        feasible = np.flatnonzero(col <= max_latency_ms)
-        if feasible.size == 0:
-            self.timer.total_seconds += time.perf_counter() - start
-            self.timer.lookups += 1
-            return None
-        best = int(feasible[int(np.argmax(self.accuracies[feasible]))])
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += 1
-        return best
+        """STRICT_LATENCY selection: most accurate SubNet with latency <= bound.
 
-    # ------------------------------------------------------ batched queries
-    def best_under_accuracy_batch(
-        self, min_accuracies, subgraph_idx: int
-    ) -> np.ndarray:
-        """Vectorized :meth:`best_under_accuracy`: one feasibility mask per query.
-
-        Returns an integer array aligned with ``min_accuracies`` whose entries
-        are the selected SubNet index, or ``-1`` where no SubNet satisfies the
-        accuracy constraint (the caller applies the fallback).  Tie-breaking
-        matches the scalar path exactly (first minimum wins).
+        Returns ``None`` when no SubNet is fast enough, NaN bounds included.
         """
-        bounds = np.asarray(min_accuracies, dtype=np.float64)
-        start = time.perf_counter()
-        mask = self.accuracies[None, :] >= bounds[:, None]
-        col = self.latencies_ms[:, subgraph_idx]
-        masked = np.where(mask, col[None, :], np.inf)
-        best = np.argmin(masked, axis=1)
-        result = np.where(mask.any(axis=1), best, -1).astype(np.intp)
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += int(bounds.size)
-        return result
-
-    def best_under_latency_batch(
-        self, max_latencies_ms, subgraph_idx: int
-    ) -> np.ndarray:
-        """Vectorized :meth:`best_under_latency`; ``-1`` where infeasible."""
-        bounds = np.asarray(max_latencies_ms, dtype=np.float64)
-        start = time.perf_counter()
-        col = self.latencies_ms[:, subgraph_idx]
-        mask = col[None, :] <= bounds[:, None]
-        masked = np.where(mask, self.accuracies[None, :], -np.inf)
-        best = np.argmax(masked, axis=1)
-        result = np.where(mask.any(axis=1), best, -1).astype(np.intp)
-        self.timer.total_seconds += time.perf_counter() - start
-        self.timer.lookups += int(bounds.size)
-        return result
+        k = bisect_right(self._sorted_latencies[subgraph_idx], max_latency_ms)
+        if k == 0 or max_latency_ms != max_latency_ms:
+            return None
+        return self._most_accurate_within[subgraph_idx][k - 1]
 
     # ------------------------------------------------------------- reports
     def summary(self) -> dict[str, float]:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from repro.core.latency_table import LatencyTable
 
 
@@ -61,50 +59,12 @@ def select_subnet(
         idx = table.best_under_accuracy(accuracy_constraint, cache_state_idx)
         if idx is None:
             # No SubNet reaches the requested accuracy: serve the best we have.
-            idx = int(np.argmax(table.accuracies))
+            idx = table.most_accurate
         return idx
     if policy == Policy.STRICT_LATENCY:
         idx = table.best_under_latency(latency_constraint_ms, cache_state_idx)
         if idx is None:
             # No SubNet is fast enough: serve the fastest one.
-            idx = int(np.argmin(table.column(cache_state_idx)))
+            idx = table.fastest(cache_state_idx)
         return idx
     raise ValueError(f"unknown policy {policy!r}")
-
-
-def select_subnet_batch(
-    table: LatencyTable,
-    policy: Policy,
-    *,
-    accuracy_constraints,
-    latency_constraints_ms,
-    cache_state_idx: int,
-) -> np.ndarray:
-    """Vectorized :func:`select_subnet` over many queries at one cache state.
-
-    Between caching decisions the cache state is fixed and per-query
-    selections are independent, so a whole window of queries can be decided
-    with one feasibility mask instead of a Python loop.  The result is
-    bit-identical to calling :func:`select_subnet` per query (same
-    first-minimum tie-breaking, same fallbacks).
-    """
-    if not (0 <= cache_state_idx < table.num_subgraphs):
-        raise IndexError(
-            f"cache_state_idx {cache_state_idx} outside [0, {table.num_subgraphs})"
-        )
-    acc = np.asarray(accuracy_constraints, dtype=np.float64)
-    lat = np.asarray(latency_constraints_ms, dtype=np.float64)
-    if acc.shape != lat.shape or acc.ndim != 1:
-        raise ValueError(
-            f"constraint arrays must be 1-D and equal length, got shapes "
-            f"{acc.shape} and {lat.shape}"
-        )
-    if policy == Policy.STRICT_ACCURACY:
-        idxs = table.best_under_accuracy_batch(acc, cache_state_idx)
-        fallback = int(np.argmax(table.accuracies))
-    elif policy == Policy.STRICT_LATENCY:
-        idxs = table.best_under_latency_batch(lat, cache_state_idx)
-        fallback = int(np.argmin(table.column(cache_state_idx)))
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    return np.where(idxs < 0, fallback, idxs).astype(np.intp)

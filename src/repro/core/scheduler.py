@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.encoding import nearest_index
 from repro.core.latency_table import LatencyTable
-from repro.core.policies import Policy, select_subnet, select_subnet_batch
+from repro.core.policies import Policy, select_subnet
 from repro.core.running_average import RunningAverageNet
 from repro.supernet.supernet import SuperNet
 
@@ -90,10 +90,12 @@ class SushiSched:
             dimension=2 * supernet.num_layers, window=cache_update_period
         )
         self._subnet_encodings = [sn.encode() for sn in table.subnets]
-        self._subnet_encoding_matrix = np.stack(self._subnet_encodings)
         self._candidate_encodings = table.candidates.encodings(supernet)
         self._queries_seen = 0
-        self.decisions: list[SchedulerDecision] = []
+        self.decisions_made = 0
+        """Decisions returned so far (a shared batch decision counts once)."""
+        self.cache_updates = 0
+        """Decisions that changed the cached SubGraph."""
 
     # ------------------------------------------------------------ schedule
     def schedule(
@@ -153,7 +155,9 @@ class SushiSched:
             cache_updated = next_cache != current_cache
             self.cache_state_idx = next_cache
 
-        decision = SchedulerDecision(
+        self.decisions_made += 1
+        self.cache_updates += cache_updated
+        return SchedulerDecision(
             query_index=seen_before,
             subnet_idx=subnet_idx,
             cache_state_idx=current_cache,
@@ -162,72 +166,6 @@ class SushiSched:
             predicted_latency_ms=self.table.latency(subnet_idx, current_cache),
             subnet_accuracy=self.table.accuracy(subnet_idx),
         )
-        self.decisions.append(decision)
-        return decision
-
-    def schedule_batch(
-        self, accuracy_constraints, latency_constraints_ms
-    ) -> list[SchedulerDecision]:
-        """Schedule many queries with vectorized SubNet selection.
-
-        Between caching decisions the cache state is fixed, so queries are
-        decided one *caching window* at a time: a single numpy feasibility
-        mask selects the SubNets for up to ``Q`` queries, then the running
-        average and caching decision are advanced exactly as :meth:`schedule`
-        would.  The decision sequence (and all scheduler state) is identical
-        to calling :meth:`schedule` per query — this is purely a hot-path
-        optimization for long streams.
-        """
-        acc = np.asarray(accuracy_constraints, dtype=np.float64)
-        lat = np.asarray(latency_constraints_ms, dtype=np.float64)
-        if acc.shape != lat.shape or acc.ndim != 1:
-            raise ValueError(
-                f"constraint arrays must be 1-D and equal length, got shapes "
-                f"{acc.shape} and {lat.shape}"
-            )
-        decisions: list[SchedulerDecision] = []
-        pos = 0
-        n = int(acc.size)
-        while pos < n:
-            in_period = self._queries_seen % self.cache_update_period
-            chunk = min(self.cache_update_period - in_period, n - pos)
-            current_cache = self.cache_state_idx
-            idxs = select_subnet_batch(
-                self.table,
-                self.policy,
-                accuracy_constraints=acc[pos : pos + chunk],
-                latency_constraints_ms=lat[pos : pos + chunk],
-                cache_state_idx=current_cache,
-            )
-            predicted = self.table.latency_batch(idxs, current_cache)
-            accuracies = self.table.accuracies[idxs]
-            # The caching decision (if any) falls on the chunk's *last* query,
-            # so the whole chunk's served encodings enter the window first —
-            # exactly the state the sequential path would have at that point.
-            self.avg_net.update_many(self._subnet_encoding_matrix[idxs])
-            next_cache = current_cache
-            cache_updated = False
-            boundary = (self._queries_seen + chunk) % self.cache_update_period == 0
-            if boundary:
-                next_cache = self._predict_next_subgraph()
-                cache_updated = next_cache != current_cache
-                self.cache_state_idx = next_cache
-            for k in range(chunk):
-                last = k == chunk - 1
-                decision = SchedulerDecision(
-                    query_index=self._queries_seen + k,
-                    subnet_idx=int(idxs[k]),
-                    cache_state_idx=current_cache,
-                    next_cache_state_idx=next_cache if (last and boundary) else current_cache,
-                    cache_updated=cache_updated if last else False,
-                    predicted_latency_ms=float(predicted[k]),
-                    subnet_accuracy=float(accuracies[k]),
-                )
-                self.decisions.append(decision)
-                decisions.append(decision)
-            self._queries_seen += chunk
-            pos += chunk
-        return decisions
 
     def _predict_next_subgraph(self) -> int:
         """The candidate SubGraph closest to the running-average SubNet."""
@@ -248,7 +186,8 @@ class SushiSched:
         """
         self.avg_net.reset()
         self._queries_seen = 0
-        self.decisions.clear()
+        self.decisions_made = 0
+        self.cache_updates = 0
         if initial_cache_idx is None:
             self.cache_state_idx = self.initial_cache_idx
         else:
@@ -261,4 +200,4 @@ class SushiSched:
 
     def cache_update_count(self) -> int:
         """How many times the cached SubGraph actually changed."""
-        return sum(1 for d in self.decisions if d.cache_updated)
+        return self.cache_updates

@@ -4,12 +4,13 @@ The engine's record-identity ladder (see ``docs/architecture.md``) only
 holds if every source of ordering and randomness is explicit: simulation
 time comes from the event loop, randomness from seeded
 ``numpy.random.Generator`` instances, and iteration order from
-insertion-ordered structures.  Inside ``serving/engine/``,
-``serving/autoscale/`` and ``serving/obs/`` (the flight recorder sits on
-the hot path and its exports must be byte-stable; the fault-injection
-layer ``serving/engine/faults.py`` samples crash/straggle/dispatch-failure
-processes and must draw them from its decorrelated seeded RNG stream)
-this checker flags:
+insertion-ordered structures.  Inside ``core/``, ``accelerator/``,
+``serving/stack.py`` (the SUSHI stack the engine dispatches against),
+``serving/engine/``, ``serving/autoscale/`` and ``serving/obs/`` (the
+flight recorder sits on the hot path and its exports must be byte-stable;
+the fault-injection layer ``serving/engine/faults.py`` samples
+crash/straggle/dispatch-failure processes and must draw them from its
+decorrelated seeded RNG stream) this checker flags:
 
 * calls into the *global* ``random`` module (``random.random()``,
   ``from random import shuffle`` + ``shuffle(...)``) — use a seeded
@@ -73,9 +74,17 @@ class DeterminismChecker(Checker):
     name = "determinism"
     description = (
         "no global RNG draws, wall-clock reads, or set-ordered iteration "
-        "inside serving/engine, serving/autoscale and serving/obs"
+        "inside core, accelerator, serving/stack.py, serving/engine, "
+        "serving/autoscale and serving/obs"
     )
-    scope = ("serving/engine", "serving/autoscale", "serving/obs")
+    scope = (
+        "repro/core/",
+        "repro/accelerator/",
+        "serving/stack.py",
+        "serving/engine",
+        "serving/autoscale",
+        "serving/obs",
+    )
 
     def check(
         self, module: ModuleSource, project: ProjectIndex

@@ -928,8 +928,7 @@ class ServingEngine:
         only (the offered load is 1 by construction); routing and admission
         are no-ops at zero wait and are skipped.
 
-        Backends with a vectorized ``serve(trace)`` (SushiStack batches
-        SubNet selection one caching window at a time) are handed the whole
+        Backends with a whole-stream ``serve(trace)`` are handed the whole
         stream; others are driven per query via ``serve_query`` — the record
         sequence is identical by contract.
         """

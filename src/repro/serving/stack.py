@@ -6,24 +6,26 @@ latency table) to pick the SubNet and — every ``Q`` queries — the next cache
 SubGraph; SushiAccel (the analytic accelerator model plus its Persistent
 Buffer) then serves the query and enacts the caching decision.
 
+The accelerator model runs only at set-up: :func:`build_serve_table`
+evaluates every (SubNet, candidate SubGraph) pair once, and both the latency
+table and the per-pair :class:`ServeEntry` records the serve path reads come
+from that one pass.  Clones share both, so serving a query is table lookups.
+
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 — the interface the discrete-event engine dispatches against, optionally with
 the query's remaining latency budget once queueing delay is known.
-:meth:`SushiStack.serve` is the closed-loop convenience over a whole trace;
-it batches SubNet selection one caching window at a time (a single numpy
-feasibility mask per window) while producing records identical to the
-per-query path.
+:meth:`SushiStack.serve` is the closed-loop convenience over a whole trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.accelerator.analytic_model import SushiAccelModel
-from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
+from repro.accelerator.persistent_buffer import PersistentBuffer
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
@@ -65,6 +67,64 @@ class SushiStackConfig:
     seed: int = 0
 
 
+class ServeEntry(NamedTuple):
+    """Serving one SubNet once with one candidate SubGraph in the PB.
+
+    ``shared_ms`` is the weight traffic (off-chip fetch + on-chip staging)
+    that a weight-sharing batch pays once.  Plain numbers only, no per-layer
+    breakdown, so the ``|X| x |S|`` entries every clone shares stay small.
+    """
+
+    total_ms: float
+    shared_ms: float
+    offchip_energy_mj: float
+    vector_hit_ratio: float
+    hit_bytes: int
+
+
+ServeEntries = tuple[tuple[ServeEntry, ...], ...]
+
+
+def build_serve_table(
+    subnets: Sequence[SubNet],
+    candidates: CandidateSet,
+    accel: SushiAccelModel,
+    accuracy_model: AccuracyModel,
+) -> tuple[LatencyTable, ServeEntries]:
+    """The latency table and ``entries[i][j]``, from one evaluation per pair.
+
+    Candidate ``j`` is evaluated as the PB holds it after loading it — fitted
+    to the PB capacity — so the table plans with the latencies serving
+    delivers.
+    """
+    pb = accel.make_persistent_buffer()
+    columns = []
+    for candidate in candidates:
+        pb.load(candidate)
+        column = []
+        for subnet in subnets:
+            breakdown = accel.subnet_breakdown(subnet, pb.cached)
+            parts = breakdown.components
+            column.append(
+                ServeEntry(
+                    total_ms=parts.total_ms,
+                    shared_ms=parts.offchip_weight_ms + parts.onchip_weight_ms,
+                    offchip_energy_mj=breakdown.offchip_energy_mj,
+                    vector_hit_ratio=pb.vector_hit_ratio(subnet),
+                    hit_bytes=pb.hit_bytes(subnet),
+                )
+            )
+        columns.append(column)
+    entries = tuple(zip(*columns))
+    table = LatencyTable(
+        subnets,
+        candidates,
+        [[entry.total_ms for entry in row] for row in entries],
+        [accuracy_model.accuracy(subnet) for subnet in subnets],
+    )
+    return table, entries
+
+
 class SushiStack:
     """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB)."""
 
@@ -78,6 +138,7 @@ class SushiStack:
         accuracy_model: AccuracyModel | None = None,
         candidates: CandidateSet | None = None,
         table: LatencyTable | None = None,
+        entries: ServeEntries | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
         self.supernet = supernet or load_supernet(self.config.supernet_name)
@@ -91,12 +152,14 @@ class SushiStack:
             capacity_bytes=pb_capacity,
             max_size=self.config.candidate_set_size,
         )
-        self.table = table or LatencyTable.build(
-            self.subnets,
-            self.candidates,
-            latency_fn=self.accel.subnet_latency_ms,
-            accuracy_fn=self.accuracy_model.accuracy,
-        )
+        if table is None and entries is None:
+            table, entries = build_serve_table(
+                self.subnets, self.candidates, self.accel, self.accuracy_model
+            )
+        elif table is None or entries is None:
+            raise ValueError("pass the latency table and its serve entries together")
+        self.table = table
+        self.entries = entries
         rng = np.random.default_rng(self.config.seed)
         self.scheduler = SushiSched(
             self.table,
@@ -106,43 +169,22 @@ class SushiStack:
             rng=rng,
         )
         self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
-        # Per-caching-window memo of (breakdown, hit ratio, hit bytes) by
-        # SubNet index: the PB is immutable between caching decisions, so
-        # every query of a window served on the same SubNet reuses the first
-        # query's accelerator evaluation (bit-identical records and stats).
-        self._window_memo: dict[int, tuple] = {}
-        self._window_memo_gen = -1
+        self._cached_idx = -1
         # Enact the scheduler's initial (random) cache state on the hardware.
         self._enact_cache(self.scheduler.cache_state_idx)
 
     # ------------------------------------------------------------ serving
     def _enact_cache(self, candidate_idx: int) -> float:
         """Load candidate SubGraph ``candidate_idx`` into the PB; return ms spent."""
-        subgraph = self.candidates[candidate_idx]
-        fetched = self.pb.load(subgraph)
+        fetched = self.pb.load(self.candidates[candidate_idx])
+        self._cached_idx = candidate_idx
         return self.accel.cache_load_latency_ms(fetched)
-
-    def _window_breakdown(self, subnet_idx: int) -> tuple:
-        """Memoized (breakdown, hit ratio, hit bytes) at the current PB state."""
-        if self.pb.generation != self._window_memo_gen:
-            self._window_memo.clear()
-            self._window_memo_gen = self.pb.generation
-        memo = self._window_memo.get(subnet_idx)
-        if memo is None:
-            subnet = self.subnets[subnet_idx]
-            memo = (
-                self.accel.subnet_breakdown(subnet, self.pb.cached),
-                self.pb.vector_hit_ratio(subnet),
-                self.pb.hit_bytes(subnet),
-            )
-            self._window_memo[subnet_idx] = memo
-        return memo
 
     def _enact(self, query: Query, decision: SchedulerDecision) -> QueryRecord:
         """Serve one scheduled query on the accelerator and enact caching."""
         subnet = self.subnets[decision.subnet_idx]
-        breakdown, hit_ratio, hit_bytes = self._window_breakdown(decision.subnet_idx)
-        self.pb.record_serve(subnet, hit_bytes=hit_bytes)
+        entry = self.entries[decision.subnet_idx][self._cached_idx]
+        self.pb.record_serve(subnet, hit_bytes=entry.hit_bytes)
 
         cache_load_ms = 0.0
         if decision.cache_updated:
@@ -156,10 +198,10 @@ class SushiStack:
             accuracy_constraint=query.accuracy_constraint,
             latency_constraint_ms=query.latency_constraint_ms,
             subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=hit_ratio,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
+            served_accuracy=decision.subnet_accuracy,
+            served_latency_ms=entry.total_ms,
+            cache_hit_ratio=entry.vector_hit_ratio,
+            offchip_energy_mj=entry.offchip_energy_mj,
             cache_load_ms=cache_load_ms,
         )
 
@@ -228,23 +270,21 @@ class SushiStack:
         )
 
         subnet = self.subnets[decision.subnet_idx]
-        breakdown, hit_ratio, hit_bytes = self._window_breakdown(decision.subnet_idx)
+        entry = self.entries[decision.subnet_idx][self._cached_idx]
         for _ in queries:
-            self.pb.record_serve(subnet, hit_bytes=hit_bytes)
-        components = breakdown.components
+            self.pb.record_serve(subnet, hit_bytes=entry.hit_bytes)
         if len(queries) == 1:
             # Bit-identical to serve_query: total_ms directly, not the
             # algebraically equal shared + 1 x (total - shared).
-            batch_ms = components.total_ms
+            batch_ms = entry.total_ms
         else:
-            shared_ms = components.offchip_weight_ms + components.onchip_weight_ms
-            batch_ms = shared_ms + len(queries) * (components.total_ms - shared_ms)
+            shared_ms = entry.shared_ms
+            batch_ms = shared_ms + len(queries) * (entry.total_ms - shared_ms)
 
         cache_load_ms = 0.0
         if decision.cache_updated:
             cache_load_ms = self._enact_cache(decision.next_cache_state_idx)
 
-        served_accuracy = self.accuracy_model.accuracy(subnet)
         last = len(queries) - 1
         return [
             QueryRecord(
@@ -252,26 +292,18 @@ class SushiStack:
                 accuracy_constraint=query.accuracy_constraint,
                 latency_constraint_ms=query.latency_constraint_ms,
                 subnet_name=subnet.name,
-                served_accuracy=served_accuracy,
+                served_accuracy=decision.subnet_accuracy,
                 served_latency_ms=batch_ms,
-                cache_hit_ratio=hit_ratio,
-                offchip_energy_mj=breakdown.offchip_energy_mj,
+                cache_hit_ratio=entry.vector_hit_ratio,
+                offchip_energy_mj=entry.offchip_energy_mj,
                 cache_load_ms=cache_load_ms if i == last else 0.0,
             )
             for i, query in enumerate(queries)
         ]
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        """Serve a query stream end to end; returns per-query records.
-
-        SubNet selection is batched one caching window at a time (vectorized
-        feasibility masks); the records are identical to calling
-        :meth:`serve_query` per query.
-        """
-        decisions = self.scheduler.schedule_batch(
-            trace.accuracy_constraints, trace.latency_constraints_ms
-        )
-        return [self._enact(query, d) for query, d in zip(trace, decisions)]
+        """Serve a query stream end to end; returns per-query records."""
+        return [self.serve_query(query) for query in trace]
 
     def estimate_service_ms(self, query: Query) -> float:
         """Predicted service time of ``query`` at the current cache state.
@@ -299,15 +331,14 @@ class SushiStack:
         """Reset scheduler history and PB contents (keeps the latency table)."""
         self.scheduler.reset()
         self.pb = self.accel.make_persistent_buffer()
-        self._window_memo.clear()
-        self._window_memo_gen = -1
         self._enact_cache(self.scheduler.cache_state_idx)
 
     def clone(self, *, seed: int | None = None) -> "SushiStack":
         """An independent stack sharing this one's immutable substrate.
 
-        The SuperNet, SubNet family, accelerator model, candidate set and
-        latency table are shared (they are read-only); the clone gets its own
+        The SuperNet, SubNet family, accelerator model, candidate set, latency
+        table and serve entries are shared (they are read-only), so a clone
+        evaluates nothing on the accelerator model; the clone gets its own
         scheduler and Persistent Buffer, so it evolves cache state
         independently — one clone per engine replica.
         """
@@ -320,4 +351,5 @@ class SushiStack:
             accuracy_model=self.accuracy_model,
             candidates=self.candidates,
             table=self.table,
+            entries=self.entries,
         )

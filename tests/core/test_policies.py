@@ -95,11 +95,23 @@ class TestValidation:
         assert Policy("strict_latency") is Policy.STRICT_LATENCY
 
 
+def numpy_select_batch(table, policy, accs, lats, cache_idx):
+    """The vectorized numpy selection the table used to ship (the oracle)."""
+    col = table.column(cache_idx)
+    if policy == Policy.STRICT_ACCURACY:
+        mask = table.accuracies[None, :] >= accs[:, None]
+        best = np.argmin(np.where(mask, col[None, :], np.inf), axis=1)
+        fallback = np.argmax(table.accuracies)
+    else:
+        mask = col[None, :] <= lats[:, None]
+        best = np.argmax(np.where(mask, table.accuracies[None, :], -np.inf), axis=1)
+        fallback = np.argmin(col)
+    return np.where(mask.any(axis=1), best, fallback)
+
+
 class TestBatchSelection:
     @pytest.mark.parametrize("policy", [Policy.STRICT_ACCURACY, Policy.STRICT_LATENCY])
     def test_batch_matches_scalar_selection(self, table, policy):
-        from repro.core.policies import select_subnet_batch
-
         rng = np.random.default_rng(3)
         n = 200
         # Span feasible, infeasible-low and infeasible-high bounds so both
@@ -107,13 +119,7 @@ class TestBatchSelection:
         accs = rng.uniform(0.5, 0.99, size=n)
         lats = rng.uniform(0.01, 2 * float(table.latencies_ms.max()), size=n)
         for cache_idx in (0, table.num_subgraphs - 1):
-            batch = select_subnet_batch(
-                table,
-                policy,
-                accuracy_constraints=accs,
-                latency_constraints_ms=lats,
-                cache_state_idx=cache_idx,
-            )
+            batch = numpy_select_batch(table, policy, accs, lats, cache_idx)
             scalar = [
                 select_subnet(
                     table,
@@ -125,23 +131,3 @@ class TestBatchSelection:
                 for a, l in zip(accs, lats)
             ]
             assert batch.tolist() == scalar
-
-    def test_batch_validates_inputs(self, table):
-        from repro.core.policies import select_subnet_batch
-
-        with pytest.raises(IndexError):
-            select_subnet_batch(
-                table,
-                Policy.STRICT_ACCURACY,
-                accuracy_constraints=[0.7],
-                latency_constraints_ms=[1.0],
-                cache_state_idx=table.num_subgraphs,
-            )
-        with pytest.raises(ValueError):
-            select_subnet_batch(
-                table,
-                Policy.STRICT_ACCURACY,
-                accuracy_constraints=[0.7, 0.8],
-                latency_constraints_ms=[1.0],
-                cache_state_idx=0,
-            )

@@ -71,14 +71,14 @@ class TestScheduling:
         for _ in range(5):
             sched.schedule(accuracy_constraint=0.76, latency_constraint_ms=5.0)
         assert sched.queries_seen == 5
-        assert len(sched.decisions) == 5
+        assert sched.decisions_made == 5
 
     def test_reset_clears_history(self, setup):
         sched = make_scheduler(setup)
         sched.schedule(accuracy_constraint=0.76, latency_constraint_ms=5.0)
         sched.reset(initial_cache_idx=0)
         assert sched.queries_seen == 0
-        assert not sched.decisions
+        assert sched.decisions_made == sched.cache_updates == 0
         assert sched.cache_state_idx == 0
 
     def test_strict_latency_policy(self, setup):
@@ -104,9 +104,12 @@ class TestScheduling:
 
     def test_cache_update_count(self, setup):
         sched = make_scheduler(setup, cache_update_period=2)
-        for _ in range(10):
+        decisions = [
             sched.schedule(accuracy_constraint=0.79, latency_constraint_ms=5.0)
+            for _ in range(10)
+        ]
         assert 0 <= sched.cache_update_count() <= 5
+        assert sched.cache_update_count() == sum(d.cache_updated for d in decisions)
 
 
 class TestResetSemantics:
@@ -128,42 +131,3 @@ class TestResetSemantics:
             sched.schedule(accuracy_constraint=0.78, latency_constraint_ms=5.0)
         sched.reset()
         assert sched.cache_state_idx == initial
-
-
-class TestBatchScheduling:
-    def test_schedule_batch_matches_sequential(self, setup):
-        rng = np.random.default_rng(5)
-        n = 37  # deliberately not a multiple of Q
-        accs = rng.uniform(0.75, 0.82, size=n)
-        lats = rng.uniform(0.1, 5.0, size=n)
-        seq = make_scheduler(setup, cache_update_period=4)
-        bat = make_scheduler(setup, cache_update_period=4)
-        sequential = [
-            seq.schedule(accuracy_constraint=float(a), latency_constraint_ms=float(l))
-            for a, l in zip(accs, lats)
-        ]
-        batched = bat.schedule_batch(accs, lats)
-        assert batched == sequential
-        assert bat.queries_seen == seq.queries_seen == n
-        assert bat.cache_state_idx == seq.cache_state_idx
-        assert bat.decisions == seq.decisions
-
-    def test_schedule_batch_resumes_mid_period(self, setup):
-        sched = make_scheduler(setup, cache_update_period=4)
-        ref = make_scheduler(setup, cache_update_period=4)
-        accs = [0.78, 0.79, 0.80, 0.76, 0.77, 0.81]
-        lats = [5.0, 1.0, 2.0, 4.0, 0.5, 3.0]
-        # Two queries one at a time, then the rest in a batch: the batch must
-        # align its first chunk to the caching-period boundary.
-        for a, l in zip(accs[:2], lats[:2]):
-            sched.schedule(accuracy_constraint=a, latency_constraint_ms=l)
-        sched.schedule_batch(accs[2:], lats[2:])
-        for a, l in zip(accs, lats):
-            ref.schedule(accuracy_constraint=a, latency_constraint_ms=l)
-        assert sched.decisions == ref.decisions
-        assert sched.cache_state_idx == ref.cache_state_idx
-
-    def test_schedule_batch_validates_shapes(self, setup):
-        sched = make_scheduler(setup)
-        with pytest.raises(ValueError):
-            sched.schedule_batch([0.78, 0.79], [1.0])

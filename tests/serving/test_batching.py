@@ -100,7 +100,7 @@ class TestScheduleShared:
         decision = s.scheduler.schedule_shared(
             accuracy_constraint=0.74, latency_constraint_ms=50.0, batch_size=11
         )
-        assert len(s.scheduler.decisions) == 1
+        assert s.scheduler.decisions_made == 1
         assert decision.next_cache_state_idx == s.scheduler.cache_state_idx
 
     def test_rejects_non_positive_batch(self, stack):

@@ -1,11 +1,15 @@
 """Unit/integration tests for the SUSHI stack and baseline servers."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.policies import Policy
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
+from repro.accelerator.persistent_buffer import CachedSubGraph
+from repro.core.metrics import QueryRecord
 from repro.serving.query import QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -66,36 +70,86 @@ class TestSushiStack:
         assert stack.pb.occupancy_bytes <= stack.pb.capacity_bytes
 
     def test_window_memo_is_bit_identical_to_unmemoized_path(self, stack, trace):
-        """The per-caching-window memo in ``_enact`` must change nothing.
+        """Serving from the shared serve table must change nothing.
 
-        The reference clone has its memo flushed before every query, forcing
-        the full per-query accelerator evaluation; records *and* PB byte
-        statistics must match the memoized clone exactly.
+        The oracle evaluates the accelerator model and the PB on every query,
+        exactly as the stack did before serve entries were precomputed;
+        records *and* PB byte statistics must match exactly on every serve
+        path.
         """
-        memoized = stack.clone(seed=7)
-        records_memo = memoized.serve(trace)
+        oracle = stack.clone(seed=7)
 
-        reference = stack.clone(seed=7)
-        records_ref = []
-        for query in trace:
-            reference._window_memo.clear()
-            reference._window_memo_gen = -1
-            records_ref.append(reference.serve_query(query))
+        def evaluate(subnet_idx):
+            subnet = oracle.subnets[subnet_idx]
+            breakdown = oracle.accel.subnet_breakdown(subnet, oracle.pb.cached)
+            return subnet, breakdown, oracle.pb.vector_hit_ratio(subnet), oracle.pb.hit_bytes(subnet)
 
-        assert records_memo == records_ref
-        for field in (
-            "queries_served",
-            "hit_bytes_total",
-            "served_weight_bytes_total",
-            "cache_loads",
-            "cache_load_bytes_total",
-        ):
-            assert getattr(memoized.pb.stats, field) == getattr(
-                reference.pb.stats, field
-            ), field
+        def oracle_serve(queries):
+            decision = oracle.scheduler.schedule_shared(
+                accuracy_constraint=max(q.accuracy_constraint for q in queries),
+                latency_constraint_ms=min(q.latency_constraint_ms for q in queries)
+                / len(queries),
+                batch_size=len(queries),
+            )
+            subnet, breakdown, hit_ratio, hit_bytes = evaluate(decision.subnet_idx)
+            for _ in queries:
+                oracle.pb.record_serve(subnet, hit_bytes=hit_bytes)
+            parts = breakdown.components
+            if len(queries) == 1:
+                latency_ms = breakdown.latency_ms
+            else:
+                shared = parts.offchip_weight_ms + parts.onchip_weight_ms
+                latency_ms = shared + len(queries) * (parts.total_ms - shared)
+            cache_load_ms = 0.0
+            if decision.cache_updated:
+                cache_load_ms = oracle._enact_cache(decision.next_cache_state_idx)
+            return [
+                QueryRecord(
+                    query_index=q.index,
+                    accuracy_constraint=q.accuracy_constraint,
+                    latency_constraint_ms=q.latency_constraint_ms,
+                    subnet_name=subnet.name,
+                    served_accuracy=oracle.accuracy_model.accuracy(subnet),
+                    served_latency_ms=latency_ms,
+                    cache_hit_ratio=hit_ratio,
+                    offchip_energy_mj=breakdown.offchip_energy_mj,
+                    cache_load_ms=cache_load_ms if k == len(queries) - 1 else 0.0,
+                )
+                for k, q in enumerate(queries)
+            ]
+
+        def pb_stats(s):
+            return tuple(
+                getattr(s.pb.stats, f)
+                for f in (
+                    "queries_served",
+                    "hit_bytes_total",
+                    "served_weight_bytes_total",
+                    "cache_loads",
+                    "cache_load_bytes_total",
+                )
+            )
+
+        queries = list(trace)
+        expected = [r for q in queries for r in oracle_serve([q])]
+        served = stack.clone(seed=7)
+        assert served.serve(trace) == expected
+        assert pb_stats(served) == pb_stats(oracle)
+
+        per_query = stack.clone(seed=7)
+        assert [per_query.serve_query(q) for q in queries] == expected
+        assert pb_stats(per_query) == pb_stats(oracle)
+
+        oracle.reset()
+        batches = [queries[k : k + 3] for k in range(0, len(queries), 3)]
+        expected = [r for batch in batches for r in oracle_serve(batch)]
+        batched = stack.clone(seed=7)
+        got = [r for batch in batches for r in batched.serve_dispatch_batch(batch)]
+        assert got == expected
+        assert pb_stats(batched) == pb_stats(oracle)
 
     def test_window_memo_reuses_accelerator_evaluations(self, stack, trace):
-        """Within one caching window each distinct SubNet is evaluated once."""
+        """Set-up evaluates each (SubNet, SubGraph) pair once; serving, none."""
 
         class CountingAccel:
             def __init__(self, inner):
@@ -113,9 +167,41 @@ class TestSushiStack:
         proxy = CountingAccel(clone.accel)
         clone.accel = proxy
         clone.serve(trace)
-        # At most (distinct SubNets per window) evaluations per caching
-        # window — strictly fewer than one per query on this trace.
-        assert 0 < proxy.calls < len(trace)
+        assert proxy.calls == 0
+
+        proxy = CountingAccel(stack.accel)
+        SushiStack(
+            stack.config,
+            supernet=stack.supernet,
+            subnets=stack.subnets,
+            accel=proxy,
+            accuracy_model=stack.accuracy_model,
+            candidates=stack.candidates,
+        )
+        assert proxy.calls == len(stack.subnets) * len(stack.candidates)
+
+    def test_table_describes_the_fitted_subgraph(self, stack, trace):
+        """A candidate larger than the PB is planned as the PB holds it."""
+        largest = max(stack.subnets, key=lambda sn: sn.weight_bytes)
+        oversized = CachedSubGraph.from_subnet(largest, name="oversized")
+        assert oversized.weight_bytes > stack.pb.capacity_bytes
+        s = SushiStack(
+            stack.config,
+            supernet=stack.supernet,
+            subnets=stack.subnets,
+            accel=stack.accel,
+            accuracy_model=stack.accuracy_model,
+            candidates=replace(stack.candidates, subgraphs=(oversized,)),
+        )
+        names = [sn.name for sn in s.subnets]
+        for record in s.serve(trace):
+            i = names.index(record.subnet_name)
+            assert s.table.latency(i, 0) == record.served_latency_ms
+        # The unfitted candidate would have promised latencies never served.
+        assert any(
+            stack.accel.subnet_latency_ms(sn, oversized) != s.table.latency(i, 0)
+            for i, sn in enumerate(s.subnets)
+        )
 
 
 class TestBaselines:
