@@ -5,11 +5,11 @@ from dataclasses import replace
 import pytest
 
 from repro.accelerator.analytic_model import SushiAccelModel
+from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
+from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
-from repro.accelerator.persistent_buffer import CachedSubGraph
-from repro.core.metrics import QueryRecord
 from repro.serving.query import QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -79,11 +79,6 @@ class TestSushiStack:
         """
         oracle = stack.clone(seed=7)
 
-        def evaluate(subnet_idx):
-            subnet = oracle.subnets[subnet_idx]
-            breakdown = oracle.accel.subnet_breakdown(subnet, oracle.pb.cached)
-            return subnet, breakdown, oracle.pb.vector_hit_ratio(subnet), oracle.pb.hit_bytes(subnet)
-
         def oracle_serve(queries):
             decision = oracle.scheduler.schedule_shared(
                 accuracy_constraint=max(q.accuracy_constraint for q in queries),
@@ -91,9 +86,11 @@ class TestSushiStack:
                 / len(queries),
                 batch_size=len(queries),
             )
-            subnet, breakdown, hit_ratio, hit_bytes = evaluate(decision.subnet_idx)
+            subnet = oracle.subnets[decision.subnet_idx]
+            breakdown = oracle.accel.subnet_breakdown(subnet, oracle.pb.cached)
+            hit_ratio = oracle.pb.vector_hit_ratio(subnet)
             for _ in queries:
-                oracle.pb.record_serve(subnet, hit_bytes=hit_bytes)
+                oracle.pb.record_serve(subnet)
             parts = breakdown.components
             if len(queries) == 1:
                 latency_ms = breakdown.latency_ms
