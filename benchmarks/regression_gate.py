@@ -17,12 +17,9 @@ tolerance (default 20%).  ``--kind`` selects the metric set:
 ``engine``
     Fresh JSON from ``benchmarks/test_bench_engine.py`` vs the committed
     ``BENCH_engine.json``.  These are *wall-clock* queries/sec of the
-    engine's fast/sharded execution strategies, so CI passes a wide
-    tolerance (runner speed varies); the ``fast_speedup`` ratio is the
-    stable signal — both loops run on the same machine, so a drop means
-    the fast path itself got slower relative to the reference loop.
-    Only the 10k/1M tiers are gated: the 10M tier is nightly-only and
-    absent from PR-produced fresh JSONs.
+    engine's event loop (the ``fast_qps`` rows), so CI passes a wide
+    tolerance (runner speed varies).  Only the 10k/1M tiers are gated: the
+    10M tier is nightly-only and absent from PR-produced fresh JSONs.
 
 Usage::
 
@@ -55,10 +52,7 @@ GATED_METRICS: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
     ),
     "engine": (
         (("q10k", "fast_qps"), "higher"),
-        (("q1m", "reference_qps"), "higher"),
         (("q1m", "fast_qps"), "higher"),
-        (("q1m", "shard_qps"), "higher"),
-        (("q1m", "fast_speedup"), "higher"),
     ),
 }
 

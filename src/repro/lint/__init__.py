@@ -4,7 +4,7 @@ The simulator's credibility rests on contracts that used to live only in
 docs and expensive runtime property tests: the deterministic
 ``(time, kind, seq)`` event tie-break, the record-identity ladder, exact
 spec JSON round-trips, and the ``__slots__``/``__dict__`` coupling the
-engine fast path relies on.  This package turns those conventions into a
+engine hot path relies on.  This package turns those conventions into a
 static-analysis pass that fails CI in well under a second::
 
     python -m repro lint                 # lint src/ (the default)

@@ -382,7 +382,7 @@ class StampSite:
 def find_stamp_sites(func: ast.FunctionDef) -> list[StampSite]:
     """Locate fast-path construction sites inside one function.
 
-    Recognizes the idiom the engine's ``_fast_drain`` / ``query_at`` use::
+    Recognizes the idiom the engine's ``_simulate`` / ``query_at`` use::
 
         out_new = Cls.__new__          # optional hoisted alias
         obj = out_new(Cls)             # or obj = Cls.__new__(Cls)

@@ -102,9 +102,10 @@ class EventOrderingChecker(Checker):
         if not heapq_modules and not bare:
             return
 
-        # Calls inside an event-queue ``push(self, event)`` method are held
-        # to the full canonical shape; everything else to the minimum
-        # (time, tie-break, payload) arity.
+        # Calls inside an event-queue ``push`` method — ``push(self, event)``
+        # or ``push(self, time_ms, kind, payload)`` — are held to the full
+        # canonical shape; everything else to the minimum (time, tie-break,
+        # payload) arity.
         in_event_push: set[ast.Call] = set()
         for class_node in ast.walk(module.tree):
             if not isinstance(class_node, ast.ClassDef):
@@ -114,7 +115,10 @@ class EventOrderingChecker(Checker):
                     isinstance(stmt, ast.FunctionDef)
                     and stmt.name == "push"
                     and len(stmt.args.args) >= 2
-                    and stmt.args.args[1].arg == "event"
+                    and (
+                        stmt.args.args[1].arg == "event"
+                        or any(arg.arg == "kind" for arg in stmt.args.args)
+                    )
                 ):
                     for call in ast.walk(stmt):
                         if isinstance(call, ast.Call) and _is_heappush(

@@ -1,7 +1,7 @@
 """RPR003 — fast-path field parity.
 
-PR 6's fast path bypasses dataclass ``__init__`` by stamping attribute
-values straight into ``obj.__dict__`` (``_fast_drain`` building
+The engine's hot path bypasses dataclass ``__init__`` by stamping
+attribute values straight into ``obj.__dict__`` (``_simulate`` building
 ``SimulatedQueryOutcome``, ``ArrayQueryTrace.query_at`` building
 ``Query``).  The compiler cannot check those string keys against the
 class definition, so adding a field to the dataclass — or fat-fingering

@@ -141,7 +141,7 @@ def _group_ranges(
 
 def build_trace(
     spec: ScenarioSpec, *, stack_cache: StackCache | None = None
-) -> QueryTrace | ArrayQueryTrace:
+) -> ArrayQueryTrace:
     """The scenario's query trace, with deferred constraint ranges resolved.
 
     ``None`` ranges in the workload spec resolve to the feasible ranges of
@@ -149,10 +149,9 @@ def build_trace(
     backends, static profiles otherwise), so generated constraints are
     always meaningful for the family being served.
 
-    Fast-path scenarios (``fast_path`` / ``shard``) get the array-backed
-    trace: the same vectorized constraint draws, kept in numpy buffers with
-    ``Query`` objects materialized lazily at dispatch.  The two forms are
-    bit-identical query for query.
+    The trace is array-backed: vectorized constraint draws kept in numpy
+    buffers, with ``Query`` objects materialized lazily at dispatch
+    (bit-identical, query for query, to the eager ``generate()`` trace).
 
     Trace-replay scenarios (``arrivals.kind == "trace"`` with a ``path``)
     may carry per-request constraint columns: a ``slo_ms`` column replaces
@@ -177,14 +176,7 @@ def build_trace(
     if log is not None:
         accuracy_override = log.accuracy_floor
         latency_override = log.slo_ms
-    generator = WorkloadGenerator(workload, seed=spec.seed)
-    if spec.fast_path or spec.shard:
-        return generator.generate_array_trace(
-            name=spec.name,
-            accuracy_override=accuracy_override,
-            latency_override=latency_override,
-        )
-    return generator.generate(
+    return WorkloadGenerator(workload, seed=spec.seed).generate_array_trace(
         name=spec.name,
         accuracy_override=accuracy_override,
         latency_override=latency_override,
@@ -195,7 +187,7 @@ def _server_builder(
     spec: ScenarioSpec,
     group: ReplicaGroupSpec,
     stack_cache: StackCache,
-    trace: QueryTrace | None,
+    trace: QueryTrace | ArrayQueryTrace | None,
 ) -> Callable[[int], QueryServer]:
     """A factory producing one group's backends, by engine-global position."""
     family = _family(spec.supernet_name)
@@ -259,7 +251,7 @@ def _server_builder(
 def build_engine(
     spec: ScenarioSpec,
     *,
-    trace: QueryTrace | None = None,
+    trace: QueryTrace | ArrayQueryTrace | None = None,
     stack_cache: StackCache | None = None,
 ) -> ServingEngine:
     """Construct the serving engine a :class:`ScenarioSpec` describes.
@@ -406,9 +398,6 @@ def run_scenario(
         trace,
         arrivals,
         arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(),
-        fast_path=spec.fast_path,
-        shard=spec.shard,
-        shard_workers=spec.shard_workers,
     )
 
 

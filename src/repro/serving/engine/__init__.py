@@ -1,7 +1,7 @@
 """Discrete-event multi-replica serving engine.
 
 One dispatch-time core unifies the closed-loop experiments (Fig. 15/16) and
-the open-loop load sweeps: an event heap advances simulated time, a routing
+the open-loop load sweeps: an event queue advances simulated time, a routing
 policy spreads arrivals over N :class:`AcceleratorReplica` instances, each
 replica drains its queue under a pluggable discipline, admission control
 sheds queries whose deadline already expired, and every dispatch hands the
@@ -39,7 +39,7 @@ from repro.serving.engine.disciplines import (
     SlackPriorityQueue,
     make_discipline,
 )
-from repro.serving.engine.events import ArrayEventQueue, Event, EventHeap, EventKind
+from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FaultInjector
 from repro.serving.engine.replica import (
     AcceleratorReplica,
@@ -69,8 +69,6 @@ __all__ = [
     "DropExpired",
     "DroppedQuery",
     "EDFQueue",
-    "Event",
-    "EventHeap",
     "EventKind",
     "FIFOQueue",
     "FastestExpectedRouter",

@@ -16,7 +16,7 @@ synthetic test servers all plug in unchanged.
 Invariants the rest of the system builds on:
 
 * **Determinism** — the run is a pure function of (replicas, trace,
-  arrival timestamps): the event heap breaks timestamp ties by kind
+  arrival timestamps): the event queue breaks timestamp ties by kind
   (completions → arrivals → faults → recoveries → provisioning hand-overs
   → control ticks) and then insertion order, every
   routing/discipline/policy decision is deterministic, fault sampling
@@ -45,7 +45,6 @@ Invariants the rest of the system builds on:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import replace
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
@@ -55,15 +54,15 @@ import numpy as np
 from repro.serving.autoscale.controller import AutoscaleController, GroupLoad
 from repro.serving.engine.admission import AdmissionPolicy, make_admission
 from repro.serving.engine.disciplines import QueueDiscipline, QueuedQuery
-from repro.serving.engine.events import ArrayEventQueue, Event, EventHeap, EventKind
+from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
-from repro.serving.engine.replica import AcceleratorReplica, _InService
+from repro.serving.engine.replica import AcceleratorReplica, _InFlight, _InService
 from repro.serving.engine.results import (
     DroppedQuery,
     SimulatedQueryOutcome,
     SimulationResult,
 )
-from repro.serving.engine.routing import RoundRobinRouter, RoutingPolicy, make_router
+from repro.serving.engine.routing import RoutingPolicy, make_router
 from repro.serving.query import Query, QueryTrace
 
 _MIN_EFFECTIVE_LATENCY_MS = 1e-9
@@ -82,14 +81,6 @@ def poisson_arrivals(
         raise ValueError("rate_per_ms must be positive")
     gaps = rng.exponential(scale=1.0 / rate_per_ms, size=num_queries)
     return np.cumsum(gaps)
-
-
-# --------------------------------------------------------------- fast path
-#
-# The helpers below are module-level (not methods) for two reasons: the fast
-# event loop closes over plain locals instead of ``self`` attribute chains,
-# and sharded simulation ships them to worker processes, which requires
-# picklable, engine-free entry points.
 
 
 def _query_getter(trace) -> Callable[[int], Query]:
@@ -113,13 +104,23 @@ def _drop_item(
     )
 
 
+def _relaxed(query: Query, relax: float) -> Query:
+    """Brownout: ``query`` with its accuracy floor lowered by ``relax``.
+
+    The backend schedules against the relaxed floor; the outcome keeps the
+    query's nominal constraints, so attainment metrics see the degradation.
+    """
+    floor = query.accuracy_constraint - relax
+    return replace(query, accuracy_constraint=floor if floor > 1e-9 else 1e-9)
+
+
 def _stamp_record(record, ridx: int):
     """``replace(record, replica_index=ridx)`` without per-call dataclass
-    introspection (``dataclasses.replace`` is the reference dispatch's top
-    hotspot).  Value-equal to ``replace``: dataclass equality compares
-    fields, and records are valid by construction, so skipping re-validation
-    changes no observable bit.  Falls back to ``replace`` for slotted or
-    otherwise ``__dict__``-less record types.
+    introspection (``dataclasses.replace`` would be the single-query
+    dispatch's top hotspot).  Value-equal to ``replace``: dataclass equality
+    compares fields, and records are valid by construction, so skipping
+    re-validation changes no observable bit.  Falls back to ``replace`` for
+    slotted or otherwise ``__dict__``-less record types.
     """
     cls = record.__class__
     try:
@@ -131,24 +132,6 @@ def _stamp_record(record, ridx: int):
     d.update(fields)
     d["replica_index"] = ridx
     return clone
-
-
-class _BusyToken:
-    """Stand-in for ``replica.in_service`` on the fast single-query path.
-
-    The fast loop carries a single dispatch's (item, record, start, service)
-    in its completion-heap entry instead of allocating an
-    :class:`~repro.serving.engine.replica._InService` per dispatch; load
-    views only need *that* the replica is busy and the in-flight count (1),
-    which this shared singleton provides via a class attribute.
-    """
-
-    __slots__ = ()
-
-    size = 1
-
-
-_FAST_BUSY = _BusyToken()
 
 
 def _serve_pickup(
@@ -165,19 +148,16 @@ def _serve_pickup(
 ) -> float | None:
     """Pull the replica's next admissible batch and start serving it.
 
-    The body of the reference dispatch, minus event scheduling: returns the
-    pickup's completion time (``None`` when the queue yields no admissible
-    batch) and leaves scheduling of the COMPLETION to the caller, so the
-    reference heap loop and the fast loop share one serving semantics.
-
-    With ``max_batch=1`` (the default) this is the pre-batching dispatch:
-    one pop, one admission check, one ``serve_query`` — record-identical to
-    the seed path.  With batching, up to ``max_batch`` admissible queries
-    leave the queue in one pickup and are served as a unit: under
-    ``shared_subnet`` the backend makes a single shared SubNet decision and
-    one accelerator evaluation for the whole batch; under ``per_query`` (and
-    for backends without ``serve_dispatch_batch``) members keep their own
-    decisions and run back to back.
+    The batched dispatch (``max_batch > 1``): returns the pickup's
+    completion time (``None`` when the queue yields no admissible batch)
+    and leaves scheduling of the COMPLETION to the caller.  Up to
+    ``max_batch`` admissible queries leave the queue in one pickup and are
+    served as a unit: under ``shared_subnet`` the backend makes a single
+    shared SubNet decision and one accelerator evaluation for the whole
+    batch; under ``per_query`` (and for backends without
+    ``serve_dispatch_batch``) members keep their own decisions and run back
+    to back.  A one-member pickup is served exactly like the engine's
+    single-query dispatch.
 
     Records are stamped with the replica index *here*, at dispatch, so
     completion is allocation-free.
@@ -189,10 +169,9 @@ def _serve_pickup(
     stays idle), straggle scaling of the batch's service time by the
     replica's current ``straggle_factor`` (records keep their nominal
     ``served_latency_ms``; outcomes and busy accounting carry the scaled
-    time), and brownout degradation — the injector's current
-    ``accuracy_relax`` is subtracted from every member's accuracy floor
-    before the backend sees it, steering dispatch toward smaller SubNets
-    while capacity is lost.  ``faults=None`` is a dead check.
+    time), and brownout degradation (:func:`_relaxed`), steering dispatch
+    toward smaller SubNets while capacity is lost.  ``faults=None`` is a
+    dead check.
     """
     batch, shed = replica.pop_batch(replica.max_batch, now_ms=now, admission=admission)
     for item in shed:
@@ -251,16 +230,7 @@ def _serve_pickup(
                     if remaining > _MIN_EFFECTIVE_LATENCY_MS
                     else _MIN_EFFECTIVE_LATENCY_MS
                 )
-            query = item.query
-            if relax > 0.0:
-                # Brownout: relax the accuracy floor the backend schedules
-                # against (the outcome keeps the query's nominal
-                # constraints, so attainment metrics see the degradation).
-                floor = query.accuracy_constraint - relax
-                query = replace(
-                    query,
-                    accuracy_constraint=floor if floor > 1e-9 else 1e-9,
-                )
+            query = _relaxed(item.query, relax) if relax > 0.0 else item.query
             record = serve(query, effective_latency_constraint_ms=effective)
             if record.replica_index != ridx:
                 record = replace(record, replica_index=ridx)
@@ -298,17 +268,7 @@ def _serve_pickup(
             ]
         queries = [item.query for item in batch]
         if relax > 0.0:
-            queries = [
-                replace(
-                    q,
-                    accuracy_constraint=(
-                        q.accuracy_constraint - relax
-                        if q.accuracy_constraint - relax > 1e-9
-                        else 1e-9
-                    ),
-                )
-                for q in queries
-            ]
+            queries = [_relaxed(q, relax) for q in queries]
         records = [
             r if r.replica_index == ridx else replace(r, replica_index=ridx)
             for r in batch_serve(
@@ -377,233 +337,6 @@ def _complete_inservice(
     stats.num_served += size
     stats.busy_ms += current.total_ms
     replica.in_service = None
-
-
-def _fast_drain(
-    replicas: Sequence[AcceleratorReplica],
-    router_select,
-    admission: AdmissionPolicy,
-    dts: bool,
-    needs_estimates: bool,
-    get_query: Callable[[int], Query],
-    arr_list: Sequence[float],
-    *,
-    seqs: Sequence[int] | None = None,
-    fixed_replica: AcceleratorReplica | None = None,
-    recorder=None,
-) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery], float]:
-    """The static-pool fast event loop (no autoscaler).
-
-    Replaces the Event/EventHeap machinery with a cursor over the (already
-    time-sorted) arrival buffer and a raw-tuple heap holding only pending
-    completions, and inlines the ``max_batch == 1`` dispatch — no
-    ``pop_batch`` list churn, no per-dispatch ``_InService``, no per-event
-    ``Event``.  Every simulated decision — admission at pop and at dispatch,
-    remaining-budget floors, record stamping, stats accounting, timestamp
-    tie-breaks (completions before arrivals, then insertion order) — replays
-    the reference ``_drain``/``_dispatch``/``_complete`` path operation for
-    operation, so outcomes, drops, per-replica stats and the run end are
-    bit-identical to it (property-tested in the test suite).
-
-    ``fixed_replica`` pins every arrival to one replica and skips routing
-    (sharded mode; ``router_select`` is ignored), and ``seqs`` then supplies
-    the *global* arrival index per buffer position so queue tie-breaks and
-    query lookups use the unsharded stream's numbering.  Returns
-    ``(outcomes, dropped, run_end_ms)``; outcomes and drops are unsorted.
-    """
-    outcomes: list[SimulatedQueryOutcome] = []
-    dropped: list[DroppedQuery] = []
-    admit = admission.admit
-    min_eff = _MIN_EFFECTIVE_LATENCY_MS
-    # Entries: (completion_ms, tie, replica_index, payload) where payload is
-    # the single dispatch's (item, record, start_ms, service_ms), or None
-    # for a batched pickup parked in replica.in_service.  The tie counter
-    # reproduces the reference heap's insertion-order tie-break and keeps
-    # payloads out of tuple comparison.
-    heap: list[tuple[float, int, int, tuple | None]] = []
-    heappush_ = heapq.heappush
-    heappop_ = heapq.heappop
-    out_append = outcomes.append
-    drop_append = dropped.append
-    out_new = SimulatedQueryOutcome.__new__
-    # Flight-recorder hooks, hoisted so the recorder-off loop pays exactly
-    # one ``is not None`` check per served/dropped query and nothing else.
-    rec_served = None if recorder is None else recorder.on_served
-    rec_dropped = None if recorder is None else recorder.on_dropped
-    tie = 0
-
-    def serve_one(replica: AcceleratorReplica, item: QueuedQuery, now: float) -> None:
-        # The inlined max_batch == 1 pickup; ``item`` is already admitted.
-        nonlocal tie
-        query = item.query
-        if dts:
-            remaining = query.latency_constraint_ms - (now - item.arrival_ms)
-            effective = remaining if remaining > min_eff else min_eff
-        else:
-            effective = None
-        record = replica.server.serve_query(
-            query, effective_latency_constraint_ms=effective
-        )
-        ridx = replica.index
-        if record.replica_index != ridx:
-            record = _stamp_record(record, ridx)
-        service = float(record.served_latency_ms)
-        completion = now + service
-        replica.in_service = _FAST_BUSY
-        replica.busy_until_ms = completion
-        replica.stats.num_batches += 1
-        heappush_(heap, (completion, tie, ridx, (item, record, now, service)))
-        tie += 1
-
-    def dispatch(replica: AcceleratorReplica, now: float) -> None:
-        # The replica just went idle: pull its next pickup, if any.
-        nonlocal tie
-        if replica.max_batch == 1:
-            stats = replica.stats
-            pop_next = replica.pop_next
-            item = pop_next()
-            while item is not None and not admit(item, now):
-                stats.num_dropped += 1
-                drop_append(
-                    DroppedQuery(
-                        query_index=item.query.index,
-                        arrival_ms=item.arrival_ms,
-                        dropped_at_ms=now,
-                        latency_constraint_ms=item.query.latency_constraint_ms,
-                        replica_index=replica.index,
-                    )
-                )
-                if rec_dropped is not None:
-                    rec_dropped(dropped[-1])
-                item = pop_next()
-            if item is not None:
-                serve_one(replica, item, now)
-        else:
-            completion = _serve_pickup(
-                replica, now, dropped, admission=admission, dts=dts, bus=None,
-                recorder=recorder,
-            )
-            if completion is not None:
-                heappush_(heap, (completion, tie, replica.index, None))
-                tie += 1
-
-    # An idle replica with an empty queue can serve an admitted arrival
-    # directly, skipping the enqueue/pop round-trip.  Gated off when service
-    # estimates ride on the items: the estimate's float would otherwise
-    # enter and leave the discipline's queued-work accumulator, whose exact
-    # bits load-aware routers read on later arrivals.
-    direct_serve = not needs_estimates
-    num_arrivals = len(arr_list)
-    run_end = 0.0
-    i = 0
-    infinity = float("inf")
-    next_arrival = arr_list[0] if num_arrivals else infinity
-    while True:
-        if heap and heap[0][0] <= next_arrival:
-            # Completions at an arrival's exact timestamp run first
-            # (EventKind.COMPLETION < ARRIVAL), matching the reference heap.
-            entry = heappop_(heap)
-            now = entry[0]
-            run_end = now
-            # entry[2] is the replica's engine-wide index; in sharded mode
-            # the (single) replica's index does not address ``replicas``.
-            replica = (
-                fixed_replica if fixed_replica is not None else replicas[entry[2]]
-            )
-            payload = entry[3]
-            if payload is None:
-                _complete_inservice(replica, outcomes, recorder)
-            else:
-                item, record, start, service = payload
-                query = item.query
-                # Built via __dict__ fill: a frozen dataclass __init__ pays
-                # one object.__setattr__ per field, and one outcome exists
-                # per served query.  Value-identical to the keyword
-                # construction in _complete_inservice.
-                outcome = out_new(SimulatedQueryOutcome)
-                d = outcome.__dict__
-                d["query_index"] = query.index
-                d["arrival_ms"] = item.arrival_ms
-                d["start_ms"] = start
-                d["service_ms"] = service
-                d["latency_constraint_ms"] = query.latency_constraint_ms
-                d["served_accuracy"] = record.served_accuracy
-                d["replica_index"] = entry[2]
-                d["record"] = record
-                d["batch_size"] = 1
-                out_append(outcome)
-                if rec_served is not None:
-                    rec_served(outcome)
-                stats = replica.stats
-                stats.queueing_ms_total += start - item.arrival_ms
-                stats.num_served += 1
-                stats.busy_ms += service
-                replica.in_service = None
-            # pop_next/pop_batch on an empty queue is a guaranteed no-op;
-            # one len() dodges that call chain on every idle completion.
-            if len(replica.queue):
-                dispatch(replica, now)
-            continue
-        if i >= num_arrivals:
-            break
-        now = next_arrival
-        position = i
-        i += 1
-        next_arrival = arr_list[i] if i < num_arrivals else infinity
-        run_end = now
-        seq = position if seqs is None else seqs[position]
-        query = get_query(seq)
-        item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
-        if fixed_replica is not None:
-            replica = fixed_replica
-        else:
-            replica = replicas[router_select(replicas, item, now)]
-        if replica.in_service is None and direct_serve and not len(replica.queue):
-            if admit(item, now):
-                serve_one(replica, item, now)
-            else:
-                replica.stats.num_dropped += 1
-                drop_append(
-                    DroppedQuery(
-                        query_index=query.index,
-                        arrival_ms=now,
-                        dropped_at_ms=now,
-                        latency_constraint_ms=query.latency_constraint_ms,
-                        replica_index=replica.index,
-                    )
-                )
-                if rec_dropped is not None:
-                    rec_dropped(dropped[-1])
-            continue
-        if needs_estimates:
-            # Replica-specific, attached after routing — see _drain.
-            item = QueuedQuery(
-                query=query,
-                arrival_ms=now,
-                seq=seq,
-                service_estimate_ms=float(replica.service_estimator(query)),
-            )
-        replica.enqueue(item)
-        if replica.in_service is None:
-            dispatch(replica, now)
-    return outcomes, dropped, run_end
-
-
-def _shard_worker(payload):
-    """Simulate one shard in a worker process (picklable in, picklable out)."""
-    replica, admission, dts, needs_estimates, trace, sub_arr, seqs = payload
-    outcomes, dropped, run_end = _fast_drain(
-        [replica],
-        None,
-        admission,
-        dts,
-        needs_estimates,
-        _query_getter(trace),
-        sub_arr,
-        seqs=seqs,
-        fixed_replica=replica,
-    )
-    return outcomes, dropped, replica.stats, replica.busy_until_ms, run_end
 
 
 class ServingEngine:
@@ -796,14 +529,6 @@ class ServingEngine:
             if not self.replicas[i].is_retired
         ]
 
-    def _scalable_pool(self) -> list[AcceleratorReplica]:
-        """Live members of every autoscaled group, in group order."""
-        return [
-            replica
-            for name in self._group_indices
-            for replica in self._group_pool(name)
-        ]
-
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> None:
         """Fresh replica, router and backend state for a new run.
@@ -838,22 +563,8 @@ class ServingEngine:
         *,
         arrival_rate_per_ms: float | None = None,
         reset: bool = True,
-        fast_path: bool = False,
-        shard: bool = False,
-        shard_workers: int | None = None,
     ) -> SimulationResult:
-        """Simulate ``trace`` with explicit per-query arrival times.
-
-        ``fast_path`` swaps the Event/EventHeap loop for the cursor-based
-        fast loop (:func:`_fast_drain`; with an autoscaler or fault
-        injection, the :class:`ArrayEventQueue` mirror
-        :meth:`_drain_array`).  ``shard`` simulates each replica
-        independently — requires round-robin routing, no autoscaler and no
-        fault injection, see :meth:`_run_sharded` — optionally across
-        ``shard_workers`` processes.  All three are pure execution
-        strategies: results and per-replica stats are bit-identical to the
-        reference loop (``shard`` implies the fast loop per shard).
-        """
+        """Simulate ``trace`` with explicit per-query arrival times."""
         arrivals = np.asarray(arrivals, dtype=np.float64)
         if arrivals.shape != (len(trace),):
             raise ValueError(
@@ -867,35 +578,7 @@ class ServingEngine:
             recorder.begin_run((r.index, r.name) for r in self.replicas)
         if self.autoscaler is not None:
             self.autoscaler.recorder = recorder
-        if shard:
-            outcomes, dropped = self._run_sharded(trace, arrivals, shard_workers)
-        elif fast_path and self.autoscaler is None and self.faults is None:
-            outcomes, dropped, run_end = _fast_drain(
-                self.replicas,
-                self.router.select,
-                self.admission,
-                self.dispatch_time_scheduling,
-                self._needs_estimates,
-                _query_getter(trace),
-                arrivals.tolist(),
-                recorder=recorder,
-            )
-            self._run_end_ms = run_end
-            outcomes.sort(key=_by_query_index)
-            dropped.sort(key=_by_query_index)
-        elif fast_path:
-            outcomes, dropped = self._drain_array(trace, arrivals)
-        else:
-            heap = EventHeap()
-            for query, arrival in zip(trace, arrivals):
-                heap.push(Event(float(arrival), EventKind.ARRIVAL, query))
-            if self.autoscaler is not None:
-                heap.push(
-                    Event(self.autoscaler.control_interval_ms, EventKind.CONTROL, None)
-                )
-            if self.faults is not None:
-                self._arm_faults(arrivals, heap.push)
-            outcomes, dropped = self._drain(heap)
+        outcomes, dropped = self._simulate(trace, arrivals)
         return self._build_result(
             outcomes, dropped, arrival_rate_per_ms=arrival_rate_per_ms
         )
@@ -975,122 +658,53 @@ class ServingEngine:
         return self._build_result(outcomes, [], offered_load=1.0)
 
     # ------------------------------------------------------------ event loop
-    def _drain(
-        self, heap: EventHeap
-    ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
-        outcomes: list[SimulatedQueryOutcome] = []
-        dropped: list[DroppedQuery] = []
-        bus = None if self.autoscaler is None else self.autoscaler.bus
-        # Hot-path hoists: these attribute chains are invariant across the
-        # run, and the loop body runs once per event on 10k+ query traces.
-        router_select = self.router.select
-        needs_estimates = self._needs_estimates
-        scalable = self._scalable_set
-        heap_pop = heap.pop
-        fi = self.faults
-        ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING, CONTROL = (
-            EventKind.ARRIVAL,
-            EventKind.COMPLETION,
-            EventKind.FAULT,
-            EventKind.RECOVERY,
-            EventKind.PROVISIONING,
-            EventKind.CONTROL,
-        )
-        seq = 0
-        while heap:
-            event = heap_pop()
-            now = event.time_ms
-            kind = event.kind
-            if kind == ARRIVAL:
-                # Only data-plane events define the run's duration: a
-                # trailing control tick (or provisioning hand-over) after
-                # the last completion must not inflate the cost accounting
-                # relative to a static run of the same trace.
-                self._run_end_ms = now
-                query = event.payload
-                item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
-                seq += 1
-                candidates = self._routable()
-                if fi is not None and not candidates:
-                    # Every replica crashed (and no replacement is serving
-                    # yet): the arrival has nowhere to go and is shed.
-                    self._shed_arrival(item, now, dropped, bus)
-                    continue
-                ridx = router_select(candidates, item, now)
-                replica = candidates[ridx]
-                if bus is not None and replica.index in scalable:
-                    bus.on_arrival(now)
-                if needs_estimates:
-                    # The estimate is replica-specific (it consults the
-                    # backend's cache state), so it is attached after routing
-                    # — and only when a discipline or router will read it,
-                    # since it costs a latency-table lookup per arrival.
-                    # Rebuilt directly (not dataclasses.replace): field
-                    # introspection per arrival is measurable on long traces.
-                    item = QueuedQuery(
-                        query=query,
-                        arrival_ms=now,
-                        seq=item.seq,
-                        service_estimate_ms=float(replica.service_estimator(query)),
-                    )
-                replica.enqueue(item)
-                if replica.in_service is None:
-                    self._dispatch(replica, now, heap, dropped)
-            elif kind == COMPLETION:
-                replica = self.replicas[event.payload]
-                if fi is not None and replica.failed:
-                    # The crash already swept this pickup into the retry
-                    # path; its COMPLETION is stale and defines nothing
-                    # (not even the run end — the work never finished).
-                    continue
-                self._run_end_ms = now
-                self._complete(replica, outcomes, now)
-                self._dispatch(replica, now, heap, dropped)
-            elif kind == FAULT:
-                self._handle_fault(now, event.payload, heap, dropped)
-            elif kind == RECOVERY:
-                self._handle_recovery(now, event.payload, heap, dropped)
-            elif kind == PROVISIONING:
-                replica = self.replicas[event.payload]
-                # A scale-down during the cold start cancelled (retired)
-                # the replica; its stale hand-over event is a no-op.
-                if not replica.is_retired and replica.provisioning:
-                    replica.finish_provisioning()
-                    if fi is not None:
-                        self._on_capacity_joined()
-            else:  # CONTROL
-                self._control(now, heap)
-        outcomes.sort(key=_by_query_index)
-        dropped.sort(key=_by_query_index)
-        return outcomes, dropped
-
-    def _drain_array(
+    def _simulate(
         self, trace, arrivals: np.ndarray
     ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
-        """The fast path with dynamics (autoscaler and/or fault injection).
+        """Process every event of one run; outcomes and drops by query index.
 
-        Mirrors :meth:`_drain` event for event — same handlers, same
-        telemetry feed, same timestamp tie-breaks (enforced by
-        :class:`ArrayEventQueue`) — but arrivals never become ``Event``
-        objects and queries materialize lazily, so the per-arrival constant
-        factor drops while scaling and fault decisions stay bit-identical.
+        The one event loop, for every pool: static or autoscaled, with or
+        without fault injection, any ``max_batch``.  Events come from an
+        :class:`ArrayEventQueue` (arrivals never become objects; queries
+        materialize lazily).  The optional layers — autoscaler telemetry,
+        fault injection, the flight recorder — are hoisted to locals, so a
+        fixed pool pays one ``is not None`` check per hook.
+
+        A ``max_batch == 1`` replica dispatches one query at a time
+        (``serve_one``: an :class:`_InFlight` instead of an ``_InService``,
+        the outcome built at completion without a dataclass ``__init__``);
+        an idle replica with an empty queue serves an admitted arrival
+        directly, skipping the enqueue/pop round-trip.  Larger pickups go
+        through :func:`_serve_pickup`.  Both replay the per-query semantics
+        of the batched dispatch exactly — admission at pop, remaining-budget
+        floors, stats and telemetry order — which the test suite checks
+        against an Event-heap reference loop.
         """
         outcomes: list[SimulatedQueryOutcome] = []
         dropped: list[DroppedQuery] = []
-        bus = None if self.autoscaler is None else self.autoscaler.bus
-        router_select = self.router.select
-        needs_estimates = self._needs_estimates
-        scalable = self._scalable_set
-        get_query = _query_getter(trace)
-        queue = ArrayEventQueue(arrivals.tolist())
-        if self.autoscaler is not None:
-            queue.push(
-                Event(self.autoscaler.control_interval_ms, EventKind.CONTROL, None)
-            )
+        replicas = self.replicas  # scale-ups append to this very list
+        ctl = self.autoscaler
+        bus = None if ctl is None else ctl.bus
         fi = self.faults
-        if fi is not None:
-            self._arm_faults(arrivals, queue.push)
-        queue_pop = queue.pop
+        recorder = self.recorder
+        rec_served = None if recorder is None else recorder.on_served
+        rec_dropped = None if recorder is None else recorder.on_dropped
+        scalable = self._scalable_set
+        routable = None if ctl is None and fi is None else self._routable
+        router_select = self.router.select
+        admission = self.admission
+        admit = admission.admit
+        dts = self.dispatch_time_scheduling
+        min_eff = _MIN_EFFECTIVE_LATENCY_MS
+        needs_estimates = self._needs_estimates
+        # Direct serve is gated off when service estimates ride on the
+        # items: the estimate's float would otherwise enter and leave the
+        # discipline's queued-work accumulator, whose exact bits load-aware
+        # routers read on later arrivals.
+        direct_serve = not needs_estimates
+        get_query = _query_getter(trace)
+        out_append = outcomes.append
+        out_new = SimulatedQueryOutcome.__new__
         ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
             int(EventKind.ARRIVAL),
             int(EventKind.COMPLETION),
@@ -1098,26 +712,142 @@ class ServingEngine:
             int(EventKind.RECOVERY),
             int(EventKind.PROVISIONING),
         )
-        while queue:
-            now, kind, payload = queue_pop()
+        queue = ArrayEventQueue(arrivals.tolist())
+        push = queue.push
+        if ctl is not None:
+            push(ctl.control_interval_ms, EventKind.CONTROL, None)
+        if fi is not None:
+            self._arm_faults(arrivals, push)
+
+        def drop(item: QueuedQuery, replica: AcceleratorReplica, now: float) -> None:
+            dropped.append(_drop_item(item, replica, now))
+            if bus is not None and replica.index in scalable:
+                bus.on_drop(now)
+            if rec_dropped is not None:
+                rec_dropped(dropped[-1])
+
+        def serve_one(
+            replica: AcceleratorReplica, item: QueuedQuery, now: float
+        ) -> bool:
+            # Start serving one admitted query: False when the dispatch
+            # failed transiently (the query went to the retry path and the
+            # replica stays idle).
+            query = item.query
+            straggle = 1.0
+            if fi is not None:
+                if fi.dispatch_fails():
+                    if recorder is not None:
+                        recorder.on_fault(now, "dispatch_failure", replica.index)
+                    self._retry_or_fail(item, replica, now, queue, dropped)
+                    return False
+                straggle = replica.straggle_factor
+                if fi.accuracy_relax > 0.0:
+                    query = _relaxed(query, fi.accuracy_relax)
+            if dts:
+                remaining = query.latency_constraint_ms - (now - item.arrival_ms)
+                effective = remaining if remaining > min_eff else min_eff
+            else:
+                effective = None
+            record = replica.server.serve_query(
+                query, effective_latency_constraint_ms=effective
+            )
+            ridx = replica.index
+            if record.replica_index != ridx:
+                record = _stamp_record(record, ridx)
+            service = float(record.served_latency_ms)
+            if straggle != 1.0:
+                # The record keeps the backend's nominal latency; the
+                # simulated clock (and busy accounting) carries the
+                # straggler's scaled time.
+                service *= straggle
+            replica.in_service = _InFlight(item, record, now, service)
+            replica.busy_until_ms = now + service
+            replica.stats.num_batches += 1
+            if bus is not None and ridx in scalable:
+                bus.on_batch(now, batch_size=1)
+                bus.on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
+            push(now + service, COMPLETION, replica)
+            return True
+
+        def dispatch(replica: AcceleratorReplica, now: float) -> None:
+            # The replica is idle: start its next pickup, if any.
+            if replica.max_batch == 1:
+                pop_next = replica.pop_next
+                item = pop_next()
+                while item is not None:
+                    if not admit(item, now):
+                        drop(item, replica, now)
+                    elif serve_one(replica, item, now):
+                        return
+                    item = pop_next()
+            else:
+                pickup_bus = bus if bus is not None and replica.index in scalable else None
+                sink: list[QueuedQuery] = []
+                while True:
+                    completion = _serve_pickup(
+                        replica,
+                        now,
+                        dropped,
+                        admission=admission,
+                        dts=dts,
+                        bus=pickup_bus,
+                        recorder=recorder,
+                        faults=fi,
+                        fault_sink=sink,
+                    )
+                    if not sink:
+                        break
+                    # The whole pickup errored transiently: its members
+                    # enter the retry path and the (healthy) replica pulls
+                    # the next batch, so queued work never starves.
+                    if recorder is not None:
+                        recorder.on_fault(now, "dispatch_failure", replica.index)
+                    for lost in sink:
+                        self._retry_or_fail(lost, replica, now, queue, dropped)
+                    sink.clear()
+                if completion is not None:
+                    push(completion, COMPLETION, replica)
+                    return
+            # A draining replica with nothing left to serve leaves the pool
+            # here — the natural end of its drain.
+            if ctl is not None:
+                self._maybe_retire(replica, now)
+
+        run_end = self._run_end_ms
+        for now, kind, payload in queue:
             if kind == ARRIVAL:
-                # Only data-plane events define the run's duration (see
-                # _drain).  The payload is the arrival index, which doubles
-                # as the queue-entry sequence number: the cursor yields
-                # arrivals in buffer order, exactly the reference loop's
-                # seq counter.
-                self._run_end_ms = now
+                # Only data-plane events define the run's duration: a
+                # trailing control tick (or provisioning hand-over) after
+                # the last completion must not inflate the cost accounting
+                # relative to a static run of the same trace.  The payload
+                # is the arrival index, which doubles as the queue-entry
+                # sequence number.
+                run_end = now
                 query = get_query(payload)
                 item = QueuedQuery(query=query, arrival_ms=now, seq=payload)
-                candidates = self._routable()
-                if fi is not None and not candidates:
-                    self._shed_arrival(item, now, dropped, bus)
-                    continue
-                ridx = router_select(candidates, item, now)
-                replica = candidates[ridx]
+                if routable is None:
+                    candidates = replicas
+                else:
+                    candidates = routable()
+                    if fi is not None and not candidates:
+                        # Every replica crashed (and no replacement is
+                        # serving yet): the arrival has nowhere to go.
+                        self._shed_arrival(item, now, dropped, bus)
+                        continue
+                replica = candidates[router_select(candidates, item, now)]
                 if bus is not None and replica.index in scalable:
                     bus.on_arrival(now)
+                if direct_serve and replica.in_service is None and not len(replica.queue):
+                    if admit(item, now):
+                        serve_one(replica, item, now)
+                    else:
+                        drop(item, replica, now)
+                    continue
                 if needs_estimates:
+                    # The estimate is replica-specific (it consults the
+                    # backend's cache state), so it is attached after
+                    # routing — and only when a discipline or router will
+                    # read it, since it costs a table lookup per arrival.
                     item = QueuedQuery(
                         query=query,
                         arrival_ms=now,
@@ -1126,148 +856,80 @@ class ServingEngine:
                     )
                 replica.enqueue(item)
                 if replica.in_service is None:
-                    self._dispatch(replica, now, queue, dropped)
+                    dispatch(replica, now)
             elif kind == COMPLETION:
-                replica = self.replicas[payload]
+                replica = payload
                 if fi is not None and replica.failed:
-                    # Stale completion of a crashed replica's lost pickup
-                    # (see _drain).
+                    # The crash already swept this pickup into the retry
+                    # path; its COMPLETION is stale and defines nothing
+                    # (not even the run end — the work never finished).
                     continue
-                self._run_end_ms = now
-                self._complete(replica, outcomes, now)
-                self._dispatch(replica, now, queue, dropped)
+                run_end = now
+                current = replica.in_service
+                if bus is not None and replica.index in scalable:
+                    # One completion per pickup: the bus pairs it with the
+                    # dispatch start, so windowed busy time stays exact.
+                    bus.on_completion(
+                        now, replica_index=replica.index, service_ms=current.total_ms
+                    )
+                if current.__class__ is _InFlight:
+                    item = current.item
+                    query = item.query
+                    record = current.record
+                    start = current.start
+                    service = current.service
+                    # Built via __dict__ fill: a frozen dataclass __init__
+                    # pays one object.__setattr__ per field, and one
+                    # outcome exists per served query.  Value-identical to
+                    # the keyword construction in _complete_inservice.
+                    outcome = out_new(SimulatedQueryOutcome)
+                    d = outcome.__dict__
+                    d["query_index"] = query.index
+                    d["arrival_ms"] = item.arrival_ms
+                    d["start_ms"] = start
+                    d["service_ms"] = service
+                    d["latency_constraint_ms"] = query.latency_constraint_ms
+                    d["served_accuracy"] = record.served_accuracy
+                    d["replica_index"] = replica.index
+                    d["record"] = record
+                    d["batch_size"] = 1
+                    out_append(outcome)
+                    if rec_served is not None:
+                        rec_served(outcome)
+                    stats = replica.stats
+                    stats.queueing_ms_total += start - item.arrival_ms
+                    stats.num_served += 1
+                    stats.busy_ms += service
+                    replica.in_service = None
+                else:
+                    _complete_inservice(replica, outcomes, recorder)
+                # Popping an empty queue is a guaranteed no-op; one len()
+                # dodges that call chain on every idle completion.
+                if len(replica.queue):
+                    dispatch(replica, now)
+                elif ctl is not None:
+                    self._maybe_retire(replica, now)
             elif kind == FAULT:
                 self._handle_fault(now, payload, queue, dropped)
             elif kind == RECOVERY:
-                self._handle_recovery(now, payload, queue, dropped)
+                self._handle_recovery(now, payload, queue, dropped, dispatch)
             elif kind == PROVISIONING:
-                replica = self.replicas[payload]
+                replica = replicas[payload]
+                # A scale-down during the cold start cancelled (retired)
+                # the replica; its stale hand-over event is a no-op.
                 if not replica.is_retired and replica.provisioning:
                     replica.finish_provisioning()
                     if fi is not None:
                         self._on_capacity_joined()
             else:  # CONTROL
                 self._control(now, queue)
-        outcomes.sort(key=_by_query_index)
-        dropped.sort(key=_by_query_index)
-        return outcomes, dropped
-
-    # ------------------------------------------------------------- sharding
-    def _run_sharded(
-        self, trace, arrivals: np.ndarray, workers: int | None
-    ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
-        """Simulate each replica's arrival sub-stream independently.
-
-        Round-robin routing is state-independent — arrival ``i`` goes to
-        replica ``i mod N`` regardless of pool load — and without an
-        autoscaler the replicas share no state at all, so the simulation
-        decomposes exactly: each replica sees the arrival subsequence
-        ``arrivals[r::N]`` with its global indices, and the merged,
-        query-index-sorted outcomes are bit-identical to the unsharded fast
-        path (which sorts the same way).  Load-aware routers and autoscaled
-        pools couple replicas through routing/telemetry state and are
-        rejected.
-
-        With ``workers > 1`` the shards run in forked worker processes and
-        the children's replica stats are mirrored back onto the parent's
-        objects; note that backend-internal state (e.g. Persistent Buffer
-        caches) then advances in the children only.  Platforms without
-        ``fork`` fall back to sequential in-process sharding.
-        """
-        if self.autoscaler is not None:
-            raise ValueError("sharded simulation is incompatible with an autoscaler")
-        if self.faults is not None:
-            raise ValueError(
-                "sharded simulation is incompatible with fault injection: "
-                "retries re-route lost queries across replicas, which "
-                "couples the shards"
-            )
-        if not isinstance(self.router, RoundRobinRouter):
-            raise ValueError(
-                "sharded simulation needs state-independent routing "
-                "(round_robin): a load-aware router couples replicas, which "
-                "cannot then be simulated independently"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"shard_workers must be >= 1, got {workers}")
-        replicas = self.replicas
-        num = len(replicas)
-        arr_list = arrivals.tolist()
-        jobs = [
-            (replicas[r], arr_list[r::num], list(range(r, len(arr_list), num)))
-            for r in range(num)
-        ]
-        results = None
-        # A recorded run keeps its shards in-process: forked workers would
-        # feed child-process recorder copies whose spans never come back.
-        # Sequential sharding is bit-identical to the mp path, so forcing
-        # it changes no record.
-        if workers is not None and workers > 1 and num > 1 and self.recorder is None:
-            results = self._run_shard_jobs_mp(trace, jobs, workers)
-        if results is None:
-            get_query = _query_getter(trace)
-            results = [
-                _fast_drain(
-                    [replica],
-                    None,
-                    self.admission,
-                    self.dispatch_time_scheduling,
-                    self._needs_estimates,
-                    get_query,
-                    sub_arr,
-                    seqs=seqs,
-                    fixed_replica=replica,
-                    recorder=self.recorder,
-                )
-                for replica, sub_arr, seqs in jobs
-            ]
-        outcomes: list[SimulatedQueryOutcome] = []
-        dropped: list[DroppedQuery] = []
-        run_end = 0.0
-        for shard_outcomes, shard_dropped, shard_end in results:
-            outcomes.extend(shard_outcomes)
-            dropped.extend(shard_dropped)
-            if shard_end > run_end:
-                run_end = shard_end
         self._run_end_ms = run_end
         outcomes.sort(key=_by_query_index)
         dropped.sort(key=_by_query_index)
         return outcomes, dropped
 
-    def _run_shard_jobs_mp(self, trace, jobs, workers: int):
-        """Run shard jobs in forked workers; ``None`` → caller falls back."""
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            # No fork on this platform.  Spawn would need every backend,
-            # policy and trace to be importable-picklable, which test
-            # doubles often are not — fall back to in-process sharding.
-            return None
-        payloads = [
-            (
-                replica,
-                self.admission,
-                self.dispatch_time_scheduling,
-                self._needs_estimates,
-                trace,
-                sub_arr,
-                seqs,
-            )
-            for replica, sub_arr, seqs in jobs
-        ]
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            shard_results = pool.map(_shard_worker, payloads)
-        for (replica, _, _), result in zip(jobs, shard_results):
-            # The child advanced a copy-on-write copy of the replica; mirror
-            # the observable end-of-run state back onto the parent's object.
-            replica.stats = result[2]
-            replica.busy_until_ms = result[3]
-        return [(outcomes, dropped, end) for outcomes, dropped, _, _, end in shard_results]
-
     # --------------------------------------------------------- control plane
-    def _control(self, now: float, heap: EventHeap | ArrayEventQueue) -> None:
+    def _control(self, now: float, queue: ArrayEventQueue) -> None:
         """One autoscaler tick: snapshot the pool, enact the policy's delta."""
         ctl = self.autoscaler
         # All signals describe the scaled groups only (matching the event
@@ -1319,15 +981,15 @@ class ServingEngine:
         desired_map = ctl.decide_pool(snapshot, loads)
         for group, load in zip(ctl.groups, loads):
             self._resize_group(
-                group, load, desired_map[group.name], members[group.name], now, heap
+                group, load, desired_map[group.name], members[group.name], now, queue
             )
         # Keep ticking while the simulation still has work in flight; once
-        # the heap is empty and every queue is drained the run is over and
-        # the control loop stops with it.
-        if heap or any(
+        # the queue is empty and every replica is drained the run is over
+        # and the control loop stops with it.
+        if queue or any(
             r.is_busy or len(r.queue) for r in self.replicas if not r.is_retired
         ):
-            heap.push(Event(now + ctl.control_interval_ms, EventKind.CONTROL, None))
+            queue.push(now + ctl.control_interval_ms, EventKind.CONTROL, None)
 
     def _resize_group(
         self,
@@ -1336,7 +998,7 @@ class ServingEngine:
         desired: int,
         pool: list[AcceleratorReplica],
         now: float,
-        heap: EventHeap | ArrayEventQueue,
+        queue: ArrayEventQueue,
     ) -> None:
         """Enact one group's desired-size delta against its incoming count."""
         incoming = load.num_incoming
@@ -1367,12 +1029,8 @@ class ServingEngine:
                         recorder.on_provisioning(
                             index, now, now + group.startup_delay_ms
                         )
-                    heap.push(
-                        Event(
-                            now + group.startup_delay_ms,
-                            EventKind.PROVISIONING,
-                            index,
-                        )
+                    queue.push(
+                        now + group.startup_delay_ms, EventKind.PROVISIONING, index
                     )
                 self.replicas.append(replica)
                 self._group_indices[group.name].append(index)
@@ -1382,7 +1040,7 @@ class ServingEngine:
                         # The replacement lives under the same fault
                         # processes as the replica it replaces; its crash
                         # clock starts at its own creation.
-                        fi.schedule_replica(index, now, heap.push)
+                        fi.schedule_replica(index, now, queue.push)
                     if group.startup_delay_ms <= 0:
                         # No cold start: the replica joined routing above,
                         # so failure pressure eases immediately (a delayed
@@ -1443,7 +1101,7 @@ class ServingEngine:
         self,
         now: float,
         payload,
-        heap: EventHeap | ArrayEventQueue,
+        queue: ArrayEventQueue,
         dropped: list[DroppedQuery],
     ) -> None:
         """One FAULT event: a replica crash or a straggle onset."""
@@ -1477,17 +1135,22 @@ class ServingEngine:
         if bus is not None and replica.index in self._scalable_set:
             bus.on_failure(now)
         for item in lost:
-            self._retry_or_fail(item, replica, now, heap, dropped)
+            self._retry_or_fail(item, replica, now, queue, dropped)
         fi.update_brownout(self._failed_pressure, len(self._routable()))
 
     def _handle_recovery(
         self,
         now: float,
         payload,
-        heap: EventHeap | ArrayEventQueue,
+        queue: ArrayEventQueue,
         dropped: list[DroppedQuery],
+        dispatch: Callable[[AcceleratorReplica, float], None],
     ) -> None:
-        """One RECOVERY event: a straggle interval ends, or a retry fires."""
+        """One RECOVERY event: a straggle interval ends, or a retry fires.
+
+        ``dispatch`` starts an idle replica's next pickup (the event loop's
+        dispatch routine).
+        """
         if payload[0] == "straggle_end":
             replica = self.replicas[payload[1]]
             if not replica.is_retired and not replica.failed:
@@ -1528,14 +1191,14 @@ class ServingEngine:
             )
         replica.enqueue(item)
         if replica.in_service is None:
-            self._dispatch(replica, now, heap, dropped)
+            dispatch(replica, now)
 
     def _retry_or_fail(
         self,
         item: QueuedQuery,
         replica: AcceleratorReplica,
         now: float,
-        heap: EventHeap | ArrayEventQueue,
+        queue: ArrayEventQueue,
         dropped: list[DroppedQuery],
     ) -> None:
         """Back off a lost query for a retry, or fail it for good."""
@@ -1557,7 +1220,7 @@ class ServingEngine:
             if self.recorder is not None:
                 self.recorder.on_dropped(drop)
         else:
-            heap.push(Event(retry_ms, EventKind.RECOVERY, ("retry", item)))
+            queue.push(retry_ms, EventKind.RECOVERY, ("retry", item))
 
     def _shed_arrival(
         self,
@@ -1592,88 +1255,6 @@ class ServingEngine:
         if self._failed_pressure > 0:
             self._failed_pressure -= 1
         self.faults.update_brownout(self._failed_pressure, len(self._routable()))
-
-    def _dispatch(
-        self,
-        replica: AcceleratorReplica,
-        now: float,
-        heap: EventHeap | ArrayEventQueue,
-        dropped: list[DroppedQuery],
-    ) -> None:
-        """Start the replica's next pickup and schedule its COMPLETION.
-
-        The serving semantics live in the shared :func:`_serve_pickup`
-        helper (see its docstring for the batching behaviour); this wrapper
-        adds the engine-level concerns — telemetry scoping, drain-retirement
-        of an empty draining replica, and the COMPLETION event.
-        """
-        bus = None if self.autoscaler is None else self.autoscaler.bus
-        if bus is not None and replica.index not in self._scalable_set:
-            bus = None  # telemetry covers the scaled group only
-        fi = self.faults
-        if fi is None:
-            completion_ms = _serve_pickup(
-                replica,
-                now,
-                dropped,
-                admission=self.admission,
-                dts=self.dispatch_time_scheduling,
-                bus=bus,
-                recorder=self.recorder,
-            )
-        else:
-            sink: list[QueuedQuery] = []
-            while True:
-                completion_ms = _serve_pickup(
-                    replica,
-                    now,
-                    dropped,
-                    admission=self.admission,
-                    dts=self.dispatch_time_scheduling,
-                    bus=bus,
-                    recorder=self.recorder,
-                    faults=fi,
-                    fault_sink=sink,
-                )
-                if not sink:
-                    break
-                # The whole pickup errored transiently: its members enter
-                # the retry path and the (healthy) replica pulls the next
-                # batch, so queued work never starves behind a blip.
-                if self.recorder is not None:
-                    self.recorder.on_fault(now, "dispatch_failure", replica.index)
-                for item in sink:
-                    self._retry_or_fail(item, replica, now, heap, dropped)
-                sink.clear()
-        if completion_ms is None:
-            # A draining replica with nothing left to serve leaves the
-            # pool here — the natural end of its drain.
-            if self.autoscaler is not None:
-                self._maybe_retire(replica, now)
-            return
-        heap.push(Event(completion_ms, EventKind.COMPLETION, replica.index))
-
-    def _complete(
-        self,
-        replica: AcceleratorReplica,
-        outcomes: list[SimulatedQueryOutcome],
-        now: float,
-    ) -> None:
-        if self.autoscaler is not None and replica.index in self._scalable_set:
-            current = replica.in_service
-            if current is not None:
-                # One completion per batch: the bus pairs it with the
-                # pickup's dispatch start, so windowed busy time stays exact.
-                self.autoscaler.bus.on_completion(
-                    now, replica_index=replica.index, service_ms=current.total_ms
-                )
-        _complete_inservice(replica, outcomes, self.recorder)
-
-    # -------------------------------------------------------------- helpers
-    def _drop(
-        self, item: QueuedQuery, replica: AcceleratorReplica, now: float
-    ) -> DroppedQuery:
-        return _drop_item(item, replica, now)
 
     def _build_result(
         self,

@@ -1,4 +1,4 @@
-"""Discrete-event machinery: the event heap of the serving engine.
+"""Discrete-event machinery: the event queue of the serving engine.
 
 The engine advances simulated time through a priority queue of timestamped
 events.  Six event kinds exist: a query *arrival* (it enters the system
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 
 class EventKind(enum.IntEnum):
@@ -43,79 +42,18 @@ class EventKind(enum.IntEnum):
     CONTROL = 5
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One timestamped event in the simulation.
-
-    ``slots=True`` keeps the event loop's per-query allocations small: one
-    event is created per arrival and per batch completion, so the instance
-    layout is on the hot path for long traces.
-    """
-
-    time_ms: float
-    kind: EventKind
-    payload: Any
-    """ARRIVAL: the arriving :class:`Query`.  COMPLETION / PROVISIONING: the
-    replica index.  FAULT / RECOVERY: a ``(tag, ...)`` tuple from the fault
-    layer (see :mod:`repro.serving.engine.faults`).  CONTROL: unused
-    (None)."""
-
-
-class EventHeap:
-    """Min-heap of events ordered by (time, kind, insertion order)."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._counter = 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(
-            self._heap, (event.time_ms, int(event.kind), self._counter, event)
-        )
-        self._counter += 1
-
-    def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from an empty event heap")
-        return heapq.heappop(self._heap)[3]
-
-    def pop_batch(self) -> list[Event]:
-        """Every event sharing the earliest timestamp, in tie-break order.
-
-        Equivalent to popping one at a time while the head's time does not
-        change: the returned list is ordered by (kind, insertion order), the
-        documented determinism contract at equal timestamps.
-        """
-        heap = self._heap
-        if not heap:
-            raise IndexError("pop from an empty event heap")
-        time_ms = heap[0][0]
-        batch: list[Event] = []
-        pop = heapq.heappop
-        while heap and heap[0][0] == time_ms:
-            batch.append(pop(heap)[3])
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 _ARRIVAL = int(EventKind.ARRIVAL)
 
 
 class ArrayEventQueue:
-    """Array-backed event queue: an arrival cursor merged with a small heap.
+    """The engine's event queue: an arrival cursor merged with a small heap.
 
     The engine's arrival buffer is already time-sorted (arrival processes
-    are cumulative), so the fast path keeps arrivals as a plain cursor over
-    the buffer and heaps only the *dynamic* events — COMPLETION, FAULT,
-    RECOVERY, PROVISIONING and CONTROL — of which only a handful are ever
-    in flight.
-    This removes one ``Event`` allocation plus a heap push *and* pop per
-    arrival while preserving :class:`EventHeap`'s exact ordering contract:
+    are cumulative), so arrivals stay a plain cursor over the buffer and
+    only the *dynamic* events — COMPLETION, FAULT, RECOVERY, PROVISIONING
+    and CONTROL — are heaped, as raw ``(time_ms, kind, seq, payload)``
+    tuples; only a handful are ever in flight.  The order is the engine's
+    determinism contract:
 
     * time first;
     * at equal timestamps, :class:`EventKind` order (completions before
@@ -124,12 +62,12 @@ class ArrayEventQueue:
     * remaining ties by insertion order.  Dynamic events are never
       ARRIVAL-kind, so (time, kind) fully orders a dynamic event against
       the cursor, and same-kind dynamic ties fall back to this queue's own
-      insertion counter — the same relative order ``run()`` would have
-      pushed them into an :class:`EventHeap`.
+      insertion counter.
 
-    ``pop`` returns ``(time_ms, kind, payload)`` where an ARRIVAL's payload
-    is the *arrival index* into the buffer (the caller materializes the
-    query lazily); dynamic payloads are the pushed event's payload.
+    Iterating yields ``(time_ms, kind, payload)`` until the queue is empty;
+    events pushed while iterating are seen.  An ARRIVAL's payload is the
+    *arrival index* into the buffer (the engine materializes the query
+    lazily); a dynamic event's payload is whatever was pushed with it.
     """
 
     def __init__(self, arrival_times_ms: Sequence[float]) -> None:
@@ -140,37 +78,36 @@ class ArrayEventQueue:
         self._heap: list[tuple[float, int, int, Any]] = []
         self._counter = 0
 
-    def push(self, event: Event) -> None:
+    def push(self, time_ms: float, kind: int, payload: Any) -> None:
         """Schedule a dynamic (non-ARRIVAL) event."""
-        heapq.heappush(
-            self._heap,
-            (event.time_ms, int(event.kind), self._counter, event.payload),
-        )
+        heapq.heappush(self._heap, (time_ms, kind, self._counter, payload))
         self._counter += 1
 
-    def pop(self) -> tuple[float, int, Any]:
+    def __iter__(self) -> Iterator[tuple[float, int, Any]]:
+        arrivals = self._arrivals
+        num_arrivals = len(arrivals)
         heap = self._heap
+        heappop = heapq.heappop
         i = self._cursor
-        if i < len(self._arrivals):
-            arrival_ms = self._arrivals[i]
-            if heap:
+        while i < num_arrivals:
+            arrival_ms = arrivals[i]
+            while heap:
                 head = heap[0]
-                # The dynamic event wins on a strictly earlier time, or on
-                # a tie when its kind precedes ARRIVAL (i.e. COMPLETION).
+                # A dynamic event wins on a strictly earlier time, or on a
+                # tie when its kind precedes ARRIVAL (i.e. COMPLETION).
                 if head[0] < arrival_ms or (
                     head[0] == arrival_ms and head[1] < _ARRIVAL
                 ):
-                    heapq.heappop(heap)
-                    return head[0], head[1], head[3]
-            self._cursor = i + 1
-            return arrival_ms, _ARRIVAL, i
-        if heap:
-            time_ms, kind, _, payload = heapq.heappop(heap)
-            return time_ms, kind, payload
-        raise IndexError("pop from an empty event queue")
-
-    def __len__(self) -> int:
-        return (len(self._arrivals) - self._cursor) + len(self._heap)
+                    heappop(heap)
+                    yield head[0], head[1], head[3]
+                else:
+                    break
+            i += 1
+            self._cursor = i
+            yield arrival_ms, _ARRIVAL, i - 1
+        while heap:
+            time_ms, kind, _, payload = heappop(heap)
+            yield time_ms, kind, payload
 
     def __bool__(self) -> bool:
         return self._cursor < len(self._arrivals) or bool(self._heap)

@@ -41,12 +41,12 @@ level is recomputed whenever the pool changes (crash, replacement ready).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from numpy.random import default_rng
 
 from repro.serving.engine.disciplines import QueuedQuery
-from repro.serving.engine.events import Event, EventKind
+from repro.serving.engine.events import EventKind
 
 #: Drop reason for queries that exhausted their retry budget (or whose
 #: backoff no longer fits the deadline) after a crash / dispatch failure.
@@ -153,7 +153,7 @@ class FaultInjector:
 
     # -------------------------------------------------------------- sampling
     def schedule_replica(
-        self, replica_index: int, now_ms: float, push: Callable[[Event], None]
+        self, replica_index: int, now_ms: float, push: Callable[[float, int, Any], None]
     ) -> None:
         """Arm the fault processes for one covered replica.
 
@@ -173,7 +173,7 @@ class FaultInjector:
         if self.crash_mtbf_ms is not None:
             crash_ms = now_ms + float(rng.exponential(self.crash_mtbf_ms))
             if crash_ms <= self.horizon_ms:
-                push(Event(crash_ms, EventKind.FAULT, ("crash", replica_index)))
+                push(crash_ms, EventKind.FAULT, ("crash", replica_index))
         if self.straggler_mtbf_ms is not None:
             t = now_ms
             horizon = self.horizon_ms
@@ -183,19 +183,11 @@ class FaultInjector:
                     break
                 duration = float(rng.exponential(self.straggler_duration_ms))
                 push(
-                    Event(
-                        t,
-                        EventKind.FAULT,
-                        ("straggle", replica_index, self.straggler_factor),
-                    )
+                    t,
+                    EventKind.FAULT,
+                    ("straggle", replica_index, self.straggler_factor),
                 )
-                push(
-                    Event(
-                        t + duration,
-                        EventKind.RECOVERY,
-                        ("straggle_end", replica_index),
-                    )
-                )
+                push(t + duration, EventKind.RECOVERY, ("straggle_end", replica_index))
                 t += duration
 
     horizon_ms: float = 0.0

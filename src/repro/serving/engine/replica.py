@@ -92,7 +92,7 @@ class ReplicaStats:
 
 @dataclass(slots=True)
 class _InService:
-    """The batch a replica is currently serving (one query without batching).
+    """The batch a replica is currently serving (a ``max_batch > 1`` pickup).
 
     Parallel tuples (member ``i`` of the batch is ``items[i]`` / ``records[i]``
     / ``starts[i]`` / ``services[i]``): under the ``shared_subnet`` batching
@@ -117,6 +117,35 @@ class _InService:
     @property
     def size(self) -> int:
         return len(self.items)
+
+
+class _InFlight:
+    """The single query a replica is serving (the unbatched dispatch).
+
+    The per-query counterpart of :class:`_InService`: four slots instead of
+    four one-element tuples, since one of these is allocated per served
+    query on the engine's hot path.
+    """
+
+    __slots__ = ("item", "record", "start", "service")
+
+    size = 1
+
+    def __init__(
+        self, item: QueuedQuery, record: QueryRecord, start: float, service: float
+    ) -> None:
+        self.item = item
+        self.record = record
+        self.start = start
+        self.service = service
+
+    @property
+    def items(self) -> tuple[QueuedQuery, ...]:
+        return (self.item,)
+
+    @property
+    def total_ms(self) -> float:
+        return self.service
 
 
 class AcceleratorReplica:
@@ -188,14 +217,13 @@ class AcceleratorReplica:
         self.name = name or f"replica{index if index is not None else '?'}"
         if service_estimator is None:
             estimate = getattr(server, "estimate_service_ms", None)
-            # A module-level default (not a lambda) keeps replicas picklable
-            # for the engine's multiprocessing sharded mode.
+            # A module-level default (not a lambda) keeps replicas picklable.
             service_estimator = (
                 estimate if callable(estimate) else _constraint_estimate
             )
         self.service_estimator = service_estimator
         self.busy_until_ms = 0.0
-        self.in_service: _InService | None = None
+        self.in_service: _InService | _InFlight | None = None
         self._queued_work_ms = 0.0
         self.activated_ms = 0.0
         self.draining = False

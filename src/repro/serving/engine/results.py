@@ -21,7 +21,7 @@ from repro.serving.obs.recorder import RecordedTrace
 
 
 @dataclass(frozen=True)
-class SimulatedQueryOutcome:  # repro-lint: disable=RPR002 -- _fast_drain stamps outcome.__dict__; slots=True would remove the __dict__ the fast path fills
+class SimulatedQueryOutcome:  # repro-lint: disable=RPR002 -- _simulate stamps outcome.__dict__; slots=True would remove the __dict__ the single-query completion fills
     """Timing of one served query in the simulation (all in ms)."""
 
     query_index: int

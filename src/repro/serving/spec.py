@@ -27,6 +27,8 @@ Contracts every consumer relies on:
   (:func:`scenario_schema`; prose version in ``docs/scenario-schema.md``).
 * **Validation at construction** — every spec validates its fields in
   ``__post_init__``; an invalid scenario fails when parsed, never mid-run.
+  ``from_dict`` rejects keys the spec does not declare with one
+  ``ValueError`` naming the key's dotted path (:func:`spec_payload`).
 * **Neutral defaults are inert** — fields added after PR 2 default to
   values that leave earlier behavior bit-identical: ``autoscaler: null``
   matches the fixed-pool engine path, ``batching.max_batch = 1`` the
@@ -50,8 +52,11 @@ from typing import Any, Mapping, Sequence, TYPE_CHECKING
 import numpy as np
 import numpy.typing as npt
 
-if TYPE_CHECKING:  # pragma: no cover - trace_io imports nothing from us,
-    # but the lazy runtime imports below keep module loading cycle-free.
+if TYPE_CHECKING:  # pragma: no cover - type-checking only imports
+    from _typeshed import DataclassInstance
+
+    # trace_io imports nothing from us, but the lazy runtime imports below
+    # keep module loading cycle-free.
     from repro.serving.trace_io import TraceLog
 
 from repro.accelerator.platforms import PlatformConfig, platform_by_name
@@ -131,6 +136,30 @@ def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
                 f"available: {sorted(node)}"
             )
         node[leaf] = value
+
+
+def spec_payload(
+    cls: "type[DataclassInstance]", data: Mapping[str, Any], path: str
+) -> dict[str, Any]:
+    """``data`` as keyword arguments for spec class ``cls``, keys checked.
+
+    Every spec's ``from_dict`` goes through here, so a key the class does
+    not declare — a typo, or a field a later version removed — fails with
+    one ``ValueError`` naming its dotted path from the outermost spec
+    (``path`` is where ``data`` sits, ``""`` at the top).
+    """
+    known = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in known:
+            raise ValueError(
+                f"unknown key {_join(path, key)!r} in {cls.__name__}; "
+                f"known keys: {known}"
+            )
+    return dict(data)
+
+
+def _join(path: str, key: str | int) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _as_tuple(value: Any) -> Any:
@@ -413,8 +442,8 @@ class ArrivalSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ArrivalSpec":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "ArrivalSpec":
+        payload = spec_payload(cls, data, path)
         payload["segments"] = _as_tuple(payload.get("segments", ()))
         payload["events"] = _as_tuple(payload.get("events", ()))
         return cls(**payload)
@@ -460,8 +489,8 @@ class BatchingSpec:
         return {"max_batch": self.max_batch, "policy": self.policy}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BatchingSpec":
-        return cls(**dict(data))
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "BatchingSpec":
+        return cls(**spec_payload(cls, data, path))
 
 
 def _platform_to_json(platform: str | PlatformConfig) -> str | dict[str, Any]:
@@ -605,14 +634,18 @@ class ReplicaGroupSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReplicaGroupSpec":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(
+        cls, data: Mapping[str, Any], *, path: str = ""
+    ) -> "ReplicaGroupSpec":
+        payload = spec_payload(cls, data, path)
         if "platform" in payload:
             payload["platform"] = _platform_from_json(payload["platform"])
         if payload.get("policy") is not None:
             payload["policy"] = Policy(payload["policy"])
         if payload.get("batching") is not None:
-            payload["batching"] = BatchingSpec.from_dict(payload["batching"])
+            payload["batching"] = BatchingSpec.from_dict(
+                payload["batching"], path=_join(path, "batching")
+            )
         else:
             payload.pop("batching", None)
         return cls(**payload)
@@ -818,8 +851,10 @@ class AutoscalerSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AutoscalerSpec":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(
+        cls, data: Mapping[str, Any], *, path: str = ""
+    ) -> "AutoscalerSpec":
+        payload = spec_payload(cls, data, path)
         payload["schedule"] = _as_tuple(payload.get("schedule", ()))
         payload["groups"] = tuple(payload.get("groups", ()))
         return cls(**payload)
@@ -866,8 +901,10 @@ class ObservabilitySpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObservabilitySpec":
-        return cls(**dict(data))
+    def from_dict(
+        cls, data: Mapping[str, Any], *, path: str = ""
+    ) -> "ObservabilitySpec":
+        return cls(**spec_payload(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -908,8 +945,8 @@ class RetryPolicy:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RetryPolicy":
-        return cls(**dict(data))
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "RetryPolicy":
+        return cls(**spec_payload(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -1037,10 +1074,12 @@ class FaultSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "FaultSpec":
+        payload = spec_payload(cls, data, path)
         if payload.get("retry") is not None:
-            payload["retry"] = RetryPolicy.from_dict(payload["retry"])
+            payload["retry"] = RetryPolicy.from_dict(
+                payload["retry"], path=_join(path, "retry")
+            )
         else:
             payload.pop("retry", None)
         payload["groups"] = tuple(payload.get("groups", ()))
@@ -1057,9 +1096,9 @@ def _workload_to_json(spec: WorkloadSpec) -> dict[str, Any]:
     return out
 
 
-def _workload_from_json(data: Mapping[str, Any]) -> WorkloadSpec:
-    data = {k: _as_tuple(v) for k, v in dict(data).items()}
-    return WorkloadSpec(**data)
+def _workload_from_json(data: Mapping[str, Any], path: str) -> WorkloadSpec:
+    payload = spec_payload(WorkloadSpec, data, path)
+    return WorkloadSpec(**{k: _as_tuple(v) for k, v in payload.items()})
 
 
 @dataclass(frozen=True)
@@ -1102,38 +1141,18 @@ class ScenarioSpec:
         precomputed open-loop mode).
     seed:
         Scenario seed: the workload seed and the default backend seed.
-    fast_path:
-        Opt into the engine's fast event loop: the trace stays in numpy
-        constraint buffers (queries materialize lazily at dispatch) and
-        arrivals are consumed through an array-backed event queue.  Records
-        and results are bit-identical to the reference path — ``false``
-        (the default) keeps the reference loop.
-    shard:
-        Opt into sharded simulation: with state-independent routing
-        (``round_robin``) and no autoscaler, arrival ``i`` goes to replica
-        ``i mod N`` regardless of pool state, so each replica's timeline is
-        simulated independently and the per-shard records are merged
-        deterministically — bit-identical to the unsharded run.  Rejected
-        at validation for routers/autoscalers that couple replicas.
-    shard_workers:
-        Worker processes for sharded simulation (requires ``shard``).
-        ``null``/1 runs shards sequentially in-process; ``N > 1`` fans them
-        out via ``multiprocessing`` (backends must be picklable).
     observability:
         Optional :class:`ObservabilitySpec`.  ``None`` (the default)
         attaches no flight recorder and the run is bit-identical to a
         build without observability; when set, ``SimulationResult.trace``
-        (and optionally ``.metrics``) carry the recorded run.  Recorded
-        sharded runs execute their shards sequentially (still
-        bit-identical) so span order stays deterministic.
+        (and optionally ``.metrics``) carry the recorded run.
     faults:
         Optional :class:`FaultSpec`.  ``None`` (the default) attaches no
         fault injector and the run is bit-identical to the fault-free
         engine; when set, seeded crash / straggler / dispatch-failure
         processes run against the pool, lost queries go through the retry
         policy, and (optionally) brownout degradation relaxes accuracy
-        floors under capacity loss.  Incompatible with ``shard``: retries
-        re-route lost queries across replicas, which couples the shards.
+        floors under capacity loss.
     """
 
     name: str = "scenario"
@@ -1151,9 +1170,6 @@ class ScenarioSpec:
     num_queries: int | None = None
     dispatch_time_scheduling: bool = True
     seed: int = 0
-    fast_path: bool = False
-    shard: bool = False
-    shard_workers: int | None = None
     observability: ObservabilitySpec | None = None
     faults: FaultSpec | None = None
 
@@ -1192,34 +1208,6 @@ class ScenarioSpec:
                     f"faults.groups entry {name!r} names no replica "
                     f"group (groups: {names})",
                 )
-            _require(
-                not self.shard,
-                "shard is incompatible with fault injection: retries "
-                "re-route lost queries across replicas, which couples "
-                "the shards",
-            )
-        if self.shard:
-            _require(
-                self.router == "round_robin",
-                f"shard needs state-independent routing (round_robin), "
-                f"not {self.router!r}: sharded replicas cannot see each "
-                "other's load",
-            )
-            _require(
-                self.autoscaler is None,
-                "shard is incompatible with an autoscaler: the control "
-                "plane couples every replica's timeline",
-            )
-        if self.shard_workers is not None:
-            _require(
-                self.shard,
-                "shard_workers only applies to sharded simulation "
-                "(set shard: true)",
-            )
-            _require(
-                self.shard_workers >= 1,
-                f"shard_workers must be >= 1, got {self.shard_workers}",
-            )
 
     # ------------------------------------------------------------- derived
     @property
@@ -1287,9 +1275,6 @@ class ScenarioSpec:
             "num_queries": self.num_queries,
             "dispatch_time_scheduling": self.dispatch_time_scheduling,
             "seed": self.seed,
-            "fast_path": self.fast_path,
-            "shard": self.shard,
-            "shard_workers": self.shard_workers,
             "observability": (
                 None if self.observability is None else self.observability.to_dict()
             ),
@@ -1297,26 +1282,36 @@ class ScenarioSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "ScenarioSpec":
+        payload = spec_payload(cls, data, path)
         if "policy" in payload:
             payload["policy"] = Policy(payload["policy"])
         if "replica_groups" in payload:
+            groups_path = _join(path, "replica_groups")
             payload["replica_groups"] = tuple(
-                ReplicaGroupSpec.from_dict(g) for g in payload["replica_groups"]
+                ReplicaGroupSpec.from_dict(g, path=_join(groups_path, i))
+                for i, g in enumerate(payload["replica_groups"])
             )
         if "workload" in payload:
-            payload["workload"] = _workload_from_json(payload["workload"])
+            payload["workload"] = _workload_from_json(
+                payload["workload"], _join(path, "workload")
+            )
         if "arrivals" in payload:
-            payload["arrivals"] = ArrivalSpec.from_dict(payload["arrivals"])
+            payload["arrivals"] = ArrivalSpec.from_dict(
+                payload["arrivals"], path=_join(path, "arrivals")
+            )
         if payload.get("autoscaler") is not None:
-            payload["autoscaler"] = AutoscalerSpec.from_dict(payload["autoscaler"])
+            payload["autoscaler"] = AutoscalerSpec.from_dict(
+                payload["autoscaler"], path=_join(path, "autoscaler")
+            )
         if payload.get("observability") is not None:
             payload["observability"] = ObservabilitySpec.from_dict(
-                payload["observability"]
+                payload["observability"], path=_join(path, "observability")
             )
         if payload.get("faults") is not None:
-            payload["faults"] = FaultSpec.from_dict(payload["faults"])
+            payload["faults"] = FaultSpec.from_dict(
+                payload["faults"], path=_join(path, "faults")
+            )
         return cls(**payload)
 
     def to_json(self, *, indent: int = 2) -> str:

@@ -179,7 +179,7 @@ class WorkloadGenerator:
 
         Exactly the draws :meth:`generate` materializes into ``Query``
         objects — the array and object forms of one workload are
-        bit-identical, which is what lets the engine's fast path skip eager
+        bit-identical, which is what lets scenario runs skip eager
         materialization.
         """
         rng = np.random.default_rng(self.seed)
@@ -250,8 +250,8 @@ class WorkloadGenerator:
     ) -> ArrayQueryTrace:
         """The array-backed form of :meth:`generate` (lazy ``Query`` objects).
 
-        Used by the engine fast path on long traces; materialized queries
-        are bit-identical to :meth:`generate`'s.
+        What ``api.build_trace`` hands every scenario run; materialized
+        queries are bit-identical to :meth:`generate`'s.
         """
         acc, lat = self._overridden_arrays(accuracy_override, latency_override)
         return ArrayQueryTrace(

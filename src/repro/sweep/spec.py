@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.serving.spec import ScenarioSpec
+from repro.serving.spec import ScenarioSpec, spec_payload
 
 __all__ = ["SweepAxis", "SweepSpec"]
 
@@ -77,8 +77,8 @@ class SweepAxis:
         return {"path": self.path, "values": [_as_json(v) for v in self.values]}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxis":
-        payload: dict[str, Any] = dict(data)
+    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "SweepAxis":
+        payload = spec_payload(cls, data, path)
         payload["values"] = _as_tuple(payload.get("values", ()))
         return cls(**payload)
 
@@ -159,11 +159,12 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        payload: dict[str, Any] = dict(data)
+        payload = spec_payload(cls, data, "")
         if "base" in payload:
-            payload["base"] = ScenarioSpec.from_dict(payload["base"])
+            payload["base"] = ScenarioSpec.from_dict(payload["base"], path="base")
         payload["axes"] = tuple(
-            SweepAxis.from_dict(a) for a in payload.get("axes", ())
+            SweepAxis.from_dict(a, path=f"axes.{i}")
+            for i, a in enumerate(payload.get("axes", ()))
         )
         return cls(**payload)
 

@@ -1,0 +1,189 @@
+"""The reference event loop, kept as a test oracle for ``ServingEngine.run``.
+
+``reference_run(engine, trace, arrivals)`` simulates what ``engine.run``
+simulates, the slow and literal way:
+
+* every arrival is an :class:`Event` in one :class:`EventHeap` ordered by
+  (time, kind, insertion order) — no arrival cursor;
+* every query is enqueued before it is dispatched — no direct serve;
+* every dispatch, ``max_batch == 1`` included, goes through the batched
+  pickup (``_serve_pickup``) and completes through ``_complete_inservice``
+  — no single-query path, no ``__dict__``-stamped outcomes.
+
+The control plane and fault plane are the engine's own handlers: they are
+shared code, not what the one loop changed.  Property tests run both on
+identical fresh engines and require bit-identical results.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
+
+from repro.serving.engine.core import _complete_inservice, _serve_pickup
+from repro.serving.engine.disciplines import QueuedQuery
+from repro.serving.engine.events import EventKind
+
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One timestamped event in the reference heap."""
+
+    time_ms: float
+    kind: EventKind
+    payload: Any
+
+
+class EventHeap:
+    """Min-heap of events ordered by (time, kind, insertion order).
+
+    ``push`` takes the engine queue's ``(time_ms, kind, payload)`` so the
+    engine's handlers can schedule into it.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._counter = 0
+
+    def push(self, time_ms: float, kind: int, payload: Any) -> None:
+        event = Event(time_ms, EventKind(kind), payload)
+        heapq.heappush(self._heap, (time_ms, int(kind), self._counter, event))
+        self._counter += 1
+
+    def pop(self) -> Event:
+        if not self._heap:
+            raise IndexError("pop from an empty event heap")
+        return heapq.heappop(self._heap)[3]
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+def reference_run(engine, trace, arrivals, *, arrival_rate_per_ms=None, reset=True):
+    """``engine.run(trace, arrivals, ...)`` through the reference loop."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if reset:
+        engine.reset()
+    recorder = engine.recorder
+    if recorder is not None:
+        recorder.begin_run((r.index, r.name) for r in engine.replicas)
+    if engine.autoscaler is not None:
+        engine.autoscaler.recorder = recorder
+    heap = EventHeap()
+    for query, arrival in zip(trace, arrivals):
+        heap.push(float(arrival), EventKind.ARRIVAL, query)
+    if engine.autoscaler is not None:
+        heap.push(engine.autoscaler.control_interval_ms, EventKind.CONTROL, None)
+    if engine.faults is not None:
+        engine._arm_faults(arrivals, heap.push)
+    outcomes, dropped = _drain(engine, heap)
+    return engine._build_result(
+        outcomes, dropped, arrival_rate_per_ms=arrival_rate_per_ms
+    )
+
+
+def _drain(engine, heap: EventHeap):
+    outcomes: list = []
+    dropped: list = []
+    bus = None if engine.autoscaler is None else engine.autoscaler.bus
+    fi = engine.faults
+
+    def dispatch(replica, now):
+        _dispatch(engine, replica, now, heap, dropped)
+
+    seq = 0
+    while heap:
+        event = heap.pop()
+        now = event.time_ms
+        kind = event.kind
+        if kind == EventKind.ARRIVAL:
+            engine._run_end_ms = now
+            query = event.payload
+            item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
+            seq += 1
+            candidates = engine._routable()
+            if fi is not None and not candidates:
+                engine._shed_arrival(item, now, dropped, bus)
+                continue
+            replica = candidates[engine.router.select(candidates, item, now)]
+            if bus is not None and replica.index in engine._scalable_set:
+                bus.on_arrival(now)
+            if engine._needs_estimates:
+                item = QueuedQuery(
+                    query=query,
+                    arrival_ms=now,
+                    seq=item.seq,
+                    service_estimate_ms=float(replica.service_estimator(query)),
+                )
+            replica.enqueue(item)
+            if replica.in_service is None:
+                dispatch(replica, now)
+        elif kind == EventKind.COMPLETION:
+            replica = engine.replicas[event.payload]
+            if fi is not None and replica.failed:
+                continue
+            engine._run_end_ms = now
+            _complete(engine, replica, outcomes, now)
+            dispatch(replica, now)
+        elif kind == EventKind.FAULT:
+            engine._handle_fault(now, event.payload, heap, dropped)
+        elif kind == EventKind.RECOVERY:
+            engine._handle_recovery(now, event.payload, heap, dropped, dispatch)
+        elif kind == EventKind.PROVISIONING:
+            replica = engine.replicas[event.payload]
+            if not replica.is_retired and replica.provisioning:
+                replica.finish_provisioning()
+                if fi is not None:
+                    engine._on_capacity_joined()
+        else:  # CONTROL
+            engine._control(now, heap)
+    outcomes.sort(key=lambda o: o.query_index)
+    dropped.sort(key=lambda d: d.query_index)
+    return outcomes, dropped
+
+
+def _dispatch(engine, replica, now, heap, dropped):
+    bus = None if engine.autoscaler is None else engine.autoscaler.bus
+    if bus is not None and replica.index not in engine._scalable_set:
+        bus = None
+    sink: list = []
+    while True:
+        completion_ms = _serve_pickup(
+            replica,
+            now,
+            dropped,
+            admission=engine.admission,
+            dts=engine.dispatch_time_scheduling,
+            bus=bus,
+            recorder=engine.recorder,
+            faults=engine.faults,
+            fault_sink=sink,
+        )
+        if not sink:
+            break
+        if engine.recorder is not None:
+            engine.recorder.on_fault(now, "dispatch_failure", replica.index)
+        for item in sink:
+            engine._retry_or_fail(item, replica, now, heap, dropped)
+        sink.clear()
+    if completion_ms is None:
+        if engine.autoscaler is not None:
+            engine._maybe_retire(replica, now)
+        return
+    heap.push(completion_ms, EventKind.COMPLETION, replica.index)
+
+
+def _complete(engine, replica, outcomes, now):
+    if engine.autoscaler is not None and replica.index in engine._scalable_set:
+        current = replica.in_service
+        if current is not None:
+            engine.autoscaler.bus.on_completion(
+                now, replica_index=replica.index, service_ms=current.total_ms
+            )
+    _complete_inservice(replica, outcomes, engine.recorder)

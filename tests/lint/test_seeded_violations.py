@@ -126,8 +126,8 @@ def test_rpr005_new_eventkind_member(tmp_path: Path) -> None:
 def test_rpr005_degenerate_heap_tuple(tmp_path: Path) -> None:
     def mutate(source: str) -> str:
         return source.replace(
-            "(event.time_ms, int(event.kind), self._counter, event.payload),",
-            "(event.time_ms, event.payload),",
+            "(time_ms, kind, self._counter, payload)",
+            "(time_ms, payload)",
             1,
         )
 

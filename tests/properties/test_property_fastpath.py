@@ -1,31 +1,32 @@
-"""Property-based identity tests of the engine fast path and event queues.
+"""Property-based identity tests of the engine's event loop and event queue.
 
 Two families of properties:
 
-* **Execution-strategy identity** — for *every* hypothesis-generated
-  workload (arrival gaps, service times, latency constraints) and policy
-  combination, the fast loop and the sharded loop must produce results
-  bit-identical to the reference Event/EventHeap loop.  Equality here is
-  structural equality of frozen dataclasses over raw floats, so even a
-  1-ulp reordering of arithmetic would fail.
+* **Loop identity** — for *every* hypothesis-generated workload (arrival
+  gaps, service times, latency constraints) and policy combination,
+  ``ServingEngine.run`` must produce results bit-identical to the
+  reference Event/EventHeap loop (``engine_oracle.reference_run``).
+  Equality here is structural equality of frozen dataclasses over raw
+  floats, so even a 1-ulp reordering of arithmetic would fail.
 
-* **Queue-ordering contracts** — :meth:`EventHeap.pop_batch` must equal
-  one-at-a-time pops (same-timestamp interleavings included), and
-  :class:`ArrayEventQueue` (arrival cursor + dynamic-event heap) must pop
-  in exactly the order :class:`EventHeap` would when everything is pushed
-  into one heap.  Times are drawn from a coarse grid so equal timestamps —
-  where the (time, kind, insertion order) tie-break actually matters — are
-  common rather than measure-zero.
+* **Queue-ordering contracts** — same-timestamp pops follow kind then
+  insertion order, and :class:`ArrayEventQueue` (arrival cursor +
+  dynamic-event heap) must pop in exactly the order :class:`EventHeap`
+  would when everything is pushed into one heap.  Times are drawn from a
+  coarse grid so equal timestamps — where the (time, kind, insertion
+  order) tie-break actually matters — are common rather than measure-zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from engine_oracle import EventHeap, reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
+from repro.serving.autoscale import AutoscaleController, make_policy
 from repro.serving.engine import AcceleratorReplica, ServingEngine
-from repro.serving.engine.events import ArrayEventQueue, Event, EventHeap, EventKind
+from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.query import QueryTrace
 
 
@@ -46,6 +47,24 @@ class IndexedServer:
         )
 
 
+class BatchIndexedServer(IndexedServer):
+    """Adds a shared-SubNet batch dispatch: one evaluation for the batch."""
+
+    def serve_dispatch_batch(self, queries, *, effective_latency_constraints_ms=None):
+        service = max(self.services_ms[q.index] for q in queries)
+        return [
+            QueryRecord(
+                query_index=q.index,
+                accuracy_constraint=q.accuracy_constraint,
+                latency_constraint_ms=q.latency_constraint_ms,
+                subnet_name="synthetic-batch",
+                served_accuracy=0.76,
+                served_latency_ms=service,
+            )
+            for q in queries
+        ]
+
+
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)
 
 workload = st.integers(min_value=2, max_value=25).flatmap(
@@ -59,25 +78,57 @@ workload = st.integers(min_value=2, max_value=25).flatmap(
 disciplines = st.sampled_from(["fifo", "edf", "priority_by_slack"])
 routers = st.sampled_from(["round_robin", "jsq", "least_loaded"])
 admissions = st.sampled_from(["admit_all", "drop_expired"])
+#: (max_batch, batch policy): the single-query dispatch and both pickups.
+batchings = st.sampled_from(
+    [(1, "shared_subnet"), (3, "shared_subnet"), (3, "per_query")]
+)
 
 
-def run_pair(wl, *, num_replicas, discipline, router, admission, **fast_kwargs):
-    """(reference result, fast/shard result) on identical fresh engines."""
+def run_pair(
+    wl, *, num_replicas, discipline, router, admission, batching=(1, "shared_subnet"),
+    scaling=None,
+):
+    """(reference result, engine result) on identical fresh engines."""
     gaps, services, constraints = wl
     trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
     arrivals = np.cumsum(gaps)
+    max_batch, policy = batching
 
-    def engine():
-        return ServingEngine(
-            [
-                AcceleratorReplica(IndexedServer(services), discipline=discipline)
-                for _ in range(num_replicas)
-            ],
-            router=router,
-            admission=admission,
+    def replica(position=None):
+        return AcceleratorReplica(
+            BatchIndexedServer(services),
+            discipline=discipline,
+            max_batch=max_batch,
+            batch_policy=policy,
         )
 
-    return engine().run(trace, arrivals), engine().run(trace, arrivals, **fast_kwargs)
+    def engine():
+        autoscaler = None
+        if scaling is not None:
+            # Short ticks and a cold start sized to the hypothesis gaps, so
+            # scale-ups, provisioning hand-overs and drains all happen; the
+            # oscillating plan drains replicas while they are still busy.
+            policy = (
+                make_policy("scheduled", schedule=((0.0, 3), (6.0, 1)), period_ms=12.0)
+                if scaling == "oscillating"
+                else scaling
+            )
+            autoscaler = AutoscaleController(
+                policy,
+                control_interval_ms=4.0,
+                min_replicas=1,
+                max_replicas=4,
+                startup_delay_ms=3.0,
+                replica_factory=replica,
+            )
+        return ServingEngine(
+            [replica() for _ in range(num_replicas)],
+            router=router,
+            admission=admission,
+            autoscaler=autoscaler,
+        )
+
+    return reference_run(engine(), trace, arrivals), engine().run(trace, arrivals)
 
 
 def assert_identical(fast, ref):
@@ -85,30 +136,40 @@ def assert_identical(fast, ref):
     assert fast.dropped == ref.dropped
     assert fast.replica_stats == ref.replica_stats
     assert fast.duration_ms == ref.duration_ms
+    assert fast.autoscale == ref.autoscale
 
 
 class TestExecutionStrategyIdentity:
-    @given(workload, disciplines, routers, admissions, st.integers(1, 3))
+    @given(workload, disciplines, routers, admissions, batchings, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_fast_path_is_bit_identical(
-        self, wl, discipline, router, admission, num_replicas
+        self, wl, discipline, router, admission, batching, num_replicas
     ):
         ref, fast = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router=router, admission=admission, fast_path=True,
+            router=router, admission=admission, batching=batching,
         )
         assert_identical(fast, ref)
 
-    @given(workload, disciplines, admissions, st.integers(1, 3))
+    @given(
+        workload,
+        disciplines,
+        routers,
+        admissions,
+        batchings,
+        st.integers(1, 2),
+        st.sampled_from(["reactive", "oscillating"]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_sharded_is_bit_identical(
-        self, wl, discipline, admission, num_replicas
+    def test_autoscaled_pool_is_bit_identical(
+        self, wl, discipline, router, admission, batching, num_replicas, scaling
     ):
-        ref, shard = run_pair(
+        ref, fast = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router="round_robin", admission=admission, shard=True,
+            router=router, admission=admission, batching=batching,
+            scaling=scaling,
         )
-        assert_identical(shard, ref)
+        assert_identical(fast, ref)
 
 
 # Coarse grids make equal timestamps common, so the tie-break contract —
@@ -121,25 +182,10 @@ events = st.lists(st.tuples(grid_times, kinds), min_size=1, max_size=30)
 class TestEventHeapContract:
     @given(events)
     @settings(max_examples=100, deadline=None)
-    def test_pop_batch_equals_sequential_pops(self, items):
-        sequential, batched = EventHeap(), EventHeap()
-        for i, (t, kind) in enumerate(items):
-            sequential.push(Event(t, kind, i))
-            batched.push(Event(t, kind, i))
-        one_at_a_time = [sequential.pop() for _ in range(len(items))]
-        drained = []
-        while batched:
-            batch = batched.pop_batch()
-            assert len({e.time_ms for e in batch}) == 1  # one timestamp per batch
-            drained.extend(batch)
-        assert drained == one_at_a_time
-
-    @given(events)
-    @settings(max_examples=100, deadline=None)
     def test_same_timestamp_pops_follow_kind_then_insertion(self, items):
         heap = EventHeap()
         for i, (t, kind) in enumerate(items):
-            heap.push(Event(t, kind, i))
+            heap.push(t, kind, i)
         popped = [heap.pop() for _ in range(len(items))]
         keys = [(e.time_ms, int(e.kind), e.payload) for e in popped]
         assert keys == sorted(keys)  # payload is insertion order
@@ -168,20 +214,47 @@ class TestArrayEventQueueContract:
         arrivals = np.cumsum(gaps).tolist()
         heap = EventHeap()
         for i, t in enumerate(arrivals):
-            heap.push(Event(t, EventKind.ARRIVAL, i))
+            heap.push(t, EventKind.ARRIVAL, i)
         queue = ArrayEventQueue(arrivals)
         for j, (t, kind) in enumerate(dynamic):
-            heap.push(Event(t, kind, ("dyn", j)))
-            queue.push(Event(t, kind, ("dyn", j)))
+            heap.push(t, kind, ("dyn", j))
+            queue.push(t, kind, ("dyn", j))
 
-        assert len(queue) == len(arrivals) + len(dynamic)
+        assert bool(queue) == bool(arrivals or dynamic)
         expected = [heap.pop() for _ in range(len(arrivals) + len(dynamic))]
-        got = [queue.pop() for _ in range(len(expected))]
+        got = list(queue)
         assert got == [(e.time_ms, int(e.kind), e.payload) for e in expected]
         assert not queue
-        try:
-            queue.pop()
-        except IndexError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("pop from empty ArrayEventQueue must raise")
+        assert list(queue) == []
+
+    @given(
+        st.lists(grid_times, min_size=1, max_size=10),  # arrival gaps
+        st.lists(st.tuples(grid_times, dynamic_kinds), max_size=10),
+        st.lists(st.tuples(grid_times, dynamic_kinds), max_size=10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pushes_while_iterating_keep_heap_order(self, gaps, first, later):
+        """Events pushed mid-iteration (the engine schedules completions,
+        retries and control ticks as it goes) land in EventHeap order."""
+        arrivals = np.cumsum(gaps).tolist()
+        heap = EventHeap()
+        for i, t in enumerate(arrivals):
+            heap.push(t, EventKind.ARRIVAL, i)
+        queue = ArrayEventQueue(arrivals)
+        for j, (t, kind) in enumerate(first):
+            heap.push(t, kind, ("first", j))
+            queue.push(t, kind, ("first", j))
+        got = []
+        expected = []
+        for event in queue:
+            got.append(event)
+            reference = heap.pop()
+            expected.append((reference.time_ms, int(reference.kind), reference.payload))
+            if len(got) == 1:
+                # Push the later events relative to the first popped time,
+                # so none of them lies in the already-popped past.
+                for j, (dt, kind) in enumerate(later):
+                    heap.push(event[0] + dt, kind, ("later", j))
+                    queue.push(event[0] + dt, kind, ("later", j))
+        assert got == expected
+        assert not heap

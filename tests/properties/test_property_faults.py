@@ -6,14 +6,14 @@ Three families of properties, over hypothesis-generated workloads:
   engine with an *inert* injector (all processes disabled — the runtime
   image of ``FaultSpec()``'s defaults), must both be bit-identical to the
   pre-fault engine: same outcomes, drops, replica stats and duration on
-  the reference loop, the fast path and the sharded path.  Equality is
-  structural equality of frozen dataclasses over raw floats, so a 1-ulp
-  divergence fails.
+  the engine's event loop and the reference loop
+  (``engine_oracle.reference_run``).  Equality is structural equality of
+  frozen dataclasses over raw floats, so a 1-ulp divergence fails.
 
-* **Execution-strategy identity under live faults** — with crashes,
-  stragglers and transient dispatch failures actually firing, the fast
-  path must still match the reference loop bit for bit: fault injection
-  is semantics, the fast path is not.
+* **Loop identity under live faults** — with crashes, stragglers and
+  transient dispatch failures actually firing, the engine's loop (its
+  single-query dispatch and direct serve included) must still match the
+  reference loop bit for bit.
 
 * **Determinism** — a faulty engine re-run after ``reset()`` (including
   pending fault events, retries in flight at the end of the first run,
@@ -24,7 +24,7 @@ Three families of properties, over hypothesis-generated workloads:
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from engine_oracle import reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
@@ -76,15 +76,23 @@ fault_params = st.fixed_dictionaries(
         "dispatch_failure_prob": st.floats(min_value=0.0, max_value=0.4),
         "max_attempts": st.integers(min_value=1, max_value=4),
         "backoff_base_ms": st.floats(min_value=0.1, max_value=2.0),
+        "brownout_threshold": st.one_of(
+            st.none(), st.floats(min_value=0.2, max_value=1.0)
+        ),
+        "brownout_accuracy_step": st.floats(min_value=0.01, max_value=0.2),
     }
 )
 
 
-def build_engine(wl, *, num_replicas, discipline, router, admission, faults=None):
+def build_engine(
+    wl, *, num_replicas, discipline, router, admission, faults=None, max_batch=1
+):
     gaps, services, constraints = wl
     engine = ServingEngine(
         [
-            AcceleratorReplica(IndexedServer(services), discipline=discipline)
+            AcceleratorReplica(
+                IndexedServer(services), discipline=discipline, max_batch=max_batch
+            )
             for _ in range(num_replicas)
         ],
         router=router,
@@ -119,8 +127,8 @@ class TestFaultsNullRung:
     ):
         """FaultSpec()'s defaults must cost nothing and change nothing.
 
-        The inert injector forces the fault-aware code paths (``_drain``
-        with a live ``fi``, ``_drain_array`` instead of ``_fast_drain``)
+        The inert injector forces the fault-aware code paths (every fault
+        hook live, the routable-pool scan instead of the static pool)
         whose every hook must degenerate to the pre-fault behavior.
         """
         kwargs = dict(
@@ -134,63 +142,22 @@ class TestFaultsNullRung:
         arrivals = np.cumsum(gaps)
 
         plain = build_engine(wl, **kwargs).run(trace, arrivals)
-        for fast_path in (False, True):
+        for run in (ServingEngine.run, reference_run):
             inert = build_engine(wl, faults=FaultInjector(), **kwargs)
-            assert_identical(
-                inert.run(trace, arrivals, fast_path=fast_path), plain
-            )
+            assert_identical(run(inert, trace, arrivals), plain)
             assert inert.faults.num_crashes == 0
             assert inert.faults.num_dispatch_failures == 0
 
-    @given(workload, disciplines, admissions, st.integers(1, 3))
+    @given(workload, disciplines, routers, admissions, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_no_injector_identical_across_all_three_paths(
-        self, wl, discipline, admission, num_replicas
+        self, wl, discipline, router, admission, num_replicas
     ):
-        """With ``faults=None`` every execution strategy still agrees.
+        """With ``faults=None`` the engine's loop matches the reference loop.
 
-        Guards the dispatch changes this layer made to ``run()``: the
-        fault-free engine must keep taking the pre-fault fast/shard paths
-        bit-identically (shard requires round-robin routing).
+        Guards the static-pool hoists: with no injector every fault hook
+        is one dead ``is not None`` check and the pool is never scanned.
         """
-        kwargs = dict(
-            num_replicas=num_replicas,
-            discipline=discipline,
-            router="round_robin",
-            admission=admission,
-        )
-        gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
-        arrivals = np.cumsum(gaps)
-
-        reference = build_engine(wl, **kwargs).run(trace, arrivals)
-        fast = build_engine(wl, **kwargs).run(trace, arrivals, fast_path=True)
-        shard = build_engine(wl, **kwargs).run(trace, arrivals, shard=True)
-        assert_identical(fast, reference)
-        assert_identical(shard, reference)
-
-    def test_sharded_run_rejects_live_faults(self):
-        wl = ([1.0] * 4, [1.0] * 4, [10.0] * 4)
-        gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * 4, list(constraints))
-        engine = build_engine(
-            wl,
-            num_replicas=2,
-            discipline="fifo",
-            router="round_robin",
-            admission="admit_all",
-            faults=FaultInjector(crash_mtbf_ms=5.0),
-        )
-        with pytest.raises(ValueError, match="fault"):
-            engine.run(trace, np.cumsum(gaps), shard=True)
-
-
-class TestLiveFaultIdentityAndDeterminism:
-    @given(workload, fault_params, disciplines, routers, admissions, st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_fast_path_identical_under_live_faults(
-        self, wl, params, discipline, router, admission, num_replicas
-    ):
         kwargs = dict(
             num_replicas=num_replicas,
             discipline=discipline,
@@ -201,15 +168,89 @@ class TestLiveFaultIdentityAndDeterminism:
         trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
-        reference = build_engine(wl, faults=FaultInjector(**params), **kwargs).run(
-            trace, arrivals
+        reference = reference_run(build_engine(wl, **kwargs), trace, arrivals)
+        assert_identical(build_engine(wl, **kwargs).run(trace, arrivals), reference)
+
+
+class TestLiveFaultIdentityAndDeterminism:
+    @given(
+        workload,
+        fault_params,
+        disciplines,
+        routers,
+        admissions,
+        st.integers(1, 3),
+        st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_identical_under_live_faults(
+        self, wl, params, discipline, router, admission, num_replicas, max_batch
+    ):
+        kwargs = dict(
+            num_replicas=num_replicas,
+            discipline=discipline,
+            router=router,
+            admission=admission,
+            max_batch=max_batch,
+        )
+        gaps, services, constraints = wl
+        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        arrivals = np.cumsum(gaps)
+
+        reference = reference_run(
+            build_engine(wl, faults=FaultInjector(**params), **kwargs), trace, arrivals
         )
         fast = build_engine(wl, faults=FaultInjector(**params), **kwargs).run(
-            trace, arrivals, fast_path=True
+            trace, arrivals
         )
         assert_identical(fast, reference)
         assert fast.num_crashes == reference.num_crashes
         assert fast.drop_reasons == reference.drop_reasons
+
+    @given(
+        st.integers(min_value=10, max_value=40).flatmap(
+            lambda n: st.tuples(
+                st.lists(positive, min_size=n, max_size=n),
+                st.lists(positive, min_size=n, max_size=n),
+                st.lists(positive, min_size=n, max_size=n),
+            )
+        ),
+        st.integers(min_value=0, max_value=15),
+        st.floats(min_value=5.0, max_value=40.0),
+        st.floats(min_value=0.2, max_value=0.5),
+        routers,
+        st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_brownout_identical_under_crashes(
+        self, wl, seed, crash_mtbf_ms, threshold, router, max_batch
+    ):
+        """Crashes in a 3-replica pool step the brownout ladder, so later
+        dispatches relax accuracy floors: both loops must relax alike."""
+        kwargs = dict(
+            num_replicas=3,
+            discipline="fifo",
+            router=router,
+            admission="admit_all",
+            max_batch=max_batch,
+        )
+        gaps, services, constraints = wl
+        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        arrivals = np.cumsum(gaps)
+
+        def injector():
+            return FaultInjector(
+                seed=seed,
+                crash_mtbf_ms=crash_mtbf_ms,
+                brownout_threshold=threshold,
+                brownout_accuracy_step=0.1,
+            )
+
+        reference = reference_run(
+            build_engine(wl, faults=injector(), **kwargs), trace, arrivals
+        )
+        fast = build_engine(wl, faults=injector(), **kwargs).run(trace, arrivals)
+        assert_identical(fast, reference)
 
     @given(workload, fault_params, disciplines, routers, admissions, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)

@@ -4,9 +4,10 @@ Two families of properties, over hypothesis-generated workloads:
 
 * **Observation identity** — attaching a :class:`TraceRecorder` must not
   change the simulation: outcomes, drops, replica stats and duration are
-  bit-identical to an unobserved run, on the reference loop, the fast
-  path and the sharded path alike.  Equality is structural equality of
-  frozen dataclasses over raw floats, so a 1-ulp divergence fails.
+  bit-identical to an unobserved run, on the engine's event loop and the
+  reference loop (``engine_oracle.reference_run``) alike, and both loops
+  must record the same trace.  Equality is structural equality of frozen
+  dataclasses over raw floats, so a 1-ulp divergence fails.
 
 * **Span well-formedness** — the recorded trace accounts for every query
   exactly once (one span per outcome, one per drop), span timestamps are
@@ -18,6 +19,7 @@ Two families of properties, over hypothesis-generated workloads:
 from __future__ import annotations
 
 import numpy as np
+from engine_oracle import reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
@@ -58,7 +60,9 @@ routers = st.sampled_from(["round_robin", "jsq", "least_loaded"])
 admissions = st.sampled_from(["admit_all", "drop_expired"])
 
 
-def run_pair(wl, *, num_replicas, discipline, router, admission, **run_kwargs):
+def run_pair(
+    wl, *, num_replicas, discipline, router, admission, run=ServingEngine.run
+):
     """(unobserved result, observed result) on identical fresh engines."""
     gaps, services, constraints = wl
     trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
@@ -74,10 +78,10 @@ def run_pair(wl, *, num_replicas, discipline, router, admission, **run_kwargs):
             admission=admission,
         )
 
-    plain = engine().run(trace, arrivals, **run_kwargs)
+    plain = run(engine(), trace, arrivals)
     observed_engine = engine()
     observed_engine.recorder = TraceRecorder()
-    observed = observed_engine.run(trace, arrivals, **run_kwargs)
+    observed = run(observed_engine, trace, arrivals)
     return plain, observed
 
 
@@ -132,7 +136,7 @@ class TestObservationIdentity:
     ):
         plain, observed = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router=router, admission=admission,
+            router=router, admission=admission, run=reference_run,
         )
         assert_identical(observed, plain)
         assert plain.trace is None and observed.trace is not None
@@ -145,19 +149,12 @@ class TestObservationIdentity:
     ):
         plain, observed = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router=router, admission=admission, fast_path=True,
+            router=router, admission=admission,
         )
         assert_identical(observed, plain)
         assert_well_formed(observed)
-
-    @given(workload, disciplines, admissions, st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_sharded_unchanged_by_recording(
-        self, wl, discipline, admission, num_replicas
-    ):
-        plain, observed = run_pair(
+        _, reference = run_pair(
             wl, num_replicas=num_replicas, discipline=discipline,
-            router="round_robin", admission=admission, shard=True,
+            router=router, admission=admission, run=reference_run,
         )
-        assert_identical(observed, plain)
-        assert_well_formed(observed)
+        assert observed.trace == reference.trace

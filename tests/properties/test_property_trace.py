@@ -10,9 +10,9 @@ Three families of properties:
 
 * **Replay identity** — a ``kind="trace"`` arrival spec whose inline
   events are the timestamps a deterministic spec would generate produces
-  **record-identical** simulation results on both the reference event
-  loop and the array fast path.  Replay is a pure arrival source, never a
-  behavioral fork.
+  **record-identical** simulation results on both the engine's event loop
+  and the reference loop (``engine_oracle.reference_run``).  Replay is a
+  pure arrival source, never a behavioral fork.
 
 * **Fitter recovery** — on an evenly spaced log the piecewise-Poisson
   fitter recovers the exact nominal rate, near-zero interarrival CV, and
@@ -26,6 +26,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from engine_oracle import reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
@@ -38,7 +39,7 @@ from repro.serving import (
     WorkloadSpec,
     fit_piecewise_poisson,
 )
-from repro.serving.api import run_scenario
+from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.trace_io import (
     TraceFit,
     read_csv_log,
@@ -139,7 +140,7 @@ class TestTraceSpecRoundTrip:
         assert ArrivalSpec.from_dict(spec.to_dict()) == spec
 
 
-def _scenario(arrivals: ArrivalSpec, *, n: int, fast_path: bool) -> ScenarioSpec:
+def _scenario(arrivals: ArrivalSpec, *, n: int) -> ScenarioSpec:
     return ScenarioSpec(
         name="trace-identity",
         supernet_name=SUPERNET,
@@ -151,8 +152,21 @@ def _scenario(arrivals: ArrivalSpec, *, n: int, fast_path: bool) -> ScenarioSpec
             num_queries=n, accuracy_range=None, latency_range_ms=None
         ),
         arrivals=arrivals,
-        fast_path=fast_path,
         seed=3,
+    )
+
+
+def _run(spec: ScenarioSpec, *, oracle: bool):
+    """``run_scenario(spec)``, or the same run through the reference loop."""
+    if not oracle:
+        return run_scenario(spec, stack_cache=_STACK_CACHE)
+    trace = build_trace(spec, stack_cache=_STACK_CACHE)
+    engine = build_engine(spec, trace=trace, stack_cache=_STACK_CACHE)
+    return reference_run(
+        engine,
+        trace,
+        spec.arrivals.generate(len(trace)),
+        arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(),
     )
 
 
@@ -170,28 +184,20 @@ class TestReplayIdentity:
         st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
-    def test_trace_kind_matches_deterministic_spec(self, rate, n, fast_path):
+    def test_trace_kind_matches_deterministic_spec(self, rate, n, oracle):
         det = ArrivalSpec(kind="deterministic", rate_per_ms=rate)
         events = tuple(float(t) for t in det.generate(n))
         trace = ArrivalSpec(kind="trace", events=events)
         assert np.array_equal(trace.generate(n), det.generate(n))
 
-        ref = run_scenario(
-            _scenario(det, n=n, fast_path=fast_path), stack_cache=_STACK_CACHE
-        )
-        replayed = run_scenario(
-            _scenario(trace, n=n, fast_path=fast_path), stack_cache=_STACK_CACHE
-        )
+        ref = _run(_scenario(det, n=n), oracle=oracle)
+        replayed = _run(_scenario(trace, n=n), oracle=oracle)
         _assert_identical(replayed, ref)
 
     def test_reference_and_fast_path_agree_on_trace_kind(self):
         trace = ArrivalSpec(kind="trace", events=(0.4, 0.9, 1.7, 2.0, 3.5, 6.0))
-        ref = run_scenario(
-            _scenario(trace, n=6, fast_path=False), stack_cache=_STACK_CACHE
-        )
-        fast = run_scenario(
-            _scenario(trace, n=6, fast_path=True), stack_cache=_STACK_CACHE
-        )
+        ref = _run(_scenario(trace, n=6), oracle=True)
+        fast = _run(_scenario(trace, n=6), oracle=False)
         _assert_identical(fast, ref)
 
 

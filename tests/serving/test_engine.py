@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from engine_oracle import EventHeap
 
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
@@ -10,7 +11,6 @@ from repro.serving.engine import (
     AdmitAll,
     DropExpired,
     EDFQueue,
-    EventHeap,
     FIFOQueue,
     FastestExpectedRouter,
     JoinShortestQueueRouter,
@@ -25,7 +25,7 @@ from repro.serving.engine import (
     make_discipline,
     make_router,
 )
-from repro.serving.engine.events import Event, EventKind
+from repro.serving.engine.events import EventKind
 from repro.serving.query import Query, QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -65,9 +65,9 @@ def queued(index, arrival, seq, *, constraint=10.0, estimate=0.0):
 class TestEventHeap:
     def test_orders_by_time_then_kind(self):
         heap = EventHeap()
-        heap.push(Event(2.0, EventKind.ARRIVAL, "a2"))
-        heap.push(Event(1.0, EventKind.ARRIVAL, "a1"))
-        heap.push(Event(2.0, EventKind.COMPLETION, "c2"))
+        heap.push(2.0, EventKind.ARRIVAL, "a2")
+        heap.push(1.0, EventKind.ARRIVAL, "a1")
+        heap.push(2.0, EventKind.COMPLETION, "c2")
         assert heap.pop().payload == "a1"
         # Completions fire before arrivals at equal timestamps.
         assert heap.pop().payload == "c2"

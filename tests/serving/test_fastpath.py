@@ -1,30 +1,27 @@
-"""The engine fast path is an execution strategy, not a semantics change.
+"""The engine's one event loop is the reference semantics, made fast.
 
-``fast_path=True`` swaps the Event/EventHeap loop for a cursor over the
-arrival buffer plus a raw-tuple completion heap; ``shard=True`` additionally
-simulates each replica's arrival sub-stream independently.  Everything
-observable — outcomes, drops, per-replica stats, run duration, and with an
-autoscaler the full scaling report — must be bit-identical to the reference
-loop.  These tests pin that contract across disciplines, routers, admission
-policies, batching, autoscaled pools and multiprocess sharding, plus the
-spec/CLI surface (``fast_path``/``shard``/``shard_workers`` knobs,
-``repro run --profile``).
+``ServingEngine.run`` walks an arrival cursor plus a raw-tuple event heap,
+dispatches ``max_batch == 1`` replicas through a single-query path and
+serves arrivals at idle replicas directly.  Everything observable —
+outcomes, drops, per-replica stats, run duration, and with an autoscaler
+the full scaling report — must be bit-identical to the reference
+Event/EventHeap loop (``engine_oracle.reference_run``).  These tests pin
+that contract across disciplines, routers, admission policies, batching
+and autoscaled pools, plus the spec/CLI surface (array-backed scenario
+traces, ``repro run --profile``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
-
 import numpy as np
 import pytest
+from engine_oracle import reference_run
 
 from repro.core.metrics import QueryRecord
 from repro.serving import ArrayQueryTrace
-from repro.serving.api import build_trace, run_scenario
+from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, ServingEngine
-from repro.serving.query import QueryTrace
 from repro.serving.spec import (
     ArrivalSpec,
     ReplicaGroupSpec,
@@ -36,7 +33,7 @@ from repro.serving.workload import WorkloadSpec as GenWorkloadSpec
 
 
 class IndexedServer:
-    """Synthetic backend with per-query-index service times (picklable)."""
+    """Synthetic backend with per-query-index service times."""
 
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
@@ -92,7 +89,7 @@ def assert_identical(result, ref):
     assert result.num_dropped == ref.num_dropped
 
 
-# -------------------------------------------------------- fast path identity
+# ------------------------------------------------------------- loop identity
 class TestFastPathIdentity:
     @pytest.mark.parametrize("discipline", ["fifo", "edf", "priority_by_slack"])
     @pytest.mark.parametrize("router", ["round_robin", "jsq", "least_loaded"])
@@ -100,28 +97,28 @@ class TestFastPathIdentity:
     def test_matches_reference_across_policies(self, discipline, router, admission):
         trace, atrace, arrivals, services = make_workload(600, seed=11)
         kw = dict(discipline=discipline, router=router, admission=admission)
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals, fast_path=True)
+        ref = reference_run(make_engine(services, **kw), trace, arrivals)
+        fast = make_engine(services, **kw).run(atrace, arrivals)
         assert_identical(fast, ref)
 
     def test_accepts_reference_trace_type(self):
-        """The fast loop does not require an ArrayQueryTrace."""
+        """The loop does not require an ArrayQueryTrace."""
         trace, _, arrivals, services = make_workload(200, seed=5)
-        ref = make_engine(services).run(trace, arrivals)
-        fast = make_engine(services).run(trace, arrivals, fast_path=True)
+        ref = reference_run(make_engine(services), trace, arrivals)
+        fast = make_engine(services).run(trace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_batching(self):
         trace, atrace, arrivals, services = make_workload(500, seed=7, rate_per_ms=1.5)
         kw = dict(max_batch=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals, fast_path=True)
+        ref = reference_run(make_engine(services, **kw), trace, arrivals)
+        fast = make_engine(services, **kw).run(atrace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_autoscaler(self):
-        """With a control plane the fast path is the ArrayEventQueue drain."""
+        """The control plane runs in the same loop, event for event."""
 
-        def scaled(**run_kwargs):
+        def scaled(run):
             trace, atrace, arrivals, services = make_workload(
                 800, seed=3, rate_per_ms=1.2
             )
@@ -139,62 +136,17 @@ class TestFastPathIdentity:
                 services, num_replicas=1, discipline="edf", router="jsq",
                 admission="drop_expired", autoscaler=ctl,
             )
-            use = atrace if run_kwargs.get("fast_path") else trace
-            return engine.run(use, arrivals, **run_kwargs)
+            if run is reference_run:
+                return reference_run(engine, trace, arrivals)
+            return engine.run(atrace, arrivals)
 
-        ref = scaled()
-        fast = scaled(fast_path=True)
+        ref = scaled(reference_run)
+        fast = scaled(ServingEngine.run)
         assert_identical(fast, ref)
         assert ref.autoscale is not None
         assert fast.autoscale == ref.autoscale
         # The run exercised actual scaling, not a degenerate flat pool.
         assert ref.autoscale.num_scale_ups > 0
-
-
-# ---------------------------------------------------------- sharded identity
-class TestShardedIdentity:
-    def test_matches_reference_sequential(self):
-        trace, atrace, arrivals, services = make_workload(700, seed=13)
-        kw = dict(num_replicas=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        shard = make_engine(services, **kw).run(atrace, arrivals, shard=True)
-        assert_identical(shard, ref)
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="multiprocess sharding needs fork",
-    )
-    def test_matches_reference_multiprocess(self):
-        trace, atrace, arrivals, services = make_workload(700, seed=13)
-        kw = dict(num_replicas=4, admission="drop_expired", discipline="edf")
-        ref = make_engine(services, **kw).run(trace, arrivals)
-        shard = make_engine(services, **kw).run(
-            atrace, arrivals, shard=True, shard_workers=2
-        )
-        assert_identical(shard, ref)
-
-    def test_rejects_load_aware_router(self):
-        _, atrace, arrivals, services = make_workload(50)
-        engine = make_engine(services, router="jsq")
-        with pytest.raises(ValueError, match="round_robin"):
-            engine.run(atrace, arrivals, shard=True)
-
-    def test_rejects_autoscaler(self):
-        _, atrace, arrivals, services = make_workload(50)
-        ctl = AutoscaleController(
-            "reactive",
-            control_interval_ms=25.0,
-            replica_factory=lambda pos: AcceleratorReplica(IndexedServer([1.0])),
-        )
-        engine = make_engine(services, num_replicas=1, autoscaler=ctl)
-        with pytest.raises(ValueError, match="autoscaler"):
-            engine.run(atrace, arrivals, shard=True)
-
-    def test_rejects_bad_worker_count(self):
-        _, atrace, arrivals, services = make_workload(50)
-        engine = make_engine(services)
-        with pytest.raises(ValueError, match="shard_workers"):
-            engine.run(atrace, arrivals, shard=True, shard_workers=0)
 
 
 # ------------------------------------------------------------- spec and API
@@ -216,38 +168,25 @@ def scenario(**overrides):
 
 
 class TestSpecKnobs:
-    def test_knobs_round_trip_exactly(self):
-        spec = scenario(fast_path=True, shard=True, shard_workers=2)
-        again = ScenarioSpec.from_json(spec.to_json())
-        assert again == spec
-        assert again.to_json() == spec.to_json()
-        d = spec.to_dict()
-        assert d["fast_path"] is True
-        assert d["shard"] is True
-        assert d["shard_workers"] == 2
-
-    def test_shard_requires_round_robin(self):
-        with pytest.raises(ValueError, match="round_robin"):
-            scenario(shard=True, router="jsq")
-
-    def test_shard_workers_requires_shard(self):
-        with pytest.raises(ValueError, match="shard_workers"):
-            scenario(shard_workers=2)
-
     def test_build_trace_materializes_lazily_for_fast_specs(self):
-        assert isinstance(build_trace(scenario()), QueryTrace)
-        assert isinstance(build_trace(scenario(fast_path=True)), ArrayQueryTrace)
-        assert isinstance(build_trace(scenario(shard=True)), ArrayQueryTrace)
+        trace = build_trace(scenario())
+        assert isinstance(trace, ArrayQueryTrace)
+        assert list(trace) == list(trace.materialize())
 
     def test_run_scenario_fast_and_shard_match_reference(self):
-        ref = run_scenario(scenario())
-        fast = run_scenario(scenario(fast_path=True))
-        shard = run_scenario(scenario(shard=True))
-        for result in (fast, shard):
-            assert_identical(result, ref)
+        """``run_scenario`` equals the reference loop on the eager trace."""
+        spec = scenario()
+        cache: dict = {}
+        trace = build_trace(spec, stack_cache=cache).materialize()
+        ref = reference_run(
+            build_engine(spec, trace=trace, stack_cache=cache),
+            trace,
+            spec.arrivals.generate(len(trace)),
+        )
+        assert_identical(run_scenario(spec, stack_cache=cache), ref)
 
 
-# ----------------------------------------------------------------- CLI knob
+# ---------------------------------------------------------------- CLI profile
 class TestCliProfile:
     def test_run_profile_dumps_stats_and_hotspots(self, tmp_path, capsys):
         from repro.cli import main

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from engine_oracle import EventHeap
 from numpy.random import default_rng
 
 from repro.core.metrics import QueryRecord
@@ -40,11 +41,9 @@ from repro.serving import (
 )
 from repro.serving.engine import (
     AcceleratorReplica,
-    EventHeap,
     FaultInjector,
     ServingEngine,
 )
-from repro.serving.engine.events import Event, EventKind
 from repro.serving.obs import (
     TraceRecorder,
     chrome_trace,
@@ -130,8 +129,8 @@ class TestFaultInjectorUnit:
         def sample():
             events = []
             for index in range(3):
-                fi.schedule_replica(index, 0.0, events.append)
-            return [(e.time_ms, e.kind, e.payload) for e in events]
+                fi.schedule_replica(index, 0.0, lambda *event: events.append(event))
+            return events
 
         first = sample()
         fi.reset()
@@ -146,17 +145,17 @@ class TestFaultInjectorUnit:
         open_ = FaultInjector(seed=3, crash_mtbf_ms=50.0)
         open_.horizon_ms = float("inf")
         reference = []
-        open_.schedule_replica(0, 0.0, reference.append)
-        open_.schedule_replica(1, 0.0, reference.append)
+        open_.schedule_replica(0, 0.0, lambda *event: reference.append(event))
+        open_.schedule_replica(1, 0.0, lambda *event: reference.append(event))
 
         gated.horizon_ms = 0.0
         none = []
-        gated.schedule_replica(0, 0.0, none.append)
+        gated.schedule_replica(0, 0.0, lambda *event: none.append(event))
         assert none == []
         gated.horizon_ms = float("inf")
         second = []
-        gated.schedule_replica(1, 0.0, second.append)
-        assert second[0].time_ms == reference[1].time_ms
+        gated.schedule_replica(1, 0.0, lambda *event: second.append(event))
+        assert second[0][0] == reference[1][0]  # the crash times agree
 
     def test_retry_backoff_grows_then_exhausts(self):
         fi = FaultInjector(max_attempts=3, backoff_base_ms=2.0, backoff_multiplier=3.0)
@@ -193,6 +192,10 @@ class TestFaultInjectorUnit:
         assert scoped.covers_group("pool")
         assert not scoped.covers_group("other")
         assert not scoped.covers_group(None)
+
+
+def _no_dispatch(replica, now):
+    raise AssertionError("a straggle_end recovery must not dispatch")
 
 
 def _queued(index, *, arrival, deadline_ms):
@@ -378,7 +381,9 @@ class TestEngineFaults:
         state = (crashed.stats.num_dropped, len(dropped), engine.faults.num_crashes)
         engine._handle_fault(8.0, ("crash", 1), heap, dropped)
         engine._handle_fault(8.0, ("straggle", 1, 4.0), heap, dropped)
-        engine._handle_recovery(9.0, ("straggle_end", 1), heap, dropped)
+        engine._handle_recovery(
+            9.0, ("straggle_end", 1), heap, dropped, dispatch=_no_dispatch
+        )
         assert crashed.straggle_factor == 1.0
         assert (
             crashed.stats.num_dropped,
@@ -441,10 +446,6 @@ class TestFaultSpec:
                 self.full_spec(),
                 faults=FaultSpec(crash_mtbf_ms=10.0, groups=("nope",)),
             )
-
-    def test_shard_with_faults_rejected(self):
-        with pytest.raises(ValueError, match="shard is incompatible"):
-            dataclasses.replace(self.full_spec(), shard=True)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -292,6 +292,27 @@ class TestScenarioSpec:
         spec = ScenarioSpec(name="files")
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize(
+        "path",
+        ["fast_path", "replica_groups.0.bogus", "arrivals.bogus"],
+    )
+    def test_unknown_key_names_its_dotted_path(self, path):
+        data = ScenarioSpec().to_dict()
+        node = data
+        *parents, leaf = path.split(".")
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[leaf] = True
+        with pytest.raises(ValueError, match=f"unknown key '{path}'"):
+            ScenarioSpec.from_dict(data)
+
+    def test_unknown_key_deep_in_a_sweep_names_its_path(self):
+        from repro.sweep import SweepSpec
+
+        data = {"base": {"faults": {"retry": {"tries": 2}}}, "axes": []}
+        with pytest.raises(ValueError, match="unknown key 'base.faults.retry.tries'"):
+            SweepSpec.from_dict(data)
+
 
 # ----------------------------------------------------------- property-based
 arrival_specs = st.one_of(

@@ -38,7 +38,6 @@ def base_scenario() -> ScenarioSpec:
             num_queries=20, accuracy_range=None, latency_range_ms=None
         ),
         arrivals=ArrivalSpec(kind="trace", events=EVENTS),
-        fast_path=True,
         seed=5,
     )
 

@@ -162,8 +162,8 @@ class TestServe:
     def test_checked_in_sharded_scenario_parses(self):
         path = REPO_ROOT / "examples" / "scenarios" / "sharded_pool.json"
         spec = ScenarioSpec.from_json(path.read_text())
-        assert spec.fast_path and spec.shard
-        assert spec.router == "round_robin"  # sharding's routing requirement
+        assert spec.router == "round_robin"
+        assert spec.num_replicas == 4
         assert spec.autoscaler is None
         assert spec.to_json() + "\n" == path.read_text()  # exact round-trip
 
@@ -269,7 +269,6 @@ class TestCheckedInReplayExamples:
         spec = ScenarioSpec.from_json(path.read_text())
         assert spec.arrivals.kind == "trace"
         assert spec.arrivals.path == "examples/traces/replay_sample.csv"
-        assert spec.fast_path
         assert spec.to_json() + "\n" == path.read_text()  # exact round-trip
 
     def test_checked_in_replay_grid_parses(self):
@@ -312,7 +311,6 @@ def grid_file(tmp_path):
         arrivals=ArrivalSpec(
             kind="trace", events=tuple(0.4 * (i + 1) for i in range(15))
         ),
-        fast_path=True,
     )
     spec = SweepSpec(
         base=base,
@@ -383,7 +381,6 @@ class TestSweepCommand:
             arrivals=ArrivalSpec(
                 kind="trace", events=tuple(0.5 * (i + 1) for i in range(10))
             ),
-            fast_path=True,
         )
         spec = SweepSpec(
             base=base,

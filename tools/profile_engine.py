@@ -2,20 +2,15 @@
 """Profile (or just time) the serving engine's event loop.
 
 Runs a synthetic constant-work scenario — a pool of replicas fed a seeded
-uniform workload on a Poisson arrival process, served by a near-free backend
-— through one of the engine's execution strategies, so the measured time is
-the event loop itself rather than any model backend:
-
-* ``reference`` — the Event/EventHeap loop (the pre-fast-path semantics),
-* ``fast``      — the cursor + raw-tuple-heap loop (``fast_path=True``),
-* ``shard``     — per-replica independent simulation (``shard=True``).
+uniform workload (an array-backed trace) on a Poisson arrival process,
+served by a near-free backend — through ``ServingEngine.run``, so the
+measured time is the event loop itself rather than any model backend.
 
 Usage::
 
     PYTHONPATH=src python tools/profile_engine.py --num-queries 1000000
-    PYTHONPATH=src python tools/profile_engine.py --mode fast --hotspots 15
-    PYTHONPATH=src python tools/profile_engine.py --mode reference \
-        --stats /tmp/ref.pstats
+    PYTHONPATH=src python tools/profile_engine.py --hotspots 15
+    PYTHONPATH=src python tools/profile_engine.py --stats engine.pstats
 
 Without ``--hotspots``/``--stats`` the run is timed only (no profiler
 overhead) and prints queries/sec; with either, the run happens under
@@ -83,9 +78,6 @@ def main(argv=None) -> int:
         "--service-ms", type=float, default=1.2, help="constant service time"
     )
     parser.add_argument(
-        "--mode", choices=("reference", "fast", "shard"), default="fast"
-    )
-    parser.add_argument(
         "--admission", default="drop_expired", help="admission policy name"
     )
     parser.add_argument("--seed", type=int, default=3)
@@ -102,11 +94,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    gen = build_workload(args.num_queries, args.seed)
-    if args.mode == "reference":
-        trace = gen.generate()
-    else:
-        trace = gen.generate_array_trace()
+    trace = build_workload(args.num_queries, args.seed).generate_array_trace()
     arrivals = poisson_arrivals(
         args.num_queries, args.rate, rng=np.random.default_rng(args.seed + 1)
     )
@@ -117,7 +105,6 @@ def main(argv=None) -> int:
         ],
         admission=args.admission,
     )
-    run_kwargs = dict(fast_path=args.mode == "fast", shard=args.mode == "shard")
 
     profiler = cProfile.Profile() if (args.hotspots or args.stats) else None
     gc_was_enabled = gc.isenabled()
@@ -126,7 +113,7 @@ def main(argv=None) -> int:
         if profiler is not None:
             profiler.enable()
         start = time.perf_counter()
-        result = engine.run(trace, arrivals, **run_kwargs)
+        result = engine.run(trace, arrivals)
         elapsed = time.perf_counter() - start
         if profiler is not None:
             profiler.disable()
@@ -136,7 +123,7 @@ def main(argv=None) -> int:
 
     qps = args.num_queries / elapsed if elapsed > 0 else float("inf")
     print(
-        f"{args.mode}: {args.num_queries:,} queries, {args.replicas} replicas, "
+        f"engine: {args.num_queries:,} queries, {args.replicas} replicas, "
         f"rate {args.rate}/ms -> {elapsed:.2f}s  ({qps:,.0f} queries/sec; "
         f"served {result.num_served:,}, dropped {result.num_dropped:,})"
     )
