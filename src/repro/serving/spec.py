@@ -139,7 +139,7 @@ def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
 
 
 def spec_payload(
-    cls: "type[DataclassInstance]", data: Mapping[str, Any], path: str
+    cls: type[DataclassInstance], data: Mapping[str, Any], path: str
 ) -> dict[str, Any]:
     """``data`` as keyword arguments for spec class ``cls``, keys checked.
 
