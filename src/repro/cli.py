@@ -24,11 +24,11 @@ functions by cumulative time.  ``schema`` prints the scenario JSON
 reference — every field's default and every closed enum — straight from the
 dataclasses (:func:`repro.serving.spec.scenario_schema`), so it can never
 drift from the code; the prose companion is ``docs/scenario-schema.md``.
-``lint`` runs the AST-based invariant linter (codes RPR001–RPR005; see
-``docs/invariants.md``) over ``src/`` by default and exits nonzero on any
-violation — CI runs it in the ``static-analysis`` job.  ``sweep`` expands a
-declarative grid spec (base scenario × override axes; see
-:mod:`repro.sweep`) and runs every cell — ``--workers N`` fans cells out
+``lint`` runs the AST-based invariant linter (codes RPR001–RPR003 and
+RPR005; see ``docs/invariants.md``) over ``src/`` by default and exits
+nonzero on any violation — CI runs it in the ``static-analysis`` job.
+``sweep`` expands a declarative grid spec (base scenario × override axes;
+see :mod:`repro.sweep`) and runs every cell — ``--workers N`` fans cells out
 over forked processes — merging the results into JSON/CSV artifacts that
 are byte-identical regardless of the worker count.  ``trace fit`` estimates
 a piecewise-Poisson + burst model from a recorded request log
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p = sub.add_parser(
         "lint",
         help=(
-            "run the AST-based invariant linter (RPR001-RPR005; "
+            "run the AST-based invariant linter (RPR001-RPR003, RPR005; "
             "see docs/invariants.md)"
         ),
     )

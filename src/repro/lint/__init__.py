@@ -2,10 +2,10 @@
 
 The simulator's credibility rests on contracts that used to live only in
 docs and expensive runtime property tests: the deterministic
-``(time, kind, seq)`` event tie-break, the record-identity ladder, exact
-spec JSON round-trips, and the ``__slots__``/``__dict__`` coupling the
-engine hot path relies on.  This package turns those conventions into a
-static-analysis pass that fails CI in well under a second::
+``(time, kind, seq)`` event tie-break, the record-identity ladder, and
+the ``__slots__``/``__dict__`` coupling the engine hot path relies on.
+This package turns those conventions into a static-analysis pass that
+fails CI in well under a second::
 
     python -m repro lint                 # lint src/ (the default)
     python -m repro lint --format json src
@@ -19,7 +19,6 @@ RPR001    determinism: no global RNGs, wall clocks, or set-ordered iteration
 RPR002    slots coverage: hot-path dataclasses slotted; no __dict__ stamps
           or dynamic writes on slotted classes
 RPR003    fast-path field parity: __dict__ stamps match dataclass fields
-RPR004    spec round-trip: every field in both to_dict and from_dict
 RPR005    event ordering: EventKind covered by the documented contract;
           heappush tuples carry the tie-break shape
 ========  ==================================================================
@@ -43,7 +42,6 @@ from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import events_contract as _events_contract  # noqa: F401
 from repro.lint import fastpath as _fastpath  # noqa: F401
 from repro.lint import slots as _slots  # noqa: F401
-from repro.lint import spec_contract as _spec_contract  # noqa: F401
 from repro.lint.events_contract import EVENT_ORDER
 from repro.lint.runner import (
     LintResult,

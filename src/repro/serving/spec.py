@@ -20,15 +20,17 @@ Contracts every consumer relies on:
 
 * **Exact round-trip** — ``from_dict(to_dict(spec)) == spec`` for every
   valid spec, through plain JSON types only (lists become tuples on the way
-  back in), so scenarios can live in version-controlled ``.json`` files
+  back in).  One field-driven codec (:class:`JsonSpec`) encodes and decodes
+  every spec class, so a new field joins the wire format by construction
+  and scenarios can live in version-controlled ``.json`` files
   (see ``examples/scenarios/``) and be run from the command line with
   ``python -m repro serve --scenario <file>``.  ``python -m repro schema``
   prints the full field/default/enum reference
   (:func:`scenario_schema`; prose version in ``docs/scenario-schema.md``).
 * **Validation at construction** — every spec validates its fields in
   ``__post_init__``; an invalid scenario fails when parsed, never mid-run.
-  ``from_dict`` rejects keys the spec does not declare with one
-  ``ValueError`` naming the key's dotted path (:func:`spec_payload`).
+  ``from_dict`` rejects a key the spec does not declare, or a value of the
+  wrong JSON type, with one ``ValueError`` naming its dotted path.
 * **Neutral defaults are inert** — fields added after PR 2 default to
   values that leave earlier behavior bit-identical: ``autoscaler: null``
   matches the fixed-pool engine path, ``batching.max_batch = 1`` the
@@ -45,18 +47,31 @@ engine from a spec — lives in :mod:`repro.serving.api`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Sequence, TYPE_CHECKING
+import numbers
+import types
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from typing import (
+    Any,
+    Literal,
+    Mapping,
+    Sequence,
+    TYPE_CHECKING,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 import numpy.typing as npt
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only imports
-    from _typeshed import DataclassInstance
-
-    # trace_io imports nothing from us, but the lazy runtime imports below
-    # keep module loading cycle-free.
+    # trace_io imports this module (TraceFit is a JsonSpec), so every
+    # runtime import of trace_io below stays lazy.
     from repro.serving.trace_io import TraceLog
 
 from repro.accelerator.platforms import PlatformConfig, platform_by_name
@@ -76,6 +91,7 @@ __all__ = [
     "AutoscalerSpec",
     "BatchingSpec",
     "FaultSpec",
+    "JsonSpec",
     "ObservabilitySpec",
     "ReplicaGroupSpec",
     "RetryPolicy",
@@ -138,24 +154,175 @@ def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
         node[leaf] = value
 
 
-def spec_payload(
-    cls: type[DataclassInstance], data: Mapping[str, Any], path: str
-) -> dict[str, Any]:
-    """``data`` as keyword arguments for spec class ``cls``, keys checked.
+_S = TypeVar("_S", bound="JsonSpec")
 
-    Every spec's ``from_dict`` goes through here, so a key the class does
-    not declare — a typo, or a field a later version removed — fails with
-    one ``ValueError`` naming its dotted path from the outermost spec
-    (``path`` is where ``data`` sits, ``""`` at the top).
+
+class JsonSpec:
+    """Base of every JSON spec: one field-driven codec for the wire format.
+
+    Subclasses are frozen dataclasses.  :meth:`to_dict` writes their fields
+    in declaration order — nested dataclasses as objects, tuples as lists,
+    enums as their values — and :meth:`from_dict` reads them back through
+    each field's resolved type hint, so ``from_dict(to_dict(spec)) == spec``
+    holds for every field by construction.  Decoding raises one
+    ``ValueError`` naming the dotted path (from the outermost spec) of the
+    first key the class does not declare, required key it lacks, or value
+    of the wrong JSON type.
     """
-    known = [f.name for f in fields(cls)]
-    for key in data:
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each spec class owns its decoder entry point, so wrapping one
+        # class's ``from_dict`` (the end-to-end benchmark's layer tracer
+        # times ``ScenarioSpec.from_dict``) leaves the other classes alone.
+        setattr(cls, "from_dict", vars(JsonSpec)["from_dict"])
+
+    def to_dict(self) -> dict[str, Any]:
+        """A JSON-safe dict that :meth:`from_dict` inverts exactly."""
+        encoded: dict[str, Any] = _encode(self)
+        return encoded
+
+    @classmethod
+    def from_dict(
+        cls: type[_S], data: Mapping[str, Any], *, path: str = ""
+    ) -> _S:
+        """The spec ``data`` describes; ``path`` is where ``data`` sits in
+        the outermost document (``""`` at the top), for error messages."""
+        decoded: _S = _decode_dataclass(cls, data, path)
+        return decoded
+
+    def to_json(self, *, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls: type[_S], text: str) -> _S:
+        return cls.from_dict(json.loads(text))
+
+
+def _encode(value: Any) -> Any:
+    """``value`` in plain JSON types (dataclass fields in declaration order)."""
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+@functools.cache
+def _field_types(cls: type[Any]) -> dict[str, tuple[Any, bool]]:
+    """Each field of dataclass ``cls``: its resolved type, has-a-default."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (
+            hints[f.name],
+            f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING,
+        )
+        for f in fields(cls)
+    }
+
+
+def _decode_dataclass(cls: Any, data: Any, path: str) -> Any:
+    """Dataclass ``cls`` built from its JSON object ``data``, keys checked."""
+    if not isinstance(data, Mapping):
+        raise _type_error(cls, data, path)
+    known = _field_types(cls)
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
         if key not in known:
             raise ValueError(
                 f"unknown key {_join(path, key)!r} in {cls.__name__}; "
-                f"known keys: {known}"
+                f"known keys: {list(known)}"
             )
-    return dict(data)
+        tp, has_default = known[key]
+        if value is None and has_default and dataclasses.is_dataclass(tp):
+            continue  # a null nested object (``"batching": null``) = key absent
+        kwargs[key] = _decode(tp, value, _join(path, key))
+    for key, (_, has_default) in known.items():
+        if not has_default and key not in kwargs:
+            raise ValueError(f"missing key {_join(path, key)!r} in {cls.__name__}")
+    return cls(**kwargs)
+
+
+def _decode(tp: Any, value: Any, path: str) -> Any:
+    """JSON ``value`` as field type ``tp``: the inverse of :func:`_encode`."""
+    if tp is Any:
+        return _as_tuple(value)
+    origin = get_origin(tp)
+    if origin is Union or origin is types.UnionType:
+        arms = [arm for arm in get_args(tp) if arm is not type(None)]
+        if value is None and len(arms) < len(get_args(tp)):
+            return None
+        # ``str | PlatformConfig``: an object is the inline dataclass.
+        arm = next(
+            (
+                a
+                for a in arms
+                if dataclasses.is_dataclass(a) == isinstance(value, Mapping)
+            ),
+            arms[0],
+        )
+        return _decode(arm, value, path)
+    if dataclasses.is_dataclass(tp):
+        return _decode_dataclass(tp, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _type_error(tp, value, path)
+        args = get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValueError(
+                f"wrong length at {path!r}: expected {len(args)} items, "
+                f"got {len(value)}: {value!r}"
+            )
+        return tuple(
+            _decode(arg, item, _join(path, i))
+            for i, (arg, item) in enumerate(zip(args, value))
+        )
+    if origin is dict:
+        if not isinstance(value, Mapping):
+            raise _type_error(tp, value, path)
+        item_type = get_args(tp)[1]
+        return {k: _decode(item_type, v, _join(path, k)) for k, v in value.items()}
+    if origin is Literal:
+        if value not in get_args(tp):
+            raise ValueError(
+                f"unknown value at {path!r}: expected one of "
+                f"{list(get_args(tp))}, got {value!r}"
+            )
+        return value
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ValueError(
+                f"unknown value at {path!r}: expected one of "
+                f"{[m.value for m in tp]}, got {value!r}"
+            ) from None
+    # Scalars.  ``bool`` is not a number; an ``int`` stays an ``int`` in a
+    # ``float`` field so the serialized bytes round-trip unchanged.
+    if tp is float:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    elif tp is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, tp)
+    if not ok:
+        raise _type_error(tp, value, path)
+    return value
+
+
+def _type_error(tp: Any, value: Any, path: str) -> ValueError:
+    expected = tp.__name__ if get_origin(tp) is None else str(tp)
+    return ValueError(
+        f"wrong type at {path or '(top level)'!r}: expected {expected}, "
+        f"got {type(value).__name__} {value!r}"
+    )
 
 
 def _join(path: str, key: str | int) -> str:
@@ -170,7 +337,7 @@ def _as_tuple(value: Any) -> Any:
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(JsonSpec):
     """How queries arrive in an open-loop scenario.
 
     Attributes
@@ -427,30 +594,9 @@ class ArrivalSpec:
 
         return load_trace_log(self.path, limit=self.limit)
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rate_per_ms": self.rate_per_ms,
-            "segments": [list(seg) for seg in self.segments],
-            "seed": self.seed,
-            "path": self.path,
-            "events": list(self.events),
-            "rate_scale": self.rate_scale,
-            "time_scale": self.time_scale,
-            "limit": self.limit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "ArrivalSpec":
-        payload = spec_payload(cls, data, path)
-        payload["segments"] = _as_tuple(payload.get("segments", ()))
-        payload["events"] = _as_tuple(payload.get("events", ()))
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class BatchingSpec:
+class BatchingSpec(JsonSpec):
     """Batched dispatch configuration of a replica group.
 
     Attributes
@@ -484,29 +630,9 @@ class BatchingSpec:
             f"expected one of {BATCHING_POLICIES}",
         )
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {"max_batch": self.max_batch, "policy": self.policy}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "BatchingSpec":
-        return cls(**spec_payload(cls, data, path))
-
-
-def _platform_to_json(platform: str | PlatformConfig) -> str | dict[str, Any]:
-    if isinstance(platform, str):
-        return platform
-    return dataclasses.asdict(platform)
-
-
-def _platform_from_json(data: str | Mapping[str, Any]) -> str | PlatformConfig:
-    if isinstance(data, str):
-        return data
-    return PlatformConfig(**dict(data))
-
 
 @dataclass(frozen=True)
-class ReplicaGroupSpec:
+class ReplicaGroupSpec(JsonSpec):
     """A homogeneous group of serving replicas inside a scenario.
 
     Attributes
@@ -614,45 +740,9 @@ class ReplicaGroupSpec:
             platform = platform.with_pb(self.pb_kb)
         return platform
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "kind": self.kind,
-            "platform": _platform_to_json(self.platform),
-            "pb_kb": self.pb_kb,
-            "policy": None if self.policy is None else self.policy.value,
-            "cache_update_period": self.cache_update_period,
-            "candidate_set_size": self.candidate_set_size,
-            "seed": self.seed,
-            "discipline": self.discipline,
-            "batching": self.batching.to_dict(),
-            "cost_weight": self.cost_weight,
-            "startup_delay_ms": self.startup_delay_ms,
-            "subnet_name": self.subnet_name,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], *, path: str = ""
-    ) -> "ReplicaGroupSpec":
-        payload = spec_payload(cls, data, path)
-        if "platform" in payload:
-            payload["platform"] = _platform_from_json(payload["platform"])
-        if payload.get("policy") is not None:
-            payload["policy"] = Policy(payload["policy"])
-        if payload.get("batching") is not None:
-            payload["batching"] = BatchingSpec.from_dict(
-                payload["batching"], path=_join(path, "batching")
-            )
-        else:
-            payload.pop("batching", None)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class AutoscalerSpec:
+class AutoscalerSpec(JsonSpec):
     """Declarative autoscaler configuration for a scenario.
 
     Describes the control plane the engine runs on top of the replica pool:
@@ -825,43 +915,9 @@ class AutoscalerSpec:
             "scheduled", schedule=self.schedule, period_ms=self.period_ms
         )
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "control_interval_ms": self.control_interval_ms,
-            "window_ms": self.window_ms,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "up_cooldown_ms": self.up_cooldown_ms,
-            "down_cooldown_ms": self.down_cooldown_ms,
-            "group": self.group,
-            "groups": list(self.groups),
-            "cost_budget": self.cost_budget,
-            "max_drop_rate": self.max_drop_rate,
-            "max_queue_per_replica": self.max_queue_per_replica,
-            "min_utilization": self.min_utilization,
-            "scale_up_step": self.scale_up_step,
-            "scale_down_step": self.scale_down_step,
-            "target_utilization": self.target_utilization,
-            "deadband": self.deadband,
-            "horizon_ms": self.horizon_ms,
-            "schedule": [list(entry) for entry in self.schedule],
-            "period_ms": self.period_ms,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], *, path: str = ""
-    ) -> "AutoscalerSpec":
-        payload = spec_payload(cls, data, path)
-        payload["schedule"] = _as_tuple(payload.get("schedule", ()))
-        payload["groups"] = tuple(payload.get("groups", ()))
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(JsonSpec):
     """Opt-in flight-recorder configuration (see :mod:`repro.serving.obs`).
 
     Absent (``observability: null``), the engine attaches no recorder and
@@ -893,22 +949,9 @@ class ObservabilitySpec:
                 "metrics_interval_ms must be positive",
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace": self.trace,
-            "keep_metrics": self.keep_metrics,
-            "metrics_interval_ms": self.metrics_interval_ms,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], *, path: str = ""
-    ) -> "ObservabilitySpec":
-        return cls(**spec_payload(cls, data, path))
-
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(JsonSpec):
     """How the fault layer retries queries lost to crashes and failures.
 
     A lost query re-enters routing after an exponential backoff
@@ -937,20 +980,9 @@ class RetryPolicy:
             f"backoff_multiplier must be >= 1.0, got {self.backoff_multiplier}",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base_ms": self.backoff_base_ms,
-            "backoff_multiplier": self.backoff_multiplier,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "RetryPolicy":
-        return cls(**spec_payload(cls, data, path))
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(JsonSpec):
     """Declarative fault injection (see :mod:`repro.serving.engine.faults`).
 
     Absent (``faults: null``), the engine attaches no fault injector and
@@ -1058,51 +1090,9 @@ class FaultSpec:
             f"fault groups must be unique, got {self.groups}",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "crash_mtbf_ms": self.crash_mtbf_ms,
-            "straggler_mtbf_ms": self.straggler_mtbf_ms,
-            "straggler_duration_ms": self.straggler_duration_ms,
-            "straggler_factor": self.straggler_factor,
-            "dispatch_failure_prob": self.dispatch_failure_prob,
-            "retry": self.retry.to_dict(),
-            "brownout_threshold": self.brownout_threshold,
-            "brownout_accuracy_step": self.brownout_accuracy_step,
-            "brownout_max_steps": self.brownout_max_steps,
-            "groups": list(self.groups),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "FaultSpec":
-        payload = spec_payload(cls, data, path)
-        if payload.get("retry") is not None:
-            payload["retry"] = RetryPolicy.from_dict(
-                payload["retry"], path=_join(path, "retry")
-            )
-        else:
-            payload.pop("retry", None)
-        payload["groups"] = tuple(payload.get("groups", ()))
-        return cls(**payload)
-
-
-def _workload_to_json(spec: WorkloadSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
-def _workload_from_json(data: Mapping[str, Any], path: str) -> WorkloadSpec:
-    payload = spec_payload(WorkloadSpec, data, path)
-    return WorkloadSpec(**{k: _as_tuple(v) for k, v in payload.items()})
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonSpec):
     """A complete, serializable serving scenario.
 
     The one object :func:`repro.serving.api.run_scenario` needs: replica
@@ -1256,71 +1246,6 @@ class ScenarioSpec:
             )
         return groups[0]
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe dict that :meth:`from_dict` inverts exactly."""
-        return {
-            "name": self.name,
-            "supernet_name": self.supernet_name,
-            "policy": self.policy.value,
-            "cache_update_period": self.cache_update_period,
-            "replica_groups": [g.to_dict() for g in self.replica_groups],
-            "router": self.router,
-            "admission": self.admission,
-            "workload": _workload_to_json(self.workload),
-            "arrivals": self.arrivals.to_dict(),
-            "autoscaler": (
-                None if self.autoscaler is None else self.autoscaler.to_dict()
-            ),
-            "num_queries": self.num_queries,
-            "dispatch_time_scheduling": self.dispatch_time_scheduling,
-            "seed": self.seed,
-            "observability": (
-                None if self.observability is None else self.observability.to_dict()
-            ),
-            "faults": None if self.faults is None else self.faults.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "ScenarioSpec":
-        payload = spec_payload(cls, data, path)
-        if "policy" in payload:
-            payload["policy"] = Policy(payload["policy"])
-        if "replica_groups" in payload:
-            groups_path = _join(path, "replica_groups")
-            payload["replica_groups"] = tuple(
-                ReplicaGroupSpec.from_dict(g, path=_join(groups_path, i))
-                for i, g in enumerate(payload["replica_groups"])
-            )
-        if "workload" in payload:
-            payload["workload"] = _workload_from_json(
-                payload["workload"], _join(path, "workload")
-            )
-        if "arrivals" in payload:
-            payload["arrivals"] = ArrivalSpec.from_dict(
-                payload["arrivals"], path=_join(path, "arrivals")
-            )
-        if payload.get("autoscaler") is not None:
-            payload["autoscaler"] = AutoscalerSpec.from_dict(
-                payload["autoscaler"], path=_join(path, "autoscaler")
-            )
-        if payload.get("observability") is not None:
-            payload["observability"] = ObservabilitySpec.from_dict(
-                payload["observability"], path=_join(path, "observability")
-            )
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultSpec.from_dict(
-                payload["faults"], path=_join(path, "faults")
-            )
-        return cls(**payload)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
     def override(self, path: str, value: Any) -> "ScenarioSpec":
         """A copy with one dotted-path field replaced (CLI ``--override``).
 
@@ -1362,7 +1287,7 @@ def scenario_schema() -> dict[str, Any]:
             "scenario": ScenarioSpec().to_dict(),
             "replica_group": ReplicaGroupSpec().to_dict(),
             "batching": BatchingSpec().to_dict(),
-            "workload": _workload_to_json(WorkloadSpec()),
+            "workload": _encode(WorkloadSpec()),
             "arrivals": ArrivalSpec(kind="poisson", rate_per_ms=0.1).to_dict(),
             "autoscaler": AutoscalerSpec().to_dict(),
             "observability": ObservabilitySpec().to_dict(),

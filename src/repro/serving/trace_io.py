@@ -33,13 +33,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us)
-    from repro.serving.spec import ArrivalSpec
+from repro.serving.spec import ArrivalSpec, JsonSpec
 
 __all__ = [
     "ACCURACY_FIELD",
@@ -304,7 +303,7 @@ def write_jsonl_log(path: str, log: TraceLog) -> None:
 
 # ------------------------------------------------------------------- fitter
 @dataclass(frozen=True)
-class TraceFit:
+class TraceFit(JsonSpec):
     """A piecewise-Poisson model fitted to a request log's timestamps.
 
     Attributes
@@ -338,30 +337,9 @@ class TraceFit:
     num_burst_windows: int
     segments: tuple[tuple[float, float], ...]
 
-    def arrival_spec(self, *, seed: int = 0) -> "ArrivalSpec":
+    def arrival_spec(self, *, seed: int = 0) -> ArrivalSpec:
         """The shareable synthetic recipe: a ``time_varying`` ArrivalSpec."""
-        from repro.serving.spec import ArrivalSpec
-
         return ArrivalSpec(kind="time_varying", segments=self.segments, seed=seed)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_events": self.num_events,
-            "span_ms": self.span_ms,
-            "nominal_rate_per_ms": self.nominal_rate_per_ms,
-            "cv_interarrival": self.cv_interarrival,
-            "peak_to_mean": self.peak_to_mean,
-            "num_burst_windows": self.num_burst_windows,
-            "segments": [list(seg) for seg in self.segments],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceFit":
-        payload: dict[str, Any] = dict(data)
-        payload["segments"] = tuple(
-            tuple(seg) for seg in payload.get("segments", ())
-        )
-        return cls(**payload)
 
 
 def fit_piecewise_poisson(

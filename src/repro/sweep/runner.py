@@ -26,10 +26,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.serving.api import StackCache, run_scenario
 from repro.serving.engine import SimulationResult
+from repro.serving.spec import JsonSpec
 from repro.sweep.spec import SweepSpec
 
 __all__ = [
@@ -70,7 +71,7 @@ def result_metrics(result: SimulationResult) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(JsonSpec):
     """Outcome of one grid cell: its overrides plus metrics or an error."""
 
     index: int
@@ -91,25 +92,9 @@ class CellResult:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "overrides": [[path, value] for path, value in self.overrides],
-            "error": self.error,
-            "metrics": None if self.metrics is None else dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
-        payload: dict[str, Any] = dict(data)
-        payload["overrides"] = tuple(
-            (path, value) for path, value in payload.get("overrides", ())
-        )
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(JsonSpec):
     """The merged outcome of a sweep: spec + one result per grid cell."""
 
     spec: SweepSpec
@@ -125,27 +110,6 @@ class SweepResult:
     @property
     def num_failed(self) -> int:
         return len(self.cells) - self.num_ok
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        payload: dict[str, Any] = dict(data)
-        if "spec" in payload:
-            payload["spec"] = SweepSpec.from_dict(payload["spec"])
-        payload["cells"] = tuple(
-            CellResult.from_dict(c) for c in payload.get("cells", ())
-        )
-        return cls(**payload)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """The merged JSON artifact (byte-identical across worker counts)."""
-        return json.dumps(self.to_dict(), indent=indent)
 
     def to_csv(self) -> str:
         """The merged CSV artifact: axis columns + the fixed metric set.

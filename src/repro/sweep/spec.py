@@ -8,7 +8,8 @@ with the *last* axis varying fastest — cell ``i`` is a pure function of the
 spec, independent of how (or on how many workers) the sweep runs.
 
 Like every spec in the repo, the sweep grid round-trips exactly through
-plain JSON (``from_dict(to_dict(spec)) == spec``), so grids live in
+plain JSON (``from_dict(to_dict(spec)) == spec``, via the shared
+:class:`~repro.serving.spec.JsonSpec` codec), so grids live in
 version-controlled files (``examples/sweeps/``) and run from the command
 line with ``python -m repro sweep --spec <file>``.
 """
@@ -16,36 +17,16 @@ line with ``python -m repro sweep --spec <file>``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.serving.spec import ScenarioSpec, spec_payload
+from repro.serving.spec import JsonSpec, ScenarioSpec, _as_tuple, _require
 
 __all__ = ["SweepAxis", "SweepSpec"]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _as_tuple(value: Any) -> Any:
-    """Recursively convert lists (as produced by JSON) to tuples."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_tuple(v) for v in value)
-    return value
-
-
-def _as_json(value: Any) -> Any:
-    """Recursively convert tuples back to lists for JSON serialization."""
-    if isinstance(value, (list, tuple)):
-        return [_as_json(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(JsonSpec):
     """One override axis of a sweep grid.
 
     Attributes
@@ -73,35 +54,28 @@ class SweepAxis:
             f"axis {self.path!r} needs at least one value",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"path": self.path, "values": [_as_json(v) for v in self.values]}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], *, path: str = "") -> "SweepAxis":
-        payload = spec_payload(cls, data, path)
-        payload["values"] = _as_tuple(payload.get("values", ()))
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(JsonSpec):
     """A declarative grid of scenarios: base spec × override axes.
 
     Attributes
     ----------
+    name:
+        Sweep name (labels the merged artifact).
     base:
         The scenario every grid cell starts from.
     axes:
         Override axes; the grid is their cartesian product, last axis
         varying fastest.  An empty tuple is a one-cell sweep (just the
         base scenario).
-    name:
-        Sweep name (labels the merged artifact).
     """
 
+    # ``name`` leads the serialized form, as committed sweep files spell
+    # it; keyword-only so the required ``base`` may follow it.
+    name: str = "sweep"
     base: ScenarioSpec
     axes: tuple[SweepAxis, ...] = ()
-    name: str = "sweep"
 
     def __post_init__(self) -> None:
         if isinstance(self.base, Mapping):
@@ -148,29 +122,3 @@ class SweepSpec:
         if labels:
             spec = spec.override("name", f"{self.base.name}[{labels}]")
         return spec
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": [a.to_dict() for a in self.axes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        payload = spec_payload(cls, data, "")
-        if "base" in payload:
-            payload["base"] = ScenarioSpec.from_dict(payload["base"], path="base")
-        payload["axes"] = tuple(
-            SweepAxis.from_dict(a, path=f"axes.{i}")
-            for i, a in enumerate(payload.get("axes", ()))
-        )
-        return cls(**payload)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))

@@ -7,14 +7,13 @@ Never imported at runtime — this file exists only to be linted.
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SloppySpec:
     alpha: float = 1.0
-    beta: int = 0
 
-    def to_dict(self):  # repro-lint: disable=RPR004
-        return {"alpha": self.alpha}
+    def __post_init__(self):
+        object.__setattr__(self, "beta", 0)  # repro-lint: disable=RPR002
 
     @classmethod
-    def from_dict(cls, data):  # repro-lint: disable=RPR999 -- not a registered code
+    def build(cls, data):  # repro-lint: disable=RPR999 -- not a registered code
         return cls(**data)

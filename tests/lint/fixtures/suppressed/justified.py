@@ -1,4 +1,4 @@
-"""Fixture: a real RPR004 violation waived by a justified suppression —
+"""Fixture: a real RPR002 violation waived by a justified suppression —
 must lint clean.
 
 Never imported at runtime — this file exists only to be linted.
@@ -7,14 +7,9 @@ Never imported at runtime — this file exists only to be linted.
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireSpec:
     alpha: float = 1.0
-    legacy: int = 0
 
-    def to_dict(self):  # repro-lint: disable=RPR004 -- legacy field is intentionally absent from the v0 wire format
-        return {"alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+    def __post_init__(self):
+        object.__setattr__(self, "legacy", 0)  # repro-lint: disable=RPR002 -- legacy attribute kept for v0 readers of this fixture

@@ -1,4 +1,4 @@
-"""Tests for the repro invariant linter (codes RPR000–RPR005).
+"""Tests for the repro invariant linter (codes RPR000–RPR003, RPR005).
 
 Fixture modules under ``tests/lint/fixtures/`` carry ``# expect: CODE``
 markers on every line a checker must flag; the tests assert the linter
@@ -28,6 +28,7 @@ from repro.lint import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+BAD_SLOTS = FIXTURES / "serving/engine/bad_slots.py"
 
 EXPECT_RE = re.compile(r"#\s*expect:\s*([A-Z0-9,\s]+?)\s*$")
 
@@ -36,7 +37,6 @@ MARKER_FIXTURES = [
     "serving/engine/bad_slots.py",
     "serving/engine/bad_heappush.py",
     "events/bad_eventkind.py",
-    "spec/bad_roundtrip.py",
     "fastpath/bad_stamp.py",
 ]
 
@@ -107,12 +107,12 @@ class TestSuppressions:
         path = FIXTURES / "suppressed/bare.py"
         lines = path.read_text(encoding="utf-8").splitlines()
         bare_line = next(
-            i for i, t in enumerate(lines, 1) if "disable=RPR004" in t
+            i for i, t in enumerate(lines, 1) if "disable=RPR002" in t
         )
         unknown_line = next(
             i for i, t in enumerate(lines, 1) if "disable=RPR999" in t
         )
-        # The bare suppression still waives RPR004 (so the only findings
+        # The bare suppression still waives RPR002 (so the only findings
         # are the hygiene ones), but RPR000 itself is unsuppressible.
         assert reported(path) == sorted(
             [("RPR000", bare_line), ("RPR000", unknown_line)]
@@ -138,20 +138,20 @@ class TestSelect:
 
 class TestOutputFormats:
     def test_text_format_lists_findings_and_summary(self) -> None:
-        result = run_lint([FIXTURES / "spec/bad_roundtrip.py"], root=REPO_ROOT)
+        result = run_lint([BAD_SLOTS], root=REPO_ROOT)
         text = format_text(result)
-        assert "RPR004" in text
-        assert "bad_roundtrip.py" in text
+        assert "RPR002" in text
+        assert "bad_slots.py" in text
         assert "violation(s)" in text
 
     def test_json_format_round_trips(self) -> None:
-        result = run_lint([FIXTURES / "spec/bad_roundtrip.py"], root=REPO_ROOT)
+        result = run_lint([BAD_SLOTS], root=REPO_ROOT)
         payload = json.loads(format_json(result))
         assert payload["ok"] is False
         assert payload["files_checked"] == 1
-        assert payload["counts_by_code"] == {"RPR004": 3}
+        assert payload["counts_by_code"] == {"RPR002": 3}
         codes = {v["code"] for v in payload["violations"]}
-        assert codes == {"RPR004"}
+        assert codes == {"RPR002"}
         first = payload["violations"][0]
         assert set(first) == {"code", "path", "line", "col", "message"}
 
@@ -168,7 +168,6 @@ class TestRegistry:
             "RPR001",
             "RPR002",
             "RPR003",
-            "RPR004",
             "RPR005",
         )
 

@@ -24,9 +24,41 @@ from repro.serving.spec import (
     ArrivalSpec,
     AutoscalerSpec,
     ReplicaGroupSpec,
+    RetryPolicy,
     ScenarioSpec,
 )
+from repro.serving.trace_io import TraceFit
 from repro.serving.workload import PATTERNS, WorkloadSpec
+from repro.sweep import CellResult, SweepAxis, SweepResult, SweepSpec
+
+
+INLINE_PLATFORM = ScenarioSpec(
+    replica_groups=(ReplicaGroupSpec(platform=ANALYTIC_DEFAULT),)
+)
+FIT = TraceFit(
+    num_events=3,
+    span_ms=2.0,
+    nominal_rate_per_ms=1.0,
+    cv_interarrival=0.5,
+    peak_to_mean=1.0,
+    num_burst_windows=0,
+    segments=((2.0, 1.0),),
+)
+_SWEEP = SweepSpec(base=ScenarioSpec(), axes=(SweepAxis("seed", (1,)),))
+SWEEP_RESULT = SweepResult(
+    spec=_SWEEP,
+    cells=(CellResult(index=0, overrides=_SWEEP.cells()[0], error="boom"),),
+)
+
+
+def with_value(data, path, value):
+    """``data`` with the dotted ``path`` set to ``value`` (in place)."""
+    node = data
+    *parents, leaf = path.split(".")
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[leaf] = value
+    return data
 
 
 def roundtrip(spec):
@@ -293,22 +325,64 @@ class TestScenarioSpec:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize(
-        "path",
-        ["fast_path", "replica_groups.0.bogus", "arrivals.bogus"],
+        ("spec", "path"),
+        [
+            pytest.param(ScenarioSpec(), "fast_path", id="fast_path"),
+            pytest.param(
+                ScenarioSpec(), "replica_groups.0.bogus", id="replica_groups.0.bogus"
+            ),
+            pytest.param(ScenarioSpec(), "arrivals.bogus", id="arrivals.bogus"),
+            pytest.param(
+                INLINE_PLATFORM,
+                "replica_groups.0.platform.bogus",
+                id="replica_groups.0.platform.bogus",
+            ),
+            pytest.param(FIT, "bogus", id="TraceFit.bogus"),
+            pytest.param(SWEEP_RESULT, "cells.0.bogus", id="cells.0.bogus"),
+            pytest.param(SWEEP_RESULT, "bogus", id="SweepResult.bogus"),
+        ],
     )
-    def test_unknown_key_names_its_dotted_path(self, path):
-        data = ScenarioSpec().to_dict()
-        node = data
-        *parents, leaf = path.split(".")
-        for part in parents:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        node[leaf] = True
+    def test_unknown_key_names_its_dotted_path(self, spec, path):
+        data = with_value(spec.to_dict(), path, True)
         with pytest.raises(ValueError, match=f"unknown key '{path}'"):
+            type(spec).from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("path", "value"),
+        [
+            ("replica_groups.0.count", "3"),
+            ("arrivals.rate_per_ms", "fast"),
+            ("replica_groups.0.batching.max_batch", "a"),
+            ("replica_groups.0.count", True),
+            ("arrivals.rate_per_ms", False),
+            ("replica_groups.0.platform", 7),
+            ("workload.accuracy_range", [0.7]),
+            ("workload.latency_range_ms", [1.0, 2.0, 3.0]),
+            ("workload.accuracy_range", "wide"),
+            ("workload.pattern", "zigzag"),
+            ("policy", "greedy"),
+            ("autoscaler", 3),
+        ],
+    )
+    def test_wrong_typed_value_names_its_dotted_path(self, path, value):
+        data = with_value(ScenarioSpec().to_dict(), path, value)
+        with pytest.raises(ValueError, match=f"at '{path}'"):
             ScenarioSpec.from_dict(data)
 
-    def test_unknown_key_deep_in_a_sweep_names_its_path(self):
-        from repro.sweep import SweepSpec
+    def test_lenient_values_stay_accepted(self):
+        # An int in a float field is kept as an int (so the bytes
+        # round-trip), a null retry falls back to the default (as a null
+        # batching does), and an Any-typed axis value takes any JSON value.
+        data = with_value(ScenarioSpec().to_dict(), "arrivals.rate_per_ms", 2)
+        data["faults"] = {"retry": None}
+        spec = ScenarioSpec.from_dict(data)
+        assert type(spec.arrivals.rate_per_ms) is int
+        assert spec.faults is not None and spec.faults.retry == RetryPolicy()
+        assert json.loads(spec.to_json())["arrivals"]["rate_per_ms"] == 2
+        axis = SweepAxis.from_dict({"path": "seed", "values": [None, "x", [1, [2]]]})
+        assert axis.values == (None, "x", (1, (2,)))
 
+    def test_unknown_key_deep_in_a_sweep_names_its_path(self):
         data = {"base": {"faults": {"retry": {"tries": 2}}}, "axes": []}
         with pytest.raises(ValueError, match="unknown key 'base.faults.retry.tries'"):
             SweepSpec.from_dict(data)

@@ -142,8 +142,20 @@ class TestSweepDeterminism:
             assert [c.index for c in result.cells] == [0, 1, 2, 3]
 
     def test_result_round_trips_exactly(self, results):
-        result = results[2]
-        assert SweepResult.from_dict(result.to_dict()) == result
+        # A list-valued axis must come back as the tuple the grid carries.
+        listed = SweepSpec(
+            base=base_scenario(),
+            axes=(
+                SweepAxis(
+                    path="workload.accuracy_range",
+                    values=([0.7, 0.8], [0.75, 0.8]),
+                ),
+            ),
+            name="listed",
+        )
+        for result in (results[2], run_sweep(listed)):
+            assert SweepResult.from_dict(result.to_dict()) == result
+            assert SweepResult.from_dict(json.loads(result.to_json())) == result
 
     def test_summary_mentions_every_cell(self, results):
         summary = format_sweep_summary(results[1])

@@ -226,6 +226,9 @@ class TestServe:
         assert spec.workload.num_queries == 30
 
 
+BAD_SLOTS = REPO_ROOT / "tests/lint/fixtures/serving/engine/bad_slots.py"
+
+
 class TestLint:
     def test_src_tree_is_clean(self, capsys):
         assert main(["lint", str(REPO_ROOT / "src")]) == 0
@@ -237,22 +240,19 @@ class TestLint:
         assert "lint-clean" in capsys.readouterr().out
 
     def test_violations_exit_nonzero_with_codes(self, capsys):
-        fixture = REPO_ROOT / "tests" / "lint" / "fixtures" / "spec"
-        assert main(["lint", str(fixture)]) == 1
+        assert main(["lint", str(BAD_SLOTS)]) == 1
         out = capsys.readouterr().out
-        assert "RPR004" in out
-        assert "bad_roundtrip.py" in out
+        assert "RPR002" in out
+        assert "bad_slots.py" in out
 
     def test_json_format(self, capsys):
-        fixture = REPO_ROOT / "tests" / "lint" / "fixtures" / "spec"
-        assert main(["lint", "--format", "json", str(fixture)]) == 1
+        assert main(["lint", "--format", "json", str(BAD_SLOTS)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_code"] == {"RPR004": 3}
+        assert payload["counts_by_code"] == {"RPR002": 3}
 
     def test_select_filters_codes(self, capsys):
-        fixture = REPO_ROOT / "tests" / "lint" / "fixtures" / "spec"
-        assert main(["lint", "--select", "RPR001", str(fixture)]) == 0
+        assert main(["lint", "--select", "RPR001", str(BAD_SLOTS)]) == 0
 
     def test_unknown_code_fails_cleanly(self, capsys):
         assert main(["lint", "--select", "RPR777", "src"]) == 2

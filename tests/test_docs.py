@@ -11,12 +11,15 @@ Four guarantees:
   linter's registered checker codes (``repro.lint``) — a new checker
   must be documented, and phantom codes cannot linger in the docs.
 * Relative links in the markdown tree resolve and every checked-in
-  scenario JSON round-trips exactly (shared with CI via
-  ``tools/check_docs.py``).
+  scenario and sweep JSON re-serializes to its exact text (shared with CI
+  via ``tools/check_docs.py``); the schema, a sweep artifact and a trace
+  fit are pinned by digest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -25,7 +28,14 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS
-from repro.serving.spec import ScenarioSpec, scenario_schema
+from repro.serving.spec import (
+    ArrivalSpec,
+    ReplicaGroupSpec,
+    ScenarioSpec,
+    scenario_schema,
+)
+from repro.serving.trace_io import TraceFit, fit_piecewise_poisson, load_trace_log
+from repro.sweep import METRIC_FIELDS, CellResult, SweepAxis, SweepResult, SweepSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS = REPO_ROOT / "docs"
@@ -132,8 +142,79 @@ class TestCheckDocsTool:
         assert "docs OK" in result.stdout
 
     def test_checked_in_scenarios_roundtrip(self):
-        files = sorted((REPO_ROOT / "examples" / "scenarios").glob("*.json"))
-        assert files
-        for path in files:
-            spec = ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
-            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        # Byte-exact, not just equal: re-serializing a committed file must
+        # reproduce its text, so the codec's key order and number spelling
+        # are pinned by every example.
+        for folder, spec_cls in (("scenarios", ScenarioSpec), ("sweeps", SweepSpec)):
+            files = sorted((REPO_ROOT / "examples" / folder).glob("*.json"))
+            assert files, folder
+            for path in files:
+                text = path.read_text(encoding="utf-8")
+                spec = spec_cls.from_json(text)
+                assert spec_cls.from_dict(spec.to_dict()) == spec
+                assert text == spec.to_json() + "\n", path.name
+
+
+def pinned_sweep_result() -> SweepResult:
+    base = ScenarioSpec(
+        name="pinned",
+        supernet_name="ofa_mobilenetv3",
+        replica_groups=(ReplicaGroupSpec(count=2, name="pool"),),
+        arrivals=ArrivalSpec(kind="trace", events=(0.5, 1.0, 2.5)),
+        seed=3,
+    )
+    spec = SweepSpec(
+        base=base,
+        axes=(
+            SweepAxis(path="workload.accuracy_range", values=((0.7, 0.8),)),
+            SweepAxis(path="replica_groups.0.count", values=(1, 0)),
+        ),
+        name="pinned-grid",
+    )
+    cells = spec.cells()
+    return SweepResult(
+        spec=spec,
+        cells=(
+            CellResult(
+                index=0,
+                overrides=cells[0],
+                metrics={name: i / 7 for i, name in enumerate(METRIC_FIELDS)},
+            ),
+            CellResult(
+                index=1,
+                overrides=cells[1],
+                error="ValueError: replica count must be positive, got 0",
+            ),
+        ),
+    )
+
+
+def replay_sample_fit() -> TraceFit:
+    log = load_trace_log(REPO_ROOT / "examples" / "traces" / "replay_sample.csv")
+    return fit_piecewise_poisson(log.timestamps_ms)
+
+
+#: sha256 of each artifact's two-space-indented JSON, captured before the
+#: spec codec was made field-driven; any drift in key order, number
+#: spelling or nesting changes the digest.
+PINNED_DIGESTS = {
+    "schema": (
+        scenario_schema,
+        "e2ee1b745a33cb34c7bd0adb0646d9bf4a96d88e93ff78cf0013b633303ed872",
+    ),
+    "sweep_result": (
+        lambda: pinned_sweep_result().to_dict(),
+        "dd870235f0384c01641b5798431af43e48a6cc3398e27c0c5b2735bed55acb58",
+    ),
+    "trace_fit": (
+        lambda: replay_sample_fit().to_dict(),
+        "14d4272eecc3fee8d9ab76d2be3b7fe2bf8ad83a47ea73faa99cf3a4faffa5d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_serialized_bytes_are_pinned(name):
+    build, digest = PINNED_DIGESTS[name]
+    text = json.dumps(build(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

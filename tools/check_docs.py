@@ -7,9 +7,11 @@ Three checks, run by the CI ``docs`` job and the tier-1 docs tests:
    ``ROADMAP.md`` and ``docs/*.md`` must point at a file that exists
    (anchors are stripped; external ``http(s)`` links are skipped — the
    target environment is offline).
-2. **Scenario round-trips** — every ``examples/scenarios/*.json`` must
-   parse into a valid :class:`ScenarioSpec` and survive
-   ``from_dict(to_dict(spec)) == spec`` exactly.
+2. **Spec round-trips** — every ``examples/scenarios/*.json`` (and
+   ``examples/sweeps/*.json``) must parse into a valid
+   :class:`ScenarioSpec` (:class:`SweepSpec`), survive
+   ``from_dict(to_dict(spec)) == spec`` exactly, and re-serialize to the
+   file's exact text.
 3. **Invariant-code sync** — the ``RPR###`` codes referenced in
    ``docs/invariants.md`` must round-trip exactly against the checkers
    registered in :mod:`repro.lint`: every registered code documented,
@@ -66,21 +68,25 @@ def check_links() -> list[str]:
 def check_scenarios() -> list[str]:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.serving.spec import ScenarioSpec
+    from repro.sweep import SweepSpec
 
     errors = []
-    scenario_files = sorted((REPO_ROOT / "examples" / "scenarios").glob("*.json"))
-    if not scenario_files:
-        errors.append("no scenario files found under examples/scenarios/")
-    for path in scenario_files:
-        rel = path.relative_to(REPO_ROOT)
-        try:
-            spec = ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            errors.append(f"{rel}: does not parse ({exc})")
-            continue
-        back = ScenarioSpec.from_dict(spec.to_dict())
-        if back != spec:
-            errors.append(f"{rel}: to_dict/from_dict round-trip is not exact")
+    for folder, spec_cls in (("scenarios", ScenarioSpec), ("sweeps", SweepSpec)):
+        files = sorted((REPO_ROOT / "examples" / folder).glob("*.json"))
+        if not files:
+            errors.append(f"no spec files found under examples/{folder}/")
+        for path in files:
+            rel = path.relative_to(REPO_ROOT)
+            text = path.read_text(encoding="utf-8")
+            try:
+                spec = spec_cls.from_json(text)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash
+                errors.append(f"{rel}: does not parse ({exc})")
+                continue
+            if spec_cls.from_dict(spec.to_dict()) != spec:
+                errors.append(f"{rel}: to_dict/from_dict round-trip is not exact")
+            elif text != spec.to_json() + "\n":
+                errors.append(f"{rel}: re-serializing does not reproduce the file")
     return errors
 
 
@@ -115,8 +121,8 @@ def main() -> int:
         print(f"{len(errors)} problem(s) across {docs} docs")
         return 1
     print(
-        f"docs OK: {docs} markdown files link-checked, scenarios "
-        "round-trip, lint codes in sync"
+        f"docs OK: {docs} markdown files link-checked, example specs "
+        "re-serialize exactly, lint codes in sync"
     )
     return 0
 
