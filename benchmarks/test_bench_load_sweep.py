@@ -1,28 +1,33 @@
-"""Benchmark (extension): open-loop SLO attainment under increasing load."""
+"""Benchmark (extension): open-loop SLO attainment under increasing load.
+
+Times the ``load_sweep`` experiment driver: one :class:`ScenarioSpec` per
+(replica count, arrival rate) cell, each run through ``run_scenario`` over
+clones of one strict-latency MobileNetV3 stack (150 queries, rates 0.2, 0.5,
+1.0 and 2.0 per ms).
+"""
 
 from repro.core.policies import Policy
-from repro.serving import ExperimentRunner
-from repro.serving.simulator import OpenLoopSimulator
+from repro.experiments import load_sweep
+from repro.serving import SushiStack, SushiStackConfig
 
 
 def test_bench_open_loop_load_sweep(benchmark, show):
-    runner = ExperimentRunner("ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0)
-    trace = runner.default_workload(num_queries=150)
-    simulator = OpenLoopSimulator.from_stack(runner.sushi)
+    stack = SushiStack(
+        SushiStackConfig(
+            supernet_name="ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0
+        )
+    )
 
     def sweep():
-        return simulator.load_sweep(trace, arrival_rates_per_ms=(0.2, 0.5, 1.0, 2.0), seed=0)
-
-    results = benchmark(sweep)
-    lines = ["Open-loop load sweep (SUSHI, MobileNetV3):"]
-    for rate, result in results.items():
-        lines.append(
-            f"  arrival {rate:.1f}/ms  rho={result.offered_load:.2f}  "
-            f"SLO attainment {result.slo_attainment:.2f}  "
-            f"mean response {result.mean_response_ms:.2f} ms  "
-            f"p99 {result.p99_response_ms:.2f} ms"
+        return load_sweep.run(
+            stack=stack,
+            num_queries=150,
+            arrival_rates_per_ms=(0.2, 0.5, 1.0, 2.0),
         )
-    show("\n".join(lines))
+
+    result = benchmark(sweep)
+    show(load_sweep.report(result))
     # Higher load can only hurt SLO attainment.
-    attainments = [results[r].slo_attainment for r in sorted(results)]
-    assert all(a >= b - 1e-9 for a, b in zip(attainments, attainments[1:]))
+    for num_replicas in load_sweep.DEFAULT_REPLICA_COUNTS:
+        attainments = [a for _, a in result.attainment_curve(num_replicas)]
+        assert all(a >= b - 1e-9 for a, b in zip(attainments, attainments[1:]))

@@ -27,9 +27,7 @@ from repro.serving.engine import (
     AcceleratorReplica,
     ServingEngine,
     SimulationResult,
-    build_stack_engine,
 )
-from repro.serving.simulator import OpenLoopSimulator
 from repro.serving.autoscale import (
     AutoscaleController,
     AutoscaleReport,
@@ -79,8 +77,6 @@ __all__ = [
     "AcceleratorReplica",
     "ServingEngine",
     "SimulationResult",
-    "build_stack_engine",
-    "OpenLoopSimulator",
     "ArrivalSpec",
     "AutoscaleController",
     "AutoscaleReport",

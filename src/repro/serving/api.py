@@ -23,8 +23,9 @@ and the discrete-event engine — and runs it:
 Guarantees:
 
 * A homogeneous Poisson scenario is **record-identical** to the hand-wired
-  path (``build_stack_engine(stack, ...).run_open_loop(trace, ...)``): the
-  same stack seeds, clone seeds, workload and arrival draws are used.
+  path (one ``AcceleratorReplica`` per ``stack.clone(seed=seed + i)`` in a
+  ``ServingEngine``, then ``run_open_loop(trace, ...)``): the same stack
+  seeds, clone seeds, workload and arrival draws are used.
 * Stacks passed in via ``stack_cache`` are never mutated — replicas always
   serve through clones — so one expensive latency table can be shared
   across many scenarios (sweeps, benchmarks, the CLI).
@@ -46,12 +47,11 @@ from repro.serving.baselines import (
 from repro.serving.engine import (
     AcceleratorReplica,
     FaultInjector,
-    PrecomputedServer,
     QueryServer,
     ServingEngine,
     SimulationResult,
 )
-from repro.serving.query import ArrayQueryTrace, QueryTrace
+from repro.serving.query import ArrayQueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import (
@@ -130,7 +130,7 @@ def _group_ranges(
     spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Feasible (accuracy, latency) constraint ranges for one group."""
-    if group.kind in ("sushi", "precomputed"):
+    if group.kind == "sushi":
         return feasible_ranges_from_table(_base_stack(spec, group, stack_cache).table)
     family = _family(spec.supernet_name)
     accel = SushiAccelModel(group.resolved_platform(), with_pb=False)
@@ -184,10 +184,7 @@ def build_trace(
 
 
 def _server_builder(
-    spec: ScenarioSpec,
-    group: ReplicaGroupSpec,
-    stack_cache: StackCache,
-    trace: QueryTrace | ArrayQueryTrace | None,
+    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
 ) -> Callable[[int], QueryServer]:
     """A factory producing one group's backends, by engine-global position."""
     family = _family(spec.supernet_name)
@@ -200,19 +197,8 @@ def _server_builder(
         seed = base.config.seed
         # The builder receives the engine-global replica position, so two
         # groups sharing a stack config still get decorrelated clones (a
-        # single group reproduces build_stack_engine's seed + 0..N-1).
+        # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
-
-    if group.kind == "precomputed":
-        if trace is None:
-            raise ValueError(
-                "precomputed replica groups need the query trace at build "
-                "time; pass trace= to build_engine (run_scenario does this)"
-            )
-        base = _base_stack(spec, group, stack_cache)
-        # Serve closed-loop on a private clone so cached stacks stay pristine.
-        records = base.clone(seed=base.config.seed).serve(trace)
-        return lambda position: PrecomputedServer(records)
 
     if group.kind == "no_sushi":
         accel = SushiAccelModel(platform, with_pb=False)
@@ -249,16 +235,13 @@ def _server_builder(
 
 
 def build_engine(
-    spec: ScenarioSpec,
-    *,
-    trace: QueryTrace | ArrayQueryTrace | None = None,
-    stack_cache: StackCache | None = None,
+    spec: ScenarioSpec, *, stack_cache: StackCache | None = None
 ) -> ServingEngine:
     """Construct the serving engine a :class:`ScenarioSpec` describes.
 
     Walks the replica groups in order, builds each group's backend per
-    replica (SUSHI groups clone one template stack with per-replica seeds,
-    exactly like ``build_stack_engine``), and lets the engine assign global
+    replica (SUSHI groups clone one template stack, seeded stack seed +
+    global replica position), and lets the engine assign global
     replica indices.  ``stack_cache`` (config → stack) lets callers reuse
     expensive latency tables across scenarios; cached stacks are only ever
     cloned, never served.
@@ -270,7 +253,7 @@ def build_engine(
     scaled_positions: dict[str | None, list[int]] = {}
     replicas: list[AcceleratorReplica] = []
     for group in spec.replica_groups:
-        make_server = _server_builder(spec, group, stack_cache, trace)
+        make_server = _server_builder(spec, group, stack_cache)
         if any(g is group for g in scaled):
             scaled_builders[group.name] = make_server
             scaled_positions[group.name] = list(
@@ -338,7 +321,6 @@ def build_engine(
         replicas,
         router=spec.router,
         admission=spec.admission,
-        dispatch_time_scheduling=spec.dispatch_time_scheduling,
         autoscaler=autoscaler,
         scalable_indices=scalable_indices,
     )
@@ -386,13 +368,13 @@ def run_scenario(
 
     The single entry point behind the CLI (``python -m repro serve``), the
     ``load_sweep`` experiment and the examples.  For a homogeneous Poisson
-    scenario this is record-identical to the hand-wired
-    ``build_stack_engine`` / ``run_open_loop`` path.
+    scenario this is record-identical to a hand-wired engine over stack
+    clones (see the module docstring).
     """
     if stack_cache is None:
         stack_cache = {}
     trace = build_trace(spec, stack_cache=stack_cache)
-    engine = build_engine(spec, trace=trace, stack_cache=stack_cache)
+    engine = build_engine(spec, stack_cache=stack_cache)
     arrivals = spec.arrivals.generate(len(trace))
     return engine.run(
         trace,

@@ -28,7 +28,6 @@ from repro.serving.engine.admission import (
 )
 from repro.serving.engine.core import (
     ServingEngine,
-    build_stack_engine,
     poisson_arrivals,
 )
 from repro.serving.engine.disciplines import (
@@ -43,7 +42,6 @@ from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FaultInjector
 from repro.serving.engine.replica import (
     AcceleratorReplica,
-    PrecomputedServer,
     QueryServer,
     ReplicaStats,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "FaultInjector",
     "JoinShortestQueueRouter",
     "LeastLoadedRouter",
-    "PrecomputedServer",
     "QueryServer",
     "QueueDiscipline",
     "QueuedQuery",
@@ -86,7 +83,6 @@ __all__ = [
     "SimulatedQueryOutcome",
     "SimulationResult",
     "SlackPriorityQueue",
-    "build_stack_engine",
     "make_admission",
     "make_discipline",
     "make_router",

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.serving.autoscale.controller import AutoscaleController, GroupLoad
 from repro.serving.engine.admission import AdmissionPolicy, make_admission
-from repro.serving.engine.disciplines import QueueDiscipline, QueuedQuery
+from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
 from repro.serving.engine.replica import AcceleratorReplica, _InFlight, _InService
@@ -140,7 +140,6 @@ def _serve_pickup(
     dropped: list[DroppedQuery],
     *,
     admission: AdmissionPolicy,
-    dts: bool,
     bus,
     recorder=None,
     faults=None,
@@ -222,14 +221,12 @@ def _serve_pickup(
                 if recorder is not None:
                     recorder.on_dropped(dropped[-1])
                 continue
-            effective: float | None = None
-            if dts:
-                remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
-                effective = (
-                    remaining
-                    if remaining > _MIN_EFFECTIVE_LATENCY_MS
-                    else _MIN_EFFECTIVE_LATENCY_MS
-                )
+            remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
+            effective = (
+                remaining
+                if remaining > _MIN_EFFECTIVE_LATENCY_MS
+                else _MIN_EFFECTIVE_LATENCY_MS
+            )
             query = _relaxed(item.query, relax) if relax > 0.0 else item.query
             record = serve(query, effective_latency_constraint_ms=effective)
             if record.replica_index != ridx:
@@ -257,15 +254,13 @@ def _serve_pickup(
         # One shared SubNet decision, one accelerator evaluation, at
         # most one cache load for the whole batch; members complete
         # together after the batch evaluation.
-        effective_batch: list[float] | None = None
-        if dts:
-            effective_batch = [
-                max(
-                    item.query.latency_constraint_ms - (now - item.arrival_ms),
-                    _MIN_EFFECTIVE_LATENCY_MS,
-                )
-                for item in batch
-            ]
+        effective_batch = [
+            max(
+                item.query.latency_constraint_ms - (now - item.arrival_ms),
+                _MIN_EFFECTIVE_LATENCY_MS,
+            )
+            for item in batch
+        ]
         queries = [item.query for item in batch]
         if relax > 0.0:
             queries = [_relaxed(q, relax) for q in queries]
@@ -352,12 +347,6 @@ class ServingEngine:
     admission:
         Admission policy name or instance (``admit_all`` / ``drop_expired``)
         applied at dispatch time.
-    dispatch_time_scheduling:
-        When True, each dispatch passes the query's *remaining* latency
-        budget (constraint minus time already waited) to the backend, so
-        cache- and SLO-aware schedulers react to actual queueing state.
-        When False the backend sees the nominal constraint (used by the
-        legacy precomputed mode).
     autoscaler:
         Optional :class:`~repro.serving.autoscale.AutoscaleController`.
         When set, the engine feeds its telemetry bus per event and fires a
@@ -383,7 +372,6 @@ class ServingEngine:
         *,
         router: str | RoutingPolicy = "round_robin",
         admission: str | AdmissionPolicy = "admit_all",
-        dispatch_time_scheduling: bool = True,
         autoscaler: AutoscaleController | None = None,
         scalable_indices: (
             Sequence[int] | Mapping[str | None, Sequence[int]] | None
@@ -407,7 +395,6 @@ class ServingEngine:
                 )
         self.router = make_router(router)
         self.admission = make_admission(admission)
-        self.dispatch_time_scheduling = dispatch_time_scheduling
         self.autoscaler = autoscaler
         if autoscaler is not None and any(
             g.replica_factory is None for g in autoscaler.groups
@@ -564,12 +551,25 @@ class ServingEngine:
         arrival_rate_per_ms: float | None = None,
         reset: bool = True,
     ) -> SimulationResult:
-        """Simulate ``trace`` with explicit per-query arrival times."""
+        """Simulate ``trace`` with explicit per-query arrival times.
+
+        ``arrivals`` must be finite, >= 0 and non-decreasing (what every
+        ``ArrivalSpec.generate`` and trace replay produce): the event clock
+        would otherwise run backwards.
+        """
         arrivals = np.asarray(arrivals, dtype=np.float64)
         if arrivals.shape != (len(trace),):
             raise ValueError(
                 f"arrivals shape {arrivals.shape} does not match trace length "
                 f"({len(trace)},)"
+            )
+        bad = ~np.isfinite(arrivals) | (arrivals < 0.0)
+        bad[1:] |= arrivals[1:] < arrivals[:-1]
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"arrivals[{i}] = {float(arrivals[i])!r}: arrival times must be "
+                "finite, >= 0 and non-decreasing"
             )
         if reset:
             self.reset()
@@ -694,7 +694,6 @@ class ServingEngine:
         router_select = self.router.select
         admission = self.admission
         admit = admission.admit
-        dts = self.dispatch_time_scheduling
         min_eff = _MIN_EFFECTIVE_LATENCY_MS
         needs_estimates = self._needs_estimates
         # Direct serve is gated off when service estimates ride on the
@@ -743,11 +742,8 @@ class ServingEngine:
                 straggle = replica.straggle_factor
                 if fi.accuracy_relax > 0.0:
                     query = _relaxed(query, fi.accuracy_relax)
-            if dts:
-                remaining = query.latency_constraint_ms - (now - item.arrival_ms)
-                effective = remaining if remaining > min_eff else min_eff
-            else:
-                effective = None
+            remaining = query.latency_constraint_ms - (now - item.arrival_ms)
+            effective = remaining if remaining > min_eff else min_eff
             record = replica.server.serve_query(
                 query, effective_latency_constraint_ms=effective
             )
@@ -789,7 +785,6 @@ class ServingEngine:
                         now,
                         dropped,
                         admission=admission,
-                        dts=dts,
                         bus=pickup_bus,
                         recorder=recorder,
                         faults=fi,
@@ -1335,41 +1330,3 @@ class ServingEngine:
             num_crashes=0 if self.faults is None else self.faults.num_crashes,
         )
 
-
-def build_stack_engine(
-    stack,
-    *,
-    num_replicas: int = 1,
-    discipline: str | QueueDiscipline = "fifo",
-    router: str | RoutingPolicy = "round_robin",
-    admission: str | AdmissionPolicy = "admit_all",
-    dispatch_time_scheduling: bool = True,
-    max_batch: int = 1,
-    batch_policy: str = "shared_subnet",
-) -> ServingEngine:
-    """An engine over ``num_replicas`` independent clones of a SUSHI stack.
-
-    Each replica gets its own scheduler and Persistent Buffer state (cloned
-    via :meth:`~repro.serving.stack.SushiStack.clone`, sharing the immutable
-    SuperNet/table) so replicas evolve their caches independently; the
-    passed stack itself is left untouched.  ``max_batch`` / ``batch_policy``
-    configure batched dispatch per replica (``max_batch=1`` keeps the
-    pre-batching per-query pickup).
-    """
-    if num_replicas <= 0:
-        raise ValueError("num_replicas must be positive")
-    replicas = [
-        AcceleratorReplica(
-            stack.clone(seed=stack.config.seed + i),
-            discipline=discipline,
-            max_batch=max_batch,
-            batch_policy=batch_policy,
-        )
-        for i in range(num_replicas)
-    ]
-    return ServingEngine(
-        replicas,
-        router=router,
-        admission=admission,
-        dispatch_time_scheduling=dispatch_time_scheduling,
-    )

@@ -1,16 +1,16 @@
 """Accelerator replicas: one serving endpoint each, with its own queue.
 
 An :class:`AcceleratorReplica` wraps any per-query server — a
-:class:`~repro.serving.stack.SushiStack`, a baseline server, or a
-:class:`PrecomputedServer` — behind the engine's dispatch interface.  Each
-replica owns a queue discipline, its busy/idle state, and running statistics
-(served, dropped, busy time, queueing delay).
+:class:`~repro.serving.stack.SushiStack` or a baseline server — behind the
+engine's dispatch interface.  Each replica owns a queue discipline, its
+busy/idle state, and running statistics (served, dropped, busy time,
+queueing delay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.metrics import QueryRecord
 from repro.serving.engine.disciplines import QueueDiscipline, QueuedQuery, make_discipline
@@ -24,28 +24,6 @@ class QueryServer(Protocol):
     def serve_query(
         self, query: Query, *, effective_latency_constraint_ms: float | None = None
     ) -> QueryRecord: ...
-
-
-class PrecomputedServer:
-    """Replays per-query records computed ahead of time.
-
-    Used by the legacy open-loop mode, where the whole trace is served
-    closed-loop first and only the *queueing* is simulated: service times and
-    quality are fixed regardless of when each query is dispatched.
-    """
-
-    def __init__(self, records: Sequence[QueryRecord]) -> None:
-        self._by_index = {r.query_index: r for r in records}
-        if len(self._by_index) != len(records):
-            raise ValueError("precomputed records contain duplicate query indices")
-
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
-        try:
-            return self._by_index[query.index]
-        except KeyError as exc:
-            raise KeyError(f"no precomputed record for query {query.index}") from exc
 
 
 def _constraint_estimate(query: Query) -> float:

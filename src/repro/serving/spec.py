@@ -108,7 +108,6 @@ BACKEND_KINDS: tuple[str, ...] = (
     "no_sushi",  # paper baseline: no PB, selection on static latencies
     "state_unaware",  # paper ablation: PB present, caching ignores state
     "static_subnet",  # serve one fixed SubNet for every query
-    "precomputed",  # replay records precomputed closed-loop (legacy mode)
 )
 
 #: Supported arrival processes.
@@ -1126,9 +1125,6 @@ class ScenarioSpec(JsonSpec):
         replica cloning and drain-then-retire.
     num_queries:
         Stream length override (None keeps ``workload.num_queries``).
-    dispatch_time_scheduling:
-        Passed through to the engine (False reproduces the legacy
-        precomputed open-loop mode).
     seed:
         Scenario seed: the workload seed and the default backend seed.
     observability:
@@ -1158,7 +1154,6 @@ class ScenarioSpec(JsonSpec):
     )
     autoscaler: AutoscalerSpec | None = None
     num_queries: int | None = None
-    dispatch_time_scheduling: bool = True
     seed: int = 0
     observability: ObservabilitySpec | None = None
     faults: FaultSpec | None = None

@@ -13,6 +13,11 @@ simulates, the slow and literal way:
 The control plane and fault plane are the engine's own handlers: they are
 shared code, not what the one loop changed.  Property tests run both on
 identical fresh engines and require bit-identical results.
+
+``build_stack_engine(stack, ...)`` is the hand-wired SUSHI pool — one
+replica per stack clone, seeded ``stack seed + i`` — that a homogeneous
+Poisson :class:`~repro.serving.spec.ScenarioSpec` must reproduce record for
+record through ``run_scenario``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.core import _complete_inservice, _serve_pickup
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
@@ -159,7 +165,6 @@ def _dispatch(engine, replica, now, heap, dropped):
             now,
             dropped,
             admission=engine.admission,
-            dts=engine.dispatch_time_scheduling,
             bus=bus,
             recorder=engine.recorder,
             faults=engine.faults,
@@ -187,3 +192,25 @@ def _complete(engine, replica, outcomes, now):
                 now, replica_index=replica.index, service_ms=current.total_ms
             )
     _complete_inservice(replica, outcomes, engine.recorder)
+
+
+def build_stack_engine(
+    stack,
+    *,
+    num_replicas=1,
+    discipline="fifo",
+    router="round_robin",
+    admission="admit_all",
+):
+    """An engine over ``num_replicas`` independent clones of a SUSHI stack.
+
+    Each replica gets its own scheduler and Persistent Buffer state (cloned
+    via :meth:`~repro.serving.stack.SushiStack.clone`, sharing the immutable
+    SuperNet/table) so replicas evolve their caches independently; the
+    passed stack itself is left untouched.
+    """
+    replicas = [
+        AcceleratorReplica(stack.clone(seed=stack.config.seed + i), discipline=discipline)
+        for i in range(num_replicas)
+    ]
+    return ServingEngine(replicas, router=router, admission=admission)

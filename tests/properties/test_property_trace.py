@@ -161,7 +161,7 @@ def _run(spec: ScenarioSpec, *, oracle: bool):
     if not oracle:
         return run_scenario(spec, stack_cache=_STACK_CACHE)
     trace = build_trace(spec, stack_cache=_STACK_CACHE)
-    engine = build_engine(spec, trace=trace, stack_cache=_STACK_CACHE)
+    engine = build_engine(spec, stack_cache=_STACK_CACHE)
     return reference_run(
         engine,
         trace,

@@ -1,0 +1,32 @@
+"""Synthetic backends shared by the serving tests."""
+
+from __future__ import annotations
+
+from repro.core.metrics import QueryRecord
+
+
+class ConstantServer:
+    """Backend with a fixed service time and accuracy.
+
+    Records what every dispatch handed it: ``effective_budgets`` (the
+    remaining latency budget) and ``accuracy_floors`` (the query's accuracy
+    constraint, after any brownout relaxation).
+    """
+
+    def __init__(self, service_ms: float = 10.0, accuracy: float = 0.78) -> None:
+        self.service_ms = service_ms
+        self.accuracy = accuracy
+        self.effective_budgets: list[float] = []
+        self.accuracy_floors: list[float] = []
+
+    def serve_query(self, query, *, effective_latency_constraint_ms=None):
+        self.effective_budgets.append(effective_latency_constraint_ms)
+        self.accuracy_floors.append(query.accuracy_constraint)
+        return QueryRecord(
+            query_index=query.index,
+            accuracy_constraint=query.accuracy_constraint,
+            latency_constraint_ms=query.latency_constraint_ms,
+            subnet_name="synthetic",
+            served_accuracy=self.accuracy,
+            served_latency_ms=self.service_ms,
+        )

@@ -1,14 +1,16 @@
 """Tests for the scenario-building facade (`repro.serving.api`).
 
 The load-bearing guarantee: a homogeneous Poisson :class:`ScenarioSpec` run
-through ``run_scenario`` is **record-identical** to PR 1's hand-wired path
-(``build_stack_engine`` + ``run_open_loop`` over an explicitly generated
-workload) — the spec layer adds expressiveness, never drift.
+through ``run_scenario`` is **record-identical** to the hand-wired path
+(``engine_oracle.build_stack_engine`` + ``run_open_loop`` over an explicitly
+generated workload) — the spec layer adds expressiveness, never drift.
 """
 
 from __future__ import annotations
 
 import pytest
+from engine_oracle import build_stack_engine
+from fakes import ConstantServer
 
 from repro.core.policies import Policy
 from repro.serving import (
@@ -18,11 +20,9 @@ from repro.serving import (
     SushiStack,
     SushiStackConfig,
     WorkloadSpec,
-    build_stack_engine,
 )
 from repro.serving.api import (
     build_engine,
-    build_trace,
     format_result_summary,
     run_scenario,
 )
@@ -244,42 +244,10 @@ class TestBackendKinds:
         served = {r.subnet_name for r in result.records}
         assert len(served) == 1
 
-    def test_precomputed_backend_replays_closed_loop_records(self, stack, stack_cache):
-        spec = self.spec_for("precomputed")
-        result = run_scenario(spec, stack_cache=stack_cache)
-        trace = build_trace(spec, stack_cache=stack_cache)
-        expected = stack.clone(seed=stack.config.seed).serve(trace)
-        assert result.num_served == 24
-        # Service times and accuracies replay the precomputed records even
-        # though queueing shifts dispatch times.
-        by_index = {o.query_index: o for o in result.outcomes}
-        for rec in expected:
-            assert by_index[rec.query_index].service_ms == rec.served_latency_ms
-            assert by_index[rec.query_index].served_accuracy == rec.served_accuracy
-
-    def test_precomputed_requires_trace_at_build_time(self, stack_cache):
-        with pytest.raises(ValueError, match="trace"):
-            build_engine(self.spec_for("precomputed"), stack_cache=stack_cache)
-
 
 class TestEngineIndexAssignment:
     def test_engine_assigns_replica_indices(self):
         from repro.serving.engine import AcceleratorReplica, ServingEngine
-
-        class ConstantServer:
-            def serve_query(self, query, *, effective_latency_constraint_ms=None):
-                from repro.core.metrics import QueryRecord
-
-                return QueryRecord(
-                    query_index=query.index,
-                    accuracy_constraint=query.accuracy_constraint,
-                    latency_constraint_ms=query.latency_constraint_ms,
-                    subnet_name="S",
-                    served_accuracy=0.7,
-                    served_latency_ms=1.0,
-                    cache_hit_ratio=0.0,
-                    offchip_energy_mj=0.0,
-                )
 
         replicas = [AcceleratorReplica(ConstantServer()) for _ in range(3)]
         assert all(r.index is None for r in replicas)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from fakes import ConstantServer
 
-from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving import (
     ArrivalSpec,
@@ -39,24 +39,6 @@ from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.query import Query, QueryTrace
 
 SUPERNET = "ofa_mobilenetv3"
-
-
-class ConstantServer:
-    """Synthetic backend with a fixed service time."""
-
-    def __init__(self, service_ms: float = 10.0, accuracy: float = 0.78) -> None:
-        self.service_ms = service_ms
-        self.accuracy = accuracy
-
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=self.accuracy,
-            served_latency_ms=self.service_ms,
-        )
 
 
 def make_trace(n, *, latency_ms=30.0):
@@ -635,7 +617,7 @@ class TestFacadeAutoscaling:
             AutoscalerSpec(control_interval_ms=8.0, max_replicas=5)
         )
         trace = build_trace(spec, stack_cache=stack_cache)
-        engine = build_engine(spec, trace=trace, stack_cache=stack_cache)
+        engine = build_engine(spec, stack_cache=stack_cache)
         engine.run(trace, spec.arrivals.generate(len(trace)))
         assert len(engine.replicas) > 1
         tables = {id(r.server.table) for r in engine.replicas}

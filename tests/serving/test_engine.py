@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from engine_oracle import EventHeap
+from engine_oracle import EventHeap, build_stack_engine
+from fakes import ConstantServer
 
-from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving.engine import (
     AcceleratorReplica,
@@ -15,40 +15,19 @@ from repro.serving.engine import (
     FastestExpectedRouter,
     JoinShortestQueueRouter,
     LeastLoadedRouter,
-    PrecomputedServer,
     QueuedQuery,
     RoundRobinRouter,
     ServingEngine,
     SlackPriorityQueue,
-    build_stack_engine,
     make_admission,
     make_discipline,
     make_router,
+    poisson_arrivals,
 )
 from repro.serving.engine.events import EventKind
 from repro.serving.query import Query, QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
-
-
-class ConstantServer:
-    """Synthetic backend with a fixed service time."""
-
-    def __init__(self, service_ms: float, accuracy: float = 0.78) -> None:
-        self.service_ms = service_ms
-        self.accuracy = accuracy
-        self.effective_budgets: list[float | None] = []
-
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        self.effective_budgets.append(effective_latency_constraint_ms)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=self.accuracy,
-            served_latency_ms=self.service_ms,
-        )
 
 
 def make_trace(n, *, latency_ms=10.0):
@@ -268,6 +247,21 @@ class TestEngineOpenLoop:
         with pytest.raises(ValueError):
             engine.run(make_trace(5), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        ("arrivals", "bad_index"),
+        [
+            ([0.0, 5.0, 1.0, 6.0], 2),  # unsorted: the clock would run back
+            ([0.0, np.nan, 1.0, 2.0], 1),
+            ([-3.0, 0.0, 1.0, 2.0], 0),
+            ([0.0, 1.0, np.inf, 2.0], 2),
+        ],
+        ids=["unsorted", "nan", "negative", "inf"],
+    )
+    def test_invalid_arrival_times_rejected(self, arrivals, bad_index):
+        engine = ServingEngine([AcceleratorReplica(ConstantServer(2.0))])
+        with pytest.raises(ValueError, match=rf"arrivals\[{bad_index}\]"):
+            engine.run(make_trace(4), np.array(arrivals))
+
     def test_replica_index_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ServingEngine(
@@ -299,6 +293,101 @@ class TestEngineOpenLoop:
         b = engine.run_open_loop(trace, arrival_rate_per_ms=0.8, seed=7)
         assert a.mean_response_ms == b.mean_response_ms
         assert [o.start_ms for o in a.outcomes] == [o.start_ms for o in b.outcomes]
+
+
+class TestPoissonArrivals:
+    def test_monotone_increasing(self):
+        arrivals = poisson_arrivals(100, 0.5, rng=np.random.default_rng(0))
+        assert np.all(np.diff(arrivals) > 0)
+
+    def test_mean_gap_matches_rate(self):
+        arrivals = poisson_arrivals(5000, 2.0, rng=np.random.default_rng(1))
+        assert np.mean(np.diff(arrivals)) == pytest.approx(0.5, rel=0.1)
+
+    def test_invalid_arguments(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            poisson_arrivals(0, 1.0, rng=rng)
+        with pytest.raises(ValueError):
+            poisson_arrivals(10, 0.0, rng=rng)
+
+
+def constant_engine(service_ms):
+    """One replica serving every query in ``service_ms``, FIFO."""
+    return ServingEngine([AcceleratorReplica(ConstantServer(service_ms))])
+
+
+class TestOpenLoopQueueing:
+    """Poisson arrivals through one constant-service replica."""
+
+    def test_fifo_no_overlap(self):
+        result = constant_engine(2.0).run_open_loop(
+            make_trace(50), arrival_rate_per_ms=5.0, seed=0
+        )
+        starts = [o.start_ms for o in result.outcomes]
+        completions = [o.completion_ms for o in result.outcomes]
+        for prev_end, nxt_start in zip(completions, starts[1:]):
+            assert nxt_start >= prev_end - 1e-9
+
+    def test_light_load_no_queueing(self):
+        result = constant_engine(1.0).run_open_loop(
+            make_trace(50), arrival_rate_per_ms=0.01, seed=0
+        )
+        # With a mean inter-arrival gap 100x the service time, queueing is
+        # negligible (a rare back-to-back arrival may add a small delay).
+        assert result.mean_queueing_ms < 0.1
+        assert result.slo_attainment == 1.0
+
+    def test_overload_degrades_slo(self):
+        engine = constant_engine(5.0)
+        light = engine.run_open_loop(make_trace(50), arrival_rate_per_ms=0.05, seed=0)
+        heavy = engine.run_open_loop(make_trace(50), arrival_rate_per_ms=2.0, seed=0)
+        assert heavy.offered_load > 1.0 > light.offered_load
+        assert heavy.slo_attainment < light.slo_attainment
+        assert heavy.mean_response_ms > light.mean_response_ms
+
+    def test_response_decomposition(self):
+        result = constant_engine(2.0).run_open_loop(
+            make_trace(50), arrival_rate_per_ms=1.0, seed=3
+        )
+        for o in result.outcomes:
+            assert o.response_ms == pytest.approx(o.queueing_ms + o.service_ms)
+
+    def test_deterministic_given_seed(self):
+        engine = constant_engine(1.5)
+        a = engine.run_open_loop(make_trace(50), arrival_rate_per_ms=0.5, seed=9)
+        b = engine.run_open_loop(make_trace(50), arrival_rate_per_ms=0.5, seed=9)
+        assert a.mean_response_ms == b.mean_response_ms
+
+
+class TestSimulationResultAccounting:
+    """Offered load, achieved throughput and drops are exposed."""
+
+    def test_throughput_and_drop_fields(self):
+        trace = make_trace(50)
+        result = constant_engine(2.0).run_open_loop(
+            trace, arrival_rate_per_ms=1.0, seed=0
+        )
+        assert result.offered_load == pytest.approx(2.0)
+        assert result.num_dropped == 0
+        assert result.drop_rate == 0.0
+        assert result.num_served == len(trace)
+        makespan = max(o.completion_ms for o in result.outcomes)
+        assert result.achieved_throughput_per_ms == pytest.approx(
+            len(trace) / makespan
+        )
+        # Without drops, attainment is the served-query mean.
+        assert result.slo_attainment == pytest.approx(
+            np.mean([o.meets_slo for o in result.outcomes])
+        )
+
+    def test_per_replica_stats_exposed(self):
+        trace = make_trace(50)
+        result = constant_engine(2.0).run_open_loop(
+            trace, arrival_rate_per_ms=1.0, seed=0
+        )
+        assert len(result.replica_stats) == 1
+        assert result.replica_stats[0].num_served == len(trace)
 
 
 @pytest.fixture(scope="module")
@@ -361,12 +450,31 @@ class TestEngineWithSushiStack:
         assert estimate > 0
         assert stack.scheduler.queries_seen == seen
 
-    def test_precomputed_server_replays_records(self, mobilenet_stack, mobilenet_trace):
-        stack = mobilenet_stack.clone()
-        records = stack.serve(mobilenet_trace)
-        server = PrecomputedServer(records)
-        assert server.serve_query(mobilenet_trace[3]) == records[3]
-        with pytest.raises(KeyError):
-            server.serve_query(
-                Query(index=999, accuracy_constraint=0.77, latency_constraint_ms=1.0)
+
+class TestStackPoolOpenLoop:
+    """Open-loop runs over clones of a strict-latency SUSHI stack."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return SushiStack(
+            SushiStackConfig(
+                supernet_name="ofa_mobilenetv3",
+                policy=Policy.STRICT_LATENCY,
+                seed=0,
             )
+        )
+
+    def test_runs_and_is_deterministic(self, stack):
+        trace = QueryTrace.from_constraints([0.77] * 40, [1.0] * 40)
+        engine = build_stack_engine(stack, num_replicas=2, router="jsq")
+        a = engine.run_open_loop(trace, arrival_rate_per_ms=2.0, seed=1)
+        b = engine.run_open_loop(trace, arrival_rate_per_ms=2.0, seed=1)
+        assert [o.start_ms for o in a.outcomes] == [o.start_ms for o in b.outcomes]
+        assert a.num_served == 40
+
+    def test_drop_expired_sheds_under_overload(self, stack):
+        tight = QueryTrace.from_constraints([0.77] * 60, [0.4] * 60)
+        engine = build_stack_engine(stack, admission="drop_expired")
+        result = engine.run_open_loop(tight, arrival_rate_per_ms=10.0, seed=0)
+        assert result.num_dropped > 0
+        assert result.num_served + result.num_dropped == 60

@@ -179,7 +179,7 @@ class TestSpecKnobs:
         cache: dict = {}
         trace = build_trace(spec, stack_cache=cache).materialize()
         ref = reference_run(
-            build_engine(spec, trace=trace, stack_cache=cache),
+            build_engine(spec, stack_cache=cache),
             trace,
             spec.arrivals.generate(len(trace)),
         )

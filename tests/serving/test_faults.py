@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from engine_oracle import EventHeap
+from fakes import ConstantServer
 from numpy.random import default_rng
 
-from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.experiments import resilience_frontier
 from repro.experiments.registry import EXPERIMENTS
@@ -55,26 +55,6 @@ from repro.serving.query import QueryTrace
 REPO_ROOT = Path(__file__).resolve().parents[2]
 VALIDATOR = REPO_ROOT / "tools" / "validate_trace.py"
 FAULTY_SCENARIO = REPO_ROOT / "examples" / "scenarios" / "faulty_pool.json"
-
-
-class ConstantServer:
-    """Synthetic backend with a fixed service time."""
-
-    def __init__(self, service_ms: float, accuracy: float = 0.78) -> None:
-        self.service_ms = service_ms
-        self.accuracy = accuracy
-        self.accuracy_floors: list[float] = []
-
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        self.accuracy_floors.append(query.accuracy_constraint)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=self.accuracy,
-            served_latency_ms=self.service_ms,
-        )
 
 
 def make_trace(n, *, latency_ms=50.0):

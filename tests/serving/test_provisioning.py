@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from fakes import ConstantServer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving import (
     ArrivalSpec,
@@ -46,24 +46,6 @@ from repro.serving.engine.events import EventKind
 from repro.serving.query import QueryTrace
 
 SUPERNET = "ofa_mobilenetv3"
-
-
-class ConstantServer:
-    """Synthetic backend with a fixed service time."""
-
-    def __init__(self, service_ms: float = 10.0, accuracy: float = 0.78) -> None:
-        self.service_ms = service_ms
-        self.accuracy = accuracy
-
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=self.accuracy,
-            served_latency_ms=self.service_ms,
-        )
 
 
 def make_trace(n, *, latency_ms=30.0):

@@ -504,7 +504,6 @@ scenario_specs = st.builds(
     arrivals=arrival_specs,
     autoscaler=st.one_of(st.none(), autoscaler_specs),
     num_queries=st.one_of(st.none(), st.integers(1, 500)),
-    dispatch_time_scheduling=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 

