@@ -9,21 +9,12 @@ target-utilization autoscalers, the scheduled oracle) is printed so the
 Pareto picture can be eyeballed next to the numbers.
 """
 
-from repro.core.policies import Policy
 from repro.experiments import frontier_autoscale
-from repro.serving import SushiStack, SushiStackConfig
 
 
 def test_bench_frontier_autoscale(benchmark, show):
-    stack = SushiStack(
-        SushiStackConfig(
-            supernet_name="ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0
-        )
-    )
-
     def sweep():
         return frontier_autoscale.run(
-            stack=stack,
             num_queries=500,
             static_counts=(1, 2, 3, 4, 6),
             reactive_queue_thresholds=(4.0,),

@@ -6,21 +6,12 @@ clones of one strict-latency MobileNetV3 stack (150 queries, rates 0.2, 0.5,
 1.0 and 2.0 per ms).
 """
 
-from repro.core.policies import Policy
 from repro.experiments import load_sweep
-from repro.serving import SushiStack, SushiStackConfig
 
 
 def test_bench_open_loop_load_sweep(benchmark, show):
-    stack = SushiStack(
-        SushiStackConfig(
-            supernet_name="ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0
-        )
-    )
-
     def sweep():
         return load_sweep.run(
-            stack=stack,
             num_queries=150,
             arrival_rates_per_ms=(0.2, 0.5, 1.0, 2.0),
         )

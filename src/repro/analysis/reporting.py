@@ -6,7 +6,9 @@ helpers so the benchmark harness output is easy to diff against the paper.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import dataclasses
+import enum
+from typing import Any, Mapping, Sequence
 
 
 def _format_value(value: object, precision: int) -> str:
@@ -75,3 +77,23 @@ def format_kv(values: Mapping[str, object], *, title: str | None = None, precisi
     for key, value in values.items():
         lines.append(f"{key.ljust(width)}  {_format_value(value, precision)}")
     return "\n".join(lines)
+
+
+def jsonable(value: object) -> Any:
+    """An experiment result in JSON-safe types, dataclass fields in order."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if hasattr(value, "tolist"):  # numpy arrays and scalars
+        return value.tolist()
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)

@@ -77,29 +77,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonable(value: object) -> object:
-    """Best-effort conversion of an experiment result to JSON-safe types."""
-    import dataclasses
-    import enum
-
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):  # numpy arrays and scalars
-        return value.tolist()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 def _observed_spec(spec, *, want_trace: bool, want_metrics: bool):  # type: ignore[no-untyped-def]
     """The spec with observability forced on for the requested exports."""
     import dataclasses
@@ -156,6 +133,7 @@ def _write_observability(result, spec, *, trace_path, metrics_path) -> int:  # t
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import jsonable
     from repro.experiments.registry import get_experiment
 
     try:
@@ -189,7 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         # Drivers may provide a curated dump; anything else is converted
         # field by field (CI uploads these files as workflow artifacts).
-        to_jsonable = getattr(experiment.module, "to_jsonable", _jsonable)
+        to_jsonable = getattr(experiment.module, "to_jsonable", jsonable)
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(to_jsonable(result), fh, indent=2)

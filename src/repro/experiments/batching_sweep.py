@@ -14,28 +14,26 @@ every ``max_batch`` in the sweep, under both batching policies:
 * ``per_query`` — members keep their own decisions and run back to back in
   one pickup (amortizes only the dispatch overhead — the fair non-sharing
   comparison point).
-
-Every cell is one declarative :class:`ScenarioSpec` (same workload, same
-arrival seed, shared latency table via the stack cache) run through
-``run_scenario`` — the same path as ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Any
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_table, jsonable
 from repro.core.policies import Policy
 from repro.experiments.frontier_autoscale import diurnal_flash_segments
-from repro.serving.api import run_scenario
-from repro.serving.spec import (
-    ArrivalSpec,
-    BatchingSpec,
-    ReplicaGroupSpec,
-    ScenarioSpec,
+from repro.experiments.serving_pool import (
+    LabelledPoints,
+    measured,
+    pool_scenario,
 )
-from repro.serving.stack import SushiStack, SushiStackConfig
-from repro.serving.workload import WorkloadSpec, feasible_ranges_from_table
+from repro.serving.engine import SimulationResult
+from repro.serving.spec import ArrivalSpec, BatchingSpec, ScenarioSpec
+from repro.serving.stack import SushiStackConfig
+from repro.serving.workload import feasible_ranges_from_table
+from repro.sweep import Grid, template_stack
 
 
 @dataclass(frozen=True)
@@ -58,24 +56,18 @@ class BatchingPoint:
 
 
 @dataclass(frozen=True)
-class BatchingResult:
+class BatchingResult(LabelledPoints):
     supernet_name: str
     policy: Policy
     num_queries: int
     num_replicas: int
     points: tuple[BatchingPoint, ...]
 
-    def point(self, label: str) -> BatchingPoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(f"no batching point labelled {label!r}")
-
     def shared_points(self) -> tuple[BatchingPoint, ...]:
         return tuple(p for p in self.points if p.policy == "shared_subnet")
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_mobilenetv3",
     *,
     policy: Policy = Policy.STRICT_LATENCY,
@@ -85,103 +77,89 @@ def run(
     cache_update_period: int = 16,
     rate_scale: float = 5.0,
     seed: int = 0,
-    stack: SushiStack | None = None,
-) -> BatchingResult:
-    """Sweep ``max_batch`` (both policies) over one bursty overload trace.
+) -> Grid:
+    """``max_batch`` under both policies over one bursty overload trace.
 
     ``rate_scale`` scales the diurnal + flash-crowd trace so the working-day
     plateau already overloads the unbatched pool — the regime where batching
     headroom shows up as goodput instead of idle batch slots.  Latency
     constraints span several multiples of the table's range so batched
     evaluations can still meet SLOs (a constraint tighter than one batch
-    evaluation makes batching pointless by construction).
+    evaluation makes batching pointless by construction).  ``per_query``
+    skips B=1, which is the unbatched ``shared_subnet`` cell again.
     """
-    if stack is None:
-        stack = SushiStack(
-            SushiStackConfig(
-                supernet_name=supernet_name,
-                policy=policy,
-                cache_update_period=cache_update_period,
-                seed=seed,
-            )
-        )
-    else:
-        supernet_name = stack.supernet.name
-        policy = stack.config.policy
-        cache_update_period = stack.config.cache_update_period
-    stack_cache = {stack.config: stack}
-    unit_ms = float(stack.table.latencies_ms.min())
-    segments = tuple(
-        (duration, rate * rate_scale)
-        for duration, rate in diurnal_flash_segments(unit_ms)
-    )
-    arrivals = ArrivalSpec(kind="time_varying", segments=segments, seed=seed)
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    workload = WorkloadSpec(
-        num_queries=num_queries,
-        accuracy_range=acc_range,
-        latency_range_ms=(4.0 * lat_range[0], 8.0 * lat_range[1]),
-        pattern="bursty",
-    )
-
-    points = []
-    for batch_policy in ("shared_subnet", "per_query"):
-        for max_batch in batch_sizes:
-            if batch_policy == "per_query" and max_batch == 1:
-                continue  # identical to shared_subnet B=1 (no batching)
-            label = (
-                f"B={max_batch}"
-                if batch_policy == "shared_subnet"
-                else f"B={max_batch}-per-query"
-            )
-            spec = ScenarioSpec(
-                name=f"batching-{label}",
-                supernet_name=supernet_name,
-                policy=policy,
-                cache_update_period=cache_update_period,
-                replica_groups=(
-                    ReplicaGroupSpec(
-                        count=num_replicas,
-                        platform=stack.config.platform,
-                        candidate_set_size=stack.config.candidate_set_size,
-                        seed=stack.config.seed,
-                        discipline="edf",
-                        batching=BatchingSpec(
-                            max_batch=max_batch, policy=batch_policy
-                        ),
-                    ),
-                ),
-                router="jsq",
-                admission="drop_expired",
-                workload=workload,
-                arrivals=arrivals,
-                seed=seed,
-            )
-            result = run_scenario(spec, stack_cache=stack_cache)
-            points.append(
-                BatchingPoint(
-                    label=label,
-                    max_batch=max_batch,
-                    policy=batch_policy,
-                    goodput_per_ms=result.goodput_per_ms,
-                    throughput_per_ms=result.achieved_throughput_per_ms,
-                    slo_attainment=result.slo_attainment,
-                    drop_rate=result.drop_rate,
-                    mean_batch_occupancy=result.mean_batch_occupancy,
-                    cache_loads=sum(
-                        1 for r in result.records if r.cache_load_ms > 0
-                    ),
-                    mean_response_ms=result.mean_response_ms,
-                    mean_accuracy=result.mean_accuracy,
-                )
-            )
-    return BatchingResult(
+    config = SushiStackConfig(
         supernet_name=supernet_name,
         policy=policy,
-        num_queries=num_queries,
-        num_replicas=num_replicas,
-        points=tuple(points),
+        cache_update_period=cache_update_period,
+        seed=seed,
     )
+    table = template_stack(config).table
+    acc_range, (fastest_ms, slowest_ms) = feasible_ranges_from_table(table)
+    segments = tuple(
+        (duration, rate * rate_scale)
+        for duration, rate in diurnal_flash_segments(fastest_ms)
+    )
+    arrivals = ArrivalSpec(kind="time_varying", segments=segments, seed=seed)
+    base = pool_scenario(
+        "batching", config, arrivals, num_queries, pattern="bursty", count=num_replicas
+    ).override_many(
+        [
+            ("workload.accuracy_range", acc_range),
+            ("workload.latency_range_ms", (4.0 * fastest_ms, 8.0 * slowest_ms)),
+        ]
+    )
+    batchings = tuple(
+        BatchingSpec(max_batch=b, policy=p).to_dict()
+        for p in ("shared_subnet", "per_query")
+        for b in batch_sizes
+        if p == "shared_subnet" or b != 1
+    )
+    return Grid(base, _label, {"replica_groups.0.batching": batchings})
+
+
+def _label(spec: ScenarioSpec) -> str:
+    batching = spec.replica_groups[0].batching
+    suffix = "" if batching.policy == "shared_subnet" else "-per-query"
+    return f"B={batching.max_batch}{suffix}"
+
+
+def _measure(spec: ScenarioSpec, result: SimulationResult) -> BatchingPoint:
+    batching = spec.replica_groups[0].batching
+    return measured(
+        BatchingPoint,
+        result,
+        label=_label(spec),
+        max_batch=batching.max_batch,
+        policy=batching.policy,
+        throughput_per_ms=result.achieved_throughput_per_ms,
+        cache_loads=sum(1 for r in result.records if r.cache_load_ms > 0),
+    )
+
+
+def run(supernet_name: str = "ofa_mobilenetv3", **params: Any) -> BatchingResult:
+    """Run :func:`grid` (same parameters) and check the batching bar.
+
+    The bar: the largest shared-SubNet B serves more goodput than B=1 and
+    than ``per_query`` batching at the same B.
+    """
+    cells = grid(supernet_name, **params)
+    result = BatchingResult(
+        supernet_name=supernet_name,
+        policy=cells.base.policy,
+        num_queries=cells.base.workload.num_queries,
+        num_replicas=cells.base.replica_groups[0].count,
+        points=tuple(point for _, point in cells.measure(_measure)),
+    )
+    top = max(result.shared_points(), key=lambda p: p.max_batch)
+    rivals = (result.point("B=1"), result.point(f"{top.label}-per-query"))
+    for rival in rivals:
+        if top.goodput_per_ms <= rival.goodput_per_ms:
+            raise RuntimeError(
+                f"batching bar failed: {top.label} goodput {top.goodput_per_ms:.4f}"
+                f" <= {rival.label} {rival.goodput_per_ms:.4f}"
+            )
+    return result
 
 
 def report(result: BatchingResult) -> str:
@@ -211,13 +189,7 @@ def report(result: BatchingResult) -> str:
 
 def to_jsonable(result: BatchingResult) -> dict:
     """A JSON-safe dump of the sweep (CI gates regressions against this)."""
-    return {
-        "supernet_name": result.supernet_name,
-        "policy": result.policy.value,
-        "num_queries": result.num_queries,
-        "num_replicas": result.num_replicas,
-        "points": [asdict(p) for p in result.points],
-    }
+    return jsonable(result)
 
 
 def main() -> None:  # pragma: no cover

@@ -13,30 +13,29 @@ reports every (SLO attainment, replica-seconds) point:
 * a **scheduled oracle** provisioned from the known trace — the
   clairvoyant bound.
 
-Every cell is one declarative :class:`ScenarioSpec` (same workload, same
-arrival seed, shared latency table via the stack cache) run through
-``run_scenario`` — the same path as ``python -m repro serve``.  Points on
-the Pareto frontier (no other point has both higher attainment and lower
-cost) are starred in the report.
+Points on the Pareto frontier (no other point has both higher attainment
+and lower cost) are starred in the report.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_table, jsonable
 from repro.core.policies import Policy
-from repro.serving.api import run_scenario
-from repro.serving.spec import (
-    ArrivalSpec,
-    AutoscalerSpec,
-    ReplicaGroupSpec,
-    ScenarioSpec,
+from repro.experiments.serving_pool import (
+    LabelledPoints,
+    fastest_service_ms,
+    measured,
+    pool_scenario,
 )
-from repro.serving.stack import SushiStack, SushiStackConfig
-from repro.serving.workload import WorkloadSpec, feasible_ranges_from_table
+from repro.serving.engine import SimulationResult
+from repro.serving.spec import ArrivalSpec, AutoscalerSpec, ScenarioSpec
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class FrontierPoint:
 
 
 @dataclass(frozen=True)
-class FrontierResult:
+class FrontierResult(LabelledPoints):
     supernet_name: str
     policy: Policy
     num_queries: int
@@ -77,12 +76,6 @@ class FrontierResult:
 
     def static_points(self) -> tuple[FrontierPoint, ...]:
         return tuple(p for p in self.points if p.kind == "static")
-
-    def point(self, label: str) -> FrontierPoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(f"no frontier point labelled {label!r}")
 
     def best_static_within_cost(self, budget_replica_seconds: float) -> FrontierPoint:
         """The best-attaining static pool not exceeding a cost budget."""
@@ -157,43 +150,7 @@ def diurnal_flash_segments(
     return day
 
 
-def _scenario(
-    *,
-    name: str,
-    supernet_name: str,
-    policy: Policy,
-    stack: SushiStack,
-    workload: WorkloadSpec,
-    arrivals: ArrivalSpec,
-    count: int,
-    autoscaler: AutoscalerSpec | None,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=name,
-        supernet_name=supernet_name,
-        policy=policy,
-        cache_update_period=stack.config.cache_update_period,
-        replica_groups=(
-            ReplicaGroupSpec(
-                count=count,
-                platform=stack.config.platform,
-                candidate_set_size=stack.config.candidate_set_size,
-                seed=stack.config.seed,
-                discipline="edf",
-                name="pool",
-            ),
-        ),
-        router="jsq",
-        admission="drop_expired",
-        workload=workload,
-        arrivals=arrivals,
-        autoscaler=autoscaler,
-        seed=seed,
-    )
-
-
-def run(
+def grid(
     supernet_name: str = "ofa_mobilenetv3",
     *,
     policy: Policy = Policy.STRICT_LATENCY,
@@ -203,89 +160,35 @@ def run(
     utilization_targets: tuple[float, ...] = (0.45, 0.65),
     max_replicas: int = 6,
     seed: int = 0,
-    stack: SushiStack | None = None,
-) -> FrontierResult:
-    """Sweep static pools and autoscaling policies over one bursty trace.
+) -> Grid:
+    """Static pool sizes, autoscaler subtrees and the oracle, one trace.
 
     The arrival trace is a diurnal day with a flash crowd
     (:func:`diurnal_flash_segments`), cycling until ``num_queries`` are
     drawn.  All cells share the trace, the workload constraints, and one
-    latency table (via the stack cache), so the only variable is the
-    provisioning strategy.
+    latency table, so the only variable is the provisioning strategy.
     """
-    if stack is None:
-        stack = SushiStack(
-            SushiStackConfig(
-                supernet_name=supernet_name,
-                policy=policy,
-                seed=seed,
-            )
-        )
-    else:
-        supernet_name = stack.supernet.name
-        policy = stack.config.policy
-    stack_cache = {stack.config: stack}
-    unit_ms = float(stack.table.latencies_ms.min())
+    config = SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
+    unit_ms = fastest_service_ms(config)
     segments = diurnal_flash_segments(unit_ms)
     arrivals = ArrivalSpec(kind="time_varying", segments=segments, seed=seed)
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    workload = WorkloadSpec(
-        num_queries=num_queries,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
-        pattern="bursty",
+    base = pool_scenario(
+        "frontier", config, arrivals, num_queries, pattern="bursty", name="pool"
     )
     control_interval = 20.0 * unit_ms
-    common = dict(
-        supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=workload,
-        arrivals=arrivals,
-        seed=seed,
-    )
-
-    cells: list[tuple[str, str, ScenarioSpec]] = []
-    for n in static_counts:
-        cells.append(
-            (
-                f"static-{n}",
-                "static",
-                _scenario(name=f"static-{n}", count=n, autoscaler=None, **common),
-            )
-        )
-    base_auto = dict(
+    auto = AutoscalerSpec(
         control_interval_ms=control_interval,
         min_replicas=1,
         max_replicas=max_replicas,
         down_cooldown_ms=2.0 * control_interval,
     )
-    for q in reactive_queue_thresholds:
-        auto = AutoscalerSpec(
-            policy="reactive", max_queue_per_replica=q, **base_auto
-        )
-        cells.append(
-            (
-                f"reactive-q{q:g}",
-                "reactive",
-                _scenario(
-                    name=f"reactive-q{q:g}", count=1, autoscaler=auto, **common
-                ),
-            )
-        )
-    for target in utilization_targets:
-        auto = AutoscalerSpec(
-            policy="target_utilization", target_utilization=target, **base_auto
-        )
-        cells.append(
-            (
-                f"target-u{target:g}",
-                "target_utilization",
-                _scenario(
-                    name=f"target-u{target:g}", count=1, autoscaler=auto, **common
-                ),
-            )
-        )
+    autoscalers = [
+        *(replace(auto, max_queue_per_replica=q) for q in reactive_queue_thresholds),
+        *(
+            replace(auto, policy="target_utilization", target_utilization=u)
+            for u in utilization_targets
+        ),
+    ]
     # The oracle plan: provision each segment for its offered load (rate x
     # fastest service, padded 30% for constraint mix and arrival noise),
     # cycling with the trace's period.
@@ -293,108 +196,72 @@ def run(
     for duration, rate in segments:
         plan.append((t, max(1, min(max_replicas, math.ceil(1.3 * rate * unit_ms)))))
         t += duration
-    auto = AutoscalerSpec(
-        policy="scheduled",
-        schedule=tuple(plan),
-        period_ms=t,
-        **base_auto,
-    )
-    cells.append(
-        (
-            "oracle-schedule",
-            "scheduled",
-            _scenario(
-                name="oracle-schedule",
-                count=plan[0][1],
-                autoscaler=auto,
-                **common,
-            ),
-        )
-    )
-
-    points = []
-    for label, kind, spec in cells:
-        result = run_scenario(spec, stack_cache=stack_cache)
-        report = result.autoscale
-        points.append(
-            FrontierPoint(
-                label=label,
-                kind=kind,
-                slo_attainment=result.slo_attainment,
-                replica_seconds=result.replica_seconds,
-                mean_replicas=result.mean_active_replicas,
-                peak_replicas=(
-                    len(result.replica_stats)
-                    if report is None
-                    else report.peak_replicas
-                ),
-                drop_rate=result.drop_rate,
-                mean_accuracy=result.mean_accuracy,
-                startup_delay_ms=(
-                    0.0
-                    if spec.autoscaler is None
-                    else max(g.startup_delay_ms for g in spec.scaled_groups())
-                ),
-                weighted_replica_seconds=result.weighted_replica_seconds,
-                group_costs=group_costs(spec, result),
-                scaling_events=() if report is None else report.events,
-            )
-        )
-    return FrontierResult(
-        supernet_name=supernet_name,
-        policy=policy,
-        num_queries=num_queries,
-        points=tuple(points),
+    oracle = replace(auto, policy="scheduled", schedule=tuple(plan), period_ms=t)
+    count = "replica_groups.0.count"
+    return Grid(
+        base,
+        _label,
+        {count: static_counts},
+        {"autoscaler": [a.to_dict() for a in autoscalers]},
+        {count: [plan[0][1]], "autoscaler": [oracle.to_dict()]},
     )
 
 
-def trace_scenario(
-    supernet_name: str = "ofa_mobilenetv3",
-    *,
-    policy: Policy = Policy.STRICT_LATENCY,
-    num_queries: int = 600,
-    seed: int = 0,
-) -> ScenarioSpec:
-    """The cell ``repro run frontier_autoscale --trace`` flight-records.
+def _label(spec: ScenarioSpec) -> str:
+    auto = spec.autoscaler
+    if auto is None:
+        return f"static-{spec.replica_groups[0].count}"
+    if auto.policy == "reactive":
+        return f"reactive-q{auto.max_queue_per_replica:g}"
+    if auto.policy == "target_utilization":
+        return f"target-u{auto.target_utilization:g}"
+    return "oracle-schedule"
 
-    One reactive autoscaling cell of the sweep (queue threshold 2) over the
-    same diurnal + flash-crowd trace — the configuration whose scale-up
-    lag and drop clusters the recorder's decision explanations are built
-    to make visible.
+
+def _measure(spec: ScenarioSpec, result: SimulationResult) -> FrontierPoint:
+    return measured(
+        FrontierPoint,
+        result,
+        label=_label(spec),
+        kind="static" if spec.autoscaler is None else spec.autoscaler.policy,
+        startup_delay_ms=spec.replica_groups[0].startup_delay_ms,
+        group_costs=group_costs(spec, result),
+    )
+
+
+def run(supernet_name: str = "ofa_mobilenetv3", **params: Any) -> FrontierResult:
+    """Run :func:`grid` (same parameters) and check the frontier bar.
+
+    The bar: some reactive point attains at least the SLO of the best
+    static pool within its cost, at less than the peak-sized pool's cost.
     """
-    stack = SushiStack(
-        SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
-    )
-    unit_ms = float(stack.table.latencies_ms.min())
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    control_interval = 20.0 * unit_ms
-    return _scenario(
-        name="reactive-q2",
+    cells = grid(supernet_name, **params)
+    result = FrontierResult(
         supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=WorkloadSpec(
-            num_queries=num_queries,
-            accuracy_range=acc_range,
-            latency_range_ms=lat_range,
-            pattern="bursty",
-        ),
-        arrivals=ArrivalSpec(
-            kind="time_varying",
-            segments=diurnal_flash_segments(unit_ms),
-            seed=seed,
-        ),
-        count=1,
-        autoscaler=AutoscalerSpec(
-            policy="reactive",
-            max_queue_per_replica=2.0,
-            control_interval_ms=control_interval,
-            min_replicas=1,
-            max_replicas=6,
-            down_cooldown_ms=2.0 * control_interval,
-        ),
-        seed=seed,
+        policy=cells.base.policy,
+        num_queries=cells.base.workload.num_queries,
+        points=tuple(point for _, point in cells.measure(_measure)),
     )
+    peak = max(result.static_points(), key=lambda p: p.replica_seconds)
+    if not any(
+        p.replica_seconds < peak.replica_seconds
+        and p.slo_attainment
+        >= result.best_static_within_cost(p.replica_seconds).slo_attainment
+        for p in result.points
+        if p.kind == "reactive"
+    ):
+        raise RuntimeError(
+            "frontier bar failed: no reactive point attains the best static "
+            "pool within its cost at less than the peak-sized pool's cost"
+        )
+    return result
+
+
+def trace_scenario(**params: Any) -> ScenarioSpec:
+    """The cell ``repro run frontier_autoscale --trace`` flight-records:
+    :func:`grid`'s ``reactive-q2``, whose scale-up lag and drop clusters
+    the recorder's decision explanations are built to make visible."""
+    return grid(**params).scenario("reactive-q2")
 
 
 def report(result: FrontierResult) -> str:
@@ -424,13 +291,7 @@ def report(result: FrontierResult) -> str:
 
 def to_jsonable(result: FrontierResult) -> dict:
     """A JSON-safe dump of the frontier (CI uploads this as an artifact)."""
-    return {
-        "supernet_name": result.supernet_name,
-        "policy": result.policy.value,
-        "num_queries": result.num_queries,
-        "points": [asdict(p) for p in result.points],
-        "pareto": [p.label for p in result.pareto()],
-    }
+    return {**jsonable(result), "pareto": [p.label for p in result.pareto()]}
 
 
 def main() -> None:  # pragma: no cover

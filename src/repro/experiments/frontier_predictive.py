@@ -12,33 +12,32 @@ peak and back down, the shape a forecast can actually learn) it runs the
 several cold-start delays, plus static pools for context, and reports every
 (SLO attainment, replica-seconds) point.
 
-The headline property (asserted in ``tests/serving/test_provisioning.py``):
-with a nonzero ``startup_delay_ms`` the predictive policy — which
+The headline property (checked by :func:`run` and asserted in
+``tests/serving/test_provisioning.py``): with a nonzero
+``startup_delay_ms`` the predictive policy — which
 extrapolates the windowed arrival-rate trend one provisioning horizon ahead
 — achieves SLO attainment at least as high as the reactive policy at equal
 or lower replica-seconds cost.  With zero delay the two are within noise of
 each other: prediction only matters when capacity takes time to arrive.
-
-Every cell is one declarative :class:`ScenarioSpec` (same workload, same
-arrival seed, shared latency table via the stack cache) run through
-``run_scenario`` — the same path as ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_table, jsonable
 from repro.core.policies import Policy
-from repro.serving.api import run_scenario
-from repro.serving.spec import (
-    ArrivalSpec,
-    AutoscalerSpec,
-    ReplicaGroupSpec,
-    ScenarioSpec,
+from repro.experiments.serving_pool import (
+    LabelledPoints,
+    fastest_service_ms,
+    measured,
+    pool_scenario,
 )
-from repro.serving.stack import SushiStack, SushiStackConfig
-from repro.serving.workload import WorkloadSpec, feasible_ranges_from_table
+from repro.serving.engine import SimulationResult
+from repro.serving.spec import ArrivalSpec, AutoscalerSpec, ScenarioSpec
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -64,33 +63,19 @@ class PredictivePoint:
 
 
 @dataclass(frozen=True)
-class PredictiveFrontierResult:
+class PredictiveFrontierResult(LabelledPoints):
     supernet_name: str
     policy: Policy
     num_queries: int
     startup_delays_ms: tuple[float, ...]
     points: tuple[PredictivePoint, ...]
 
-    def point(self, label: str) -> PredictivePoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(f"no frontier point labelled {label!r}")
-
     def pair(self, startup_delay_ms: float) -> tuple[PredictivePoint, PredictivePoint]:
         """(reactive, predictive) at one cold-start delay."""
-        reactive = predictive = None
-        for p in self.points:
-            if p.startup_delay_ms == startup_delay_ms:
-                if p.kind == "reactive":
-                    reactive = p
-                elif p.kind == "predictive":
-                    predictive = p
-        if reactive is None or predictive is None:
-            raise KeyError(
-                f"no reactive/predictive pair at delay {startup_delay_ms!r}"
-            )
-        return reactive, predictive
+        by_kind = {p.kind: p for p in self.points if p.startup_delay_ms == startup_delay_ms}
+        if not {"reactive", "predictive"} <= by_kind.keys():
+            raise KeyError(f"no reactive/predictive pair at delay {startup_delay_ms!r}")
+        return by_kind["reactive"], by_kind["predictive"]
 
 
 def diurnal_ramp_segments(unit_ms: float) -> tuple[tuple[float, float], ...]:
@@ -116,45 +101,7 @@ def diurnal_ramp_segments(unit_ms: float) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _scenario(
-    *,
-    name: str,
-    supernet_name: str,
-    policy: Policy,
-    stack: SushiStack,
-    workload: WorkloadSpec,
-    arrivals: ArrivalSpec,
-    count: int,
-    startup_delay_ms: float,
-    autoscaler: AutoscalerSpec | None,
-    seed: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=name,
-        supernet_name=supernet_name,
-        policy=policy,
-        cache_update_period=stack.config.cache_update_period,
-        replica_groups=(
-            ReplicaGroupSpec(
-                count=count,
-                platform=stack.config.platform,
-                candidate_set_size=stack.config.candidate_set_size,
-                seed=stack.config.seed,
-                discipline="edf",
-                startup_delay_ms=startup_delay_ms,
-                name="pool",
-            ),
-        ),
-        router="jsq",
-        admission="drop_expired",
-        workload=workload,
-        arrivals=arrivals,
-        autoscaler=autoscaler,
-        seed=seed,
-    )
-
-
-def run(
+def grid(
     supernet_name: str = "ofa_mobilenetv3",
     *,
     policy: Policy = Policy.STRICT_LATENCY,
@@ -163,184 +110,104 @@ def run(
     static_counts: tuple[int, ...] = (1, 4),
     max_replicas: int = 6,
     seed: int = 0,
-    stack: SushiStack | None = None,
-) -> PredictiveFrontierResult:
-    """Reactive vs predictive over one diurnal ramp, per cold-start delay.
+) -> Grid:
+    """Static pool sizes, then cold-start delay x autoscaler subtree.
 
     ``startup_delay_units`` are multiples of the latency table's fastest
     service time (the same unit the arrival rates are expressed in), so the
     sweep stresses any platform identically.  All cells share the trace,
-    the workload constraints, one latency table (via the stack cache) and
-    the control settings — the only variables are the policy and the delay.
+    the workload constraints, one latency table and the control settings —
+    the only variables are the policy and the delay.
     """
-    if stack is None:
-        stack = SushiStack(
-            SushiStackConfig(
-                supernet_name=supernet_name,
-                policy=policy,
-                seed=seed,
-            )
-        )
-    else:
-        supernet_name = stack.supernet.name
-        policy = stack.config.policy
-    stack_cache = {stack.config: stack}
-    unit_ms = float(stack.table.latencies_ms.min())
+    config = SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
+    unit_ms = fastest_service_ms(config)
     segments = diurnal_ramp_segments(unit_ms)
     arrivals = ArrivalSpec(kind="time_varying", segments=segments, seed=seed)
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    workload = WorkloadSpec(
-        num_queries=num_queries,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
-        pattern="bursty",
+    base = pool_scenario(
+        "predictive", config, arrivals, num_queries, pattern="bursty", name="pool"
     )
     # The control loop must sample each ramp stage several times for a
     # trend to be visible: 2.5 service units per tick gives ~6 ticks per
     # stage of the staircase (stages are 10-20 units long).
     control_interval = 2.5 * unit_ms
-    common = dict(
-        supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=workload,
-        arrivals=arrivals,
-        seed=seed,
-    )
-    base_auto = dict(
+    reactive = AutoscalerSpec(
         control_interval_ms=control_interval,
         min_replicas=1,
         max_replicas=max_replicas,
         down_cooldown_ms=2.0 * control_interval,
     )
+    # A slightly conservative set-point: forecast errors on a live ramp are
+    # one-sided (capacity that arrives late is lost attainment; capacity
+    # that arrives early idles for a tick), so the predictive cells
+    # provision a little headroom below the default 0.6 target.
+    predictive = replace(reactive, policy="predictive", target_utilization=0.55)
+    units_of = {units * unit_ms: units for units in startup_delay_units}
 
-    cells: list[tuple[str, str, float, ScenarioSpec]] = []
-    for n in static_counts:
-        cells.append(
-            (
-                f"static-{n}",
-                "static",
-                0.0,
-                _scenario(
-                    name=f"static-{n}",
-                    count=n,
-                    startup_delay_ms=0.0,
-                    autoscaler=None,
-                    **common,
-                ),
-            )
-        )
-    delays_ms = tuple(units * unit_ms for units in startup_delay_units)
-    for units, delay_ms in zip(startup_delay_units, delays_ms):
-        for kind, auto in (
-            ("reactive", AutoscalerSpec(policy="reactive", **base_auto)),
-            (
-                "predictive",
-                # A slightly conservative set-point: forecast errors on a
-                # live ramp are one-sided (capacity that arrives late is
-                # lost attainment; capacity that arrives early idles for a
-                # tick), so the predictive cells provision a little
-                # headroom below the default 0.6 target.
-                AutoscalerSpec(
-                    policy="predictive", target_utilization=0.55, **base_auto
-                ),
-            ),
-        ):
-            cells.append(
-                (
-                    f"{kind}-d{units:g}",
-                    kind,
-                    delay_ms,
-                    _scenario(
-                        name=f"{kind}-d{units:g}",
-                        count=1,
-                        startup_delay_ms=delay_ms,
-                        autoscaler=auto,
-                        **common,
-                    ),
-                )
-            )
+    def label(spec: ScenarioSpec) -> str:
+        group, auto = spec.replica_groups[0], spec.autoscaler
+        if auto is None:
+            return f"static-{group.count}"
+        return f"{auto.policy}-d{units_of[group.startup_delay_ms]:g}"
 
-    points = []
-    for label, kind, delay_ms, spec in cells:
-        result = run_scenario(spec, stack_cache=stack_cache)
-        report = result.autoscale
-        points.append(
-            PredictivePoint(
-                label=label,
-                kind=kind,
-                startup_delay_ms=delay_ms,
-                slo_attainment=result.slo_attainment,
-                replica_seconds=result.replica_seconds,
-                weighted_replica_seconds=result.weighted_replica_seconds,
-                mean_replicas=result.mean_active_replicas,
-                peak_replicas=(
-                    len(result.replica_stats)
-                    if report is None
-                    else report.peak_replicas
-                ),
-                drop_rate=result.drop_rate,
-                num_scale_ups=0 if report is None else report.num_scale_ups,
-                scaling_events=() if report is None else report.events,
-            )
-        )
-    return PredictiveFrontierResult(
-        supernet_name=supernet_name,
-        policy=policy,
-        num_queries=num_queries,
-        startup_delays_ms=delays_ms,
-        points=tuple(points),
+    return Grid(
+        base,
+        label,
+        {"replica_groups.0.count": static_counts},
+        {
+            "replica_groups.0.startup_delay_ms": list(units_of),
+            "autoscaler": [reactive.to_dict(), predictive.to_dict()],
+        },
     )
 
 
-def trace_scenario(
-    supernet_name: str = "ofa_mobilenetv3",
-    *,
-    policy: Policy = Policy.STRICT_LATENCY,
-    num_queries: int = 600,
-    startup_delay_units: float = 12.0,
-    seed: int = 0,
-) -> ScenarioSpec:
-    """The cell ``repro run frontier_predictive --trace`` flight-records.
+def _measure(spec: ScenarioSpec, result: SimulationResult) -> PredictivePoint:
+    """The cell's point; its label (in service units) is the grid's."""
+    return measured(
+        PredictivePoint,
+        result,
+        label="",
+        kind="static" if spec.autoscaler is None else spec.autoscaler.policy,
+        startup_delay_ms=spec.replica_groups[0].startup_delay_ms,
+    )
 
-    The predictive policy at the sweep's nonzero cold-start delay — the
-    configuration where PROVISIONING segments and forecast-driven early
-    scale-ups show up on the recorder's replica timelines.
+
+def run(supernet_name: str = "ofa_mobilenetv3", **params: Any) -> PredictiveFrontierResult:
+    """Run :func:`grid` (same parameters) and check the cold-start bar.
+
+    The bar: at every nonzero startup delay, the predictive policy attains
+    at least the reactive policy's SLO at no more replica-seconds.
     """
-    stack = SushiStack(
-        SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
-    )
-    unit_ms = float(stack.table.latencies_ms.min())
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    control_interval = 2.5 * unit_ms
-    return _scenario(
-        name=f"predictive-d{startup_delay_units:g}",
+    cells = grid(supernet_name, **params)
+    points = tuple(replace(p, label=label) for label, p in cells.measure(_measure))
+    result = PredictiveFrontierResult(
         supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=WorkloadSpec(
-            num_queries=num_queries,
-            accuracy_range=acc_range,
-            latency_range_ms=lat_range,
-            pattern="bursty",
+        policy=cells.base.policy,
+        num_queries=cells.base.workload.num_queries,
+        startup_delays_ms=tuple(
+            dict.fromkeys(p.startup_delay_ms for p in points if p.kind != "static")
         ),
-        arrivals=ArrivalSpec(
-            kind="time_varying",
-            segments=diurnal_ramp_segments(unit_ms),
-            seed=seed,
-        ),
-        count=1,
-        startup_delay_ms=startup_delay_units * unit_ms,
-        autoscaler=AutoscalerSpec(
-            policy="predictive",
-            target_utilization=0.55,
-            control_interval_ms=control_interval,
-            min_replicas=1,
-            max_replicas=6,
-            down_cooldown_ms=2.0 * control_interval,
-        ),
-        seed=seed,
+        points=points,
     )
+    for delay_ms in (d for d in result.startup_delays_ms if d > 0):
+        reactive, predictive = result.pair(delay_ms)
+        if (
+            predictive.slo_attainment < reactive.slo_attainment
+            or predictive.replica_seconds > reactive.replica_seconds
+        ):
+            raise RuntimeError(
+                f"cold-start bar failed at {delay_ms:g} ms: predictive attains "
+                f"{predictive.slo_attainment:.4f} at {predictive.replica_seconds:.4f}"
+                f" replica-seconds, reactive {reactive.slo_attainment:.4f} at "
+                f"{reactive.replica_seconds:.4f}"
+            )
+    return result
+
+
+def trace_scenario(**params: Any) -> ScenarioSpec:
+    """The cell ``repro run frontier_predictive --trace`` flight-records:
+    :func:`grid`'s ``predictive-d12``, whose PROVISIONING segments and
+    forecast-driven early scale-ups show on the replica timelines."""
+    return grid(**params).scenario("predictive-d12")
 
 
 def report(result: PredictiveFrontierResult) -> str:
@@ -369,13 +236,7 @@ def report(result: PredictiveFrontierResult) -> str:
 
 def to_jsonable(result: PredictiveFrontierResult) -> dict:
     """A JSON-safe dump of the sweep (CI uploads this as an artifact)."""
-    return {
-        "supernet_name": result.supernet_name,
-        "policy": result.policy.value,
-        "num_queries": result.num_queries,
-        "startup_delays_ms": list(result.startup_delays_ms),
-        "points": [asdict(p) for p in result.points],
-    }
+    return jsonable(result)
 
 
 def main() -> None:  # pragma: no cover

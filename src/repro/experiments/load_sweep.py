@@ -13,14 +13,16 @@ and adding replicas restores attainment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
-from repro.serving.api import run_scenario
-from repro.serving.spec import ArrivalSpec, ReplicaGroupSpec, ScenarioSpec
+from repro.experiments.serving_pool import measured, pool_scenario
+from repro.serving.engine import SimulationResult
+from repro.serving.spec import ArrivalSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
-from repro.serving.workload import WorkloadSpec, feasible_ranges_from_table
+from repro.sweep import Grid
 
 DEFAULT_ARRIVAL_RATES: tuple[float, ...] = (0.2, 0.5, 1.0, 2.0)
 DEFAULT_REPLICA_COUNTS: tuple[int, ...] = (1, 2)
@@ -73,7 +75,7 @@ def overload_rates(stack: SushiStack, factors: tuple[float, ...]) -> tuple[float
     return tuple(f / fastest_ms for f in factors)
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_mobilenetv3",
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
@@ -86,81 +88,71 @@ def run(
     admission: str = "drop_expired",
     cache_update_period: int = 4,
     seed: int = 0,
-    stack: SushiStack | None = None,
-) -> LoadSweepResult:
-    """Sweep the open-loop engine over replica counts x arrival rates.
+) -> Grid:
+    """Replica counts x Poisson arrival rates over one query trace."""
+    config = SushiStackConfig(
+        supernet_name=supernet_name,
+        platform=platform,
+        policy=policy,
+        cache_update_period=cache_update_period,
+        seed=seed,
+    )
+    # The rate axis replaces this placeholder rate in every cell.
+    arrivals = ArrivalSpec(kind="poisson", rate_per_ms=1.0, seed=seed)
+    base = pool_scenario(
+        "load-sweep",
+        config,
+        arrivals,
+        num_queries,
+        router=router,
+        admission=admission,
+        discipline=discipline,
+    )
+    return Grid(
+        base,
+        _label,
+        {
+            "replica_groups.0.count": replica_counts,
+            "arrivals.rate_per_ms": arrival_rates_per_ms,
+        },
+    )
 
-    Each cell is one declarative :class:`ScenarioSpec` run through the
-    serving facade (``repro.serving.api.run_scenario``) — the same path the
-    CLI and the JSON scenario files use.  Pass a prebuilt ``stack`` to reuse
-    its latency table (construction is the expensive part);
-    ``supernet_name``/``platform``/``policy``/``cache_update_period``/
-    ``seed`` then describe that stack's config.
+
+def _label(spec: ScenarioSpec) -> str:
+    return (
+        f"{spec.replica_groups[0].count} replica(s) @ "
+        f"{spec.arrivals.rate_per_ms:g}/ms"
+    )
+
+
+def _measure(spec: ScenarioSpec, result: SimulationResult) -> LoadCell:
+    return measured(
+        LoadCell,
+        result,
+        num_replicas=spec.replica_groups[0].count,
+        arrival_rate_per_ms=spec.arrivals.rate_per_ms,
+    )
+
+
+def run(supernet_name: str = "ofa_mobilenetv3", **params: Any) -> LoadSweepResult:
+    """Run :func:`grid` (same parameters) and check the load bar.
+
+    The bar: for every replica count, SLO attainment never rises as the
+    arrival rate grows.
     """
-    if stack is None:
-        stack = SushiStack(
-            SushiStackConfig(
-                supernet_name=supernet_name,
-                platform=platform,
-                policy=policy,
-                cache_update_period=cache_update_period,
-                seed=seed,
-            )
-        )
-    else:
-        supernet_name = stack.supernet.name
-        platform = stack.config.platform
-        policy = stack.config.policy
-        cache_update_period = stack.config.cache_update_period
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    workload = WorkloadSpec(
-        num_queries=num_queries,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
+    cells = grid(supernet_name, **params)
+    result = LoadSweepResult(
+        supernet_name=supernet_name,
+        policy=cells.base.policy,
+        cells=tuple(cell for _, cell in cells.measure(_measure)),
     )
-    # All cells clone from one template stack (config-keyed cache).
-    stack_cache = {stack.config: stack}
-
-    cells: list[LoadCell] = []
-    for num_replicas in replica_counts:
-        for rate in arrival_rates_per_ms:
-            scenario = ScenarioSpec(
-                name=f"load-sweep-{num_replicas}x{rate:g}",
-                supernet_name=supernet_name,
-                policy=policy,
-                cache_update_period=cache_update_period,
-                replica_groups=(
-                    ReplicaGroupSpec(
-                        count=num_replicas,
-                        platform=platform,
-                        candidate_set_size=stack.config.candidate_set_size,
-                        seed=stack.config.seed,
-                        discipline=discipline,
-                    ),
-                ),
-                router=router,
-                admission=admission,
-                workload=workload,
-                arrivals=ArrivalSpec(kind="poisson", rate_per_ms=rate, seed=seed),
-                seed=seed,
+    for n in sorted({c.num_replicas for c in result.cells}):
+        curve = [a for _, a in result.attainment_curve(n)]
+        if any(later > earlier + 1e-9 for earlier, later in zip(curve, curve[1:])):
+            raise RuntimeError(
+                f"load bar failed: attainment rises with load at {n} replica(s): {curve}"
             )
-            result = run_scenario(scenario, stack_cache=stack_cache)
-            cells.append(
-                LoadCell(
-                    num_replicas=num_replicas,
-                    arrival_rate_per_ms=rate,
-                    offered_load=result.offered_load,
-                    slo_attainment=result.slo_attainment,
-                    drop_rate=result.drop_rate,
-                    mean_response_ms=result.mean_response_ms,
-                    p99_response_ms=result.p99_response_ms,
-                    achieved_throughput_per_ms=result.achieved_throughput_per_ms,
-                    mean_accuracy=result.mean_accuracy,
-                )
-            )
-    return LoadSweepResult(
-        supernet_name=supernet_name, policy=policy, cells=tuple(cells)
-    )
+    return result
 
 
 def report(result: LoadSweepResult) -> str:

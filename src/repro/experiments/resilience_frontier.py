@@ -14,35 +14,38 @@ workload, arrivals and fault draws:
   through the provisioning lifecycle), with retries and brownout
   degradation enabled.
 
-Both run through ``run_scenario`` from declarative specs (the same path
-as ``python -m repro serve``), sharing one latency table via the stack
-cache.  The run asserts the tentpole's acceptance property: at the most
-aggressive nonzero crash rate the resilient configuration achieves
-strictly higher goodput *and* SLO attainment than the oblivious one,
-while spending at most ``cost_bound`` times the *fault-free* pool's
-replica-seconds — the self-healing premium is bounded, not a blank
-check.  (The fault-free static pool anchors the cost comparison because
+The run checks the acceptance property: at the most aggressive nonzero
+crash rate the resilient configuration achieves strictly higher goodput
+*and* SLO attainment than the oblivious one, while spending at most
+``cost_bound`` times the *fault-free* pool's replica-seconds — the
+self-healing premium is bounded, not a blank check.  (The fault-free static pool anchors the cost comparison because
 the oblivious pool's cost shrinks as crashed replicas stop accruing —
 beating a collapsing baseline on cost would be vacuous.)
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Any
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_table, jsonable
 from repro.core.policies import Policy
-from repro.serving.api import run_scenario
+from repro.experiments.serving_pool import (
+    LabelledPoints,
+    fastest_service_ms,
+    measured,
+    pool_scenario,
+)
+from repro.serving.engine import SimulationResult
 from repro.serving.spec import (
     ArrivalSpec,
     AutoscalerSpec,
     FaultSpec,
-    ReplicaGroupSpec,
     RetryPolicy,
     ScenarioSpec,
 )
-from repro.serving.stack import SushiStack, SushiStackConfig
-from repro.serving.workload import WorkloadSpec, feasible_ranges_from_table
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class ResiliencePoint:
 
 
 @dataclass(frozen=True)
-class ResilienceResult:
+class ResilienceResult(LabelledPoints):
     supernet_name: str
     policy: Policy
     num_queries: int
@@ -74,21 +77,14 @@ class ResilienceResult:
     cost_bound: float
     points: tuple[ResiliencePoint, ...]
 
-    def point(self, label: str) -> ResiliencePoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(f"no resilience point labelled {label!r}")
-
     def pair(self, mtbf: float | None) -> tuple[ResiliencePoint, ResiliencePoint]:
         """The (oblivious, resilient) pair at one crash rate."""
         tag = "none" if mtbf is None else f"{mtbf:g}"
         return self.point(f"oblivious-{tag}"), self.point(f"resilient-{tag}")
 
 
-def _fault_spec(
-    mtbf: float | None, *, resilient: bool, seed: int
-) -> FaultSpec | None:
+def _faults(mtbf: float | None, *, resilient: bool, seed: int) -> dict | None:
+    """The ``faults`` subtree of one cell (None: the fault-free cell)."""
     if mtbf is None:
         return None
     retry = (
@@ -101,210 +97,128 @@ def _fault_spec(
         crash_mtbf_ms=mtbf,
         retry=retry,
         brownout_threshold=0.25 if resilient else None,
-    )
+    ).to_dict()
 
 
-def _scenario(
-    *,
-    name: str,
-    supernet_name: str,
-    policy: Policy,
-    stack: SushiStack,
-    workload: WorkloadSpec,
-    arrivals: ArrivalSpec,
-    pool_size: int,
-    startup_delay_ms: float,
-    control_interval_ms: float,
-    faults: FaultSpec | None,
-    resilient: bool,
-    seed: int,
-) -> ScenarioSpec:
-    autoscaler = None
-    if resilient:
-        # Self-healing is the min_replicas clamp: a crash drops the active
-        # count below the floor and the controller provisions a
-        # replacement through the cold-start lifecycle.
-        autoscaler = AutoscalerSpec(
-            policy="reactive",
-            control_interval_ms=control_interval_ms,
-            min_replicas=pool_size,
-            max_replicas=pool_size + 3,
-            down_cooldown_ms=4.0 * control_interval_ms,
-            group="pool",
-        )
-    return ScenarioSpec(
-        name=name,
-        supernet_name=supernet_name,
-        policy=policy,
-        cache_update_period=stack.config.cache_update_period,
-        replica_groups=(
-            ReplicaGroupSpec(
-                count=pool_size,
-                platform=stack.config.platform,
-                candidate_set_size=stack.config.candidate_set_size,
-                seed=stack.config.seed,
-                discipline="edf",
-                startup_delay_ms=startup_delay_ms,
-                name="pool",
-            ),
-        ),
-        router="jsq",
-        admission="drop_expired",
-        workload=workload,
-        arrivals=arrivals,
-        autoscaler=autoscaler,
-        faults=faults,
-        seed=seed,
-    )
-
-
-def run(
+def grid(
     supernet_name: str = "ofa_mobilenetv3",
     *,
     policy: Policy = Policy.STRICT_LATENCY,
     num_queries: int = 400,
     pool_size: int = 3,
     crash_mtbfs: tuple[float, ...] = (1500.0, 400.0),
-    cost_bound: float = 1.5,
     seed: int = 0,
-    stack: SushiStack | None = None,
-) -> ResilienceResult:
-    """Sweep crash rates, oblivious vs self-healing, over one trace.
+) -> Grid:
+    """Oblivious then self-healing, at each crash rate, over one trace.
 
     ``crash_mtbfs`` is ordered mild to aggressive; a fault-free cell
     (``None``) is always prepended so the frontier anchors at the no-fault
-    goodput.  The acceptance assertion runs at the last (most aggressive)
-    MTBF: resilient strictly beats oblivious on goodput and attainment
-    while spending at most ``cost_bound`` times the fault-free static
-    pool's replica-seconds.
+    goodput.  The two configurations differ in both the ``autoscaler`` and
+    the ``faults`` subtree, so every cell is a one-cell sweep.
     """
-    if stack is None:
-        stack = SushiStack(
-            SushiStackConfig(
-                supernet_name=supernet_name, policy=policy, seed=seed
-            )
-        )
-    else:
-        supernet_name = stack.supernet.name
-        policy = stack.config.policy
-    stack_cache = {stack.config: stack}
-    unit_ms = float(stack.table.latencies_ms.min())
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    workload = WorkloadSpec(
-        num_queries=num_queries,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
-    )
+    config = SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
+    unit_ms = fastest_service_ms(config)
     arrivals = ArrivalSpec(kind="poisson", rate_per_ms=0.6 / unit_ms, seed=seed)
-    common = dict(
-        supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=workload,
-        arrivals=arrivals,
-        pool_size=pool_size,
+    base = pool_scenario(
+        "resilience",
+        config,
+        arrivals,
+        num_queries,
+        count=pool_size,
         startup_delay_ms=10.0 * unit_ms,
-        control_interval_ms=5.0 * unit_ms,
-        seed=seed,
+        name="pool",
+    )
+    # Self-healing is the min_replicas clamp: a crash drops the active
+    # count below the floor and the controller provisions a replacement
+    # through the cold-start lifecycle.
+    control_interval = 5.0 * unit_ms
+    healing = AutoscalerSpec(
+        policy="reactive",
+        control_interval_ms=control_interval,
+        min_replicas=pool_size,
+        max_replicas=pool_size + 3,
+        down_cooldown_ms=4.0 * control_interval,
+        group="pool",
+    )
+    return Grid(
+        base,
+        _label,
+        *(
+            {
+                "autoscaler": [auto],
+                "faults": [_faults(mtbf, resilient=auto is not None, seed=seed)],
+            }
+            for mtbf in (None, *crash_mtbfs)
+            for auto in (None, healing.to_dict())
+        ),
     )
 
-    points: list[ResiliencePoint] = []
-    grid: tuple[float | None, ...] = (None, *crash_mtbfs)
-    for mtbf in grid:
-        for resilient in (False, True):
-            kind = "resilient" if resilient else "oblivious"
-            tag = "none" if mtbf is None else f"{mtbf:g}"
-            label = f"{kind}-{tag}"
-            spec = _scenario(
-                name=label,
-                faults=_fault_spec(mtbf, resilient=resilient, seed=seed),
-                resilient=resilient,
-                **common,
-            )
-            result = run_scenario(spec, stack_cache=stack_cache)
-            report_ = result.autoscale
-            points.append(
-                ResiliencePoint(
-                    label=label,
-                    kind=kind,
-                    crash_mtbf_ms=mtbf,
-                    slo_attainment=result.slo_attainment,
-                    goodput_per_ms=result.goodput_per_ms,
-                    replica_seconds=result.replica_seconds,
-                    num_crashes=result.num_crashes,
-                    drop_reasons=tuple(sorted(result.drop_reasons.items())),
-                    mean_replicas=result.mean_active_replicas,
-                    mean_accuracy=result.mean_accuracy,
-                    scale_ups=0 if report_ is None else report_.num_scale_ups,
-                )
-            )
 
+def _label(spec: ScenarioSpec) -> str:
+    kind = "oblivious" if spec.autoscaler is None else "resilient"
+    tag = "none" if spec.faults is None else f"{spec.faults.crash_mtbf_ms:g}"
+    return f"{kind}-{tag}"
+
+
+def _measure(spec: ScenarioSpec, result: SimulationResult) -> ResiliencePoint:
+    return measured(
+        ResiliencePoint,
+        result,
+        label=_label(spec),
+        kind="oblivious" if spec.autoscaler is None else "resilient",
+        crash_mtbf_ms=None if spec.faults is None else spec.faults.crash_mtbf_ms,
+        drop_reasons=tuple(sorted(result.drop_reasons.items())),
+        scale_ups=0 if result.autoscale is None else result.autoscale.num_scale_ups,
+    )
+
+
+def run(
+    supernet_name: str = "ofa_mobilenetv3",
+    *,
+    cost_bound: float = 1.5,
+    **params: Any,
+) -> ResilienceResult:
+    """Run :func:`grid` (same parameters) and check the resilience bar.
+
+    The bar, at the last (most aggressive) crash rate: resilient strictly
+    beats oblivious on goodput and attainment while spending at most
+    ``cost_bound`` times the fault-free static pool's replica-seconds.
+    """
+    cells = grid(supernet_name, **params)
     out = ResilienceResult(
         supernet_name=supernet_name,
-        policy=policy,
-        num_queries=num_queries,
-        pool_size=pool_size,
+        policy=cells.base.policy,
+        num_queries=cells.base.workload.num_queries,
+        pool_size=cells.base.replica_groups[0].count,
         cost_bound=cost_bound,
-        points=tuple(points),
+        points=tuple(point for _, point in cells.measure(_measure)),
     )
-    # The tentpole's acceptance property, checked at the most aggressive
-    # crash rate of the sweep.
-    oblivious, resilient_p = out.pair(crash_mtbfs[-1])
+    oblivious, resilient = out.pair(out.points[-1].crash_mtbf_ms)
     fault_free, _ = out.pair(None)
-    assert resilient_p.goodput_per_ms > oblivious.goodput_per_ms, (
-        f"self-healing did not improve goodput: "
-        f"{resilient_p.goodput_per_ms:.4f} <= {oblivious.goodput_per_ms:.4f}"
-    )
-    assert resilient_p.slo_attainment > oblivious.slo_attainment, (
-        f"self-healing did not improve SLO attainment: "
-        f"{resilient_p.slo_attainment:.4f} <= {oblivious.slo_attainment:.4f}"
-    )
-    assert (
-        resilient_p.replica_seconds <= cost_bound * fault_free.replica_seconds
-    ), (
-        f"self-healing premium unbounded: {resilient_p.replica_seconds:.3f} > "
-        f"{cost_bound} x {fault_free.replica_seconds:.3f} replica-seconds "
-        "(fault-free pool cost)"
-    )
+    if resilient.goodput_per_ms <= oblivious.goodput_per_ms:
+        raise RuntimeError(
+            f"self-healing did not improve goodput: "
+            f"{resilient.goodput_per_ms:.4f} <= {oblivious.goodput_per_ms:.4f}"
+        )
+    if resilient.slo_attainment <= oblivious.slo_attainment:
+        raise RuntimeError(
+            f"self-healing did not improve SLO attainment: "
+            f"{resilient.slo_attainment:.4f} <= {oblivious.slo_attainment:.4f}"
+        )
+    if resilient.replica_seconds > cost_bound * fault_free.replica_seconds:
+        raise RuntimeError(
+            f"self-healing premium unbounded: {resilient.replica_seconds:.3f} > "
+            f"{cost_bound} x {fault_free.replica_seconds:.3f} replica-seconds "
+            "(fault-free pool cost)"
+        )
     return out
 
 
-def trace_scenario(
-    supernet_name: str = "ofa_mobilenetv3",
-    *,
-    policy: Policy = Policy.STRICT_LATENCY,
-    num_queries: int = 400,
-    seed: int = 0,
-) -> ScenarioSpec:
-    """The cell ``repro run resilience_frontier --trace`` flight-records.
-
-    The resilient configuration at the sweep's most aggressive crash rate
-    — the run whose crash instants, replacement provisioning segments and
-    fault-driven drops the recorder's fault track makes visible.
-    """
-    stack = SushiStack(
-        SushiStackConfig(supernet_name=supernet_name, policy=policy, seed=seed)
-    )
-    unit_ms = float(stack.table.latencies_ms.min())
-    acc_range, lat_range = feasible_ranges_from_table(stack.table)
-    return _scenario(
-        name="resilient-400",
-        supernet_name=supernet_name,
-        policy=policy,
-        stack=stack,
-        workload=WorkloadSpec(
-            num_queries=num_queries,
-            accuracy_range=acc_range,
-            latency_range_ms=lat_range,
-        ),
-        arrivals=ArrivalSpec(kind="poisson", rate_per_ms=0.6 / unit_ms, seed=seed),
-        pool_size=3,
-        startup_delay_ms=10.0 * unit_ms,
-        control_interval_ms=5.0 * unit_ms,
-        faults=_fault_spec(400.0, resilient=True, seed=seed),
-        resilient=True,
-        seed=seed,
-    )
+def trace_scenario(**params: Any) -> ScenarioSpec:
+    """The cell ``repro run resilience_frontier --trace`` flight-records:
+    :func:`grid`'s ``resilient-400``, whose crash instants, replacement
+    provisioning and fault-driven drops the recorder's fault track shows."""
+    return grid(**params).scenario("resilient-400")
 
 
 def report(result: ResilienceResult) -> str:
@@ -338,14 +252,7 @@ def report(result: ResilienceResult) -> str:
 
 def to_jsonable(result: ResilienceResult) -> dict:
     """A JSON-safe dump of the sweep (CI uploads this as an artifact)."""
-    return {
-        "supernet_name": result.supernet_name,
-        "policy": result.policy.value,
-        "num_queries": result.num_queries,
-        "pool_size": result.pool_size,
-        "cost_bound": result.cost_bound,
-        "points": [asdict(p) for p in result.points],
-    }
+    return jsonable(result)
 
 
 def main() -> None:  # pragma: no cover

@@ -64,6 +64,7 @@ from repro.supernet.zoo import load_supernet, paper_pareto_subnets
 __all__ = [
     "build_engine",
     "build_trace",
+    "cached_stack",
     "format_result_summary",
     "run_scenario",
 ]
@@ -108,14 +109,11 @@ def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConf
     )
 
 
-def _base_stack(
-    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
-) -> SushiStack:
-    """The group's template stack (cached by config; never served directly)."""
-    config = _stack_config(spec, group)
+def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStack:
+    """The template stack of ``config`` (cached; never served directly)."""
     stack = stack_cache.get(config)
     if stack is None:
-        family = _family(spec.supernet_name)
+        family = _family(config.supernet_name)
         stack = SushiStack(
             config,
             supernet=family.supernet,
@@ -131,7 +129,8 @@ def _group_ranges(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Feasible (accuracy, latency) constraint ranges for one group."""
     if group.kind == "sushi":
-        return feasible_ranges_from_table(_base_stack(spec, group, stack_cache).table)
+        stack = cached_stack(_stack_config(spec, group), stack_cache)
+        return feasible_ranges_from_table(stack.table)
     family = _family(spec.supernet_name)
     accel = SushiAccelModel(group.resolved_platform(), with_pb=False)
     lats = [accel.subnet_latency_ms(sn) for sn in family.subnets]
@@ -193,7 +192,7 @@ def _server_builder(
     period = spec.group_cache_update_period(group)
 
     if group.kind == "sushi":
-        base = _base_stack(spec, group, stack_cache)
+        base = cached_stack(_stack_config(spec, group), stack_cache)
         seed = base.config.seed
         # The builder receives the engine-global replica position, so two
         # groups sharing a stack config still get decorrelated clones (a
@@ -367,7 +366,8 @@ def run_scenario(
     """Run a scenario end to end: trace + arrivals + engine → result.
 
     The single entry point behind the CLI (``python -m repro serve``), the
-    ``load_sweep`` experiment and the examples.  For a homogeneous Poisson
+    sweep grid runner (``repro sweep`` and the serving experiments) and the
+    examples.  For a homogeneous Poisson
     scenario this is record-identical to a hand-wired engine over stack
     clones (see the module docstring).
     """

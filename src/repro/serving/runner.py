@@ -23,7 +23,6 @@ from repro.core.metrics import (
     summarize_records,
 )
 from repro.core.policies import Policy
-from repro.serving.api import build_engine
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
 from repro.serving.engine import (
     AcceleratorReplica,
@@ -31,7 +30,6 @@ from repro.serving.engine import (
     ServingEngine,
 )
 from repro.serving.query import QueryTrace
-from repro.serving.spec import ArrivalSpec, ReplicaGroupSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
 from repro.supernet.accuracy import AccuracyModel
@@ -173,63 +171,6 @@ class ExperimentRunner:
             "sushi": StreamResult.from_records("sushi", self._closed_loop(self.sushi, trace)),
         }
         return results
-
-    def scenario(
-        self,
-        *,
-        num_replicas: int = 1,
-        discipline: str = "fifo",
-        router: str = "round_robin",
-        admission: str = "admit_all",
-        arrival_rate_per_ms: float = 0.1,
-        num_queries: int = 200,
-        arrival_seed: int | None = None,
-    ) -> ScenarioSpec:
-        """A declarative spec of this runner's SUSHI pool (serializable)."""
-        config = self.sushi.config
-        return ScenarioSpec(
-            name=f"{config.supernet_name}-{num_replicas}x",
-            supernet_name=config.supernet_name,
-            policy=config.policy,
-            cache_update_period=config.cache_update_period,
-            replica_groups=(
-                ReplicaGroupSpec(
-                    count=num_replicas,
-                    platform=config.platform,
-                    candidate_set_size=config.candidate_set_size,
-                    seed=config.seed,
-                    discipline=discipline,
-                ),
-            ),
-            router=router,
-            admission=admission,
-            workload=WorkloadSpec(
-                num_queries=num_queries, accuracy_range=None, latency_range_ms=None
-            ),
-            arrivals=ArrivalSpec(
-                kind="poisson",
-                rate_per_ms=arrival_rate_per_ms,
-                seed=self.seed if arrival_seed is None else arrival_seed,
-            ),
-            seed=self.seed,
-        )
-
-    def open_loop_engine(
-        self,
-        *,
-        num_replicas: int = 1,
-        discipline: str = "fifo",
-        router: str = "round_robin",
-        admission: str = "admit_all",
-    ) -> ServingEngine:
-        """A dispatch-time engine over clones of this runner's SUSHI stack."""
-        spec = self.scenario(
-            num_replicas=num_replicas,
-            discipline=discipline,
-            router=router,
-            admission=admission,
-        )
-        return build_engine(spec, stack_cache={self.sushi.config: self.sushi})
 
     def compare(self, trace: QueryTrace) -> tuple[dict[str, StreamResult], ComparisonSummary]:
         """Run all systems and compute the headline comparison summary."""

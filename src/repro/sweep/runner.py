@@ -1,20 +1,25 @@
-"""Parallel sweep execution: expand the grid, run cells, merge results.
+"""Parallel sweep execution: expand the grid, measure cells, merge results.
 
-:func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into its
-grid cells and runs each through :func:`repro.serving.api.run_scenario`,
-optionally fanning cells out over forked worker processes.  Guarantees:
+:func:`run_grid` is the one grid runner.  It expands a
+:class:`~repro.sweep.spec.SweepSpec` into its grid cells, runs each through
+:func:`repro.serving.api.run_scenario` and hands the cell's scenario and
+result to a per-cell ``measure`` function, optionally fanning cells out
+over forked worker processes.  :func:`run_sweep` (``python -m repro
+sweep``) is :func:`run_grid` measuring :func:`result_metrics`; the serving
+experiment drivers measure their own points through a :class:`Grid` of
+labelled sweeps.  Guarantees:
 
-* **Deterministic artifacts** — cell results are keyed and re-ordered by
-  grid index, metrics are pure functions of the (seeded) simulation, and
+* **Deterministic artifacts** — cell results are returned in grid order,
+  measurements are pure functions of the (seeded) simulation, and
   nothing wall-clock-dependent is recorded, so the merged JSON/CSV
   artifact is byte-identical however many workers ran the sweep.
 * **Per-cell fault isolation** — a cell whose overrides fail validation or
-  whose run raises becomes an *error cell* (``error`` set, ``metrics``
-  null); the other cells are unaffected.
-* **Per-worker stack caching** — each worker process keeps one
-  ``StackCache``, so expensive latency tables build once per worker, not
-  once per cell (forked workers inherit whatever the parent has already
-  warmed).
+  whose run or measurement raises becomes an *error cell* (``error`` set,
+  no measurement); the other cells are unaffected.
+* **Per-process stack caching** — each process keeps one ``StackCache``,
+  so expensive latency tables build once per process, not once per cell
+  (forked workers inherit whatever the parent has already warmed, e.g.
+  through :func:`template_stack`).
 * **Sequential fallback** — ``workers <= 1``, a single cell, or a platform
   without ``fork`` (spawn would need every backend picklable) all run the
   cells in-process, in grid order, producing the identical artifact.
@@ -26,20 +31,24 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.serving.api import StackCache, run_scenario
+from repro.serving.api import StackCache, cached_stack, run_scenario
 from repro.serving.engine import SimulationResult
-from repro.serving.spec import JsonSpec
-from repro.sweep.spec import SweepSpec
+from repro.serving.spec import JsonSpec, ScenarioSpec
+from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.sweep.spec import SweepAxis, SweepSpec
 
 __all__ = [
     "METRIC_FIELDS",
     "CellResult",
+    "Grid",
     "SweepResult",
     "format_sweep_summary",
     "result_metrics",
+    "run_grid",
     "run_sweep",
+    "template_stack",
 ]
 
 #: The fixed, ordered metric set every cell reports — a closed list so the
@@ -139,26 +148,30 @@ class SweepResult(JsonSpec):
 #: (and is inherited, copy-on-write, by forked workers).
 _STACK_CACHE: StackCache = {}
 
-_CellOutput = tuple[int, str | None, dict[str, float] | None]
+#: A per-cell measurement, called with the cell's scenario and its result.
+#: Module-level functions only: forked workers receive it pickled.
+Measure = Callable[[ScenarioSpec, SimulationResult], Any]
+
+_Payload = tuple[Measure, dict[str, Any], tuple[tuple[str, Any], ...]]
+_CellOutput = tuple[str | None, Any]
 
 
-def _run_cell(
-    payload: tuple[int, dict[str, Any], tuple[tuple[str, Any], ...]],
-) -> _CellOutput:
-    """Run one grid cell; failures become per-cell errors, never raises."""
-    index, sweep_data, overrides = payload
+def template_stack(config: SushiStackConfig) -> SushiStack:
+    """The process's cached template stack for ``config`` (clone, never serve)."""
+    return cached_stack(config, _STACK_CACHE)
+
+
+def _run_cell(payload: _Payload) -> _CellOutput:
+    """Run and measure one grid cell; failures become errors, never raise."""
+    measure, sweep_data, overrides = payload
     try:
         spec = SweepSpec.from_dict(sweep_data).scenario(overrides)
-        result = run_scenario(spec, stack_cache=_STACK_CACHE)
-        return index, None, result_metrics(result)
+        return None, measure(spec, run_scenario(spec, stack_cache=_STACK_CACHE))
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return index, f"{type(exc).__name__}: {exc}", None
+        return f"{type(exc).__name__}: {exc}", None
 
 
-def _map_cells(
-    payloads: list[tuple[int, dict[str, Any], tuple[tuple[str, Any], ...]]],
-    workers: int | None,
-) -> list[_CellOutput]:
+def _map_cells(payloads: list[_Payload], workers: int | None) -> list[_CellOutput]:
     if workers is None or workers <= 1 or len(payloads) <= 1:
         return [_run_cell(p) for p in payloads]
     import multiprocessing
@@ -171,8 +184,27 @@ def _map_cells(
         # artifact, just slower.
         return [_run_cell(p) for p in payloads]
     with ctx.Pool(processes=min(workers, len(payloads))) as pool:
-        # chunksize=1 so long cells don't serialize behind short ones.
+        # chunksize=1 so long cells don't serialize behind short ones; map
+        # returns the outputs in grid order whichever worker ran them.
         return pool.map(_run_cell, payloads, chunksize=1)
+
+
+def run_grid(
+    spec: SweepSpec, measure: Measure, *, workers: int | None = None
+) -> list[_CellOutput]:
+    """Run and measure every grid cell: ``(error, measurement)`` per cell.
+
+    The list is in grid order; a failed cell carries its error message and
+    no measurement.  ``workers > 1`` fans cells out over forked processes
+    (falling back to in-process execution where fork is unavailable); the
+    outputs are identical either way.
+    """
+    sweep_data = spec.to_dict()
+    return _map_cells([(measure, sweep_data, cell) for cell in spec.cells()], workers)
+
+
+def _metrics(spec: ScenarioSpec, result: SimulationResult) -> dict[str, float]:
+    return result_metrics(result)
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepResult:
@@ -182,21 +214,74 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepResult:
     in-process execution where fork is unavailable); the merged result is
     byte-identical either way.
     """
-    cells = spec.cells()
-    sweep_data = spec.to_dict()
-    payloads = [(i, sweep_data, cell) for i, cell in enumerate(cells)]
-    outputs = _map_cells(payloads, workers)
-    by_index: dict[int, _CellOutput] = {out[0]: out for out in outputs}
-    ordered = tuple(
-        CellResult(
-            index=i,
-            overrides=cells[i],
-            error=by_index[i][1],
-            metrics=by_index[i][2],
-        )
-        for i in range(len(cells))
+    outputs = run_grid(spec, _metrics, workers=workers)
+    return SweepResult(
+        spec=spec,
+        cells=tuple(
+            CellResult(index=i, overrides=cell, error=error, metrics=metrics)
+            for i, (cell, (error, metrics)) in enumerate(zip(spec.cells(), outputs))
+        ),
     )
-    return SweepResult(spec=spec, cells=ordered)
+
+
+class Grid:
+    """An experiment's cells: sweeps over one base scenario, named by ``label``.
+
+    Each mapping in ``axes`` (path → values) is the axes of one
+    :class:`SweepSpec` over ``base``.  A grid that is not one cartesian
+    product (static pools vs autoscaled ones, fault-oblivious vs
+    self-healing) is several small sweeps.  ``label`` maps a cell's
+    scenario to the name the experiment reports it under.
+    """
+
+    def __init__(
+        self,
+        base: ScenarioSpec,
+        label: Callable[[ScenarioSpec], str],
+        *axes: Mapping[str, Sequence[Any]],
+    ) -> None:
+        self.base = base
+        self.label = label
+        self.sweeps = tuple(
+            SweepSpec(
+                name=base.name,
+                base=base,
+                axes=tuple(SweepAxis(path, tuple(v)) for path, v in sweep.items()),
+            )
+            for sweep in axes
+        )
+
+    def scenarios(self) -> list[tuple[str, ScenarioSpec]]:
+        """Every cell's ``(label, scenario)``, in grid order."""
+        return [
+            (self.label(spec), spec)
+            for sweep in self.sweeps
+            for spec in map(sweep.scenario, sweep.cells())
+        ]
+
+    def scenario(self, label: str) -> ScenarioSpec:
+        """The scenario of the cell labelled ``label``."""
+        for name, spec in self.scenarios():
+            if name == label:
+                return spec
+        raise KeyError(f"no grid cell labelled {label!r}")
+
+    def measure(self, measure: Measure) -> list[tuple[str, Any]]:
+        """Every cell's ``(label, measurement)``, in grid order.
+
+        Runs in this process, on its stack cache.  Raises naming the label
+        of every cell that failed.
+        """
+        labels = [label for label, _ in self.scenarios()]
+        outputs = [out for sweep in self.sweeps for out in run_grid(sweep, measure)]
+        failed = [
+            f"{label} ({error})"
+            for label, (error, _) in zip(labels, outputs)
+            if error is not None
+        ]
+        if failed:
+            raise RuntimeError("grid cells failed: " + "; ".join(failed))
+        return [(label, value) for label, (_, value) in zip(labels, outputs)]
 
 
 def format_sweep_summary(result: SweepResult) -> str:

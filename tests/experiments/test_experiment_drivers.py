@@ -1,7 +1,14 @@
 """Tests for the experiment drivers: every paper artifact runs and has the
 right qualitative shape (who wins, rough factors, crossovers)."""
 
+import hashlib
+import re
+
 import pytest
+
+from repro.cli import main
+from repro.sweep import SweepSpec
+from repro.sweep import runner as sweep_runner
 
 from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments import (
@@ -14,8 +21,12 @@ from repro.experiments import (
     fig15_scheduler_functional,
     fig16_end_to_end,
     fig17_18_temporal,
+    batching_sweep,
+    frontier_autoscale,
+    frontier_predictive,
     headline,
     load_sweep,
+    resilience_frontier,
     tab01_bandwidth,
     tab02_resources,
     tab03_buffer_config,
@@ -180,3 +191,87 @@ class TestReports:
         exp = get_experiment(eid)
         text = exp.report(exp.run())
         assert isinstance(text, str) and len(text.splitlines()) > 2
+
+
+# The five serving experiments: sha256 of the default ``report(run())`` text
+# and of the ``repro run <id> --json`` artifact.  Captured before the drivers
+# became sweep grids; a change here changes a published figure.
+SERVING_DIGESTS = {
+    "load_sweep": (
+        "3ffd09786e68228bb14d3917c97e5b7045c2e2b7f7edbaf4167ac1522829132e",
+        "fcf205bc0d36eb00fab11669c55f18b86c3e48f570b8b9cd25d2c842a8d3bf2c",
+    ),
+    "batching_sweep": (
+        "159100dfd95cf1a270c387181633b7cf9251f9562f576fb42be3190b1778db44",
+        "71159cee055c0d5f3084f2b315be1925ac1c79660adb5507472056db62b9661e",
+    ),
+    "frontier_autoscale": (
+        "d693887f30e41378ada3cfd6de28725db72a53e6a3dc06411517c6ed607f423e",
+        "a4358d75ab38a60840d012f7aa45e67803638013c11de7aea6424ea7a0dd83ff",
+    ),
+    "frontier_predictive": (
+        "5e95f6059ba7ba07ef671c0637c4e6d5b5cab432a4d86809b5ca01f9b3475ba2",
+        "3571cf2f9a99a6417e9c5001709c37cfb1fec7c46b5c9b3a2e7fcbd73fd3b822",
+    ),
+    "resilience_frontier": (
+        "13b15310ccc1d5deaacaf6cb74e23844808cefa3189e76ee3ec14345ff4d29b4",
+        "6ba7fb2f5bac476ea5873738596175906aae7243b8566962182b8ef794f15170",
+    ),
+}
+
+SERVING_DRIVERS = {
+    "load_sweep": load_sweep,
+    "batching_sweep": batching_sweep,
+    "frontier_autoscale": frontier_autoscale,
+    "frontier_predictive": frontier_predictive,
+    "resilience_frontier": resilience_frontier,
+}
+
+TRACED_DRIVERS = (frontier_autoscale, frontier_predictive, resilience_frontier)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestServingGrids:
+    @pytest.mark.parametrize("eid", sorted(SERVING_DIGESTS))
+    def test_default_report_and_json_artifact_are_pinned(
+        self, eid, tmp_path, capsys
+    ):
+        path = tmp_path / f"{eid}.json"
+        assert main(["run", eid, "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        report = out.removesuffix(f"\nwrote {path}\n")
+        assert (sha256(report), sha256(path.read_text())) == SERVING_DIGESTS[eid]
+
+    @pytest.mark.parametrize("module", TRACED_DRIVERS, ids=lambda m: m.__name__)
+    def test_trace_scenario_is_a_cell_of_the_grid(self, module):
+        cells = [spec for _, spec in module.grid().scenarios()]
+        assert module.trace_scenario() in cells
+
+    @pytest.mark.parametrize("eid", sorted(SERVING_DRIVERS))
+    def test_grid_sweeps_round_trip_through_json(self, eid):
+        for sweep in SERVING_DRIVERS[eid].grid().sweeps:
+            assert SweepSpec.from_json(sweep.to_json()) == sweep
+
+    @pytest.mark.parametrize("eid", sorted(SERVING_DRIVERS))
+    def test_failed_cell_raises_naming_its_label(self, eid, monkeypatch):
+        module = SERVING_DRIVERS[eid]
+        label, poisoned = module.grid().scenarios()[-1]
+        run_scenario = sweep_runner.run_scenario
+
+        def failing(spec, **kwargs):
+            if spec == poisoned:
+                raise RuntimeError("injected cell failure")
+            return run_scenario(spec, **kwargs)
+
+        monkeypatch.setattr(sweep_runner, "run_scenario", failing)
+        message = re.escape(f"{label} (RuntimeError: injected cell failure)")
+        with pytest.raises(RuntimeError, match=message):
+            module.run()
+
+    def test_bar_failure_raises(self):
+        # A zero cost bound leaves self-healing no premium at all.
+        with pytest.raises(RuntimeError, match="premium unbounded"):
+            resilience_frontier.run(cost_bound=0.0)

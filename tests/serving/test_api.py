@@ -106,7 +106,6 @@ class TestEquivalenceWithHandWiredPath:
         from repro.experiments import load_sweep
 
         result = load_sweep.run(
-            stack=stack,
             num_queries=40,
             arrival_rates_per_ms=(1.0,),
             replica_counts=(2,),

@@ -651,11 +651,10 @@ class TestFacadeAutoscaling:
 # ------------------------------------------------- the acceptance frontier
 class TestFrontier:
     @pytest.fixture(scope="class")
-    def frontier(self, stack):
+    def frontier(self):
         from repro.experiments import frontier_autoscale
 
         return frontier_autoscale.run(
-            stack=stack,
             num_queries=500,
             static_counts=(1, 2, 3, 4, 6),
             reactive_queue_thresholds=(4.0,),

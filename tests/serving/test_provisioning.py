@@ -819,11 +819,10 @@ class TestFacadeTiersAndDelay:
 # ------------------------------------------------- the acceptance frontier
 class TestPredictiveFrontier:
     @pytest.fixture(scope="class")
-    def frontier(self, stack):
+    def frontier(self):
         from repro.experiments import frontier_predictive
 
         return frontier_predictive.run(
-            stack=stack,
             num_queries=600,
             startup_delay_units=(12.0,),
             static_counts=(1,),
