@@ -408,17 +408,7 @@ class ServingEngine:
         # autoscaled engine start from the spec's replica groups, not from
         # wherever the previous run's scaling left the pool.
         self._initial_replicas = list(self.replicas)
-        # Live membership: group name -> replica indices (initial positions
-        # plus indices of replicas created by scale-ups, in creation order).
-        self._group_indices = {
-            name: list(indices) for name, indices in self._initial_membership.items()
-        }
-        # Telemetry describes only the scaled groups: feeding the bus events
-        # from static groups would inflate utilization/queue signals with
-        # load the policy cannot shed, thrashing the controller.
-        self._scalable_set = {
-            i for indices in self._group_indices.values() for i in indices
-        }
+        self._reset_membership()
         self._needs_estimates = self.router.needs_service_estimates or any(
             r.queue.needs_service_estimates for r in self.replicas
         )
@@ -503,18 +493,79 @@ class ServingEngine:
         return len(self.replicas)
 
     def _routable(self) -> list[AcceleratorReplica]:
-        """Replicas the router may choose from (everything, if static)."""
+        """Replicas the router may choose from (everything, if static).
+
+        Re-derived from the live pool only after a lifecycle transition
+        (:meth:`_transition`), in ascending index order — the order of the
+        full ``self.replicas`` scan, so router tie-breaks are unchanged.
+        Callers must not mutate the returned list.
+        """
         if self.autoscaler is None and self.faults is None:
             return self.replicas
-        return [r for r in self.replicas if r.is_routable]
+        routable = self._routable_cache
+        if routable is None:
+            routable = self._routable_cache = [r for r in self._live if r.is_routable]
+        return routable
 
-    def _group_pool(self, name: str | None) -> list[AcceleratorReplica]:
-        """Live members of one scaled group (initial + engine-created)."""
-        return [
-            self.replicas[i]
-            for i in self._group_indices[name]
-            if not self.replicas[i].is_retired
-        ]
+    # ----------------------------------------------------------- membership
+    def _reset_membership(self) -> None:
+        """Membership of the current ``self.replicas``, derived by one scan.
+
+        The engine then keeps it at lifecycle transitions only — scale-up
+        creation, provisioning hand-over, drain, undrain, retirement and
+        crash — so per-event readers (routing, control ticks, brownout)
+        cost O(live pool), not O(replicas ever created):
+
+        * ``_live`` — the non-retired replicas, ascending by index;
+        * ``_group_live`` — each scaled group's non-retired replicas, in
+          membership order (initial positions, then scale-ups);
+        * ``_group_crashes`` — each scaled group's crashed replicas;
+        * ``_group_of`` — replica index -> scaled group name.  Telemetry
+          describes only the scaled groups: feeding the bus events from
+          static groups would inflate utilization/queue signals with load
+          the policy cannot shed, thrashing the controller.
+        """
+        replicas = self.replicas
+        self._group_of: dict[int, str | None] = {
+            i: name
+            for name, indices in self._initial_membership.items()
+            for i in indices
+        }
+        self._live = [r for r in replicas if not r.is_retired]
+        self._group_live = {
+            name: [replicas[i] for i in indices if not replicas[i].is_retired]
+            for name, indices in self._initial_membership.items()
+        }
+        self._group_crashes = {
+            name: sum(1 for i in indices if replicas[i].failed)
+            for name, indices in self._initial_membership.items()
+        }
+        self._routable_cache: list[AcceleratorReplica] | None = None
+
+    def _transition(self) -> None:
+        """A replica changed routability: re-derive the routable list."""
+        self._routable_cache = None
+
+    def _leave(self, replica: AcceleratorReplica) -> None:
+        """``replica`` just retired (drained, cancelled or crashed)."""
+        self._live.remove(replica)
+        if replica.index in self._group_of:
+            name = self._group_of[replica.index]
+            self._group_live[name].remove(replica)
+            if replica.failed:
+                self._group_crashes[name] += 1
+        self._transition()
+
+    def _finish_provisioning(self, index: int) -> None:
+        """PROVISIONING hand-over: the cold replica ``index`` joins routing."""
+        replica = self.replicas[index]
+        # A scale-down (or a crash) during the cold start retired the
+        # replica; its stale hand-over event is a no-op.
+        if not replica.is_retired and replica.provisioning:
+            replica.finish_provisioning()
+            self._transition()
+            if self.faults is not None:
+                self._on_capacity_joined()
 
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> None:
@@ -534,12 +585,7 @@ class ServingEngine:
         if self.faults is not None:
             self.faults.reset()
         self._failed_pressure = 0
-        self._group_indices = {
-            name: list(indices) for name, indices in self._initial_membership.items()
-        }
-        self._scalable_set = {
-            i for indices in self._group_indices.values() for i in indices
-        }
+        self._reset_membership()
         self._run_end_ms = 0.0
 
     # ------------------------------------------------------------- open loop
@@ -689,7 +735,7 @@ class ServingEngine:
         recorder = self.recorder
         rec_served = None if recorder is None else recorder.on_served
         rec_dropped = None if recorder is None else recorder.on_dropped
-        scalable = self._scalable_set
+        scalable = self._group_of
         routable = None if ctl is None and fi is None else self._routable
         router_select = self.router.select
         admission = self.admission
@@ -909,13 +955,7 @@ class ServingEngine:
             elif kind == RECOVERY:
                 self._handle_recovery(now, payload, queue, dropped, dispatch)
             elif kind == PROVISIONING:
-                replica = replicas[payload]
-                # A scale-down during the cold start cancelled (retired)
-                # the replica; its stale hand-over event is a no-op.
-                if not replica.is_retired and replica.provisioning:
-                    replica.finish_provisioning()
-                    if fi is not None:
-                        self._on_capacity_joined()
+                self._finish_provisioning(payload)
             else:  # CONTROL
                 self._control(now, queue)
         self._run_end_ms = run_end
@@ -933,11 +973,8 @@ class ServingEngine:
         # notion of the pool size; provisioning replicas cannot serve and
         # are excluded from the capacity denominator.
         loads: list[GroupLoad] = []
-        members: dict[str | None, list[AcceleratorReplica]] = {}
-        fi = self.faults
         for group in ctl.groups:
-            pool = self._group_pool(group.name)
-            members[group.name] = pool
+            pool = self._group_live[group.name]
             loads.append(
                 GroupLoad(
                     name=group.name,
@@ -951,15 +988,7 @@ class ServingEngine:
                     # num_active already excludes them: the min_replicas
                     # clamp is what lifts `desired` back up and provisions
                     # the replacement.  The failed count is telemetry.
-                    num_failed=(
-                        0
-                        if fi is None
-                        else sum(
-                            1
-                            for i in self._group_indices[group.name]
-                            if self.replicas[i].failed
-                        )
-                    ),
+                    num_failed=self._group_crashes[group.name],
                 )
             )
         snapshot = ctl.bus.snapshot(
@@ -975,15 +1004,11 @@ class ServingEngine:
         )
         desired_map = ctl.decide_pool(snapshot, loads)
         for group, load in zip(ctl.groups, loads):
-            self._resize_group(
-                group, load, desired_map[group.name], members[group.name], now, queue
-            )
+            self._resize_group(group, load, desired_map[group.name], now, queue)
         # Keep ticking while the simulation still has work in flight; once
         # the queue is empty and every replica is drained the run is over
         # and the control loop stops with it.
-        if queue or any(
-            r.is_busy or len(r.queue) for r in self.replicas if not r.is_retired
-        ):
+        if queue or any(r.is_busy or len(r.queue) for r in self._live):
             queue.push(now + ctl.control_interval_ms, EventKind.CONTROL, None)
 
     def _resize_group(
@@ -991,11 +1016,15 @@ class ServingEngine:
         group,
         load: GroupLoad,
         desired: int,
-        pool: list[AcceleratorReplica],
         now: float,
         queue: ArrayEventQueue,
     ) -> None:
-        """Enact one group's desired-size delta against its incoming count."""
+        """Enact one group's desired-size delta against its incoming count.
+
+        Every loop below walks a copy: the group's live list itself changes
+        as replicas are created and retired.
+        """
+        pool = self._group_live[group.name]
         incoming = load.num_incoming
         if desired > incoming:
             # Reclaim draining replicas first (their Persistent Buffers are
@@ -1007,6 +1036,7 @@ class ServingEngine:
                 if needed == 0:
                     break
                 replica.undrain()
+                self._transition()
                 needed -= 1
             ctl = self.autoscaler
             recorder = self.recorder
@@ -1028,8 +1058,10 @@ class ServingEngine:
                         now + group.startup_delay_ms, EventKind.PROVISIONING, index
                     )
                 self.replicas.append(replica)
-                self._group_indices[group.name].append(index)
-                self._scalable_set.add(index)
+                self._live.append(replica)
+                pool.append(replica)
+                self._group_of[index] = group.name
+                self._transition()
                 if fi is not None:
                     if fi.covers_group(group.name):
                         # The replacement lives under the same fault
@@ -1052,25 +1084,24 @@ class ServingEngine:
                 if excess == 0:
                     break
                 replica.retire(now)
+                self._leave(replica)
                 if recorder is not None:
                     recorder.on_provisioning_cancelled(replica.index, now)
                     recorder.on_replica_retired(replica.index, now)
                 excess -= 1
-            # is_retired filters the provisioning replicas cancelled just
-            # above (retire() cleared their provisioning flag).
-            active = [
-                r
-                for r in pool
-                if not r.draining and not r.provisioning and not r.is_retired
-            ]
+            # The provisioning replicas cancelled just above already left
+            # the live list.
+            active = [r for r in pool if not r.draining and not r.provisioning]
             for replica in reversed(active[len(active) - excess:]):
                 replica.start_draining()
+                self._transition()
                 self._maybe_retire(replica, now)
 
     def _maybe_retire(self, replica: AcceleratorReplica, now: float) -> None:
         """Retire a draining replica once it is idle with an empty queue."""
         if replica.draining and not replica.is_busy and not len(replica.queue):
             replica.retire(now)
+            self._leave(replica)
             if self.recorder is not None:
                 self.recorder.on_replica_retired(replica.index, now)
 
@@ -1084,10 +1115,7 @@ class ServingEngine:
         """
         fi = self.faults
         fi.horizon_ms = float(arrivals[-1]) if len(arrivals) else 0.0
-        group_of = dict(self.fault_groups)
-        for name, indices in self._group_indices.items():
-            for i in indices:
-                group_of.setdefault(i, name)
+        group_of = {**self._group_of, **self.fault_groups}
         for replica in self.replicas:
             if fi.covers_group(group_of.get(replica.index)):
                 fi.schedule_replica(replica.index, 0.0, push)
@@ -1121,13 +1149,14 @@ class ServingEngine:
             # sees a retired replica and no-ops — deterministically.
             return
         lost = replica.crash(now)
+        self._leave(replica)
         fi.on_crash()
         self._failed_pressure += 1
         if self.recorder is not None:
             self.recorder.on_fault(now, "crash", replica.index)
             self.recorder.on_replica_retired(replica.index, now)
         bus = None if self.autoscaler is None else self.autoscaler.bus
-        if bus is not None and replica.index in self._scalable_set:
+        if bus is not None and replica.index in self._group_of:
             bus.on_failure(now)
         for item in lost:
             self._retry_or_fail(item, replica, now, queue, dropped)
@@ -1210,7 +1239,7 @@ class ServingEngine:
             )
             dropped.append(drop)
             bus = None if self.autoscaler is None else self.autoscaler.bus
-            if bus is not None and replica.index in self._scalable_set:
+            if bus is not None and replica.index in self._group_of:
                 bus.on_drop(now)
             if self.recorder is not None:
                 self.recorder.on_dropped(drop)
@@ -1294,15 +1323,8 @@ class ServingEngine:
             report = None
         else:
             final_by_group = tuple(
-                (
-                    name,
-                    sum(
-                        1
-                        for r in self._group_pool(name)
-                        if not r.draining and not r.provisioning
-                    ),
-                )
-                for name in self._group_indices
+                (name, sum(1 for r in pool if not r.draining and not r.provisioning))
+                for name, pool in self._group_live.items()
             )
             report = self.autoscaler.report(
                 final_replicas=sum(n for _, n in final_by_group),

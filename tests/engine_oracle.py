@@ -10,9 +10,12 @@ simulates, the slow and literal way:
   pickup (``_serve_pickup``) and completes through ``_complete_inservice``
   — no single-query path, no ``__dict__``-stamped outcomes.
 
-The control plane and fault plane are the engine's own handlers: they are
-shared code, not what the one loop changed.  Property tests run both on
-identical fresh engines and require bit-identical results.
+Routing is the literal scan ``[r for r in engine.replicas if r.is_routable]``
+over every replica ever created, and every arrival asserts that the engine's
+maintained routable list (``engine._routable()``) equals it.  The control
+plane, fault plane and provisioning hand-over are the engine's own handlers:
+they are shared code, not what the one loop changed.  Property tests run
+both on identical fresh engines and require bit-identical results.
 
 ``build_stack_engine(stack, ...)`` is the hand-wired SUSHI pool — one
 replica per stack clone, seeded ``stack seed + i`` — that a homogeneous
@@ -113,12 +116,17 @@ def _drain(engine, heap: EventHeap):
             query = event.payload
             item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
             seq += 1
-            candidates = engine._routable()
+            candidates = [r for r in engine.replicas if r.is_routable]
+            maintained = engine._routable()
+            assert maintained == candidates, (
+                f"maintained routable {[r.index for r in maintained]} != "
+                f"scan {[r.index for r in candidates]} at t={now}"
+            )
             if fi is not None and not candidates:
                 engine._shed_arrival(item, now, dropped, bus)
                 continue
             replica = candidates[engine.router.select(candidates, item, now)]
-            if bus is not None and replica.index in engine._scalable_set:
+            if bus is not None and replica.index in engine._group_of:
                 bus.on_arrival(now)
             if engine._needs_estimates:
                 item = QueuedQuery(
@@ -142,11 +150,7 @@ def _drain(engine, heap: EventHeap):
         elif kind == EventKind.RECOVERY:
             engine._handle_recovery(now, event.payload, heap, dropped, dispatch)
         elif kind == EventKind.PROVISIONING:
-            replica = engine.replicas[event.payload]
-            if not replica.is_retired and replica.provisioning:
-                replica.finish_provisioning()
-                if fi is not None:
-                    engine._on_capacity_joined()
+            engine._finish_provisioning(event.payload)
         else:  # CONTROL
             engine._control(now, heap)
     outcomes.sort(key=lambda o: o.query_index)
@@ -156,7 +160,7 @@ def _drain(engine, heap: EventHeap):
 
 def _dispatch(engine, replica, now, heap, dropped):
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
-    if bus is not None and replica.index not in engine._scalable_set:
+    if bus is not None and replica.index not in engine._group_of:
         bus = None
     sink: list = []
     while True:
@@ -185,7 +189,7 @@ def _dispatch(engine, replica, now, heap, dropped):
 
 
 def _complete(engine, replica, outcomes, now):
-    if engine.autoscaler is not None and replica.index in engine._scalable_set:
+    if engine.autoscaler is not None and replica.index in engine._group_of:
         current = replica.in_service
         if current is not None:
             engine.autoscaler.bus.on_completion(

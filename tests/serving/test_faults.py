@@ -39,6 +39,7 @@ from repro.serving import (
     run_scenario,
     scenario_schema,
 )
+from repro.serving.api import build_engine, build_trace
 from repro.serving.engine import (
     AcceleratorReplica,
     FaultInjector,
@@ -483,6 +484,34 @@ class TestFaultyPoolScenario:
         assert quiet.num_crashes == 0
         assert "failed" not in quiet.drop_reasons
         assert "shed" not in quiet.drop_reasons
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect (ROADMAP): a crash skips the replica's COMPLETION, "
+            "so the telemetry bus never closes its open busy interval and "
+            "utilization counts dead replicas as busy"
+        ),
+    )
+    def test_crash_closes_the_replicas_busy_interval(self):
+        spec = ScenarioSpec.from_json(
+            FAULTY_SCENARIO.read_text(encoding="utf-8")
+        ).override("num_queries", 2000)
+        engine = build_engine(spec)
+        bus = engine.autoscaler.bus
+        snapshot = bus.snapshot
+        dead_open: list[int] = []
+
+        def checked_snapshot(now_ms, **kwargs):
+            live = {r.index for r in engine.replicas if not r.is_retired}
+            dead_open.append(sum(1 for i in bus._in_service_starts if i not in live))
+            return snapshot(now_ms, **kwargs)
+
+        bus.snapshot = checked_snapshot
+        trace = build_trace(spec)
+        result = engine.run(trace, spec.arrivals.generate(len(trace)))
+        assert result.num_crashes > 0 and dead_open
+        assert max(dead_open) == 0
 
 
 class TestFaultObservability:
