@@ -20,7 +20,7 @@ from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
 from repro.core.policies import Policy, select_subnet
 from repro.core.running_average import RunningAverageNet
-from repro.core.scheduler import SushiSched, SchedulerDecision
+from repro.core.scheduler import CacheDecisionMemo, SushiSched, SchedulerDecision
 from repro.core.metrics import QueryRecord, ServingMetrics, summarize_records
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "RunningAverageNet",
     "SushiSched",
     "SchedulerDecision",
+    "CacheDecisionMemo",
     "QueryRecord",
     "ServingMetrics",
     "summarize_records",

@@ -67,9 +67,11 @@ class LatencyTable:
         self.latencies_ms.flags.writeable = False
         self.accuracies.flags.writeable = False
 
-        self._rows: list[list[float]] = self.latencies_ms.tolist()
+        self.latency_rows: list[list[float]] = self.latencies_ms.tolist()
+        """``L[i][j]`` as python lists: a lookup without numpy scalars."""
         accs: list[float] = self.accuracies.tolist()
-        self._accuracy_list = accs
+        self.accuracy_list = accs
+        """Per-SubNet accuracies as a python list."""
         rows = range(len(accs))
         # STRICT_LATENCY: per column, latencies in ascending order, and the
         # most accurate SubNet among the first k+1 of them (lowest index wins
@@ -80,7 +82,7 @@ class LatencyTable:
         # column, the fastest SubNet meeting each (first minimum wins).
         self._accuracy_levels = sorted(set(accs))
         self._fastest_from: list[list[int]] = []
-        for col in zip(*self._rows):
+        for col in zip(*self.latency_rows):
             by_latency = sorted(rows, key=col.__getitem__)
             self._sorted_latencies.append([col[i] for i in by_latency])
             self._most_accurate_within.append(
@@ -126,14 +128,14 @@ class LatencyTable:
 
     def latency(self, subnet_idx: int, subgraph_idx: int) -> float:
         """O(1) lookup of ``L[i][j]``."""
-        return self._rows[subnet_idx][subgraph_idx]
+        return self.latency_rows[subnet_idx][subgraph_idx]
 
     def column(self, subgraph_idx: int) -> np.ndarray:
         """Latencies of every SubNet under cached SubGraph ``j``."""
         return self.latencies_ms[:, subgraph_idx]
 
     def accuracy(self, subnet_idx: int) -> float:
-        return self._accuracy_list[subnet_idx]
+        return self.accuracy_list[subnet_idx]
 
     def subnet_index(self, subnet: SubNet) -> int:
         for i, sn in enumerate(self.subnets):

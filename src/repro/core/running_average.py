@@ -5,6 +5,11 @@ keeping a running average of the vector encodings of the SubNets it served.
 Averaging — rather than intersecting — keeps information about kernels and
 channels that were frequent but not universal across the window (paper
 Section 3.3, "Amortizing Caching Choices").
+
+This is the vector reference of the caching rule.  ``SushiSched`` computes
+the same decision on SubNet indices through
+:class:`~repro.core.scheduler.CacheDecisionMemo`; a property test drives both
+side by side.
 """
 
 from __future__ import annotations

@@ -11,23 +11,36 @@ For every query the scheduler makes a two-part control decision:
 
 The scheduler is deliberately hardware-agnostic: its only view of the
 accelerator is the latency table and the index of the cached SubGraph.
+
+Algorithm 1 runs on indices.  A SubNet is a small discrete config, so every
+vector the caching decision reads is a function of a SubNet index: the
+window is a ``deque`` of the last ``Q`` served SubNet indices, and the
+decision is a function of the window's *multiset* alone.  Encodings count
+kernels and channels, so they are integer-valued floats: every partial sum
+of a window column is an exactly representable integer, and the mean — hence
+the nearest candidate — does not depend on the order of the rows.
+:class:`CacheDecisionMemo` therefore computes the paper's rule (the mean of
+the window's encodings, then :func:`~repro.core.encoding.nearest_index`) once
+per distinct multiset, at most ``C(|X|+Q-1, Q)`` times whatever the run
+length, and every scheduler on the same latency table — all clones of one
+serving stack — shares it.  :class:`~repro.core.running_average.
+RunningAverageNet` remains the vector reference the memo is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from typing import Collection, NamedTuple
 
 import numpy as np
 
 from repro.core.encoding import nearest_index
 from repro.core.latency_table import LatencyTable
-from repro.core.policies import Policy, select_subnet
-from repro.core.running_average import RunningAverageNet
+from repro.core.policies import Policy
 from repro.supernet.supernet import SuperNet
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
+class SchedulerDecision(NamedTuple):
     """The outcome of scheduling one query."""
 
     query_index: int
@@ -37,6 +50,47 @@ class SchedulerDecision:
     cache_updated: bool
     predicted_latency_ms: float
     subnet_accuracy: float
+
+
+class CacheDecisionMemo:
+    """Caching decisions over one latency table, memoized by window multiset.
+
+    Holds the vector encodings of the table's SubNets and candidate
+    SubGraphs, and maps each window multiset — the sorted tuple of the
+    window's SubNet indices — to the candidate nearest to the window's
+    average encoding.  The memo is exact only for integer-valued encodings
+    (see the module docstring), so construction rejects any other.
+    """
+
+    def __init__(self, table: LatencyTable, supernet: SuperNet) -> None:
+        self.table = table
+        self.subnet_encodings = [sn.encode() for sn in table.subnets]
+        self.candidate_encodings = table.candidates.encodings(supernet)
+        fractional = [
+            part.name
+            for part, encoding in (
+                *zip(table.subnets, self.subnet_encodings),
+                *zip(table.candidates, self.candidate_encodings),
+            )
+            if not (encoding == np.round(encoding)).all()
+        ]
+        if fractional:
+            raise ValueError(
+                "caching-decision memo needs integer-valued encodings; "
+                f"not integer-valued: {', '.join(fractional)}"
+            )
+        self.decisions: dict[tuple[int, ...], int] = {}
+        """Window multiset (sorted SubNet indices) -> nearest candidate."""
+
+    def nearest(self, window: Collection[int]) -> int:
+        """The candidate nearest to the average encoding of ``window``."""
+        key = tuple(sorted(window))
+        idx = self.decisions.get(key)
+        if idx is None:
+            rows = [self.subnet_encodings[i] for i in window]
+            idx = nearest_index(np.mean(np.stack(rows), axis=0), self.candidate_encodings)
+            self.decisions[key] = idx
+        return idx
 
 
 class SushiSched:
@@ -58,6 +112,9 @@ class SushiSched:
         picks one with ``rng``.
     rng:
         Source of randomness for the initial cache state.
+    memo:
+        The :class:`CacheDecisionMemo` of ``table`` to share with other
+        schedulers on the same table; ``None`` builds a private one.
     """
 
     def __init__(
@@ -69,13 +126,25 @@ class SushiSched:
         cache_update_period: int = 4,
         initial_cache_idx: int | None = None,
         rng: np.random.Generator | None = None,
+        memo: CacheDecisionMemo | None = None,
     ) -> None:
         if cache_update_period <= 0:
             raise ValueError("cache_update_period (Q) must be positive")
+        if policy == Policy.STRICT_ACCURACY:
+            self._select = self._select_strict_accuracy
+        elif policy == Policy.STRICT_LATENCY:
+            self._select = self._select_strict_latency
+        else:
+            raise ValueError(f"unknown policy {policy!r}")
+        if memo is None:
+            memo = CacheDecisionMemo(table, supernet)
+        elif memo.table is not table:
+            raise ValueError("memo belongs to a different latency table")
         self.table = table
         self.supernet = supernet
         self.policy = policy
         self.cache_update_period = cache_update_period
+        self.memo = memo
         rng = rng or np.random.default_rng(0)
         if initial_cache_idx is None:
             initial_cache_idx = int(rng.integers(0, table.num_subgraphs))
@@ -86,11 +155,11 @@ class SushiSched:
             )
         self.initial_cache_idx = initial_cache_idx
         self.cache_state_idx = initial_cache_idx
-        self.avg_net = RunningAverageNet(
-            dimension=2 * supernet.num_layers, window=cache_update_period
-        )
-        self._subnet_encodings = [sn.encode() for sn in table.subnets]
-        self._candidate_encodings = table.candidates.encodings(supernet)
+        self._window: deque[int] = deque(maxlen=cache_update_period)
+        self._best_under_accuracy = table.best_under_accuracy
+        self._best_under_latency = table.best_under_latency
+        self._latency_rows = table.latency_rows
+        self._accuracies = table.accuracy_list
         self._queries_seen = 0
         self.decisions_made = 0
         """Decisions returned so far (a shared batch decision counts once)."""
@@ -98,6 +167,28 @@ class SushiSched:
         """Decisions that changed the cached SubGraph."""
 
     # ------------------------------------------------------------ schedule
+    def select(self, *, accuracy_constraint: float, latency_constraint_ms: float) -> int:
+        """The SubNet :meth:`schedule` would serve now, without advancing.
+
+        Side-effect free: the same policy lookup at the current cache state,
+        so routers and queue disciplines can predict service times.
+        """
+        return self._select(accuracy_constraint, latency_constraint_ms, self.cache_state_idx)
+
+    def _select_strict_accuracy(
+        self, accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
+    ) -> int:
+        idx = self._best_under_accuracy(accuracy_constraint, cache_idx)
+        # No SubNet reaches the requested accuracy: serve the best we have.
+        return self.table.most_accurate if idx is None else idx
+
+    def _select_strict_latency(
+        self, accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
+    ) -> int:
+        idx = self._best_under_latency(latency_constraint_ms, cache_idx)
+        # No SubNet is fast enough: serve the fastest one.
+        return self.table.fastest(cache_idx) if idx is None else idx
+
     def schedule(
         self, *, accuracy_constraint: float, latency_constraint_ms: float
     ) -> SchedulerDecision:
@@ -120,57 +211,43 @@ class SushiSched:
         The caller passes the batch's *strictest* constraints (highest
         accuracy requirement, tightest remaining latency budget); all
         ``batch_size`` queries are served on the selected SubNet, so every
-        member enters the running average on that SubNet's encoding and the
-        caching window advances by the whole batch.  If the batch crosses a
+        member enters the caching window as that SubNet and the window
+        advances by the whole batch.  If the batch crosses a
         ``cache_update_period`` boundary, exactly **one** caching decision is
-        made — after all the batch's encodings are in the window — so a batch
+        made — after all the batch's members are in the window — so a batch
         costs at most one cache load.  ``batch_size=1`` is identical to
         :meth:`schedule`.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         current_cache = self.cache_state_idx
-        subnet_idx = select_subnet(
-            self.table,
-            self.policy,
-            accuracy_constraint=accuracy_constraint,
-            latency_constraint_ms=latency_constraint_ms,
-            cache_state_idx=current_cache,
-        )
-        encoding = self._subnet_encodings[subnet_idx]
+        subnet_idx = self._select(accuracy_constraint, latency_constraint_ms, current_cache)
+        period = self.cache_update_period
         if batch_size == 1:
-            self.avg_net.update(encoding)
+            self._window.append(subnet_idx)
         else:
-            self.avg_net.update_many(
-                np.broadcast_to(encoding, (batch_size, encoding.shape[0]))
-            )
+            self._window.extend([subnet_idx] * min(batch_size, period))
         seen_before = self._queries_seen
-        self._queries_seen += batch_size
+        self._queries_seen = seen = seen_before + batch_size
 
         cache_updated = False
         next_cache = current_cache
-        period = self.cache_update_period
-        if self._queries_seen // period > seen_before // period:
-            next_cache = self._predict_next_subgraph()
+        if seen // period > seen_before // period:
+            next_cache = self.memo.nearest(self._window)
             cache_updated = next_cache != current_cache
             self.cache_state_idx = next_cache
 
         self.decisions_made += 1
         self.cache_updates += cache_updated
         return SchedulerDecision(
-            query_index=seen_before,
-            subnet_idx=subnet_idx,
-            cache_state_idx=current_cache,
-            next_cache_state_idx=next_cache,
-            cache_updated=cache_updated,
-            predicted_latency_ms=self.table.latency(subnet_idx, current_cache),
-            subnet_accuracy=self.table.accuracy(subnet_idx),
+            seen_before,
+            subnet_idx,
+            current_cache,
+            next_cache,
+            cache_updated,
+            self._latency_rows[subnet_idx][current_cache],
+            self._accuracies[subnet_idx],
         )
-
-    def _predict_next_subgraph(self) -> int:
-        """The candidate SubGraph closest to the running-average SubNet."""
-        target = self.avg_net.value()
-        return nearest_index(target, self._candidate_encodings)
 
     # ------------------------------------------------------------- helpers
     @property
@@ -183,8 +260,9 @@ class SushiSched:
         With no argument the cache state returns to the *initial* index from
         construction, so repetitions are independent; pass
         ``initial_cache_idx`` to restart from a different state instead.
+        The shared memo is kept: it is a pure function of the table.
         """
-        self.avg_net.reset()
+        self._window.clear()
         self._queries_seen = 0
         self.decisions_made = 0
         self.cache_updates = 0

@@ -9,7 +9,9 @@ Buffer) then serves the query and enacts the caching decision.
 The accelerator model runs only at set-up: :func:`build_serve_table`
 evaluates every (SubNet, candidate SubGraph) pair once, and both the latency
 table and the per-pair :class:`ServeEntry` records the serve path reads come
-from that one pass.  Clones share both, so serving a query is table lookups.
+from that one pass.  Clones share both, and the scheduler's caching-decision
+memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so serving a query
+is table lookups and a clone encodes nothing.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 — the interface the discrete-event engine dispatches against, optionally with
@@ -30,8 +32,8 @@ from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord
-from repro.core.policies import Policy, select_subnet
-from repro.core.scheduler import SchedulerDecision, SushiSched
+from repro.core.policies import Policy
+from repro.core.scheduler import CacheDecisionMemo, SchedulerDecision, SushiSched
 from repro.serving.query import Query, QueryTrace
 from repro.supernet.accuracy import AccuracyModel
 from repro.supernet.subnet import SubNet
@@ -139,6 +141,7 @@ class SushiStack:
         candidates: CandidateSet | None = None,
         table: LatencyTable | None = None,
         entries: ServeEntries | None = None,
+        cache_memo: CacheDecisionMemo | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
         self.supernet = supernet or load_supernet(self.config.supernet_name)
@@ -167,7 +170,9 @@ class SushiStack:
             policy=self.config.policy,
             cache_update_period=self.config.cache_update_period,
             rng=rng,
+            memo=cache_memo,
         )
+        self.cache_memo = self.scheduler.memo
         self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
         self._cached_idx = -1
         # Enact the scheduler's initial (random) cache state on the hardware.
@@ -215,7 +220,7 @@ class SushiStack:
         engine); the scheduler reacts to it, while the record still reports
         the query's nominal constraint for SLO accounting.
         """
-        decision = self.scheduler.schedule(
+        decision = self.scheduler.schedule_shared(
             accuracy_constraint=query.accuracy_constraint,
             latency_constraint_ms=query.latency_budget_ms(
                 effective_latency_constraint_ms
@@ -311,15 +316,11 @@ class SushiStack:
         Side-effect free: consults the latency table without advancing the
         scheduler, so routers and queue disciplines can use it.
         """
-        cache_idx = self.scheduler.cache_state_idx
-        subnet_idx = select_subnet(
-            self.table,
-            self.config.policy,
+        subnet_idx = self.scheduler.select(
             accuracy_constraint=query.accuracy_constraint,
             latency_constraint_ms=query.latency_constraint_ms,
-            cache_state_idx=cache_idx,
         )
-        return self.table.latency(subnet_idx, cache_idx)
+        return self.table.latency(subnet_idx, self.scheduler.cache_state_idx)
 
     # ------------------------------------------------------------- state
     @property
@@ -337,8 +338,10 @@ class SushiStack:
         """An independent stack sharing this one's immutable substrate.
 
         The SuperNet, SubNet family, accelerator model, candidate set, latency
-        table and serve entries are shared (they are read-only), so a clone
-        evaluates nothing on the accelerator model; the clone gets its own
+        table, serve entries and caching-decision memo are shared (the memo
+        only ever gains entries that are pure functions of the table), so a
+        clone evaluates nothing on the accelerator model and encodes nothing;
+        the clone gets its own
         scheduler and Persistent Buffer, so it evolves cache state
         independently — one clone per engine replica.
         """
@@ -352,4 +355,5 @@ class SushiStack:
             candidates=self.candidates,
             table=self.table,
             entries=self.entries,
+            cache_memo=self.cache_memo,
         )

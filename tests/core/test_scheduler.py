@@ -8,8 +8,9 @@ from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.candidates import build_candidate_set
 from repro.core.latency_table import LatencyTable
 from repro.core.policies import Policy
-from repro.core.scheduler import SushiSched
+from repro.core.scheduler import CacheDecisionMemo, SushiSched
 from repro.supernet.accuracy import AccuracyModel
+from repro.supernet.subnet import SubNet
 from repro.supernet.zoo import load_supernet, paper_pareto_subnets
 
 
@@ -131,3 +132,31 @@ class TestResetSemantics:
             sched.schedule(accuracy_constraint=0.78, latency_constraint_ms=5.0)
         sched.reset()
         assert sched.cache_state_idx == initial
+
+
+class TestCacheDecisionMemo:
+    def test_fractional_encoding_rejected(self, setup, monkeypatch):
+        supernet, table = setup
+        target = table.subnets[0]
+        original = SubNet.encode
+
+        def encode(self):
+            vec = original(self)
+            if self is target:
+                vec[0] += 0.5
+            return vec
+
+        monkeypatch.setattr(SubNet, "encode", encode)
+        with pytest.raises(ValueError, match="integer-valued") as excinfo:
+            CacheDecisionMemo(table, supernet)
+        assert target.name in str(excinfo.value)
+        with pytest.raises(ValueError, match="integer-valued"):
+            SushiSched(table, supernet)
+
+    def test_memo_of_another_table_rejected(self, setup):
+        supernet, table = setup
+        other = LatencyTable(
+            table.subnets, table.candidates, table.latencies_ms, table.accuracies
+        )
+        with pytest.raises(ValueError, match="different latency table"):
+            SushiSched(table, supernet, memo=CacheDecisionMemo(other, supernet))

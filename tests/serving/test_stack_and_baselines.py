@@ -1,6 +1,9 @@
 """Unit/integration tests for the SUSHI stack and baseline servers."""
 
+import json
 from dataclasses import replace
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +12,16 @@ from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
+from repro.serving.api import run_scenario
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
 from repro.serving.query import QueryTrace
+from repro.serving.spec import ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 from repro.supernet.accuracy import AccuracyModel
+from repro.supernet.subnet import SubNet
+
+POISSON_POOL = Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "poisson_pool.json"
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +207,64 @@ class TestSushiStack:
             stack.accel.subnet_latency_ms(sn, oversized) != s.table.latency(i, 0)
             for i, sn in enumerate(s.subnets)
         )
+
+
+class TestSharedSchedulerState:
+    """Clones share the scheduler's encodings and caching-decision memo."""
+
+    def test_clone_encodes_nothing_and_shares_the_memo(self, stack, monkeypatch):
+        calls = []
+        for cls in (SubNet, CachedSubGraph):
+            original = cls.encode
+
+            def counted(self, *args, _original=original, _name=cls.__name__):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, "encode", counted)
+        clones = [stack.clone(seed=s) for s in range(3)]
+        assert calls == []
+        for clone in clones:
+            assert clone.cache_memo is stack.cache_memo
+            assert clone.scheduler.memo is stack.scheduler.memo
+
+    def test_memo_stays_within_the_multiset_bound(self):
+        spec = ScenarioSpec.from_dict(json.loads(POISSON_POOL.read_text()))
+        spec = spec.override("num_queries", 4000)
+        stack_cache = {}
+        run_scenario(spec, stack_cache=stack_cache)
+        (template,) = stack_cache.values()
+        memo = template.cache_memo
+        num_subnets = template.table.num_subnets
+        period = template.config.cache_update_period
+        assert 0 < len(memo.decisions) <= comb(num_subnets + period - 1, period)
+        assert all(len(key) == period for key in memo.decisions)
+
+    def test_estimate_is_the_latency_schedule_would_pick(self, stack, trace):
+        for policy in Policy:
+            sushi = SushiStack(
+                replace(stack.config, policy=policy),
+                supernet=stack.supernet,
+                subnets=stack.subnets,
+                accel=stack.accel,
+                accuracy_model=stack.accuracy_model,
+                candidates=stack.candidates,
+                table=stack.table,
+                entries=stack.entries,
+                cache_memo=stack.cache_memo,
+            )
+            sched = sushi.scheduler
+            for query in trace:
+                state = (sched.cache_state_idx, sched.queries_seen, sched.decisions_made)
+                estimate = sushi.estimate_service_ms(query)
+                assert (sched.cache_state_idx, sched.queries_seen, sched.decisions_made) == state
+                decision = sched.schedule(
+                    accuracy_constraint=query.accuracy_constraint,
+                    latency_constraint_ms=query.latency_constraint_ms,
+                )
+                assert estimate == sushi.table.latency(
+                    decision.subnet_idx, decision.cache_state_idx
+                )
 
 
 class TestBaselines:
