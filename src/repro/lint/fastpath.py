@@ -1,11 +1,12 @@
 """RPR003 — fast-path field parity.
 
-The engine's hot path bypasses dataclass ``__init__`` by stamping
-attribute values straight into ``obj.__dict__`` (``_simulate`` building
-``SimulatedQueryOutcome``, ``ArrayQueryTrace.query_at`` building
-``Query``).  The compiler cannot check those string keys against the
-class definition, so adding a field to the dataclass — or fat-fingering
-a key — silently produces half-initialized records.  This checker
+A fast path may bypass a dataclass ``__init__`` by stamping attribute
+values straight into ``obj.__dict__``; the one such site in the tree is
+``ArrayQueryTrace.query_at`` building ``Query`` (the engine writes its
+results into columns and builds no outcome objects).  The compiler
+cannot check those string keys against the class definition, so adding
+a field to the dataclass — or fat-fingering a key — silently produces
+half-initialized objects.  This checker
 re-derives the contract statically:
 
 * a stamp site whose class resolves to a scanned dataclass must assign

@@ -426,7 +426,7 @@ def format_result_summary(spec: ScenarioSpec, result: SimulationResult) -> str:
         for reason, count in sorted(result.drop_reasons.items()):
             fault_row[f"dropped ({reason})"] = count
         rows["faults"] = fault_row
-    makespan = max((o.completion_ms for o in result.outcomes), default=0.0)
+    makespan = result.makespan_ms
     for stats in result.replica_stats:
         # Utilization over the replica's own provisioned time, not the
         # whole run: a scale-up replica alive for a tenth of the run at

@@ -45,8 +45,6 @@ Invariants the rest of the system builds on:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -58,17 +56,15 @@ from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
 from repro.serving.engine.replica import AcceleratorReplica, _InFlight, _InService
 from repro.serving.engine.results import (
-    DroppedQuery,
-    SimulatedQueryOutcome,
+    ResultTable,
     SimulationResult,
+    makespan_ms,
 )
 from repro.serving.engine.routing import RoutingPolicy, make_router
 from repro.serving.query import Query, QueryTrace
 
 _MIN_EFFECTIVE_LATENCY_MS = 1e-9
 """Floor for the remaining-slack latency budget passed to schedulers."""
-
-_by_query_index = attrgetter("query_index")
 
 
 def poisson_arrivals(
@@ -92,15 +88,14 @@ def _query_getter(trace) -> Callable[[int], Query]:
 
 
 def _drop_item(
-    item: QueuedQuery, replica: AcceleratorReplica, now: float
-) -> DroppedQuery:
+    table: ResultTable, item: QueuedQuery, replica: AcceleratorReplica, now: float
+) -> None:
+    """Write ``item`` as shed by admission control at dispatch on ``replica``."""
     replica.stats.num_dropped += 1
-    return DroppedQuery(
-        query_index=item.query.index,
-        arrival_ms=item.arrival_ms,
-        dropped_at_ms=now,
-        latency_constraint_ms=item.query.latency_constraint_ms,
-        replica_index=replica.index,
+    query = item.query
+    table.drop(
+        item.seq, query.index, item.arrival_ms, now,
+        query.latency_constraint_ms, replica.index, "deadline_expired",
     )
 
 
@@ -111,33 +106,18 @@ def _relaxed(query: Query, relax: float) -> Query:
     query's nominal constraints, so attainment metrics see the degradation.
     """
     floor = query.accuracy_constraint - relax
-    return replace(query, accuracy_constraint=floor if floor > 1e-9 else 1e-9)
-
-
-def _stamp_record(record, ridx: int):
-    """``replace(record, replica_index=ridx)`` without per-call dataclass
-    introspection (``dataclasses.replace`` would be the single-query
-    dispatch's top hotspot).  Value-equal to ``replace``: dataclass equality
-    compares fields, and records are valid by construction, so skipping
-    re-validation changes no observable bit.  Falls back to ``replace`` for
-    slotted or otherwise ``__dict__``-less record types.
-    """
-    cls = record.__class__
-    try:
-        fields = record.__dict__
-    except AttributeError:  # pragma: no cover - exotic record types
-        return replace(record, replica_index=ridx)
-    clone = cls.__new__(cls)
-    d = clone.__dict__
-    d.update(fields)
-    d["replica_index"] = ridx
-    return clone
+    return Query(
+        query.index,
+        floor if floor > 1e-9 else 1e-9,
+        query.latency_constraint_ms,
+        query.arrival_ms,
+    )
 
 
 def _serve_pickup(
     replica: AcceleratorReplica,
     now: float,
-    dropped: list[DroppedQuery],
+    table: ResultTable,
     *,
     admission: AdmissionPolicy,
     bus,
@@ -156,10 +136,7 @@ def _serve_pickup(
     batch; under ``per_query`` (and for backends without
     ``serve_dispatch_batch``) members keep their own decisions and run back
     to back.  A one-member pickup is served exactly like the engine's
-    single-query dispatch.
-
-    Records are stamped with the replica index *here*, at dispatch, so
-    completion is allocation-free.
+    single-query dispatch.  Admission sheds are written to ``table``.
 
     With ``faults`` set (a :class:`~repro.serving.engine.faults.FaultInjector`)
     the pickup additionally runs the dispatch-time fault behaviours: one
@@ -174,11 +151,11 @@ def _serve_pickup(
     """
     batch, shed = replica.pop_batch(replica.max_batch, now_ms=now, admission=admission)
     for item in shed:
-        dropped.append(_drop_item(item, replica, now))
+        _drop_item(table, item, replica, now)
         if bus is not None:
             bus.on_drop(now)
         if recorder is not None:
-            recorder.on_dropped(dropped[-1])
+            recorder.on_dropped(table.dropped_query(item.seq))
     if not batch:
         return None
     straggle = 1.0
@@ -215,11 +192,11 @@ def _serve_pickup(
         for item in batch:
             if t > now and not admit(item, t):
                 # The deadline expired while earlier members ran.
-                dropped.append(_drop_item(item, replica, t))
+                _drop_item(table, item, replica, t)
                 if bus is not None:
                     bus.on_drop(t)
                 if recorder is not None:
-                    recorder.on_dropped(dropped[-1])
+                    recorder.on_dropped(table.dropped_query(item.seq))
                 continue
             remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
             effective = (
@@ -229,8 +206,6 @@ def _serve_pickup(
             )
             query = _relaxed(item.query, relax) if relax > 0.0 else item.query
             record = serve(query, effective_latency_constraint_ms=effective)
-            if record.replica_index != ridx:
-                record = replace(record, replica_index=ridx)
             service = float(record.served_latency_ms)
             if straggle != 1.0:
                 # A straggling replica runs the whole pickup slower; the
@@ -264,13 +239,9 @@ def _serve_pickup(
         queries = [item.query for item in batch]
         if relax > 0.0:
             queries = [_relaxed(q, relax) for q in queries]
-        records = [
-            r if r.replica_index == ridx else replace(r, replica_index=ridx)
-            for r in batch_serve(
-                queries,
-                effective_latency_constraints_ms=effective_batch,
-            )
-        ]
+        records = batch_serve(
+            queries, effective_latency_constraints_ms=effective_batch
+        )
         total = max(float(r.served_latency_ms) for r in records)
         if straggle != 1.0:
             total *= straggle
@@ -297,37 +268,27 @@ def _serve_pickup(
 
 def _complete_inservice(
     replica: AcceleratorReplica,
-    outcomes: list[SimulatedQueryOutcome],
+    table: ResultTable,
     recorder=None,
 ) -> None:
-    """Emit outcomes and stats for the replica's finished pickup."""
+    """Write the replica's finished pickup to ``table``; update its stats."""
     current = replica.in_service
     if current is None:  # pragma: no cover - engine invariant
         raise RuntimeError(f"{replica.name} completed with nothing in service")
     ridx = replica.index
     stats = replica.stats
     size = current.size
-    append = outcomes.append
-    rec_served = None if recorder is None else recorder.on_served
+    serve = table.serve
     for item, record, start, service in zip(
         current.items, current.records, current.starts, current.services
     ):
-        # Records were stamped with the replica index at dispatch, so
-        # completion allocates nothing beyond the outcome itself.
-        outcome = SimulatedQueryOutcome(
-            query_index=item.query.index,
-            arrival_ms=item.arrival_ms,
-            start_ms=start,
-            service_ms=service,
-            latency_constraint_ms=item.query.latency_constraint_ms,
-            served_accuracy=record.served_accuracy,
-            replica_index=ridx,
-            record=record,
-            batch_size=size,
+        query = item.query
+        serve(
+            item.seq, query.index, item.arrival_ms, start, service,
+            query.latency_constraint_ms, ridx, size, record,
         )
-        append(outcome)
-        if rec_served is not None:
-            rec_served(outcome)
+        if recorder is not None:
+            recorder.on_served(table.outcome(item.seq))
         stats.queueing_ms_total += start - item.arrival_ms
     stats.num_served += size
     stats.busy_ms += current.total_ms
@@ -624,10 +585,8 @@ class ServingEngine:
             recorder.begin_run((r.index, r.name) for r in self.replicas)
         if self.autoscaler is not None:
             self.autoscaler.recorder = recorder
-        outcomes, dropped = self._simulate(trace, arrivals)
-        return self._build_result(
-            outcomes, dropped, arrival_rate_per_ms=arrival_rate_per_ms
-        )
+        table = self._simulate(trace, arrivals)
+        return self._build_result(table, arrival_rate_per_ms=arrival_rate_per_ms)
 
     def run_open_loop(
         self,
@@ -677,37 +636,27 @@ class ServingEngine:
             records = list(stream_serve(trace))
         else:
             records = [replica.server.serve_query(query) for query in trace]
-        outcomes: list[SimulatedQueryOutcome] = []
+        table = ResultTable(len(trace))
         now = 0.0
-        for query, record in zip(trace, records):
+        for row, (query, record) in enumerate(zip(trace, records)):
             service = float(record.served_latency_ms)
-            outcomes.append(
-                SimulatedQueryOutcome(
-                    query_index=query.index,
-                    arrival_ms=now,
-                    start_ms=now,
-                    service_ms=service,
-                    latency_constraint_ms=query.latency_constraint_ms,
-                    served_accuracy=record.served_accuracy,
-                    replica_index=0,
-                    record=record,
-                )
+            table.serve(
+                row, query.index, now, now, service,
+                query.latency_constraint_ms, 0, 1, record,
             )
             if recorder is not None:
-                recorder.on_served(outcomes[-1])
+                recorder.on_served(table.outcome(row))
             replica.stats.num_served += 1
             replica.stats.num_batches += 1
             replica.stats.busy_ms += service
             now += service
         replica.busy_until_ms = now
         self._run_end_ms = now
-        return self._build_result(outcomes, [], offered_load=1.0)
+        return self._build_result(table, offered_load=1.0)
 
     # ------------------------------------------------------------ event loop
-    def _simulate(
-        self, trace, arrivals: np.ndarray
-    ) -> tuple[list[SimulatedQueryOutcome], list[DroppedQuery]]:
-        """Process every event of one run; outcomes and drops by query index.
+    def _simulate(self, trace, arrivals: np.ndarray) -> ResultTable:
+        """Process every event of one run; every query's row in one table.
 
         The one event loop, for every pool: static or autoscaled, with or
         without fault injection, any ``max_batch``.  Events come from an
@@ -717,17 +666,20 @@ class ServingEngine:
         fixed pool pays one ``is not None`` check per hook.
 
         A ``max_batch == 1`` replica dispatches one query at a time
-        (``serve_one``: an :class:`_InFlight` instead of an ``_InService``,
-        the outcome built at completion without a dataclass ``__init__``);
+        (``serve_one``: an :class:`_InFlight` instead of an ``_InService``);
         an idle replica with an empty queue serves an admitted arrival
         directly, skipping the enqueue/pop round-trip.  Larger pickups go
         through :func:`_serve_pickup`.  Both replay the per-query semantics
         of the batched dispatch exactly — admission at pop, remaining-budget
         floors, stats and telemetry order — which the test suite checks
         against an Event-heap reference loop.
+
+        Each query's row of the :class:`ResultTable` (its arrival position)
+        is written once: at its completion, or where it is dropped.  No
+        outcome object is built unless a flight recorder is attached.
         """
-        outcomes: list[SimulatedQueryOutcome] = []
-        dropped: list[DroppedQuery] = []
+        table = ResultTable(len(arrivals))
+        write_served = table.serve
         replicas = self.replicas  # scale-ups append to this very list
         ctl = self.autoscaler
         bus = None if ctl is None else ctl.bus
@@ -748,8 +700,6 @@ class ServingEngine:
         # routers read on later arrivals.
         direct_serve = not needs_estimates
         get_query = _query_getter(trace)
-        out_append = outcomes.append
-        out_new = SimulatedQueryOutcome.__new__
         ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
             int(EventKind.ARRIVAL),
             int(EventKind.COMPLETION),
@@ -765,11 +715,11 @@ class ServingEngine:
             self._arm_faults(arrivals, push)
 
         def drop(item: QueuedQuery, replica: AcceleratorReplica, now: float) -> None:
-            dropped.append(_drop_item(item, replica, now))
+            _drop_item(table, item, replica, now)
             if bus is not None and replica.index in scalable:
                 bus.on_drop(now)
             if rec_dropped is not None:
-                rec_dropped(dropped[-1])
+                rec_dropped(table.dropped_query(item.seq))
 
         def serve_one(
             replica: AcceleratorReplica, item: QueuedQuery, now: float
@@ -783,7 +733,7 @@ class ServingEngine:
                 if fi.dispatch_fails():
                     if recorder is not None:
                         recorder.on_fault(now, "dispatch_failure", replica.index)
-                    self._retry_or_fail(item, replica, now, queue, dropped)
+                    self._retry_or_fail(item, replica, now, queue, table)
                     return False
                 straggle = replica.straggle_factor
                 if fi.accuracy_relax > 0.0:
@@ -794,8 +744,6 @@ class ServingEngine:
                 query, effective_latency_constraint_ms=effective
             )
             ridx = replica.index
-            if record.replica_index != ridx:
-                record = _stamp_record(record, ridx)
             service = float(record.served_latency_ms)
             if straggle != 1.0:
                 # The record keeps the backend's nominal latency; the
@@ -829,7 +777,7 @@ class ServingEngine:
                     completion = _serve_pickup(
                         replica,
                         now,
-                        dropped,
+                        table,
                         admission=admission,
                         bus=pickup_bus,
                         recorder=recorder,
@@ -844,7 +792,7 @@ class ServingEngine:
                     if recorder is not None:
                         recorder.on_fault(now, "dispatch_failure", replica.index)
                     for lost in sink:
-                        self._retry_or_fail(lost, replica, now, queue, dropped)
+                        self._retry_or_fail(lost, replica, now, queue, table)
                     sink.clear()
                 if completion is not None:
                     push(completion, COMPLETION, replica)
@@ -873,7 +821,7 @@ class ServingEngine:
                     if fi is not None and not candidates:
                         # Every replica crashed (and no replacement is
                         # serving yet): the arrival has nowhere to go.
-                        self._shed_arrival(item, now, dropped, bus)
+                        self._shed_arrival(item, now, table, bus)
                         continue
                 replica = candidates[router_select(candidates, item, now)]
                 if bus is not None and replica.index in scalable:
@@ -916,34 +864,22 @@ class ServingEngine:
                 if current.__class__ is _InFlight:
                     item = current.item
                     query = item.query
-                    record = current.record
                     start = current.start
                     service = current.service
-                    # Built via __dict__ fill: a frozen dataclass __init__
-                    # pays one object.__setattr__ per field, and one
-                    # outcome exists per served query.  Value-identical to
-                    # the keyword construction in _complete_inservice.
-                    outcome = out_new(SimulatedQueryOutcome)
-                    d = outcome.__dict__
-                    d["query_index"] = query.index
-                    d["arrival_ms"] = item.arrival_ms
-                    d["start_ms"] = start
-                    d["service_ms"] = service
-                    d["latency_constraint_ms"] = query.latency_constraint_ms
-                    d["served_accuracy"] = record.served_accuracy
-                    d["replica_index"] = replica.index
-                    d["record"] = record
-                    d["batch_size"] = 1
-                    out_append(outcome)
+                    write_served(
+                        item.seq, query.index, item.arrival_ms, start, service,
+                        query.latency_constraint_ms, replica.index, 1,
+                        current.record,
+                    )
                     if rec_served is not None:
-                        rec_served(outcome)
+                        rec_served(table.outcome(item.seq))
                     stats = replica.stats
                     stats.queueing_ms_total += start - item.arrival_ms
                     stats.num_served += 1
                     stats.busy_ms += service
                     replica.in_service = None
                 else:
-                    _complete_inservice(replica, outcomes, recorder)
+                    _complete_inservice(replica, table, recorder)
                 # Popping an empty queue is a guaranteed no-op; one len()
                 # dodges that call chain on every idle completion.
                 if len(replica.queue):
@@ -951,17 +887,15 @@ class ServingEngine:
                 elif ctl is not None:
                     self._maybe_retire(replica, now)
             elif kind == FAULT:
-                self._handle_fault(now, payload, queue, dropped)
+                self._handle_fault(now, payload, queue, table)
             elif kind == RECOVERY:
-                self._handle_recovery(now, payload, queue, dropped, dispatch)
+                self._handle_recovery(now, payload, queue, table, dispatch)
             elif kind == PROVISIONING:
                 self._finish_provisioning(payload)
             else:  # CONTROL
                 self._control(now, queue)
         self._run_end_ms = run_end
-        outcomes.sort(key=_by_query_index)
-        dropped.sort(key=_by_query_index)
-        return outcomes, dropped
+        return table
 
     # --------------------------------------------------------- control plane
     def _control(self, now: float, queue: ArrayEventQueue) -> None:
@@ -1125,7 +1059,7 @@ class ServingEngine:
         now: float,
         payload,
         queue: ArrayEventQueue,
-        dropped: list[DroppedQuery],
+        table: ResultTable,
     ) -> None:
         """One FAULT event: a replica crash or a straggle onset."""
         fi = self.faults
@@ -1159,7 +1093,7 @@ class ServingEngine:
         if bus is not None and replica.index in self._group_of:
             bus.on_failure(now)
         for item in lost:
-            self._retry_or_fail(item, replica, now, queue, dropped)
+            self._retry_or_fail(item, replica, now, queue, table)
         fi.update_brownout(self._failed_pressure, len(self._routable()))
 
     def _handle_recovery(
@@ -1167,7 +1101,7 @@ class ServingEngine:
         now: float,
         payload,
         queue: ArrayEventQueue,
-        dropped: list[DroppedQuery],
+        table: ResultTable,
         dispatch: Callable[[AcceleratorReplica, float], None],
     ) -> None:
         """One RECOVERY event: a straggle interval ends, or a retry fires.
@@ -1190,19 +1124,9 @@ class ServingEngine:
         candidates = self._routable()
         bus = None if self.autoscaler is None else self.autoscaler.bus
         if not candidates:
-            drop = DroppedQuery(
-                query_index=item.query.index,
-                arrival_ms=item.arrival_ms,
-                dropped_at_ms=now,
-                latency_constraint_ms=item.query.latency_constraint_ms,
-                replica_index=-1,
-                reason=FAILED,
-            )
-            dropped.append(drop)
+            self._write_drop(table, item, now, -1, FAILED)
             if bus is not None:
                 bus.on_drop(now)
-            if self.recorder is not None:
-                self.recorder.on_dropped(drop)
             return
         ridx = self.router.select(candidates, item, now)
         replica = candidates[ridx]
@@ -1223,26 +1147,16 @@ class ServingEngine:
         replica: AcceleratorReplica,
         now: float,
         queue: ArrayEventQueue,
-        dropped: list[DroppedQuery],
+        table: ResultTable,
     ) -> None:
         """Back off a lost query for a retry, or fail it for good."""
         retry_ms = self.faults.next_retry_ms(item, now)
         if retry_ms is None:
             replica.stats.num_dropped += 1
-            drop = DroppedQuery(
-                query_index=item.query.index,
-                arrival_ms=item.arrival_ms,
-                dropped_at_ms=now,
-                latency_constraint_ms=item.query.latency_constraint_ms,
-                replica_index=replica.index,
-                reason=FAILED,
-            )
-            dropped.append(drop)
+            self._write_drop(table, item, now, replica.index, FAILED)
             bus = None if self.autoscaler is None else self.autoscaler.bus
             if bus is not None and replica.index in self._group_of:
                 bus.on_drop(now)
-            if self.recorder is not None:
-                self.recorder.on_dropped(drop)
         else:
             queue.push(retry_ms, EventKind.RECOVERY, ("retry", item))
 
@@ -1250,7 +1164,7 @@ class ServingEngine:
         self,
         item: QueuedQuery,
         now: float,
-        dropped: list[DroppedQuery],
+        table: ResultTable,
         bus,
     ) -> None:
         """Drop an arrival that found no routable replica (fault mode only).
@@ -1259,20 +1173,27 @@ class ServingEngine:
         the whole pool crashed are exactly the signal the self-healing
         controller must see to provision replacements.
         """
-        drop = DroppedQuery(
-            query_index=item.query.index,
-            arrival_ms=item.arrival_ms,
-            dropped_at_ms=now,
-            latency_constraint_ms=item.query.latency_constraint_ms,
-            replica_index=-1,
-            reason=SHED,
-        )
-        dropped.append(drop)
+        self._write_drop(table, item, now, -1, SHED)
         if bus is not None:
             bus.on_arrival(now)
             bus.on_drop(now)
+
+    def _write_drop(
+        self,
+        table: ResultTable,
+        item: QueuedQuery,
+        now: float,
+        replica_index: int,
+        reason: str,
+    ) -> None:
+        """Write a fault-plane drop of ``item`` and show it to the recorder."""
+        query = item.query
+        table.drop(
+            item.seq, query.index, item.arrival_ms, now,
+            query.latency_constraint_ms, replica_index, reason,
+        )
         if self.recorder is not None:
-            self.recorder.on_dropped(drop)
+            self.recorder.on_dropped(table.dropped_query(item.seq))
 
     def _on_capacity_joined(self) -> None:
         """A scale-up replica joined routing: failure pressure eases."""
@@ -1282,13 +1203,13 @@ class ServingEngine:
 
     def _build_result(
         self,
-        outcomes: list[SimulatedQueryOutcome],
-        dropped: list[DroppedQuery],
+        table: ResultTable,
         *,
         arrival_rate_per_ms: float | None = None,
         offered_load: float | None = None,
     ) -> SimulationResult:
-        makespan = max((o.completion_ms for o in outcomes), default=0.0)
+        outcomes, dropped = table.views()
+        makespan = makespan_ms(outcomes)
         duration = max(self._run_end_ms, makespan)
         # Per-replica provisioned time: live replicas accrue until the last
         # data-plane event; a retirement decided on a control tick *after*
@@ -1305,8 +1226,8 @@ class ServingEngine:
             else float(self.num_replicas)
         )
         if offered_load is None:
-            if arrival_rate_per_ms is not None and outcomes:
-                mean_service = float(np.mean([o.service_ms for o in outcomes]))
+            if arrival_rate_per_ms is not None and len(outcomes):
+                mean_service = float(np.mean(outcomes.column("service_ms")))
                 # rho against the capacity actually provisioned: the static
                 # replica count, or the time-weighted mean pool size when
                 # the run was autoscaled.
@@ -1340,9 +1261,9 @@ class ServingEngine:
         if self.autoscaler is not None and self.autoscaler.keep_metrics:
             metrics = tuple(self.autoscaler.metrics_history)
         return SimulationResult(
-            outcomes=tuple(outcomes),
+            outcomes=outcomes,
             offered_load=offered_load,
-            dropped=tuple(dropped),
+            dropped=dropped,
             replica_stats=tuple(r.stats for r in self.replicas),
             achieved_throughput_per_ms=throughput,
             duration_ms=duration,

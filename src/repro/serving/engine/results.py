@@ -1,15 +1,23 @@
-"""Engine results: per-query outcomes, drops, and run-level aggregates.
+"""Engine results: one columnar row per offered query, and run aggregates.
 
-These generalize the original single-server simulator's result types to N
-replicas and admission control: an outcome knows which replica served it and
-carries the full :class:`~repro.core.metrics.QueryRecord`; a run additionally
-accounts for shed queries and exposes offered load, achieved throughput, and
-per-replica statistics — the numbers that make overload runs interpretable.
+A run writes every offered query exactly once into a preallocated
+:class:`ResultTable` — at completion when it was served, at the drop when
+it was not — keyed by its arrival position.  :class:`SimulationResult`
+computes its summaries from those columns; its ``outcomes``, ``dropped``
+and ``records`` are read-only views in query-index order that build the
+:class:`SimulatedQueryOutcome` / :class:`DroppedQuery` /
+:class:`~repro.core.metrics.QueryRecord` objects on each access and cache
+none of them, so what a run keeps grows by one fixed-size row per query.
+A run additionally accounts for shed queries and exposes offered load,
+achieved throughput, and per-replica statistics — the numbers that make
+overload runs interpretable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,8 +28,8 @@ from repro.serving.engine.replica import ReplicaStats
 from repro.serving.obs.recorder import RecordedTrace
 
 
-@dataclass(frozen=True)
-class SimulatedQueryOutcome:  # repro-lint: disable=RPR002 -- _simulate stamps outcome.__dict__; slots=True would remove the __dict__ the single-query completion fills
+@dataclass(frozen=True, slots=True)
+class SimulatedQueryOutcome:
     """Timing of one served query in the simulation (all in ms)."""
 
     query_index: int
@@ -79,16 +87,321 @@ class DroppedQuery:
         return self.dropped_at_ms - self.arrival_ms
 
 
+# ------------------------------------------------------------------ the table
+SERVED = 1
+"""Status code of a served row; an unwritten row is 0."""
+
+DROP_REASONS = ("deadline_expired", "failed", "shed")
+"""Drop reasons; a dropped row's status is ``SERVED + 1 + position``."""
+
+_DROP_CODE = {reason: SERVED + 1 + i for i, reason in enumerate(DROP_REASONS)}
+
+ROW_DTYPE = np.dtype(
+    [
+        ("status", "i1"),
+        ("query_index", "i8"),
+        ("arrival_ms", "f8"),
+        # When the query started service; when a dropped one was dropped.
+        ("start_ms", "f8"),
+        ("service_ms", "f8"),
+        ("latency_constraint_ms", "f8"),
+        ("served_accuracy", "f8"),
+        ("replica_index", "i4"),
+        ("batch_size", "i4"),
+        # The record's own fields: a backend may report a constraint other
+        # than the query's (under brownout it is the relaxed floor).
+        # ``served_accuracy`` and ``replica_index`` are the outcome's.
+        ("record_query_index", "i8"),
+        ("accuracy_constraint", "f8"),
+        ("record_latency_constraint_ms", "f8"),
+        ("subnet", "i4"),
+        ("served_latency_ms", "f8"),
+        ("cache_hit_ratio", "f8"),
+        ("offchip_energy_mj", "f8"),
+        ("cache_load_ms", "f8"),
+    ]
+)
+"""One row per offered query (117 bytes, unaligned)."""
+
+_CHUNK = 4096
+"""Rows a view materializes at a time while iterating."""
+
+
+class ResultTable:
+    """The one writer of a run's results: a preallocated row per query.
+
+    ``rows[i]`` belongs to the query at arrival position ``i`` and is
+    written once, by :meth:`serve` or :meth:`drop` (or :meth:`put`, which
+    takes the objects the views build).  Subnet names are interned:
+    ``subnet_names[rows["subnet"][i]]``.
+    """
+
+    __slots__ = ("rows", "subnet_names", "_subnet_codes")
+
+    def __init__(self, num_rows: int) -> None:
+        self.rows = np.zeros(num_rows, dtype=ROW_DTYPE)
+        self.subnet_names: list[str] = []
+        self._subnet_codes: dict[str, int] = {}
+
+    def serve(
+        self,
+        row: int,
+        query_index: int,
+        arrival_ms: float,
+        start_ms: float,
+        service_ms: float,
+        latency_constraint_ms: float,
+        replica_index: int,
+        batch_size: int,
+        record: QueryRecord,
+    ) -> None:
+        """Write a served query and its backend record."""
+        name = record.subnet_name
+        code = self._subnet_codes.get(name)
+        if code is None:
+            code = self._subnet_codes[name] = len(self.subnet_names)
+            self.subnet_names.append(name)
+        self.rows[row] = (
+            SERVED,
+            query_index,
+            arrival_ms,
+            start_ms,
+            service_ms,
+            latency_constraint_ms,
+            record.served_accuracy,
+            replica_index,
+            batch_size,
+            record.query_index,
+            record.accuracy_constraint,
+            record.latency_constraint_ms,
+            code,
+            record.served_latency_ms,
+            record.cache_hit_ratio,
+            record.offchip_energy_mj,
+            record.cache_load_ms,
+        )
+
+    def drop(
+        self,
+        row: int,
+        query_index: int,
+        arrival_ms: float,
+        dropped_at_ms: float,
+        latency_constraint_ms: float,
+        replica_index: int,
+        reason: str,
+    ) -> None:
+        """Write a dropped query (``reason`` is one of :data:`DROP_REASONS`)."""
+        self.rows[row] = (
+            _DROP_CODE[reason], query_index, arrival_ms, dropped_at_ms, 0.0,
+            latency_constraint_ms, 0.0, replica_index, 0, 0, 0.0, 0.0, -1,
+            0.0, 0.0, 0.0, 0.0,
+        )
+
+    def put(self, row: int, obj: SimulatedQueryOutcome | DroppedQuery) -> None:
+        """Write an outcome or drop object through :meth:`serve` / :meth:`drop`."""
+        if isinstance(obj, DroppedQuery):
+            self.drop(
+                row, obj.query_index, obj.arrival_ms, obj.dropped_at_ms,
+                obj.latency_constraint_ms, obj.replica_index, obj.reason,
+            )
+        else:
+            self.serve(
+                row, obj.query_index, obj.arrival_ms, obj.start_ms,
+                obj.service_ms, obj.latency_constraint_ms, obj.replica_index,
+                obj.batch_size, obj.record,
+            )
+
+    def outcome(self, row: int) -> SimulatedQueryOutcome:
+        """The outcome object of served row ``row``."""
+        return _outcomes(self, self.rows[row : row + 1])[0]
+
+    def dropped_query(self, row: int) -> DroppedQuery:
+        """The drop object of dropped row ``row``."""
+        return _drops(self.rows[row : row + 1])[0]
+
+    def views(self) -> tuple[OutcomeView, DropView]:
+        """Served and dropped rows, each in query-index order.
+
+        The order is a stable sort on ``query_index``, so a trace slice
+        (indices not starting at 0) keeps its order and equal indices keep
+        their arrival order.  Unwritten rows belong to neither.
+        """
+        order = np.argsort(self.rows["query_index"], kind="stable")
+        status = self.rows["status"][order]
+        return (
+            OutcomeView(self, order[status == SERVED]),
+            DropView(self, order[status > SERVED]),
+        )
+
+
+# ------------------------------------------------------------------- builders
+def _records(table: ResultTable, sel: np.ndarray) -> list[QueryRecord]:
+    names = table.subnet_names
+    return [
+        QueryRecord(
+            query_index=qi,
+            accuracy_constraint=ac,
+            latency_constraint_ms=lc,
+            subnet_name=names[code],
+            served_accuracy=acc,
+            served_latency_ms=lat,
+            cache_hit_ratio=hit,
+            offchip_energy_mj=energy,
+            cache_load_ms=load,
+            replica_index=ridx,
+        )
+        for qi, ac, lc, code, acc, lat, hit, energy, load, ridx in zip(
+            sel["record_query_index"].tolist(),
+            sel["accuracy_constraint"].tolist(),
+            sel["record_latency_constraint_ms"].tolist(),
+            sel["subnet"].tolist(),
+            sel["served_accuracy"].tolist(),
+            sel["served_latency_ms"].tolist(),
+            sel["cache_hit_ratio"].tolist(),
+            sel["offchip_energy_mj"].tolist(),
+            sel["cache_load_ms"].tolist(),
+            sel["replica_index"].tolist(),
+        )
+    ]
+
+
+def _outcomes(table: ResultTable, sel: np.ndarray) -> list[SimulatedQueryOutcome]:
+    return [
+        SimulatedQueryOutcome(
+            query_index=qi,
+            arrival_ms=arrival,
+            start_ms=start,
+            service_ms=service,
+            latency_constraint_ms=lc,
+            served_accuracy=record.served_accuracy,
+            replica_index=record.replica_index,
+            record=record,
+            batch_size=size,
+        )
+        for qi, arrival, start, service, lc, size, record in zip(
+            sel["query_index"].tolist(),
+            sel["arrival_ms"].tolist(),
+            sel["start_ms"].tolist(),
+            sel["service_ms"].tolist(),
+            sel["latency_constraint_ms"].tolist(),
+            sel["batch_size"].tolist(),
+            _records(table, sel),
+        )
+    ]
+
+
+def _drops(sel: np.ndarray) -> list[DroppedQuery]:
+    return [
+        DroppedQuery(
+            query_index=qi,
+            arrival_ms=arrival,
+            dropped_at_ms=at,
+            latency_constraint_ms=lc,
+            replica_index=ridx,
+            reason=DROP_REASONS[code - SERVED - 1],
+        )
+        for qi, arrival, at, lc, ridx, code in zip(
+            sel["query_index"].tolist(),
+            sel["arrival_ms"].tolist(),
+            sel["start_ms"].tolist(),
+            sel["latency_constraint_ms"].tolist(),
+            sel["replica_index"].tolist(),
+            sel["status"].tolist(),
+        )
+    ]
+
+
+# ---------------------------------------------------------------------- views
+class _RowView(Sequence):
+    """Read-only sequence over chosen rows of a :class:`ResultTable`.
+
+    Every access builds fresh objects and nothing is cached; iteration
+    materializes :data:`_CHUNK` rows at a time.  Slicing gives a view of
+    the same kind; a view equals another view or a tuple holding equal
+    objects in the same order.
+    """
+
+    __slots__ = ("table", "rows")
+
+    def __init__(self, table: ResultTable, rows: np.ndarray) -> None:
+        self.table = table
+        self.rows = rows
+        """Row positions, in view order."""
+
+    def _build(self, sel: np.ndarray) -> list:
+        raise NotImplementedError
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` of the viewed rows, in view order (a copy)."""
+        return self.table.rows[name][self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(self.table, self.rows[index])
+        return self._build(self.table.rows[self.rows[[index]]])[0]
+
+    def __iter__(self) -> Iterator:
+        rows = self.rows
+        table_rows = self.table.rows
+        for k in range(0, len(rows), _CHUNK):
+            yield from self._build(table_rows[rows[k : k + _CHUNK]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_RowView, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+class OutcomeView(_RowView):
+    """Served queries as :class:`SimulatedQueryOutcome` objects."""
+
+    __slots__ = ()
+
+    def _build(self, sel: np.ndarray) -> list[SimulatedQueryOutcome]:
+        return _outcomes(self.table, sel)
+
+
+class RecordView(_RowView):
+    """Served queries' serving records as :class:`QueryRecord` objects."""
+
+    __slots__ = ()
+
+    def _build(self, sel: np.ndarray) -> list[QueryRecord]:
+        return _records(self.table, sel)
+
+
+class DropView(_RowView):
+    """Dropped queries as :class:`DroppedQuery` objects."""
+
+    __slots__ = ()
+
+    def _build(self, sel: np.ndarray) -> list[DroppedQuery]:
+        return _drops(sel)
+
+
 @dataclass(frozen=True, slots=True)
 class SimulationResult:
     """Aggregate outcome of one simulation run.
 
     ``slo_attainment`` counts dropped queries as SLO violations, so the
     denominator is everything that was *offered*, not just what was served;
-    the response-time statistics describe served queries only.
+    the response-time statistics describe served queries only.  Every
+    summary is computed from the columns under ``outcomes`` / ``dropped``,
+    over the same values in the same (query-index) order the per-object
+    formulas used.
     """
 
-    outcomes: tuple[SimulatedQueryOutcome, ...]
+    outcomes: OutcomeView
+    """Served queries in query-index order (built on each access)."""
     offered_load: float
     """Mean arrival rate x mean service time / replicas (rho); > 1 is overload.
 
@@ -98,7 +411,8 @@ class SimulationResult:
     demand — compare cells together with ``drop_rate`` and
     ``achieved_throughput_per_ms`` when reading overload sweeps.
     """
-    dropped: tuple[DroppedQuery, ...] = ()
+    dropped: DropView
+    """Dropped queries in query-index order (built on each access)."""
     replica_stats: tuple[ReplicaStats, ...] = ()
     achieved_throughput_per_ms: float = 0.0
     """Served queries per ms of makespan (the goodput actually delivered)."""
@@ -131,8 +445,9 @@ class SimulationResult:
         exhausted); ``shed`` is an arrival that found no routable replica.
         """
         counts: dict[str, int] = {}
-        for d in self.dropped:
-            counts[d.reason] = counts.get(d.reason, 0) + 1
+        for code in self.dropped.column("status").tolist():
+            reason = DROP_REASONS[code - SERVED - 1]
+            counts[reason] = counts.get(reason, 0) + 1
         return counts
 
     @property
@@ -143,30 +458,38 @@ class SimulationResult:
     def drop_rate(self) -> float:
         return self.num_dropped / self.num_offered if self.num_offered else 0.0
 
+    def _response_ms(self) -> np.ndarray:
+        o = self.outcomes
+        return (o.column("start_ms") + o.column("service_ms")) - o.column("arrival_ms")
+
+    def _num_meeting_slo(self) -> int:
+        met = self._response_ms() <= self.outcomes.column("latency_constraint_ms")
+        return int(np.count_nonzero(met))
+
     @property
     def slo_attainment(self) -> float:
         if not self.num_offered:
             return 0.0
-        met = sum(o.meets_slo for o in self.outcomes)
-        return met / self.num_offered
+        return self._num_meeting_slo() / self.num_offered
 
     @property
     def mean_response_ms(self) -> float:
-        if not self.outcomes:
+        if not self.num_served:
             return 0.0
-        return float(np.mean([o.response_ms for o in self.outcomes]))
+        return float(np.mean(self._response_ms()))
 
     @property
     def p99_response_ms(self) -> float:
-        if not self.outcomes:
+        if not self.num_served:
             return 0.0
-        return float(np.percentile([o.response_ms for o in self.outcomes], 99))
+        return float(np.percentile(self._response_ms(), 99))
 
     @property
     def mean_queueing_ms(self) -> float:
-        if not self.outcomes:
+        if not self.num_served:
             return 0.0
-        return float(np.mean([o.queueing_ms for o in self.outcomes]))
+        o = self.outcomes
+        return float(np.mean(o.column("start_ms") - o.column("arrival_ms")))
 
     @property
     def goodput_per_ms(self) -> float:
@@ -174,16 +497,22 @@ class SimulationResult:
         dispatch trades per-query latency for."""
         if self.duration_ms <= 0:
             return 0.0
-        return sum(o.meets_slo for o in self.outcomes) / self.duration_ms
+        return self._num_meeting_slo() / self.duration_ms
+
+    @property
+    def makespan_ms(self) -> float:
+        """Completion time of the last served query (0 when none was)."""
+        return makespan_ms(self.outcomes)
 
     @property
     def num_batches(self) -> int:
         """Dispatch pickups across the run (each served 1..B queries)."""
         # Each pickup of size b contributes b outcomes of batch_size b, so
-        # the 1/b shares sum back to one per pickup.
-        if not self.outcomes:
+        # the 1/b shares sum back to one per pickup (a Python float sum,
+        # in query order).
+        if not self.num_served:
             return 0
-        return round(sum(1.0 / o.batch_size for o in self.outcomes))
+        return round(sum(1.0 / b for b in self.outcomes.column("batch_size").tolist()))
 
     @property
     def mean_batch_occupancy(self) -> float:
@@ -193,9 +522,9 @@ class SimulationResult:
 
     @property
     def mean_accuracy(self) -> float:
-        if not self.outcomes:
+        if not self.num_served:
             return 0.0
-        return float(np.mean([o.served_accuracy for o in self.outcomes]))
+        return float(np.mean(self.outcomes.column("served_accuracy")))
 
     # ------------------------------------------------------------------ cost
     @property
@@ -235,6 +564,13 @@ class SimulationResult:
         return self.total_replica_active_ms / self.duration_ms
 
     @property
-    def records(self) -> tuple[QueryRecord, ...]:
+    def records(self) -> RecordView:
         """Serving records of the served queries, in query-index order."""
-        return tuple(o.record for o in self.outcomes if o.record is not None)
+        return RecordView(self.outcomes.table, self.outcomes.rows)
+
+
+def makespan_ms(outcomes: OutcomeView) -> float:
+    """Latest ``start_ms + service_ms`` over ``outcomes`` (0.0 when empty)."""
+    if not len(outcomes):
+        return 0.0
+    return float((outcomes.column("start_ms") + outcomes.column("service_ms")).max())

@@ -7,8 +7,16 @@ simulates, the slow and literal way:
   (time, kind, insertion order) — no arrival cursor;
 * every query is enqueued before it is dispatched — no direct serve;
 * every dispatch, ``max_batch == 1`` included, goes through the batched
-  pickup (``_serve_pickup``) and completes through ``_complete_inservice``
-  — no single-query path, no ``__dict__``-stamped outcomes.
+  pickup (``_serve_pickup``) — no single-query path;
+* every served and dropped query is first an object: completions build
+  :class:`SimulatedQueryOutcome` the literal way (keyword construction,
+  the record restamped with ``dataclasses.replace``) and the engine's
+  shared drop paths write into an :class:`ObjectWriter`, which builds a
+  :class:`DroppedQuery` per drop; each object then goes through the
+  engine's one result writer, ``ResultTable.put``.
+
+``reference_objects`` also returns those objects, in query-index order, so
+a test can hold the result views against what was written.
 
 Routing is the literal scan ``[r for r in engine.replicas if r.is_routable]``
 over every replica ever created, and every arrival asserts that the engine's
@@ -26,15 +34,21 @@ record through ``run_scenario``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from repro.serving.engine import AcceleratorReplica, ServingEngine
-from repro.serving.engine.core import _complete_inservice, _serve_pickup
+from repro.serving.engine import (
+    AcceleratorReplica,
+    DroppedQuery,
+    ServingEngine,
+    SimulatedQueryOutcome,
+)
+from repro.serving.engine.core import _serve_pickup
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
+from repro.serving.engine.results import ResultTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +88,55 @@ class EventHeap:
         return bool(self._heap)
 
 
+class ObjectWriter:
+    """The table interface the engine's drop paths write to, object first.
+
+    ``drop`` builds the :class:`DroppedQuery` and hands it to
+    :meth:`put`, which keeps every object by row and writes it through
+    ``ResultTable.put``.
+    """
+
+    def __init__(self, num_rows: int) -> None:
+        self.table = ResultTable(num_rows)
+        self.objects: dict[int, Any] = {}
+
+    def put(self, row: int, obj) -> None:
+        self.objects[row] = obj
+        self.table.put(row, obj)
+
+    def drop(self, row, query_index, arrival_ms, dropped_at_ms,
+             latency_constraint_ms, replica_index, reason) -> None:
+        self.put(
+            row,
+            DroppedQuery(
+                query_index=query_index,
+                arrival_ms=arrival_ms,
+                dropped_at_ms=dropped_at_ms,
+                latency_constraint_ms=latency_constraint_ms,
+                replica_index=replica_index,
+                reason=reason,
+            ),
+        )
+
+    def dropped_query(self, row: int) -> DroppedQuery:
+        return self.objects[row]
+
+
 def reference_run(engine, trace, arrivals, *, arrival_rate_per_ms=None, reset=True):
     """``engine.run(trace, arrivals, ...)`` through the reference loop."""
+    return reference_objects(
+        engine, trace, arrivals, arrival_rate_per_ms=arrival_rate_per_ms, reset=reset
+    )[0]
+
+
+def reference_objects(
+    engine, trace, arrivals, *, arrival_rate_per_ms=None, reset=True
+):
+    """``(result, outcomes, dropped)`` of the reference loop.
+
+    ``outcomes`` and ``dropped`` are the objects the loop built, each in
+    query-index order (stable over arrival order).
+    """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     if reset:
         engine.reset()
@@ -91,20 +152,28 @@ def reference_run(engine, trace, arrivals, *, arrival_rate_per_ms=None, reset=Tr
         heap.push(engine.autoscaler.control_interval_ms, EventKind.CONTROL, None)
     if engine.faults is not None:
         engine._arm_faults(arrivals, heap.push)
-    outcomes, dropped = _drain(engine, heap)
-    return engine._build_result(
-        outcomes, dropped, arrival_rate_per_ms=arrival_rate_per_ms
+    writer = ObjectWriter(len(arrivals))
+    _drain(engine, heap, writer)
+    result = engine._build_result(
+        writer.table, arrival_rate_per_ms=arrival_rate_per_ms
+    )
+    ordered = sorted(
+        (obj for _, obj in sorted(writer.objects.items())),
+        key=lambda obj: obj.query_index,
+    )
+    return (
+        result,
+        tuple(o for o in ordered if isinstance(o, SimulatedQueryOutcome)),
+        tuple(d for d in ordered if isinstance(d, DroppedQuery)),
     )
 
 
-def _drain(engine, heap: EventHeap):
-    outcomes: list = []
-    dropped: list = []
+def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
     fi = engine.faults
 
     def dispatch(replica, now):
-        _dispatch(engine, replica, now, heap, dropped)
+        _dispatch(engine, replica, now, heap, table)
 
     seq = 0
     while heap:
@@ -123,7 +192,7 @@ def _drain(engine, heap: EventHeap):
                 f"scan {[r.index for r in candidates]} at t={now}"
             )
             if fi is not None and not candidates:
-                engine._shed_arrival(item, now, dropped, bus)
+                engine._shed_arrival(item, now, table, bus)
                 continue
             replica = candidates[engine.router.select(candidates, item, now)]
             if bus is not None and replica.index in engine._group_of:
@@ -143,22 +212,19 @@ def _drain(engine, heap: EventHeap):
             if fi is not None and replica.failed:
                 continue
             engine._run_end_ms = now
-            _complete(engine, replica, outcomes, now)
+            _complete(engine, replica, table, now)
             dispatch(replica, now)
         elif kind == EventKind.FAULT:
-            engine._handle_fault(now, event.payload, heap, dropped)
+            engine._handle_fault(now, event.payload, heap, table)
         elif kind == EventKind.RECOVERY:
-            engine._handle_recovery(now, event.payload, heap, dropped, dispatch)
+            engine._handle_recovery(now, event.payload, heap, table, dispatch)
         elif kind == EventKind.PROVISIONING:
             engine._finish_provisioning(event.payload)
         else:  # CONTROL
             engine._control(now, heap)
-    outcomes.sort(key=lambda o: o.query_index)
-    dropped.sort(key=lambda d: d.query_index)
-    return outcomes, dropped
 
 
-def _dispatch(engine, replica, now, heap, dropped):
+def _dispatch(engine, replica, now, heap, table):
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
     if bus is not None and replica.index not in engine._group_of:
         bus = None
@@ -167,7 +233,7 @@ def _dispatch(engine, replica, now, heap, dropped):
         completion_ms = _serve_pickup(
             replica,
             now,
-            dropped,
+            table,
             admission=engine.admission,
             bus=bus,
             recorder=engine.recorder,
@@ -179,7 +245,7 @@ def _dispatch(engine, replica, now, heap, dropped):
         if engine.recorder is not None:
             engine.recorder.on_fault(now, "dispatch_failure", replica.index)
         for item in sink:
-            engine._retry_or_fail(item, replica, now, heap, dropped)
+            engine._retry_or_fail(item, replica, now, heap, table)
         sink.clear()
     if completion_ms is None:
         if engine.autoscaler is not None:
@@ -188,14 +254,35 @@ def _dispatch(engine, replica, now, heap, dropped):
     heap.push(completion_ms, EventKind.COMPLETION, replica.index)
 
 
-def _complete(engine, replica, outcomes, now):
+def _complete(engine, replica, table, now):
+    current = replica.in_service
     if engine.autoscaler is not None and replica.index in engine._group_of:
-        current = replica.in_service
-        if current is not None:
-            engine.autoscaler.bus.on_completion(
-                now, replica_index=replica.index, service_ms=current.total_ms
-            )
-    _complete_inservice(replica, outcomes, engine.recorder)
+        engine.autoscaler.bus.on_completion(
+            now, replica_index=replica.index, service_ms=current.total_ms
+        )
+    ridx = replica.index
+    stats = replica.stats
+    for item, record, start, service in zip(
+        current.items, current.records, current.starts, current.services
+    ):
+        outcome = SimulatedQueryOutcome(
+            query_index=item.query.index,
+            arrival_ms=item.arrival_ms,
+            start_ms=start,
+            service_ms=service,
+            latency_constraint_ms=item.query.latency_constraint_ms,
+            served_accuracy=record.served_accuracy,
+            replica_index=ridx,
+            record=replace(record, replica_index=ridx),
+            batch_size=current.size,
+        )
+        table.put(item.seq, outcome)
+        if engine.recorder is not None:
+            engine.recorder.on_served(outcome)
+        stats.queueing_ms_total += start - item.arrival_ms
+    stats.num_served += current.size
+    stats.busy_ms += current.total_ms
+    replica.in_service = None
 
 
 def build_stack_engine(

@@ -77,15 +77,15 @@ def test_rpr002_unslotted_dataclass_in_events(tmp_path: Path) -> None:
     assert "RPR002" in lint_codes(root)
 
 
-def test_rpr003_typoed_fast_drain_stamp_key(tmp_path: Path) -> None:
-    # The classic fast-path drift bug: one stamped key no longer matches a
-    # SimulatedQueryOutcome field.  results.py rides along so the
-    # cross-file index can resolve the class.
-    def mutate(source: str) -> str:
-        return source.replace('d["batch_size"] = 1', 'd["batch_sz"] = 1', 1)
-
-    root = copy_engine(tmp_path, {"core.py": mutate, "results.py": _identity})
-    assert "RPR003" in lint_codes(root)
+def test_rpr003_typoed_query_at_stamp_key(tmp_path: Path) -> None:
+    # The classic fast-path drift bug: one stamped key of
+    # ArrayQueryTrace.query_at no longer matches a Query field.
+    source = (ENGINE.parent / "query.py").read_text(encoding="utf-8")
+    mutated = source.replace('d["arrival_ms"] = 0.0', 'd["arrival"] = 0.0', 1)
+    assert mutated != source, "mutation left query.py unchanged"
+    (tmp_path / "serving").mkdir()
+    (tmp_path / "serving" / "query.py").write_text(mutated, encoding="utf-8")
+    assert "RPR003" in lint_codes(tmp_path)
 
 
 def test_rpr005_new_eventkind_member(tmp_path: Path) -> None:
