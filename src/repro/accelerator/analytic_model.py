@@ -3,6 +3,12 @@
 Composes the DPE array, DRAM model and buffer hierarchy into per-SubNet
 latency breakdowns (Fig. 10), off-chip/on-chip energy estimates (Fig. 13b)
 and the latency numbers that populate SushiAbs's latency table.
+
+:meth:`SushiAccelModel.subnet_breakdown` is the one evaluator.  A model
+memoizes each SubNet's layer profiles (the terms that do not depend on the
+cached SubGraph, :class:`~repro.accelerator.dataflow.LayerProfile`), so
+evaluating one SubNet against every candidate SubGraph computes them once;
+the result is bit-identical to evaluating every layer from scratch.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from repro.accelerator.buffers import BufferHierarchy, default_hierarchy
 from repro.accelerator.dataflow import (
     DEFAULT_WEIGHT_OVERLAP_FRACTION,
     LayerLatency,
-    layer_latency,
+    LayerProfile,
+    layer_profile,
 )
 from repro.accelerator.dpe import DPEArrayConfig
 from repro.accelerator.dram import DRAMModel
@@ -124,6 +131,10 @@ class SushiAccelModel:
             else query_overhead_cycles
         )
         self.weight_overlap_fraction = weight_overlap_fraction
+        # Layer profiles per SubNet, keyed by identity: equal SubNets of two
+        # SuperNet instances (another input size) have different layers.  The
+        # entry holds the SubNet, so its id is not reused while memoized.
+        self._profiles: dict[int, tuple[SubNet, tuple[LayerProfile, ...]]] = {}
 
     # ------------------------------------------------------------ factory
     def make_persistent_buffer(self) -> PersistentBuffer:
@@ -136,6 +147,31 @@ class SushiAccelModel:
         return self.buffers.pb.capacity_bytes if self.with_pb else 0
 
     # ------------------------------------------------------------ latency
+    def _layer_profiles(
+        self, subnet: SubNet, layer_filter=None
+    ) -> tuple[LayerProfile, ...]:
+        """The cache-independent terms of every (filtered) layer, in order."""
+        layers = subnet.active_layers()
+        if layer_filter is not None:
+            layers = [layer for layer in layers if layer_filter(layer)]
+            if not layers:
+                raise ValueError("layer_filter removed every layer of the SubNet")
+        last = len(layers) - 1
+        return tuple(
+            layer_profile(
+                layer,
+                self.dpe,
+                self.dram,
+                onchip_bandwidth_bytes_per_cycle=self.platform.on_chip_bandwidth_bytes_per_cycle,
+                sb_capacity_bytes=self.buffers["SB"].capacity_bytes,
+                ob_capacity_bytes=self.buffers["OB"].capacity_bytes,
+                is_first_layer=idx == 0,
+                is_last_layer=idx == last,
+                weight_overlap_fraction=self.weight_overlap_fraction,
+            )
+            for idx, layer in enumerate(layers)
+        )
+
     def subnet_breakdown(
         self,
         subnet: SubNet,
@@ -156,32 +192,17 @@ class SushiAccelModel:
         else:
             cached_per_layer = cached.overlap_bytes_per_layer(subnet)
 
-        onchip_bw = self.platform.on_chip_bandwidth_bytes_per_cycle
-        sb_capacity = self.buffers["SB"].capacity_bytes
-        ob_capacity = self.buffers["OB"].capacity_bytes
-        pairs = list(zip(subnet.ordered_slices, subnet.active_layers()))
-        if layer_filter is not None:
-            pairs = [(sl, layer) for sl, layer in pairs if layer_filter(layer)]
-            if not pairs:
-                raise ValueError("layer_filter removed every layer of the SubNet")
-        active_layers = [layer for _, layer in pairs]
-        per_layer: list[LayerLatency] = []
-        for idx, (sl, layer) in enumerate(pairs):
-            cached_bytes = cached_per_layer.get(sl.layer.name, 0)
-            per_layer.append(
-                layer_latency(
-                    layer,
-                    self.dpe,
-                    self.dram,
-                    cached_weight_bytes=cached_bytes,
-                    onchip_bandwidth_bytes_per_cycle=onchip_bw,
-                    sb_capacity_bytes=sb_capacity,
-                    ob_capacity_bytes=ob_capacity,
-                    is_first_layer=idx == 0,
-                    is_last_layer=idx == len(active_layers) - 1,
-                    weight_overlap_fraction=self.weight_overlap_fraction,
-                )
-            )
+        if layer_filter is None:
+            entry = self._profiles.get(id(subnet))
+            if entry is None:
+                entry = self._profiles[id(subnet)] = (subnet, self._layer_profiles(subnet))
+            profiles = entry[1]
+        else:
+            profiles = self._layer_profiles(subnet, layer_filter)
+        per_layer = [
+            profile.latency(cached_per_layer.get(profile.layer_name, 0))
+            for profile in profiles
+        ]
 
         to_ms = self.dram.cycles_to_ms
         compute = sum(ll.compute_cycles for ll in per_layer)

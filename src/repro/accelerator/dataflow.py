@@ -23,6 +23,12 @@ properties the paper's results rest on:
 * **SubGraph reuse** (Fig. 9a).  Weight bytes resident in the Persistent
   Buffer are read from on-chip storage at the (much higher) on-chip
   bandwidth instead of being fetched from DRAM.
+
+Only the last point depends on what the PB holds.  :func:`layer_profile`
+computes everything else about a layer at its position in a SubNet once
+(compute cycles, first weight tile, SB/OB spills, activation transfers), and
+:meth:`LayerProfile.latency` adds the cached-bytes terms.
+:func:`layer_latency` is the two in one call.
 """
 
 from __future__ import annotations
@@ -80,6 +86,173 @@ class LayerLatency:
         return self.exposed_memory_cycles > self.compute_cycles
 
 
+@dataclass(frozen=True)
+class LayerProfile:
+    """The cache-independent terms of one layer at one position in a SubNet.
+
+    Compute cycles, the first weight tile, the SB/OB spill decisions and the
+    activation transfer cycles do not depend on what the Persistent Buffer
+    holds, so a profile computes them once; :meth:`latency` adds the terms
+    that depend on the cached weight bytes.  ``layer_profile(...).latency(c)``
+    performs the same float operations, in the same order, as evaluating the
+    layer from scratch, so it is bit-identical however often the profile is
+    reused.
+    """
+
+    layer_name: str
+    is_pool: bool
+    weight_bytes: int
+    compute_cycles: float
+    first_tile_bytes: int
+    iact_bytes: float
+    oact_bytes: float
+    act_cycles: float
+    iact_share: float
+    oact_share: float
+    hideable_cycles: float
+    onchip_bandwidth_bytes_per_cycle: float
+    onchip_first_tile_cycles: float
+    dram: DRAMModel
+
+    def latency(self, cached_weight_bytes: float = 0.0) -> LayerLatency:
+        """The layer's latency with ``cached_weight_bytes`` resident in the PB.
+
+        ``cached_weight_bytes`` is clamped to the layer's weight footprint.
+        """
+        if self.is_pool:
+            return LayerLatency(
+                layer_name=self.layer_name,
+                compute_cycles=0.0,
+                exposed_iact_cycles=0.0,
+                exposed_weight_cycles=0.0,
+                exposed_oact_cycles=0.0,
+                onchip_weight_cycles=0.0,
+                offchip_bytes=0.0,
+                onchip_weight_bytes=0.0,
+                cached_weight_bytes=0.0,
+            )
+        dram = self.dram
+        compute = self.compute_cycles
+        cached = float(min(max(cached_weight_bytes, 0.0), self.weight_bytes))
+        distinct_weight_bytes = self.weight_bytes - cached
+
+        weight_cycles = dram.transfer_cycles(distinct_weight_bytes)
+        offchip_bytes = distinct_weight_bytes + self.iact_bytes + self.oact_bytes
+
+        # Weight prefetch: hidden up to a fraction of the compute time, except the
+        # first tile which must land before the array starts.
+        prologue_weight = dram.transfer_cycles(
+            min(self.first_tile_bytes, distinct_weight_bytes)
+        )
+        hideable = self.hideable_cycles
+        exposed_weight = prologue_weight + max(0.0, weight_cycles - prologue_weight - hideable)
+        exposed_weight = min(exposed_weight, weight_cycles)
+
+        # Activation spills are streamed; they overlap compute up to the compute
+        # time not already consumed by weight prefetch.
+        act_hideable = max(0.0, compute - min(weight_cycles, hideable))
+        act_cycles = self.act_cycles
+        exposed_act = max(0.0, act_cycles - act_hideable)
+        if act_cycles > 0:
+            exposed_iact = exposed_act * self.iact_share
+            exposed_oact = exposed_act * self.oact_share
+        else:
+            exposed_iact = exposed_oact = 0.0
+
+        # Cached weights stream from the PB at on-chip bandwidth; only the first
+        # tile read is exposed (the rest overlaps compute).
+        onchip_bw = self.onchip_bandwidth_bytes_per_cycle
+        if cached > 0 and onchip_bw > 0:
+            onchip_cycles_raw = cached / onchip_bw
+            onchip_exposed = min(
+                onchip_cycles_raw, self.onchip_first_tile_cycles
+            ) + max(0.0, onchip_cycles_raw - compute)
+        else:
+            onchip_exposed = 0.0
+
+        return LayerLatency(
+            layer_name=self.layer_name,
+            compute_cycles=compute,
+            exposed_iact_cycles=exposed_iact,
+            exposed_weight_cycles=exposed_weight,
+            exposed_oact_cycles=exposed_oact,
+            onchip_weight_cycles=onchip_exposed,
+            offchip_bytes=offchip_bytes,
+            onchip_weight_bytes=cached,
+            cached_weight_bytes=cached,
+        )
+
+
+def layer_profile(
+    layer: ConvLayerSpec,
+    dpe: DPEArrayConfig,
+    dram: DRAMModel,
+    *,
+    onchip_bandwidth_bytes_per_cycle: float = 512.0,
+    sb_capacity_bytes: int | None = None,
+    ob_capacity_bytes: int | None = None,
+    is_first_layer: bool = False,
+    is_last_layer: bool = False,
+    weight_overlap_fraction: float = DEFAULT_WEIGHT_OVERLAP_FRACTION,
+) -> LayerProfile:
+    """The cache-independent terms of ``layer``; see :func:`layer_latency`."""
+    if layer.kind == LayerKind.POOL:
+        return LayerProfile(
+            layer_name=layer.name,
+            is_pool=True,
+            weight_bytes=0,
+            compute_cycles=0.0,
+            first_tile_bytes=0,
+            iact_bytes=0.0,
+            oact_bytes=0.0,
+            act_cycles=0.0,
+            iact_share=0.0,
+            oact_share=0.0,
+            hideable_cycles=0.0,
+            onchip_bandwidth_bytes_per_cycle=onchip_bandwidth_bytes_per_cycle,
+            onchip_first_tile_cycles=0.0,
+            dram=dram,
+        )
+    if not (0.0 <= weight_overlap_fraction <= 1.0):
+        raise ValueError("weight_overlap_fraction must be in [0, 1]")
+
+    # Activation spill decisions.
+    iact_spills = is_first_layer or (
+        sb_capacity_bytes is not None and layer.input_act_bytes > sb_capacity_bytes
+    )
+    oact_spills = is_last_layer or (
+        ob_capacity_bytes is not None and layer.output_act_bytes > ob_capacity_bytes
+    )
+    iact_bytes = float(layer.input_act_bytes) if iact_spills else 0.0
+    oact_bytes = float(layer.output_act_bytes) if oact_spills else 0.0
+
+    compute = float(dpe.compute_cycles(layer))
+    iact_cycles = dram.transfer_cycles(iact_bytes)
+    oact_cycles = dram.transfer_cycles(oact_bytes)
+    act_cycles = iact_cycles + oact_cycles
+    first_tile = first_tile_bytes(layer, dpe)
+    return LayerProfile(
+        layer_name=layer.name,
+        is_pool=False,
+        weight_bytes=layer.weight_bytes,
+        compute_cycles=compute,
+        first_tile_bytes=first_tile,
+        iact_bytes=iact_bytes,
+        oact_bytes=oact_bytes,
+        act_cycles=act_cycles,
+        iact_share=iact_cycles / act_cycles if act_cycles > 0 else 0.0,
+        oact_share=oact_cycles / act_cycles if act_cycles > 0 else 0.0,
+        hideable_cycles=weight_overlap_fraction * compute,
+        onchip_bandwidth_bytes_per_cycle=onchip_bandwidth_bytes_per_cycle,
+        onchip_first_tile_cycles=(
+            first_tile / onchip_bandwidth_bytes_per_cycle
+            if onchip_bandwidth_bytes_per_cycle > 0
+            else 0.0
+        ),
+        dram=dram,
+    )
+
+
 def layer_latency(
     layer: ConvLayerSpec,
     dpe: DPEArrayConfig,
@@ -113,81 +286,14 @@ def layer_latency(
     weight_overlap_fraction:
         Fraction of compute time usable to hide off-chip weight prefetch.
     """
-    if layer.kind == LayerKind.POOL:
-        return LayerLatency(
-            layer_name=layer.name,
-            compute_cycles=0.0,
-            exposed_iact_cycles=0.0,
-            exposed_weight_cycles=0.0,
-            exposed_oact_cycles=0.0,
-            onchip_weight_cycles=0.0,
-            offchip_bytes=0.0,
-            onchip_weight_bytes=0.0,
-            cached_weight_bytes=0.0,
-        )
-    if not (0.0 <= weight_overlap_fraction <= 1.0):
-        raise ValueError("weight_overlap_fraction must be in [0, 1]")
-
-    cached = float(min(max(cached_weight_bytes, 0.0), layer.weight_bytes))
-    distinct_weight_bytes = layer.weight_bytes - cached
-
-    # Activation spill decisions.
-    iact_spills = is_first_layer or (
-        sb_capacity_bytes is not None and layer.input_act_bytes > sb_capacity_bytes
-    )
-    oact_spills = is_last_layer or (
-        ob_capacity_bytes is not None and layer.output_act_bytes > ob_capacity_bytes
-    )
-    iact_bytes = float(layer.input_act_bytes) if iact_spills else 0.0
-    oact_bytes = float(layer.output_act_bytes) if oact_spills else 0.0
-
-    compute = float(dpe.compute_cycles(layer))
-
-    # Off-chip streams.
-    weight_cycles = dram.transfer_cycles(distinct_weight_bytes)
-    iact_cycles = dram.transfer_cycles(iact_bytes)
-    oact_cycles = dram.transfer_cycles(oact_bytes)
-    offchip_bytes = distinct_weight_bytes + iact_bytes + oact_bytes
-
-    # Weight prefetch: hidden up to a fraction of the compute time, except the
-    # first tile which must land before the array starts.
-    prologue_weight = dram.transfer_cycles(
-        min(first_tile_bytes(layer, dpe), distinct_weight_bytes)
-    )
-    hideable = weight_overlap_fraction * compute
-    exposed_weight = prologue_weight + max(0.0, weight_cycles - prologue_weight - hideable)
-    exposed_weight = min(exposed_weight, weight_cycles)
-
-    # Activation spills are streamed; they overlap compute up to the compute
-    # time not already consumed by weight prefetch.
-    act_hideable = max(0.0, compute - min(weight_cycles, hideable))
-    act_cycles = iact_cycles + oact_cycles
-    exposed_act = max(0.0, act_cycles - act_hideable)
-    if act_cycles > 0:
-        exposed_iact = exposed_act * (iact_cycles / act_cycles)
-        exposed_oact = exposed_act * (oact_cycles / act_cycles)
-    else:
-        exposed_iact = exposed_oact = 0.0
-
-    # Cached weights stream from the PB at on-chip bandwidth; only the first
-    # tile read is exposed (the rest overlaps compute).
-    if cached > 0 and onchip_bandwidth_bytes_per_cycle > 0:
-        onchip_cycles_raw = cached / onchip_bandwidth_bytes_per_cycle
-        onchip_exposed = min(
-            onchip_cycles_raw,
-            first_tile_bytes(layer, dpe) / onchip_bandwidth_bytes_per_cycle,
-        ) + max(0.0, onchip_cycles_raw - compute)
-    else:
-        onchip_exposed = 0.0
-
-    return LayerLatency(
-        layer_name=layer.name,
-        compute_cycles=compute,
-        exposed_iact_cycles=exposed_iact,
-        exposed_weight_cycles=exposed_weight,
-        exposed_oact_cycles=exposed_oact,
-        onchip_weight_cycles=onchip_exposed,
-        offchip_bytes=offchip_bytes,
-        onchip_weight_bytes=cached,
-        cached_weight_bytes=cached,
-    )
+    return layer_profile(
+        layer,
+        dpe,
+        dram,
+        onchip_bandwidth_bytes_per_cycle=onchip_bandwidth_bytes_per_cycle,
+        sb_capacity_bytes=sb_capacity_bytes,
+        ob_capacity_bytes=ob_capacity_bytes,
+        is_first_layer=is_first_layer,
+        is_last_layer=is_last_layer,
+        weight_overlap_fraction=weight_overlap_fraction,
+    ).latency(cached_weight_bytes)

@@ -28,12 +28,14 @@ Guarantees:
   seeds, clone seeds, workload and arrival draws are used.
 * Stacks passed in via ``stack_cache`` are never mutated — replicas always
   serve through clones — so one expensive latency table can be shared
-  across many scenarios (sweeps, benchmarks, the CLI).
+  across many scenarios (sweeps, benchmarks, the CLI).  The table is built
+  once per serve key (SuperNet, platform, ``|S|``), never per policy, seed
+  or ``Q``: stack configs that differ only in those share it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 from repro.accelerator.analytic_model import SushiAccelModel
@@ -53,13 +55,11 @@ from repro.serving.engine import (
 )
 from repro.serving.query import ArrayQueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.stack import SushiStack, SushiStackConfig, supernet_family
 from repro.serving.workload import (
     WorkloadGenerator,
     feasible_ranges_from_table,
 )
-from repro.supernet.accuracy import AccuracyModel
-from repro.supernet.zoo import load_supernet, paper_pareto_subnets
 
 __all__ = [
     "build_engine",
@@ -70,32 +70,6 @@ __all__ = [
 ]
 
 StackCache = dict[SushiStackConfig, SushiStack]
-
-
-@dataclass(frozen=True)
-class _Family:
-    """The immutable substrate shared by every backend of one SuperNet."""
-
-    supernet: object
-    subnets: tuple
-    accuracy_model: AccuracyModel
-
-
-_FAMILIES: dict[str, _Family] = {}
-
-
-def _family(supernet_name: str) -> _Family:
-    """SuperNet / SubNet family / accuracy model, built once per process."""
-    key = supernet_name.lower()
-    if key not in _FAMILIES:
-        supernet = load_supernet(supernet_name)
-        subnets = tuple(paper_pareto_subnets(supernet))
-        _FAMILIES[key] = _Family(
-            supernet=supernet,
-            subnets=subnets,
-            accuracy_model=AccuracyModel(supernet),
-        )
-    return _FAMILIES[key]
 
 
 def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConfig:
@@ -109,17 +83,35 @@ def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConf
     )
 
 
+def _serve_key(config: SushiStackConfig) -> tuple:
+    """What a stack's candidates, latency table and serve entries depend on."""
+    return (config.supernet_name, config.platform, config.candidate_set_size)
+
+
 def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStack:
-    """The template stack of ``config`` (cached; never served directly)."""
+    """The template stack of ``config`` (cached; never served directly).
+
+    Configs that differ only in policy, seed or ``Q`` share one accelerator
+    model, candidate set, latency table and serve-entry table: a new
+    template takes them from any cached stack with the same serve key, and
+    builds only its own scheduler (with its own caching-decision memo).
+    """
     stack = stack_cache.get(config)
     if stack is None:
-        family = _family(config.supernet_name)
-        stack = SushiStack(
-            config,
-            supernet=family.supernet,
-            subnets=list(family.subnets),
-            accuracy_model=family.accuracy_model,
-        )
+        key = _serve_key(config)
+        shared = next((s for c, s in stack_cache.items() if _serve_key(c) == key), None)
+        if shared is None:
+            stack = SushiStack(config)
+        else:
+            stack = SushiStack(
+                config,
+                supernet=shared.supernet,
+                subnets=shared.subnets,
+                accel=shared.accel,
+                accuracy_model=shared.accuracy_model,
+                table=shared.table,
+                entries=shared.entries,
+            )
         stack_cache[config] = stack
     return stack
 
@@ -131,7 +123,7 @@ def _group_ranges(
     if group.kind == "sushi":
         stack = cached_stack(_stack_config(spec, group), stack_cache)
         return feasible_ranges_from_table(stack.table)
-    family = _family(spec.supernet_name)
+    family = supernet_family(spec.supernet_name)
     accel = SushiAccelModel(group.resolved_platform(), with_pb=False)
     lats = [accel.subnet_latency_ms(sn) for sn in family.subnets]
     accs = [family.accuracy_model.accuracy(sn) for sn in family.subnets]
@@ -186,11 +178,6 @@ def _server_builder(
     spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
 ) -> Callable[[int], QueryServer]:
     """A factory producing one group's backends, by engine-global position."""
-    family = _family(spec.supernet_name)
-    platform = group.resolved_platform()
-    policy = spec.group_policy(group)
-    period = spec.group_cache_update_period(group)
-
     if group.kind == "sushi":
         base = cached_stack(_stack_config(spec, group), stack_cache)
         seed = base.config.seed
@@ -198,6 +185,11 @@ def _server_builder(
         # groups sharing a stack config still get decorrelated clones (a
         # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
+
+    family = supernet_family(spec.supernet_name)
+    platform = group.resolved_platform()
+    policy = spec.group_policy(group)
+    period = spec.group_cache_update_period(group)
 
     if group.kind == "no_sushi":
         accel = SushiAccelModel(platform, with_pb=False)

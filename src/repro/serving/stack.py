@@ -7,11 +7,15 @@ SubGraph; SushiAccel (the analytic accelerator model plus its Persistent
 Buffer) then serves the query and enacts the caching decision.
 
 The accelerator model runs only at set-up: :func:`build_serve_table`
-evaluates every (SubNet, candidate SubGraph) pair once, and both the latency
-table and the per-pair :class:`ServeEntry` records the serve path reads come
-from that one pass.  Clones share both, and the scheduler's caching-decision
-memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so serving a query
-is table lookups and a clone encodes nothing.
+evaluates every (SubNet, candidate SubGraph) pair once, from per-SubNet
+layer profiles, and both the latency table and the per-pair
+:class:`ServeEntry` records the serve path reads come from that one pass.
+The tables depend on the SuperNet, the platform and ``|S|`` only (the serve
+key), so stacks whose configs differ in policy, seed or ``Q`` can share them
+(:func:`repro.serving.api.cached_stack` does); a stack given a table takes
+its candidate set from it.  Clones share both, and the scheduler's
+caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so
+serving a query is table lookups and a clone encodes nothing.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 — the interface the discrete-event engine dispatches against, optionally with
@@ -69,6 +73,31 @@ class SushiStackConfig:
     seed: int = 0
 
 
+@dataclass(frozen=True)
+class SuperNetFamily:
+    """The immutable substrate shared by every backend of one SuperNet."""
+
+    supernet: SuperNet
+    subnets: tuple[SubNet, ...]
+    accuracy_model: AccuracyModel
+
+
+_FAMILIES: dict[str, SuperNetFamily] = {}
+
+
+def supernet_family(supernet_name: str) -> SuperNetFamily:
+    """SuperNet / SubNet family / accuracy model, built once per process."""
+    key = supernet_name.lower()
+    if key not in _FAMILIES:
+        supernet = load_supernet(supernet_name)
+        _FAMILIES[key] = SuperNetFamily(
+            supernet=supernet,
+            subnets=tuple(paper_pareto_subnets(supernet)),
+            accuracy_model=AccuracyModel(supernet),
+        )
+    return _FAMILIES[key]
+
+
 class ServeEntry(NamedTuple):
     """Serving one SubNet once with one candidate SubGraph in the PB.
 
@@ -97,7 +126,10 @@ def build_serve_table(
 
     Candidate ``j`` is evaluated as the PB holds it after loading it — fitted
     to the PB capacity — so the table plans with the latencies serving
-    delivers.
+    delivers.  The accelerator model profiles each SubNet's layers once, and
+    each pair intersects the candidate with the SubNet once: the
+    breakdown's cached bytes are the per-layer overlaps, so they are the
+    pair's PB hit bytes.
     """
     pb = accel.make_persistent_buffer()
     columns = []
@@ -113,7 +145,9 @@ def build_serve_table(
                     shared_ms=parts.offchip_weight_ms + parts.onchip_weight_ms,
                     offchip_energy_mj=breakdown.offchip_energy_mj,
                     vector_hit_ratio=pb.vector_hit_ratio(subnet),
-                    hit_bytes=pb.hit_bytes(subnet),
+                    # Integer byte counts, each within its layer's
+                    # weights: the float sum is exact.
+                    hit_bytes=int(breakdown.cached_weight_bytes),
                 )
             )
         columns.append(column)
@@ -128,7 +162,12 @@ def build_serve_table(
 
 
 class SushiStack:
-    """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB)."""
+    """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB).
+
+    Without a ``supernet`` the stack serves the process's shared
+    :func:`supernet_family` of ``config.supernet_name`` (its SuperNet, the
+    paper's SubNet family and accuracy model, unless given).
+    """
 
     def __init__(
         self,
@@ -144,23 +183,31 @@ class SushiStack:
         cache_memo: CacheDecisionMemo | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
-        self.supernet = supernet or load_supernet(self.config.supernet_name)
+        if supernet is None:
+            family = supernet_family(self.config.supernet_name)
+            supernet = family.supernet
+            subnets = family.subnets if subnets is None else subnets
+            accuracy_model = accuracy_model or family.accuracy_model
+        self.supernet = supernet
         self.subnets = list(subnets) if subnets is not None else paper_pareto_subnets(self.supernet)
         self.accel = accel or SushiAccelModel(self.config.platform)
         self.accuracy_model = accuracy_model or AccuracyModel(self.supernet)
 
-        pb_capacity = max(self.accel.pb_capacity_bytes, 1)
-        self.candidates = candidates or build_candidate_set(
-            self.subnets,
-            capacity_bytes=pb_capacity,
-            max_size=self.config.candidate_set_size,
-        )
-        if table is None and entries is None:
+        if (table is None) != (entries is None):
+            raise ValueError("pass the latency table and its serve entries together")
+        if table is None:
+            self.candidates = candidates or build_candidate_set(
+                self.subnets,
+                capacity_bytes=max(self.accel.pb_capacity_bytes, 1),
+                max_size=self.config.candidate_set_size,
+            )
             table, entries = build_serve_table(
                 self.subnets, self.candidates, self.accel, self.accuracy_model
             )
-        elif table is None or entries is None:
-            raise ValueError("pass the latency table and its serve entries together")
+        else:
+            if candidates is not None and candidates is not table.candidates:
+                raise ValueError("candidates must be the latency table's own candidate set")
+            self.candidates = table.candidates
         self.table = table
         self.entries = entries
         rng = np.random.default_rng(self.config.seed)

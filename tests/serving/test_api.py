@@ -8,9 +8,14 @@ generated workload) — the spec layer adds expressiveness, never drift.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from engine_oracle import build_stack_engine
 from fakes import ConstantServer
+from test_golden_records import result_digest
 
 from repro.core.policies import Policy
 from repro.serving import (
@@ -21,8 +26,10 @@ from repro.serving import (
     SushiStackConfig,
     WorkloadSpec,
 )
+from repro.accelerator.platforms import ZCU104
 from repro.serving.api import (
     build_engine,
+    cached_stack,
     format_result_summary,
     run_scenario,
 )
@@ -297,3 +304,77 @@ class TestSummary:
         text = format_result_summary(spec, result)
         assert "SLO attainment" in text
         assert "replica0" in text and "replica1" in text
+
+
+class TestServeTableSharing:
+    """A serve table depends on (SuperNet, platform, |S|) only."""
+
+    BASE = SushiStackConfig(supernet_name=SUPERNET, policy=Policy.STRICT_LATENCY)
+
+    @staticmethod
+    def shares(a: SushiStack, b: SushiStack) -> bool:
+        parts = ("accel", "candidates", "table", "entries")
+        same = [getattr(a, p) is getattr(b, p) for p in parts]
+        assert all(same) or not any(same), dict(zip(parts, same))
+        return all(same)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(policy=Policy.STRICT_ACCURACY),
+            dict(seed=5),
+            dict(cache_update_period=7),
+            dict(policy=Policy.STRICT_ACCURACY, seed=3, cache_update_period=2),
+        ],
+    )
+    def test_policy_seed_and_period_share_the_table(self, change):
+        cache: dict = {}
+        first = cached_stack(self.BASE, cache)
+        other = cached_stack(replace(self.BASE, **change), cache)
+        assert other is not first and len(cache) == 2
+        assert self.shares(first, other)
+        # Each stack schedules on its own memo, bound to the shared table.
+        assert other.cache_memo is not first.cache_memo
+        assert other.scheduler.memo is other.cache_memo
+        assert other.cache_memo.table is first.table
+        assert other.scheduler.table is first.table
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(platform=SushiStackConfig().platform.with_pb(432.0)),
+            dict(platform=ZCU104),
+            dict(candidate_set_size=4),
+            dict(supernet_name="ofa_resnet50"),
+        ],
+    )
+    def test_serve_inputs_never_share(self, change):
+        cache: dict = {}
+        first = cached_stack(self.BASE, cache)
+        for config in (replace(self.BASE, **change), replace(self.BASE, seed=9, **change)):
+            assert not self.shares(first, cached_stack(config, cache))
+
+    def test_shared_table_serves_identical_records(self):
+        path = Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "poisson_pool.json"
+        spec = ScenarioSpec.from_dict(json.loads(path.read_text()))
+        spec = spec.override("num_queries", 1500)
+        fresh = result_digest(run_scenario(spec, stack_cache={}))
+
+        cache: dict = {}
+        # Warm the cache with the other policy and seed: the spec's own
+        # template then takes that stack's table instead of building one.
+        group = spec.replica_groups[0]
+        warm = cached_stack(
+            SushiStackConfig(
+                supernet_name=spec.supernet_name,
+                platform=group.resolved_platform(),
+                policy=Policy.STRICT_ACCURACY,
+                candidate_set_size=group.candidate_set_size,
+                seed=11,
+            ),
+            cache,
+        )
+        shared = result_digest(run_scenario(spec, stack_cache=cache))
+        (template,) = (s for s in cache.values() if s is not warm)
+        assert self.shares(template, warm)
+        assert shared == fresh

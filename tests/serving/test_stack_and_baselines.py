@@ -209,6 +209,30 @@ class TestSushiStack:
         )
 
 
+    def test_a_given_table_brings_its_own_candidates(self, stack):
+        shared = dict(
+            supernet=stack.supernet,
+            subnets=stack.subnets,
+            accel=stack.accel,
+            accuracy_model=stack.accuracy_model,
+            table=stack.table,
+            entries=stack.entries,
+        )
+        s = SushiStack(replace(stack.config, candidate_set_size=2), **shared)
+        assert s.candidates is stack.table.candidates
+        assert SushiStack(stack.config, candidates=stack.candidates, **shared).candidates is (
+            stack.candidates
+        )
+        equal_copy = replace(stack.candidates)
+        assert equal_copy == stack.candidates
+        with pytest.raises(ValueError, match="candidate set"):
+            SushiStack(stack.config, candidates=equal_copy, **shared)
+
+    def test_table_and_entries_come_together(self, stack):
+        with pytest.raises(ValueError, match="together"):
+            SushiStack(stack.config, supernet=stack.supernet, table=stack.table)
+
+
 class TestSharedSchedulerState:
     """Clones share the scheduler's encodings and caching-decision memo."""
 
