@@ -219,6 +219,31 @@ SERVING_DIGESTS = {
     ),
 }
 
+# The paper-figure drivers that compare SUSHI with its baselines through
+# ``ExperimentRunner``: the same two sha256 per experiment.
+RUNNER_DIGESTS = {
+    "fig15": (
+        "8f02e64779cda0729c6c7f9d8b9c4629314e98b65963017670437e91a4c60055",
+        "6dee8bf9cf48151be18f01c32dcded547b5592e74f82deb2641ce2dec39f0fcb",
+    ),
+    "fig16": (
+        "af046498e33825669554293de7d699d0347509c9dc19c1797053be89b663679a",
+        "1231129c2414f4a26cd2d6c16464f0b176196bd3b965e002e5b7650c5031f5cc",
+    ),
+    "fig17_18": (
+        "ba83a08dc374c4a285885c177bdc79b483581b23cf60dd17df6bf79001a53f87",
+        "086d2da1496687e9e870ac9bc078283a1993ced5b8af0622d3b3cced5d225aee",
+    ),
+    "headline": (
+        "9637b5faafc372ae9e4a9f4451b0ada3407991c57a4572df69c507996eed37cb",
+        "605b121fd08a2852bf45dc69f891daee7d02a420469e42cce9185303e3675dd4",
+    ),
+    "tab05": (
+        "d9d82447bc295cb089bb29552d11613d209c571b03253ae6bc30b539dfb949c8",
+        "c07e12a16588e601aa7bb0774beb131a0181e1b996196e3f7540914a4b530647",
+    ),
+}
+
 SERVING_DRIVERS = {
     "load_sweep": load_sweep,
     "batching_sweep": batching_sweep,
@@ -234,16 +259,26 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run_digests(eid, tmp_path, capsys):
+    """sha256 of ``repro run <eid>``'s report text and of its JSON artifact."""
+    path = tmp_path / f"{eid}.json"
+    assert main(["run", eid, "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    report = out.removesuffix(f"\nwrote {path}\n")
+    return sha256(report), sha256(path.read_text())
+
+
+@pytest.mark.parametrize("eid", sorted(RUNNER_DIGESTS))
+def test_runner_report_and_json_artifact_are_pinned(eid, tmp_path, capsys):
+    assert run_digests(eid, tmp_path, capsys) == RUNNER_DIGESTS[eid]
+
+
 class TestServingGrids:
     @pytest.mark.parametrize("eid", sorted(SERVING_DIGESTS))
     def test_default_report_and_json_artifact_are_pinned(
         self, eid, tmp_path, capsys
     ):
-        path = tmp_path / f"{eid}.json"
-        assert main(["run", eid, "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        report = out.removesuffix(f"\nwrote {path}\n")
-        assert (sha256(report), sha256(path.read_text())) == SERVING_DIGESTS[eid]
+        assert run_digests(eid, tmp_path, capsys) == SERVING_DIGESTS[eid]
 
     @pytest.mark.parametrize("module", TRACED_DRIVERS, ids=lambda m: m.__name__)
     def test_trace_scenario_is_a_cell_of_the_grid(self, module):

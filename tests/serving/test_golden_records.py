@@ -31,6 +31,24 @@ SCENARIOS = sorted((ROOT / "examples" / "scenarios").glob("*.json"))
 GOLDEN = Path(__file__).with_name("golden_records.json")
 NUM_QUERIES = 2000
 
+# The paper's baselines as serving backends: ``result_digest`` of
+# (scenario, router, kind) at NUM_QUERIES, with only ``replica_groups.0.kind``
+# (and the router) overridden.  ``batched_pool`` drives
+# ``serve_dispatch_batch``; ``fastest_expected`` routes on the backends'
+# service estimates.  Pinned by hand: the regeneration below does not touch
+# them.
+BASELINE_DIGESTS = {
+    ("poisson_pool", "jsq", "no_sushi"): "9bc775f7c4dc9f7fa7243fe829b94b40324398f467d939256e555edeca5174d6",
+    ("poisson_pool", "jsq", "state_unaware"): "affc6eab67f6f99d126776c3ec62af8adbd5335db750555bb94f211829c4b6ad",
+    ("poisson_pool", "jsq", "static_subnet"): "c2314d852c63bfcf8d1c1df9aa8e38353e8c6f339d48369f18135a29e0c0d381",
+    ("batched_pool", "jsq", "no_sushi"): "3033fbbdfe325b0fe8eb5f1e709f6ed5914523f4abbb27a06ad3cc6d24a565bd",
+    ("batched_pool", "jsq", "state_unaware"): "f549e88c3aaa5d8efddaf6aea625cf3454b7049a5f21e1428d10c8e661884186",
+    ("batched_pool", "jsq", "static_subnet"): "d19e8acf6f1bf2ed05933829f459fd5ffc1a4d6fb4f388a0c34148f551599f8e",
+    ("poisson_pool", "fastest_expected", "no_sushi"): "9cb95789bbb960902cc7d9fdf8c340a8c461cb60ba50d719e074163b3c25b690",
+    ("poisson_pool", "fastest_expected", "state_unaware"): "74cd4a3d21ea1f91c78e5050d01a3ea2c34ff2083e9d6892a478374b7cd3cb6e",
+    ("poisson_pool", "fastest_expected", "static_subnet"): "bf04ec73c484a4e43d961e8aea27da856f15808dae4a4965500686db086a8ec7",
+}
+
 
 def _values(obj, skip: str = "") -> tuple:
     return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != skip)
@@ -74,6 +92,20 @@ def test_scenario_reproduces_golden_records(path, stack_cache, monkeypatch):
     monkeypatch.chdir(ROOT)
     golden = json.loads(GOLDEN.read_text())
     assert scenario_digest(path, stack_cache) == golden[path.name]
+
+
+@pytest.mark.parametrize("key", sorted(BASELINE_DIGESTS), ids="-".join)
+def test_baseline_kind_reproduces_pinned_records(key, stack_cache):
+    scenario, router, kind = key
+    spec = ScenarioSpec.from_dict(
+        json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
+    )
+    spec = (
+        spec.override("num_queries", NUM_QUERIES)
+        .override("replica_groups.0.kind", kind)
+        .override("router", router)
+    )
+    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == BASELINE_DIGESTS[key]
 
 
 if __name__ == "__main__":
