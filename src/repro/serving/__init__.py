@@ -21,6 +21,7 @@ from repro.serving.baselines import (
     FixedSubNetServer,
     NoSushiServer,
     StateUnawareCachingServer,
+    baseline_table,
 )
 from repro.serving.runner import ExperimentRunner, StreamResult, compare_systems
 from repro.serving.engine import (
@@ -71,6 +72,7 @@ __all__ = [
     "FixedSubNetServer",
     "NoSushiServer",
     "StateUnawareCachingServer",
+    "baseline_table",
     "ExperimentRunner",
     "StreamResult",
     "compare_systems",

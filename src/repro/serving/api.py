@@ -30,7 +30,9 @@ Guarantees:
   serve through clones — so one expensive latency table can be shared
   across many scenarios (sweeps, benchmarks, the CLI).  The table is built
   once per serve key (SuperNet, platform, ``|S|``), never per policy, seed
-  or ``Q``: stack configs that differ only in those share it.
+  or ``Q``: stack configs that differ only in those share it.  Baseline
+  backends share :func:`~repro.serving.baselines.baseline_table`, built
+  once per (SuperNet, platform, PB or not) and process.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from repro.accelerator.analytic_model import SushiAccelModel
-from repro.accelerator.platforms import PlatformConfig
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.baselines import (
     FixedSubNetServer,
     NoSushiServer,
     StateUnawareCachingServer,
+    baseline_table,
 )
 from repro.serving.engine import (
     AcceleratorReplica,
@@ -55,7 +56,7 @@ from repro.serving.engine import (
 )
 from repro.serving.query import ArrayQueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig, supernet_family
+from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import (
     WorkloadGenerator,
     feasible_ranges_from_table,
@@ -121,13 +122,11 @@ def _group_ranges(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Feasible (accuracy, latency) constraint ranges for one group."""
     if group.kind == "sushi":
-        stack = cached_stack(_stack_config(spec, group), stack_cache)
-        return feasible_ranges_from_table(stack.table)
-    family = supernet_family(spec.supernet_name)
-    accel = SushiAccelModel(group.resolved_platform(), with_pb=False)
-    lats = [accel.subnet_latency_ms(sn) for sn in family.subnets]
-    accs = [family.accuracy_model.accuracy(sn) for sn in family.subnets]
-    return (min(accs), max(accs)), (min(lats), max(lats))
+        table = cached_stack(_stack_config(spec, group), stack_cache).table
+    else:
+        platform = group.resolved_platform()
+        table = baseline_table(spec.supernet_name, platform, with_pb=False).table
+    return feasible_ranges_from_table(table)
 
 
 def build_trace(
@@ -186,41 +185,22 @@ def _server_builder(
         # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
 
-    family = supernet_family(spec.supernet_name)
     platform = group.resolved_platform()
     policy = spec.group_policy(group)
-    period = spec.group_cache_update_period(group)
-
     if group.kind == "no_sushi":
-        accel = SushiAccelModel(platform, with_pb=False)
-        return lambda position: NoSushiServer(
-            family.supernet,
-            list(family.subnets),
-            accel,
-            family.accuracy_model,
-            policy=policy,
-        )
+        tables = baseline_table(spec.supernet_name, platform, with_pb=False)
+        return lambda position: NoSushiServer(tables, policy=policy)
 
     if group.kind == "state_unaware":
-        accel = SushiAccelModel(platform, with_pb=True)
+        tables = baseline_table(spec.supernet_name, platform, with_pb=True)
+        period = spec.group_cache_update_period(group)
         return lambda position: StateUnawareCachingServer(
-            family.supernet,
-            list(family.subnets),
-            accel,
-            family.accuracy_model,
-            policy=policy,
-            cache_update_period=period,
+            tables, policy=policy, cache_update_period=period
         )
 
     if group.kind == "static_subnet":
-        accel = SushiAccelModel(platform, with_pb=False)
-        return lambda position: FixedSubNetServer(
-            family.supernet,
-            list(family.subnets),
-            accel,
-            family.accuracy_model,
-            subnet_name=group.subnet_name,
-        )
+        tables = baseline_table(spec.supernet_name, platform, with_pb=False)
+        return lambda position: FixedSubNetServer(tables, subnet_name=group.subnet_name)
 
     raise ValueError(f"unknown backend kind {group.kind!r}")  # pragma: no cover
 

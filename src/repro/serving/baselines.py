@@ -1,175 +1,102 @@
 """Baseline serving systems the paper compares SUSHI against (Fig. 16).
 
-* :class:`NoSushiServer` ("No-SUSHI") — no Persistent Buffer and no SGS-aware
-  scheduling: SubNet selection uses static per-SubNet latencies profiled
-  without any cached SubGraph.
-* :class:`StateUnawareCachingServer` ("SUSHI w/o scheduler") — the Persistent
-  Buffer exists and is kept warm, but caching is *state-unaware*: every ``Q``
-  queries it simply caches (a truncation of) the most recently served SubNet,
-  and SubNet selection ignores the cache state.
-* :class:`FixedSubNetServer` — the degenerate non-adaptive system the paper's
-  introduction argues against: one SubNet pinned for every query regardless
-  of its constraints (a conventional single-model deployment).
+Each baseline is a caching rule over indices into a :func:`baseline_table`,
+built once per (SuperNet, platform, PB or not) and process by
+:func:`~repro.serving.stack.build_serve_table`, so serving is table lookups:
+
+* :class:`NoSushiServer` ("No-SUSHI") — no Persistent Buffer, no SGS-aware
+  scheduling.
+* :class:`StateUnawareCachingServer` ("SUSHI w/o scheduler") — a warm PB
+  whose contents ignore the accelerator state.
+* :class:`FixedSubNetServer` — one SubNet for every query, the
+  non-adaptive deployment the paper's introduction argues against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
-from repro.core.candidates import truncate_to_capacity
+from repro.accelerator.platforms import PlatformConfig
+from repro.core.candidates import CandidateSet, truncate_to_capacity
+from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving.query import Query, QueryTrace
-from repro.supernet.accuracy import AccuracyModel
+from repro.serving.stack import ServeEntries, batch_constraints, batch_records
+from repro.serving.stack import build_serve_table, supernet_family
 from repro.supernet.subnet import SubNet
-from repro.supernet.supernet import SuperNet
 
 
-class _StaticPolicyServer:
-    """Shared logic: policy-based SubNet selection on static latencies."""
+class BaselineTable(NamedTuple):
+    """The SubNets served against a baseline's cache columns, evaluated once.
+
+    Column 0 is the empty PB.  On a model with a PB, column ``s + 1`` holds
+    the truncation of SubNet ``s`` that the state-unaware rule loads, and
+    ``fetched[a][b]`` the bytes loading column ``b`` over column ``a`` fetches.
+    """
+
+    accel: SushiAccelModel
+    table: LatencyTable
+    entries: ServeEntries
+    fetched: tuple[tuple[int, ...], ...]
+
+
+_TABLES: dict[tuple, BaselineTable] = {}
+
+
+def baseline_table(
+    supernet_name: str, platform: PlatformConfig, *, with_pb: bool
+) -> BaselineTable:
+    """The process's table of :func:`supernet_family` on ``platform``."""
+    key = (supernet_name.lower(), platform, with_pb)
+    if key not in _TABLES:
+        family = supernet_family(supernet_name)
+        accel = SushiAccelModel(platform, with_pb=with_pb)
+        capacity = accel.pb_capacity_bytes
+        whole = [CachedSubGraph.from_subnet(sn) for sn in family.subnets] if with_pb else []
+        columns = [CachedSubGraph.empty()] + [
+            truncate_to_capacity(sg, capacity, supernet=family.supernet) for sg in whole
+        ]
+        candidates = CandidateSet(family.supernet.name, tuple(columns), capacity)
+        built = build_serve_table(family.subnets, candidates, accel, family.accuracy_model)
+        fetched = tuple(tuple(_fetched(accel, a, b) for b in columns) for a in columns)
+        _TABLES[key] = BaselineTable(accel, *built, fetched)
+    return _TABLES[key]
+
+
+def _fetched(accel: SushiAccelModel, held: CachedSubGraph, loaded: CachedSubGraph) -> int:
+    pb = accel.make_persistent_buffer()
+    pb.load(held)
+    return pb.load(loaded)
+
+
+class _TableServer:
+    """Policy selection on the empty-PB column; records from serve entries."""
 
     def __init__(
-        self,
-        supernet: SuperNet,
-        subnets: Sequence[SubNet],
-        accel: SushiAccelModel,
-        accuracy_model: AccuracyModel | None = None,
-        *,
-        policy: Policy = Policy.STRICT_ACCURACY,
+        self, tables: BaselineTable, *, policy: Policy = Policy.STRICT_ACCURACY
     ) -> None:
-        self.supernet = supernet
-        self.subnets = list(subnets)
-        self.accel = accel
-        self.accuracy_model = accuracy_model or AccuracyModel(supernet)
+        self.tables = tables
         self.policy = policy
-        # Static latencies: profiled once, with nothing cached.
-        self.static_latency_ms = np.array(
-            [accel.subnet_latency_ms(sn) for sn in self.subnets]
-        )
-        self.accuracies = np.array(
-            [self.accuracy_model.accuracy(sn) for sn in self.subnets]
-        )
 
     def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:
+        table = self.tables.table
         if self.policy == Policy.STRICT_ACCURACY:
-            feasible = np.flatnonzero(self.accuracies >= accuracy_constraint)
-            if feasible.size == 0:
-                return int(np.argmax(self.accuracies))
-            return int(feasible[int(np.argmin(self.static_latency_ms[feasible]))])
-        feasible = np.flatnonzero(self.static_latency_ms <= latency_constraint_ms)
-        if feasible.size == 0:
-            return int(np.argmin(self.static_latency_ms))
-        return int(feasible[int(np.argmax(self.accuracies[feasible]))])
+            idx = table.best_under_accuracy(accuracy_constraint, 0)
+            return table.most_accurate if idx is None else idx
+        idx = table.best_under_latency(latency_constraint_ms, 0)
+        return table.fastest(0) if idx is None else idx
 
-    def _shared_select(
-        self,
-        queries: Sequence[Query],
-        effective_latency_constraints_ms: Sequence[float] | None,
-    ) -> int:
-        """One SubNet for a whole batch: strictest accuracy, tightest budget.
-
-        Static latencies are per query, so the tightest budget is divided by
-        the batch size — a SubNet fitting the scaled budget has a batch
-        evaluation (weights once, the rest per member) fitting the original
-        budget, the conservative SLO-safe direction (mirrors
-        :meth:`~repro.serving.stack.SushiStack.serve_dispatch_batch`).
-        """
-        if not queries:
-            raise ValueError("a dispatch batch needs at least one query")
-        accuracy = max(q.accuracy_constraint for q in queries)
-        if effective_latency_constraints_ms is None:
-            latency = min(q.latency_constraint_ms for q in queries)
-        else:
-            if len(effective_latency_constraints_ms) != len(queries):
-                raise ValueError(
-                    "effective_latency_constraints_ms must match the batch length"
-                )
-            latency = min(effective_latency_constraints_ms)
-        return self._select(accuracy, latency / len(queries))
-
-    @staticmethod
-    def _batch_latency_ms(breakdown, batch_size: int) -> float:
-        """Batch evaluation time: weight traffic once, the rest per member.
-
-        The same amortization model as
-        :meth:`~repro.serving.stack.SushiStack.serve_dispatch_batch`: within a
-        batch the SubNet's weights are fetched and staged once and reused by
-        every member, while compute and activation traffic scale with the
-        batch — batching helps every system, SUSHI additionally amortizes
-        *across* batches via the Persistent Buffer.
-        """
-        components = breakdown.components
-        if batch_size == 1:
-            # Bit-identical to the per-query path: total_ms directly, not
-            # the algebraically equal shared + 1 x (total - shared).
-            return components.total_ms
-        shared_ms = components.offchip_weight_ms + components.onchip_weight_ms
-        return shared_ms + batch_size * (components.total_ms - shared_ms)
-
-    def _batch_records(
-        self,
-        queries: Sequence[Query],
-        subnet: SubNet,
-        breakdown,
-        *,
-        hit_ratio: float = 0.0,
-        cache_load_ms: float = 0.0,
+    def _serve(
+        self, queries: Sequence[Query], idx: int, column: int = 0, load_ms: float = 0.0
     ) -> list[QueryRecord]:
-        """Per-member records of one shared batch evaluation.
-
-        Every member reports the batch evaluation time (members complete
-        together); a cache load, if any, rides on the last member — the
-        same record shape the SUSHI stack's batch path produces.
-        """
-        batch_ms = self._batch_latency_ms(breakdown, len(queries))
-        served_accuracy = self.accuracy_model.accuracy(subnet)
-        last = len(queries) - 1
-        return [
-            QueryRecord(
-                query_index=query.index,
-                accuracy_constraint=query.accuracy_constraint,
-                latency_constraint_ms=query.latency_constraint_ms,
-                subnet_name=subnet.name,
-                served_accuracy=served_accuracy,
-                served_latency_ms=batch_ms,
-                cache_hit_ratio=hit_ratio,
-                offchip_energy_mj=breakdown.offchip_energy_mj,
-                cache_load_ms=cache_load_ms if i == last else 0.0,
-            )
-            for i, query in enumerate(queries)
-        ]
-
-
-class NoSushiServer(_StaticPolicyServer):
-    """No PB, no SGS-aware scheduler: every query refetches all weights."""
-
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
-        """Serve one query at dispatch time (stateless across queries)."""
-        idx = self._select(
-            query.accuracy_constraint,
-            query.latency_budget_ms(effective_latency_constraint_ms),
+        """Records of SubNet ``idx`` serving ``queries`` with column ``column`` cached."""
+        table, entry = self.tables.table, self.tables.entries[idx][column]
+        return batch_records(
+            queries, table.subnets[idx].name, table.accuracy_list[idx], entry, load_ms
         )
-        subnet = self.subnets[idx]
-        breakdown = self.accel.subnet_breakdown(subnet, cached=None)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=0.0,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
-        )
-
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        return [self.serve_query(query) for query in trace]
 
     def serve_dispatch_batch(
         self,
@@ -178,190 +105,94 @@ class NoSushiServer(_StaticPolicyServer):
         effective_latency_constraints_ms: Sequence[float] | None = None,
     ) -> list[QueryRecord]:
         """Serve a batch on one shared SubNet (weights fetched once)."""
-        idx = self._shared_select(queries, effective_latency_constraints_ms)
-        subnet = self.subnets[idx]
-        return self._batch_records(
-            queries, subnet, self.accel.subnet_breakdown(subnet, cached=None)
-        )
-
-
-class FixedSubNetServer(_StaticPolicyServer):
-    """Serve one pinned SubNet for every query (no PB, no adaptation).
-
-    Models a conventional deployment of a single network: query constraints
-    are recorded but never influence what is served.  ``subnet_name=None``
-    pins the most accurate SubNet of the family.
-    """
-
-    def __init__(
-        self,
-        supernet: SuperNet,
-        subnets: Sequence[SubNet],
-        accel: SushiAccelModel,
-        accuracy_model: AccuracyModel | None = None,
-        *,
-        subnet_name: str | None = None,
-    ) -> None:
-        super().__init__(supernet, subnets, accel, accuracy_model)
-        if subnet_name is None:
-            self._fixed_idx = int(np.argmax(self.accuracies))
-        else:
-            names = [sn.name for sn in self.subnets]
-            try:
-                self._fixed_idx = names.index(subnet_name)
-            except ValueError as exc:
-                raise ValueError(
-                    f"unknown SubNet {subnet_name!r}; available: {names}"
-                ) from exc
-
-    @property
-    def fixed_subnet(self) -> SubNet:
-        return self.subnets[self._fixed_idx]
-
-    def estimate_service_ms(self, query: Query) -> float:
-        return float(self.static_latency_ms[self._fixed_idx])
+        constraints = batch_constraints(queries, effective_latency_constraints_ms)
+        return self._serve(queries, self._select(*constraints))
 
     def serve_query(
         self, query: Query, *, effective_latency_constraint_ms: float | None = None
     ) -> QueryRecord:
-        subnet = self.fixed_subnet
-        breakdown = self.accel.subnet_breakdown(subnet, cached=None)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=0.0,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
-        )
+        """Serve one query at dispatch time: a one-query batch."""
+        budget = query.latency_budget_ms(effective_latency_constraint_ms)
+        return self.serve_dispatch_batch([query], effective_latency_constraints_ms=[budget])[0]
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
         return [self.serve_query(query) for query in trace]
 
-    def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
-        """Serve a batch on the pinned SubNet (weights fetched once)."""
-        if not queries:
-            raise ValueError("a dispatch batch needs at least one query")
-        subnet = self.fixed_subnet
-        return self._batch_records(
-            queries, subnet, self.accel.subnet_breakdown(subnet, cached=None)
-        )
+
+class NoSushiServer(_TableServer):
+    """No PB, no SGS-aware scheduler: every query refetches all weights."""
 
 
-class StateUnawareCachingServer(_StaticPolicyServer):
-    """PB present, but caching and selection ignore the accelerator state.
+class FixedSubNetServer(_TableServer):
+    """One pinned SubNet for every query (``None``: the most accurate one)."""
 
-    Every ``cache_update_period`` queries the PB is reloaded with a truncation
-    of the most recently served SubNet — a plausible heuristic that needs no
-    hardware abstraction, which is exactly what the paper's "SUSHI w/o
-    scheduler" ablation isolates.
+    def __init__(self, tables: BaselineTable, *, subnet_name: str | None = None) -> None:
+        super().__init__(tables)
+        names = [sn.name for sn in tables.table.subnets]
+        if subnet_name is None:
+            subnet_name = names[tables.table.most_accurate]
+        elif subnet_name not in names:
+            raise ValueError(f"unknown SubNet {subnet_name!r}; available: {names}")
+        self._fixed_idx = names.index(subnet_name)
+
+    @property
+    def fixed_subnet(self) -> SubNet:
+        return self.tables.table.subnets[self._fixed_idx]
+
+    def estimate_service_ms(self, query: Query) -> float:
+        return self.tables.table.latency(self._fixed_idx, 0)
+
+    def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:
+        return self._fixed_idx
+
+
+class StateUnawareCachingServer(_TableServer):
+    """Every ``cache_update_period`` queries, load the last served SubNet.
+
+    Selection ignores the PB.  A batch advances the period by its size and
+    reloads at most once, after the batch.
     """
 
     def __init__(
         self,
-        supernet: SuperNet,
-        subnets: Sequence[SubNet],
-        accel: SushiAccelModel,
-        accuracy_model: AccuracyModel | None = None,
+        tables: BaselineTable,
         *,
         policy: Policy = Policy.STRICT_ACCURACY,
         cache_update_period: int = 4,
     ) -> None:
-        super().__init__(supernet, subnets, accel, accuracy_model, policy=policy)
+        super().__init__(tables, policy=policy)
         if cache_update_period <= 0:
             raise ValueError("cache_update_period must be positive")
         self.cache_update_period = cache_update_period
-        self.pb: PersistentBuffer = accel.make_persistent_buffer()
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the PB and restart the caching-period counter."""
+        self.pb: PersistentBuffer = self.tables.accel.make_persistent_buffer()
+        self._column = 0
         self._queries_seen = 0
 
     def begin_stream(self) -> None:
         """Restart the caching-period counter (the PB stays warm)."""
         self._queries_seen = 0
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
-        """Serve one query at dispatch time; caches every ``Q`` queries."""
-        idx = self._select(
-            query.accuracy_constraint,
-            query.latency_budget_ms(effective_latency_constraint_ms),
-        )
-        subnet = self.subnets[idx]
-        breakdown = self.accel.subnet_breakdown(subnet, self.pb.cached)
-        hit_ratio = self.pb.vector_hit_ratio(subnet)
-        self.pb.record_serve(subnet)
-        self._queries_seen += 1
-
-        cache_load_ms = 0.0
-        if self._queries_seen % self.cache_update_period == 0:
-            subgraph = truncate_to_capacity(
-                CachedSubGraph.from_subnet(subnet),
-                self.pb.capacity_bytes,
-                supernet=self.supernet,
-            )
-            fetched = self.pb.load(subgraph)
-            cache_load_ms = self.accel.cache_load_latency_ms(fetched)
-
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=hit_ratio,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
-            cache_load_ms=cache_load_ms,
-        )
-
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
         self.begin_stream()
-        return [self.serve_query(query) for query in trace]
+        return super().serve(trace)
 
-    def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
-        """Serve a batch on one shared SubNet; at most one cache reload.
-
-        The caching-period counter advances by the whole batch; if it crosses
-        a period boundary the PB is reloaded once — after the batch — with
-        the truncation of the (shared) served SubNet, mirroring the per-query
-        heuristic.
-        """
-        idx = self._shared_select(queries, effective_latency_constraints_ms)
-        subnet = self.subnets[idx]
-        breakdown = self.accel.subnet_breakdown(subnet, self.pb.cached)
-        hit_ratio = self.pb.vector_hit_ratio(subnet)
+    def _serve(self, queries: Sequence[Query], idx: int) -> list[QueryRecord]:
+        column = self._column
+        subnet = self.tables.table.subnets[idx]
+        hit_bytes = self.tables.entries[idx][column].hit_bytes
         for _ in queries:
-            self.pb.record_serve(subnet)
+            self.pb.record_serve(subnet, hit_bytes=hit_bytes)
         seen_before = self._queries_seen
         self._queries_seen += len(queries)
-
-        cache_load_ms = 0.0
+        load_ms = 0.0
         period = self.cache_update_period
         if self._queries_seen // period > seen_before // period:
-            subgraph = truncate_to_capacity(
-                CachedSubGraph.from_subnet(subnet),
-                self.pb.capacity_bytes,
-                supernet=self.supernet,
-            )
-            fetched = self.pb.load(subgraph)
-            cache_load_ms = self.accel.cache_load_latency_ms(fetched)
-
-        return self._batch_records(
-            queries,
-            subnet,
-            breakdown,
-            hit_ratio=hit_ratio,
-            cache_load_ms=cache_load_ms,
-        )
+            self._column = idx + 1
+            fetched = self.tables.fetched[column][idx + 1]
+            self.pb.load(self.tables.table.candidates[idx + 1], fetched=fetched)
+            load_ms = self.tables.accel.cache_load_latency_ms(fetched)
+        return super()._serve(queries, idx, column, load_ms)

@@ -161,6 +161,68 @@ def build_serve_table(
     return table, entries
 
 
+def batch_constraints(
+    queries: Sequence[Query], effective_latency_constraints_ms: Sequence[float] | None
+) -> tuple[float, float]:
+    """The (accuracy, latency) a shared batch decision plans against.
+
+    The strictest accuracy constraint, and the tightest remaining budget
+    divided by the batch size: serve tables hold single-query latencies, and
+    a SubNet fitting the scaled budget has a batch evaluation (weights
+    counted once, not per member) fitting the original budget — the
+    conservative, SLO-safe direction.
+    """
+    if not queries:
+        raise ValueError("a dispatch batch needs at least one query")
+    accuracy = max(q.accuracy_constraint for q in queries)
+    if effective_latency_constraints_ms is None:
+        latency = min(q.latency_constraint_ms for q in queries)
+    else:
+        if len(effective_latency_constraints_ms) != len(queries):
+            raise ValueError(
+                "effective_latency_constraints_ms must match the batch length"
+            )
+        latency = min(effective_latency_constraints_ms)
+    return accuracy, latency / len(queries)
+
+
+def batch_records(
+    queries: Sequence[Query],
+    subnet_name: str,
+    served_accuracy: float,
+    entry: ServeEntry,
+    cache_load_ms: float,
+) -> list[QueryRecord]:
+    """Per-member records of one weight-sharing batch evaluation of ``entry``.
+
+    The weight traffic is paid once and the rest per member; every member
+    reports the batch evaluation time (members complete together), and a
+    cache load rides on the last member's record.
+    """
+    if len(queries) == 1:
+        # Bit-identical to the per-query path: total_ms directly, not the
+        # algebraically equal shared + 1 x (total - shared).
+        batch_ms = entry.total_ms
+    else:
+        shared_ms = entry.shared_ms
+        batch_ms = shared_ms + len(queries) * (entry.total_ms - shared_ms)
+    last = len(queries) - 1
+    return [
+        QueryRecord(
+            query_index=query.index,
+            accuracy_constraint=query.accuracy_constraint,
+            latency_constraint_ms=query.latency_constraint_ms,
+            subnet_name=subnet_name,
+            served_accuracy=served_accuracy,
+            served_latency_ms=batch_ms,
+            cache_hit_ratio=entry.vector_hit_ratio,
+            offchip_energy_mj=entry.offchip_energy_mj,
+            cache_load_ms=cache_load_ms if i == last else 0.0,
+        )
+        for i, query in enumerate(queries)
+    ]
+
+
 class SushiStack:
     """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB).
 
@@ -292,32 +354,17 @@ class SushiStack:
         batch.  Every returned record reports the *batch* evaluation latency
         (members complete together), and at most one cache load is enacted,
         carried by the last member's record.  A one-query batch is identical
-        to :meth:`serve_query`.
-
-        Because the latency table stores *single-query* latencies, the shared
-        decision plans against the tightest budget divided by the batch size:
-        a SubNet whose table latency fits that scaled budget has a batch
-        evaluation (weights counted once, not per member) that fits the
-        original budget — the conservative, SLO-safe direction.
+        to :meth:`serve_query`.  The decision plans against the tightest
+        budget divided by the batch size (:func:`batch_constraints`).
 
         Energy is recorded per evaluation as in the per-query path; off-chip
         weight-energy amortization across the batch is not modeled, so
         batched energy totals are conservative (over-) estimates.
         """
-        if not queries:
-            raise ValueError("a dispatch batch needs at least one query")
-        accuracy = max(q.accuracy_constraint for q in queries)
-        if effective_latency_constraints_ms is None:
-            latency = min(q.latency_constraint_ms for q in queries)
-        else:
-            if len(effective_latency_constraints_ms) != len(queries):
-                raise ValueError(
-                    "effective_latency_constraints_ms must match the batch length"
-                )
-            latency = min(effective_latency_constraints_ms)
+        accuracy, latency = batch_constraints(queries, effective_latency_constraints_ms)
         decision = self.scheduler.schedule_shared(
             accuracy_constraint=accuracy,
-            latency_constraint_ms=latency / len(queries),
+            latency_constraint_ms=latency,
             batch_size=len(queries),
         )
 
@@ -325,33 +372,13 @@ class SushiStack:
         entry = self.entries[decision.subnet_idx][self._cached_idx]
         for _ in queries:
             self.pb.record_serve(subnet, hit_bytes=entry.hit_bytes)
-        if len(queries) == 1:
-            # Bit-identical to serve_query: total_ms directly, not the
-            # algebraically equal shared + 1 x (total - shared).
-            batch_ms = entry.total_ms
-        else:
-            shared_ms = entry.shared_ms
-            batch_ms = shared_ms + len(queries) * (entry.total_ms - shared_ms)
 
         cache_load_ms = 0.0
         if decision.cache_updated:
             cache_load_ms = self._enact_cache(decision.next_cache_state_idx)
-
-        last = len(queries) - 1
-        return [
-            QueryRecord(
-                query_index=query.index,
-                accuracy_constraint=query.accuracy_constraint,
-                latency_constraint_ms=query.latency_constraint_ms,
-                subnet_name=subnet.name,
-                served_accuracy=decision.subnet_accuracy,
-                served_latency_ms=batch_ms,
-                cache_hit_ratio=entry.vector_hit_ratio,
-                offchip_energy_mj=entry.offchip_energy_mj,
-                cache_load_ms=cache_load_ms if i == last else 0.0,
-            )
-            for i, query in enumerate(queries)
-        ]
+        return batch_records(
+            queries, subnet.name, decision.subnet_accuracy, entry, cache_load_ms
+        )
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
         """Serve a query stream end to end; returns per-query records."""

@@ -35,6 +35,7 @@ from repro.serving.baselines import (
     FixedSubNetServer,
     NoSushiServer,
     StateUnawareCachingServer,
+    baseline_table,
 )
 from repro.serving.engine.admission import make_admission
 from repro.serving.engine.disciplines import QueuedQuery
@@ -175,40 +176,33 @@ class TestServeDispatchBatch:
 
 # ------------------------------------------------------------ baselines
 class TestBaselineBatchPaths:
-    def _servers(self, family):
-        supernet, subnets = family
+    @staticmethod
+    def _table(with_pb):
+        return baseline_table("ofa_mobilenetv3", ANALYTIC_DEFAULT, with_pb=with_pb)
+
+    def _servers(self):
         return [
-            NoSushiServer(
-                supernet, subnets, SushiAccelModel(ANALYTIC_DEFAULT, with_pb=False)
-            ),
-            FixedSubNetServer(
-                supernet, subnets, SushiAccelModel(ANALYTIC_DEFAULT, with_pb=False)
-            ),
-            StateUnawareCachingServer(
-                supernet, subnets, SushiAccelModel(ANALYTIC_DEFAULT, with_pb=True)
-            ),
+            NoSushiServer(self._table(False)),
+            FixedSubNetServer(self._table(False)),
+            StateUnawareCachingServer(self._table(True)),
         ]
 
-    def test_one_query_batch_identical_to_serve_query(self, family):
-        for fresh, batched in zip(self._servers(family), self._servers(family)):
+    def test_one_query_batch_identical_to_serve_query(self):
+        for fresh, batched in zip(self._servers(), self._servers()):
             q = make_queries(1, accuracy=0.76)[0]
             assert [fresh.serve_query(q)] == batched.serve_dispatch_batch([q])
 
-    def test_batches_amortize_on_every_baseline(self, family):
-        for server in self._servers(family):
+    def test_batches_amortize_on_every_baseline(self):
+        for server in self._servers():
             queries = make_queries(6, accuracy=0.76)
             records = server.serve_dispatch_batch(queries)
             single = type(server).serve_query(server, queries[0])
             assert len({r.subnet_name for r in records}) == 1
             assert records[0].served_latency_ms < 6 * single.served_latency_ms
 
-    def test_state_unaware_batch_reloads_at_most_once(self, family):
-        supernet, subnets = family
+    def test_state_unaware_batch_reloads_at_most_once(self):
         server = StateUnawareCachingServer(
-            supernet,
-            subnets,
-            SushiAccelModel(ANALYTIC_DEFAULT, with_pb=True),
-            cache_update_period=4,
+            self._table(True), cache_update_period=4
         )
         records = server.serve_dispatch_batch(make_queries(10, accuracy=0.76))
         assert sum(1 for r in records if r.cache_load_ms > 0) <= 1

@@ -7,18 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving.api import run_scenario
-from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer
+from repro.serving.baselines import (
+    NoSushiServer,
+    StateUnawareCachingServer,
+    baseline_table,
+)
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
-from repro.supernet.accuracy import AccuracyModel
 from repro.supernet.subnet import SubNet
 
 POISSON_POOL = Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "poisson_pool.json"
@@ -293,41 +295,39 @@ class TestSharedSchedulerState:
 
 class TestBaselines:
     @pytest.fixture(scope="class")
-    def shared(self, mobilenetv3, mobilenetv3_subnets):
-        accel = SushiAccelModel(ANALYTIC_DEFAULT, with_pb=True)
-        accel_no_pb = SushiAccelModel(ANALYTIC_DEFAULT, with_pb=False)
-        accuracy = AccuracyModel(mobilenetv3)
-        return mobilenetv3, mobilenetv3_subnets, accel, accel_no_pb, accuracy
+    def shared(self):
+        return tuple(
+            baseline_table("ofa_mobilenetv3", ANALYTIC_DEFAULT, with_pb=with_pb)
+            for with_pb in (True, False)
+        )
 
     def test_no_sushi_serves_all_queries(self, shared, trace):
-        supernet, subnets, _, accel_no_pb, accuracy = shared
-        server = NoSushiServer(supernet, subnets, accel_no_pb, accuracy)
+        _, no_pb = shared
+        server = NoSushiServer(no_pb)
         records = server.serve(trace)
         assert len(records) == len(trace)
         assert all(r.cache_hit_ratio == 0.0 for r in records)
 
     def test_no_sushi_strict_accuracy_met(self, shared, trace):
-        supernet, subnets, _, accel_no_pb, accuracy = shared
-        server = NoSushiServer(supernet, subnets, accel_no_pb, accuracy)
+        _, no_pb = shared
+        server = NoSushiServer(no_pb)
         for r in server.serve(trace):
             assert r.served_accuracy >= r.accuracy_constraint - 1e-9
 
     def test_state_unaware_gets_cache_hits(self, shared, trace):
-        supernet, subnets, accel, _, accuracy = shared
-        server = StateUnawareCachingServer(
-            supernet, subnets, accel, accuracy, cache_update_period=4
-        )
+        with_pb, _ = shared
+        server = StateUnawareCachingServer(with_pb, cache_update_period=4)
         records = server.serve(trace)
         assert any(r.cache_hit_ratio > 0 for r in records[5:])
 
     def test_state_unaware_invalid_period_rejected(self, shared):
-        supernet, subnets, accel, _, accuracy = shared
+        with_pb, _ = shared
         with pytest.raises(ValueError):
-            StateUnawareCachingServer(supernet, subnets, accel, accuracy, cache_update_period=0)
+            StateUnawareCachingServer(with_pb, cache_update_period=0)
 
     def test_sushi_no_worse_than_no_sushi(self, shared, stack, trace):
-        supernet, subnets, _, accel_no_pb, accuracy = shared
-        no_sushi = NoSushiServer(supernet, subnets, accel_no_pb, accuracy)
+        _, no_pb = shared
+        no_sushi = NoSushiServer(no_pb)
         base = no_sushi.serve(trace)
         stack.reset()
         sushi = stack.serve(trace)
@@ -335,9 +335,7 @@ class TestBaselines:
         assert mean(sushi) <= mean(base) * 1.001
 
     def test_strict_latency_policy_baseline(self, shared, trace):
-        supernet, subnets, _, accel_no_pb, accuracy = shared
-        server = NoSushiServer(
-            supernet, subnets, accel_no_pb, accuracy, policy=Policy.STRICT_LATENCY
-        )
+        _, no_pb = shared
+        server = NoSushiServer(no_pb, policy=Policy.STRICT_LATENCY)
         records = server.serve(trace)
         assert len(records) == len(trace)
