@@ -193,13 +193,9 @@ def test_records_match_the_per_query_oracle(case):
                     ref.estimate_service_ms(query)
                 )
         if kind == "state_unaware":
+            # cache_loads, cache_load_bytes_total and the hit counters.
             assert repr(server.pb.stats) == repr(ref.pb.stats)
             assert server.pb.stats.byte_hit_ratio == ref.pb.stats.byte_hit_ratio
-            assert server.pb.stats.cache_loads == ref.pb.stats.cache_loads
-            assert (
-                server.pb.stats.cache_load_bytes_total
-                == ref.pb.stats.cache_load_bytes_total
-            )
             assert server.pb.cached.slices == ref.pb.cached.slices
 
 
