@@ -158,24 +158,21 @@ class PersistentBuffer:
                 used += nbytes
         return CachedSubGraph(name=f"{subgraph.name}|fit", slices=kept)
 
-    def load(self, subgraph: CachedSubGraph, *, fetched: int | None = None) -> int:
+    def load(self, subgraph: CachedSubGraph) -> int:
         """Replace the cached SubGraph; returns off-chip bytes fetched.
 
         Only bytes not already present (per-layer slice intersection with the
-        previous contents) need to cross the off-chip interface.  ``fetched``
-        may be passed when the caller already knows that count for a
-        ``subgraph`` that fits the PB; it must equal what loading computes.
+        previous contents) need to cross the off-chip interface.
         """
-        if fetched is None:
-            subgraph = self.fit_subgraph(subgraph)
-            fetched = 0
-            for name, new_slice in subgraph.slices.items():
-                old_slice = self._cached.slices.get(name)
-                already = (
-                    old_slice.intersect(new_slice).weight_bytes if old_slice is not None else 0
-                )
-                fetched += max(0, new_slice.weight_bytes - already)
-        self._cached = subgraph
+        fitted = self.fit_subgraph(subgraph)
+        fetched = 0
+        for name, new_slice in fitted.slices.items():
+            old_slice = self._cached.slices.get(name)
+            already = (
+                old_slice.intersect(new_slice).weight_bytes if old_slice is not None else 0
+            )
+            fetched += max(0, new_slice.weight_bytes - already)
+        self._cached = fitted
         self.stats.cache_loads += 1
         self.stats.cache_load_bytes_total += fetched
         return fetched

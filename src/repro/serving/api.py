@@ -63,6 +63,7 @@ from repro.serving.workload import (
 )
 
 __all__ = [
+    "PROCESS_STACK_CACHE",
     "build_engine",
     "build_trace",
     "cached_stack",
@@ -71,6 +72,10 @@ __all__ = [
 ]
 
 StackCache = dict[SushiStackConfig, SushiStack]
+
+#: The process's template stacks, shared by the sweep runner and the
+#: experiment runner (forked sweep workers inherit it copy-on-write).
+PROCESS_STACK_CACHE: StackCache = {}
 
 
 def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConfig:
@@ -96,6 +101,9 @@ def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStac
     model, candidate set, latency table and serve-entry table: a new
     template takes them from any cached stack with the same serve key, and
     builds only its own scheduler (with its own caching-decision memo).
+    Baseline tables are not kept in ``stack_cache``: like
+    :func:`~repro.serving.stack.supernet_family`, each
+    :func:`~repro.serving.baselines.baseline_table` is built once per process.
     """
     stack = stack_cache.get(config)
     if stack is None:
@@ -215,7 +223,8 @@ def build_engine(
     global replica position), and lets the engine assign global
     replica indices.  ``stack_cache`` (config → stack) lets callers reuse
     expensive latency tables across scenarios; cached stacks are only ever
-    cloned, never served.
+    cloned, never served.  Baseline backends serve from the process-global
+    :func:`~repro.serving.baselines.baseline_table`, whatever ``stack_cache``.
     """
     if stack_cache is None:
         stack_cache = {}

@@ -26,21 +26,18 @@ from repro.core.policies import Policy
 from repro.serving.query import Query, QueryTrace
 from repro.serving.stack import ServeEntries, batch_constraints, batch_records
 from repro.serving.stack import build_serve_table, supernet_family
-from repro.supernet.subnet import SubNet
 
 
 class BaselineTable(NamedTuple):
     """The SubNets served against a baseline's cache columns, evaluated once.
 
     Column 0 is the empty PB.  On a model with a PB, column ``s + 1`` holds
-    the truncation of SubNet ``s`` that the state-unaware rule loads, and
-    ``fetched[a][b]`` the bytes loading column ``b`` over column ``a`` fetches.
+    the truncation of SubNet ``s`` that the state-unaware rule loads.
     """
 
     accel: SushiAccelModel
     table: LatencyTable
     entries: ServeEntries
-    fetched: tuple[tuple[int, ...], ...]
 
 
 _TABLES: dict[tuple, BaselineTable] = {}
@@ -61,15 +58,8 @@ def baseline_table(
         ]
         candidates = CandidateSet(family.supernet.name, tuple(columns), capacity)
         built = build_serve_table(family.subnets, candidates, accel, family.accuracy_model)
-        fetched = tuple(tuple(_fetched(accel, a, b) for b in columns) for a in columns)
-        _TABLES[key] = BaselineTable(accel, *built, fetched)
+        _TABLES[key] = BaselineTable(accel, *built)
     return _TABLES[key]
-
-
-def _fetched(accel: SushiAccelModel, held: CachedSubGraph, loaded: CachedSubGraph) -> int:
-    pb = accel.make_persistent_buffer()
-    pb.load(held)
-    return pb.load(loaded)
 
 
 class _TableServer:
@@ -135,10 +125,6 @@ class FixedSubNetServer(_TableServer):
             raise ValueError(f"unknown SubNet {subnet_name!r}; available: {names}")
         self._fixed_idx = names.index(subnet_name)
 
-    @property
-    def fixed_subnet(self) -> SubNet:
-        return self.tables.table.subnets[self._fixed_idx]
-
     def estimate_service_ms(self, query: Query) -> float:
         return self.tables.table.latency(self._fixed_idx, 0)
 
@@ -192,7 +178,6 @@ class StateUnawareCachingServer(_TableServer):
         period = self.cache_update_period
         if self._queries_seen // period > seen_before // period:
             self._column = idx + 1
-            fetched = self.tables.fetched[column][idx + 1]
-            self.pb.load(self.tables.table.candidates[idx + 1], fetched=fetched)
+            fetched = self.pb.load(self.tables.table.candidates[idx + 1])
             load_ms = self.tables.accel.cache_load_latency_ms(fetched)
         return super()._serve(queries, idx, column, load_ms)

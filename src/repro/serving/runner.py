@@ -3,15 +3,15 @@
 The harness of the end-to-end experiments (Fig. 15/16/17/18, Table 5 and the
 headline numbers of Section 5.7): the same trace through No-SUSHI, SUSHI w/o
 scheduler and SUSHI on one SuperNet family and platform, compared on latency,
-accuracy and energy.  SUSHI is a clone of the process's
-:func:`~repro.serving.api.cached_stack` template and the baselines serve from
+accuracy and energy.  SUSHI is a clone of a template in the process's
+:data:`~repro.serving.api.PROCESS_STACK_CACHE` and the baselines serve from
 the shared :func:`~repro.serving.baselines.baseline_table`s, so a runner
 builds no table that another runner of the process already built.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
@@ -24,14 +24,11 @@ from repro.core.metrics import (
     summarize_records,
 )
 from repro.core.policies import Policy
-from repro.serving.api import StackCache, cached_stack
+from repro.serving.api import PROCESS_STACK_CACHE, cached_stack
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer, baseline_table
 from repro.serving.query import QueryTrace
 from repro.serving.stack import SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
-
-#: The process's SUSHI template stacks (cloned, never served).
-_TEMPLATES: StackCache = {}
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,13 @@ class ComparisonSummary:
     sushi_cache_hit_ratio: float
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return {
+            "latency_improvement_vs_no_sushi_percent": self.latency_improvement_vs_no_sushi_percent,
+            "latency_improvement_vs_state_unaware_percent": self.latency_improvement_vs_state_unaware_percent,
+            "accuracy_improvement_points": self.accuracy_improvement_points,
+            "energy_saving_vs_no_sushi_percent": self.energy_saving_vs_no_sushi_percent,
+            "sushi_cache_hit_ratio": self.sushi_cache_hit_ratio,
+        }
 
 
 class ExperimentRunner:
@@ -76,9 +79,14 @@ class ExperimentRunner:
     ) -> None:
         self.seed = seed
         config = SushiStackConfig(
-            supernet_name, platform, policy, cache_update_period, candidate_set_size, seed
+            supernet_name=supernet_name,
+            platform=platform,
+            policy=policy,
+            cache_update_period=cache_update_period,
+            candidate_set_size=candidate_set_size,
+            seed=seed,
         )
-        self.sushi = cached_stack(config, _TEMPLATES).clone()
+        self.sushi = cached_stack(config, PROCESS_STACK_CACHE).clone()
         self.no_sushi = NoSushiServer(
             baseline_table(supernet_name, platform, with_pb=False), policy=policy
         )
@@ -88,6 +96,7 @@ class ExperimentRunner:
             cache_update_period=cache_update_period,
         )
 
+    # ------------------------------------------------------------ workload
     def default_workload(
         self, *, num_queries: int = 200, pattern: str = "uniform", seed: int | None = None
     ) -> QueryTrace:
@@ -101,6 +110,7 @@ class ExperimentRunner:
         )
         return WorkloadGenerator(spec, seed=self.seed if seed is None else seed).generate()
 
+    # ------------------------------------------------------------- running
     def run(self, trace: QueryTrace) -> dict[str, StreamResult]:
         """Serve ``trace`` on all three systems, SUSHI from its initial cache state."""
         self.sushi.reset()
@@ -125,7 +135,8 @@ def compare_systems(
     results: dict[str, StreamResult], *, sushi_hit_ratio: float = 0.0
 ) -> ComparisonSummary:
     """Headline improvements of SUSHI over the baselines."""
-    missing = {"no_sushi", "sushi_wo_sched", "sushi"} - set(results)
+    required = {"no_sushi", "sushi_wo_sched", "sushi"}
+    missing = required - set(results)
     if missing:
         raise ValueError(f"results missing systems: {sorted(missing)}")
     no_sushi = results["no_sushi"].metrics

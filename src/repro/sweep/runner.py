@@ -16,7 +16,8 @@ labelled sweeps.  Guarantees:
 * **Per-cell fault isolation** — a cell whose overrides fail validation or
   whose run or measurement raises becomes an *error cell* (``error`` set,
   no measurement); the other cells are unaffected.
-* **Per-process stack caching** — each process keeps one ``StackCache``,
+* **Per-process stack caching** — cells share the process's
+  :data:`~repro.serving.api.PROCESS_STACK_CACHE`,
   so expensive latency tables build once per process, not once per cell
   (forked workers inherit whatever the parent has already warmed, e.g.
   through :func:`template_stack`).
@@ -33,7 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.serving.api import StackCache, cached_stack, run_scenario
+from repro.serving.api import PROCESS_STACK_CACHE, cached_stack, run_scenario
 from repro.serving.engine import SimulationResult
 from repro.serving.spec import JsonSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
@@ -144,10 +145,6 @@ class SweepResult(JsonSpec):
 
 
 # ------------------------------------------------------------------ running
-#: One template-stack cache per process: the parent's warms sequential runs
-#: (and is inherited, copy-on-write, by forked workers).
-_STACK_CACHE: StackCache = {}
-
 #: A per-cell measurement, called with the cell's scenario and its result.
 #: Module-level functions only: forked workers receive it pickled.
 Measure = Callable[[ScenarioSpec, SimulationResult], Any]
@@ -158,7 +155,7 @@ _CellOutput = tuple[str | None, Any]
 
 def template_stack(config: SushiStackConfig) -> SushiStack:
     """The process's cached template stack for ``config`` (clone, never serve)."""
-    return cached_stack(config, _STACK_CACHE)
+    return cached_stack(config, PROCESS_STACK_CACHE)
 
 
 def _run_cell(payload: _Payload) -> _CellOutput:
@@ -166,7 +163,7 @@ def _run_cell(payload: _Payload) -> _CellOutput:
     measure, sweep_data, overrides = payload
     try:
         spec = SweepSpec.from_dict(sweep_data).scenario(overrides)
-        return None, measure(spec, run_scenario(spec, stack_cache=_STACK_CACHE))
+        return None, measure(spec, run_scenario(spec, stack_cache=PROCESS_STACK_CACHE))
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return f"{type(exc).__name__}: {exc}", None
 

@@ -84,15 +84,6 @@ class TestPersistentBuffer:
         pb.load(CachedSubGraph.from_subnet(subnet))
         assert pb.load(CachedSubGraph.from_subnet(subnet)) == 0
 
-    def test_known_fetch_count_loads_like_computing_it(self, resnet50_subnets):
-        small, large = (CachedSubGraph.from_subnet(sn) for sn in resnet50_subnets[:2])
-        computed, hinted = PersistentBuffer(10**9), PersistentBuffer(10**9)
-        for sg in (small, large, small):
-            fetched = computed.load(sg)
-            assert hinted.load(sg, fetched=fetched) == fetched
-            assert hinted.cached is computed.cached
-        assert hinted.stats == computed.stats
-
     def test_hit_bytes_and_stats(self, resnet50_subnets):
         subnet = resnet50_subnets[0]
         pb = PersistentBuffer(10**9)
