@@ -153,7 +153,9 @@ class AutoscaleController:
     control_interval_ms:
         Simulated time between policy evaluations.
     window_ms:
-        Telemetry sliding window (default: twice the control interval).
+        Telemetry sliding window.  Default: twice the control interval;
+        for a predictive policy, ``max(2 x interval, 2 x horizon)``, so its
+        slope estimate spans at least twice the forecast horizon.
     min_replicas, max_replicas:
         Hard bounds on the scalable pool size (per scaled group).
     up_cooldown_ms, down_cooldown_ms:

@@ -29,13 +29,13 @@ Invariants:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
-import numpy as np
 
-
-def p95(values: list[float]) -> float:
+def p95(values: Collection[float]) -> float:
     """95th percentile of ``values`` by linear interpolation, in plain Python.
 
     Bit-identical to ``float(np.percentile(values, 95))`` for finite
@@ -55,6 +55,55 @@ def p95(values: list[float]) -> float:
     t = virtual - lo
     diff = b - a
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
+def mean(values: Collection[float]) -> float:
+    """Arithmetic mean of ``values`` (non-empty), in plain Python.
+
+    Bit-identical to ``float(np.mean(values))`` for finite floats: numpy
+    adds the array to the reduction's 0.0 identity with its pairwise sum
+    (:func:`_pairwise_sum`), then divides by the count.  Builtin ``sum``
+    is no substitute: it adds strictly left to right (and, from Python
+    3.12, compensates), so its last bits differ.
+    """
+    listed = list(values)
+    n = len(listed)
+    return (0.0 + _pairwise_sum(listed, 0, n)) / n
+
+
+def _pairwise_sum(values: list[float], lo: int, n: int) -> float:
+    """numpy's float64 ``pairwise_sum`` of ``values[lo:lo + n]``.
+
+    Under 8 values: a left-to-right loop from 0.0.  Up to 128 (numpy's
+    block size): eight interleaved accumulators over the largest multiple
+    of 8, combined as a balanced tree, then the remainder added in order.
+    Larger: split at half the length rounded down to a multiple of 8, and
+    add the two halves' sums.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +201,13 @@ class TelemetryBus:
         Length of the sliding window the metrics are computed over.
         Typically a small multiple of the autoscaler's control interval, so
         consecutive control decisions see overlapping but fresh evidence.
+
+    Waits and service durations sit in value deques beside their time
+    deques, and the batch sizes in a running integer total, so a tick
+    reads the window without rebuilding it.  Every float
+    the snapshot reduces is summed in event order, exactly as a full
+    rebuild would: no running float sum is kept, since one would drift by
+    an ulp from what the window holds.
     """
 
     def __init__(self, window_ms: float) -> None:
@@ -161,17 +217,22 @@ class TelemetryBus:
         self._arrivals: deque[float] = deque()
         self._drops: deque[float] = deque()
         self._failures: deque[float] = deque()
-        self._waits: deque[tuple[float, float]] = deque()  # (time, wait_ms)
+        self._wait_times: deque[float] = deque()
+        self._waits: deque[float] = deque()
         self._services: deque[tuple[float, float]] = deque()  # (start, end)
+        self._durations: deque[float] = deque()  # end - start
         self._batches: deque[tuple[float, int]] = deque()  # (time, batch size)
+        self._batch_total = 0  # sum of the window's batch sizes (ints: exact)
         self._in_service_starts: dict[int, float] = {}  # replica idx -> start
         # Bound-method hoists for the per-event feed: the engine calls these
         # once per data-plane event, and reset() clears the deques in place,
         # so the binds stay valid for the bus's whole life.
         self._arrival_append = self._arrivals.append
         self._drop_append = self._drops.append
+        self._wait_time_append = self._wait_times.append
         self._wait_append = self._waits.append
         self._service_append = self._services.append
+        self._duration_append = self._durations.append
         self._batch_append = self._batches.append
         self.total_arrivals = 0
         self.total_dispatches = 0
@@ -186,7 +247,8 @@ class TelemetryBus:
         self.total_arrivals += 1
 
     def on_dispatch(self, now_ms: float, *, replica_index: int, wait_ms: float) -> None:
-        self._wait_append((now_ms, wait_ms))
+        self._wait_time_append(now_ms)
+        self._wait_append(wait_ms)
         self._in_service_starts[replica_index] = now_ms
         self.total_dispatches += 1
 
@@ -195,6 +257,7 @@ class TelemetryBus:
     ) -> None:
         start = self._in_service_starts.pop(replica_index, now_ms - service_ms)
         self._service_append((start, now_ms))
+        self._duration_append(now_ms - start)
         self.total_completions += 1
 
     def on_drop(self, now_ms: float) -> None:
@@ -209,6 +272,7 @@ class TelemetryBus:
     def on_batch(self, now_ms: float, *, batch_size: int) -> None:
         """One dispatch pickup of ``batch_size`` queries (1 without batching)."""
         self._batch_append((now_ms, batch_size))
+        self._batch_total += batch_size
         self.total_batches += 1
 
     # ------------------------------------------------------------- snapshot
@@ -216,12 +280,17 @@ class TelemetryBus:
         for q in (self._arrivals, self._drops, self._failures):
             while q and q[0] < horizon_ms:
                 q.popleft()
-        while self._waits and self._waits[0][0] < horizon_ms:
+        times = self._wait_times
+        while times and times[0] < horizon_ms:
+            times.popleft()
             self._waits.popleft()
-        while self._batches and self._batches[0][0] < horizon_ms:
-            self._batches.popleft()
-        while self._services and self._services[0][1] < horizon_ms:
-            self._services.popleft()
+        batches = self._batches
+        while batches and batches[0][0] < horizon_ms:
+            self._batch_total -= batches.popleft()[1]
+        services = self._services
+        while services and services[0][1] < horizon_ms:
+            services.popleft()
+            self._durations.popleft()
 
     def snapshot(
         self,
@@ -252,12 +321,12 @@ class TelemetryBus:
         arrivals = len(self._arrivals)
         # Rate slope: the window split in half, recent-half rate minus
         # older-half rate over the half width.  Zero for a degenerate
-        # (zero-length) window.
+        # (zero-length) window.  Arrivals are fed in time order, so the
+        # recent half is the deque's tail past the bisection point.
         slope = 0.0
         half = window / 2.0
         if half > 0:
-            mid = now_ms - half
-            recent = sum(1 for t in self._arrivals if t >= mid)
+            recent = arrivals - bisect_left(self._arrivals, now_ms - half)
             older = arrivals - recent
             slope = (recent - older) / half / half
         drops = len(self._drops)
@@ -267,21 +336,23 @@ class TelemetryBus:
 
         # Busy time inside the window: closed service intervals clipped to
         # the window, plus the open interval of anything still in service.
+        # The conditionals pick what min(end, now) / max(start, horizon)
+        # would, ties included, in the same summation order.
         busy = 0.0
         for start, end in self._services:
-            busy += min(end, now_ms) - max(start, horizon)
+            busy += (now_ms if now_ms < end else end) - (
+                horizon if horizon > start else start
+            )
         for start in self._in_service_starts.values():
-            busy += now_ms - max(start, horizon)
+            busy += now_ms - (horizon if horizon > start else start)
         if capacity_replicas is None:
             capacity_replicas = num_active
         capacity = window * max(capacity_replicas, 1)
         utilization = min(1.0, busy / capacity) if capacity > 0 else 0.0
 
-        p95_wait = p95([w for _, w in self._waits]) if self._waits else 0.0
-        services = [end - start for start, end in self._services]
-        mean_service = float(np.mean(services)) if services else 0.0
-        batches = [size for _, size in self._batches]
-        mean_occupancy = sum(batches) / len(batches) if batches else 0.0
+        waits = self._waits
+        durations = self._durations
+        batches = len(self._batches)
 
         return MetricsSnapshot(
             time_ms=now_ms,
@@ -292,9 +363,9 @@ class TelemetryBus:
             arrival_rate_per_ms=arrivals / window if window > 0 else 0.0,
             drop_rate=drop_rate,
             utilization=utilization,
-            p95_wait_ms=p95_wait,
-            mean_service_ms=mean_service,
-            mean_batch_occupancy=mean_occupancy,
+            p95_wait_ms=p95(waits) if waits else 0.0,
+            mean_service_ms=mean(durations) if durations else 0.0,
+            mean_batch_occupancy=self._batch_total / batches if batches else 0.0,
             num_provisioning=num_provisioning,
             arrival_rate_slope_per_ms2=slope,
             num_failed_replicas=num_failed_replicas,
@@ -309,9 +380,12 @@ class TelemetryBus:
         self._arrivals.clear()
         self._drops.clear()
         self._failures.clear()
+        self._wait_times.clear()
         self._waits.clear()
         self._services.clear()
+        self._durations.clear()
         self._batches.clear()
+        self._batch_total = 0
         self._in_service_starts.clear()
         self.total_arrivals = 0
         self.total_dispatches = 0

@@ -905,44 +905,66 @@ class ServingEngine:
         # feed); draining replicas still serve their queues, so they count
         # toward the utilization capacity but not toward the policy's
         # notion of the pool size; provisioning replicas cannot serve and
-        # are excluded from the capacity denominator.
+        # are excluded from the capacity denominator.  One pass over each
+        # group's live list gathers every count.
         loads: list[GroupLoad] = []
+        total_active = total_provisioning = total_draining = 0
+        total_depth = total_failed = 0
         for group in ctl.groups:
-            pool = self._group_live[group.name]
+            active = provisioning = draining = depth = 0
+            for r in self._group_live[group.name]:
+                if r.provisioning:
+                    provisioning += 1
+                elif not r.draining:
+                    active += 1
+                if r.draining:
+                    draining += 1
+                depth += r.queue_length()
+            # Crashed replicas left the pool (crash retires), so num_active
+            # already excludes them: the min_replicas clamp is what lifts
+            # `desired` back up and provisions the replacement.  The failed
+            # count is telemetry.
+            failed = self._group_crashes[group.name]
             loads.append(
                 GroupLoad(
                     name=group.name,
-                    num_active=sum(
-                        1 for r in pool if not r.draining and not r.provisioning
-                    ),
-                    num_provisioning=sum(1 for r in pool if r.provisioning),
-                    num_draining=sum(1 for r in pool if r.draining),
-                    queue_depth=sum(r.queue_length() for r in pool),
-                    # Crashed replicas left the pool (crash retires), so
-                    # num_active already excludes them: the min_replicas
-                    # clamp is what lifts `desired` back up and provisions
-                    # the replacement.  The failed count is telemetry.
-                    num_failed=self._group_crashes[group.name],
+                    num_active=active,
+                    num_provisioning=provisioning,
+                    num_draining=draining,
+                    queue_depth=depth,
+                    num_failed=failed,
                 )
             )
+            total_active += active
+            total_provisioning += provisioning
+            total_draining += draining
+            total_depth += depth
+            total_failed += failed
         snapshot = ctl.bus.snapshot(
             now,
-            num_active=sum(load.num_active for load in loads),
-            num_draining=sum(load.num_draining for load in loads),
-            queue_depth=sum(load.queue_depth for load in loads),
-            capacity_replicas=sum(
-                load.num_active + load.num_draining for load in loads
-            ),
-            num_provisioning=sum(load.num_provisioning for load in loads),
-            num_failed_replicas=sum(load.num_failed for load in loads),
+            num_active=total_active,
+            num_draining=total_draining,
+            queue_depth=total_depth,
+            capacity_replicas=total_active + total_draining,
+            num_provisioning=total_provisioning,
+            num_failed_replicas=total_failed,
         )
         desired_map = ctl.decide_pool(snapshot, loads)
         for group, load in zip(ctl.groups, loads):
             self._resize_group(group, load, desired_map[group.name], now, queue)
         # Keep ticking while the simulation still has work in flight; once
         # the queue is empty and every replica is drained the run is over
-        # and the control loop stops with it.
-        if queue or any(r.is_busy or len(r.queue) for r in self._live):
+        # and the control loop stops with it.  Sampled faults still to come
+        # count as work: the fault plane pushes a replica's straggles one at
+        # a time and drops a dead replica's rest, so ``tail_ms`` keeps the
+        # ticks running until the last sampled fault time, as when every
+        # sampled event sat in the queue.
+        fi = self.faults
+        if (
+            queue
+            or (fi is not None and fi.tail_ms > now)
+            or any(r.is_busy or len(r.queue) for r in self._live)
+        ):
             queue.push(now + ctl.control_interval_ms, EventKind.CONTROL, None)
 
     def _resize_group(
@@ -1068,13 +1090,17 @@ class ServingEngine:
         if tag == "straggle":
             # A retired/crashed replica picks nothing up, so a stale
             # straggle onset is inert either way; skipping it keeps the
-            # factor from leaking into a later pool state.
+            # factor from leaking into a later pool state, and the rest of
+            # its sampled straggles are dropped unplayed.
             if not replica.is_retired and not replica.failed:
                 replica.straggle_factor = payload[2]
                 if self.recorder is not None:
                     self.recorder.on_fault(
                         now, "straggle", replica.index, detail=payload[2]
                     )
+                fi.straggle_began(replica.index, queue.push)
+            else:
+                fi.forget(replica.index)
             return
         # tag == "crash"
         if replica.is_retired or replica.failed:
@@ -1115,6 +1141,9 @@ class ServingEngine:
                 replica.straggle_factor = 1.0
                 if self.recorder is not None:
                     self.recorder.on_fault(now, "straggle_end", replica.index)
+                self.faults.straggle_ended(replica.index, queue.push)
+            else:
+                self.faults.forget(replica.index)
             return
         # ("retry", item): the backed-off query re-enters routing.  Its
         # arrival_ms (and deadline) stay original — a retry buys another

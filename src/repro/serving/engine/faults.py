@@ -123,6 +123,8 @@ class FaultInjector:
         self.groups = None if groups is None else frozenset(groups)
         self._rng = default_rng(seed)
         self._covered: set[int] = set()
+        # replica index -> its unplayed straggle times, latest first.
+        self._straggles: dict[int, list[float]] = {}
         self._attempts: dict[int, int] = {}
         self.brownout_level = 0
         self.accuracy_relax = 0.0
@@ -135,6 +137,8 @@ class FaultInjector:
         """Back to the constructor state: same seed, same sampled faults."""
         self._rng = default_rng(self.seed)
         self._covered.clear()
+        self._straggles.clear()
+        self.tail_ms = 0.0
         self._attempts.clear()
         self.brownout_level = 0
         self.accuracy_relax = 0.0
@@ -167,6 +171,14 @@ class FaultInjector:
         never scheduled.  This is what terminates the run — without the
         horizon, a crash after the trace ends would provision a
         replacement, whose own crash draw would provision another, forever.
+
+        Every straggle interval is drawn here too, but only the first onset
+        is pushed: the replica keeps one pending straggle event, and the
+        engine plays the rest through :meth:`straggle_began` and
+        :meth:`straggle_ended` while the replica lives (or drops them with
+        :meth:`forget` once it is gone).  ``tail_ms`` records the latest
+        sampled fault time, which keeps control ticks running as if every
+        sampled event were in the queue.
         """
         self._covered.add(replica_index)
         rng = self._rng
@@ -174,25 +186,66 @@ class FaultInjector:
             crash_ms = now_ms + float(rng.exponential(self.crash_mtbf_ms))
             if crash_ms <= self.horizon_ms:
                 push(crash_ms, EventKind.FAULT, ("crash", replica_index))
+                if crash_ms > self.tail_ms:
+                    self.tail_ms = crash_ms
         if self.straggler_mtbf_ms is not None:
             t = now_ms
             horizon = self.horizon_ms
+            times: list[float] = []  # onset, end, onset, end, ...
             while True:
                 t += float(rng.exponential(self.straggler_mtbf_ms))
                 if t > horizon:
                     break
                 duration = float(rng.exponential(self.straggler_duration_ms))
-                push(
-                    t,
-                    EventKind.FAULT,
-                    ("straggle", replica_index, self.straggler_factor),
-                )
-                push(t + duration, EventKind.RECOVERY, ("straggle_end", replica_index))
+                times.append(t)
+                times.append(t + duration)
                 t += duration
+            if times:
+                if times[-1] > self.tail_ms:
+                    self.tail_ms = times[-1]
+                times.reverse()
+                self._straggles[replica_index] = times
+                self.straggle_ended(replica_index, push)
+
+    def straggle_began(
+        self, replica_index: int, push: Callable[[float, int, Any], None]
+    ) -> None:
+        """A live replica's straggle onset fired: push the interval's end."""
+        push(
+            self._straggles[replica_index].pop(),
+            EventKind.RECOVERY,
+            ("straggle_end", replica_index),
+        )
+
+    def straggle_ended(
+        self, replica_index: int, push: Callable[[float, int, Any], None]
+    ) -> None:
+        """A live replica is healthy again: push its next straggle onset.
+
+        Also pushes the first onset at :meth:`schedule_replica`.  The
+        schedule is forgotten once played out.
+        """
+        times = self._straggles[replica_index]
+        if times:
+            push(
+                times.pop(),
+                EventKind.FAULT,
+                ("straggle", replica_index, self.straggler_factor),
+            )
+        else:
+            del self._straggles[replica_index]
+
+    def forget(self, replica_index: int) -> None:
+        """The replica crashed or retired: drop its unplayed straggles."""
+        self._straggles.pop(replica_index, None)
 
     horizon_ms: float = 0.0
     """Straggle-sampling horizon (the last arrival time); the engine sets
     it at run start, before any :meth:`schedule_replica` call."""
+
+    tail_ms: float = 0.0
+    """The latest crash or straggle-end time sampled so far (0 before any);
+    the control loop keeps ticking until the clock passes it."""
 
     def dispatch_fails(self) -> bool:
         """One per-pickup Bernoulli draw of the transient-failure process."""

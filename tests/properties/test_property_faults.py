@@ -19,15 +19,24 @@ Three families of properties, over hypothesis-generated workloads:
   pending fault events, retries in flight at the end of the first run,
   and the injector's RNG position) replays identical records; recording
   the run changes nothing.
+
+* **Lazy straggles ≡ eager straggles** — the injector pushes one straggle
+  event per live replica at a time; ``tests/fault_oracle.py`` pushes a
+  replica's whole straggle schedule at its creation, as the fault plane
+  once did.  On small autoscaled faulty pools both give the same
+  outcomes, drops, autoscale report (``num_controls`` included), recorded
+  fault events and summary metrics, run after run on one engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from engine_oracle import reference_run
+from fault_oracle import EagerFaultInjector
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
+from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
 from repro.serving.obs import TraceRecorder
 from repro.serving.query import QueryTrace
@@ -299,3 +308,112 @@ class TestLiveFaultIdentityAndDeterminism:
             "straggle_end",
             "dispatch_failure",
         }
+
+
+#: Fault specs for the lazy-vs-eager oracle: each process alone, both, and
+#: zero-length straggles.  A straggle duration must be positive, so the
+#: last uses a scale whose every draw rounds ``onset + duration`` back onto
+#: the onset: each straggle ends at the very timestamp it began.
+straggle_spec = st.fixed_dictionaries(
+    {
+        "straggler_mtbf_ms": st.floats(min_value=2.0, max_value=40.0),
+        "straggler_duration_ms": st.floats(min_value=0.5, max_value=15.0),
+        "straggler_factor": st.floats(min_value=1.0, max_value=4.0),
+    }
+)
+crash_spec = st.fixed_dictionaries(
+    {"crash_mtbf_ms": st.floats(min_value=5.0, max_value=80.0)}
+)
+fault_specs = st.one_of(
+    crash_spec,
+    straggle_spec,
+    st.builds(lambda a, b: {**a, **b}, crash_spec, straggle_spec),
+    st.builds(
+        lambda a, b: {**a, **b, "straggler_duration_ms": 1e-300},
+        crash_spec,
+        straggle_spec,
+    ),
+)
+common_faults = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=31),
+        "dispatch_failure_prob": st.sampled_from([0.0, 0.1]),
+        "max_attempts": st.integers(min_value=1, max_value=3),
+        "brownout_threshold": st.one_of(st.none(), st.just(0.3)),
+    }
+)
+
+
+def autoscaled_faulty_engine(wl, injector, *, max_batch):
+    gaps, services, constraints = wl
+
+    def replica(position=None):
+        return AcceleratorReplica(
+            IndexedServer(services), discipline="edf", max_batch=max_batch
+        )
+
+    autoscaler = AutoscaleController(
+        "reactive",
+        control_interval_ms=3.0,
+        min_replicas=2,
+        max_replicas=5,
+        down_cooldown_ms=6.0,
+        startup_delay_ms=2.0,
+        replica_factory=replica,
+    )
+    engine = ServingEngine(
+        [replica() for _ in range(2)],
+        router="jsq",
+        admission="drop_expired",
+        autoscaler=autoscaler,
+    )
+    engine.faults = injector
+    engine.recorder = TraceRecorder()
+    return engine
+
+
+def summary(result):
+    return (
+        result.slo_attainment,
+        result.p99_response_ms,
+        result.mean_accuracy,
+        result.goodput_per_ms,
+        result.replica_seconds,
+        result.num_crashes,
+        result.drop_reasons,
+    )
+
+
+class TestLazyStragglesMatchEager:
+    @given(
+        st.integers(min_value=5, max_value=60).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(min_value=0.01, max_value=4.0), min_size=n, max_size=n),
+                st.lists(positive, min_size=n, max_size=n),
+                st.lists(positive, min_size=n, max_size=n),
+            )
+        ),
+        fault_specs,
+        common_faults,
+        st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lazy_schedule_is_the_eager_one(self, wl, spec, common, max_batch):
+        gaps, services, constraints = wl
+        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        arrivals = np.cumsum(gaps)
+        params = {**common, **spec}
+        lazy = autoscaled_faulty_engine(wl, FaultInjector(**params), max_batch=max_batch)
+        eager = autoscaled_faulty_engine(
+            wl, EagerFaultInjector(**params), max_batch=max_batch
+        )
+        want = eager.run(trace, arrivals)
+        for _ in range(2):  # the second run replays after reset()
+            got = lazy.run(trace, arrivals)
+            assert_identical(got, want)
+            assert got.autoscale == want.autoscale
+            assert got.autoscale.num_controls == want.autoscale.num_controls
+            assert got.trace.faults == want.trace.faults
+            assert summary(got) == summary(want)
+            # Every sampled straggle schedule was played out or dropped.
+            assert not lazy.faults._straggles

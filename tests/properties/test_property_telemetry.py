@@ -1,17 +1,27 @@
-"""Property test of the telemetry bus's plain-Python p95.
+"""Property tests of the telemetry bus against numpy and its oracle.
 
-``telemetry.p95`` replaces ``np.percentile(waits, 95)`` in every control
-tick's snapshot, so it must return the same bits: over 1-500 finite
-non-negative floats, with duplicates, zeros, subnormals and all-equal
-windows, its result's ``float.hex`` equals numpy's.
+``telemetry.p95`` and ``telemetry.mean`` replace ``np.percentile(waits,
+95)`` and ``np.mean(services)`` in every control tick's snapshot, so they
+must return the same bits: their results' ``float.hex`` equals numpy's over
+finite floats with duplicates, zeros, subnormals, all-equal windows and
+sizes on both sides of numpy's pairwise-summation block edges.
+
+The bus itself is held to ``tests/telemetry_oracle.py``, the bus as it
+rebuilt every field from tuple deques at each tick: fed the same ordered
+event stream, every :class:`MetricsSnapshot` field of the two agrees bit
+for bit, across ``reset()``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import dataclasses
 
-from repro.serving.autoscale.telemetry import p95
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from telemetry_oracle import TelemetryBus as OracleBus
+
+from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus, mean, p95
 
 finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 waits = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -35,3 +45,181 @@ def test_p95_is_numpy_percentile_bit_for_bit(values):
 @given(windows)
 def test_p95_ignores_input_order(values):
     assert p95(values).hex() == p95(list(reversed(values))).hex()
+
+
+# ------------------------------------------------------------------ mean
+#: Service durations: any finite value a window can hold (the pairwise sum
+#: must match numpy's for negatives too), plus subnormals and zeros.
+durations = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300]),
+)
+#: Sizes at and around numpy's pairwise edges: the 8-accumulator unroll
+#: (7, 8, 9, 15, 16, 17) and the 128-element block (127, 128, 129, 255,
+#: 256, 257), where the sum splits into two halves.
+edge_sizes = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257])
+
+mean_windows = st.one_of(
+    st.lists(durations, min_size=1, max_size=600),
+    edge_sizes.flatmap(lambda n: st.lists(durations, min_size=n, max_size=n)),
+    st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5, 5e-324]), min_size=1, max_size=300),
+    st.builds(lambda v, n: [v] * n, durations, st.integers(min_value=1, max_value=300)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mean_windows)
+def test_mean_is_numpy_mean_bit_for_bit(values):
+    assert mean(values).hex() == float(np.mean(values)).hex()
+
+
+@pytest.mark.parametrize("n", [1000, 8191, 8192, 8193, 10_000, 16_385, 65_537])
+def test_mean_is_numpy_mean_above_the_buffer_size(n):
+    # Past numpy's 8192-element iterator buffer the pairwise recursion must
+    # still cover the whole array in one sum.
+    rng = np.random.default_rng(n)
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)).tolist()
+    assert mean(values).hex() == float(np.mean(values)).hex()
+
+
+# ------------------------------------------------------------ bus oracle
+#: Event gaps and windows on a coarse grid as well as arbitrary floats, so
+#: event times land exactly on the window's horizon and on its midpoint
+#: (the slope's split), where ``<`` and ``<=`` part ways.
+gap = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=20.0),
+)
+window = st.one_of(
+    st.sampled_from([1.0, 2.0, 4.0, 10.0, 30.0]), st.floats(min_value=0.5, max_value=60.0)
+)
+replica = st.integers(min_value=0, max_value=3)
+value_ms = st.floats(min_value=0.0, max_value=30.0)
+
+event = st.one_of(
+    st.tuples(st.just("arrival"), gap),
+    st.tuples(st.just("drop"), gap),
+    st.tuples(st.just("failure"), gap),
+    st.tuples(st.just("dispatch"), gap, replica, value_ms),
+    # A completion on a replica with no open dispatch takes the
+    # ``now - service_ms`` fallback start.
+    st.tuples(st.just("completion"), gap, replica, value_ms),
+    # Bursts fill the window past numpy's 8-value unroll, where the
+    # pairwise mean and a left-to-right sum part ways, and give p95 long
+    # windows.
+    st.tuples(
+        st.just("burst"),
+        gap,
+        st.lists(
+            st.tuples(replica, value_ms, value_ms, st.booleans()), min_size=1, max_size=40
+        ),
+    ),
+    st.tuples(st.just("batch"), gap, st.integers(min_value=1, max_value=8)),
+    st.tuples(
+        st.just("snapshot"),
+        gap,
+        st.fixed_dictionaries(
+            {
+                "num_active": st.integers(0, 6),
+                "num_draining": st.integers(0, 3),
+                "queue_depth": st.integers(0, 20),
+                "capacity_replicas": st.one_of(st.none(), st.integers(0, 9)),
+                "num_provisioning": st.integers(0, 3),
+                "num_failed_replicas": st.integers(0, 3),
+            }
+        ),
+    ),
+    st.tuples(st.just("reset"), st.just(0.0)),
+)
+
+
+def assert_same_snapshot(got: MetricsSnapshot, want: MetricsSnapshot) -> None:
+    for field in dataclasses.fields(MetricsSnapshot):
+        a = getattr(got, field.name)
+        b = getattr(want, field.name)
+        if isinstance(b, float):
+            assert isinstance(a, float), field.name
+            assert a.hex() == b.hex(), field.name
+        else:
+            assert a == b, field.name
+
+
+def replay(bus, oracle, events) -> int:
+    """Feed both buses ``events``; compare every snapshot.  Returns how many."""
+    now = 0.0
+    snapshots = 0
+    for kind, step, *args in events:
+        if kind == "reset":
+            # A new run: the clock starts over.
+            bus.reset()
+            oracle.reset()
+            now = 0.0
+            continue
+        now += step
+        if kind == "arrival":
+            bus.on_arrival(now)
+            oracle.on_arrival(now)
+        elif kind == "drop":
+            bus.on_drop(now)
+            oracle.on_drop(now)
+        elif kind == "failure":
+            bus.on_failure(now)
+            oracle.on_failure(now)
+        elif kind == "dispatch":
+            idx, wait = args
+            bus.on_dispatch(now, replica_index=idx, wait_ms=wait)
+            oracle.on_dispatch(now, replica_index=idx, wait_ms=wait)
+        elif kind == "completion":
+            idx, service = args
+            bus.on_completion(now, replica_index=idx, service_ms=service)
+            oracle.on_completion(now, replica_index=idx, service_ms=service)
+        elif kind == "burst":
+            (members,) = args
+            for idx, wait, service, redispatch in members:
+                bus.on_completion(now, replica_index=idx, service_ms=service)
+                oracle.on_completion(now, replica_index=idx, service_ms=service)
+                if redispatch:
+                    bus.on_dispatch(now, replica_index=idx, wait_ms=wait)
+                    oracle.on_dispatch(now, replica_index=idx, wait_ms=wait)
+        elif kind == "batch":
+            (size,) = args
+            bus.on_batch(now, batch_size=size)
+            oracle.on_batch(now, batch_size=size)
+        else:
+            (kwargs,) = args
+            assert_same_snapshot(bus.snapshot(now, **kwargs), oracle.snapshot(now, **kwargs))
+            snapshots += 1
+        for name in (
+            "total_arrivals",
+            "total_dispatches",
+            "total_completions",
+            "total_drops",
+            "total_batches",
+            "total_failures",
+        ):
+            assert getattr(bus, name) == getattr(oracle, name), name
+    return snapshots
+
+
+@settings(max_examples=400, deadline=None)
+@given(window, st.lists(event, min_size=1, max_size=300))
+def test_bus_snapshots_match_the_oracle_field_for_field(window_ms, events):
+    replay(TelemetryBus(window_ms), OracleBus(window_ms), events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(window, st.lists(event.filter(lambda e: e[0] != "reset"), min_size=1, max_size=150))
+def test_bus_snapshot_every_event(window_ms, events):
+    # A snapshot after every event, so each prune step is checked, the
+    # young windows (``now`` below the window length) included.
+    probe = ("snapshot", 0.0, {"num_active": 2})
+    stream = [e for ev in events for e in (ev, probe)]
+    bus, oracle = TelemetryBus(window_ms), OracleBus(window_ms)
+    assert replay(bus, oracle, stream) >= len(events)
+    # Reset, then replay the same stream: a second run reads the same bits.
+    bus.reset()
+    oracle.reset()
+    replay(bus, oracle, stream)

@@ -45,6 +45,7 @@ from repro.serving.engine import (
     FaultInjector,
     ServingEngine,
 )
+from repro.serving.engine.events import ArrayEventQueue
 from repro.serving.obs import (
     TraceRecorder,
     chrome_trace,
@@ -484,6 +485,30 @@ class TestFaultyPoolScenario:
         assert quiet.num_crashes == 0
         assert "failed" not in quiet.drop_reasons
         assert "shed" not in quiet.drop_reasons
+
+    def test_event_heap_holds_one_straggle_per_live_replica(self, monkeypatch):
+        # Straggles are pushed one at a time per live replica, and a dead
+        # replica's rest are dropped: the heap stays about the size of the
+        # live pool (pushing every sampled episode at creation peaked at
+        # 274 entries on this draw).
+        spec = ScenarioSpec.from_json(
+            FAULTY_SCENARIO.read_text(encoding="utf-8")
+        ).override("num_queries", 2000)
+        engine = build_engine(spec)
+        sizes: list[int] = []
+        push = ArrayEventQueue.push
+
+        def sized_push(queue, time_ms, kind, payload):
+            sizes.append(len(queue._heap))
+            push(queue, time_ms, kind, payload)
+
+        monkeypatch.setattr(ArrayEventQueue, "push", sized_push)
+        trace = build_trace(spec)
+        result = engine.run(trace, spec.arrivals.generate(len(trace)))
+        assert result.num_crashes > 0 and result.autoscale.num_scale_ups > 0
+        assert max(sizes) <= 40
+        assert sum(sizes) / len(sizes) <= 20
+        assert not engine.faults._straggles
 
     @pytest.mark.xfail(
         strict=True,
