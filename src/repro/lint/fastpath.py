@@ -2,7 +2,7 @@
 
 A fast path may bypass a dataclass ``__init__`` by stamping attribute
 values straight into ``obj.__dict__``; the one such site in the tree is
-``ArrayQueryTrace.query_at`` building ``Query`` (the engine writes its
+``QueryTrace.query_at`` building ``Query`` (the engine writes its
 results into columns and builds no outcome objects).  The compiler
 cannot check those string keys against the class definition, so adding
 a field to the dataclass — or fat-fingering a key — silently produces

@@ -14,7 +14,7 @@ JSON-serializable specs, and builds/runs them through one facade:
 ``run_scenario(ScenarioSpec(...))``.
 """
 
-from repro.serving.query import ArrayQueryTrace, Query, QueryTrace
+from repro.serving.query import Query, QueryTrace
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.baselines import (
@@ -62,7 +62,6 @@ from repro.serving.api import (
 )
 
 __all__ = [
-    "ArrayQueryTrace",
     "Query",
     "QueryTrace",
     "WorkloadGenerator",

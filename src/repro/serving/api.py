@@ -54,7 +54,7 @@ from repro.serving.engine import (
     ServingEngine,
     SimulationResult,
 )
-from repro.serving.query import ArrayQueryTrace
+from repro.serving.query import QueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import (
@@ -139,17 +139,13 @@ def _group_ranges(
 
 def build_trace(
     spec: ScenarioSpec, *, stack_cache: StackCache | None = None
-) -> ArrayQueryTrace:
+) -> QueryTrace:
     """The scenario's query trace, with deferred constraint ranges resolved.
 
     ``None`` ranges in the workload spec resolve to the feasible ranges of
     the scenario's *first* replica group (its latency table for SUSHI-like
     backends, static profiles otherwise), so generated constraints are
     always meaningful for the family being served.
-
-    The trace is array-backed: vectorized constraint draws kept in numpy
-    buffers, with ``Query`` objects materialized lazily at dispatch
-    (bit-identical, query for query, to the eager ``generate()`` trace).
 
     Trace-replay scenarios (``arrivals.kind == "trace"`` with a ``path``)
     may carry per-request constraint columns: a ``slo_ms`` column replaces
@@ -174,7 +170,7 @@ def build_trace(
     if log is not None:
         accuracy_override = log.accuracy_floor
         latency_override = log.slo_ms
-    return WorkloadGenerator(workload, seed=spec.seed).generate_array_trace(
+    return WorkloadGenerator(workload, seed=spec.seed).generate(
         name=spec.name,
         accuracy_override=accuracy_override,
         latency_override=latency_override,
@@ -213,6 +209,32 @@ def _server_builder(
     raise ValueError(f"unknown backend kind {group.kind!r}")  # pragma: no cover
 
 
+def _replica_builder(
+    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
+) -> Callable[..., AcceleratorReplica]:
+    """``make(position, ordinal=None)``: one replica of ``group``.
+
+    ``position`` is the engine-global replica index (SUSHI groups clone the
+    template stack — cold PB, shared table — seeded by it).  Build-time
+    replicas are named ``{group}-{ordinal}`` by their ordinal within the
+    group; a scale-up passes no ordinal and is named ``{group}-{position}``.
+    """
+    make_server = _server_builder(spec, group, stack_cache)
+
+    def make(position: int, ordinal: int | None = None) -> AcceleratorReplica:
+        suffix = position if ordinal is None else ordinal
+        return AcceleratorReplica(
+            make_server(position),
+            discipline=group.discipline,
+            name=f"{group.name}-{suffix}" if group.name else None,
+            max_batch=group.batching.max_batch,
+            batch_policy=group.batching.policy,
+            cost_weight=group.cost_weight,
+        )
+
+    return make
+
+
 def build_engine(
     spec: ScenarioSpec, *, stack_cache: StackCache | None = None
 ) -> ServingEngine:
@@ -229,52 +251,22 @@ def build_engine(
     if stack_cache is None:
         stack_cache = {}
     scaled = spec.scaled_groups() if spec.autoscaler is not None else ()
-    scaled_builders: dict[str | None, Callable[[int], QueryServer]] = {}
+    scaled_makers: dict[str | None, Callable[..., AcceleratorReplica]] = {}
     scaled_positions: dict[str | None, list[int]] = {}
     replicas: list[AcceleratorReplica] = []
     for group in spec.replica_groups:
-        make_server = _server_builder(spec, group, stack_cache)
+        make = _replica_builder(spec, group, stack_cache)
         if any(g is group for g in scaled):
-            scaled_builders[group.name] = make_server
+            scaled_makers[group.name] = make
             scaled_positions[group.name] = list(
                 range(len(replicas), len(replicas) + group.count)
             )
         for j in range(group.count):
-            replicas.append(
-                AcceleratorReplica(
-                    make_server(len(replicas)),
-                    discipline=group.discipline,
-                    name=f"{group.name}-{j}" if group.name else None,
-                    max_batch=group.batching.max_batch,
-                    batch_policy=group.batching.policy,
-                    cost_weight=group.cost_weight,
-                )
-            )
+            replicas.append(make(len(replicas), j))
     autoscaler = None
     scalable_indices = None
     if spec.autoscaler is not None:
         a = spec.autoscaler
-
-        def make_factory(
-            group: ReplicaGroupSpec, builder: Callable[[int], QueryServer]
-        ) -> Callable[[int], AcceleratorReplica]:
-            def factory(position: int) -> AcceleratorReplica:
-                # Scale-up replica at engine-global index ``position``: the
-                # same backend construction as the group's build-time
-                # replicas (SUSHI groups clone the template stack — cold PB,
-                # shared table, seed decorrelated by position), named after
-                # the group.
-                return AcceleratorReplica(
-                    builder(position),
-                    discipline=group.discipline,
-                    name=f"{group.name}-{position}" if group.name else None,
-                    max_batch=group.batching.max_batch,
-                    batch_policy=group.batching.policy,
-                    cost_weight=group.cost_weight,
-                )
-
-            return factory
-
         autoscaler = AutoscaleController(
             a.build_policy(),
             control_interval_ms=a.control_interval_ms,
@@ -289,9 +281,7 @@ def build_engine(
                     startup_delay_ms=group.startup_delay_ms,
                     min_replicas=a.min_replicas,
                     max_replicas=a.max_replicas,
-                    replica_factory=make_factory(
-                        group, scaled_builders[group.name]
-                    ),
+                    replica_factory=scaled_makers[group.name],
                 )
                 for group in scaled
             ),

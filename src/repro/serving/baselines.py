@@ -22,7 +22,7 @@ from repro.accelerator.platforms import PlatformConfig
 from repro.core.candidates import CandidateSet, truncate_to_capacity
 from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord
-from repro.core.policies import Policy
+from repro.core.policies import Policy, subnet_selector
 from repro.serving.query import Query, QueryTrace
 from repro.serving.stack import ServeEntries, batch_constraints, batch_records
 from repro.serving.stack import build_serve_table, supernet_family
@@ -70,14 +70,10 @@ class _TableServer:
     ) -> None:
         self.tables = tables
         self.policy = policy
+        self._select_in = subnet_selector(tables.table, policy)
 
     def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:
-        table = self.tables.table
-        if self.policy == Policy.STRICT_ACCURACY:
-            idx = table.best_under_accuracy(accuracy_constraint, 0)
-            return table.most_accurate if idx is None else idx
-        idx = table.best_under_latency(latency_constraint_ms, 0)
-        return table.fastest(0) if idx is None else idx
+        return self._select_in(accuracy_constraint, latency_constraint_ms, 0)
 
     def _serve(
         self, queries: Sequence[Query], idx: int, column: int = 0, load_ms: float = 0.0

@@ -1,7 +1,8 @@
 """Discrete-event multi-replica serving engine.
 
-One dispatch-time core unifies the closed-loop experiments (Fig. 15/16) and
-the open-loop load sweeps: an event queue advances simulated time, a routing
+One dispatch-time core serves every open-loop scenario and load sweep (the
+closed-loop Fig. 15/16 runs are its rho -> 0 limit, served through each
+backend's ``serve(trace)``): an event queue advances simulated time, a routing
 policy spreads arrivals over N :class:`AcceleratorReplica` instances, each
 replica drains its queue under a pluggable discipline, admission control
 sheds queries whose deadline already expired, and every dispatch hands the

@@ -5,9 +5,10 @@ One dispatch-time core behind both serving views of the paper's evaluation:
 * **Open loop** — queries arrive on a Poisson process, are routed to one of
   N replicas, wait under a queue discipline, and are scheduled *at dispatch
   time*, when the actual arrival order and remaining slack are known.
-* **Closed loop** — the next query is injected exactly when the previous one
-  completes (zero queueing), which reproduces the paper's Fig. 15/16 serving
-  semantics query for query: it is the rho → 0 limit of the open loop.
+* **Closed loop** — the paper's Fig. 15/16 serving semantics (the next
+  query starts when the previous one completes, zero queueing) is the
+  rho → 0 limit of the open loop; ``ExperimentRunner`` serves it by handing
+  the whole trace to each backend's ``serve(trace)``.
 
 The engine is deliberately model-agnostic: a replica's backend is anything
 with a ``serve_query`` method, so the SUSHI stack, the paper's baselines and
@@ -79,23 +80,14 @@ def poisson_arrivals(
     return np.cumsum(gaps)
 
 
-def _query_getter(trace) -> Callable[[int], Query]:
-    """Positional query accessor for eager and array-backed traces."""
-    queries = getattr(trace, "queries", None)
-    if queries is not None:
-        return queries.__getitem__
-    return trace.query_at
-
-
 def _drop_item(
     table: ResultTable, item: QueuedQuery, replica: AcceleratorReplica, now: float
 ) -> None:
     """Write ``item`` as shed by admission control at dispatch on ``replica``."""
     replica.stats.num_dropped += 1
-    query = item.query
     table.drop(
-        item.seq, query.index, item.arrival_ms, now,
-        query.latency_constraint_ms, replica.index, "deadline_expired",
+        item.seq, item.arrival_ms, now,
+        item.query.latency_constraint_ms, replica.index, "deadline_expired",
     )
 
 
@@ -107,10 +99,7 @@ def _relaxed(query: Query, relax: float) -> Query:
     """
     floor = query.accuracy_constraint - relax
     return Query(
-        query.index,
-        floor if floor > 1e-9 else 1e-9,
-        query.latency_constraint_ms,
-        query.arrival_ms,
+        query.index, floor if floor > 1e-9 else 1e-9, query.latency_constraint_ms
     )
 
 
@@ -282,10 +271,9 @@ def _complete_inservice(
     for item, record, start, service in zip(
         current.items, current.records, current.starts, current.services
     ):
-        query = item.query
         serve(
-            item.seq, query.index, item.arrival_ms, start, service,
-            query.latency_constraint_ms, ridx, size, record,
+            item.seq, item.arrival_ms, start, service,
+            item.query.latency_constraint_ms, ridx, size, record,
         )
         if recorder is not None:
             recorder.on_served(table.outcome(item.seq))
@@ -603,67 +591,17 @@ class ServingEngine:
             trace, arrivals, arrival_rate_per_ms=arrival_rate_per_ms, reset=reset
         )
 
-    # ----------------------------------------------------------- closed loop
-    def run_closed_loop(
-        self, trace: QueryTrace, *, reset: bool = True
-    ) -> SimulationResult:
-        """Serve one query at a time: query ``i+1`` arrives as ``i`` completes.
-
-        This is the rho → 0 limit of the open loop — no query ever waits, so
-        every backend sees its full latency budget and the records are
-        identical to serving the trace sequentially.  A closed loop keeps
-        exactly one query in flight, so it is defined for a single replica
-        only (the offered load is 1 by construction); routing and admission
-        are no-ops at zero wait and are skipped.
-
-        Backends with a whole-stream ``serve(trace)`` are handed the whole
-        stream; others are driven per query via ``serve_query`` — the record
-        sequence is identical by contract.
-        """
-        if self.num_replicas != 1:
-            raise ValueError(
-                "closed-loop serving keeps one query in flight; "
-                f"use a single replica (got {self.num_replicas})"
-            )
-        if reset:
-            self.reset()
-        replica = self.replicas[0]
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.begin_run((r.index, r.name) for r in self.replicas)
-        stream_serve = getattr(replica.server, "serve", None)
-        if callable(stream_serve):
-            records = list(stream_serve(trace))
-        else:
-            records = [replica.server.serve_query(query) for query in trace]
-        table = ResultTable(len(trace))
-        now = 0.0
-        for row, (query, record) in enumerate(zip(trace, records)):
-            service = float(record.served_latency_ms)
-            table.serve(
-                row, query.index, now, now, service,
-                query.latency_constraint_ms, 0, 1, record,
-            )
-            if recorder is not None:
-                recorder.on_served(table.outcome(row))
-            replica.stats.num_served += 1
-            replica.stats.num_batches += 1
-            replica.stats.busy_ms += service
-            now += service
-        replica.busy_until_ms = now
-        self._run_end_ms = now
-        return self._build_result(table, offered_load=1.0)
-
     # ------------------------------------------------------------ event loop
-    def _simulate(self, trace, arrivals: np.ndarray) -> ResultTable:
+    def _simulate(self, trace: QueryTrace, arrivals: np.ndarray) -> ResultTable:
         """Process every event of one run; every query's row in one table.
 
         The one event loop, for every pool: static or autoscaled, with or
         without fault injection, any ``max_batch``.  Events come from an
-        :class:`ArrayEventQueue` (arrivals never become objects; queries
-        materialize lazily).  The optional layers — autoscaler telemetry,
-        fault injection, the flight recorder — are hoisted to locals, so a
-        fixed pool pays one ``is not None`` check per hook.
+        :class:`ArrayEventQueue` (arrivals never become objects; each query
+        is built from the trace's columns when it arrives).  The optional
+        layers — autoscaler telemetry, fault injection, the flight recorder
+        — are hoisted to locals, so a fixed pool pays one ``is not None``
+        check per hook.
 
         A ``max_batch == 1`` replica dispatches one query at a time
         (``serve_one``: an :class:`_InFlight` instead of an ``_InService``);
@@ -699,7 +637,7 @@ class ServingEngine:
         # discipline's queued-work accumulator, whose exact bits load-aware
         # routers read on later arrivals.
         direct_serve = not needs_estimates
-        get_query = _query_getter(trace)
+        get_query = trace.query_at
         ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
             int(EventKind.ARRIVAL),
             int(EventKind.COMPLETION),
@@ -863,12 +801,11 @@ class ServingEngine:
                     )
                 if current.__class__ is _InFlight:
                     item = current.item
-                    query = item.query
                     start = current.start
                     service = current.service
                     write_served(
-                        item.seq, query.index, item.arrival_ms, start, service,
-                        query.latency_constraint_ms, replica.index, 1,
+                        item.seq, item.arrival_ms, start, service,
+                        item.query.latency_constraint_ms, replica.index, 1,
                         current.record,
                     )
                     if rec_served is not None:
@@ -1216,10 +1153,9 @@ class ServingEngine:
         reason: str,
     ) -> None:
         """Write a fault-plane drop of ``item`` and show it to the recorder."""
-        query = item.query
         table.drop(
-            item.seq, query.index, item.arrival_ms, now,
-            query.latency_constraint_ms, replica_index, reason,
+            item.seq, item.arrival_ms, now,
+            item.query.latency_constraint_ms, replica_index, reason,
         )
         if self.recorder is not None:
             self.recorder.on_dropped(table.dropped_query(item.seq))
@@ -1235,7 +1171,6 @@ class ServingEngine:
         table: ResultTable,
         *,
         arrival_rate_per_ms: float | None = None,
-        offered_load: float | None = None,
     ) -> SimulationResult:
         outcomes, dropped = table.views()
         makespan = makespan_ms(outcomes)
@@ -1254,20 +1189,19 @@ class ServingEngine:
             if duration > 0
             else float(self.num_replicas)
         )
-        if offered_load is None:
-            if arrival_rate_per_ms is not None and len(outcomes):
-                mean_service = float(np.mean(outcomes.column("service_ms")))
-                # rho against the capacity actually provisioned: the static
-                # replica count, or the time-weighted mean pool size when
-                # the run was autoscaled.
-                capacity = (
-                    self.num_replicas
-                    if self.autoscaler is None
-                    else max(mean_active, 1e-12)
-                )
-                offered_load = arrival_rate_per_ms * mean_service / capacity
-            else:
-                offered_load = 0.0
+        if arrival_rate_per_ms is not None and len(outcomes):
+            mean_service = float(np.mean(outcomes.column("service_ms")))
+            # rho against the capacity actually provisioned: the static
+            # replica count, or the time-weighted mean pool size when the
+            # run was autoscaled.
+            capacity = (
+                self.num_replicas
+                if self.autoscaler is None
+                else max(mean_active, 1e-12)
+            )
+            offered_load = arrival_rate_per_ms * mean_service / capacity
+        else:
+            offered_load = 0.0
         throughput = len(outcomes) / makespan if makespan > 0 else 0.0
         if self.autoscaler is None:
             report = None

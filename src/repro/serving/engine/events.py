@@ -66,8 +66,8 @@ class ArrayEventQueue:
 
     Iterating yields ``(time_ms, kind, payload)`` until the queue is empty;
     events pushed while iterating are seen.  An ARRIVAL's payload is the
-    *arrival index* into the buffer (the engine materializes the query
-    lazily); a dynamic event's payload is whatever was pushed with it.
+    *arrival index* into the buffer, which is also the query's index in
+    its trace; a dynamic event's payload is whatever was pushed with it.
     """
 
     def __init__(self, arrival_times_ms: Sequence[float]) -> None:

@@ -2,9 +2,10 @@
 
 A run writes every offered query exactly once into a preallocated
 :class:`ResultTable` — at completion when it was served, at the drop when
-it was not — keyed by its arrival position.  :class:`SimulationResult`
-computes its summaries from those columns; its ``outcomes``, ``dropped``
-and ``records`` are read-only views in query-index order that build the
+it was not — at row ``i`` for query ``i``: a query's index is its arrival
+position and its row.  :class:`SimulationResult` computes its summaries
+from those columns; its ``outcomes``, ``dropped`` and ``records`` are
+read-only views in query-index (row) order that build the
 :class:`SimulatedQueryOutcome` / :class:`DroppedQuery` /
 :class:`~repro.core.metrics.QueryRecord` objects on each access and cache
 none of them, so what a run keeps grows by one fixed-size row per query.
@@ -99,7 +100,6 @@ _DROP_CODE = {reason: SERVED + 1 + i for i, reason in enumerate(DROP_REASONS)}
 ROW_DTYPE = np.dtype(
     [
         ("status", "i1"),
-        ("query_index", "i8"),
         ("arrival_ms", "f8"),
         # When the query started service; when a dropped one was dropped.
         ("start_ms", "f8"),
@@ -121,7 +121,7 @@ ROW_DTYPE = np.dtype(
         ("cache_load_ms", "f8"),
     ]
 )
-"""One row per offered query (117 bytes, unaligned)."""
+"""One row per offered query (109 bytes, unaligned); row ``i`` is query ``i``."""
 
 _CHUNK = 4096
 """Rows a view materializes at a time while iterating."""
@@ -130,7 +130,7 @@ _CHUNK = 4096
 class ResultTable:
     """The one writer of a run's results: a preallocated row per query.
 
-    ``rows[i]`` belongs to the query at arrival position ``i`` and is
+    ``rows[i]`` belongs to query ``i`` (its arrival position) and is
     written once, by :meth:`serve` or :meth:`drop` (or :meth:`put`, which
     takes the objects the views build).  Subnet names are interned:
     ``subnet_names[rows["subnet"][i]]``.
@@ -146,7 +146,6 @@ class ResultTable:
     def serve(
         self,
         row: int,
-        query_index: int,
         arrival_ms: float,
         start_ms: float,
         service_ms: float,
@@ -163,7 +162,6 @@ class ResultTable:
             self.subnet_names.append(name)
         self.rows[row] = (
             SERVED,
-            query_index,
             arrival_ms,
             start_ms,
             service_ms,
@@ -184,7 +182,6 @@ class ResultTable:
     def drop(
         self,
         row: int,
-        query_index: int,
         arrival_ms: float,
         dropped_at_ms: float,
         latency_constraint_ms: float,
@@ -193,45 +190,46 @@ class ResultTable:
     ) -> None:
         """Write a dropped query (``reason`` is one of :data:`DROP_REASONS`)."""
         self.rows[row] = (
-            _DROP_CODE[reason], query_index, arrival_ms, dropped_at_ms, 0.0,
+            _DROP_CODE[reason], arrival_ms, dropped_at_ms, 0.0,
             latency_constraint_ms, 0.0, replica_index, 0, 0, 0.0, 0.0, -1,
             0.0, 0.0, 0.0, 0.0,
         )
 
     def put(self, row: int, obj: SimulatedQueryOutcome | DroppedQuery) -> None:
-        """Write an outcome or drop object through :meth:`serve` / :meth:`drop`."""
+        """Write an outcome or drop object through :meth:`serve` / :meth:`drop`.
+
+        The row is the object's query index; ``obj.query_index`` is not
+        written.
+        """
         if isinstance(obj, DroppedQuery):
             self.drop(
-                row, obj.query_index, obj.arrival_ms, obj.dropped_at_ms,
+                row, obj.arrival_ms, obj.dropped_at_ms,
                 obj.latency_constraint_ms, obj.replica_index, obj.reason,
             )
         else:
             self.serve(
-                row, obj.query_index, obj.arrival_ms, obj.start_ms,
-                obj.service_ms, obj.latency_constraint_ms, obj.replica_index,
-                obj.batch_size, obj.record,
+                row, obj.arrival_ms, obj.start_ms, obj.service_ms,
+                obj.latency_constraint_ms, obj.replica_index, obj.batch_size,
+                obj.record,
             )
 
     def outcome(self, row: int) -> SimulatedQueryOutcome:
         """The outcome object of served row ``row``."""
-        return _outcomes(self, self.rows[row : row + 1])[0]
+        return _outcomes(self, np.arange(row, row + 1))[0]
 
     def dropped_query(self, row: int) -> DroppedQuery:
         """The drop object of dropped row ``row``."""
-        return _drops(self.rows[row : row + 1])[0]
+        return _drops(self, np.arange(row, row + 1))[0]
 
     def views(self) -> tuple[OutcomeView, DropView]:
-        """Served and dropped rows, each in query-index order.
+        """Served and dropped rows, each in row (query-index) order.
 
-        The order is a stable sort on ``query_index``, so a trace slice
-        (indices not starting at 0) keeps its order and equal indices keep
-        their arrival order.  Unwritten rows belong to neither.
+        Unwritten rows belong to neither.
         """
-        order = np.argsort(self.rows["query_index"], kind="stable")
-        status = self.rows["status"][order]
+        status = self.rows["status"]
         return (
-            OutcomeView(self, order[status == SERVED]),
-            DropView(self, order[status > SERVED]),
+            OutcomeView(self, np.flatnonzero(status == SERVED)),
+            DropView(self, np.flatnonzero(status > SERVED)),
         )
 
 
@@ -266,7 +264,8 @@ def _records(table: ResultTable, sel: np.ndarray) -> list[QueryRecord]:
     ]
 
 
-def _outcomes(table: ResultTable, sel: np.ndarray) -> list[SimulatedQueryOutcome]:
+def _outcomes(table: ResultTable, rows: np.ndarray) -> list[SimulatedQueryOutcome]:
+    sel = table.rows[rows]
     return [
         SimulatedQueryOutcome(
             query_index=qi,
@@ -280,7 +279,7 @@ def _outcomes(table: ResultTable, sel: np.ndarray) -> list[SimulatedQueryOutcome
             batch_size=size,
         )
         for qi, arrival, start, service, lc, size, record in zip(
-            sel["query_index"].tolist(),
+            rows.tolist(),
             sel["arrival_ms"].tolist(),
             sel["start_ms"].tolist(),
             sel["service_ms"].tolist(),
@@ -291,7 +290,8 @@ def _outcomes(table: ResultTable, sel: np.ndarray) -> list[SimulatedQueryOutcome
     ]
 
 
-def _drops(sel: np.ndarray) -> list[DroppedQuery]:
+def _drops(table: ResultTable, rows: np.ndarray) -> list[DroppedQuery]:
+    sel = table.rows[rows]
     return [
         DroppedQuery(
             query_index=qi,
@@ -302,7 +302,7 @@ def _drops(sel: np.ndarray) -> list[DroppedQuery]:
             reason=DROP_REASONS[code - SERVED - 1],
         )
         for qi, arrival, at, lc, ridx, code in zip(
-            sel["query_index"].tolist(),
+            rows.tolist(),
             sel["arrival_ms"].tolist(),
             sel["start_ms"].tolist(),
             sel["latency_constraint_ms"].tolist(),
@@ -329,7 +329,8 @@ class _RowView(Sequence):
         self.rows = rows
         """Row positions, in view order."""
 
-    def _build(self, sel: np.ndarray) -> list:
+    def _build(self, rows: np.ndarray) -> list:
+        """The objects of table rows ``rows``, in that order."""
         raise NotImplementedError
 
     def column(self, name: str) -> np.ndarray:
@@ -342,13 +343,12 @@ class _RowView(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return type(self)(self.table, self.rows[index])
-        return self._build(self.table.rows[self.rows[[index]]])[0]
+        return self._build(self.rows[[index]])[0]
 
     def __iter__(self) -> Iterator:
         rows = self.rows
-        table_rows = self.table.rows
         for k in range(0, len(rows), _CHUNK):
-            yield from self._build(table_rows[rows[k : k + _CHUNK]])
+            yield from self._build(rows[k : k + _CHUNK])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (_RowView, tuple)):
@@ -366,8 +366,8 @@ class OutcomeView(_RowView):
 
     __slots__ = ()
 
-    def _build(self, sel: np.ndarray) -> list[SimulatedQueryOutcome]:
-        return _outcomes(self.table, sel)
+    def _build(self, rows: np.ndarray) -> list[SimulatedQueryOutcome]:
+        return _outcomes(self.table, rows)
 
 
 class RecordView(_RowView):
@@ -375,8 +375,8 @@ class RecordView(_RowView):
 
     __slots__ = ()
 
-    def _build(self, sel: np.ndarray) -> list[QueryRecord]:
-        return _records(self.table, sel)
+    def _build(self, rows: np.ndarray) -> list[QueryRecord]:
+        return _records(self.table, self.table.rows[rows])
 
 
 class DropView(_RowView):
@@ -384,8 +384,8 @@ class DropView(_RowView):
 
     __slots__ = ()
 
-    def _build(self, sel: np.ndarray) -> list[DroppedQuery]:
-        return _drops(sel)
+    def _build(self, rows: np.ndarray) -> list[DroppedQuery]:
+        return _drops(self.table, rows)
 
 
 @dataclass(frozen=True, slots=True)

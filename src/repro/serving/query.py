@@ -2,14 +2,16 @@
 
 Each inference query arrives annotated with an (accuracy, latency) constraint
 pair ``(A_t, L_t)`` — the interface the whole paper assumes.  A
-:class:`QueryTrace` is an ordered stream of such queries, optionally with
-arrival times for open-loop experiments.
+:class:`QueryTrace` is an ordered stream of such queries; a query's index is
+its position in the stream, which is also its arrival position and its row
+in a run's results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,14 +28,11 @@ class Query:
         Minimum acceptable top-1 accuracy, as a fraction (e.g. ``0.78``).
     latency_constraint_ms:
         Maximum acceptable serving latency in milliseconds.
-    arrival_ms:
-        Arrival timestamp (0 for closed-loop streams).
     """
 
     index: int
     accuracy_constraint: float
     latency_constraint_ms: float
-    arrival_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.accuracy_constraint < 1.0):
@@ -46,8 +45,6 @@ class Query:
                 f"query {self.index}: latency constraint must be positive, "
                 f"got {self.latency_constraint_ms}"
             )
-        if self.arrival_ms < 0:
-            raise ValueError(f"query {self.index}: arrival time must be >= 0")
 
     def latency_budget_ms(self, override: float | None = None) -> float:
         """The latency budget a scheduler should plan against.
@@ -59,66 +56,17 @@ class Query:
         return self.latency_constraint_ms if override is None else override
 
 
-@dataclass(frozen=True)
 class QueryTrace:
-    """An ordered stream of queries."""
+    """An ordered, array-backed stream of queries.
 
-    queries: tuple[Query, ...]
-    name: str = "trace"
-
-    def __post_init__(self) -> None:
-        if not self.queries:
-            raise ValueError("a query trace needs at least one query")
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self.queries)
-
-    def __getitem__(self, idx: int) -> Query:
-        return self.queries[idx]
-
-    @property
-    def accuracy_constraints(self) -> list[float]:
-        return [q.accuracy_constraint for q in self.queries]
-
-    @property
-    def latency_constraints_ms(self) -> list[float]:
-        return [q.latency_constraint_ms for q in self.queries]
-
-    @classmethod
-    def from_constraints(
-        cls,
-        accuracy_constraints: Sequence[float],
-        latency_constraints_ms: Sequence[float],
-        *,
-        name: str = "trace",
-    ) -> "QueryTrace":
-        """Build a trace from parallel constraint lists."""
-        if len(accuracy_constraints) != len(latency_constraints_ms):
-            raise ValueError("constraint lists must have equal length")
-        queries = tuple(
-            Query(index=i, accuracy_constraint=a, latency_constraint_ms=l)
-            for i, (a, l) in enumerate(zip(accuracy_constraints, latency_constraints_ms))
-        )
-        return cls(queries=queries, name=name)
-
-
-class ArrayQueryTrace:
-    """An array-backed query stream for long (10M+) traces.
-
-    Duck-type compatible with :class:`QueryTrace` — ``len``, iteration,
-    indexing and the constraint-list properties — but the constraints live
-    in numpy buffers and :class:`Query` objects are materialized *lazily*,
-    one at a time at dispatch, instead of eagerly up front.  Validation is
-    vectorized once at construction (the same checks ``Query.__post_init__``
-    applies per query), so materialization can skip per-object checks; the
-    materialized queries are bit-identical to an eager
-    :meth:`QueryTrace.from_constraints` build of the same arrays.
+    The constraints live in flat buffers and :class:`Query` objects are
+    built lazily, one per access (``query_at``), so a 10M-query trace holds
+    no per-query objects.  Validation is vectorized once at construction
+    (the same checks ``Query.__post_init__`` applies per query), so
+    ``query_at`` skips per-object checks.
     """
 
-    __slots__ = ("name", "_accuracy", "_latency_ms", "_acc_list", "_lat_list")
+    __slots__ = ("name", "_acc_list", "_lat_list")
 
     def __init__(
         self,
@@ -150,16 +98,14 @@ class ArrayQueryTrace:
                 f"got {lat[i]}"
             )
         self.name = name
-        self._accuracy = acc
-        self._latency_ms = lat
-        # Python-float views for the hot path: indexing a list of floats is
-        # much cheaper than converting numpy scalars per materialization,
-        # and tolist() round-trips IEEE doubles exactly.
+        # Python-float lists for the hot path: indexing a list of floats is
+        # much cheaper than converting numpy scalars per query, and tolist()
+        # round-trips IEEE doubles exactly.
         self._acc_list = acc.tolist()
         self._lat_list = lat.tolist()
 
     def query_at(self, index: int) -> Query:
-        """Materialize one query (validation already done array-wide).
+        """Build query ``index`` (validation already done array-wide).
 
         Bypasses the dataclass constructor: ``__post_init__`` re-checks per
         field, and on a 10M-query trace that is the difference between a
@@ -170,29 +116,19 @@ class ArrayQueryTrace:
         d["index"] = index
         d["accuracy_constraint"] = self._acc_list[index]
         d["latency_constraint_ms"] = self._lat_list[index]
-        d["arrival_ms"] = 0.0
         return query
-
-    def materialize(self, *, name: str | None = None) -> QueryTrace:
-        """The equivalent eager :class:`QueryTrace` (for reference runs)."""
-        return QueryTrace(
-            queries=tuple(self.query_at(i) for i in range(len(self._acc_list))),
-            name=self.name if name is None else name,
-        )
 
     def __len__(self) -> int:
         return len(self._acc_list)
 
     def __iter__(self) -> Iterator[Query]:
-        return (self.query_at(i) for i in range(len(self._acc_list)))
+        return map(self.query_at, range(len(self._acc_list)))
 
     def __getitem__(self, idx: int) -> Query:
-        return self.query_at(idx)
-
-    @property
-    def accuracy_constraints(self) -> list[float]:
-        return list(self._acc_list)
-
-    @property
-    def latency_constraints_ms(self) -> list[float]:
-        return list(self._lat_list)
+        i = operator.index(idx)
+        n = len(self._acc_list)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"query index {idx} out of range for {n} queries")
+        return self.query_at(i)

@@ -24,7 +24,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from repro.serving.query import ArrayQueryTrace, Query, QueryTrace
+from repro.serving.query import QueryTrace
 
 Pattern = Literal["uniform", "phased", "drift", "bursty"]
 
@@ -177,10 +177,7 @@ class WorkloadGenerator:
     def generate_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The stream's ``(accuracy, latency_ms)`` constraint arrays.
 
-        Exactly the draws :meth:`generate` materializes into ``Query``
-        objects — the array and object forms of one workload are
-        bit-identical, which is what lets scenario runs skip eager
-        materialization.
+        Exactly the draws :meth:`generate` wraps in a :class:`QueryTrace`.
         """
         rng = np.random.default_rng(self.seed)
         pattern = self.spec.pattern
@@ -233,27 +230,4 @@ class WorkloadGenerator:
     ) -> QueryTrace:
         """Produce a query trace according to the spec."""
         acc, lat = self._overridden_arrays(accuracy_override, latency_override)
-        queries = tuple(
-            Query(index=i, accuracy_constraint=float(a), latency_constraint_ms=float(l))
-            for i, (a, l) in enumerate(zip(acc, lat))
-        )
-        return QueryTrace(
-            queries=queries, name=name or f"{self.spec.pattern}-{self.seed}"
-        )
-
-    def generate_array_trace(
-        self,
-        *,
-        name: str | None = None,
-        accuracy_override: np.ndarray | None = None,
-        latency_override: np.ndarray | None = None,
-    ) -> ArrayQueryTrace:
-        """The array-backed form of :meth:`generate` (lazy ``Query`` objects).
-
-        What ``api.build_trace`` hands every scenario run; materialized
-        queries are bit-identical to :meth:`generate`'s.
-        """
-        acc, lat = self._overridden_arrays(accuracy_override, latency_override)
-        return ArrayQueryTrace(
-            acc, lat, name=name or f"{self.spec.pattern}-{self.seed}"
-        )
+        return QueryTrace(acc, lat, name=name or f"{self.spec.pattern}-{self.seed}")

@@ -104,12 +104,12 @@ class ObjectWriter:
         self.objects[row] = obj
         self.table.put(row, obj)
 
-    def drop(self, row, query_index, arrival_ms, dropped_at_ms,
+    def drop(self, row, arrival_ms, dropped_at_ms,
              latency_constraint_ms, replica_index, reason) -> None:
         self.put(
             row,
             DroppedQuery(
-                query_index=query_index,
+                query_index=row,
                 arrival_ms=arrival_ms,
                 dropped_at_ms=dropped_at_ms,
                 latency_constraint_ms=latency_constraint_ms,
@@ -135,7 +135,7 @@ def reference_objects(
     """``(result, outcomes, dropped)`` of the reference loop.
 
     ``outcomes`` and ``dropped`` are the objects the loop built, each in
-    query-index order (stable over arrival order).
+    query-index (row) order.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     if reset:
@@ -157,10 +157,7 @@ def reference_objects(
     result = engine._build_result(
         writer.table, arrival_rate_per_ms=arrival_rate_per_ms
     )
-    ordered = sorted(
-        (obj for _, obj in sorted(writer.objects.items())),
-        key=lambda obj: obj.query_index,
-    )
+    ordered = [obj for _, obj in sorted(writer.objects.items())]
     return (
         result,
         tuple(o for o in ordered if isinstance(o, SimulatedQueryOutcome)),

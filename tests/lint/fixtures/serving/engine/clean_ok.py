@@ -19,7 +19,7 @@ class TinyEvent:
 
 
 @dataclass(frozen=True)
-class TinyOutcome:  # repro-lint: disable=RPR002 -- stamped via __dict__ below, mirroring ArrayQueryTrace.query_at
+class TinyOutcome:  # repro-lint: disable=RPR002 -- stamped via __dict__ below, mirroring QueryTrace.query_at
     index: int
     value: float
 

@@ -79,9 +79,11 @@ def test_rpr002_unslotted_dataclass_in_events(tmp_path: Path) -> None:
 
 def test_rpr003_typoed_query_at_stamp_key(tmp_path: Path) -> None:
     # The classic fast-path drift bug: one stamped key of
-    # ArrayQueryTrace.query_at no longer matches a Query field.
+    # QueryTrace.query_at no longer matches a Query field.
     source = (ENGINE.parent / "query.py").read_text(encoding="utf-8")
-    mutated = source.replace('d["arrival_ms"] = 0.0', 'd["arrival"] = 0.0', 1)
+    mutated = source.replace(
+        'd["latency_constraint_ms"] =', 'd["latency_constraint"] =', 1
+    )
     assert mutated != source, "mutation left query.py unchanged"
     (tmp_path / "serving").mkdir()
     (tmp_path / "serving" / "query.py").write_text(mutated, encoding="utf-8")

@@ -87,7 +87,7 @@ class SharedBatchServer(IndexedServer):
 
 
 def build_trace(constraints):
-    return QueryTrace.from_constraints([0.77] * len(constraints), list(constraints))
+    return QueryTrace([0.77] * len(constraints), list(constraints))
 
 
 def reference_run(trace, arrivals, services, *, num_replicas, discipline, router,

@@ -35,7 +35,7 @@ class IndexedServer:
 
 
 def build_trace(constraints):
-    return QueryTrace.from_constraints([0.77] * len(constraints), list(constraints))
+    return QueryTrace([0.77] * len(constraints), list(constraints))
 
 
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)

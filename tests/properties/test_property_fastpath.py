@@ -90,7 +90,7 @@ def run_pair(
 ):
     """(reference result, engine result) on identical fresh engines."""
     gaps, services, constraints = wl
-    trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+    trace = QueryTrace([0.77] * len(gaps), list(constraints))
     arrivals = np.cumsum(gaps)
     max_batch, policy = batching
 

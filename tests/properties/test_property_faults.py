@@ -113,7 +113,7 @@ def build_engine(
 
 def run_one(wl, *, faults=None, recorder=False, **engine_kwargs):
     gaps, services, constraints = wl
-    trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+    trace = QueryTrace([0.77] * len(gaps), list(constraints))
     arrivals = np.cumsum(gaps)
     engine = build_engine(wl, faults=faults, **engine_kwargs)
     if recorder:
@@ -147,7 +147,7 @@ class TestFaultsNullRung:
             admission=admission,
         )
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
         plain = build_engine(wl, **kwargs).run(trace, arrivals)
@@ -174,7 +174,7 @@ class TestFaultsNullRung:
             admission=admission,
         )
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
         reference = reference_run(build_engine(wl, **kwargs), trace, arrivals)
@@ -203,7 +203,7 @@ class TestLiveFaultIdentityAndDeterminism:
             max_batch=max_batch,
         )
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
         reference = reference_run(
@@ -244,7 +244,7 @@ class TestLiveFaultIdentityAndDeterminism:
             max_batch=max_batch,
         )
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
 
         def injector():
@@ -275,7 +275,7 @@ class TestLiveFaultIdentityAndDeterminism:
             admission=admission,
         )
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         second = engine.run(trace, np.cumsum(gaps))  # reset=True default
         assert_identical(second, first)
         assert second.num_crashes == first.num_crashes
@@ -400,7 +400,7 @@ class TestLazyStragglesMatchEager:
     @settings(max_examples=80, deadline=None)
     def test_lazy_schedule_is_the_eager_one(self, wl, spec, common, max_batch):
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
         params = {**common, **spec}
         lazy = autoscaled_faulty_engine(wl, FaultInjector(**params), max_batch=max_batch)

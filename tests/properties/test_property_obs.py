@@ -65,7 +65,7 @@ def run_pair(
 ):
     """(unobserved result, observed result) on identical fresh engines."""
     gaps, services, constraints = wl
-    trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+    trace = QueryTrace([0.77] * len(gaps), list(constraints))
     arrivals = np.cumsum(gaps)
 
     def engine():

@@ -5,16 +5,17 @@ A run writes one :class:`ResultTable` row per offered query; the result's
 summaries read the columns.  Over hypothesis-generated runs — all three
 drop reasons, ``shared_subnet`` and ``per_query`` batching, crashes with
 retries, brownout, stragglers, transient dispatch failures, autoscaling —
-three properties must hold:
+two properties must hold:
 
 * **(a) the views are what was written** — ``ServingEngine.run``'s views
   equal ``engine_oracle.reference_run``'s, and both equal the outcome and
   drop objects the reference loop built before writing them;
 * **(b) same arithmetic** — every ``SimulationResult`` summary equals the
   per-object formula it replaced, recomputed here from
-  ``tuple(result.outcomes)``, bit for bit (``repr`` and type);
-* **(c) query-index order** — a trace slice (indices not starting at 0)
-  and a trace with permuted indices come out ordered by query index.
+  ``tuple(result.outcomes)``, bit for bit (``repr`` and type).
+
+A query's index is its row, so the views come out in query-index order by
+construction.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.metrics import QueryRecord
 from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import QueryTrace
 
 RATE_PER_MS = 0.7
 """Nominal arrival rate handed to ``run`` so ``offered_load`` is computed."""
@@ -253,7 +254,7 @@ class TestResultTable:
     @settings(max_examples=150, deadline=None)
     def test_views_and_summaries_match_the_objects(self, wl, pool):
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
         result, reference, outcomes, dropped = run_both(trace, arrivals, services, pool)
         assert_views_match(result, reference, outcomes, dropped)
@@ -273,7 +274,7 @@ class TestResultTable:
         gaps = rng.exponential(0.5, size=n).tolist()
         services = rng.uniform(0.5, 3.0, size=n).tolist()
         constraints = [1.0 if i % 3 == 0 else 50.0 for i in range(n)]
-        trace = QueryTrace.from_constraints([0.77] * n, constraints)
+        trace = QueryTrace([0.77] * n, constraints)
         arrivals = np.cumsum(gaps)
         for policy in ("shared_subnet", "per_query"):
             pool = dict(
@@ -288,53 +289,11 @@ class TestResultTable:
             assert_views_match(result, reference, outcomes, dropped)
             assert_summaries_match(result)
 
-    @given(
-        workload,
-        st.integers(min_value=1, max_value=500),
-        st.randoms(use_true_random=False),
-        st.sampled_from([1, 3]),
-        st.sampled_from(["admit_all", "drop_expired"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_slices_and_permuted_indices_come_out_in_query_order(
-        self, wl, offset, random, max_batch, admission
-    ):
-        gaps, services, constraints = wl
-        n = len(gaps)
-        full = QueryTrace.from_constraints(
-            [0.77] * (offset + n), [1.0] * offset + constraints
-        )
-        sliced = QueryTrace(queries=full.queries[offset:])
-        indices = list(range(offset, offset + n))
-        random.shuffle(indices)
-        permuted = QueryTrace(
-            queries=tuple(
-                Query(index=i, accuracy_constraint=0.77, latency_constraint_ms=c)
-                for i, c in zip(indices, constraints)
-            )
-        )
-        pool = dict(
-            SINGLE, num_replicas=2, max_batch=max_batch, discipline="edf",
-            router="jsq", admission=admission,
-        )
-        arrivals = np.cumsum(gaps)
-        for trace in (sliced, permuted):
-            result, reference, outcomes, dropped = run_both(
-                trace, arrivals, services, pool
-            )
-            served = [o.query_index for o in result.outcomes]
-            shed = [d.query_index for d in result.dropped]
-            assert served == sorted(served)
-            assert shed == sorted(shed)
-            assert sorted(served + shed) == list(range(offset, offset + n))
-            assert [r.query_index for r in result.records] == served
-            assert_views_match(result, reference, outcomes, dropped)
-
     @given(workload, st.integers(min_value=0, max_value=29))
     @settings(max_examples=30, deadline=None)
     def test_views_index_slice_and_rebuild_on_every_access(self, wl, k):
         gaps, services, constraints = wl
-        trace = QueryTrace.from_constraints([0.77] * len(gaps), list(constraints))
+        trace = QueryTrace([0.77] * len(gaps), list(constraints))
         result = build_engine(services, SINGLE).run(trace, np.cumsum(gaps))
         outcomes = tuple(result.outcomes)
         assert len(result.outcomes) == len(outcomes)

@@ -42,7 +42,7 @@ SUPERNET = "ofa_mobilenetv3"
 
 
 def make_trace(n, *, latency_ms=30.0):
-    return QueryTrace.from_constraints([0.77] * n, [latency_ms] * n)
+    return QueryTrace([0.77] * n, [latency_ms] * n)
 
 
 def snapshot(**overrides) -> MetricsSnapshot:

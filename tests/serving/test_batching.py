@@ -274,7 +274,7 @@ class TestPopBatch:
 # ------------------------------------------------------------ engine
 class TestEngineBatching:
     def _run(self, *, max_batch, batch_policy="per_query", n=12):
-        trace = QueryTrace.from_constraints([0.77] * n, [500.0] * n)
+        trace = QueryTrace([0.77] * n, [500.0] * n)
         arrivals = np.zeros(n)  # everything queues behind query 0
         engine = ServingEngine(
             [
@@ -304,7 +304,7 @@ class TestEngineBatching:
                 return super().serve_query(query)
 
         n = 3
-        trace = QueryTrace.from_constraints([0.77] * n, [100.0] * n)
+        trace = QueryTrace([0.77] * n, [100.0] * n)
         engine = ServingEngine(
             [AcceleratorReplica(Recording(), max_batch=3, batch_policy="per_query")]
         )
@@ -318,7 +318,7 @@ class TestEngineBatching:
         # Query 2's deadline passes while query 1 runs inside the pickup:
         # it is dropped at its would-be start, exactly as the seed loop
         # serving the queue one at a time would have shed it.
-        trace = QueryTrace.from_constraints([0.77] * 3, [100.0, 100.0, 1.5])
+        trace = QueryTrace([0.77] * 3, [100.0, 100.0, 1.5])
         engine = ServingEngine(
             [
                 AcceleratorReplica(
@@ -343,7 +343,7 @@ class TestEngineBatching:
 
     def test_records_stamped_with_replica_index_at_dispatch(self):
         n = 10
-        trace = QueryTrace.from_constraints([0.77] * n, [500.0] * n)
+        trace = QueryTrace([0.77] * n, [500.0] * n)
         engine = ServingEngine(
             [AcceleratorReplica(SynthServer()) for _ in range(2)], router="jsq"
         )

@@ -31,7 +31,7 @@ from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 
 
 def make_trace(n, *, latency_ms=10.0):
-    return QueryTrace.from_constraints([0.77] * n, [latency_ms] * n)
+    return QueryTrace([0.77] * n, [latency_ms] * n)
 
 
 def queued(index, arrival, seq, *, constraint=10.0, estimate=0.0):
@@ -268,24 +268,6 @@ class TestEngineOpenLoop:
                 [AcceleratorReplica(ConstantServer(1.0), index=1)]
             )
 
-    def test_closed_loop_requires_single_replica(self):
-        engine = ServingEngine(
-            [AcceleratorReplica(ConstantServer(1.0), index=i) for i in range(2)]
-        )
-        with pytest.raises(ValueError):
-            engine.run_closed_loop(make_trace(3))
-
-    def test_closed_loop_with_per_query_backend(self):
-        # A backend without a vectorized serve() is driven via serve_query.
-        engine = ServingEngine([AcceleratorReplica(ConstantServer(2.0))])
-        result = engine.run_closed_loop(make_trace(5))
-        assert [o.start_ms for o in result.outcomes] == pytest.approx(
-            [0.0, 2.0, 4.0, 6.0, 8.0]
-        )
-        assert all(o.queueing_ms == 0.0 for o in result.outcomes)
-        assert result.offered_load == pytest.approx(1.0)
-        assert result.replica_stats[0].num_served == 5
-
     def test_deterministic_given_seed(self):
         engine = ServingEngine([AcceleratorReplica(ConstantServer(1.5))])
         trace = make_trace(25)
@@ -411,16 +393,6 @@ def mobilenet_trace():
 
 
 class TestEngineWithSushiStack:
-    def test_closed_loop_matches_direct_serve(self, mobilenet_stack, mobilenet_trace):
-        """Acceptance: the per-query engine path reproduces stack.serve exactly."""
-        mobilenet_stack.reset()
-        direct = mobilenet_stack.serve(mobilenet_trace)
-        engine = build_stack_engine(mobilenet_stack, num_replicas=1)
-        result = engine.run_closed_loop(mobilenet_trace)
-        assert list(result.records) == direct
-        assert all(o.queueing_ms == 0.0 for o in result.outcomes)
-        assert result.offered_load == pytest.approx(1.0)
-
     def test_serve_query_matches_batched_serve(self, mobilenet_stack, mobilenet_trace):
         a = mobilenet_stack.clone()
         b = mobilenet_stack.clone()
@@ -465,7 +437,7 @@ class TestStackPoolOpenLoop:
         )
 
     def test_runs_and_is_deterministic(self, stack):
-        trace = QueryTrace.from_constraints([0.77] * 40, [1.0] * 40)
+        trace = QueryTrace([0.77] * 40, [1.0] * 40)
         engine = build_stack_engine(stack, num_replicas=2, router="jsq")
         a = engine.run_open_loop(trace, arrival_rate_per_ms=2.0, seed=1)
         b = engine.run_open_loop(trace, arrival_rate_per_ms=2.0, seed=1)
@@ -473,7 +445,7 @@ class TestStackPoolOpenLoop:
         assert a.num_served == 40
 
     def test_drop_expired_sheds_under_overload(self, stack):
-        tight = QueryTrace.from_constraints([0.77] * 60, [0.4] * 60)
+        tight = QueryTrace([0.77] * 60, [0.4] * 60)
         engine = build_stack_engine(stack, admission="drop_expired")
         result = engine.run_open_loop(tight, arrival_rate_per_ms=10.0, seed=0)
         assert result.num_dropped > 0

@@ -18,7 +18,7 @@ import pytest
 from engine_oracle import reference_run
 
 from repro.core.metrics import QueryRecord
-from repro.serving import ArrayQueryTrace
+from repro.serving import QueryTrace
 from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, ServingEngine
@@ -50,20 +50,15 @@ class IndexedServer:
 
 
 def make_workload(n, *, seed=0, rate_per_ms=0.6):
-    """(reference trace, array trace, arrivals, service table) for one run.
-
-    Both traces come from the same seeded generator, so they describe the
-    *same* queries — one eagerly materialized, one lazily array-backed.
-    """
+    """(trace, arrivals, service table) for one run."""
     gen = WorkloadGenerator(
         GenWorkloadSpec(num_queries=n, pattern="uniform"), seed=seed
     )
     trace = gen.generate()
-    atrace = gen.generate_array_trace()
     rng = np.random.default_rng(seed + 1)
     arrivals = np.cumsum(rng.exponential(1.0 / rate_per_ms, size=n))
     services = rng.uniform(0.5, 6.0, size=n).tolist()
-    return trace, atrace, arrivals, services
+    return trace, arrivals, services
 
 
 def make_engine(services, *, num_replicas=3, discipline="fifo",
@@ -95,31 +90,24 @@ class TestFastPathIdentity:
     @pytest.mark.parametrize("router", ["round_robin", "jsq", "least_loaded"])
     @pytest.mark.parametrize("admission", ["admit_all", "drop_expired"])
     def test_matches_reference_across_policies(self, discipline, router, admission):
-        trace, atrace, arrivals, services = make_workload(600, seed=11)
+        trace, arrivals, services = make_workload(600, seed=11)
         kw = dict(discipline=discipline, router=router, admission=admission)
         ref = reference_run(make_engine(services, **kw), trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals)
-        assert_identical(fast, ref)
-
-    def test_accepts_reference_trace_type(self):
-        """The loop does not require an ArrayQueryTrace."""
-        trace, _, arrivals, services = make_workload(200, seed=5)
-        ref = reference_run(make_engine(services), trace, arrivals)
-        fast = make_engine(services).run(trace, arrivals)
+        fast = make_engine(services, **kw).run(trace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_batching(self):
-        trace, atrace, arrivals, services = make_workload(500, seed=7, rate_per_ms=1.5)
+        trace, arrivals, services = make_workload(500, seed=7, rate_per_ms=1.5)
         kw = dict(max_batch=4, admission="drop_expired", discipline="edf")
         ref = reference_run(make_engine(services, **kw), trace, arrivals)
-        fast = make_engine(services, **kw).run(atrace, arrivals)
+        fast = make_engine(services, **kw).run(trace, arrivals)
         assert_identical(fast, ref)
 
     def test_matches_reference_with_autoscaler(self):
         """The control plane runs in the same loop, event for event."""
 
         def scaled(run):
-            trace, atrace, arrivals, services = make_workload(
+            trace, arrivals, services = make_workload(
                 800, seed=3, rate_per_ms=1.2
             )
             ctl = AutoscaleController(
@@ -138,7 +126,7 @@ class TestFastPathIdentity:
             )
             if run is reference_run:
                 return reference_run(engine, trace, arrivals)
-            return engine.run(atrace, arrivals)
+            return engine.run(trace, arrivals)
 
         ref = scaled(reference_run)
         fast = scaled(ServingEngine.run)
@@ -169,15 +157,13 @@ def scenario(**overrides):
 
 class TestSpecKnobs:
     def test_build_trace_materializes_lazily_for_fast_specs(self):
-        trace = build_trace(scenario())
-        assert isinstance(trace, ArrayQueryTrace)
-        assert list(trace) == list(trace.materialize())
+        assert isinstance(build_trace(scenario()), QueryTrace)
 
     def test_run_scenario_fast_and_shard_match_reference(self):
-        """``run_scenario`` equals the reference loop on the eager trace."""
+        """``run_scenario`` equals the reference loop on the scenario trace."""
         spec = scenario()
         cache: dict = {}
-        trace = build_trace(spec, stack_cache=cache).materialize()
+        trace = build_trace(spec, stack_cache=cache)
         ref = reference_run(
             build_engine(spec, stack_cache=cache),
             trace,

@@ -60,7 +60,7 @@ FAULTY_SCENARIO = REPO_ROOT / "examples" / "scenarios" / "faulty_pool.json"
 
 
 def make_trace(n, *, latency_ms=50.0):
-    return QueryTrace.from_constraints([0.77] * n, [latency_ms] * n)
+    return QueryTrace([0.77] * n, [latency_ms] * n)
 
 
 def make_engine(num_replicas, *, service_ms=1.0, admission="admit_all", **fault_kwargs):

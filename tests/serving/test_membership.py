@@ -155,7 +155,7 @@ def test_reclaimed_draining_replicas_rejoin_routing(monkeypatch):
         [AcceleratorReplica(ConstantServer(3.0)) for _ in range(4)], autoscaler=ctl
     )
     n = 600
-    trace = QueryTrace.from_constraints([0.77] * n, [1e9] * n)
+    trace = QueryTrace([0.77] * n, [1e9] * n)
     undrains = [0]
     undrain = AcceleratorReplica.undrain
 

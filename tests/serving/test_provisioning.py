@@ -49,7 +49,7 @@ SUPERNET = "ofa_mobilenetv3"
 
 
 def make_trace(n, *, latency_ms=30.0):
-    return QueryTrace.from_constraints([0.77] * n, [latency_ms] * n)
+    return QueryTrace([0.77] * n, [latency_ms] * n)
 
 
 def bursty_arrivals(n, *, quiet_ms=300.0, quiet_rate=0.02, burst_ms=150.0,

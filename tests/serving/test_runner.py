@@ -18,8 +18,8 @@ def trace(runner):
 
 class TestExperimentRunner:
     def test_default_workload_spans_feasible_ranges(self, runner, trace):
-        accs = trace.accuracy_constraints
-        lats = trace.latency_constraints_ms
+        accs = [q.accuracy_constraint for q in trace]
+        lats = [q.latency_constraint_ms for q in trace]
         assert min(accs) >= float(runner.sushi.table.accuracies.min()) - 1e-9
         assert max(lats) <= float(runner.sushi.table.latencies_ms.max()) + 1e-9
 

@@ -34,28 +34,27 @@ class TestPatterns:
         spec = WorkloadSpec(num_queries=50, pattern=pattern)
         a = WorkloadGenerator(spec, seed=7).generate()
         b = WorkloadGenerator(spec, seed=7).generate()
-        assert a.accuracy_constraints == b.accuracy_constraints
-        assert a.latency_constraints_ms == b.latency_constraints_ms
+        assert list(a) == list(b)
 
     def test_different_seeds_differ(self, pattern):
         spec = WorkloadSpec(num_queries=50, pattern=pattern)
         a = WorkloadGenerator(spec, seed=1).generate()
         b = WorkloadGenerator(spec, seed=2).generate()
-        assert a.accuracy_constraints != b.accuracy_constraints
+        assert [q.accuracy_constraint for q in a] != [q.accuracy_constraint for q in b]
 
 
 class TestPatternShapes:
     def test_drift_accuracy_increases(self):
         spec = WorkloadSpec(num_queries=200, pattern="drift")
         trace = WorkloadGenerator(spec, seed=0).generate()
-        acc = np.array(trace.accuracy_constraints)
+        acc = np.array([q.accuracy_constraint for q in trace])
         first, last = acc[:50].mean(), acc[-50:].mean()
         assert last > first
 
     def test_bursty_has_tight_latency_cluster(self):
         spec = WorkloadSpec(num_queries=300, pattern="bursty", burst_fraction=0.3)
         trace = WorkloadGenerator(spec, seed=0).generate()
-        lat = np.array(trace.latency_constraints_ms)
+        lat = np.array([q.latency_constraint_ms for q in trace])
         lo, hi = spec.latency_range_ms
         tight = np.mean(lat < lo + 0.25 * (hi - lo))
         assert 0.1 < tight < 0.5
@@ -63,7 +62,7 @@ class TestPatternShapes:
     def test_phased_has_distinct_phases(self):
         spec = WorkloadSpec(num_queries=200, pattern="phased", num_phases=2)
         trace = WorkloadGenerator(spec, seed=0).generate()
-        acc = np.array(trace.accuracy_constraints)
+        acc = np.array([q.accuracy_constraint for q in trace])
         assert abs(acc[:100].mean() - acc[100:].mean()) > 0.01
 
     def test_trace_name_includes_pattern(self):

@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trace = build_workload(args.num_queries, args.seed).generate_array_trace()
+    trace = build_workload(args.num_queries, args.seed).generate()
     arrivals = poisson_arrivals(
         args.num_queries, args.rate, rng=np.random.default_rng(args.seed + 1)
     )
