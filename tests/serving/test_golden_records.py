@@ -50,6 +50,39 @@ BASELINE_DIGESTS = {
 }
 
 
+# Dispatch paths no committed scenario drives: ``result_digest`` of
+# (scenario, overrides) at NUM_QUERIES.  Per-query pickups, batched pickups
+# under the fault plane (whole-pickup dispatch failure, straggle, brownout),
+# the service-estimate path that disables direct serve, and batched
+# autoscaled pools.  Pinned by hand before the single-query dispatch became
+# a pickup of one; the regeneration below does not touch them.
+DISPATCH_DIGESTS = {
+    ("batched_pool", (("replica_groups.0.batching.policy", "per_query"),)): "74f0d4e9707e4aa36322f0893f5681707235b6992064b0d70b4a03113e01cf89",
+    (
+        "faulty_pool",
+        (
+            ("replica_groups.0.batching.max_batch", 4),
+            ("replica_groups.0.batching.policy", "shared_subnet"),
+        ),
+    ): "3de52bdcf9d0ac02a7d124d895744e4df4661ee2494269856038090ff9a26ffa",
+    (
+        "faulty_pool",
+        (
+            ("replica_groups.0.batching.max_batch", 4),
+            ("replica_groups.0.batching.policy", "per_query"),
+        ),
+    ): "f9e63005a0cf2e4c1c7fa849945009b5f72e03e0d73952b6c58ad6a940931885",
+    (
+        "poisson_pool",
+        (
+            ("replica_groups.0.discipline", "priority_by_slack"),
+            ("router", "least_loaded"),
+        ),
+    ): "104b4eff39b719bf2804eff4e8577b8b8eea23072b5916f4093f7e745df92b53",
+    ("autoscale_pool", (("replica_groups.0.batching.max_batch", 4),)): "78737029a66c3c5364f658477123003e5592d7d2cbe72be756c47e1c55a055e7",
+}
+
+
 def _values(obj, skip: str = "") -> tuple:
     return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != skip)
 
@@ -107,6 +140,21 @@ def test_baseline_kind_reproduces_pinned_records(key, stack_cache):
     )
     assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == BASELINE_DIGESTS[key]
 
+
+
+def _dispatch_case_id(key) -> str:
+    scenario, overrides = key
+    return "-".join([scenario, *(f"{path.split('.')[-1]}={value}" for path, value in overrides)])
+
+
+@pytest.mark.parametrize("key", list(DISPATCH_DIGESTS), ids=_dispatch_case_id)
+def test_dispatch_path_reproduces_pinned_records(key, stack_cache):
+    scenario, overrides = key
+    spec = ScenarioSpec.from_dict(
+        json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
+    )
+    spec = spec.override_many([("num_queries", NUM_QUERIES), *overrides])
+    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == DISPATCH_DIGESTS[key]
 
 if __name__ == "__main__":
     import os
