@@ -55,7 +55,7 @@ from repro.serving.engine.admission import AdmissionPolicy, make_admission
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
-from repro.serving.engine.replica import AcceleratorReplica, _InFlight, _InService
+from repro.serving.engine.replica import AcceleratorReplica
 from repro.serving.engine.results import (
     ResultTable,
     SimulationResult,
@@ -80,17 +80,6 @@ def poisson_arrivals(
     return np.cumsum(gaps)
 
 
-def _drop_item(
-    table: ResultTable, item: QueuedQuery, replica: AcceleratorReplica, now: float
-) -> None:
-    """Write ``item`` as shed by admission control at dispatch on ``replica``."""
-    replica.stats.num_dropped += 1
-    table.drop(
-        item.seq, item.arrival_ms, now,
-        item.query.latency_constraint_ms, replica.index, "deadline_expired",
-    )
-
-
 def _relaxed(query: Query, relax: float) -> Query:
     """Brownout: ``query`` with its accuracy floor lowered by ``relax``.
 
@@ -101,186 +90,6 @@ def _relaxed(query: Query, relax: float) -> Query:
     return Query(
         query.index, floor if floor > 1e-9 else 1e-9, query.latency_constraint_ms
     )
-
-
-def _serve_pickup(
-    replica: AcceleratorReplica,
-    now: float,
-    table: ResultTable,
-    *,
-    admission: AdmissionPolicy,
-    bus,
-    recorder=None,
-    faults=None,
-    fault_sink: list[QueuedQuery] | None = None,
-) -> float | None:
-    """Pull the replica's next admissible batch and start serving it.
-
-    The batched dispatch (``max_batch > 1``): returns the pickup's
-    completion time (``None`` when the queue yields no admissible batch)
-    and leaves scheduling of the COMPLETION to the caller.  Up to
-    ``max_batch`` admissible queries leave the queue in one pickup and are
-    served as a unit: under ``shared_subnet`` the backend makes a single
-    shared SubNet decision and one accelerator evaluation for the whole
-    batch; under ``per_query`` (and for backends without
-    ``serve_dispatch_batch``) members keep their own decisions and run back
-    to back.  A one-member pickup is served exactly like the engine's
-    single-query dispatch.  Admission sheds are written to ``table``.
-
-    With ``faults`` set (a :class:`~repro.serving.engine.faults.FaultInjector`)
-    the pickup additionally runs the dispatch-time fault behaviours: one
-    Bernoulli transient-failure draw per pickup (on failure the whole batch
-    moves to ``fault_sink`` for the caller's retry policy and the replica
-    stays idle), straggle scaling of the batch's service time by the
-    replica's current ``straggle_factor`` (records keep their nominal
-    ``served_latency_ms``; outcomes and busy accounting carry the scaled
-    time), and brownout degradation (:func:`_relaxed`), steering dispatch
-    toward smaller SubNets while capacity is lost.  ``faults=None`` is a
-    dead check.
-    """
-    batch, shed = replica.pop_batch(replica.max_batch, now_ms=now, admission=admission)
-    for item in shed:
-        _drop_item(table, item, replica, now)
-        if bus is not None:
-            bus.on_drop(now)
-        if recorder is not None:
-            recorder.on_dropped(table.dropped_query(item.seq))
-    if not batch:
-        return None
-    straggle = 1.0
-    relax = 0.0
-    if faults is not None:
-        if faults.dispatch_fails():
-            # Transient dispatch failure: the whole pickup errors before
-            # any work starts; the caller retries (or fails) each member.
-            fault_sink.extend(batch)
-            return None
-        straggle = replica.straggle_factor
-        relax = faults.accuracy_relax
-
-    ridx = replica.index
-    size = len(batch)
-    batch_serve = (
-        getattr(replica.server, "serve_dispatch_batch", None)
-        if size > 1 and replica.batch_policy == "shared_subnet"
-        else None
-    )
-    if batch_serve is None:
-        # One decision and one evaluation per member, back to back in a
-        # single pickup (size == 1 is exactly the seed dispatch).  Each
-        # member's remaining budget and admission are evaluated at its
-        # *actual* start — the prior members' service time has already
-        # eaten into its slack, exactly as the seed loop would see it.
-        serve = replica.server.serve_query
-        admit = admission.admit
-        records: list = []
-        started: list = []
-        starts: list[float] = []
-        services: list[float] = []
-        t = now
-        for item in batch:
-            if t > now and not admit(item, t):
-                # The deadline expired while earlier members ran.
-                _drop_item(table, item, replica, t)
-                if bus is not None:
-                    bus.on_drop(t)
-                if recorder is not None:
-                    recorder.on_dropped(table.dropped_query(item.seq))
-                continue
-            remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
-            effective = (
-                remaining
-                if remaining > _MIN_EFFECTIVE_LATENCY_MS
-                else _MIN_EFFECTIVE_LATENCY_MS
-            )
-            query = _relaxed(item.query, relax) if relax > 0.0 else item.query
-            record = serve(query, effective_latency_constraint_ms=effective)
-            service = float(record.served_latency_ms)
-            if straggle != 1.0:
-                # A straggling replica runs the whole pickup slower; the
-                # record keeps the backend's nominal latency, the simulated
-                # clock (and busy accounting) carries the scaled time.
-                service *= straggle
-            records.append(record)
-            started.append(item)
-            starts.append(t)
-            services.append(service)
-            t += service
-        # The first member is admitted at t == now, so the pickup always
-        # serves at least one query; later members may have been shed.
-        batch = started
-        size = len(batch)
-        # Summed (not t - now) so a one-query batch is bit-identical to
-        # the seed's per-query busy accounting.
-        total = sum(services)
-        completion_ms = t
-    else:
-        # One shared SubNet decision, one accelerator evaluation, at
-        # most one cache load for the whole batch; members complete
-        # together after the batch evaluation.
-        effective_batch = [
-            max(
-                item.query.latency_constraint_ms - (now - item.arrival_ms),
-                _MIN_EFFECTIVE_LATENCY_MS,
-            )
-            for item in batch
-        ]
-        queries = [item.query for item in batch]
-        if relax > 0.0:
-            queries = [_relaxed(q, relax) for q in queries]
-        records = batch_serve(
-            queries, effective_latency_constraints_ms=effective_batch
-        )
-        total = max(float(r.served_latency_ms) for r in records)
-        if straggle != 1.0:
-            total *= straggle
-        starts = [now] * size
-        services = [total] * size
-        completion_ms = now + total
-
-    replica.in_service = _InService(
-        items=tuple(batch),
-        records=tuple(records),
-        starts=tuple(starts),
-        services=tuple(services),
-        total_ms=total,
-    )
-    replica.busy_until_ms = completion_ms
-    replica.stats.num_batches += 1
-    if bus is not None:
-        bus.on_batch(now, batch_size=size)
-        on_dispatch = bus.on_dispatch
-        for item in batch:
-            on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
-    return completion_ms
-
-
-def _complete_inservice(
-    replica: AcceleratorReplica,
-    table: ResultTable,
-    recorder=None,
-) -> None:
-    """Write the replica's finished pickup to ``table``; update its stats."""
-    current = replica.in_service
-    if current is None:  # pragma: no cover - engine invariant
-        raise RuntimeError(f"{replica.name} completed with nothing in service")
-    ridx = replica.index
-    stats = replica.stats
-    size = current.size
-    serve = table.serve
-    for item, record, start, service in zip(
-        current.items, current.records, current.starts, current.services
-    ):
-        serve(
-            item.seq, item.arrival_ms, start, service,
-            item.query.latency_constraint_ms, ridx, size, record,
-        )
-        if recorder is not None:
-            recorder.on_served(table.outcome(item.seq))
-        stats.queueing_ms_total += start - item.arrival_ms
-    stats.num_served += size
-    stats.busy_ms += current.total_ms
-    replica.in_service = None
 
 
 class ServingEngine:
@@ -603,14 +412,48 @@ class ServingEngine:
         — are hoisted to locals, so a fixed pool pays one ``is not None``
         check per hook.
 
-        A ``max_batch == 1`` replica dispatches one query at a time
-        (``serve_one``: an :class:`_InFlight` instead of an ``_InService``);
-        an idle replica with an empty queue serves an admitted arrival
-        directly, skipping the enqueue/pop round-trip.  Larger pickups go
-        through :func:`_serve_pickup`.  Both replay the per-query semantics
-        of the batched dispatch exactly — admission at pop, remaining-budget
-        floors, stats and telemetry order — which the test suite checks
-        against an Event-heap reference loop.
+        Every dispatch is a pickup: ``dispatch`` pulls up to ``max_batch``
+        admissible queries through :meth:`AcceleratorReplica.pop_batch`
+        (admission at pop, when each query's actual wait is known; sheds are
+        written as ``deadline_expired`` drops) and ``start`` serves them as
+        one unit.  A single query is a pickup of one, and an idle replica
+        with an empty queue serves an admitted arrival directly as one,
+        skipping the enqueue/pop round-trip.  ``start`` serves a pickup in
+        one of two ways:
+
+        * **shared SubNet** (``shared_subnet`` with more than one member and
+          a backend with ``serve_dispatch_batch``): one shared SubNet
+          decision, one accelerator evaluation and at most one cache load
+          for the whole batch; every member starts at the pickup and spans
+          the batch's evaluation, so they complete together.
+        * **members back to back** (``per_query``, a backend without
+          ``serve_dispatch_batch``, and every pickup of one): each member
+          gets its own decision.  Its remaining budget and its admission
+          are evaluated at its *actual* start, since the prior members'
+          service has already eaten into its slack; a member whose
+          deadline expired while earlier ones ran is shed there.  The
+          first member starts at the pickup, so a pickup serves at least
+          one query.  The pickup's busy time is the *sum* of the members'
+          services, not ``t - now``: for a pickup of one that sum is the
+          service itself, bit for bit.
+
+        With fault injection each pickup draws one Bernoulli transient
+        failure.  A failed pickup errors before any work starts: every
+        member enters the retry path and the healthy replica pulls its next
+        pickup, so queued work never starves.  A straggling replica runs
+        the whole pickup ``straggle_factor`` times slower; records keep the
+        backend's nominal ``served_latency_ms``, while outcomes, busy
+        accounting and the simulated clock carry the scaled time.  Under
+        brownout the backend schedules each member against its accuracy
+        floor lowered by :func:`_relaxed`, steering dispatch toward smaller
+        SubNets while capacity is lost.
+
+        The pickup in service is ``replica.in_service``, a list of
+        ``(item, record, start_ms, service_ms)`` members, with its busy time
+        in ``replica.in_service_ms``.  Its one COMPLETION event writes every
+        member's row.  The test suite holds this loop against an Event-heap
+        reference loop that keeps its own copy of the previous engine's
+        batched pickup.
 
         Each query's row of the :class:`ResultTable` (its arrival position)
         is written once: at its completion, or where it is dropped.  No
@@ -618,6 +461,7 @@ class ServingEngine:
         """
         table = ResultTable(len(arrivals))
         write_served = table.serve
+        write_drop = table.drop
         replicas = self.replicas  # scale-ups append to this very list
         ctl = self.autoscaler
         bus = None if ctl is None else ctl.bus
@@ -630,6 +474,7 @@ class ServingEngine:
         router_select = self.router.select
         admission = self.admission
         admit = admission.admit
+        retry_or_fail = self._retry_or_fail
         min_eff = _MIN_EFFECTIVE_LATENCY_MS
         needs_estimates = self._needs_estimates
         # Direct serve is gated off when service estimates ride on the
@@ -653,87 +498,115 @@ class ServingEngine:
             self._arm_faults(arrivals, push)
 
         def drop(item: QueuedQuery, replica: AcceleratorReplica, now: float) -> None:
-            _drop_item(table, item, replica, now)
+            # Admission shed ``item`` at dispatch on ``replica``.
+            replica.stats.num_dropped += 1
+            write_drop(
+                item.seq, item.arrival_ms, now,
+                item.query.latency_constraint_ms, replica.index, "deadline_expired",
+            )
             if bus is not None and replica.index in scalable:
                 bus.on_drop(now)
             if rec_dropped is not None:
                 rec_dropped(table.dropped_query(item.seq))
 
-        def serve_one(
-            replica: AcceleratorReplica, item: QueuedQuery, now: float
+        def start(
+            replica: AcceleratorReplica, batch: list[QueuedQuery], now: float
         ) -> bool:
-            # Start serving one admitted query: False when the dispatch
-            # failed transiently (the query went to the retry path and the
-            # replica stays idle).
-            query = item.query
+            # Start serving an admitted pickup: False when the dispatch
+            # failed transiently (every member went to the retry path and
+            # the replica stays idle).
             straggle = 1.0
+            relax = 0.0
             if fi is not None:
                 if fi.dispatch_fails():
                     if recorder is not None:
                         recorder.on_fault(now, "dispatch_failure", replica.index)
-                    self._retry_or_fail(item, replica, now, queue, table)
+                    for item in batch:
+                        retry_or_fail(item, replica, now, queue, table)
                     return False
                 straggle = replica.straggle_factor
-                if fi.accuracy_relax > 0.0:
-                    query = _relaxed(query, fi.accuracy_relax)
-            remaining = query.latency_constraint_ms - (now - item.arrival_ms)
-            effective = remaining if remaining > min_eff else min_eff
-            record = replica.server.serve_query(
-                query, effective_latency_constraint_ms=effective
-            )
-            ridx = replica.index
-            service = float(record.served_latency_ms)
-            if straggle != 1.0:
-                # The record keeps the backend's nominal latency; the
-                # simulated clock (and busy accounting) carries the
-                # straggler's scaled time.
-                service *= straggle
-            replica.in_service = _InFlight(item, record, now, service)
-            replica.busy_until_ms = now + service
+                relax = fi.accuracy_relax
+            if (
+                len(batch) > 1
+                and replica.batch_policy == "shared_subnet"
+                and (
+                    batch_serve := getattr(replica.server, "serve_dispatch_batch", None)
+                )
+                is not None
+            ):
+                queries = [item.query for item in batch]
+                if relax > 0.0:
+                    queries = [_relaxed(q, relax) for q in queries]
+                records = batch_serve(
+                    queries,
+                    effective_latency_constraints_ms=[
+                        max(
+                            item.query.latency_constraint_ms - (now - item.arrival_ms),
+                            min_eff,
+                        )
+                        for item in batch
+                    ],
+                )
+                total = max(float(r.served_latency_ms) for r in records)
+                if straggle != 1.0:
+                    total *= straggle
+                members = [
+                    (item, record, now, total) for item, record in zip(batch, records)
+                ]
+                t = now + total
+            else:
+                serve = replica.server.serve_query
+                members = []
+                t = now
+                for item in batch:
+                    if t > now and not admit(item, t):
+                        drop(item, replica, t)
+                        continue
+                    query = item.query
+                    remaining = query.latency_constraint_ms - (t - item.arrival_ms)
+                    if relax > 0.0:
+                        query = _relaxed(query, relax)
+                    record = serve(
+                        query,
+                        effective_latency_constraint_ms=(
+                            remaining if remaining > min_eff else min_eff
+                        ),
+                    )
+                    service = float(record.served_latency_ms)
+                    if straggle != 1.0:
+                        service *= straggle
+                    members.append((item, record, t, service))
+                    t += service
+                # ``service`` is the last served member's.
+                total = (
+                    service
+                    if len(members) == 1
+                    else sum([member[3] for member in members])
+                )
+            replica.in_service = members
+            replica.in_service_ms = total
+            replica.busy_until_ms = t
             replica.stats.num_batches += 1
+            ridx = replica.index
             if bus is not None and ridx in scalable:
-                bus.on_batch(now, batch_size=1)
-                bus.on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
-            push(now + service, COMPLETION, replica)
+                bus.on_batch(now, batch_size=len(members))
+                for member in members:
+                    bus.on_dispatch(
+                        now, replica_index=ridx, wait_ms=now - member[0].arrival_ms
+                    )
+            push(t, COMPLETION, replica)
             return True
 
         def dispatch(replica: AcceleratorReplica, now: float) -> None:
-            # The replica is idle: start its next pickup, if any.
-            if replica.max_batch == 1:
-                pop_next = replica.pop_next
-                item = pop_next()
-                while item is not None:
-                    if not admit(item, now):
-                        drop(item, replica, now)
-                    elif serve_one(replica, item, now):
-                        return
-                    item = pop_next()
-            else:
-                pickup_bus = bus if bus is not None and replica.index in scalable else None
-                sink: list[QueuedQuery] = []
-                while True:
-                    completion = _serve_pickup(
-                        replica,
-                        now,
-                        table,
-                        admission=admission,
-                        bus=pickup_bus,
-                        recorder=recorder,
-                        faults=fi,
-                        fault_sink=sink,
-                    )
-                    if not sink:
-                        break
-                    # The whole pickup errored transiently: its members
-                    # enter the retry path and the (healthy) replica pulls
-                    # the next batch, so queued work never starves.
-                    if recorder is not None:
-                        recorder.on_fault(now, "dispatch_failure", replica.index)
-                    for lost in sink:
-                        self._retry_or_fail(lost, replica, now, queue, table)
-                    sink.clear()
-                if completion is not None:
-                    push(completion, COMPLETION, replica)
+            # The replica is idle: start its next admissible pickup, if any.
+            pop_batch = replica.pop_batch
+            while True:
+                batch, shed = pop_batch(replica.max_batch, now_ms=now, admission=admission)
+                for item in shed:
+                    drop(item, replica, now)
+                if not batch:
+                    break
+                if start(replica, batch, now):
                     return
             # A draining replica with nothing left to serve leaves the pool
             # here — the natural end of its drain.
@@ -766,7 +639,7 @@ class ServingEngine:
                     bus.on_arrival(now)
                 if direct_serve and replica.in_service is None and not len(replica.queue):
                     if admit(item, now):
-                        serve_one(replica, item, now)
+                        start(replica, [item], now)
                     else:
                         drop(item, replica, now)
                     continue
@@ -792,31 +665,26 @@ class ServingEngine:
                     # (not even the run end — the work never finished).
                     continue
                 run_end = now
-                current = replica.in_service
-                if bus is not None and replica.index in scalable:
+                ridx = replica.index
+                members = replica.in_service
+                total = replica.in_service_ms
+                if bus is not None and ridx in scalable:
                     # One completion per pickup: the bus pairs it with the
                     # dispatch start, so windowed busy time stays exact.
-                    bus.on_completion(
-                        now, replica_index=replica.index, service_ms=current.total_ms
-                    )
-                if current.__class__ is _InFlight:
-                    item = current.item
-                    start = current.start
-                    service = current.service
+                    bus.on_completion(now, replica_index=ridx, service_ms=total)
+                size = len(members)
+                stats = replica.stats
+                for item, record, start_ms, service in members:
                     write_served(
-                        item.seq, item.arrival_ms, start, service,
-                        item.query.latency_constraint_ms, replica.index, 1,
-                        current.record,
+                        item.seq, item.arrival_ms, start_ms, service,
+                        item.query.latency_constraint_ms, ridx, size, record,
                     )
                     if rec_served is not None:
                         rec_served(table.outcome(item.seq))
-                    stats = replica.stats
-                    stats.queueing_ms_total += start - item.arrival_ms
-                    stats.num_served += 1
-                    stats.busy_ms += service
-                    replica.in_service = None
-                else:
-                    _complete_inservice(replica, table, recorder)
+                    stats.queueing_ms_total += start_ms - item.arrival_ms
+                stats.num_served += size
+                stats.busy_ms += total
+                replica.in_service = None
                 # Popping an empty queue is a guaranteed no-op; one len()
                 # dodges that call chain on every idle completion.
                 if len(replica.queue):

@@ -9,7 +9,7 @@ queueing delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.metrics import QueryRecord
@@ -24,6 +24,10 @@ class QueryServer(Protocol):
     def serve_query(
         self, query: Query, *, effective_latency_constraint_ms: float | None = None
     ) -> QueryRecord: ...
+
+
+InServiceMember = tuple[QueuedQuery, QueryRecord, float, float]
+"""One query of the pickup in service: ``(item, record, start_ms, service_ms)``."""
 
 
 def _constraint_estimate(query: Query) -> float:
@@ -66,64 +70,6 @@ class ReplicaStats:
     def utilization(self, makespan_ms: float) -> float:
         """Fraction of the run the replica spent serving."""
         return self.busy_ms / makespan_ms if makespan_ms > 0 else 0.0
-
-
-@dataclass(slots=True)
-class _InService:
-    """The batch a replica is currently serving (a ``max_batch > 1`` pickup).
-
-    Parallel tuples (member ``i`` of the batch is ``items[i]`` / ``records[i]``
-    / ``starts[i]`` / ``services[i]``): under the ``shared_subnet`` batching
-    policy every member starts at the pickup time and spans the whole batch
-    evaluation; under ``per_query`` members run back to back, so their starts
-    are cumulative.  ``slots=True``: one of these lives per in-flight batch.
-    """
-
-    items: tuple[QueuedQuery, ...]
-    records: tuple[QueryRecord, ...]
-    starts: tuple[float, ...]
-    services: tuple[float, ...]
-    total_ms: float
-    """Busy time of the whole pickup (one evaluation under ``shared_subnet``,
-    the members' sum under ``per_query``)."""
-
-    @property
-    def start_ms(self) -> float:
-        """When the batch pickup happened (the first member's start)."""
-        return self.starts[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
-
-class _InFlight:
-    """The single query a replica is serving (the unbatched dispatch).
-
-    The per-query counterpart of :class:`_InService`: four slots instead of
-    four one-element tuples, since one of these is allocated per served
-    query on the engine's hot path.
-    """
-
-    __slots__ = ("item", "record", "start", "service")
-
-    size = 1
-
-    def __init__(
-        self, item: QueuedQuery, record: QueryRecord, start: float, service: float
-    ) -> None:
-        self.item = item
-        self.record = record
-        self.start = start
-        self.service = service
-
-    @property
-    def items(self) -> tuple[QueuedQuery, ...]:
-        return (self.item,)
-
-    @property
-    def total_ms(self) -> float:
-        return self.service
 
 
 class AcceleratorReplica:
@@ -201,7 +147,15 @@ class AcceleratorReplica:
             )
         self.service_estimator = service_estimator
         self.busy_until_ms = 0.0
-        self.in_service: _InService | _InFlight | None = None
+        self.in_service: list[InServiceMember] | None = None
+        """The pickup being served, one ``(item, record, start_ms,
+        service_ms)`` member per query (``None`` when idle).  Under
+        ``shared_subnet`` every member starts at the pickup and spans the
+        whole batch evaluation; under ``per_query`` members run back to
+        back, so their starts are cumulative."""
+        self.in_service_ms = 0.0
+        """Busy time of the pickup in service: one evaluation under
+        ``shared_subnet``, the members' summed service otherwise."""
         self._queued_work_ms = 0.0
         self.activated_ms = 0.0
         self.draining = False
@@ -237,12 +191,6 @@ class AcceleratorReplica:
         self.queue.push(item)
         self._queued_work_ms += item.service_estimate_ms
 
-    def pop_next(self) -> QueuedQuery | None:
-        item = self.queue.pop()
-        if item is not None:
-            self._queued_work_ms -= item.service_estimate_ms
-        return item
-
     def pop_batch(
         self, max_batch: int, *, now_ms: float, admission
     ) -> tuple[list[QueuedQuery], list[QueuedQuery]]:
@@ -251,20 +199,22 @@ class AcceleratorReplica:
         Queries leave the queue in discipline order; each is checked against
         the admission policy at pop time (only then is its actual wait
         known).  Returns ``(admitted, shed)`` — shed queries were popped but
-        refused service (their deadline expired), exactly as the one-at-a-time
-        dispatch loop would have shed them.  ``max_batch=1`` reproduces the
-        pre-batching pop-admit-serve sequence.
+        refused service (their deadline expired).  The engine's one pop
+        path: ``max_batch=1`` pulls a pickup of one.
         """
         admitted: list[QueuedQuery] = []
         shed: list[QueuedQuery] = []
         admit = admission.admit
-        pop = self.pop_next
-        while len(admitted) < max_batch:
+        pop = self.queue.pop
+        room = max_batch
+        while room > 0:
             item = pop()
             if item is None:
                 break
+            self._queued_work_ms -= item.service_estimate_ms
             if admit(item, now_ms):
                 admitted.append(item)
+                room -= 1
             else:
                 shed.append(item)
         return admitted, shed
@@ -275,9 +225,9 @@ class AcceleratorReplica:
         return self.in_service is not None
 
     def queue_length(self) -> int:
-        """Waiting queries plus the in-service batch (what JSQ compares)."""
+        """Waiting queries plus the in-service pickup (what JSQ compares)."""
         current = self.in_service
-        return len(self.queue) + (current.size if current is not None else 0)
+        return len(self.queue) + (len(current) if current is not None else 0)
 
     def backlog_ms(self, now_ms: float) -> float:
         """Estimated work in the system: remaining service plus queued work."""
@@ -355,13 +305,12 @@ class AcceleratorReplica:
         lost: list[QueuedQuery] = []
         current = self.in_service
         if current is not None:
-            lost.extend(current.items)
+            lost.extend(member[0] for member in current)
             self.in_service = None
-        while True:
-            item = self.pop_next()
-            if item is None:
-                break
+        pop = self.queue.pop
+        while (item := pop()) is not None:
             lost.append(item)
+        self._queued_work_ms = 0.0
         self.busy_until_ms = now_ms
         self.failed = True
         self.failed_at_ms = now_ms
@@ -378,6 +327,7 @@ class AcceleratorReplica:
         self._queued_work_ms = 0.0
         self.busy_until_ms = 0.0
         self.in_service = None
+        self.in_service_ms = 0.0
         self.activated_ms = 0.0
         self.draining = False
         self.provisioning = False

@@ -6,8 +6,15 @@ simulates, the slow and literal way:
 * every arrival is an :class:`Event` in one :class:`EventHeap` ordered by
   (time, kind, insertion order) — no arrival cursor;
 * every query is enqueued before it is dispatched — no direct serve;
-* every dispatch, ``max_batch == 1`` included, goes through the batched
-  pickup (``_serve_pickup``) — no single-query path;
+* every dispatch, ``max_batch == 1`` included, goes through this module's
+  own copy of the engine's batched pickup as it stood before the
+  single-query dispatch became a pickup of one: :func:`_serve_pickup`,
+  :func:`_drop_item` and :class:`_InService`, verbatim.  The engine's
+  ``start``/``dispatch`` share no code with them, so "``_simulate`` ≡
+  reference loop" compares two independent implementations.  The copy
+  leaves an :class:`_InService` on the replica; ``_dispatch`` keeps it for
+  the completion and hands the replica the engine's member list, which the
+  engine's shared handlers (crash, queue length, retirement) read;
 * every served and dropped query is first an object: completions build
   :class:`SimulatedQueryOutcome` the literal way (keyword construction,
   the record restamped with ``dataclasses.replace``) and the engine's
@@ -39,16 +46,213 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.metrics import QueryRecord
 from repro.serving.engine import (
     AcceleratorReplica,
     DroppedQuery,
     ServingEngine,
     SimulatedQueryOutcome,
 )
-from repro.serving.engine.core import _serve_pickup
+from repro.serving.engine.admission import AdmissionPolicy
+from repro.serving.engine.core import _MIN_EFFECTIVE_LATENCY_MS, _relaxed
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
 from repro.serving.engine.results import ResultTable
+
+
+@dataclass(slots=True)
+class _InService:
+    """The batch a replica is currently serving (a ``max_batch > 1`` pickup).
+
+    Parallel tuples (member ``i`` of the batch is ``items[i]`` / ``records[i]``
+    / ``starts[i]`` / ``services[i]``): under the ``shared_subnet`` batching
+    policy every member starts at the pickup time and spans the whole batch
+    evaluation; under ``per_query`` members run back to back, so their starts
+    are cumulative.  ``slots=True``: one of these lives per in-flight batch.
+    """
+
+    items: tuple[QueuedQuery, ...]
+    records: tuple[QueryRecord, ...]
+    starts: tuple[float, ...]
+    services: tuple[float, ...]
+    total_ms: float
+    """Busy time of the whole pickup (one evaluation under ``shared_subnet``,
+    the members' sum under ``per_query``)."""
+
+    @property
+    def start_ms(self) -> float:
+        """When the batch pickup happened (the first member's start)."""
+        return self.starts[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.items)
+
+
+
+def _drop_item(
+    table: ResultTable, item: QueuedQuery, replica: AcceleratorReplica, now: float
+) -> None:
+    """Write ``item`` as shed by admission control at dispatch on ``replica``."""
+    replica.stats.num_dropped += 1
+    table.drop(
+        item.seq, item.arrival_ms, now,
+        item.query.latency_constraint_ms, replica.index, "deadline_expired",
+    )
+
+
+
+def _serve_pickup(
+    replica: AcceleratorReplica,
+    now: float,
+    table: ResultTable,
+    *,
+    admission: AdmissionPolicy,
+    bus,
+    recorder=None,
+    faults=None,
+    fault_sink: list[QueuedQuery] | None = None,
+) -> float | None:
+    """Pull the replica's next admissible batch and start serving it.
+
+    The batched dispatch (``max_batch > 1``): returns the pickup's
+    completion time (``None`` when the queue yields no admissible batch)
+    and leaves scheduling of the COMPLETION to the caller.  Up to
+    ``max_batch`` admissible queries leave the queue in one pickup and are
+    served as a unit: under ``shared_subnet`` the backend makes a single
+    shared SubNet decision and one accelerator evaluation for the whole
+    batch; under ``per_query`` (and for backends without
+    ``serve_dispatch_batch``) members keep their own decisions and run back
+    to back.  A one-member pickup is served exactly like the engine's
+    single-query dispatch.  Admission sheds are written to ``table``.
+
+    With ``faults`` set (a :class:`~repro.serving.engine.faults.FaultInjector`)
+    the pickup additionally runs the dispatch-time fault behaviours: one
+    Bernoulli transient-failure draw per pickup (on failure the whole batch
+    moves to ``fault_sink`` for the caller's retry policy and the replica
+    stays idle), straggle scaling of the batch's service time by the
+    replica's current ``straggle_factor`` (records keep their nominal
+    ``served_latency_ms``; outcomes and busy accounting carry the scaled
+    time), and brownout degradation (:func:`_relaxed`), steering dispatch
+    toward smaller SubNets while capacity is lost.  ``faults=None`` is a
+    dead check.
+    """
+    batch, shed = replica.pop_batch(replica.max_batch, now_ms=now, admission=admission)
+    for item in shed:
+        _drop_item(table, item, replica, now)
+        if bus is not None:
+            bus.on_drop(now)
+        if recorder is not None:
+            recorder.on_dropped(table.dropped_query(item.seq))
+    if not batch:
+        return None
+    straggle = 1.0
+    relax = 0.0
+    if faults is not None:
+        if faults.dispatch_fails():
+            # Transient dispatch failure: the whole pickup errors before
+            # any work starts; the caller retries (or fails) each member.
+            fault_sink.extend(batch)
+            return None
+        straggle = replica.straggle_factor
+        relax = faults.accuracy_relax
+
+    ridx = replica.index
+    size = len(batch)
+    batch_serve = (
+        getattr(replica.server, "serve_dispatch_batch", None)
+        if size > 1 and replica.batch_policy == "shared_subnet"
+        else None
+    )
+    if batch_serve is None:
+        # One decision and one evaluation per member, back to back in a
+        # single pickup (size == 1 is exactly the seed dispatch).  Each
+        # member's remaining budget and admission are evaluated at its
+        # *actual* start — the prior members' service time has already
+        # eaten into its slack, exactly as the seed loop would see it.
+        serve = replica.server.serve_query
+        admit = admission.admit
+        records: list = []
+        started: list = []
+        starts: list[float] = []
+        services: list[float] = []
+        t = now
+        for item in batch:
+            if t > now and not admit(item, t):
+                # The deadline expired while earlier members ran.
+                _drop_item(table, item, replica, t)
+                if bus is not None:
+                    bus.on_drop(t)
+                if recorder is not None:
+                    recorder.on_dropped(table.dropped_query(item.seq))
+                continue
+            remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
+            effective = (
+                remaining
+                if remaining > _MIN_EFFECTIVE_LATENCY_MS
+                else _MIN_EFFECTIVE_LATENCY_MS
+            )
+            query = _relaxed(item.query, relax) if relax > 0.0 else item.query
+            record = serve(query, effective_latency_constraint_ms=effective)
+            service = float(record.served_latency_ms)
+            if straggle != 1.0:
+                # A straggling replica runs the whole pickup slower; the
+                # record keeps the backend's nominal latency, the simulated
+                # clock (and busy accounting) carries the scaled time.
+                service *= straggle
+            records.append(record)
+            started.append(item)
+            starts.append(t)
+            services.append(service)
+            t += service
+        # The first member is admitted at t == now, so the pickup always
+        # serves at least one query; later members may have been shed.
+        batch = started
+        size = len(batch)
+        # Summed (not t - now) so a one-query batch is bit-identical to
+        # the seed's per-query busy accounting.
+        total = sum(services)
+        completion_ms = t
+    else:
+        # One shared SubNet decision, one accelerator evaluation, at
+        # most one cache load for the whole batch; members complete
+        # together after the batch evaluation.
+        effective_batch = [
+            max(
+                item.query.latency_constraint_ms - (now - item.arrival_ms),
+                _MIN_EFFECTIVE_LATENCY_MS,
+            )
+            for item in batch
+        ]
+        queries = [item.query for item in batch]
+        if relax > 0.0:
+            queries = [_relaxed(q, relax) for q in queries]
+        records = batch_serve(
+            queries, effective_latency_constraints_ms=effective_batch
+        )
+        total = max(float(r.served_latency_ms) for r in records)
+        if straggle != 1.0:
+            total *= straggle
+        starts = [now] * size
+        services = [total] * size
+        completion_ms = now + total
+
+    replica.in_service = _InService(
+        items=tuple(batch),
+        records=tuple(records),
+        starts=tuple(starts),
+        services=tuple(services),
+        total_ms=total,
+    )
+    replica.busy_until_ms = completion_ms
+    replica.stats.num_batches += 1
+    if bus is not None:
+        bus.on_batch(now, batch_size=size)
+        on_dispatch = bus.on_dispatch
+        for item in batch:
+            on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
+    return completion_ms
+
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,9 +372,10 @@ def reference_objects(
 def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
     fi = engine.faults
+    pickups: dict[int, _InService] = {}  # replica index -> pickup in service
 
     def dispatch(replica, now):
-        _dispatch(engine, replica, now, heap, table)
+        _dispatch(engine, replica, now, heap, table, pickups)
 
     seq = 0
     while heap:
@@ -209,7 +414,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
             if fi is not None and replica.failed:
                 continue
             engine._run_end_ms = now
-            _complete(engine, replica, table, now)
+            _complete(engine, replica, table, now, pickups.pop(replica.index))
             dispatch(replica, now)
         elif kind == EventKind.FAULT:
             engine._handle_fault(now, event.payload, heap, table)
@@ -221,7 +426,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
             engine._control(now, heap)
 
 
-def _dispatch(engine, replica, now, heap, table):
+def _dispatch(engine, replica, now, heap, table, pickups):
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
     if bus is not None and replica.index not in engine._group_of:
         bus = None
@@ -248,11 +453,17 @@ def _dispatch(engine, replica, now, heap, table):
         if engine.autoscaler is not None:
             engine._maybe_retire(replica, now)
         return
+    # The copied pickup left its _InService on the replica: keep it for the
+    # completion, and show the engine's handlers their member list.
+    current = pickups[replica.index] = replica.in_service
+    replica.in_service = list(
+        zip(current.items, current.records, current.starts, current.services)
+    )
+    replica.in_service_ms = current.total_ms
     heap.push(completion_ms, EventKind.COMPLETION, replica.index)
 
 
-def _complete(engine, replica, table, now):
-    current = replica.in_service
+def _complete(engine, replica, table, now, current):
     if engine.autoscaler is not None and replica.index in engine._group_of:
         engine.autoscaler.bus.on_completion(
             now, replica_index=replica.index, service_ms=current.total_ms
