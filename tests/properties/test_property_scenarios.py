@@ -1,0 +1,157 @@
+"""Whole-scenario invariants on generated scenarios.
+
+A hypothesis strategy overrides the committed ``poisson``, ``batched``,
+``faulty``, ``autoscale`` and ``hetero`` scenarios at 50–600 queries.  Per
+replica group it draws the backend ``kind``, the queue ``discipline``,
+``max_batch``, the batching policy and the replica ``count``; scenario-wide
+the router, the admission policy, the seed, the Poisson rate and the fault
+seed.  Every generated spec runs through :func:`run_scenario`, and every run
+must satisfy invariants that no configuration may break:
+
+* every offered query's result row is written exactly once, served or
+  dropped;
+* a served query starts no earlier than it arrived and takes positive
+  service time; a dropped one is dropped no earlier than it arrived;
+* no two distinct pickups overlap on one replica (the members of a shared
+  batch share one interval);
+* no replica is busy for longer than it was provisioned;
+* two runs of the same spec are identical.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter, defaultdict
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.serving.api import run_scenario
+from repro.serving.engine.admission import ADMISSION_NAMES
+from repro.serving.engine.disciplines import DISCIPLINE_NAMES
+from repro.serving.engine.results import ResultTable
+from repro.serving.engine.routing import ROUTER_NAMES
+from repro.serving.spec import BACKEND_KINDS, BATCHING_POLICIES, ScenarioSpec
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+BASES = {
+    name: ScenarioSpec.from_dict(json.loads((SCENARIOS / f"{name}.json").read_text()))
+    for name in ("poisson_pool", "batched_pool", "faulty_pool", "autoscale_pool", "hetero_pool")
+}
+STACK_CACHE: dict = {}
+
+
+@st.composite
+def scenarios(draw) -> ScenarioSpec:
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    overrides = [
+        ("num_queries", draw(st.integers(50, 600))),
+        ("router", draw(st.sampled_from(ROUTER_NAMES))),
+        ("admission", draw(st.sampled_from(ADMISSION_NAMES))),
+        ("seed", draw(st.integers(0, 2**16))),
+    ]
+    if base.arrivals.kind == "poisson":
+        overrides.append(("arrivals.rate_per_ms", draw(st.floats(0.2, 6.0))))
+    if base.faults is not None:
+        overrides.append(("faults.seed", draw(st.integers(0, 2**16))))
+    for i in range(len(base.replica_groups)):
+        group = f"replica_groups.{i}"
+        overrides += [
+            (f"{group}.kind", draw(st.sampled_from(BACKEND_KINDS))),
+            (f"{group}.discipline", draw(st.sampled_from(DISCIPLINE_NAMES))),
+            (f"{group}.batching.max_batch", draw(st.integers(1, 8))),
+            (f"{group}.batching.policy", draw(st.sampled_from(BATCHING_POLICIES))),
+            (f"{group}.count", draw(st.integers(1, 3))),
+        ]
+    return base.override_many(overrides)
+
+
+TABLES: list["CountingTable"] = []
+"""The tables made since the last :func:`counted_run` began."""
+
+
+class CountingTable(ResultTable):
+    """A :class:`ResultTable` that counts the writes to each row."""
+
+    def __init__(self, num_rows: int) -> None:
+        super().__init__(num_rows)
+        self.writes = np.zeros(num_rows, dtype=np.int64)
+        TABLES.append(self)
+
+    def serve(self, row, *args) -> None:
+        self.writes[row] += 1
+        super().serve(row, *args)
+
+    def drop(self, row, *args) -> None:
+        self.writes[row] += 1
+        super().drop(row, *args)
+
+
+def counted_run(spec: ScenarioSpec):
+    """``run_scenario(spec)`` and the per-row write counts of its table."""
+    TABLES.clear()
+    with mock.patch("repro.serving.engine.core.ResultTable", CountingTable):
+        result = run_scenario(spec, stack_cache=STACK_CACHE)
+    (table,) = TABLES
+    return result, table.writes
+
+
+def fingerprint(result) -> str:
+    return repr(
+        (
+            list(result.outcomes),
+            list(result.dropped),
+            result.replica_stats,
+            result.autoscale,
+            result.num_crashes,
+            result.duration_ms,
+        )
+    )
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_generated_scenarios_keep_the_universal_invariants(spec):
+    result, writes = counted_run(spec)
+    n = spec.effective_num_queries
+
+    # Every row written, served or dropped, exactly once.
+    assert writes.shape == (n,)
+    assert (writes == 1).all(), np.flatnonzero(writes != 1)[:10]
+    outcomes = list(result.outcomes)
+    dropped = list(result.dropped)
+    rows = sorted([o.query_index for o in outcomes] + [d.query_index for d in dropped])
+    assert rows == list(range(n))
+
+    # Causality.
+    for o in outcomes:
+        assert o.arrival_ms <= o.start_ms, o
+        assert o.service_ms > 0.0, o
+    for d in dropped:
+        assert d.dropped_at_ms >= d.arrival_ms, d
+
+    # One pickup at a time per replica: distinct service intervals never
+    # overlap, and an interval shared by m members is one batch of m.
+    intervals: dict[int, Counter] = defaultdict(Counter)
+    sizes: dict[tuple, set] = defaultdict(set)
+    for o in outcomes:
+        key = (o.start_ms, o.service_ms)
+        intervals[o.replica_index][key] += 1
+        sizes[(o.replica_index, *key)].add(o.batch_size)
+    for replica, members in intervals.items():
+        ordered = sorted(members)
+        for (s0, d0), (s1, _) in zip(ordered, ordered[1:]):
+            assert s1 >= s0 + d0, (replica, (s0, d0), s1)
+        for key, m in members.items():
+            if m > 1:
+                assert sizes[(replica, *key)] == {m}, (replica, key, m)
+
+    # Capacity: busy time never exceeds provisioned time.
+    for stats in result.replica_stats:
+        assert stats.busy_ms <= stats.active_ms * (1 + 1e-12) + 1e-9, stats
+
+    # Determinism.
+    again, _ = counted_run(spec)
+    assert fingerprint(again) == fingerprint(result)
