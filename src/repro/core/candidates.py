@@ -127,10 +127,10 @@ def build_candidate_set(
     capacity_bytes:
         Persistent Buffer capacity; candidates are truncated to fit it.
     max_size:
-        Upper bound on ``|S|``.  When larger than the number of structural
-        candidates, additional interpolated variants are generated (used by
-        the Table 5 latency-table-size sweep); when smaller, the structural
-        candidates are subsampled deterministically.
+        Upper bound on ``|S|``, at least 1.  When larger than the number of
+        structural candidates, additional interpolated variants are
+        generated (used by the Table 5 latency-table-size sweep); when
+        smaller, the structural candidates are subsampled deterministically.
     include_intersections:
         Whether to add pairwise SubNet intersections.
     seed:
@@ -143,6 +143,8 @@ def build_candidate_set(
         raise ValueError("all SubNets must come from the same SuperNet")
     if capacity_bytes <= 0:
         raise ValueError("capacity_bytes must be positive")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
 
     candidates: list[CachedSubGraph] = []
     seen: set[tuple] = set()

@@ -81,6 +81,7 @@ from repro.serving.engine.admission import ADMISSION_NAMES
 from repro.serving.engine.disciplines import DISCIPLINE_NAMES
 from repro.serving.engine.routing import ROUTER_NAMES
 from repro.serving.workload import PATTERNS, WorkloadSpec
+from repro.supernet.zoo import resolve_supernet_name
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -711,6 +712,16 @@ class ReplicaGroupSpec(JsonSpec):
                 self.cache_update_period > 0,
                 f"cache_update_period must be positive, got {self.cache_update_period}",
             )
+        if self.candidate_set_size is not None:
+            _require(
+                self.candidate_set_size > 0,
+                f"candidate_set_size must be positive, got {self.candidate_set_size}",
+            )
+        _require(
+            self.discipline in DISCIPLINE_NAMES,
+            f"unknown queue discipline {self.discipline!r}; expected one of "
+            f"{DISCIPLINE_NAMES}",
+        )
         _require(
             self.cost_weight > 0,
             f"cost_weight must be positive, got {self.cost_weight}",
@@ -1169,6 +1180,17 @@ class ScenarioSpec(JsonSpec):
             f"replica group names must be unique, got {named}",
         )
         _require(self.cache_update_period > 0, "cache_update_period must be positive")
+        # Fail at spec time, not at build time; aliases such as "mobv3" parse.
+        resolve_supernet_name(self.supernet_name)
+        _require(
+            self.router in ROUTER_NAMES,
+            f"unknown router {self.router!r}; expected one of {ROUTER_NAMES}",
+        )
+        _require(
+            self.admission in ADMISSION_NAMES,
+            f"unknown admission policy {self.admission!r}; expected one of "
+            f"{ADMISSION_NAMES}",
+        )
         if self.num_queries is not None:
             _require(self.num_queries > 0, "num_queries must be positive")
         if self.autoscaler is not None:

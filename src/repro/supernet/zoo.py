@@ -53,6 +53,30 @@ _PARETO_CONFIGS: dict[str, tuple[SubNetConfig, ...]] = {
 }
 
 
+#: Short names :func:`resolve_supernet_name` accepts, and what they stand for.
+SUPERNET_ALIASES: dict[str, str] = {
+    "resnet50": "ofa_resnet50",
+    "mobilenetv3": "ofa_mobilenetv3",
+    "mobv3": "ofa_mobilenetv3",
+}
+
+
+def resolve_supernet_name(name: str) -> str:
+    """The canonical name of a supported SuperNet.
+
+    Case-insensitive; the aliases of :data:`SUPERNET_ALIASES` are accepted.
+    Raises ``ValueError`` for a name that is neither.
+    """
+    key = name.lower()
+    key = SUPERNET_ALIASES.get(key, key)
+    if key not in _BUILDERS:
+        raise ValueError(
+            f"unknown SuperNet {name!r}; supported: {sorted(_BUILDERS)} "
+            f"(aliases: {sorted(SUPERNET_ALIASES)})"
+        )
+    return key
+
+
 def load_supernet(name: str, *, input_hw: int = 224) -> SuperNet:
     """Build one of the supported SuperNets by name.
 
@@ -64,27 +88,13 @@ def load_supernet(name: str, *, input_hw: int = 224) -> SuperNet:
     input_hw:
         Input image resolution.
     """
-    key = name.lower()
-    aliases = {
-        "resnet50": "ofa_resnet50",
-        "mobilenetv3": "ofa_mobilenetv3",
-        "mobv3": "ofa_mobilenetv3",
-    }
-    key = aliases.get(key, key)
-    builder = _BUILDERS.get(key)
-    if builder is None:
-        raise ValueError(
-            f"unknown SuperNet {name!r}; supported: {sorted(_BUILDERS)} "
-            f"(aliases: {sorted(aliases)})"
-        )
-    return builder(input_hw)
+    return _BUILDERS[resolve_supernet_name(name)](input_hw)
 
 
 def paper_pareto_configs(supernet_name: str) -> tuple[SubNetConfig, ...]:
     """The Pareto SubNet configurations used throughout the paper's evaluation."""
     key = supernet_name.lower()
-    aliases = {"resnet50": "ofa_resnet50", "mobilenetv3": "ofa_mobilenetv3", "mobv3": "ofa_mobilenetv3"}
-    key = aliases.get(key, key)
+    key = SUPERNET_ALIASES.get(key, key)
     try:
         return _PARETO_CONFIGS[key]
     except KeyError as exc:

@@ -198,12 +198,21 @@ class TestReplicaGroupSpec:
             dict(platform="not-a-platform"),
             dict(pb_kb=-1.0),
             dict(cache_update_period=0),
+            dict(candidate_set_size=0),
+            dict(candidate_set_size=-1),
             dict(subnet_name="C"),  # only valid for static_subnet
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ReplicaGroupSpec(**kwargs)
+
+    @pytest.mark.parametrize("size", [0, -1, -3])
+    def test_non_positive_candidate_set_size_fails_at_parse(self, size):
+        # -1 used to serve a truncated candidate set without complaint, and
+        # 0 failed only inside build_engine.
+        with pytest.raises(ValueError, match="candidate_set_size must be positive"):
+            ScenarioSpec().override("replica_groups.0.candidate_set_size", size)
 
 
 class TestScenarioSpec:
@@ -304,6 +313,33 @@ class TestScenarioSpec:
             ScenarioSpec(num_queries=0)
         with pytest.raises(ValueError):
             ScenarioSpec(cache_update_period=0)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("router", "random", "unknown router 'random'"),
+            ("admission", "admit_some", "unknown admission policy 'admit_some'"),
+            ("replica_groups.0.discipline", "lifo", "unknown queue discipline 'lifo'"),
+            ("supernet_name", "vgg16", "unknown SuperNet 'vgg16'"),
+        ],
+    )
+    def test_unknown_names_fail_at_parse(self, path, value, message):
+        # Each used to parse and fail only inside build_engine/build_trace.
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec().override(path, value)
+        data = ScenarioSpec().to_dict()
+        node = data
+        *parents, leaf = path.split(".")
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[leaf] = value
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(data)
+
+    def test_supernet_aliases_still_parse(self):
+        spec = ScenarioSpec().override("supernet_name", "mobv3")
+        assert spec.supernet_name == "mobv3"
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_duplicate_group_names_rejected_at_parse(self):
         # Ambiguous group references must fail when the spec is built, not
