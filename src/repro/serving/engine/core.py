@@ -434,8 +434,8 @@ class ServingEngine:
           deadline expired while earlier ones ran is shed there.  The
           first member starts at the pickup, so a pickup serves at least
           one query.  The pickup's busy time is the *sum* of the members'
-          services, not ``t - now``: for a pickup of one that sum is the
-          service itself, bit for bit.
+          services, not ``t - now``, which rounds: a pickup of one is busy
+          for exactly its service, as the single-query dispatch always was.
 
         With fault injection each pickup draws one Bernoulli transient
         failure.  A failed pickup errors before any work starts: every

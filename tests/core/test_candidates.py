@@ -91,15 +91,6 @@ class TestBuildCandidateSet:
             assert key not in keys
             keys.add(key)
 
-    @pytest.mark.parametrize("max_size", [0, -1, -3])
-    def test_max_size_below_one_rejected(self, mobilenetv3_subnets, max_size):
-        # A negative size used to slice candidates[:max_size], silently
-        # dropping candidates from the end.
-        with pytest.raises(ValueError, match="max_size"):
-            build_candidate_set(
-                mobilenetv3_subnets, capacity_bytes=PB_BYTES, max_size=max_size
-            )
-
     def test_invalid_inputs_rejected(self, resnet50_subnets, mobilenetv3_subnets):
         with pytest.raises(ValueError):
             build_candidate_set([], capacity_bytes=PB_BYTES)
@@ -109,6 +100,13 @@ class TestBuildCandidateSet:
             build_candidate_set(
                 [resnet50_subnets[0], mobilenetv3_subnets[0]], capacity_bytes=PB_BYTES
             )
+        # A negative size used to slice candidates[:max_size], silently
+        # dropping candidates from the end.
+        for max_size in (0, -1, -3):
+            with pytest.raises(ValueError, match="max_size"):
+                build_candidate_set(
+                    mobilenetv3_subnets, capacity_bytes=PB_BYTES, max_size=max_size
+                )
 
     def test_encodings_dimension(self, resnet50, resnet50_subnets):
         candidates = build_candidate_set(resnet50_subnets, capacity_bytes=PB_BYTES)

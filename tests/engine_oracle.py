@@ -89,7 +89,6 @@ class _InService:
         return len(self.items)
 
 
-
 def _drop_item(
     table: ResultTable, item: QueuedQuery, replica: AcceleratorReplica, now: float
 ) -> None:
@@ -99,7 +98,6 @@ def _drop_item(
         item.seq, item.arrival_ms, now,
         item.query.latency_constraint_ms, replica.index, "deadline_expired",
     )
-
 
 
 def _serve_pickup(
@@ -252,7 +250,6 @@ def _serve_pickup(
         for item in batch:
             on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
     return completion_ms
-
 
 
 @dataclass(frozen=True, slots=True)
