@@ -3,10 +3,16 @@
 A hypothesis strategy overrides the committed ``poisson``, ``batched``,
 ``faulty``, ``autoscale`` and ``hetero`` scenarios at 50–600 queries.  Per
 replica group it draws the backend ``kind``, the queue ``discipline``,
-``max_batch``, the batching policy and the replica ``count``; scenario-wide
-the router, the admission policy, the seed, the Poisson rate and the fault
-seed.  Every generated spec runs through :func:`run_scenario`, and every run
-must satisfy invariants that no configuration may break:
+``max_batch``, the batching policy, the replica ``count`` and the cold-start
+``startup_delay_ms``; scenario-wide the router, the admission policy, the
+seed, the Poisson rate and the fault seed.  On an autoscaled base it draws
+the control plane too: the policy (``reactive``, ``target_utilization`` or
+``predictive``), the replica bounds, both cooldowns and the control
+interval; ``hetero`` may gain a ``tier_aware`` autoscaler over both groups
+under a cost budget.  On a faulty base it draws the crash MTBF, the
+dispatch-failure probability, the retry budget and the brownout threshold.
+Every generated spec runs through :func:`run_scenario`, and every run must
+satisfy invariants that no configuration may break:
 
 * every offered query's result row is written exactly once, served or
   dropped;
@@ -55,7 +61,30 @@ def scenarios(draw) -> ScenarioSpec:
     if base.arrivals.kind == "poisson":
         overrides.append(("arrivals.rate_per_ms", draw(st.floats(0.2, 6.0))))
     if base.faults is not None:
-        overrides.append(("faults.seed", draw(st.integers(0, 2**16))))
+        overrides += [
+            ("faults.seed", draw(st.integers(0, 2**16))),
+            ("faults.crash_mtbf_ms", draw(st.none() | st.floats(50.0, 800.0))),
+            ("faults.dispatch_failure_prob", draw(st.floats(0.0, 0.2))),
+            ("faults.retry.max_attempts", draw(st.integers(1, 4))),
+            ("faults.brownout_threshold", draw(st.none() | st.floats(0.1, 1.0))),
+        ]
+    if base.autoscaler is not None:
+        overrides += [
+            ("autoscaler.policy", draw(st.sampled_from(SINGLE_GROUP_POLICIES))),
+            *(("autoscaler." + k, v) for k, v in draw(control_plane()).items()),
+        ]
+    elif len(base.replica_groups) > 1 and draw(st.booleans()):
+        overrides.append(
+            (
+                "autoscaler",
+                {
+                    "policy": "tier_aware",
+                    "groups": [g.name for g in base.replica_groups],
+                    "cost_budget": draw(st.floats(2.0, 12.0)),
+                    **draw(control_plane()),
+                },
+            )
+        )
     for i in range(len(base.replica_groups)):
         group = f"replica_groups.{i}"
         overrides += [
@@ -64,8 +93,25 @@ def scenarios(draw) -> ScenarioSpec:
             (f"{group}.batching.max_batch", draw(st.integers(1, 8))),
             (f"{group}.batching.policy", draw(st.sampled_from(BATCHING_POLICIES))),
             (f"{group}.count", draw(st.integers(1, 3))),
+            (f"{group}.startup_delay_ms", draw(st.sampled_from([0.0, 2.0, 10.0]))),
         ]
     return base.override_many(overrides)
+
+
+SINGLE_GROUP_POLICIES = ("reactive", "target_utilization", "predictive")
+
+
+@st.composite
+def control_plane(draw) -> dict:
+    """Replica bounds, cooldowns and control interval of an autoscaler."""
+    min_replicas = draw(st.integers(1, 3))
+    return {
+        "min_replicas": min_replicas,
+        "max_replicas": draw(st.integers(min_replicas, 6)),
+        "up_cooldown_ms": draw(st.sampled_from([0.0, 5.0])),
+        "down_cooldown_ms": draw(st.sampled_from([0.0, 10.0, 40.0])),
+        "control_interval_ms": draw(st.floats(2.0, 20.0)),
+    }
 
 
 TABLES: list["CountingTable"] = []

@@ -83,6 +83,74 @@ DISPATCH_DIGESTS = {
 }
 
 
+# Control- and fault-plane configurations no committed scenario drives:
+# case -> (scenario, overrides, ``result_digest`` at NUM_QUERIES).  A
+# tier-aware autoscaler over both ``hetero_pool`` groups under a cost
+# budget that binds (with cold starts and crashes on every group), the
+# ``target_utilization`` and ``scheduled`` policies, a predictive policy
+# with an explicit horizon and window, and faults without retries.  Pinned
+# by hand before the control and fault planes were built straight from
+# their specs; the regeneration below does not touch them.
+_FAULTS = {
+    "seed": 11,
+    "crash_mtbf_ms": 400.0,
+    "straggler_mtbf_ms": 250.0,
+    "straggler_duration_ms": 40.0,
+    "straggler_factor": 3.0,
+    "dispatch_failure_prob": 0.01,
+    "brownout_threshold": 0.25,
+    "groups": [],
+}
+CONTROL_DIGESTS = {
+    "hetero_pool-tier_aware-cost_budget": (
+        "hetero_pool",
+        (
+            ("replica_groups.0.startup_delay_ms", 5.0),
+            ("replica_groups.1.startup_delay_ms", 5.0),
+            ("replica_groups.0.cost_weight", 2.0),
+            (
+                "autoscaler",
+                {
+                    "policy": "tier_aware",
+                    "control_interval_ms": 10.0,
+                    "min_replicas": 2,
+                    "max_replicas": 6,
+                    "down_cooldown_ms": 40.0,
+                    "groups": ["large-pb", "small-pb"],
+                    "cost_budget": 9.0,
+                },
+            ),
+            ("faults", _FAULTS),
+        ),
+        "684e8ef755804115805e51acafed08c09a78293b1faad336e5002a2361a79701",
+    ),
+    "autoscale_pool-target_utilization": (
+        "autoscale_pool",
+        (("autoscaler.policy", "target_utilization"),),
+        "be83febbd228f681589531944bee97216745c4e36bf69240cd90ad2d5a78fae7",
+    ),
+    "autoscale_pool-scheduled": (
+        "autoscale_pool",
+        (
+            ("autoscaler.policy", "scheduled"),
+            ("autoscaler.schedule", [[0.0, 1], [100.0, 4], [170.0, 2]]),
+            ("autoscaler.period_ms", 220.0),
+        ),
+        "8f6783f02fd9d1928fb860713a2c4f7f04b61c67bf5d5fdd13f0f54b82956e47",
+    ),
+    "predictive_pool-horizon-window": (
+        "predictive_pool",
+        (("autoscaler.horizon_ms", 3.0), ("autoscaler.window_ms", 5.0)),
+        "8674371fd722a3b3ea00f087cbdd96f4dd94af4fad851a4b4229d22103745d72",
+    ),
+    "faulty_pool-no_retry": (
+        "faulty_pool",
+        (("faults.retry.max_attempts", 1),),
+        "3e92f2e4591f62caa7319772107a89f3edc73b3307a29b05ceae097e5b0781c6",
+    ),
+}
+
+
 def _values(obj, skip: str = "") -> tuple:
     return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != skip)
 
@@ -155,6 +223,17 @@ def test_dispatch_path_reproduces_pinned_records(key, stack_cache):
     )
     spec = spec.override_many([("num_queries", NUM_QUERIES), *overrides])
     assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == DISPATCH_DIGESTS[key]
+
+
+@pytest.mark.parametrize("case", list(CONTROL_DIGESTS))
+def test_control_plane_reproduces_pinned_records(case, stack_cache):
+    scenario, overrides, digest = CONTROL_DIGESTS[case]
+    spec = ScenarioSpec.from_dict(
+        json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
+    )
+    spec = spec.override_many([("num_queries", NUM_QUERIES), *overrides])
+    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == digest
+
 
 if __name__ == "__main__":
     import os
