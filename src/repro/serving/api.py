@@ -251,48 +251,30 @@ def build_engine(
     if stack_cache is None:
         stack_cache = {}
     scaled = spec.scaled_groups() if spec.autoscaler is not None else ()
-    scaled_makers: dict[str | None, Callable[..., AcceleratorReplica]] = {}
-    scaled_positions: dict[str | None, list[int]] = {}
+    scaled_groups: list[ScaledGroup] = []
     replicas: list[AcceleratorReplica] = []
     for group in spec.replica_groups:
         make = _replica_builder(spec, group, stack_cache)
         if any(g is group for g in scaled):
-            scaled_makers[group.name] = make
-            scaled_positions[group.name] = list(
-                range(len(replicas), len(replicas) + group.count)
+            scaled_groups.append(
+                ScaledGroup(
+                    name=group.name,
+                    replica_factory=make,
+                    positions=tuple(range(len(replicas), len(replicas) + group.count)),
+                    cost_weight=group.cost_weight,
+                    startup_delay_ms=group.startup_delay_ms,
+                )
             )
         for j in range(group.count):
             replicas.append(make(len(replicas), j))
     autoscaler = None
-    scalable_indices = None
     if spec.autoscaler is not None:
-        a = spec.autoscaler
-        autoscaler = AutoscaleController(
-            a.build_policy(),
-            control_interval_ms=a.control_interval_ms,
-            window_ms=a.window_ms,
-            up_cooldown_ms=a.up_cooldown_ms,
-            down_cooldown_ms=a.down_cooldown_ms,
-            cost_budget=a.cost_budget,
-            groups=tuple(
-                ScaledGroup(
-                    name=group.name,
-                    cost_weight=group.cost_weight,
-                    startup_delay_ms=group.startup_delay_ms,
-                    min_replicas=a.min_replicas,
-                    max_replicas=a.max_replicas,
-                    replica_factory=scaled_makers[group.name],
-                )
-                for group in scaled
-            ),
-        )
-        scalable_indices = dict(scaled_positions)
+        autoscaler = AutoscaleController(spec.autoscaler, scaled_groups)
     engine = ServingEngine(
         replicas,
         router=spec.router,
         admission=spec.admission,
         autoscaler=autoscaler,
-        scalable_indices=scalable_indices,
     )
     if spec.observability is not None:
         if spec.observability.trace:
@@ -302,22 +284,7 @@ def build_engine(
         if autoscaler is not None:
             autoscaler.keep_metrics = spec.observability.keep_metrics
     if spec.faults is not None:
-        f = spec.faults
-        engine.faults = FaultInjector(
-            seed=f.seed,
-            crash_mtbf_ms=f.crash_mtbf_ms,
-            straggler_mtbf_ms=f.straggler_mtbf_ms,
-            straggler_duration_ms=f.straggler_duration_ms,
-            straggler_factor=f.straggler_factor,
-            dispatch_failure_prob=f.dispatch_failure_prob,
-            max_attempts=f.retry.max_attempts,
-            backoff_base_ms=f.retry.backoff_base_ms,
-            backoff_multiplier=f.retry.backoff_multiplier,
-            brownout_threshold=f.brownout_threshold,
-            brownout_accuracy_step=f.brownout_accuracy_step,
-            brownout_max_steps=f.brownout_max_steps,
-            groups=f.groups or None,
-        )
+        engine.faults = FaultInjector(spec.faults)
         # Initial replica index -> group name, so the injector can match
         # its ``groups`` coverage against the build-time pool (scale-up
         # replicas report their group at creation instead).

@@ -31,7 +31,6 @@ SLO-attainment-vs-cost frontier measurable (the ``frontier_autoscale`` and
 from repro.serving.autoscale.controller import (
     AutoscaleController,
     AutoscaleReport,
-    GroupLoad,
     ScaledGroup,
     ScalingEvent,
 )
@@ -51,7 +50,6 @@ from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus
 __all__ = [
     "AutoscaleController",
     "AutoscaleReport",
-    "GroupLoad",
     "GroupStatus",
     "MetricsSnapshot",
     "POLICY_NAMES",

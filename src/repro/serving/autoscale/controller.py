@@ -1,10 +1,12 @@
 """The autoscale controller: policy + telemetry + actuation bookkeeping.
 
-The controller sits between the serving engine and a scaling policy.  Every
-``control_interval_ms`` of simulated time the engine hands it the pool's
-per-group load; the controller asks the policy for desired sizes, clamps
-each group to ``[min_replicas, max_replicas]``, enforces the pool-wide cost
-budget and directional cooldowns, and logs the resulting
+The controller sits between the serving engine and a scaling policy.  It is
+built from a validated ``AutoscalerSpec`` plus one :class:`ScaledGroup` per
+scaled replica group, and checks none of their values again.  Every
+``control_interval_ms`` of simulated time the engine hands it one
+:class:`GroupStatus` per group; the controller asks the policy for desired
+sizes, clamps each group to ``[min_replicas, max_replicas]``, enforces the
+pool-wide cost budget and directional cooldowns, and logs the resulting
 :class:`ScalingEvent`\\ s.  The *engine* enacts the decisions — cloning
 fresh replicas on scale-up (provisioning them for ``startup_delay_ms``
 before they join routing), draining-then-retiring on scale-down — because
@@ -13,7 +15,7 @@ accounts.
 
 Invariants:
 
-* Decisions are pure functions of the tick's snapshot and group loads:
+* Decisions are pure functions of the tick's snapshot and group statuses:
   repeated runs over the same event feed produce identical
   :class:`ScalingEvent` logs (asserted by the engine's repeat-run tests).
 * Desired sizes are judged against *incoming* capacity (active +
@@ -28,65 +30,35 @@ Invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.serving.autoscale.policies import (
-    GroupStatus,
-    PredictivePolicy,
-    ScalingPolicy,
-    make_policy,
-)
+from repro.serving.autoscale.policies import GroupStatus, PredictivePolicy
 from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus
+
+if TYPE_CHECKING:  # pragma: no cover - spec.py imports this package
+    from repro.serving.spec import AutoscalerSpec
 
 
 @dataclass(frozen=True, slots=True)
 class ScaledGroup:
-    """Static configuration of one replica group under autoscaler control.
+    """What differs per replica group under autoscaler control.
 
-    ``cost_weight`` is the group's price in weighted replica-seconds per
-    replica-second (the unit of the pool-wide cost budget); ``startup_delay_ms``
-    is how long a scale-up replica provisions before it can serve.
     ``replica_factory(position)`` builds a fresh replica at engine-global
     index ``position`` (for SUSHI pools: a clone of the group's stack —
-    cold Persistent Buffer, shared latency table).
+    cold Persistent Buffer, shared latency table); ``positions`` are the
+    group's replicas in the engine's initial pool.  ``cost_weight`` is the
+    group's price in weighted replica-seconds per replica-second (the unit
+    of the pool-wide cost budget); ``startup_delay_ms`` is how long a
+    scale-up replica provisions before it can serve.  Both come from the
+    group's validated ``ReplicaGroupSpec``.
     """
 
-    name: str | None = None
+    name: str | None
+    replica_factory: Callable[[int], object]
+    positions: tuple[int, ...]
     cost_weight: float = 1.0
     startup_delay_ms: float = 0.0
-    min_replicas: int = 1
-    max_replicas: int = 8
-    replica_factory: Callable[[int], object] | None = None
-
-    def __post_init__(self) -> None:
-        if self.cost_weight <= 0:
-            raise ValueError("cost_weight must be positive")
-        if self.startup_delay_ms < 0:
-            raise ValueError("startup_delay_ms must be non-negative")
-        if self.min_replicas <= 0:
-            raise ValueError("min_replicas must be positive")
-        if self.max_replicas < self.min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
-
-
-@dataclass(frozen=True, slots=True)
-class GroupLoad:
-    """Instantaneous pool state of one scaled group (engine-provided)."""
-
-    name: str | None
-    num_active: int
-    num_provisioning: int = 0
-    num_draining: int = 0
-    queue_depth: int = 0
-    num_failed: int = 0
-    """Replicas of the group that have crashed (cumulative; crashed
-    replicas already left ``num_active``, so self-healing falls out of the
-    ``min_replicas`` clamp without any policy change)."""
-
-    @property
-    def num_incoming(self) -> int:
-        return self.num_active + self.num_provisioning
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,113 +112,40 @@ class AutoscaleReport:
 class AutoscaleController:
     """Evaluate a scaling policy at a fixed control interval.
 
-    Parameters
-    ----------
-    policy:
-        Scaling policy name or instance (see
-        :func:`~repro.serving.autoscale.policies.make_policy`).  A policy
-        *instance* belongs to exactly one controller: the controller may
-        derive configuration into it (a predictive policy's ``horizon_ms``)
-        and drives its per-run state (the smoothed-demand EMA), so sharing
-        one instance across controllers couples their decisions — pass a
-        name (or a fresh instance) per controller instead.
-    control_interval_ms:
-        Simulated time between policy evaluations.
-    window_ms:
-        Telemetry sliding window.  Default: twice the control interval;
-        for a predictive policy, ``max(2 x interval, 2 x horizon)``, so its
-        slope estimate spans at least twice the forecast horizon.
-    min_replicas, max_replicas:
-        Hard bounds on the scalable pool size (per scaled group).
-    up_cooldown_ms, down_cooldown_ms:
-        Minimum time between consecutive scale-ups / scale-downs (pool-wide
-        and directional).  Scaling up is usually allowed faster than
-        scaling down (drops hurt more than idle replicas).
-    replica_factory:
-        ``factory(position) -> AcceleratorReplica`` for the single implicit
-        group when ``groups`` is not given (the pre-tier API).
-    groups:
-        Explicit :class:`ScaledGroup` configurations for multi-tier pools.
-        Mutually exclusive with ``replica_factory``; group names must be
-        unique.  When omitted, one implicit group is built from
-        ``replica_factory`` / ``min_replicas`` / ``max_replicas`` /
-        ``startup_delay_ms``.
-    startup_delay_ms:
-        Provisioning delay of the implicit single group (ignored when
-        ``groups`` is given).
-    cost_budget:
-        Pool-wide ceiling on ``sum(cost_weight x incoming replicas)``.
-        ``None`` disables budget enforcement.
+    Built from a validated :class:`~repro.serving.spec.AutoscalerSpec` and
+    the :class:`ScaledGroup`\\ s it manages (unique names, declaration
+    order).  The spec supplies the policy (``spec.build_policy()``, a
+    fresh instance per controller, since the controller derives into it
+    and drives its per-run state), the control interval, the per-group
+    ``[min_replicas, max_replicas]`` bounds, the directional cooldowns and
+    the cost budget.  Two values are derived when the spec leaves them
+    ``None``:
+
+    * a predictive policy's ``horizon_ms`` — the slowest group's cold start
+      plus one control interval (the soonest a decision can land);
+    * the telemetry window — twice the control interval; for a predictive
+      policy ``max(2 x interval, 2 x horizon)``, so its slope estimate
+      spans at least twice the forecast horizon.
     """
 
-    def __init__(
-        self,
-        policy: str | ScalingPolicy = "reactive",
-        *,
-        control_interval_ms: float = 50.0,
-        window_ms: float | None = None,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        up_cooldown_ms: float = 0.0,
-        down_cooldown_ms: float = 0.0,
-        replica_factory: Callable[[int], object] | None = None,
-        groups: Sequence[ScaledGroup] | None = None,
-        startup_delay_ms: float = 0.0,
-        cost_budget: float | None = None,
-    ) -> None:
-        if control_interval_ms <= 0:
-            raise ValueError("control_interval_ms must be positive")
-        if min_replicas <= 0:
-            raise ValueError("min_replicas must be positive")
-        if max_replicas < min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
-        if up_cooldown_ms < 0 or down_cooldown_ms < 0:
-            raise ValueError("cooldowns must be non-negative")
-        if cost_budget is not None and cost_budget <= 0:
-            raise ValueError("cost_budget must be positive")
-        self.policy = make_policy(policy)
-        self.control_interval_ms = float(control_interval_ms)
-        self.min_replicas = int(min_replicas)
-        self.max_replicas = int(max_replicas)
-        self.up_cooldown_ms = float(up_cooldown_ms)
-        self.down_cooldown_ms = float(down_cooldown_ms)
-        self.cost_budget = cost_budget
-        if groups is not None:
-            if replica_factory is not None:
-                raise ValueError(
-                    "pass either groups or replica_factory, not both"
-                )
-            self.groups = tuple(groups)
-            if not self.groups:
-                raise ValueError("groups must not be empty")
-            names = [g.name for g in self.groups]
-            if len(set(names)) != len(names):
-                raise ValueError(f"scaled group names must be unique: {names}")
-        else:
-            self.groups = (
-                ScaledGroup(
-                    name=None,
-                    startup_delay_ms=startup_delay_ms,
-                    min_replicas=self.min_replicas,
-                    max_replicas=self.max_replicas,
-                    replica_factory=replica_factory,
-                ),
-            )
-        # A predictive policy left without a horizon gets the provisioning
-        # horizon it is meant to look across: the slowest group's cold start
-        # plus one control interval (the soonest a decision can land).
+    def __init__(self, spec: AutoscalerSpec, groups: Sequence[ScaledGroup]) -> None:
+        self.spec = spec
+        self.policy = spec.build_policy()
+        self.groups = tuple(groups)
+        # A float whatever the JSON spelled: tick times and the report must
+        # not depend on whether the interval was written ``6`` or ``6.0``.
+        self.control_interval_ms = interval = float(spec.control_interval_ms)
         if isinstance(self.policy, PredictivePolicy) and self.policy.horizon_ms is None:
-            self.policy.horizon_ms = self.control_interval_ms + max(
+            self.policy.horizon_ms = interval + max(
                 g.startup_delay_ms for g in self.groups
             )
-        if window_ms is not None:
-            window = float(window_ms)
+        if spec.window_ms is not None:
+            window = float(spec.window_ms)
         else:
-            # Default window: twice the control interval — except for a
-            # predictive policy, whose slope estimate must span at least
-            # twice its horizon or the extrapolation amplifies Poisson
-            # noise into scaling thrash.
-            window = 2.0 * self.control_interval_ms
+            # A predictive policy's slope estimate must span at least twice
+            # its horizon, or the extrapolation amplifies Poisson noise into
+            # scaling thrash.
+            window = 2.0 * interval
             if isinstance(self.policy, PredictivePolicy):
                 window = max(window, 2.0 * (self.policy.horizon_ms or 0.0))
         self.bus = TelemetryBus(window)
@@ -263,76 +162,29 @@ class AutoscaleController:
         :attr:`metrics_history` (opt-in via ``ObservabilitySpec``)."""
         self.metrics_history: list[MetricsSnapshot] = []
 
-    # ---------------------------------------------------------------- groups
-    @property
-    def replica_factory(self) -> Callable[[int], object] | None:
-        """The single group's factory (the pre-tier accessor)."""
-        return self.groups[0].replica_factory
-
-    def group(self, name: str | None) -> ScaledGroup:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise KeyError(f"no scaled group named {name!r}")
-
     # ------------------------------------------------------------- decisions
-    def decide(self, snapshot: MetricsSnapshot) -> int:
-        """Desired scalable-pool size for this tick (single-group pools).
-
-        Returns the number of replicas the (one) scaled group should have;
-        the engine compares it with the current incoming count and enacts
-        the delta.  Multi-group controllers go through :meth:`decide_pool`.
-        """
-        if len(self.groups) != 1:
-            raise ValueError("decide() serves single-group pools; use decide_pool")
-        g = self.groups[0]
-        load = GroupLoad(
-            name=g.name,
-            num_active=snapshot.num_active,
-            num_provisioning=snapshot.num_provisioning,
-            num_draining=snapshot.num_draining,
-            queue_depth=snapshot.queue_depth,
-        )
-        return self.decide_pool(snapshot, (load,))[g.name]
-
     def decide_pool(
-        self, snapshot: MetricsSnapshot, loads: Sequence[GroupLoad]
+        self, snapshot: MetricsSnapshot, statuses: Sequence[GroupStatus]
     ) -> dict[str | None, int]:
         """Desired size per scaled group (after clamp, budget and cooldown).
 
-        ``loads`` must align with :attr:`groups` (same names, same order).
+        ``statuses`` must align with :attr:`groups` (same names, same order).
         """
         self._num_controls += 1
         if self.keep_metrics:
             self.metrics_history.append(snapshot)
-        by_name = {load.name: load for load in loads}
-        statuses = tuple(
-            GroupStatus(
-                name=g.name,
-                cost_weight=g.cost_weight,
-                startup_delay_ms=g.startup_delay_ms,
-                min_replicas=g.min_replicas,
-                max_replicas=g.max_replicas,
-                num_active=by_name[g.name].num_active,
-                num_provisioning=by_name[g.name].num_provisioning,
-                num_draining=by_name[g.name].num_draining,
-                queue_depth=by_name[g.name].queue_depth,
-                num_failed=by_name[g.name].num_failed,
-            )
-            for g in self.groups
-        )
-        total_incoming = sum(s.num_incoming for s in statuses)
-        self._peak = max(self._peak, total_incoming)
+        spec = self.spec
+        self._peak = max(self._peak, sum(s.num_incoming for s in statuses))
         desired_map, reason = self.policy.desired_by_group(
-            snapshot, statuses, cost_budget=self.cost_budget
+            snapshot, statuses, cost_budget=spec.cost_budget
         )
         # Record each decision-pipeline stage so events (and the flight
         # recorder) can explain the final action: raw policy ask, after
         # the [min, max] clamp, after the cost-budget trim.
-        raw = {g.name: int(desired_map[g.name]) for g in self.groups}
+        raw = {s.name: int(desired_map[s.name]) for s in statuses}
         desired = {
-            g.name: max(g.min_replicas, min(g.max_replicas, desired_map[g.name]))
-            for g in self.groups
+            s.name: max(s.min_replicas, min(s.max_replicas, desired_map[s.name]))
+            for s in statuses
         }
         clamped = dict(desired)
         self._enforce_budget(desired, statuses)
@@ -346,29 +198,27 @@ class AutoscaleController:
             }
 
         now = snapshot.time_ms
-        ups = [g for g in self.groups if desired[g.name] > by_name[g.name].num_incoming]
-        downs = [g for g in self.groups if desired[g.name] < by_name[g.name].num_incoming]
+        ups = [s for s in statuses if desired[s.name] > s.num_incoming]
+        downs = [s for s in statuses if desired[s.name] < s.num_incoming]
         # Cooldowns are directional and pool-wide; a blocked change is
         # logged per group (same from/to units as scale events) so the
         # event log can always be replayed group by group.
-        held: list[ScaledGroup] = []
-        if ups and now - self._last_up_ms < self.up_cooldown_ms:
-            for g in ups:
-                incoming = by_name[g.name].num_incoming
-                desired[g.name] = incoming
+        held: list[GroupStatus] = []
+        if ups and now - self._last_up_ms < spec.up_cooldown_ms:
+            for s in ups:
+                desired[s.name] = s.num_incoming
                 self._log(
-                    now, "held", incoming, incoming,
-                    f"up cooldown ({reason})", group=g.name, **stages(g.name),
+                    now, "held", s.num_incoming, s.num_incoming,
+                    f"up cooldown ({reason})", group=s.name, **stages(s.name),
                 )
             held += ups
             ups = []
-        if downs and now - self._last_down_ms < self.down_cooldown_ms:
-            for g in downs:
-                incoming = by_name[g.name].num_incoming
-                desired[g.name] = incoming
+        if downs and now - self._last_down_ms < spec.down_cooldown_ms:
+            for s in downs:
+                desired[s.name] = s.num_incoming
                 self._log(
-                    now, "held", incoming, incoming,
-                    f"down cooldown ({reason})", group=g.name, **stages(g.name),
+                    now, "held", s.num_incoming, s.num_incoming,
+                    f"down cooldown ({reason})", group=s.name, **stages(s.name),
                 )
             held += downs
             downs = []
@@ -376,40 +226,34 @@ class AutoscaleController:
             self._last_up_ms = now
         if downs:
             self._last_down_ms = now
-        for g in ups:
+        for s in ups:
             self._log(
-                now, "scale_up", by_name[g.name].num_incoming, desired[g.name],
-                reason, group=g.name, **stages(g.name),
+                now, "scale_up", s.num_incoming, desired[s.name],
+                reason, group=s.name, **stages(s.name),
             )
-        for g in downs:
+        for s in downs:
             self._log(
-                now, "scale_down", by_name[g.name].num_incoming, desired[g.name],
-                reason, group=g.name, **stages(g.name),
+                now, "scale_down", s.num_incoming, desired[s.name],
+                reason, group=s.name, **stages(s.name),
             )
         if self.recorder is not None:
-            for g in self.groups:
-                if g in ups:
-                    action = "scale_up"
-                elif g in downs:
-                    action = "scale_down"
-                elif g in held:
-                    action = "held"
-                else:
-                    action = "hold"
-                load = by_name[g.name]
+            actions = {s.name: "scale_up" for s in ups}
+            actions.update((s.name, "scale_down") for s in downs)
+            actions.update((s.name, "held") for s in held)
+            for s in statuses:
                 self.recorder.on_decision(
                     time_ms=now,
-                    group=g.name,
+                    group=s.name,
                     policy=self.policy.name,
                     reason=reason,
-                    num_active=load.num_active,
-                    num_provisioning=load.num_provisioning,
-                    num_draining=load.num_draining,
-                    queue_depth=load.queue_depth,
-                    final_desired=desired[g.name],
-                    action=action,
+                    num_active=s.num_active,
+                    num_provisioning=s.num_provisioning,
+                    num_draining=s.num_draining,
+                    queue_depth=s.queue_depth,
+                    final_desired=desired[s.name],
+                    action=actions.get(s.name, "hold"),
                     snapshot=snapshot,
-                    **stages(g.name),
+                    **stages(s.name),
                 )
         self._peak = max(self._peak, sum(desired.values()))
         return desired
@@ -425,7 +269,8 @@ class AutoscaleController:
         forces a group below what is already incoming — shedding running
         capacity is the policy's decision, not the accountant's.
         """
-        if self.cost_budget is None:
+        budget = self.spec.cost_budget
+        if budget is None:
             return
         def weighted() -> float:
             return sum(s.cost_weight * desired[s.name] for s in statuses)
@@ -433,7 +278,7 @@ class AutoscaleController:
         # Most expensive first; ties keep declaration order (stable sort).
         for s in sorted(statuses, key=lambda s: -s.cost_weight):
             while (
-                weighted() > self.cost_budget + 1e-9
+                weighted() > budget + 1e-9
                 and desired[s.name] > s.num_incoming
             ):
                 desired[s.name] -= 1
@@ -466,16 +311,6 @@ class AutoscaleController:
         )
 
     # -------------------------------------------------------------- lifecycle
-    def make_replica(self, position: int, *, group: str | None = None):
-        """A fresh replica for engine-global index ``position`` (scale-up)."""
-        factory = self.group(group).replica_factory
-        if factory is None:
-            raise RuntimeError(
-                "this autoscale controller has no replica_factory; "
-                "scale-up needs one to create replicas"
-            )
-        return factory(position)
-
     def reset(self) -> None:
         """Fresh telemetry, cooldowns and event log for a new run."""
         self.bus.reset()
@@ -501,6 +336,6 @@ class AutoscaleController:
             events=tuple(self._events),
             peak_replicas=max(self._peak, final_replicas),
             final_replicas=final_replicas,
-            cost_budget=self.cost_budget,
+            cost_budget=self.spec.cost_budget,
             final_by_group=tuple(final_by_group),
         )

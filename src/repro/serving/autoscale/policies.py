@@ -481,16 +481,12 @@ _POLICIES = {
 POLICY_NAMES: tuple[str, ...] = tuple(sorted(_POLICIES))
 
 
-def make_policy(spec: str | ScalingPolicy, **kwargs: Any) -> ScalingPolicy:
-    """Build a scaling policy from a name (plus kwargs), or pass through."""
-    if isinstance(spec, ScalingPolicy):
-        if kwargs:
-            raise ValueError("cannot pass kwargs with a ScalingPolicy instance")
-        return spec
+def make_policy(name: str, **kwargs: Any) -> ScalingPolicy:
+    """Build the scaling policy registered as ``name`` from its knobs."""
     try:
-        cls = _POLICIES[spec]
+        cls = _POLICIES[name]
     except KeyError as exc:
         raise ValueError(
-            f"unknown scaling policy {spec!r}; available: {sorted(_POLICIES)}"
+            f"unknown scaling policy {name!r}; available: {sorted(_POLICIES)}"
         ) from exc
     return cls(**kwargs)

@@ -46,11 +46,12 @@ Invariants the rest of the system builds on:
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.serving.autoscale.controller import AutoscaleController, GroupLoad
+from repro.serving.autoscale.controller import AutoscaleController
+from repro.serving.autoscale.policies import GroupStatus
 from repro.serving.engine.admission import AdmissionPolicy, make_admission
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import ArrayEventQueue, EventKind
@@ -112,16 +113,11 @@ class ServingEngine:
         the controller's per-group factories (cold ones provision for the
         group's ``startup_delay_ms`` before joining routing), scale-down
         cancels provisioning replicas first and then drains a serving one
-        (it finishes its queue, then retires).  ``None`` keeps the pool
-        fixed and the event path bit-identical to the pre-autoscaling
-        engine.
-    scalable_indices:
-        Positions of the replicas the autoscaler may retire (and whose
-        group the factory clones).  For a single scaled group this is a
-        plain sequence (``None`` makes the whole initial pool scalable);
-        a multi-group (tier-aware) controller needs a mapping
-        ``{group name: positions}`` covering each of its groups.  Ignored
-        without an autoscaler.
+        (it finishes its queue, then retires).  Each
+        :class:`~repro.serving.autoscale.ScaledGroup` names its members of
+        ``replicas`` by position; the positions must lie in the pool and no
+        replica may belong to two groups.  ``None`` keeps the pool fixed
+        and the event path bit-identical to the pre-autoscaling engine.
     """
 
     def __init__(
@@ -131,9 +127,6 @@ class ServingEngine:
         router: str | RoutingPolicy = "round_robin",
         admission: str | AdmissionPolicy = "admit_all",
         autoscaler: AutoscaleController | None = None,
-        scalable_indices: (
-            Sequence[int] | Mapping[str | None, Sequence[int]] | None
-        ) = None,
     ) -> None:
         if not replicas:
             raise ValueError("the engine needs at least one replica")
@@ -154,14 +147,7 @@ class ServingEngine:
         self.router = make_router(router)
         self.admission = make_admission(admission)
         self.autoscaler = autoscaler
-        if autoscaler is not None and any(
-            g.replica_factory is None for g in autoscaler.groups
-        ):
-            raise ValueError(
-                "an autoscaled engine needs the controller to carry a "
-                "replica_factory for scale-up"
-            )
-        self._initial_membership = self._normalize_membership(scalable_indices)
+        self._initial_membership = self._membership()
         # The initial pool is restored on reset() so repeated runs of an
         # autoscaled engine start from the spec's replica groups, not from
         # wherever the previous run's scaling left the pool.
@@ -193,50 +179,17 @@ class ServingEngine:
         numerator.  Incremented per crash, decremented when a scale-up
         replica joins routing."""
 
-    def _normalize_membership(
-        self,
-        scalable_indices: (
-            Sequence[int] | Mapping[str | None, Sequence[int]] | None
-        ),
-    ) -> dict[str | None, tuple[int, ...]]:
+    def _membership(self) -> dict[str | None, tuple[int, ...]]:
         """``{scaled group name: initial replica positions}``, validated."""
         if self.autoscaler is None:
             return {}
-        groups = self.autoscaler.groups
-        if scalable_indices is None:
-            if len(groups) > 1:
-                raise ValueError(
-                    "a multi-group autoscaler needs scalable_indices as a "
-                    "mapping {group name: positions}"
-                )
-            membership = {groups[0].name: tuple(range(len(self.replicas)))}
-        elif isinstance(scalable_indices, Mapping):
-            missing = [g.name for g in groups if g.name not in scalable_indices]
-            if missing:
-                raise ValueError(
-                    f"scalable_indices misses scaled groups {missing}"
-                )
-            extra = set(scalable_indices) - {g.name for g in groups}
-            if extra:
-                raise ValueError(
-                    f"scalable_indices names unknown groups {sorted(map(str, extra))}"
-                )
-            membership = {
-                g.name: tuple(scalable_indices[g.name]) for g in groups
-            }
-        else:
-            if len(groups) > 1:
-                raise ValueError(
-                    "a multi-group autoscaler needs scalable_indices as a "
-                    "mapping {group name: positions}"
-                )
-            membership = {groups[0].name: tuple(scalable_indices)}
+        membership = {g.name: tuple(g.positions) for g in self.autoscaler.groups}
         seen: set[int] = set()
-        for name, indices in membership.items():
+        for indices in membership.values():
             for i in indices:
                 if not (0 <= i < len(self.replicas)):
                     raise ValueError(
-                        f"scalable index {i} outside the initial pool "
+                        f"scaled replica position {i} outside the initial pool "
                         f"[0, {len(self.replicas)})"
                     )
                 if i in seen:
@@ -712,7 +665,8 @@ class ServingEngine:
         # notion of the pool size; provisioning replicas cannot serve and
         # are excluded from the capacity denominator.  One pass over each
         # group's live list gathers every count.
-        loads: list[GroupLoad] = []
+        spec = ctl.spec
+        statuses: list[GroupStatus] = []
         total_active = total_provisioning = total_draining = 0
         total_depth = total_failed = 0
         for group in ctl.groups:
@@ -730,9 +684,13 @@ class ServingEngine:
             # `desired` back up and provisions the replacement.  The failed
             # count is telemetry.
             failed = self._group_crashes[group.name]
-            loads.append(
-                GroupLoad(
+            statuses.append(
+                GroupStatus(
                     name=group.name,
+                    cost_weight=group.cost_weight,
+                    startup_delay_ms=group.startup_delay_ms,
+                    min_replicas=spec.min_replicas,
+                    max_replicas=spec.max_replicas,
                     num_active=active,
                     num_provisioning=provisioning,
                     num_draining=draining,
@@ -754,9 +712,9 @@ class ServingEngine:
             num_provisioning=total_provisioning,
             num_failed_replicas=total_failed,
         )
-        desired_map = ctl.decide_pool(snapshot, loads)
-        for group, load in zip(ctl.groups, loads):
-            self._resize_group(group, load, desired_map[group.name], now, queue)
+        desired_map = ctl.decide_pool(snapshot, statuses)
+        for group, status in zip(ctl.groups, statuses):
+            self._resize_group(group, status, desired_map[group.name], now, queue)
         # Keep ticking while the simulation still has work in flight; once
         # the queue is empty and every replica is drained the run is over
         # and the control loop stops with it.  Sampled faults still to come
@@ -775,7 +733,7 @@ class ServingEngine:
     def _resize_group(
         self,
         group,
-        load: GroupLoad,
+        status: GroupStatus,
         desired: int,
         now: float,
         queue: ArrayEventQueue,
@@ -786,7 +744,7 @@ class ServingEngine:
         as replicas are created and retired.
         """
         pool = self._group_live[group.name]
-        incoming = load.num_incoming
+        incoming = status.num_incoming
         if desired > incoming:
             # Reclaim draining replicas first (their Persistent Buffers are
             # still warm and they serve instantly), newest drain first; then
@@ -799,12 +757,11 @@ class ServingEngine:
                 replica.undrain()
                 self._transition()
                 needed -= 1
-            ctl = self.autoscaler
             recorder = self.recorder
             fi = self.faults
             for _ in range(needed):
                 index = len(self.replicas)
-                replica = ctl.make_replica(index, group=group.name)
+                replica = group.replica_factory(index)
                 replica.assign_index(index)
                 replica.activated_ms = now
                 if recorder is not None:

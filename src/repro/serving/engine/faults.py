@@ -41,12 +41,15 @@ level is recomputed whenever the pool changes (crash, replacement ready).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from numpy.random import default_rng
 
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
+
+if TYPE_CHECKING:  # pragma: no cover - spec.py imports the engine package
+    from repro.serving.spec import FaultSpec
 
 #: Drop reason for queries that exhausted their retry budget (or whose
 #: backoff no longer fits the deadline) after a crash / dispatch failure.
@@ -58,70 +61,18 @@ SHED = "shed"
 class FaultInjector:
     """Seeded per-replica fault processes plus retry/brownout state.
 
-    Built once per engine (by ``api.build_engine`` from a ``FaultSpec``,
-    or directly in tests), attached as ``engine.faults``.  ``reset()``
-    restores the constructor state — including the RNG — so repeated runs
-    of the same engine replay the same faults.
+    Built from a validated ``FaultSpec`` (``api.build_engine`` passes
+    ``spec.faults``), whose fields it reads as they are: the spec
+    validated them once, at parse time.  Attached as ``engine.faults``.
+    ``reset()`` restores the constructor state — including the RNG — so
+    repeated runs of the same engine replay the same faults.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        crash_mtbf_ms: float | None = None,
-        straggler_mtbf_ms: float | None = None,
-        straggler_duration_ms: float = 0.0,
-        straggler_factor: float = 1.0,
-        dispatch_failure_prob: float = 0.0,
-        max_attempts: int = 3,
-        backoff_base_ms: float = 1.0,
-        backoff_multiplier: float = 2.0,
-        brownout_threshold: float | None = None,
-        brownout_accuracy_step: float = 0.01,
-        brownout_max_steps: int = 3,
-        groups: Iterable[str] | None = None,
-    ) -> None:
-        if crash_mtbf_ms is not None and crash_mtbf_ms <= 0:
-            raise ValueError("crash_mtbf_ms must be positive")
-        if straggler_mtbf_ms is not None:
-            if straggler_mtbf_ms <= 0:
-                raise ValueError("straggler_mtbf_ms must be positive")
-            if straggler_duration_ms <= 0:
-                raise ValueError(
-                    "straggler_duration_ms must be positive when stragglers "
-                    "are enabled"
-                )
-            if straggler_factor < 1.0:
-                raise ValueError("straggler_factor must be >= 1.0")
-        if not (0.0 <= dispatch_failure_prob < 1.0):
-            raise ValueError("dispatch_failure_prob must be in [0, 1)")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if backoff_base_ms <= 0:
-            raise ValueError("backoff_base_ms must be positive")
-        if backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1.0")
-        if brownout_threshold is not None:
-            if not (0.0 < brownout_threshold <= 1.0):
-                raise ValueError("brownout_threshold must be in (0, 1]")
-            if brownout_accuracy_step <= 0:
-                raise ValueError("brownout_accuracy_step must be positive")
-            if brownout_max_steps < 1:
-                raise ValueError("brownout_max_steps must be >= 1")
-        self.seed = seed
-        self.crash_mtbf_ms = crash_mtbf_ms
-        self.straggler_mtbf_ms = straggler_mtbf_ms
-        self.straggler_duration_ms = straggler_duration_ms
-        self.straggler_factor = straggler_factor
-        self.dispatch_failure_prob = dispatch_failure_prob
-        self.max_attempts = max_attempts
-        self.backoff_base_ms = backoff_base_ms
-        self.backoff_multiplier = backoff_multiplier
-        self.brownout_threshold = brownout_threshold
-        self.brownout_accuracy_step = brownout_accuracy_step
-        self.brownout_max_steps = brownout_max_steps
-        self.groups = None if groups is None else frozenset(groups)
-        self._rng = default_rng(seed)
+    def __init__(self, spec: FaultSpec) -> None:
+        self.spec = spec
+        # The one field read on every pickup, kept as a plain attribute.
+        self._dispatch_failure_prob = spec.dispatch_failure_prob
+        self._rng = default_rng(spec.seed)
         self._covered: set[int] = set()
         # replica index -> its unplayed straggle times, latest first.
         self._straggles: dict[int, list[float]] = {}
@@ -135,7 +86,7 @@ class FaultInjector:
     # ------------------------------------------------------------- lifecycle
     def reset(self) -> None:
         """Back to the constructor state: same seed, same sampled faults."""
-        self._rng = default_rng(self.seed)
+        self._rng = default_rng(self.spec.seed)
         self._covered.clear()
         self._straggles.clear()
         self.tail_ms = 0.0
@@ -148,9 +99,8 @@ class FaultInjector:
 
     def covers_group(self, group: str | None) -> bool:
         """Whether a replica group's name falls under the fault processes."""
-        if self.groups is None:
-            return True
-        return group is not None and group in self.groups
+        groups = self.spec.groups
+        return not groups or group in groups
 
     def covers(self, replica_index: int) -> bool:
         return replica_index in self._covered
@@ -182,21 +132,22 @@ class FaultInjector:
         """
         self._covered.add(replica_index)
         rng = self._rng
-        if self.crash_mtbf_ms is not None:
-            crash_ms = now_ms + float(rng.exponential(self.crash_mtbf_ms))
+        spec = self.spec
+        if spec.crash_mtbf_ms is not None:
+            crash_ms = now_ms + float(rng.exponential(spec.crash_mtbf_ms))
             if crash_ms <= self.horizon_ms:
                 push(crash_ms, EventKind.FAULT, ("crash", replica_index))
                 if crash_ms > self.tail_ms:
                     self.tail_ms = crash_ms
-        if self.straggler_mtbf_ms is not None:
+        if spec.straggler_mtbf_ms is not None:
             t = now_ms
             horizon = self.horizon_ms
             times: list[float] = []  # onset, end, onset, end, ...
             while True:
-                t += float(rng.exponential(self.straggler_mtbf_ms))
+                t += float(rng.exponential(spec.straggler_mtbf_ms))
                 if t > horizon:
                     break
-                duration = float(rng.exponential(self.straggler_duration_ms))
+                duration = float(rng.exponential(spec.straggler_duration_ms))
                 times.append(t)
                 times.append(t + duration)
                 t += duration
@@ -230,7 +181,7 @@ class FaultInjector:
             push(
                 times.pop(),
                 EventKind.FAULT,
-                ("straggle", replica_index, self.straggler_factor),
+                ("straggle", replica_index, self.spec.straggler_factor),
             )
         else:
             del self._straggles[replica_index]
@@ -249,9 +200,10 @@ class FaultInjector:
 
     def dispatch_fails(self) -> bool:
         """One per-pickup Bernoulli draw of the transient-failure process."""
-        if self.dispatch_failure_prob <= 0.0:
+        prob = self._dispatch_failure_prob
+        if prob <= 0.0:
             return False
-        failed = bool(self._rng.random() < self.dispatch_failure_prob)
+        failed = bool(self._rng.random() < prob)
         if failed:
             self.num_dispatch_failures += 1
         return failed
@@ -265,11 +217,12 @@ class FaultInjector:
         complete in time is pointless, so it is refused and the query drops
         with the ``"failed"`` reason.
         """
+        retry = self.spec.retry
         attempt = self._attempts.get(item.query.index, 1)
-        if attempt >= self.max_attempts:
+        if attempt >= retry.max_attempts:
             return None
-        retry_ms = now_ms + self.backoff_base_ms * (
-            self.backoff_multiplier ** (attempt - 1)
+        retry_ms = now_ms + retry.backoff_base_ms * (
+            retry.backoff_multiplier ** (attempt - 1)
         )
         if retry_ms >= item.deadline_ms:
             return None
@@ -289,18 +242,18 @@ class FaultInjector:
         lower the pressure, stepping the ladder back down — degradation is
         always proportional to the *current* capacity loss.
         """
-        if self.brownout_threshold is None:
+        spec = self.spec
+        threshold = spec.brownout_threshold
+        if threshold is None:
             return
         total = num_failed + num_routable
         pressure = num_failed / total if total else 1.0
-        if pressure < self.brownout_threshold:
+        if pressure < threshold:
             level = 0
         else:
-            level = min(
-                self.brownout_max_steps, int(pressure / self.brownout_threshold)
-            )
+            level = min(spec.brownout_max_steps, int(pressure / threshold))
         self.brownout_level = level
-        self.accuracy_relax = level * self.brownout_accuracy_step
+        self.accuracy_relax = level * spec.brownout_accuracy_step
 
     def on_crash(self) -> None:
         self.num_crashes += 1

@@ -132,26 +132,44 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
-    """Set one dotted-path field in a serialized spec dict, in place."""
+    """Set one dotted-path field in a serialized spec dict, in place.
+
+    A path that addresses no existing field — an unknown key, a list index
+    that is not an integer or is out of range, or a step through a scalar
+    (``null`` included) — raises one ``ValueError`` naming ``path``.
+    """
     node: Any = data
     parts = path.split(".")
-    for i, part in enumerate(parts[:-1]):
-        node = node[int(part)] if isinstance(node, list) else node[part]
-        if not isinstance(node, (dict, list)):
-            raise KeyError(
-                f"override path {path!r} descends through scalar "
-                f"{'.'.join(parts[: i + 1])!r}"
+    for depth, part in enumerate(parts):
+        where = ".".join(parts[:depth])
+        if isinstance(node, list):
+            try:
+                key: int | str = int(part)
+            except ValueError:
+                raise ValueError(
+                    f"override path {path!r}: {part!r} is not an index into "
+                    f"list {where!r}"
+                ) from None
+            if not -len(node) <= key < len(node):
+                raise ValueError(
+                    f"override path {path!r}: index {key} is out of range for "
+                    f"list {where!r} (length {len(node)})"
+                )
+        elif isinstance(node, dict):
+            if part not in node:
+                raise ValueError(
+                    f"unknown field {part!r} in override path {path!r}; "
+                    f"available: {sorted(node)}"
+                )
+            key = part
+        else:
+            raise ValueError(
+                f"override path {path!r} descends through scalar {where!r}"
             )
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        if leaf not in node:
-            raise KeyError(
-                f"unknown field {leaf!r} in override path {path!r}; "
-                f"available: {sorted(node)}"
-            )
-        node[leaf] = value
+        if depth == len(parts) - 1:
+            node[key] = value
+        else:
+            node = node[key]
 
 
 _S = TypeVar("_S", bound="JsonSpec")

@@ -2,7 +2,7 @@
 
 ``EagerFaultInjector`` is a :class:`FaultInjector` whose
 ``schedule_replica`` is a literal copy of the method before straggles were
-pushed lazily: at a replica's creation it pushes every sampled straggle
+pushed lazily (reading the fault parameters from the injector's spec): at a replica's creation it pushes every sampled straggle
 onset and end of the whole run, so the event queue holds them all,
 including those of replicas that crashed or retired long before.  Its
 lazy hooks (``straggle_began``, ``straggle_ended``, ``forget``) do nothing,
@@ -28,22 +28,23 @@ class EagerFaultInjector(FaultInjector):
     ) -> None:
         self._covered.add(replica_index)
         rng = self._rng
-        if self.crash_mtbf_ms is not None:
-            crash_ms = now_ms + float(rng.exponential(self.crash_mtbf_ms))
+        spec = self.spec
+        if spec.crash_mtbf_ms is not None:
+            crash_ms = now_ms + float(rng.exponential(spec.crash_mtbf_ms))
             if crash_ms <= self.horizon_ms:
                 push(crash_ms, EventKind.FAULT, ("crash", replica_index))
-        if self.straggler_mtbf_ms is not None:
+        if spec.straggler_mtbf_ms is not None:
             t = now_ms
             horizon = self.horizon_ms
             while True:
-                t += float(rng.exponential(self.straggler_mtbf_ms))
+                t += float(rng.exponential(spec.straggler_mtbf_ms))
                 if t > horizon:
                     break
-                duration = float(rng.exponential(self.straggler_duration_ms))
+                duration = float(rng.exponential(spec.straggler_duration_ms))
                 push(
                     t,
                     EventKind.FAULT,
-                    ("straggle", replica_index, self.straggler_factor),
+                    ("straggle", replica_index, spec.straggler_factor),
                 )
                 push(t + duration, EventKind.RECOVERY, ("straggle_end", replica_index))
                 t += duration

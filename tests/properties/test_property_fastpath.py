@@ -24,10 +24,11 @@ from engine_oracle import EventHeap, reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
-from repro.serving.autoscale import AutoscaleController, make_policy
+from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.query import QueryTrace
+from repro.serving.spec import AutoscalerSpec
 
 
 class IndexedServer:
@@ -108,18 +109,20 @@ def run_pair(
             # Short ticks and a cold start sized to the hypothesis gaps, so
             # scale-ups, provisioning hand-overs and drains all happen; the
             # oscillating plan drains replicas while they are still busy.
-            policy = (
-                make_policy("scheduled", schedule=((0.0, 3), (6.0, 1)), period_ms=12.0)
+            plan = (
+                dict(policy="scheduled", schedule=((0.0, 3), (6.0, 1)), period_ms=12.0)
                 if scaling == "oscillating"
-                else scaling
+                else dict(policy=scaling)
             )
             autoscaler = AutoscaleController(
-                policy,
-                control_interval_ms=4.0,
-                min_replicas=1,
-                max_replicas=4,
-                startup_delay_ms=3.0,
-                replica_factory=replica,
+                AutoscalerSpec(
+                    control_interval_ms=4.0, min_replicas=1, max_replicas=4, **plan
+                ),
+                [
+                    ScaledGroup(
+                        None, replica, tuple(range(num_replicas)), startup_delay_ms=3.0
+                    )
+                ],
             )
         return ServingEngine(
             [replica() for _ in range(num_replicas)],

@@ -36,10 +36,11 @@ from fault_oracle import EagerFaultInjector
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
-from repro.serving.autoscale import AutoscaleController
+from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
 from repro.serving.obs import TraceRecorder
 from repro.serving.query import QueryTrace
+from repro.serving.spec import AutoscalerSpec, FaultSpec, RetryPolicy
 
 
 class IndexedServer:
@@ -75,21 +76,21 @@ admissions = st.sampled_from(["admit_all", "drop_expired"])
 
 #: Live fault processes aggressive enough to fire inside the short
 #: hypothesis workloads (scales are in the same ms units as the gaps).
-fault_params = st.fixed_dictionaries(
-    {
-        "seed": st.integers(min_value=0, max_value=15),
-        "crash_mtbf_ms": st.floats(min_value=5.0, max_value=60.0),
-        "straggler_mtbf_ms": st.floats(min_value=5.0, max_value=60.0),
-        "straggler_duration_ms": st.floats(min_value=0.5, max_value=10.0),
-        "straggler_factor": st.floats(min_value=1.0, max_value=5.0),
-        "dispatch_failure_prob": st.floats(min_value=0.0, max_value=0.4),
-        "max_attempts": st.integers(min_value=1, max_value=4),
-        "backoff_base_ms": st.floats(min_value=0.1, max_value=2.0),
-        "brownout_threshold": st.one_of(
-            st.none(), st.floats(min_value=0.2, max_value=1.0)
-        ),
-        "brownout_accuracy_step": st.floats(min_value=0.01, max_value=0.2),
-    }
+fault_params = st.builds(
+    FaultSpec,
+    seed=st.integers(min_value=0, max_value=15),
+    crash_mtbf_ms=st.floats(min_value=5.0, max_value=60.0),
+    straggler_mtbf_ms=st.floats(min_value=5.0, max_value=60.0),
+    straggler_duration_ms=st.floats(min_value=0.5, max_value=10.0),
+    straggler_factor=st.floats(min_value=1.0, max_value=5.0),
+    dispatch_failure_prob=st.floats(min_value=0.0, max_value=0.4),
+    retry=st.builds(
+        RetryPolicy,
+        max_attempts=st.integers(min_value=1, max_value=4),
+        backoff_base_ms=st.floats(min_value=0.1, max_value=2.0),
+    ),
+    brownout_threshold=st.one_of(st.none(), st.floats(min_value=0.2, max_value=1.0)),
+    brownout_accuracy_step=st.floats(min_value=0.01, max_value=0.2),
 )
 
 
@@ -152,7 +153,7 @@ class TestFaultsNullRung:
 
         plain = build_engine(wl, **kwargs).run(trace, arrivals)
         for run in (ServingEngine.run, reference_run):
-            inert = build_engine(wl, faults=FaultInjector(), **kwargs)
+            inert = build_engine(wl, faults=FaultInjector(FaultSpec()), **kwargs)
             assert_identical(run(inert, trace, arrivals), plain)
             assert inert.faults.num_crashes == 0
             assert inert.faults.num_dispatch_failures == 0
@@ -207,9 +208,9 @@ class TestLiveFaultIdentityAndDeterminism:
         arrivals = np.cumsum(gaps)
 
         reference = reference_run(
-            build_engine(wl, faults=FaultInjector(**params), **kwargs), trace, arrivals
+            build_engine(wl, faults=FaultInjector(params), **kwargs), trace, arrivals
         )
-        fast = build_engine(wl, faults=FaultInjector(**params), **kwargs).run(
+        fast = build_engine(wl, faults=FaultInjector(params), **kwargs).run(
             trace, arrivals
         )
         assert_identical(fast, reference)
@@ -249,10 +250,12 @@ class TestLiveFaultIdentityAndDeterminism:
 
         def injector():
             return FaultInjector(
-                seed=seed,
-                crash_mtbf_ms=crash_mtbf_ms,
-                brownout_threshold=threshold,
-                brownout_accuracy_step=0.1,
+                FaultSpec(
+                    seed=seed,
+                    crash_mtbf_ms=crash_mtbf_ms,
+                    brownout_threshold=threshold,
+                    brownout_accuracy_step=0.1,
+                )
             )
 
         reference = reference_run(
@@ -268,7 +271,7 @@ class TestLiveFaultIdentityAndDeterminism:
     ):
         engine, first = run_one(
             wl,
-            faults=FaultInjector(**params),
+            faults=FaultInjector(params),
             num_replicas=num_replicas,
             discipline=discipline,
             router=router,
@@ -291,9 +294,9 @@ class TestLiveFaultIdentityAndDeterminism:
             router=router,
             admission=admission,
         )
-        _, plain = run_one(wl, faults=FaultInjector(**params), **kwargs)
+        _, plain = run_one(wl, faults=FaultInjector(params), **kwargs)
         engine, observed = run_one(
-            wl, faults=FaultInjector(**params), recorder=True, **kwargs
+            wl, faults=FaultInjector(params), recorder=True, **kwargs
         )
         assert_identical(observed, plain)
         # Every injected fault the run saw is on the trace, every fault
@@ -338,7 +341,7 @@ common_faults = st.fixed_dictionaries(
     {
         "seed": st.integers(min_value=0, max_value=31),
         "dispatch_failure_prob": st.sampled_from([0.0, 0.1]),
-        "max_attempts": st.integers(min_value=1, max_value=3),
+        "retry": st.builds(RetryPolicy, max_attempts=st.integers(min_value=1, max_value=3)),
         "brownout_threshold": st.one_of(st.none(), st.just(0.3)),
     }
 )
@@ -353,13 +356,13 @@ def autoscaled_faulty_engine(wl, injector, *, max_batch):
         )
 
     autoscaler = AutoscaleController(
-        "reactive",
-        control_interval_ms=3.0,
-        min_replicas=2,
-        max_replicas=5,
-        down_cooldown_ms=6.0,
-        startup_delay_ms=2.0,
-        replica_factory=replica,
+        AutoscalerSpec(
+            control_interval_ms=3.0,
+            min_replicas=2,
+            max_replicas=5,
+            down_cooldown_ms=6.0,
+        ),
+        [ScaledGroup(None, replica, (0, 1), startup_delay_ms=2.0)],
     )
     engine = ServingEngine(
         [replica() for _ in range(2)],
@@ -402,10 +405,10 @@ class TestLazyStragglesMatchEager:
         gaps, services, constraints = wl
         trace = QueryTrace([0.77] * len(gaps), list(constraints))
         arrivals = np.cumsum(gaps)
-        params = {**common, **spec}
-        lazy = autoscaled_faulty_engine(wl, FaultInjector(**params), max_batch=max_batch)
+        params = FaultSpec(**common, **spec)
+        lazy = autoscaled_faulty_engine(wl, FaultInjector(params), max_batch=max_batch)
         eager = autoscaled_faulty_engine(
-            wl, EagerFaultInjector(**params), max_batch=max_batch
+            wl, EagerFaultInjector(params), max_batch=max_batch
         )
         want = eager.run(trace, arrivals)
         for _ in range(2):  # the second run replays after reset()

@@ -25,9 +25,10 @@ from engine_oracle import reference_objects, reference_run
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import QueryRecord
-from repro.serving.autoscale import AutoscaleController
+from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
 from repro.serving.query import QueryTrace
+from repro.serving.spec import AutoscalerSpec, FaultSpec, RetryPolicy
 
 RATE_PER_MS = 0.7
 """Nominal arrival rate handed to ``run`` so ``offered_load`` is computed."""
@@ -81,21 +82,21 @@ workload = st.integers(min_value=2, max_value=30).flatmap(
     )
 )
 
-fault_params = st.fixed_dictionaries(
-    {
-        "seed": st.integers(min_value=0, max_value=15),
-        "crash_mtbf_ms": st.floats(min_value=5.0, max_value=60.0),
-        "straggler_mtbf_ms": st.floats(min_value=5.0, max_value=60.0),
-        "straggler_duration_ms": st.floats(min_value=0.5, max_value=10.0),
-        "straggler_factor": st.floats(min_value=1.0, max_value=5.0),
-        "dispatch_failure_prob": st.floats(min_value=0.0, max_value=0.4),
-        "max_attempts": st.integers(min_value=1, max_value=4),
-        "backoff_base_ms": st.floats(min_value=0.1, max_value=2.0),
-        "brownout_threshold": st.one_of(
-            st.none(), st.floats(min_value=0.2, max_value=1.0)
-        ),
-        "brownout_accuracy_step": st.floats(min_value=0.01, max_value=0.2),
-    }
+fault_params = st.builds(
+    FaultSpec,
+    seed=st.integers(min_value=0, max_value=15),
+    crash_mtbf_ms=st.floats(min_value=5.0, max_value=60.0),
+    straggler_mtbf_ms=st.floats(min_value=5.0, max_value=60.0),
+    straggler_duration_ms=st.floats(min_value=0.5, max_value=10.0),
+    straggler_factor=st.floats(min_value=1.0, max_value=5.0),
+    dispatch_failure_prob=st.floats(min_value=0.0, max_value=0.4),
+    retry=st.builds(
+        RetryPolicy,
+        max_attempts=st.integers(min_value=1, max_value=4),
+        backoff_base_ms=st.floats(min_value=0.1, max_value=2.0),
+    ),
+    brownout_threshold=st.one_of(st.none(), st.floats(min_value=0.2, max_value=1.0)),
+    brownout_accuracy_step=st.floats(min_value=0.01, max_value=0.2),
 )
 
 pools = st.fixed_dictionaries(
@@ -137,12 +138,15 @@ def build_engine(services, pool):
     autoscaler = None
     if pool["autoscale"]:
         autoscaler = AutoscaleController(
-            "reactive",
-            control_interval_ms=5.0,
-            min_replicas=1,
-            max_replicas=4,
-            startup_delay_ms=3.0,
-            replica_factory=replica,
+            AutoscalerSpec(control_interval_ms=5.0, min_replicas=1, max_replicas=4),
+            [
+                ScaledGroup(
+                    None,
+                    replica,
+                    tuple(range(pool["num_replicas"])),
+                    startup_delay_ms=3.0,
+                )
+            ],
         )
     engine = ServingEngine(
         [replica() for _ in range(pool["num_replicas"])],
@@ -151,7 +155,7 @@ def build_engine(services, pool):
         autoscaler=autoscaler,
     )
     if pool["faults"] is not None:
-        engine.faults = FaultInjector(**pool["faults"])
+        engine.faults = FaultInjector(pool["faults"])
     return engine
 
 
@@ -279,7 +283,7 @@ class TestResultTable:
         for policy in ("shared_subnet", "per_query"):
             pool = dict(
                 SINGLE, num_replicas=2, max_batch=3, batch_policy=policy,
-                faults={"seed": 1, "crash_mtbf_ms": 15.0, "max_attempts": 1},
+                faults=FaultSpec(seed=1, crash_mtbf_ms=15.0, retry=RetryPolicy(max_attempts=1)),
             )
             result, reference, outcomes, dropped = run_both(
                 trace, arrivals, services, pool

@@ -30,3 +30,21 @@ class ConstantServer:
             served_accuracy=self.accuracy,
             served_latency_ms=self.service_ms,
         )
+
+
+def single_group_autoscaler(
+    replica_factory, positions=(0,), *, startup_delay_ms=0.0, **spec_fields
+):
+    """A controller scaling one unnamed group, configured by ``AutoscalerSpec``
+    fields (the policy, its knobs, the interval, bounds and cooldowns)."""
+    from repro.serving.autoscale import AutoscaleController, ScaledGroup
+    from repro.serving.spec import AutoscalerSpec
+
+    return AutoscaleController(
+        AutoscalerSpec(**spec_fields),
+        [
+            ScaledGroup(
+                None, replica_factory, tuple(positions), startup_delay_ms=startup_delay_ms
+            )
+        ],
+    )

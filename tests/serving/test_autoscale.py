@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from fakes import ConstantServer
+from fakes import ConstantServer, single_group_autoscaler
 
 from repro.core.policies import Policy
 from repro.serving import (
     ArrivalSpec,
-    AutoscaleController,
     AutoscalerSpec,
     ReplicaGroupSpec,
     ScenarioSpec,
@@ -29,8 +28,11 @@ from repro.serving import (
     run_scenario,
 )
 from repro.serving.autoscale import (
+    AutoscaleController,
+    GroupStatus,
     MetricsSnapshot,
     ReactivePolicy,
+    ScaledGroup,
     SchedulePolicy,
     TargetUtilizationPolicy,
     make_policy,
@@ -215,43 +217,58 @@ class TestPolicies:
 
     def test_make_policy(self):
         assert make_policy("reactive").name == "reactive"
-        assert make_policy(ReactivePolicy()).name == "reactive"
         with pytest.raises(ValueError, match="unknown scaling policy"):
             make_policy("warp")
 
 
 # -------------------------------------------------------------- controller
 class TestController:
-    def make(self, **kwargs):
-        defaults = dict(
-            control_interval_ms=10.0,
-            min_replicas=1,
-            max_replicas=4,
-            replica_factory=lambda pos: AcceleratorReplica(ConstantServer()),
+    def make(self, **spec_fields):
+        defaults = dict(control_interval_ms=10.0, min_replicas=1, max_replicas=4)
+        defaults.update(spec_fields)
+        return single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer()), **defaults
         )
-        defaults.update(kwargs)
-        return AutoscaleController("reactive", **defaults)
+
+    @staticmethod
+    def decide(ctl, snap: MetricsSnapshot) -> int:
+        """The one group's desired size for a pool described by ``snap``."""
+        status = GroupStatus(
+            name=None,
+            cost_weight=1.0,
+            startup_delay_ms=0.0,
+            min_replicas=ctl.spec.min_replicas,
+            max_replicas=ctl.spec.max_replicas,
+            num_active=snap.num_active,
+            num_provisioning=snap.num_provisioning,
+            num_draining=snap.num_draining,
+            queue_depth=snap.queue_depth,
+        )
+        return ctl.decide_pool(snap, [status])[None]
 
     def test_clamps_to_bounds(self):
         ctl = self.make(max_replicas=3)
-        desired = ctl.decide(snapshot(num_active=3, drop_rate=1.0))
+        desired = self.decide(ctl, snapshot(num_active=3, drop_rate=1.0))
         assert desired == 3  # clamped at max
         ctl2 = self.make(min_replicas=2)
-        desired = ctl2.decide(snapshot(num_active=2, utilization=0.0))
+        desired = self.decide(ctl2, snapshot(num_active=2, utilization=0.0))
         assert desired == 2  # clamped at min
 
     def test_cooldown_holds_scaling(self):
         ctl = self.make(up_cooldown_ms=100.0)
-        assert ctl.decide(snapshot(time_ms=10.0, drop_rate=1.0)) == 3
+        assert self.decide(ctl, snapshot(time_ms=10.0, drop_rate=1.0)) == 3
         # Second up-decision inside the cooldown is held.
-        assert ctl.decide(snapshot(time_ms=50.0, num_active=3, drop_rate=1.0)) == 3
+        assert (
+            self.decide(ctl, snapshot(time_ms=50.0, num_active=3, drop_rate=1.0))
+            == 3
+        )
         report = ctl.report(final_replicas=3)
         assert [e.action for e in report.events] == ["scale_up", "held"]
 
     def test_report_counts(self):
         ctl = self.make()
-        ctl.decide(snapshot(drop_rate=1.0))
-        ctl.decide(snapshot(num_active=3, utilization=0.0, queue_depth=0))
+        self.decide(ctl, snapshot(drop_rate=1.0))
+        self.decide(ctl, snapshot(num_active=3, utilization=0.0, queue_depth=0))
         report = ctl.report(final_replicas=2)
         assert report.num_controls == 2
         assert report.num_scale_ups == 1
@@ -261,19 +278,31 @@ class TestController:
 
     def test_reset_clears_history(self):
         ctl = self.make()
-        ctl.decide(snapshot(drop_rate=1.0))
+        self.decide(ctl, snapshot(drop_rate=1.0))
         ctl.reset()
         assert ctl.report(final_replicas=1).num_controls == 0
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(control_interval_ms=0.0)
-        with pytest.raises(ValueError):
-            self.make(min_replicas=0)
-        with pytest.raises(ValueError):
-            self.make(min_replicas=3, max_replicas=2)
-        with pytest.raises(ValueError):
-            self.make(up_cooldown_ms=-1.0)
+    def test_each_controller_builds_its_own_policy(self):
+        spec = AutoscalerSpec(policy="predictive")
+
+        def controller(startup_delay_ms):
+            return AutoscaleController(
+                spec,
+                [
+                    ScaledGroup(
+                        None,
+                        lambda pos: AcceleratorReplica(ConstantServer()),
+                        (0,),
+                        startup_delay_ms=startup_delay_ms,
+                    )
+                ],
+            )
+
+        a, b = controller(10.0), controller(90.0)
+        assert a.policy is not b.policy
+        # Each derived its horizon from its own group; the spec is untouched.
+        assert (a.policy.horizon_ms, b.policy.horizon_ms) == (60.0, 140.0)
+        assert spec.horizon_ms is None
 
 
 # ------------------------------------------------------- engine lifecycle
@@ -290,17 +319,13 @@ def bursty_arrivals(n, *, quiet_ms=300.0, quiet_rate=0.02, burst_ms=150.0,
     return np.asarray(times[:n])
 
 
-def autoscaled_engine(**ctl_kwargs):
-    defaults = dict(
-        control_interval_ms=25.0,
-        min_replicas=1,
-        max_replicas=6,
-        replica_factory=lambda pos: AcceleratorReplica(
-            ConstantServer(), discipline="edf"
-        ),
+def autoscaled_engine(**spec_fields):
+    defaults = dict(control_interval_ms=25.0, min_replicas=1, max_replicas=6)
+    defaults.update(spec_fields)
+    ctl = single_group_autoscaler(
+        lambda pos: AcceleratorReplica(ConstantServer(), discipline="edf"),
+        **defaults,
     )
-    defaults.update(ctl_kwargs)
-    ctl = AutoscaleController("reactive", **defaults)
     return ServingEngine(
         [AcceleratorReplica(ConstantServer(), discipline="edf")],
         router="jsq",
@@ -387,12 +412,13 @@ class TestEngineLifecycle:
         utilization over num_active=1 and the pool would balloon; scoped
         telemetry sees an idle scaled group and never scales up.
         """
-        ctl = AutoscaleController(
-            "target_utilization",
+        ctl = single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer()),
+            positions=(2,),
+            policy="target_utilization",
             control_interval_ms=25.0,
             min_replicas=1,
             max_replicas=6,
-            replica_factory=lambda pos: AcceleratorReplica(ConstantServer()),
         )
         # Arrivals every 6 ms, service 5 ms: JSQ finds replica 0 idle at
         # every arrival (ties go to the lowest index), so the static
@@ -403,9 +429,7 @@ class TestEngineLifecycle:
             AcceleratorReplica(ConstantServer(5.0)),
             AcceleratorReplica(ConstantServer(5.0)),
         ]
-        engine = ServingEngine(
-            replicas, router="jsq", autoscaler=ctl, scalable_indices=(2,)
-        )
+        engine = ServingEngine(replicas, router="jsq", autoscaler=ctl)
         trace = make_trace(300)
         arrivals = np.cumsum(np.full(300, 6.0))
         result = engine.run(trace, arrivals)
@@ -423,17 +447,15 @@ class TestEngineLifecycle:
             router="jsq",
             admission="drop_expired",
         ).run(trace, arrivals)
-        ctl = AutoscaleController(
+        ctl = single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer(), discipline="edf"),
             # Thresholds no run can cross: the pool never changes size.
-            ReactivePolicy(
-                max_drop_rate=1.0, max_queue_per_replica=1e9, min_utilization=0.0
-            ),
+            max_drop_rate=1.0,
+            max_queue_per_replica=1e9,
+            min_utilization=0.0,
             control_interval_ms=33.0,
             min_replicas=1,
             max_replicas=4,
-            replica_factory=lambda pos: AcceleratorReplica(
-                ConstantServer(), discipline="edf"
-            ),
         )
         scaled = ServingEngine(
             [AcceleratorReplica(ConstantServer(), discipline="edf")],
@@ -445,13 +467,6 @@ class TestEngineLifecycle:
         assert scaled.duration_ms == static.duration_ms
         assert scaled.replica_seconds == static.replica_seconds
         assert scaled.records == static.records
-
-    def test_autoscaled_engine_requires_factory(self):
-        ctl = AutoscaleController("reactive", control_interval_ms=10.0)
-        with pytest.raises(ValueError, match="replica_factory"):
-            ServingEngine(
-                [AcceleratorReplica(ConstantServer())], autoscaler=ctl
-            )
 
     def test_static_engine_has_static_cost(self):
         engine = ServingEngine(
@@ -545,6 +560,7 @@ class TestAutoscalerSpec:
             dict(min_replicas=0),
             dict(min_replicas=4, max_replicas=2),
             dict(up_cooldown_ms=-1.0),
+            dict(down_cooldown_ms=-1.0),
             dict(policy="scheduled"),  # missing schedule
             dict(schedule=((0.0, 1),)),  # schedule without scheduled policy
             dict(policy="reactive", max_drop_rate=2.0),

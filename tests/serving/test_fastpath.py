@@ -16,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from engine_oracle import reference_run
+from fakes import single_group_autoscaler
 
 from repro.core.metrics import QueryRecord
 from repro.serving import QueryTrace
 from repro.serving.api import build_engine, build_trace, run_scenario
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.spec import (
     ArrivalSpec,
@@ -110,15 +110,14 @@ class TestFastPathIdentity:
             trace, arrivals, services = make_workload(
                 800, seed=3, rate_per_ms=1.2
             )
-            ctl = AutoscaleController(
-                "reactive",
+            ctl = single_group_autoscaler(
+                lambda pos: AcceleratorReplica(
+                    IndexedServer(services), discipline="edf"
+                ),
+                startup_delay_ms=30.0,
                 control_interval_ms=25.0,
                 min_replicas=1,
                 max_replicas=6,
-                startup_delay_ms=30.0,
-                replica_factory=lambda pos: AcceleratorReplica(
-                    IndexedServer(services), discipline="edf"
-                ),
             )
             engine = make_engine(
                 services, num_replicas=1, discipline="edf", router="jsq",

@@ -1,7 +1,8 @@
 """Tests for fault injection and self-healing (``docs/robustness.md``).
 
-Covers the :class:`FaultInjector` unit semantics (validation, seeded
-replay, retry backoff, the brownout ladder), the engine-level fault plane
+Covers the :class:`FaultInjector` unit semantics (seeded replay, retry
+backoff, the brownout ladder; every rejected value is tested against
+``FaultSpec``/``RetryPolicy``, the one place that validates it), the engine-level fault plane
 (crash loss + retries, stragglers, transient dispatch failures, shedding
 with a dead pool, the scale-down/crash race), the declarative
 ``FaultSpec`` wiring and round-trip, the self-healing scenario checked in
@@ -69,42 +70,20 @@ def make_engine(num_replicas, *, service_ms=1.0, admission="admit_all", **fault_
         admission=admission,
     )
     if fault_kwargs:
-        engine.faults = FaultInjector(**fault_kwargs)
+        engine.faults = FaultInjector(FaultSpec(**fault_kwargs))
     return engine
-
-
-class TestFaultInjectorValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(crash_mtbf_ms=0.0),
-            dict(crash_mtbf_ms=-5.0),
-            dict(straggler_mtbf_ms=10.0),  # stragglers without a duration
-            dict(straggler_mtbf_ms=10.0, straggler_duration_ms=2.0, straggler_factor=0.5),
-            dict(dispatch_failure_prob=1.0),
-            dict(dispatch_failure_prob=-0.1),
-            dict(max_attempts=0),
-            dict(backoff_base_ms=0.0),
-            dict(backoff_multiplier=0.9),
-            dict(brownout_threshold=0.0),
-            dict(brownout_threshold=1.5),
-            dict(brownout_threshold=0.5, brownout_accuracy_step=0.0),
-            dict(brownout_threshold=0.5, brownout_max_steps=0),
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FaultInjector(**kwargs)
 
 
 class TestFaultInjectorUnit:
     def test_reset_replays_identical_fault_schedule(self):
         fi = FaultInjector(
-            seed=7,
-            crash_mtbf_ms=30.0,
-            straggler_mtbf_ms=20.0,
-            straggler_duration_ms=5.0,
-            straggler_factor=2.0,
+            FaultSpec(
+                seed=7,
+                crash_mtbf_ms=30.0,
+                straggler_mtbf_ms=20.0,
+                straggler_duration_ms=5.0,
+                straggler_factor=2.0,
+            )
         )
         fi.horizon_ms = 100.0
 
@@ -123,8 +102,8 @@ class TestFaultInjectorUnit:
         # Replica 0's crash draw lands past a zero horizon and must not be
         # scheduled — but the draw is still consumed, so replica 1 crashes
         # at the same time as in an ungated injector.
-        gated = FaultInjector(seed=3, crash_mtbf_ms=50.0)
-        open_ = FaultInjector(seed=3, crash_mtbf_ms=50.0)
+        gated = FaultInjector(FaultSpec(seed=3, crash_mtbf_ms=50.0))
+        open_ = FaultInjector(FaultSpec(seed=3, crash_mtbf_ms=50.0))
         open_.horizon_ms = float("inf")
         reference = []
         open_.schedule_replica(0, 0.0, lambda *event: reference.append(event))
@@ -140,7 +119,13 @@ class TestFaultInjectorUnit:
         assert second[0][0] == reference[1][0]  # the crash times agree
 
     def test_retry_backoff_grows_then_exhausts(self):
-        fi = FaultInjector(max_attempts=3, backoff_base_ms=2.0, backoff_multiplier=3.0)
+        fi = FaultInjector(
+            FaultSpec(
+                retry=RetryPolicy(
+                    max_attempts=3, backoff_base_ms=2.0, backoff_multiplier=3.0
+                )
+            )
+        )
         item = _queued(0, arrival=0.0, deadline_ms=1000.0)
         assert fi.next_retry_ms(item, 10.0) == pytest.approx(12.0)  # base
         assert fi.next_retry_ms(item, 20.0) == pytest.approx(26.0)  # base*mult
@@ -148,13 +133,19 @@ class TestFaultInjectorUnit:
         assert fi.num_retries == 2
 
     def test_retry_refused_past_the_deadline(self):
-        fi = FaultInjector(max_attempts=5, backoff_base_ms=4.0)
+        fi = FaultInjector(
+            FaultSpec(retry=RetryPolicy(max_attempts=5, backoff_base_ms=4.0))
+        )
         item = _queued(0, arrival=0.0, deadline_ms=10.0)
         assert fi.next_retry_ms(item, 8.0) is None  # 8 + 4 >= deadline
 
     def test_brownout_ladder_up_capped_and_back_down(self):
         fi = FaultInjector(
-            brownout_threshold=0.25, brownout_accuracy_step=0.02, brownout_max_steps=3
+            FaultSpec(
+                brownout_threshold=0.25,
+                brownout_accuracy_step=0.02,
+                brownout_max_steps=3,
+            )
         )
         fi.update_brownout(0, 4)
         assert (fi.brownout_level, fi.accuracy_relax) == (0, 0.0)
@@ -168,9 +159,9 @@ class TestFaultInjectorUnit:
         assert (fi.brownout_level, fi.accuracy_relax) == (0, 0.0)
 
     def test_group_coverage(self):
-        assert FaultInjector().covers_group(None)
-        assert FaultInjector().covers_group("pool")
-        scoped = FaultInjector(groups=["pool"])
+        assert FaultInjector(FaultSpec()).covers_group(None)
+        assert FaultInjector(FaultSpec()).covers_group("pool")
+        scoped = FaultInjector(FaultSpec(groups=("pool",)))
         assert scoped.covers_group("pool")
         assert not scoped.covers_group("other")
         assert not scoped.covers_group(None)
@@ -201,7 +192,9 @@ class TestEngineFaults:
         n = 30
         arrivals = np.arange(n, dtype=float)
         assert crash_ms < arrivals[-1]
-        engine = make_engine(1, seed=seed, crash_mtbf_ms=mtbf, max_attempts=2)
+        engine = make_engine(
+            1, seed=seed, crash_mtbf_ms=mtbf, retry=RetryPolicy(max_attempts=2)
+        )
         result = engine.run(make_trace(n), arrivals)
 
         assert result.num_crashes == 1
@@ -226,7 +219,10 @@ class TestEngineFaults:
         arrivals = np.arange(n, dtype=float)
         assert crash0 < arrivals[-1] < crash1  # only replica 0 dies
         engine = make_engine(
-            2, seed=seed, crash_mtbf_ms=mtbf, max_attempts=3, backoff_base_ms=0.5
+            2,
+            seed=seed,
+            crash_mtbf_ms=mtbf,
+            retry=RetryPolicy(max_attempts=3, backoff_base_ms=0.5),
         )
         result = engine.run(make_trace(n), arrivals)
 
@@ -272,8 +268,7 @@ class TestEngineFaults:
             service_ms=0.3,
             seed=9,
             dispatch_failure_prob=0.3,
-            max_attempts=6,
-            backoff_base_ms=0.1,
+            retry=RetryPolicy(max_attempts=6, backoff_base_ms=0.1),
         )
         engine.recorder = TraceRecorder()
         result = engine.run(make_trace(n), arrivals)
@@ -328,8 +323,7 @@ class TestEngineFaults:
             straggler_duration_ms=4.0,
             straggler_factor=3.0,
             dispatch_failure_prob=0.1,
-            max_attempts=3,
-            backoff_base_ms=0.5,
+            retry=RetryPolicy(max_attempts=3, backoff_base_ms=0.5),
         )
         first = engine.run(make_trace(n), arrivals)
         assert first.num_crashes > 0  # the replay is exercised under faults
@@ -432,10 +426,19 @@ class TestFaultSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(dispatch_failure_prob=1.0),
+            dict(crash_mtbf_ms=0.0),
             dict(crash_mtbf_ms=-1.0),
-            dict(straggler_mtbf_ms=5.0),
+            dict(crash_mtbf_ms=-5.0),
+            dict(straggler_mtbf_ms=0.0, straggler_duration_ms=2.0),
+            dict(straggler_mtbf_ms=5.0),  # stragglers without a duration
+            dict(straggler_mtbf_ms=10.0, straggler_duration_ms=2.0, straggler_factor=0.5),
+            dict(dispatch_failure_prob=1.0),
+            dict(dispatch_failure_prob=-0.1),
+            dict(brownout_threshold=0.0),
+            dict(brownout_threshold=1.5),
             dict(brownout_threshold=2.0),
+            dict(brownout_threshold=0.5, brownout_accuracy_step=0.0),
+            dict(brownout_threshold=0.5, brownout_max_steps=0),
             dict(retry=RetryPolicy(max_attempts=1), groups=("a", "a")),
         ],
     )
@@ -449,6 +452,7 @@ class TestFaultSpec:
             dict(max_attempts=0),
             dict(backoff_base_ms=0.0),
             dict(backoff_multiplier=0.5),
+            dict(backoff_multiplier=0.9),
         ],
     )
     def test_invalid_retry_policy_rejected(self, kwargs):
@@ -552,8 +556,7 @@ class TestFaultObservability:
             straggler_duration_ms=4.0,
             straggler_factor=3.0,
             dispatch_failure_prob=0.1,
-            max_attempts=2,
-            backoff_base_ms=0.5,
+            retry=RetryPolicy(max_attempts=2, backoff_base_ms=0.5),
         )
         engine.recorder = TraceRecorder()
         result = engine.run(make_trace(n), arrivals)

@@ -8,21 +8,21 @@ the committed autoscaled and fault-injected scenarios with a test-side hook
 every event and compares.  A synthetic scheduled pool adds the one
 transition the scenarios hardly reach: a scale-up reclaiming replicas that
 are still draining.  Group membership is rebuilt independently: the initial
-positions the engine was given, plus every replica the autoscaler's factory
-created, recorded by wrapping ``make_replica``.
+positions the engine was given, plus every replica a scaled group's factory
+created, recorded by wrapping each group's ``replica_factory``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from fakes import ConstantServer
+from fakes import ConstantServer, single_group_autoscaler
 
 from repro.serving.api import build_engine, build_trace
-from repro.serving.autoscale import AutoscaleController, SchedulePolicy
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.events import ArrayEventQueue
 from repro.serving.query import QueryTrace
@@ -75,13 +75,16 @@ def _run_spec(spec: ScenarioSpec, monkeypatch, stack_cache: dict):
 
 def _run_checked(engine, trace, arrivals, monkeypatch):
     created: dict[int, str | None] = {}
-    make_replica = engine.autoscaler.make_replica
 
-    def recording_make_replica(position, *, group=None):
-        created[position] = group
-        return make_replica(position, group=group)
+    def recording(group):
+        def make(position):
+            created[position] = group.name
+            return group.replica_factory(position)
 
-    engine.autoscaler.make_replica = recording_make_replica
+        return dataclasses.replace(group, replica_factory=make)
+
+    ctl = engine.autoscaler
+    ctl.groups = tuple(recording(g) for g in ctl.groups)
     iter_events = ArrayEventQueue.__iter__
     checked = [0]
 
@@ -143,13 +146,16 @@ def test_reclaimed_draining_replicas_rejoin_routing(monkeypatch):
     # Four replicas fall behind a 2 q/ms stream (capacity 4/3 q/ms), the
     # plan shrinks the pool to one while their queues are long, then grows
     # it back: the scale-up undrains the replicas still finishing work.
-    ctl = AutoscaleController(
-        SchedulePolicy([(0.0, 4), (20.0, 1), (30.0, 4)], period_ms=50.0),
+    ctl = single_group_autoscaler(
+        lambda position: AcceleratorReplica(ConstantServer(3.0)),
+        positions=range(4),
+        startup_delay_ms=4.0,
+        policy="scheduled",
+        schedule=((0.0, 4), (20.0, 1), (30.0, 4)),
+        period_ms=50.0,
         control_interval_ms=2.0,
         min_replicas=1,
         max_replicas=4,
-        startup_delay_ms=4.0,
-        replica_factory=lambda position: AcceleratorReplica(ConstantServer(3.0)),
     )
     engine = ServingEngine(
         [AcceleratorReplica(ConstantServer(3.0)) for _ in range(4)], autoscaler=ctl

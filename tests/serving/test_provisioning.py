@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from fakes import ConstantServer
+from fakes import ConstantServer, single_group_autoscaler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,18 +81,15 @@ def snapshot(**overrides) -> MetricsSnapshot:
     return MetricsSnapshot(**base)
 
 
-def delayed_engine(*, startup_delay_ms, policy="reactive", seed_offset=0, **ctl_kwargs):
-    defaults = dict(
-        control_interval_ms=25.0,
-        min_replicas=1,
-        max_replicas=6,
+def delayed_engine(*, startup_delay_ms, policy="reactive", **spec_fields):
+    defaults = dict(control_interval_ms=25.0, min_replicas=1, max_replicas=6)
+    defaults.update(spec_fields)
+    ctl = single_group_autoscaler(
+        lambda pos: AcceleratorReplica(ConstantServer(), discipline="edf"),
         startup_delay_ms=startup_delay_ms,
-        replica_factory=lambda pos: AcceleratorReplica(
-            ConstantServer(), discipline="edf"
-        ),
+        policy=policy,
+        **defaults,
     )
-    defaults.update(ctl_kwargs)
-    ctl = AutoscaleController(policy, **defaults)
     return ServingEngine(
         [AcceleratorReplica(ConstantServer(), discipline="edf")],
         router="jsq",
@@ -207,22 +204,23 @@ class TestPredictivePolicy:
         assert policy.desired_replicas(spiky)[0] == raw
 
     def test_controller_injects_horizon_and_window(self):
-        ctl = AutoscaleController(
-            "predictive",
-            control_interval_ms=10.0,
+        ctl = single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer()),
             startup_delay_ms=90.0,
-            replica_factory=lambda pos: AcceleratorReplica(ConstantServer()),
+            policy="predictive",
+            control_interval_ms=10.0,
         )
         assert ctl.policy.horizon_ms == pytest.approx(100.0)
         # Default window spans two horizons, not two control intervals.
         assert ctl.bus.window_ms == pytest.approx(200.0)
 
     def test_explicit_horizon_kept(self):
-        ctl = AutoscaleController(
-            PredictivePolicy(horizon_ms=42.0),
-            control_interval_ms=10.0,
+        ctl = single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer()),
             startup_delay_ms=90.0,
-            replica_factory=lambda pos: AcceleratorReplica(ConstantServer()),
+            policy="predictive",
+            horizon_ms=42.0,
+            control_interval_ms=10.0,
         )
         assert ctl.policy.horizon_ms == 42.0
 
@@ -369,15 +367,12 @@ class TestProvisioningLifecycle:
         # One provisioning replica, then force a scale-down decision while
         # it is still cold: the pending replica retires unserved, and its
         # stale PROVISIONING event is ignored.
-        ctl = AutoscaleController(
-            "reactive",
+        ctl = single_group_autoscaler(
+            lambda pos: AcceleratorReplica(ConstantServer(), discipline="edf"),
+            startup_delay_ms=1000.0,  # never finishes within the run
             control_interval_ms=10.0,
             min_replicas=1,
             max_replicas=4,
-            startup_delay_ms=1000.0,  # never finishes within the run
-            replica_factory=lambda pos: AcceleratorReplica(
-                ConstantServer(), discipline="edf"
-            ),
         )
         engine = ServingEngine(
             [AcceleratorReplica(ConstantServer(), discipline="edf")],
@@ -437,67 +432,26 @@ class TestProvisioningLifecycle:
         interval=st.floats(5.0, 60.0),
         seed=st.integers(0, 100),
     )
-    def test_zero_delay_is_record_identical_to_pr3_path(
+    def test_zero_delay_never_provisions(
         self, n, quiet_rate, burst_rate, interval, seed
     ):
-        """startup_delay_ms=0 must not perturb the classic control plane.
-
-        The legacy construction (no startup_delay argument at all) and an
-        explicit ScaledGroup with zero delay run the same trace to
-        bit-identical records, events and costs — and no replica ever
-        enters the provisioning state.
-        """
+        """startup_delay_ms=0 scales up instantly: no replica ever enters
+        the provisioning state, and a repeat run replays the same records,
+        events and costs (the pinned golden records hold the same path
+        bit-identical to the pre-cold-start control plane)."""
         trace = make_trace(n)
         arrivals = bursty_arrivals(
             n, quiet_rate=quiet_rate, burst_rate=burst_rate, seed=seed
         )
-
-        def engine(ctl):
-            return ServingEngine(
-                [AcceleratorReplica(ConstantServer(), discipline="edf")],
-                router="jsq",
-                admission="drop_expired",
-                autoscaler=ctl,
-            )
-
-        legacy = engine(
-            AutoscaleController(
-                "reactive",
-                control_interval_ms=interval,
-                min_replicas=1,
-                max_replicas=6,
-                replica_factory=lambda pos: AcceleratorReplica(
-                    ConstantServer(), discipline="edf"
-                ),
-            )
-        )
-        explicit = engine(
-            AutoscaleController(
-                "reactive",
-                control_interval_ms=interval,
-                groups=(
-                    ScaledGroup(
-                        name=None,
-                        cost_weight=1.0,
-                        startup_delay_ms=0.0,
-                        min_replicas=1,
-                        max_replicas=6,
-                        replica_factory=lambda pos: AcceleratorReplica(
-                            ConstantServer(), discipline="edf"
-                        ),
-                    ),
-                ),
-            )
-        )
-        a = legacy.run(trace, arrivals)
-        b = explicit.run(trace, arrivals)
+        engine = delayed_engine(startup_delay_ms=0.0, control_interval_ms=interval)
+        a = engine.run(trace, arrivals)
+        assert not any(r.provisioning for r in engine.replicas)
+        assert all(r.provision_ready_ms is None for r in engine.replicas)
+        b = engine.run(trace, arrivals)
         assert a.records == b.records
         assert a.dropped == b.dropped
         assert a.replica_seconds == b.replica_seconds
         assert a.autoscale.events == b.autoscale.events
-        assert not any(r.provisioning for r in legacy.replicas)
-        assert not any(r.provisioning for r in explicit.replicas)
-        assert all(r.provision_ready_ms is None for r in explicit.replicas)
 
 
 # ----------------------------------------------------- tier-aware lifecycle
@@ -505,29 +459,30 @@ class TestTierEngine:
     def build(self, *, cost_budget=None, small_delay=0.0):
         big = ScaledGroup(
             name="big",
-            cost_weight=2.0,
-            min_replicas=1,
-            max_replicas=4,
             replica_factory=lambda pos: AcceleratorReplica(
                 ConstantServer(8.0), discipline="edf", cost_weight=2.0
             ),
+            positions=(0,),
+            cost_weight=2.0,
         )
         small = ScaledGroup(
             name="small",
-            cost_weight=1.0,
-            min_replicas=1,
-            max_replicas=6,
-            startup_delay_ms=small_delay,
             replica_factory=lambda pos: AcceleratorReplica(
                 ConstantServer(12.0), discipline="edf", cost_weight=1.0
             ),
+            positions=(1,),
+            startup_delay_ms=small_delay,
         )
         ctl = AutoscaleController(
-            "tier_aware",
-            control_interval_ms=20.0,
-            down_cooldown_ms=40.0,
-            groups=(big, small),
-            cost_budget=cost_budget,
+            AutoscalerSpec(
+                policy="tier_aware",
+                groups=("big", "small"),
+                control_interval_ms=20.0,
+                max_replicas=6,
+                down_cooldown_ms=40.0,
+                cost_budget=cost_budget,
+            ),
+            (big, small),
         )
         engine = ServingEngine(
             [
@@ -537,7 +492,6 @@ class TestTierEngine:
             router="jsq",
             admission="drop_expired",
             autoscaler=ctl,
-            scalable_indices={"big": (0,), "small": (1,)},
         )
         return engine
 
@@ -580,51 +534,26 @@ class TestTierEngine:
         assert first.autoscale.events == second.autoscale.events
         assert first.weighted_replica_seconds == second.weighted_replica_seconds
 
-    def test_multi_group_needs_membership_mapping(self):
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            (((0,), (0,)), "two scaled groups"),
+            (((0,), (2,)), "outside the initial pool"),
+            (((0,), (-1,)), "outside the initial pool"),
+        ],
+    )
+    def test_scaled_positions_validated(self, positions, message):
         ctl = AutoscaleController(
-            "tier_aware",
-            control_interval_ms=20.0,
-            groups=(
-                ScaledGroup(name="a", replica_factory=lambda pos: None),
-                ScaledGroup(name="b", replica_factory=lambda pos: None),
-            ),
+            AutoscalerSpec(policy="tier_aware", groups=("a", "b")),
+            [
+                ScaledGroup(name, lambda pos: None, members)
+                for name, members in zip("ab", positions)
+            ],
         )
-        with pytest.raises(ValueError, match="mapping"):
+        with pytest.raises(ValueError, match=message):
             ServingEngine(
-                [AcceleratorReplica(ConstantServer())],
+                [AcceleratorReplica(ConstantServer()) for _ in range(2)],
                 autoscaler=ctl,
-            )
-
-    def test_membership_mapping_validated(self):
-        def ctl():
-            return AutoscaleController(
-                "tier_aware",
-                control_interval_ms=20.0,
-                groups=(
-                    ScaledGroup(name="a", replica_factory=lambda pos: None),
-                    ScaledGroup(name="b", replica_factory=lambda pos: None),
-                ),
-            )
-
-        replicas = lambda: [  # noqa: E731
-            AcceleratorReplica(ConstantServer()),
-            AcceleratorReplica(ConstantServer()),
-        ]
-        with pytest.raises(ValueError, match="misses"):
-            ServingEngine(
-                replicas(), autoscaler=ctl(), scalable_indices={"a": (0,)}
-            )
-        with pytest.raises(ValueError, match="unknown groups"):
-            ServingEngine(
-                replicas(),
-                autoscaler=ctl(),
-                scalable_indices={"a": (0,), "b": (1,), "c": ()},
-            )
-        with pytest.raises(ValueError, match="two scaled groups"):
-            ServingEngine(
-                replicas(),
-                autoscaler=ctl(),
-                scalable_indices={"a": (0,), "b": (0,)},
             )
 
 

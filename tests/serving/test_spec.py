@@ -296,10 +296,34 @@ class TestScenarioSpec:
         assert switched.autoscaler.schedule == ((0.0, 1), (50.0, 3))
 
     def test_override_unknown_field_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'no_such_field'"):
             ScenarioSpec().override("no_such_field", 1)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'arrivals.flux'"):
             ScenarioSpec().override("arrivals.flux", 1)
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("replica_groups.3.count", "index 3 is out of range for list 'replica_groups'"),
+            ("replica_groups.-2.count", "index -2 is out of range"),
+            ("replica_groups.x.count", "'x' is not an index into list 'replica_groups'"),
+            ("replica_groups.0.no_such_field", "unknown field 'no_such_field'"),
+            ("replica_groups.0.batching.flux", "unknown field 'flux'"),
+            ("workload.pattern.kind", "descends through scalar 'workload.pattern'"),
+            ("autoscaler.policy", "descends through scalar 'autoscaler'"),
+            ("replica_groups.0.count.1", "descends through scalar 'replica_groups.0.count'"),
+        ],
+    )
+    def test_bad_override_path_names_the_path(self, path, message):
+        # One ValueError naming the dotted path, never a bare KeyError,
+        # IndexError or int() error.
+        with pytest.raises(ValueError, match=message) as info:
+            ScenarioSpec().override(path, 2)
+        assert repr(path) in str(info.value)
+
+    def test_negative_override_index_addresses_from_the_end(self):
+        spec = ScenarioSpec(replica_groups=(ReplicaGroupSpec(), ReplicaGroupSpec()))
+        assert spec.override("replica_groups.-1.count", 3).replica_groups[1].count == 3
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
