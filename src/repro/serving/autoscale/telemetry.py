@@ -198,9 +198,11 @@ class TelemetryBus:
     Parameters
     ----------
     window_ms:
-        Length of the sliding window the metrics are computed over.
-        Typically a small multiple of the autoscaler's control interval, so
-        consecutive control decisions see overlapping but fresh evidence.
+        Length of the sliding window the metrics are computed over
+        (positive: the controller passes the spec's validated window, or
+        one derived from its validated interval).  Typically a small
+        multiple of the autoscaler's control interval, so consecutive
+        control decisions see overlapping but fresh evidence.
 
     Waits and service durations sit in value deques beside their time
     deques, and the batch sizes in a running integer total, so a tick
@@ -211,8 +213,6 @@ class TelemetryBus:
     """
 
     def __init__(self, window_ms: float) -> None:
-        if window_ms <= 0:
-            raise ValueError("telemetry window_ms must be positive")
         self.window_ms = float(window_ms)
         self._arrivals: deque[float] = deque()
         self._drops: deque[float] = deque()

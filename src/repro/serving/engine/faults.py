@@ -73,7 +73,6 @@ class FaultInjector:
         # The one field read on every pickup, kept as a plain attribute.
         self._dispatch_failure_prob = spec.dispatch_failure_prob
         self._rng = default_rng(spec.seed)
-        self._covered: set[int] = set()
         # replica index -> its unplayed straggle times, latest first.
         self._straggles: dict[int, list[float]] = {}
         self._attempts: dict[int, int] = {}
@@ -87,7 +86,6 @@ class FaultInjector:
     def reset(self) -> None:
         """Back to the constructor state: same seed, same sampled faults."""
         self._rng = default_rng(self.spec.seed)
-        self._covered.clear()
         self._straggles.clear()
         self.tail_ms = 0.0
         self._attempts.clear()
@@ -101,9 +99,6 @@ class FaultInjector:
         """Whether a replica group's name falls under the fault processes."""
         groups = self.spec.groups
         return not groups or group in groups
-
-    def covers(self, replica_index: int) -> bool:
-        return replica_index in self._covered
 
     # -------------------------------------------------------------- sampling
     def schedule_replica(
@@ -130,7 +125,6 @@ class FaultInjector:
         sampled fault time, which keeps control ticks running as if every
         sampled event were in the queue.
         """
-        self._covered.add(replica_index)
         rng = self._rng
         spec = self.spec
         if spec.crash_mtbf_ms is not None:

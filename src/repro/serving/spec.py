@@ -142,19 +142,21 @@ def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
     parts = path.split(".")
     for depth, part in enumerate(parts):
         where = ".".join(parts[:depth])
+        key: int | str
         if isinstance(node, list):
             try:
-                key: int | str = int(part)
+                index = int(part)
             except ValueError:
                 raise ValueError(
                     f"override path {path!r}: {part!r} is not an index into "
                     f"list {where!r}"
                 ) from None
-            if not -len(node) <= key < len(node):
+            if not -len(node) <= index < len(node):
                 raise ValueError(
-                    f"override path {path!r}: index {key} is out of range for "
+                    f"override path {path!r}: index {index} is out of range for "
                     f"list {where!r} (length {len(node)})"
                 )
+            key = index
         elif isinstance(node, dict):
             if part not in node:
                 raise ValueError(

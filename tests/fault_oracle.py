@@ -26,7 +26,6 @@ class EagerFaultInjector(FaultInjector):
     def schedule_replica(
         self, replica_index: int, now_ms: float, push: Callable[[float, int, Any], None]
     ) -> None:
-        self._covered.add(replica_index)
         rng = self._rng
         spec = self.spec
         if spec.crash_mtbf_ms is not None:

@@ -1,8 +1,10 @@
-"""Synthetic backends shared by the serving tests."""
+"""Synthetic backends and a one-group autoscaler shared by the serving tests."""
 
 from __future__ import annotations
 
 from repro.core.metrics import QueryRecord
+from repro.serving.autoscale import AutoscaleController, ScaledGroup
+from repro.serving.spec import AutoscalerSpec
 
 
 class ConstantServer:
@@ -37,9 +39,6 @@ def single_group_autoscaler(
 ):
     """A controller scaling one unnamed group, configured by ``AutoscalerSpec``
     fields (the policy, its knobs, the interval, bounds and cooldowns)."""
-    from repro.serving.autoscale import AutoscaleController, ScaledGroup
-    from repro.serving.spec import AutoscalerSpec
-
     return AutoscaleController(
         AutoscalerSpec(**spec_fields),
         [

@@ -5,10 +5,10 @@ routing late, scale-downs cancel pending provisions, ``reset()`` discards
 them), the predictive policy (forecast math, warm-up holds, smoothing
 state), the tier-aware policy (grow cheapest within budget / shed most
 expensive), and the declarative path (spec validation, round-trips, the
-``frontier_predictive`` acceptance bar).  The record-identity guarantee —
-``startup_delay_ms=0`` with predictive/tier features disabled behaves
-exactly like the pre-cold-start control plane — is property-tested with
-hypothesis over random bursty traces.
+``frontier_predictive`` acceptance bar).  With ``startup_delay_ms=0`` no
+replica ever provisions and repeat runs replay identically (property-tested
+with hypothesis over random bursty traces); the golden records pin that
+path to the pre-cold-start control plane.
 """
 
 from __future__ import annotations
