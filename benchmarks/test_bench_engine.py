@@ -59,6 +59,14 @@ _QPS_RE = re.compile(r"\(([\d,]+) queries/sec")
 #: the Event/EventHeap reference loop produced them.
 GOLDEN_10K_DIGEST = "4f6409efb9166c6923ea2f8d0f6717ed537d3eaf0c95a91e0287e09c2f89a8c3"
 
+#: The record fields a stub backend could fake: the query's own index and
+#: constraints, which the engine (not the backend) knows.
+STUB_RECORD_FIELDS = ("query_index", "accuracy_constraint", "latency_constraint_ms")
+
+#: sha256 of the same 10k run with :data:`STUB_RECORD_FIELDS` left out of
+#: every record: the timing, drops, stats and served values alone.
+GOLDEN_10K_SERVED_DIGEST = "6fe279d8076ace0b1e7adabaa338c2fbd94e038988004098a8a325e7567018d5"
+
 
 class ConstantWorkServer:
     """Near-free backend: constant service, one shared record.
@@ -125,15 +133,18 @@ def _show_tier(show, label: str, m: dict) -> None:
     show(f"{label}:  {m['fast_qps']:,.0f} q/s")
 
 
-def _records_digest(result) -> str:
-    """sha256 over every outcome (with its record), drop and replica stat."""
+def _records_digest(result, skip_record: tuple[str, ...] = ()) -> str:
+    """sha256 over every outcome (with its record), drop and replica stat.
 
-    def values(obj, skip=""):
-        return tuple(getattr(obj, f.name) for f in fields(obj) if f.name != skip)
+    ``skip_record`` names record fields left out of the digest.
+    """
+
+    def values(obj, skip=()):
+        return tuple(getattr(obj, f.name) for f in fields(obj) if f.name not in skip)
 
     h = hashlib.sha256()
     for o in result.outcomes:
-        h.update(repr((values(o, "record"), values(o.record))).encode())
+        h.update(repr((values(o, ("record",)), values(o.record, skip_record))).encode())
     for d in result.dropped:
         h.update(repr(values(d)).encode())
     for stats in result.replica_stats:
@@ -157,6 +168,7 @@ def test_engine_modes_identical_at_10k():
     result = engine.run(gen.generate(), arrivals)
     assert result.num_served + result.num_dropped == 10_000
     assert _records_digest(result) == GOLDEN_10K_DIGEST
+    assert _records_digest(result, STUB_RECORD_FIELDS) == GOLDEN_10K_SERVED_DIGEST
 
 
 def test_bench_engine_tiers(show, run_quiet):
