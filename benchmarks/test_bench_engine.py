@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.metrics import QueryRecord
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.core import poisson_arrivals
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -55,43 +54,36 @@ SEED = 3
 #: profile_engine.py's summary line, e.g. "... (231,883 queries/sec; ...".
 _QPS_RE = re.compile(r"\(([\d,]+) queries/sec")
 
-#: sha256 of the 10k workload's records (see :func:`_records_digest`) as
-#: the Event/EventHeap reference loop produced them.
-GOLDEN_10K_DIGEST = "4f6409efb9166c6923ea2f8d0f6717ed537d3eaf0c95a91e0287e09c2f89a8c3"
+#: sha256 of the 10k workload's records (see :func:`_records_digest`).
+#: Each record carries its query's index and constraints, which the engine
+#: writes; the stub returns only the served values.
+GOLDEN_10K_DIGEST = "1dc38bdff0640024c32a3532e5ad6b60ec2556739e5ea4ba7ad34da637cf6c88"
 
-#: The record fields a stub backend could fake: the query's own index and
-#: constraints, which the engine (not the backend) knows.
+#: The record fields the engine, not the backend, knows: the query's own
+#: index and constraints.
 STUB_RECORD_FIELDS = ("query_index", "accuracy_constraint", "latency_constraint_ms")
 
 #: sha256 of the same 10k run with :data:`STUB_RECORD_FIELDS` left out of
-#: every record: the timing, drops, stats and served values alone.
+#: every record: the timing, drops, stats and served values alone, as the
+#: Event/EventHeap reference loop produced them.
 GOLDEN_10K_SERVED_DIGEST = "6fe279d8076ace0b1e7adabaa338c2fbd94e038988004098a8a325e7567018d5"
 
 
 class ConstantWorkServer:
-    """Near-free backend: constant service, one shared record.
+    """Near-free backend: constant service, one shared served tuple.
 
-    The engine never reads the record's ``query_index`` (outcomes carry the
-    query's own index), so sharing one record is safe and keeps
-    ``serve_query`` down to an attribute read — the identity runs then
-    exercise the event loop, not record construction.  Mirrors the server
+    ``serve_query`` is an attribute read, so the identity runs exercise the
+    event loop, not the backend.  Mirrors the server
     ``tools/profile_engine.py`` uses for the timed cells.
     """
 
-    __slots__ = ("record",)
+    __slots__ = ("served",)
 
     def __init__(self) -> None:
-        self.record = QueryRecord(
-            query_index=-1,
-            accuracy_constraint=0.5,
-            latency_constraint_ms=1e9,
-            subnet_name="bench-stub",
-            served_accuracy=0.9,
-            served_latency_ms=SERVICE_MS,
-        )
+        self.served = ("bench-stub", 0.9, SERVICE_MS, 0.0, 0.0, 0.0)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return self.record
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return self.served
 
 
 def _measure_qps(run_quiet, num_queries: int) -> float:

@@ -40,6 +40,14 @@ class QueryRecord:
         return self.served_accuracy >= self.accuracy_constraint
 
 
+Served = tuple[str, float, float, float, float, float]
+"""What a backend returns for one served query: ``(subnet_name,
+served_accuracy, served_latency_ms, cache_hit_ratio, offchip_energy_mj,
+cache_load_ms)``, the :class:`QueryRecord` fields only the backend knows.
+The query's record is ``QueryRecord(q.index, floor, q.latency_constraint_ms,
+*served)``, where ``floor`` is the accuracy floor the backend was given."""
+
+
 @dataclass(frozen=True)
 class ServingMetrics:
     """Aggregate metrics over a stream of served queries."""

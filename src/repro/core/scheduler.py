@@ -172,30 +172,39 @@ class SushiSched:
         self, *, accuracy_constraint: float, latency_constraint_ms: float
     ) -> SchedulerDecision:
         """Make the control decision for the next query in the stream."""
-        return self.schedule_shared(
-            accuracy_constraint=accuracy_constraint,
-            latency_constraint_ms=latency_constraint_ms,
-            batch_size=1,
+        current_cache = self.cache_state_idx
+        seen_before = self._queries_seen
+        subnet_idx = self.schedule_shared(accuracy_constraint, latency_constraint_ms)
+        next_cache = self.cache_state_idx
+        return SchedulerDecision(
+            seen_before,
+            subnet_idx,
+            current_cache,
+            next_cache,
+            next_cache != current_cache,
+            self._latency_rows[subnet_idx][current_cache],
+            self._accuracies[subnet_idx],
         )
 
     def schedule_shared(
         self,
-        *,
         accuracy_constraint: float,
         latency_constraint_ms: float,
         batch_size: int = 1,
-    ) -> SchedulerDecision:
+    ) -> int:
         """One SubNet decision shared by a weight-sharing batch of queries.
 
-        The caller passes the batch's *strictest* constraints (highest
-        accuracy requirement, tightest remaining latency budget); all
-        ``batch_size`` queries are served on the selected SubNet, so every
-        member enters the caching window as that SubNet and the window
+        Returns the selected SubNet's index and advances the state; a
+        changed :attr:`cache_state_idx` afterwards is the caching decision
+        to enact.  The caller passes the batch's *strictest* constraints
+        (highest accuracy requirement, tightest remaining latency budget);
+        all ``batch_size`` queries are served on the selected SubNet, so
+        every member enters the caching window as that SubNet and the window
         advances by the whole batch.  If the batch crosses a
         ``cache_update_period`` boundary, exactly **one** caching decision is
         made — after all the batch's members are in the window — so a batch
-        costs at most one cache load.  ``batch_size=1`` is identical to
-        :meth:`schedule`.
+        costs at most one cache load.  ``batch_size=1`` is the decision
+        :meth:`schedule` reports.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -208,25 +217,13 @@ class SushiSched:
             self._window.extend([subnet_idx] * min(batch_size, period))
         seen_before = self._queries_seen
         self._queries_seen = seen = seen_before + batch_size
-
-        cache_updated = False
-        next_cache = current_cache
+        self.decisions_made += 1
         if seen // period > seen_before // period:
             next_cache = self.memo.nearest(self._window)
-            cache_updated = next_cache != current_cache
-            self.cache_state_idx = next_cache
-
-        self.decisions_made += 1
-        self.cache_updates += cache_updated
-        return SchedulerDecision(
-            seen_before,
-            subnet_idx,
-            current_cache,
-            next_cache,
-            cache_updated,
-            self._latency_rows[subnet_idx][current_cache],
-            self._accuracies[subnet_idx],
-        )
+            if next_cache != current_cache:
+                self.cache_state_idx = next_cache
+                self.cache_updates += 1
+        return subnet_idx
 
     # ------------------------------------------------------------- helpers
     @property

@@ -275,6 +275,7 @@ def build_engine(
         router=spec.router,
         admission=spec.admission,
         autoscaler=autoscaler,
+        group_names=[g.name for g in spec.replica_groups for _ in range(g.count)],
     )
     if spec.observability is not None:
         if spec.observability.trace:
@@ -285,16 +286,6 @@ def build_engine(
             autoscaler.keep_metrics = spec.observability.keep_metrics
     if spec.faults is not None:
         engine.faults = FaultInjector(spec.faults)
-        # Initial replica index -> group name, so the injector can match
-        # its ``groups`` coverage against the build-time pool (scale-up
-        # replicas report their group at creation instead).
-        engine.fault_groups = {
-            index: group.name
-            for index, group in zip(
-                range(len(replicas)),
-                (g for g in spec.replica_groups for _ in range(g.count)),
-            )
-        }
     return engine
 
 

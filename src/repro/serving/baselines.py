@@ -21,11 +21,11 @@ from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
 from repro.accelerator.platforms import PlatformConfig
 from repro.core.candidates import CandidateSet, truncate_to_capacity
 from repro.core.latency_table import LatencyTable
-from repro.core.metrics import QueryRecord
+from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy, subnet_selector
 from repro.serving.query import Query, QueryTrace
-from repro.serving.stack import ServeEntries, batch_constraints, batch_records
-from repro.serving.stack import build_serve_table, supernet_family
+from repro.serving.stack import ServeEntries, batch_budget_ms, batch_served
+from repro.serving.stack import build_serve_table, serve_trace, supernet_family
 
 
 class BaselineTable(NamedTuple):
@@ -63,7 +63,7 @@ def baseline_table(
 
 
 class _TableServer:
-    """Policy selection on the empty-PB column; records from serve entries."""
+    """Policy selection on the empty-PB column; served values from serve entries."""
 
     def __init__(
         self, tables: BaselineTable, *, policy: Policy = Policy.STRICT_ACCURACY
@@ -71,38 +71,31 @@ class _TableServer:
         self.tables = tables
         self.policy = policy
         self._select_in = subnet_selector(tables.table, policy)
+        self._names = [subnet.name for subnet in tables.table.subnets]
 
     def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:
         return self._select_in(accuracy_constraint, latency_constraint_ms, 0)
 
     def _serve(
-        self, queries: Sequence[Query], idx: int, column: int = 0, load_ms: float = 0.0
-    ) -> list[QueryRecord]:
-        """Records of SubNet ``idx`` serving ``queries`` with column ``column`` cached."""
+        self, size: int, idx: int, column: int = 0, load_ms: float = 0.0
+    ) -> list[Served]:
+        """SubNet ``idx`` serving ``size`` queries with column ``column`` cached."""
         table, entry = self.tables.table, self.tables.entries[idx][column]
-        return batch_records(
-            queries, table.subnets[idx].name, table.accuracy_list[idx], entry, load_ms
-        )
+        return batch_served(size, self._names[idx], table.accuracy_list[idx], entry, load_ms)
 
     def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
+        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+    ) -> list[Served]:
         """Serve a batch on one shared SubNet (weights fetched once)."""
-        constraints = batch_constraints(queries, effective_latency_constraints_ms)
-        return self._serve(queries, self._select(*constraints))
+        budget = batch_budget_ms(queries, budgets_ms)
+        return self._serve(len(queries), self._select(accuracy_floor, budget))
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served:
         """Serve one query at dispatch time: a one-query batch."""
-        budget = query.latency_budget_ms(effective_latency_constraint_ms)
-        return self.serve_dispatch_batch([query], effective_latency_constraints_ms=[budget])[0]
+        return self.serve_dispatch_batch([query], [budget_ms], accuracy_floor)[0]
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        return [self.serve_query(query) for query in trace]
+        return serve_trace(self, trace)
 
 
 class NoSushiServer(_TableServer):
@@ -114,7 +107,7 @@ class FixedSubNetServer(_TableServer):
 
     def __init__(self, tables: BaselineTable, *, subnet_name: str | None = None) -> None:
         super().__init__(tables)
-        names = [sn.name for sn in tables.table.subnets]
+        names = self._names
         if subnet_name is None:
             subnet_name = names[tables.table.most_accurate]
         elif subnet_name not in names:
@@ -162,18 +155,18 @@ class StateUnawareCachingServer(_TableServer):
         self.begin_stream()
         return super().serve(trace)
 
-    def _serve(self, queries: Sequence[Query], idx: int) -> list[QueryRecord]:
+    def _serve(self, size: int, idx: int) -> list[Served]:
         column = self._column
         subnet = self.tables.table.subnets[idx]
         hit_bytes = self.tables.entries[idx][column].hit_bytes
-        for _ in queries:
+        for _ in range(size):
             self.pb.record_serve(subnet, hit_bytes=hit_bytes)
         seen_before = self._queries_seen
-        self._queries_seen += len(queries)
+        self._queries_seen += size
         load_ms = 0.0
         period = self.cache_update_period
         if self._queries_seen // period > seen_before // period:
             self._column = idx + 1
             fetched = self.pb.load(self.tables.table.candidates[idx + 1])
             load_ms = self.tables.accel.cache_load_latency_ms(fetched)
-        return super()._serve(queries, idx, column, load_ms)
+        return super()._serve(size, idx, column, load_ms)

@@ -63,10 +63,13 @@ from repro.serving.engine.results import (
     makespan_ms,
 )
 from repro.serving.engine.routing import RoutingPolicy, make_router
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import QueryTrace
 
 _MIN_EFFECTIVE_LATENCY_MS = 1e-9
 """Floor for the remaining-slack latency budget passed to schedulers."""
+
+_MIN_ACCURACY_FLOOR = 1e-9
+"""Floor for a brownout-relaxed accuracy constraint."""
 
 
 def poisson_arrivals(
@@ -79,18 +82,6 @@ def poisson_arrivals(
         raise ValueError("rate_per_ms must be positive")
     gaps = rng.exponential(scale=1.0 / rate_per_ms, size=num_queries)
     return np.cumsum(gaps)
-
-
-def _relaxed(query: Query, relax: float) -> Query:
-    """Brownout: ``query`` with its accuracy floor lowered by ``relax``.
-
-    The backend schedules against the relaxed floor; the outcome keeps the
-    query's nominal constraints, so attainment metrics see the degradation.
-    """
-    floor = query.accuracy_constraint - relax
-    return Query(
-        query.index, floor if floor > 1e-9 else 1e-9, query.latency_constraint_ms
-    )
 
 
 class ServingEngine:
@@ -118,6 +109,10 @@ class ServingEngine:
         ``replicas`` by position; the positions must lie in the pool and no
         replica may belong to two groups.  ``None`` keeps the pool fixed
         and the event path bit-identical to the pre-autoscaling engine.
+    group_names:
+        The replica group name of each of ``replicas``, by position (``None``:
+        unnamed), which ``FaultSpec.groups`` scopes fault injection by.  A
+        scaled group's positions take that group's name.
     """
 
     def __init__(
@@ -127,9 +122,14 @@ class ServingEngine:
         router: str | RoutingPolicy = "round_robin",
         admission: str | AdmissionPolicy = "admit_all",
         autoscaler: AutoscaleController | None = None,
+        group_names: Sequence[str | None] | None = None,
     ) -> None:
         if not replicas:
             raise ValueError("the engine needs at least one replica")
+        if group_names is not None and len(group_names) != len(replicas):
+            raise ValueError(
+                f"{len(group_names)} group names for {len(replicas)} replicas"
+            )
         self.replicas = list(replicas)
         for i, replica in enumerate(self.replicas):
             if replica.index is None:
@@ -148,6 +148,12 @@ class ServingEngine:
         self.admission = make_admission(admission)
         self.autoscaler = autoscaler
         self._initial_membership = self._membership()
+        self._initial_group_of = (
+            [None] * len(self.replicas) if group_names is None else list(group_names)
+        )
+        for name, indices in self._initial_membership.items():
+            for i in indices:
+                self._initial_group_of[i] = name
         # The initial pool is restored on reset() so repeated runs of an
         # autoscaled engine start from the spec's replica groups, not from
         # wherever the previous run's scaling left the pool.
@@ -169,11 +175,6 @@ class ServingEngine:
         fault hook a dead check, so a fault-free run is bit-identical to a
         build without fault injection (the same ladder rung contract as
         :attr:`recorder`)."""
-        self.fault_groups: dict[int, str | None] = {}
-        """Initial replica index -> spec group name, for ``FaultSpec``
-        group scoping (populated by ``api.build_engine``; irrelevant when
-        the injector covers all groups).  Scale-up replicas are scoped by
-        their scaled group's name directly."""
         self._failed_pressure = 0
         """Crashed replicas not yet replaced — the brownout pressure
         numerator.  Incremented per crash, decremented when a scale-up
@@ -231,16 +232,17 @@ class ServingEngine:
         * ``_group_live`` — each scaled group's non-retired replicas, in
           membership order (initial positions, then scale-ups);
         * ``_group_crashes`` — each scaled group's crashed replicas;
-        * ``_group_of`` — replica index -> scaled group name.  Telemetry
-          describes only the scaled groups: feeding the bus events from
-          static groups would inflate utilization/queue signals with load
-          the policy cannot shed, thrashing the controller.
+        * ``_group_of`` — replica index -> group name, for every replica
+          (the initial pool's ``group_names``, then each scale-up's group);
+        * ``_scaled`` — the indices of the scaled groups' replicas.
+          Telemetry describes only the scaled groups: feeding the bus events
+          from static groups would inflate utilization/queue signals with
+          load the policy cannot shed, thrashing the controller.
         """
         replicas = self.replicas
-        self._group_of: dict[int, str | None] = {
-            i: name
-            for name, indices in self._initial_membership.items()
-            for i in indices
+        self._group_of = list(self._initial_group_of)
+        self._scaled = {
+            i for indices in self._initial_membership.values() for i in indices
         }
         self._live = [r for r in replicas if not r.is_retired]
         self._group_live = {
@@ -260,7 +262,7 @@ class ServingEngine:
     def _leave(self, replica: AcceleratorReplica) -> None:
         """``replica`` just retired (drained, cancelled or crashed)."""
         self._live.remove(replica)
-        if replica.index in self._group_of:
+        if replica.index in self._scaled:
             name = self._group_of[replica.index]
             self._group_live[name].remove(replica)
             if replica.failed:
@@ -398,15 +400,22 @@ class ServingEngine:
         backend's nominal ``served_latency_ms``, while outcomes, busy
         accounting and the simulated clock carry the scaled time.  Under
         brownout the backend schedules each member against its accuracy
-        floor lowered by :func:`_relaxed`, steering dispatch toward smaller
+        floor lowered by the injector's ``accuracy_relax`` (never below
+        :data:`_MIN_ACCURACY_FLOOR`), steering dispatch toward smaller
         SubNets while capacity is lost.
 
-        The pickup in service is ``replica.in_service``, a list of
-        ``(item, record, start_ms, service_ms)`` members, with its busy time
-        in ``replica.in_service_ms``.  Its one COMPLETION event writes every
-        member's row.  The test suite holds this loop against an Event-heap
-        reference loop that keeps its own copy of the previous engine's
-        batched pickup.
+        Backends take numbers — the remaining budget and the accuracy floor
+        — and return a :data:`~repro.core.metrics.Served` tuple per member;
+        the engine writes it into the member's row with what it already
+        knows (the row, the floor it passed, the nominal latency), so no
+        record object is built.  The pickup in service is
+        ``replica.in_service``, a list of ``(item, served, start_ms,
+        service_ms, accuracy_floor)`` members, with its busy time in
+        ``replica.in_service_ms``.  Its one COMPLETION event writes every
+        member's row.  Each replica's ``num_in_system`` (what ``jsq``
+        routes on) follows every query into and out of its system.  The
+        test suite holds this loop against an Event-heap reference loop that
+        keeps its own copy of the previous engine's batched pickup.
 
         Each query's row of the :class:`ResultTable` (its arrival position)
         is written once: at its completion, or where it is dropped.  No
@@ -422,13 +431,14 @@ class ServingEngine:
         recorder = self.recorder
         rec_served = None if recorder is None else recorder.on_served
         rec_dropped = None if recorder is None else recorder.on_dropped
-        scalable = self._group_of
+        scalable = self._scaled
         routable = None if ctl is None and fi is None else self._routable
         router_select = self.router.select
         admission = self.admission
         admit = admission.admit
         retry_or_fail = self._retry_or_fail
         min_eff = _MIN_EFFECTIVE_LATENCY_MS
+        min_floor = _MIN_ACCURACY_FLOOR
         needs_estimates = self._needs_estimates
         # Direct serve is gated off when service estimates ride on the
         # items: the estimate's float would otherwise enter and leave the
@@ -474,6 +484,7 @@ class ServingEngine:
                 if fi.dispatch_fails():
                     if recorder is not None:
                         recorder.on_fault(now, "dispatch_failure", replica.index)
+                    replica.num_in_system -= len(batch)
                     for item in batch:
                         retry_or_fail(item, replica, now, queue, table)
                     return False
@@ -488,23 +499,26 @@ class ServingEngine:
                 is not None
             ):
                 queries = [item.query for item in batch]
+                floors = [q.accuracy_constraint for q in queries]
                 if relax > 0.0:
-                    queries = [_relaxed(q, relax) for q in queries]
-                records = batch_serve(
+                    floors = [max(a - relax, min_floor) for a in floors]
+                served = batch_serve(
                     queries,
-                    effective_latency_constraints_ms=[
+                    [
                         max(
                             item.query.latency_constraint_ms - (now - item.arrival_ms),
                             min_eff,
                         )
                         for item in batch
                     ],
+                    max(floors),
                 )
-                total = max(float(r.served_latency_ms) for r in records)
+                total = max([member[2] for member in served])
                 if straggle != 1.0:
                     total *= straggle
                 members = [
-                    (item, record, now, total) for item, record in zip(batch, records)
+                    (item, member, now, total, floor)
+                    for item, member, floor in zip(batch, served, floors)
                 ]
                 t = now + total
             else:
@@ -513,22 +527,21 @@ class ServingEngine:
                 t = now
                 for item in batch:
                     if t > now and not admit(item, t):
+                        replica.num_in_system -= 1
                         drop(item, replica, t)
                         continue
                     query = item.query
                     remaining = query.latency_constraint_ms - (t - item.arrival_ms)
+                    floor = query.accuracy_constraint
                     if relax > 0.0:
-                        query = _relaxed(query, relax)
-                    record = serve(
-                        query,
-                        effective_latency_constraint_ms=(
-                            remaining if remaining > min_eff else min_eff
-                        ),
+                        floor = max(floor - relax, min_floor)
+                    served = serve(
+                        query, remaining if remaining > min_eff else min_eff, floor
                     )
-                    service = float(record.served_latency_ms)
+                    service = served[2]
                     if straggle != 1.0:
                         service *= straggle
-                    members.append((item, record, t, service))
+                    members.append((item, served, t, service, floor))
                     t += service
                 # ``service`` is the last served member's.
                 total = (
@@ -592,6 +605,7 @@ class ServingEngine:
                     bus.on_arrival(now)
                 if direct_serve and replica.in_service is None and not len(replica.queue):
                     if admit(item, now):
+                        replica.num_in_system += 1
                         start(replica, [item], now)
                     else:
                         drop(item, replica, now)
@@ -626,11 +640,12 @@ class ServingEngine:
                     # dispatch start, so windowed busy time stays exact.
                     bus.on_completion(now, replica_index=ridx, service_ms=total)
                 size = len(members)
+                replica.num_in_system -= size
                 stats = replica.stats
-                for item, record, start_ms, service in members:
+                for item, served, start_ms, service, floor in members:
                     write_served(
                         item.seq, item.arrival_ms, start_ms, service,
-                        item.query.latency_constraint_ms, ridx, size, record,
+                        item.query.latency_constraint_ms, ridx, size, floor, served,
                     )
                     if rec_served is not None:
                         rec_served(table.outcome(item.seq))
@@ -778,7 +793,8 @@ class ServingEngine:
                 self.replicas.append(replica)
                 self._live.append(replica)
                 pool.append(replica)
-                self._group_of[index] = group.name
+                self._group_of.append(group.name)
+                self._scaled.add(index)
                 self._transition()
                 if fi is not None:
                     if fi.covers_group(group.name):
@@ -833,10 +849,9 @@ class ServingEngine:
         """
         fi = self.faults
         fi.horizon_ms = float(arrivals[-1]) if len(arrivals) else 0.0
-        group_of = {**self._group_of, **self.fault_groups}
-        for replica in self.replicas:
-            if fi.covers_group(group_of.get(replica.index)):
-                fi.schedule_replica(replica.index, 0.0, push)
+        for index, name in enumerate(self._group_of):
+            if fi.covers_group(name):
+                fi.schedule_replica(index, 0.0, push)
 
     def _handle_fault(
         self,
@@ -878,7 +893,7 @@ class ServingEngine:
             self.recorder.on_fault(now, "crash", replica.index)
             self.recorder.on_replica_retired(replica.index, now)
         bus = None if self.autoscaler is None else self.autoscaler.bus
-        if bus is not None and replica.index in self._group_of:
+        if bus is not None and replica.index in self._scaled:
             bus.on_failure(now)
         for item in lost:
             self._retry_or_fail(item, replica, now, queue, table)
@@ -946,7 +961,7 @@ class ServingEngine:
             replica.stats.num_dropped += 1
             self._write_drop(table, item, now, replica.index, FAILED)
             bus = None if self.autoscaler is None else self.autoscaler.bus
-            if bus is not None and replica.index in self._group_of:
+            if bus is not None and replica.index in self._scaled:
                 bus.on_drop(now)
         else:
             queue.push(retry_ms, EventKind.RECOVERY, ("retry", item))

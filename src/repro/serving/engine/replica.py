@@ -3,8 +3,8 @@
 An :class:`AcceleratorReplica` wraps any per-query server — a
 :class:`~repro.serving.stack.SushiStack` or a baseline server — behind the
 engine's dispatch interface.  Each replica owns a queue discipline, its
-busy/idle state, and running statistics (served, dropped, busy time,
-queueing delay).
+busy/idle state, its in-system count, and running statistics (served,
+dropped, busy time, queueing delay).
 """
 
 from __future__ import annotations
@@ -12,22 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.core.metrics import QueryRecord
+from repro.core.metrics import Served
 from repro.serving.engine.disciplines import QueueDiscipline, QueuedQuery, make_discipline
 from repro.serving.query import Query
 
 
 @runtime_checkable
 class QueryServer(Protocol):
-    """Anything that can serve one query at dispatch time."""
+    """Anything that can serve one query at dispatch time.
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord: ...
+    ``serve_query(query, budget_ms, accuracy_floor)`` plans against the
+    query's remaining latency budget and its accuracy floor and returns what
+    it served.  A backend may also offer ``serve_dispatch_batch(queries,
+    budgets_ms, accuracy_floor)``: one shared decision for a pickup, one
+    :data:`~repro.core.metrics.Served` tuple per member.
+    """
+
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served: ...
 
 
-InServiceMember = tuple[QueuedQuery, QueryRecord, float, float]
-"""One query of the pickup in service: ``(item, record, start_ms, service_ms)``."""
+InServiceMember = tuple[QueuedQuery, Served, float, float, float]
+"""One query of the pickup in service: ``(item, served, start_ms,
+service_ms, accuracy_floor)``, the floor being what the backend was given."""
 
 
 def _constraint_estimate(query: Query) -> float:
@@ -148,8 +154,9 @@ class AcceleratorReplica:
         self.service_estimator = service_estimator
         self.busy_until_ms = 0.0
         self.in_service: list[InServiceMember] | None = None
-        """The pickup being served, one ``(item, record, start_ms,
-        service_ms)`` member per query (``None`` when idle).  Under
+        """The pickup being served, one ``(item, served, start_ms,
+        service_ms, accuracy_floor)`` member per query (``None`` when
+        idle).  Under
         ``shared_subnet`` every member starts at the pickup and spans the
         whole batch evaluation; under ``per_query`` members run back to
         back, so their starts are cumulative."""
@@ -157,6 +164,12 @@ class AcceleratorReplica:
         """Busy time of the pickup in service: one evaluation under
         ``shared_subnet``, the members' summed service otherwise."""
         self._queued_work_ms = 0.0
+        self.num_in_system = 0
+        """Queries waiting or in service: always :meth:`queue_length`, kept
+        as a count for the ``jsq`` router.  :meth:`enqueue` adds one and
+        :meth:`pop_batch` takes off its sheds; the engine adds a direct
+        start and takes off a member's drop, a failed dispatch and a
+        completed pickup."""
         self.activated_ms = 0.0
         self.draining = False
         self.provisioning = False
@@ -190,6 +203,7 @@ class AcceleratorReplica:
     def enqueue(self, item: QueuedQuery) -> None:
         self.queue.push(item)
         self._queued_work_ms += item.service_estimate_ms
+        self.num_in_system += 1
 
     def pop_batch(
         self, max_batch: int, *, now_ms: float, admission
@@ -217,6 +231,7 @@ class AcceleratorReplica:
                 room -= 1
             else:
                 shed.append(item)
+                self.num_in_system -= 1
         return admitted, shed
 
     # ------------------------------------------------------------ load view
@@ -311,6 +326,7 @@ class AcceleratorReplica:
         while (item := pop()) is not None:
             lost.append(item)
         self._queued_work_ms = 0.0
+        self.num_in_system = 0
         self.busy_until_ms = now_ms
         self.failed = True
         self.failed_at_ms = now_ms
@@ -325,6 +341,7 @@ class AcceleratorReplica:
         """Fresh state for a new run (also resets the wrapped server)."""
         self.queue.clear()
         self._queued_work_ms = 0.0
+        self.num_in_system = 0
         self.busy_until_ms = 0.0
         self.in_service = None
         self.in_service_ms = 0.0

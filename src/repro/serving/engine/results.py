@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.metrics import QueryRecord
+from repro.core.metrics import QueryRecord, Served
 from repro.serving.autoscale.controller import AutoscaleReport
 from repro.serving.autoscale.telemetry import MetricsSnapshot
 from repro.serving.engine.replica import ReplicaStats
@@ -108,12 +108,11 @@ ROW_DTYPE = np.dtype(
         ("served_accuracy", "f8"),
         ("replica_index", "i4"),
         ("batch_size", "i4"),
-        # The record's own fields: a backend may report a constraint other
-        # than the query's (under brownout it is the relaxed floor).
+        # The record's own fields.  Its query index is the row and its
+        # latency constraint the query's; its accuracy constraint is the
+        # floor the backend was given (under brownout, the relaxed one).
         # ``served_accuracy`` and ``replica_index`` are the outcome's.
-        ("record_query_index", "i8"),
         ("accuracy_constraint", "f8"),
-        ("record_latency_constraint_ms", "f8"),
         ("subnet", "i4"),
         ("served_latency_ms", "f8"),
         ("cache_hit_ratio", "f8"),
@@ -121,7 +120,7 @@ ROW_DTYPE = np.dtype(
         ("cache_load_ms", "f8"),
     ]
 )
-"""One row per offered query (109 bytes, unaligned); row ``i`` is query ``i``."""
+"""One row per offered query (93 bytes, unaligned); row ``i`` is query ``i``."""
 
 _CHUNK = 4096
 """Rows a view materializes at a time while iterating."""
@@ -152,31 +151,20 @@ class ResultTable:
         latency_constraint_ms: float,
         replica_index: int,
         batch_size: int,
-        record: QueryRecord,
+        accuracy_floor: float,
+        served: Served,
     ) -> None:
-        """Write a served query and its backend record."""
-        name = record.subnet_name
+        """Write a served query: the engine's values and what the backend
+        returned for it, given ``accuracy_floor``."""
+        name, accuracy, latency, hit, energy, load = served
         code = self._subnet_codes.get(name)
         if code is None:
             code = self._subnet_codes[name] = len(self.subnet_names)
             self.subnet_names.append(name)
         self.rows[row] = (
-            SERVED,
-            arrival_ms,
-            start_ms,
-            service_ms,
-            latency_constraint_ms,
-            record.served_accuracy,
-            replica_index,
-            batch_size,
-            record.query_index,
-            record.accuracy_constraint,
-            record.latency_constraint_ms,
-            code,
-            record.served_latency_ms,
-            record.cache_hit_ratio,
-            record.offchip_energy_mj,
-            record.cache_load_ms,
+            SERVED, arrival_ms, start_ms, service_ms, latency_constraint_ms,
+            accuracy, replica_index, batch_size, accuracy_floor, code, latency,
+            hit, energy, load,
         )
 
     def drop(
@@ -191,7 +179,7 @@ class ResultTable:
         """Write a dropped query (``reason`` is one of :data:`DROP_REASONS`)."""
         self.rows[row] = (
             _DROP_CODE[reason], arrival_ms, dropped_at_ms, 0.0,
-            latency_constraint_ms, 0.0, replica_index, 0, 0, 0.0, 0.0, -1,
+            latency_constraint_ms, 0.0, replica_index, 0, 0.0, -1,
             0.0, 0.0, 0.0, 0.0,
         )
 
@@ -199,19 +187,31 @@ class ResultTable:
         """Write an outcome or drop object through :meth:`serve` / :meth:`drop`.
 
         The row is the object's query index; ``obj.query_index`` is not
-        written.
+        written.  A table has no column for a record's query index or
+        latency constraint, so an outcome whose record disagrees with
+        ``row`` or with the outcome's latency constraint is a
+        ``ValueError``.
         """
         if isinstance(obj, DroppedQuery):
             self.drop(
                 row, obj.arrival_ms, obj.dropped_at_ms,
                 obj.latency_constraint_ms, obj.replica_index, obj.reason,
             )
-        else:
-            self.serve(
-                row, obj.arrival_ms, obj.start_ms, obj.service_ms,
-                obj.latency_constraint_ms, obj.replica_index, obj.batch_size,
-                obj.record,
+            return
+        r = obj.record
+        if r.query_index != row or r.latency_constraint_ms != obj.latency_constraint_ms:
+            raise ValueError(
+                f"row {row}: the record of query {r.query_index} with latency "
+                f"constraint {r.latency_constraint_ms!r} ms does not belong to an "
+                f"outcome with latency constraint {obj.latency_constraint_ms!r} ms"
             )
+        self.serve(
+            row, obj.arrival_ms, obj.start_ms, obj.service_ms,
+            obj.latency_constraint_ms, obj.replica_index, obj.batch_size,
+            r.accuracy_constraint,
+            (r.subnet_name, r.served_accuracy, r.served_latency_ms,
+             r.cache_hit_ratio, r.offchip_energy_mj, r.cache_load_ms),
+        )
 
     def outcome(self, row: int) -> SimulatedQueryOutcome:
         """The outcome object of served row ``row``."""
@@ -234,7 +234,8 @@ class ResultTable:
 
 
 # ------------------------------------------------------------------- builders
-def _records(table: ResultTable, sel: np.ndarray) -> list[QueryRecord]:
+def _records(table: ResultTable, rows: np.ndarray, sel: np.ndarray) -> list[QueryRecord]:
+    """The records of table rows ``rows``, whose data is ``sel``."""
     names = table.subnet_names
     return [
         QueryRecord(
@@ -250,9 +251,9 @@ def _records(table: ResultTable, sel: np.ndarray) -> list[QueryRecord]:
             replica_index=ridx,
         )
         for qi, ac, lc, code, acc, lat, hit, energy, load, ridx in zip(
-            sel["record_query_index"].tolist(),
+            rows.tolist(),
             sel["accuracy_constraint"].tolist(),
-            sel["record_latency_constraint_ms"].tolist(),
+            sel["latency_constraint_ms"].tolist(),
             sel["subnet"].tolist(),
             sel["served_accuracy"].tolist(),
             sel["served_latency_ms"].tolist(),
@@ -285,7 +286,7 @@ def _outcomes(table: ResultTable, rows: np.ndarray) -> list[SimulatedQueryOutcom
             sel["service_ms"].tolist(),
             sel["latency_constraint_ms"].tolist(),
             sel["batch_size"].tolist(),
-            _records(table, sel),
+            _records(table, rows, sel),
         )
     ]
 
@@ -376,7 +377,7 @@ class RecordView(_RowView):
     __slots__ = ()
 
     def _build(self, rows: np.ndarray) -> list[QueryRecord]:
-        return _records(self.table, self.table.rows[rows])
+        return _records(self.table, rows, self.table.rows[rows])
 
 
 class DropView(_RowView):

@@ -70,7 +70,12 @@ class RoundRobinRouter(RoutingPolicy):
 
 
 class JoinShortestQueueRouter(RoutingPolicy):
-    """Join the replica with the fewest queries in its system."""
+    """Join the replica with the fewest queries in its system.
+
+    Reads each replica's maintained ``num_in_system`` count (always its
+    ``queue_length()``); ``min`` then ``index`` keep the first, lowest
+    index among equal counts.
+    """
 
     name = "jsq"
 
@@ -80,7 +85,8 @@ class JoinShortestQueueRouter(RoutingPolicy):
         item: QueuedQuery,
         now_ms: float,
     ) -> int:
-        return min(range(len(replicas)), key=lambda i: (replicas[i].queue_length(), i))
+        counts = [replica.num_in_system for replica in replicas]
+        return counts.index(min(counts))
 
 
 class LeastLoadedRouter(RoutingPolicy):

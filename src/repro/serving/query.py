@@ -46,15 +46,6 @@ class Query:
                 f"got {self.latency_constraint_ms}"
             )
 
-    def latency_budget_ms(self, override: float | None = None) -> float:
-        """The latency budget a scheduler should plan against.
-
-        ``override`` is the *effective* (remaining) budget once queueing
-        delay is known — dispatch-time servers pass it through; ``None``
-        means the nominal constraint applies.
-        """
-        return self.latency_constraint_ms if override is None else override
-
 
 class QueryTrace:
     """An ordered, array-backed stream of queries.

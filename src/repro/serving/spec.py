@@ -1274,15 +1274,6 @@ class ScenarioSpec(JsonSpec):
             g for g in self.replica_groups if g.name == self.autoscaler.group
         )
 
-    def scaled_group(self) -> ReplicaGroupSpec:
-        """The single replica group the autoscaler manages."""
-        groups = self.scaled_groups()
-        if len(groups) != 1:
-            raise ValueError(
-                "the autoscaler scales several groups; use scaled_groups()"
-            )
-        return groups[0]
-
     def override(self, path: str, value: Any) -> "ScenarioSpec":
         """A copy with one dotted-path field replaced (CLI ``--override``).
 

@@ -18,9 +18,12 @@ caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so
 serving a query is table lookups and a clone encodes nothing.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
-— the interface the discrete-event engine dispatches against, optionally with
-the query's remaining latency budget once queueing delay is known.
-:meth:`SushiStack.serve` is the closed-loop convenience over a whole trace.
+— the interface the discrete-event engine dispatches against, with the
+query's remaining latency budget once queueing delay is known and its
+accuracy floor — and returns plain numbers (a
+:data:`~repro.core.metrics.Served` tuple), which the engine writes into its
+result row.  :meth:`SushiStack.serve` is the closed-loop convenience over a
+whole trace, and the one place the stack builds records.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from repro.accelerator.persistent_buffer import PersistentBuffer
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
-from repro.core.metrics import QueryRecord
+from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy
-from repro.core.scheduler import CacheDecisionMemo, SchedulerDecision, SushiSched
+from repro.core.scheduler import CacheDecisionMemo, SushiSched
 from repro.serving.query import Query, QueryTrace
 from repro.supernet.accuracy import AccuracyModel
 from repro.supernet.subnet import SubNet
@@ -161,65 +164,59 @@ def build_serve_table(
     return table, entries
 
 
-def batch_constraints(
-    queries: Sequence[Query], effective_latency_constraints_ms: Sequence[float] | None
-) -> tuple[float, float]:
-    """The (accuracy, latency) a shared batch decision plans against.
+def batch_budget_ms(queries: Sequence[Query], budgets_ms: Sequence[float]) -> float:
+    """The latency budget a shared batch decision plans against.
 
-    The strictest accuracy constraint, and the tightest remaining budget
-    divided by the batch size: serve tables hold single-query latencies, and
-    a SubNet fitting the scaled budget has a batch evaluation (weights
-    counted once, not per member) fitting the original budget — the
-    conservative, SLO-safe direction.
+    The tightest remaining budget divided by the batch size: serve tables
+    hold single-query latencies, and a SubNet fitting the scaled budget has
+    a batch evaluation (weights counted once, not per member) fitting the
+    original budget — the conservative, SLO-safe direction.
     """
     if not queries:
         raise ValueError("a dispatch batch needs at least one query")
-    accuracy = max(q.accuracy_constraint for q in queries)
-    if effective_latency_constraints_ms is None:
-        latency = min(q.latency_constraint_ms for q in queries)
-    else:
-        if len(effective_latency_constraints_ms) != len(queries):
-            raise ValueError(
-                "effective_latency_constraints_ms must match the batch length"
-            )
-        latency = min(effective_latency_constraints_ms)
-    return accuracy, latency / len(queries)
+    if len(budgets_ms) != len(queries):
+        raise ValueError("budgets_ms must match the batch length")
+    return min(budgets_ms) / len(queries)
 
 
-def batch_records(
-    queries: Sequence[Query],
+def batch_served(
+    size: int,
     subnet_name: str,
     served_accuracy: float,
     entry: ServeEntry,
     cache_load_ms: float,
-) -> list[QueryRecord]:
-    """Per-member records of one weight-sharing batch evaluation of ``entry``.
+) -> list[Served]:
+    """What each of ``size`` members of one weight-sharing evaluation of
+    ``entry`` was served.
 
     The weight traffic is paid once and the rest per member; every member
     reports the batch evaluation time (members complete together), and a
-    cache load rides on the last member's record.
+    cache load rides on the last member.
     """
-    if len(queries) == 1:
+    if size == 1:
         # Bit-identical to the per-query path: total_ms directly, not the
         # algebraically equal shared + 1 x (total - shared).
         batch_ms = entry.total_ms
     else:
         shared_ms = entry.shared_ms
-        batch_ms = shared_ms + len(queries) * (entry.total_ms - shared_ms)
-    last = len(queries) - 1
+        batch_ms = shared_ms + size * (entry.total_ms - shared_ms)
+    hit, energy = entry.vector_hit_ratio, entry.offchip_energy_mj
+    return [(subnet_name, served_accuracy, batch_ms, hit, energy, 0.0)] * (size - 1) + [
+        (subnet_name, served_accuracy, batch_ms, hit, energy, cache_load_ms)
+    ]
+
+
+def serve_trace(server, trace: QueryTrace) -> list[QueryRecord]:
+    """``server`` serves ``trace`` closed loop: each query with its nominal
+    budget and accuracy floor, one record per query."""
     return [
         QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet_name,
-            served_accuracy=served_accuracy,
-            served_latency_ms=batch_ms,
-            cache_hit_ratio=entry.vector_hit_ratio,
-            offchip_energy_mj=entry.offchip_energy_mj,
-            cache_load_ms=cache_load_ms if i == last else 0.0,
+            q.index,
+            q.accuracy_constraint,
+            q.latency_constraint_ms,
+            *server.serve_query(q, q.latency_constraint_ms, q.accuracy_constraint),
         )
-        for i, query in enumerate(queries)
+        for q in trace
     ]
 
 
@@ -272,6 +269,8 @@ class SushiStack:
             self.candidates = table.candidates
         self.table = table
         self.entries = entries
+        self._names = [subnet.name for subnet in self.subnets]
+        self._accuracies = table.accuracy_list
         rng = np.random.default_rng(self.config.seed)
         self.scheduler = SushiSched(
             self.table,
@@ -294,95 +293,73 @@ class SushiStack:
         self._cached_idx = candidate_idx
         return self.accel.cache_load_latency_ms(fetched)
 
-    def _enact(self, query: Query, decision: SchedulerDecision) -> QueryRecord:
-        """Serve one scheduled query on the accelerator and enact caching."""
-        subnet = self.subnets[decision.subnet_idx]
-        entry = self.entries[decision.subnet_idx][self._cached_idx]
-        self.pb.record_serve(subnet, hit_bytes=entry.hit_bytes)
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served:
+        """Serve one query at dispatch time; returns what it was served.
 
+        ``budget_ms`` is the query's *remaining* latency budget once queueing
+        delay is known and ``accuracy_floor`` its accuracy constraint (the
+        relaxed one under brownout); the scheduler plans against both.
+        """
+        scheduler = self.scheduler
+        idx = scheduler.schedule_shared(accuracy_floor, budget_ms)
+        cached = self._cached_idx
+        entry = self.entries[idx][cached]
+        self.pb.record_serve(self.subnets[idx], hit_bytes=entry.hit_bytes)
         cache_load_ms = 0.0
-        if decision.cache_updated:
+        if scheduler.cache_state_idx != cached:
             # The caching decision is enacted after the query completes;
             # its cost is amortized off the query critical path but
             # recorded for accounting.
-            cache_load_ms = self._enact_cache(decision.next_cache_state_idx)
-
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=decision.subnet_accuracy,
-            served_latency_ms=entry.total_ms,
-            cache_hit_ratio=entry.vector_hit_ratio,
-            offchip_energy_mj=entry.offchip_energy_mj,
-            cache_load_ms=cache_load_ms,
+            cache_load_ms = self._enact_cache(scheduler.cache_state_idx)
+        return (
+            self._names[idx],
+            self._accuracies[idx],
+            entry.total_ms,
+            entry.vector_hit_ratio,
+            entry.offchip_energy_mj,
+            cache_load_ms,
         )
-
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
-        """Serve one query at dispatch time; returns its serving record.
-
-        ``effective_latency_constraint_ms`` is the query's *remaining*
-        latency budget once queueing delay is known (passed by the serving
-        engine); the scheduler reacts to it, while the record still reports
-        the query's nominal constraint for SLO accounting.
-        """
-        decision = self.scheduler.schedule_shared(
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_budget_ms(
-                effective_latency_constraint_ms
-            ),
-        )
-        return self._enact(query, decision)
 
     def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
+        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+    ) -> list[Served]:
         """Serve a weight-sharing batch with one shared SubNet decision.
 
         The scheduler makes a *single* decision satisfying the batch's
-        strictest accuracy constraint and its tightest remaining latency
-        budget; the whole batch then runs as one accelerator evaluation: the
+        strictest accuracy floor and its tightest remaining latency budget;
+        the whole batch then runs as one accelerator evaluation: the
         SubNet's weight traffic (off-chip fetch + on-chip staging) is paid
         once and reused by every member — exactly the amortization SGS weight
         sharing enables — while compute and activation traffic scale with the
-        batch.  Every returned record reports the *batch* evaluation latency
-        (members complete together), and at most one cache load is enacted,
-        carried by the last member's record.  A one-query batch is identical
-        to :meth:`serve_query`.  The decision plans against the tightest
-        budget divided by the batch size (:func:`batch_constraints`).
+        batch.  Every member reports the *batch* evaluation latency (members
+        complete together), and at most one cache load is enacted, carried
+        by the last member.  A one-query batch is identical to
+        :meth:`serve_query`.  The decision plans against the tightest
+        budget divided by the batch size (:func:`batch_budget_ms`).
 
         Energy is recorded per evaluation as in the per-query path; off-chip
         weight-energy amortization across the batch is not modeled, so
         batched energy totals are conservative (over-) estimates.
         """
-        accuracy, latency = batch_constraints(queries, effective_latency_constraints_ms)
-        decision = self.scheduler.schedule_shared(
-            accuracy_constraint=accuracy,
-            latency_constraint_ms=latency,
-            batch_size=len(queries),
+        scheduler = self.scheduler
+        idx = scheduler.schedule_shared(
+            accuracy_floor, batch_budget_ms(queries, budgets_ms), len(queries)
         )
-
-        subnet = self.subnets[decision.subnet_idx]
-        entry = self.entries[decision.subnet_idx][self._cached_idx]
+        cached = self._cached_idx
+        subnet = self.subnets[idx]
+        entry = self.entries[idx][cached]
         for _ in queries:
             self.pb.record_serve(subnet, hit_bytes=entry.hit_bytes)
-
         cache_load_ms = 0.0
-        if decision.cache_updated:
-            cache_load_ms = self._enact_cache(decision.next_cache_state_idx)
-        return batch_records(
-            queries, subnet.name, decision.subnet_accuracy, entry, cache_load_ms
+        if scheduler.cache_state_idx != cached:
+            cache_load_ms = self._enact_cache(scheduler.cache_state_idx)
+        return batch_served(
+            len(queries), self._names[idx], self._accuracies[idx], entry, cache_load_ms
         )
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
         """Serve a query stream end to end; returns per-query records."""
-        return [self.serve_query(query) for query in trace]
+        return serve_trace(self, trace)
 
     def estimate_service_ms(self, query: Query) -> float:
         """Predicted service time of ``query`` at the current cache state.

@@ -4,8 +4,12 @@ A literal copy of the three server classes that ``repro.serving.baselines``
 held before the baselines became caching rules over a shared serve table:
 selection with numpy ``flatnonzero``/``argmin``/``argmax`` over static
 arrays, ``SushiAccelModel.subnet_breakdown`` on every query and batch, and
-``PersistentBuffer.vector_hit_ratio`` on the live PB.  The table-driven
-servers must produce the same records, bit for bit:
+``PersistentBuffer.vector_hit_ratio`` on the live PB.  They speak the
+engine's backend protocol — ``serve_query(query, budget_ms,
+accuracy_floor)`` and ``serve_dispatch_batch(queries, budgets_ms,
+accuracy_floor)`` return served tuples — and ``serve(trace)`` builds its
+own records from them.  The table-driven servers must produce the same
+served tuples and records, bit for bit:
 ``tests/properties/test_property_baselines.py`` compares them by ``repr``.
 """
 
@@ -65,9 +69,10 @@ class _StaticPolicyServer:
     def _shared_select(
         self,
         queries: Sequence[Query],
-        effective_latency_constraints_ms: Sequence[float] | None,
+        budgets_ms: Sequence[float],
+        accuracy_floor: float,
     ) -> int:
-        """One SubNet for a whole batch: strictest accuracy, tightest budget.
+        """One SubNet for a whole batch: the given floor, tightest budget.
 
         Static latencies are per query, so the tightest budget is divided by
         the batch size — a SubNet fitting the scaled budget has a batch
@@ -77,16 +82,9 @@ class _StaticPolicyServer:
         """
         if not queries:
             raise ValueError("a dispatch batch needs at least one query")
-        accuracy = max(q.accuracy_constraint for q in queries)
-        if effective_latency_constraints_ms is None:
-            latency = min(q.latency_constraint_ms for q in queries)
-        else:
-            if len(effective_latency_constraints_ms) != len(queries):
-                raise ValueError(
-                    "effective_latency_constraints_ms must match the batch length"
-                )
-            latency = min(effective_latency_constraints_ms)
-        return self._select(accuracy, latency / len(queries))
+        if len(budgets_ms) != len(queries):
+            raise ValueError("budgets_ms must match the batch length")
+        return self._select(accuracy_floor, min(budgets_ms) / len(queries))
 
     @staticmethod
     def _batch_latency_ms(breakdown, batch_size: int) -> float:
@@ -107,7 +105,7 @@ class _StaticPolicyServer:
         shared_ms = components.offchip_weight_ms + components.onchip_weight_ms
         return shared_ms + batch_size * (components.total_ms - shared_ms)
 
-    def _batch_records(
+    def _batch_served(
         self,
         queries: Sequence[Query],
         subnet: SubNet,
@@ -115,69 +113,75 @@ class _StaticPolicyServer:
         *,
         hit_ratio: float = 0.0,
         cache_load_ms: float = 0.0,
-    ) -> list[QueryRecord]:
-        """Per-member records of one shared batch evaluation.
+    ) -> list[tuple]:
+        """Per-member served tuples of one shared batch evaluation.
 
         Every member reports the batch evaluation time (members complete
         together); a cache load, if any, rides on the last member — the
-        same record shape the SUSHI stack's batch path produces.
+        same shape the SUSHI stack's batch path produces.
         """
         batch_ms = self._batch_latency_ms(breakdown, len(queries))
         served_accuracy = self.accuracy_model.accuracy(subnet)
         last = len(queries) - 1
         return [
+            (
+                subnet.name,
+                served_accuracy,
+                batch_ms,
+                hit_ratio,
+                breakdown.offchip_energy_mj,
+                cache_load_ms if i == last else 0.0,
+            )
+            for i in range(len(queries))
+        ]
+
+    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
+        """Closed loop: every query at its nominal budget and floor."""
+        return [
             QueryRecord(
                 query_index=query.index,
                 accuracy_constraint=query.accuracy_constraint,
                 latency_constraint_ms=query.latency_constraint_ms,
-                subnet_name=subnet.name,
-                served_accuracy=served_accuracy,
-                served_latency_ms=batch_ms,
-                cache_hit_ratio=hit_ratio,
-                offchip_energy_mj=breakdown.offchip_energy_mj,
-                cache_load_ms=cache_load_ms if i == last else 0.0,
+                subnet_name=served[0],
+                served_accuracy=served[1],
+                served_latency_ms=served[2],
+                cache_hit_ratio=served[3],
+                offchip_energy_mj=served[4],
+                cache_load_ms=served[5],
             )
-            for i, query in enumerate(queries)
+            for query in trace
+            for served in [
+                self.serve_query(
+                    query, query.latency_constraint_ms, query.accuracy_constraint
+                )
+            ]
         ]
 
 
 class NoSushiServer(_StaticPolicyServer):
     """No PB, no SGS-aware scheduler: every query refetches all weights."""
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> tuple:
         """Serve one query at dispatch time (stateless across queries)."""
-        idx = self._select(
-            query.accuracy_constraint,
-            query.latency_budget_ms(effective_latency_constraint_ms),
-        )
+        idx = self._select(accuracy_floor, budget_ms)
         subnet = self.subnets[idx]
         breakdown = self.accel.subnet_breakdown(subnet, cached=None)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=0.0,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
+        return (
+            subnet.name,
+            self.accuracy_model.accuracy(subnet),
+            breakdown.latency_ms,
+            0.0,
+            breakdown.offchip_energy_mj,
+            0.0,
         )
 
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        return [self.serve_query(query) for query in trace]
-
     def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
+        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+    ) -> list[tuple]:
         """Serve a batch on one shared SubNet (weights fetched once)."""
-        idx = self._shared_select(queries, effective_latency_constraints_ms)
+        idx = self._shared_select(queries, budgets_ms, accuracy_floor)
         subnet = self.subnets[idx]
-        return self._batch_records(
+        return self._batch_served(
             queries, subnet, self.accel.subnet_breakdown(subnet, cached=None)
         )
 
@@ -218,36 +222,26 @@ class FixedSubNetServer(_StaticPolicyServer):
     def estimate_service_ms(self, query: Query) -> float:
         return float(self.static_latency_ms[self._fixed_idx])
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> tuple:
         subnet = self.fixed_subnet
         breakdown = self.accel.subnet_breakdown(subnet, cached=None)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=0.0,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
+        return (
+            subnet.name,
+            self.accuracy_model.accuracy(subnet),
+            breakdown.latency_ms,
+            0.0,
+            breakdown.offchip_energy_mj,
+            0.0,
         )
 
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        return [self.serve_query(query) for query in trace]
-
     def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
+        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+    ) -> list[tuple]:
         """Serve a batch on the pinned SubNet (weights fetched once)."""
         if not queries:
             raise ValueError("a dispatch batch needs at least one query")
         subnet = self.fixed_subnet
-        return self._batch_records(
+        return self._batch_served(
             queries, subnet, self.accel.subnet_breakdown(subnet, cached=None)
         )
 
@@ -282,14 +276,9 @@ class StateUnawareCachingServer(_StaticPolicyServer):
         """Restart the caching-period counter (the PB stays warm)."""
         self._queries_seen = 0
 
-    def serve_query(
-        self, query: Query, *, effective_latency_constraint_ms: float | None = None
-    ) -> QueryRecord:
+    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> tuple:
         """Serve one query at dispatch time; caches every ``Q`` queries."""
-        idx = self._select(
-            query.accuracy_constraint,
-            query.latency_budget_ms(effective_latency_constraint_ms),
-        )
+        idx = self._select(accuracy_floor, budget_ms)
         subnet = self.subnets[idx]
         breakdown = self.accel.subnet_breakdown(subnet, self.pb.cached)
         hit_ratio = self.pb.vector_hit_ratio(subnet)
@@ -306,28 +295,22 @@ class StateUnawareCachingServer(_StaticPolicyServer):
             fetched = self.pb.load(subgraph)
             cache_load_ms = self.accel.cache_load_latency_ms(fetched)
 
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=subnet.name,
-            served_accuracy=self.accuracy_model.accuracy(subnet),
-            served_latency_ms=breakdown.latency_ms,
-            cache_hit_ratio=hit_ratio,
-            offchip_energy_mj=breakdown.offchip_energy_mj,
-            cache_load_ms=cache_load_ms,
+        return (
+            subnet.name,
+            self.accuracy_model.accuracy(subnet),
+            breakdown.latency_ms,
+            hit_ratio,
+            breakdown.offchip_energy_mj,
+            cache_load_ms,
         )
 
     def serve(self, trace: QueryTrace) -> list[QueryRecord]:
         self.begin_stream()
-        return [self.serve_query(query) for query in trace]
+        return super().serve(trace)
 
     def serve_dispatch_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        effective_latency_constraints_ms: Sequence[float] | None = None,
-    ) -> list[QueryRecord]:
+        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+    ) -> list[tuple]:
         """Serve a batch on one shared SubNet; at most one cache reload.
 
         The caching-period counter advances by the whole batch; if it crosses
@@ -335,7 +318,7 @@ class StateUnawareCachingServer(_StaticPolicyServer):
         the truncation of the (shared) served SubNet, mirroring the per-query
         heuristic.
         """
-        idx = self._shared_select(queries, effective_latency_constraints_ms)
+        idx = self._shared_select(queries, budgets_ms, accuracy_floor)
         subnet = self.subnets[idx]
         breakdown = self.accel.subnet_breakdown(subnet, self.pb.cached)
         hit_ratio = self.pb.vector_hit_ratio(subnet)
@@ -355,7 +338,7 @@ class StateUnawareCachingServer(_StaticPolicyServer):
             fetched = self.pb.load(subgraph)
             cache_load_ms = self.accel.cache_load_latency_ms(fetched)
 
-        return self._batch_records(
+        return self._batch_served(
             queries,
             subnet,
             breakdown,

@@ -54,10 +54,16 @@ from repro.serving.engine import (
     SimulatedQueryOutcome,
 )
 from repro.serving.engine.admission import AdmissionPolicy
-from repro.serving.engine.core import _MIN_EFFECTIVE_LATENCY_MS, _relaxed
+from repro.serving.engine.core import _MIN_EFFECTIVE_LATENCY_MS
 from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
 from repro.serving.engine.results import ResultTable
+
+
+def _relaxed(accuracy_constraint: float, relax: float) -> float:
+    """Brownout: ``accuracy_constraint`` lowered by ``relax``, floored at 1e-9."""
+    floor = accuracy_constraint - relax
+    return floor if floor > 1e-9 else 1e-9
 
 
 @dataclass(slots=True)
@@ -134,6 +140,12 @@ def _serve_pickup(
     time), and brownout degradation (:func:`_relaxed`), steering dispatch
     toward smaller SubNets while capacity is lost.  ``faults=None`` is a
     dead check.
+
+    The backend returns a served tuple per member; this copy builds each
+    member's :class:`QueryRecord` from it, with the query's index and
+    nominal latency constraint and the accuracy floor the backend was given.
+    Every query leaving the replica's system here is taken off its
+    ``num_in_system`` count.
     """
     batch, shed = replica.pop_batch(replica.max_batch, now_ms=now, admission=admission)
     for item in shed:
@@ -150,6 +162,7 @@ def _serve_pickup(
         if faults.dispatch_fails():
             # Transient dispatch failure: the whole pickup errors before
             # any work starts; the caller retries (or fails) each member.
+            replica.num_in_system -= len(batch)
             fault_sink.extend(batch)
             return None
         straggle = replica.straggle_factor
@@ -178,6 +191,7 @@ def _serve_pickup(
         for item in batch:
             if t > now and not admit(item, t):
                 # The deadline expired while earlier members ran.
+                replica.num_in_system -= 1
                 _drop_item(table, item, replica, t)
                 if bus is not None:
                     bus.on_drop(t)
@@ -190,8 +204,16 @@ def _serve_pickup(
                 if remaining > _MIN_EFFECTIVE_LATENCY_MS
                 else _MIN_EFFECTIVE_LATENCY_MS
             )
-            query = _relaxed(item.query, relax) if relax > 0.0 else item.query
-            record = serve(query, effective_latency_constraint_ms=effective)
+            query = item.query
+            floor = query.accuracy_constraint
+            if relax > 0.0:
+                floor = _relaxed(floor, relax)
+            record = QueryRecord(
+                query.index,
+                floor,
+                query.latency_constraint_ms,
+                *serve(query, effective, floor),
+            )
             service = float(record.served_latency_ms)
             if straggle != 1.0:
                 # A straggling replica runs the whole pickup slower; the
@@ -223,11 +245,17 @@ def _serve_pickup(
             for item in batch
         ]
         queries = [item.query for item in batch]
-        if relax > 0.0:
-            queries = [_relaxed(q, relax) for q in queries]
-        records = batch_serve(
-            queries, effective_latency_constraints_ms=effective_batch
-        )
+        floors = [
+            _relaxed(q.accuracy_constraint, relax) if relax > 0.0
+            else q.accuracy_constraint
+            for q in queries
+        ]
+        records = [
+            QueryRecord(q.index, floor, q.latency_constraint_ms, *served)
+            for q, floor, served in zip(
+                queries, floors, batch_serve(queries, effective_batch, max(floors))
+            )
+        ]
         total = max(float(r.served_latency_ms) for r in records)
         if straggle != 1.0:
             total *= straggle
@@ -384,6 +412,11 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
             query = event.payload
             item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
             seq += 1
+            for r in engine.replicas:
+                assert r.num_in_system == r.queue_length(), (
+                    f"{r.name}: count {r.num_in_system} != "
+                    f"queue length {r.queue_length()} at t={now}"
+                )
             candidates = [r for r in engine.replicas if r.is_routable]
             maintained = engine._routable()
             assert maintained == candidates, (
@@ -394,7 +427,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
                 engine._shed_arrival(item, now, table, bus)
                 continue
             replica = candidates[engine.router.select(candidates, item, now)]
-            if bus is not None and replica.index in engine._group_of:
+            if bus is not None and replica.index in engine._scaled:
                 bus.on_arrival(now)
             if engine._needs_estimates:
                 item = QueuedQuery(
@@ -425,7 +458,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
 
 def _dispatch(engine, replica, now, heap, table, pickups):
     bus = None if engine.autoscaler is None else engine.autoscaler.bus
-    if bus is not None and replica.index not in engine._group_of:
+    if bus is not None and replica.index not in engine._scaled:
         bus = None
     sink: list = []
     while True:
@@ -461,7 +494,7 @@ def _dispatch(engine, replica, now, heap, table, pickups):
 
 
 def _complete(engine, replica, table, now, current):
-    if engine.autoscaler is not None and replica.index in engine._group_of:
+    if engine.autoscaler is not None and replica.index in engine._scaled:
         engine.autoscaler.bus.on_completion(
             now, replica_index=replica.index, service_ms=current.total_ms
         )
@@ -487,6 +520,7 @@ def _complete(engine, replica, table, now, current):
         stats.queueing_ms_total += start - item.arrival_ms
     stats.num_served += current.size
     stats.busy_ms += current.total_ms
+    replica.num_in_system -= current.size
     replica.in_service = None
 
 

@@ -5,9 +5,10 @@ once: selection through ``LatencyTable``'s breakpoints on the empty-PB
 column, records from ``ServeEntry`` fields, and the state-unaware PB loading
 the table's truncation columns.  ``tests/baseline_oracle.py`` keeps the
 servers that selected with numpy over static arrays and ran
-``subnet_breakdown`` and ``vector_hit_ratio`` on every query.  Every record
-of the two must be bit-identical — compared by ``repr`` and by the type of
-every field, so an ``np.float64`` accuracy or a last-digit difference fails —
+``subnet_breakdown`` and ``vector_hit_ratio`` on every query.  Every served
+tuple and record of the two must be bit-identical — compared by ``repr`` and
+by the type of every field, so an ``np.float64`` accuracy or a last-digit
+difference fails —
 on both families, both policies, three PB sizes and ``Q`` in 1..8, over
 streams mixing single and batched dispatches, nominal and effective budgets,
 and constraints that are NaN, infinite or outside the family's range.  The
@@ -146,13 +147,16 @@ def cases(draw):
     return (kind, name, pb_kb, policy, period, subnet_name), ops
 
 
+def values(r) -> tuple:
+    """A served tuple as it is; a record's field values."""
+    return r if isinstance(r, tuple) else tuple(getattr(r, f.name) for f in fields(r))
+
+
 def assert_same_records(expected, got):
     assert [repr(r) for r in got] == [repr(r) for r in expected]
     for a, b in zip(expected, got):
-        assert [type(getattr(b, f.name)) for f in fields(b)] == [
-            type(getattr(a, f.name)) for f in fields(a)
-        ]
-        assert type(b.served_accuracy) is float
+        assert [type(v) for v in values(b)] == [type(v) for v in values(a)]
+        assert type(b[1] if isinstance(b, tuple) else b.served_accuracy) is float
 
 
 @settings(max_examples=120, deadline=None)
@@ -162,17 +166,14 @@ def test_records_match_the_per_query_oracle(case):
     kind = config[0]
     ref, server = server_pair(*config)
     for op, queries, effective in ops:
+        budgets = effective or [q.latency_constraint_ms for q in queries]
+        floor = max(q.accuracy_constraint for q in queries)
         if op == "single":
-            eff = None if effective is None else effective[0]
-            expected = [ref.serve_query(queries[0], effective_latency_constraint_ms=eff)]
-            got = [server.serve_query(queries[0], effective_latency_constraint_ms=eff)]
+            args = (queries[0], budgets[0], floor)
+            expected, got = [ref.serve_query(*args)], [server.serve_query(*args)]
         elif op == "batch":
-            expected = ref.serve_dispatch_batch(
-                queries, effective_latency_constraints_ms=effective
-            )
-            got = server.serve_dispatch_batch(
-                queries, effective_latency_constraints_ms=effective
-            )
+            expected = ref.serve_dispatch_batch(queries, budgets, floor)
+            got = server.serve_dispatch_batch(queries, budgets, floor)
         elif op == "stream":
             expected, got = ref.serve(queries), server.serve(queries)
         elif kind != "state_unaware":

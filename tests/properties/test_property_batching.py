@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.admission import make_admission
 from repro.serving.engine.disciplines import QueuedQuery, make_discipline
@@ -37,15 +36,8 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, self.services_ms[query.index], 0.0, 0.0, 0.0)
 
 
 class SharedBatchServer(IndexedServer):
@@ -60,30 +52,13 @@ class SharedBatchServer(IndexedServer):
         super().__init__(services_ms)
         self.weight_ms = weight_ms
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        record = super().serve_query(query)
-        return QueryRecord(
-            query_index=record.query_index,
-            accuracy_constraint=record.accuracy_constraint,
-            latency_constraint_ms=record.latency_constraint_ms,
-            subnet_name=record.subnet_name,
-            served_accuracy=record.served_accuracy,
-            served_latency_ms=self.weight_ms + record.served_latency_ms,
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        service_ms = self.weight_ms + self.services_ms[query.index]
+        return ("synthetic", 0.78, service_ms, 0.0, 0.0, 0.0)
 
-    def serve_dispatch_batch(self, queries, *, effective_latency_constraints_ms=None):
+    def serve_dispatch_batch(self, queries, budgets_ms, accuracy_floor):
         batch_ms = self.weight_ms + sum(self.services_ms[q.index] for q in queries)
-        return [
-            QueryRecord(
-                query_index=q.index,
-                accuracy_constraint=q.accuracy_constraint,
-                latency_constraint_ms=q.latency_constraint_ms,
-                subnet_name="synthetic-batch",
-                served_accuracy=0.78,
-                served_latency_ms=batch_ms,
-            )
-            for q in queries
-        ]
+        return [("synthetic-batch", 0.78, batch_ms, 0.0, 0.0, 0.0)] * len(queries)
 
 
 def build_trace(constraints):
@@ -102,7 +77,7 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
         {
             "server": IndexedServer(services),
             "queue": make_discipline(discipline),
-            "busy": None,  # (item, start, record) when serving
+            "busy": None,  # (item, start, served, completion) when serving
         }
         for _ in range(num_replicas)
     ]
@@ -124,13 +99,15 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
 
     class _Shim:
         """Adapter giving the router the replica surface it reads
-        (round_robin needs nothing, jsq reads queue_length)."""
+        (round_robin needs nothing, jsq reads num_in_system, counted here
+        from the queue and the query in service)."""
 
         def __init__(self, state, index):
             self.state = state
             self.index = index
 
-        def queue_length(self):
+        @property
+        def num_in_system(self):
             return len(self.state["queue"]) + (1 if self.state["busy"] else 0)
 
     def dispatch(r, ridx, now):
@@ -146,12 +123,12 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
                 continue
             remaining = item.query.latency_constraint_ms - (now - item.arrival_ms)
             effective = max(remaining, 1e-9)
-            record = r["server"].serve_query(
-                item.query, effective_latency_constraint_ms=effective
+            served = r["server"].serve_query(
+                item.query, effective, item.query.accuracy_constraint
             )
-            service = float(record.served_latency_ms)
+            service = float(served[2])
             nonlocal counter
-            r["busy"] = (item, now, record, now + service)
+            r["busy"] = (item, now, served, now + service)
             heapq.heappush(heap, (now + service, COMPLETION, counter, ridx))
             counter += 1
             return
@@ -176,10 +153,9 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
         else:
             ridx = payload
             r = replicas[ridx]
-            item, start, record, _ = r["busy"]
+            item, start, served, _ = r["busy"]
             outcomes.append(
-                (item.query.index, item.arrival_ms, start,
-                 float(record.served_latency_ms), ridx)
+                (item.query.index, item.arrival_ms, start, float(served[2]), ridx)
             )
             r["busy"] = None
             dispatch(r, ridx, now)

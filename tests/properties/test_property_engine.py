@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.query import QueryTrace
 
@@ -23,15 +22,8 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, self.services_ms[query.index], 0.0, 0.0, 0.0)
 
 
 def build_trace(constraints):

@@ -23,7 +23,6 @@ import numpy as np
 from engine_oracle import EventHeap, reference_run
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.events import ArrayEventQueue, EventKind
@@ -37,33 +36,16 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, self.services_ms[query.index], 0.0, 0.0, 0.0)
 
 
 class BatchIndexedServer(IndexedServer):
     """Adds a shared-SubNet batch dispatch: one evaluation for the batch."""
 
-    def serve_dispatch_batch(self, queries, *, effective_latency_constraints_ms=None):
+    def serve_dispatch_batch(self, queries, budgets_ms, accuracy_floor):
         service = max(self.services_ms[q.index] for q in queries)
-        return [
-            QueryRecord(
-                query_index=q.index,
-                accuracy_constraint=q.accuracy_constraint,
-                latency_constraint_ms=q.latency_constraint_ms,
-                subnet_name="synthetic-batch",
-                served_accuracy=0.76,
-                served_latency_ms=service,
-            )
-            for q in queries
-        ]
+        return [("synthetic-batch", 0.76, service, 0.0, 0.0, 0.0)] * len(queries)
 
 
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)

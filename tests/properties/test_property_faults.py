@@ -35,7 +35,6 @@ from engine_oracle import reference_run
 from fault_oracle import EagerFaultInjector
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
 from repro.serving.obs import TraceRecorder
@@ -49,15 +48,8 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, self.services_ms[query.index], 0.0, 0.0, 0.0)
 
 
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)

@@ -22,7 +22,6 @@ import numpy as np
 from engine_oracle import reference_run
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.obs import TraceRecorder, chrome_trace
 from repro.serving.query import QueryTrace
@@ -34,15 +33,8 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, self.services_ms[query.index], 0.0, 0.0, 0.0)
 
 
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)

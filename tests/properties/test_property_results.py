@@ -20,13 +20,16 @@ construction.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from engine_oracle import reference_objects, reference_run
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import QueryRecord
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
+from repro.serving.engine.results import ResultTable
 from repro.serving.query import QueryTrace
 from repro.serving.spec import AutoscalerSpec, FaultSpec, RetryPolicy
 
@@ -35,7 +38,7 @@ RATE_PER_MS = 0.7
 
 
 class VaryingServer:
-    """Synthetic backend whose record fields vary per query index.
+    """Synthetic backend whose served fields vary per query index.
 
     Subnet names repeat (interning), and accuracy, hit ratio, energy and
     cache loads differ between queries, so a column swapped or dropped by
@@ -47,29 +50,27 @@ class VaryingServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def _record(self, query, service_ms, name):
+    @staticmethod
+    def _served(query, service_ms, name):
         i = query.index
-        return QueryRecord(
-            query_index=i,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name=name,
-            served_accuracy=0.70 + 0.01 * (i % 7),
-            served_latency_ms=service_ms,
-            cache_hit_ratio=(i % 5) / 4,
-            offchip_energy_mj=0.1 * (i % 3) + service_ms,
-            cache_load_ms=0.25 if i % 4 == 0 else 0.0,
+        return (
+            name,
+            0.70 + 0.01 * (i % 7),
+            service_ms,
+            (i % 5) / 4,
+            0.1 * (i % 3) + service_ms,
+            0.25 if i % 4 == 0 else 0.0,
         )
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
+    def serve_query(self, query, budget_ms, accuracy_floor):
         i = query.index
-        return self._record(
+        return self._served(
             query, self.services_ms[i % len(self.services_ms)], self.NAMES[i % 3]
         )
 
-    def serve_dispatch_batch(self, queries, *, effective_latency_constraints_ms=None):
+    def serve_dispatch_batch(self, queries, budgets_ms, accuracy_floor):
         service = max(self.services_ms[q.index % len(self.services_ms)] for q in queries)
-        return [self._record(q, service, "batch") for q in queries]
+        return [self._served(q, service, "batch") for q in queries]
 
 
 positive = st.floats(min_value=0.01, max_value=20.0, allow_nan=False)
@@ -312,3 +313,19 @@ class TestResultTable:
         assert result == reference_run(
             build_engine(services, SINGLE), trace, np.cumsum(gaps)
         )
+
+    def test_put_rejects_a_record_of_another_query(self):
+        """A row stores no record index or latency constraint of its own, so
+        ``put`` refuses an outcome whose record disagrees with either."""
+        trace = QueryTrace([0.77] * 3, [50.0] * 3)
+        result = build_engine([1.0] * 3, SINGLE).run(trace, np.arange(3.0))
+        outcome = result.outcomes[1]
+        table = ResultTable(3)
+        table.put(1, outcome)
+        assert tuple(table.views()[0]) == (outcome,)
+        for bad in (
+            dataclasses.replace(outcome.record, query_index=2),
+            dataclasses.replace(outcome.record, latency_constraint_ms=49.0),
+        ):
+            with pytest.raises(ValueError, match="row 1"):
+                table.put(1, dataclasses.replace(outcome, record=bad))

@@ -21,6 +21,9 @@ satisfy invariants that no configuration may break:
 * no two distinct pickups overlap on one replica (the members of a shared
   batch share one interval);
 * no replica is busy for longer than it was provisioned;
+* at every ``jsq`` routing decision, each candidate replica's
+  ``num_in_system`` count equals its queue plus its in-service members,
+  and at the end of the run every replica's count is back to zero;
 * two runs of the same spec are identical.
 """
 
@@ -35,10 +38,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.serving.api import run_scenario
+from repro.serving.engine import ServingEngine
 from repro.serving.engine.admission import ADMISSION_NAMES
 from repro.serving.engine.disciplines import DISCIPLINE_NAMES
 from repro.serving.engine.results import ResultTable
-from repro.serving.engine.routing import ROUTER_NAMES
+from repro.serving.engine.routing import ROUTER_NAMES, JoinShortestQueueRouter
 from repro.serving.spec import BACKEND_KINDS, BATCHING_POLICIES, ScenarioSpec
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
@@ -135,10 +139,33 @@ class CountingTable(ResultTable):
         super().drop(row, *args)
 
 
+_jsq_select = JoinShortestQueueRouter.select
+
+
+def checked_jsq_select(self, replicas, item, now_ms):
+    """``jsq`` routing that first holds every candidate's count to a scan."""
+    for r in replicas:
+        in_service = 0 if r.in_service is None else len(r.in_service)
+        assert r.num_in_system == len(r.queue) + in_service, (r.name, now_ms)
+    return _jsq_select(self, replicas, item, now_ms)
+
+
+_build_result = ServingEngine._build_result
+
+
+def checked_build_result(self, table, **kwargs):
+    """The end of a run: every replica's system is empty, and so its count."""
+    for r in self.replicas:
+        assert r.num_in_system == r.queue_length() == 0, r.name
+    return _build_result(self, table, **kwargs)
+
+
 def counted_run(spec: ScenarioSpec):
     """``run_scenario(spec)`` and the per-row write counts of its table."""
     TABLES.clear()
-    with mock.patch("repro.serving.engine.core.ResultTable", CountingTable):
+    with mock.patch("repro.serving.engine.core.ResultTable", CountingTable), \
+            mock.patch.object(JoinShortestQueueRouter, "select", checked_jsq_select), \
+            mock.patch.object(ServingEngine, "_build_result", checked_build_result):
         result = run_scenario(spec, stack_cache=STACK_CACHE)
     (table,) = TABLES
     return result, table.writes

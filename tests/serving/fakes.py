@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.metrics import QueryRecord
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.spec import AutoscalerSpec
 
@@ -21,17 +20,10 @@ class ConstantServer:
         self.effective_budgets: list[float] = []
         self.accuracy_floors: list[float] = []
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        self.effective_budgets.append(effective_latency_constraint_ms)
-        self.accuracy_floors.append(query.accuracy_constraint)
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=self.accuracy,
-            served_latency_ms=self.service_ms,
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        self.effective_budgets.append(budget_ms)
+        self.accuracy_floors.append(accuracy_floor)
+        return ("synthetic", self.accuracy, float(self.service_ms), 0.0, 0.0, 0.0)
 
 
 def single_group_autoscaler(

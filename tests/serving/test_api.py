@@ -266,7 +266,7 @@ class TestEngineIndexAssignment:
         from repro.serving.engine import AcceleratorReplica, ServingEngine
 
         class Dummy:
-            def serve_query(self, query, *, effective_latency_constraint_ms=None):
+            def serve_query(self, query, budget_ms, accuracy_floor):
                 raise NotImplementedError
 
         replicas = [AcceleratorReplica(Dummy(), index=i) for i in range(2)]
@@ -277,7 +277,7 @@ class TestEngineIndexAssignment:
         from repro.serving.engine import AcceleratorReplica, ServingEngine
 
         class Dummy:
-            def serve_query(self, query, *, effective_latency_constraint_ms=None):
+            def serve_query(self, query, budget_ms, accuracy_floor):
                 raise NotImplementedError
 
         with pytest.raises(ValueError, match="explicitly"):
@@ -287,7 +287,7 @@ class TestEngineIndexAssignment:
         from repro.serving.engine import AcceleratorReplica, ServingEngine
 
         class Dummy:
-            def serve_query(self, query, *, effective_latency_constraint_ms=None):
+            def serve_query(self, query, budget_ms, accuracy_floor):
                 raise NotImplementedError
 
         replica = AcceleratorReplica(Dummy(), name="edge-tier")

@@ -586,11 +586,11 @@ class TestAutoscalerSpec:
             ReplicaGroupSpec(count=1, name="b"),
         )
         by_name = autoscaled_spec(AutoscalerSpec(group="b"), groups=groups)
-        assert by_name.scaled_group().name == "b"
+        assert [g.name for g in by_name.scaled_groups()] == ["b"]
         default = autoscaled_spec(AutoscalerSpec(), groups=groups)
-        assert default.scaled_group().name == "a"
+        assert [g.name for g in default.scaled_groups()] == ["a"]
         with pytest.raises(ValueError, match="no autoscaler"):
-            autoscaled_spec(None).scaled_group()
+            autoscaled_spec(None).scaled_groups()
 
 
 class TestFacadeAutoscaling:

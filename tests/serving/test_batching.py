@@ -71,6 +71,32 @@ def make_queries(n, *, accuracy=0.74, latency_ms=50.0):
     ]
 
 
+def record_of(query, served):
+    """The record the engine writes for ``query`` given its own floor."""
+    return QueryRecord(
+        query.index, query.accuracy_constraint, query.latency_constraint_ms, *served
+    )
+
+
+def serve_one(server, query):
+    """``server.serve_query`` at the query's nominal budget and floor."""
+    served = server.serve_query(
+        query, query.latency_constraint_ms, query.accuracy_constraint
+    )
+    return record_of(query, served)
+
+
+def serve_batch(server, queries):
+    """``server.serve_dispatch_batch`` at the nominal budgets and the
+    strictest floor, as the engine dispatches a shared pickup."""
+    served = server.serve_dispatch_batch(
+        queries,
+        [q.latency_constraint_ms for q in queries],
+        max(q.accuracy_constraint for q in queries),
+    )
+    return [record_of(q, s) for q, s in zip(queries, served)]
+
+
 # ------------------------------------------------------------ scheduler
 class TestScheduleShared:
     def test_batch_of_one_is_schedule(self, stack):
@@ -80,35 +106,28 @@ class TestScheduleShared:
                 accuracy_constraint=q.accuracy_constraint,
                 latency_constraint_ms=q.latency_constraint_ms,
             )
-            db = b.scheduler.schedule_shared(
-                accuracy_constraint=q.accuracy_constraint,
-                latency_constraint_ms=q.latency_constraint_ms,
-                batch_size=1,
+            idx = b.scheduler.schedule_shared(
+                q.accuracy_constraint, q.latency_constraint_ms, 1
             )
-            assert da == db
-        assert a.scheduler.cache_state_idx == b.scheduler.cache_state_idx
+            assert da.subnet_idx == idx
+            assert da.next_cache_state_idx == b.scheduler.cache_state_idx
+        assert a.scheduler.cache_updates == b.scheduler.cache_updates
 
     def test_batch_advances_the_window_by_its_size(self, stack):
         s = stack.clone(seed=0)
-        s.scheduler.schedule_shared(
-            accuracy_constraint=0.74, latency_constraint_ms=50.0, batch_size=7
-        )
+        s.scheduler.schedule_shared(0.74, 50.0, 7)
         assert s.scheduler.queries_seen == 7
 
     def test_batch_crossing_a_boundary_decides_once(self, stack):
         s = stack.clone(seed=0)
         # Q=4: a batch of 11 crosses two boundaries but decides once.
-        decision = s.scheduler.schedule_shared(
-            accuracy_constraint=0.74, latency_constraint_ms=50.0, batch_size=11
-        )
+        s.scheduler.schedule_shared(0.74, 50.0, 11)
         assert s.scheduler.decisions_made == 1
-        assert decision.next_cache_state_idx == s.scheduler.cache_state_idx
+        assert s.scheduler.cache_updates <= 1
 
     def test_rejects_non_positive_batch(self, stack):
         with pytest.raises(ValueError, match="batch_size"):
-            stack.clone(seed=0).scheduler.schedule_shared(
-                accuracy_constraint=0.74, latency_constraint_ms=50.0, batch_size=0
-            )
+            stack.clone(seed=0).scheduler.schedule_shared(0.74, 50.0, 0)
 
 
 # ------------------------------------------------------------ stack batch
@@ -116,13 +135,13 @@ class TestServeDispatchBatch:
     def test_one_query_batch_identical_to_serve_query(self, stack):
         a, b = stack.clone(seed=0), stack.clone(seed=0)
         for q in make_queries(10):
-            (rb,) = b.serve_dispatch_batch([q])
-            assert a.serve_query(q) == rb
+            (rb,) = serve_batch(b, [q])
+            assert serve_one(a, q) == rb
         assert a.pb.stats == b.pb.stats
 
     def test_batch_shares_one_subnet_and_one_evaluation(self, stack):
         s = stack.clone(seed=0)
-        records = s.serve_dispatch_batch(make_queries(6))
+        records = serve_batch(s, make_queries(6))
         assert len({r.subnet_name for r in records}) == 1
         assert len({r.served_latency_ms for r in records}) == 1
         # At most one cache load, carried by the last member.
@@ -131,8 +150,8 @@ class TestServeDispatchBatch:
     def test_batch_amortizes_weight_traffic(self, stack):
         s = stack.clone(seed=0)
         k = 8
-        records = s.serve_dispatch_batch(make_queries(k))
-        single = stack.clone(seed=0).serve_query(make_queries(1)[0])
+        records = serve_batch(s, make_queries(k))
+        single = serve_one(stack.clone(seed=0), make_queries(1)[0])
         batch_ms = records[0].served_latency_ms
         # Strictly cheaper than k independent evaluations, strictly dearer
         # than one (compute and activations are per member).
@@ -157,7 +176,7 @@ class TestServeDispatchBatch:
             Query(index=i, accuracy_constraint=a, latency_constraint_ms=50.0)
             for i, a in enumerate(accuracies)
         ]
-        records = stack.serve_dispatch_batch(queries)
+        records = serve_batch(stack, queries)
         # One shared SubNet, feasible for every member's constraint.
         assert len({r.subnet_name for r in records}) == 1
         for record in records:
@@ -165,13 +184,11 @@ class TestServeDispatchBatch:
 
     def test_empty_batch_rejected(self, stack):
         with pytest.raises(ValueError, match="at least one query"):
-            stack.clone(seed=0).serve_dispatch_batch([])
+            stack.clone(seed=0).serve_dispatch_batch([], [], 0.74)
 
     def test_mismatched_budget_list_rejected(self, stack):
         with pytest.raises(ValueError, match="match the batch"):
-            stack.clone(seed=0).serve_dispatch_batch(
-                make_queries(3), effective_latency_constraints_ms=[10.0]
-            )
+            stack.clone(seed=0).serve_dispatch_batch(make_queries(3), [10.0], 0.74)
 
 
 # ------------------------------------------------------------ baselines
@@ -190,13 +207,13 @@ class TestBaselineBatchPaths:
     def test_one_query_batch_identical_to_serve_query(self):
         for fresh, batched in zip(self._servers(), self._servers()):
             q = make_queries(1, accuracy=0.76)[0]
-            assert [fresh.serve_query(q)] == batched.serve_dispatch_batch([q])
+            assert [serve_one(fresh, q)] == serve_batch(batched, [q])
 
     def test_batches_amortize_on_every_baseline(self):
         for server in self._servers():
             queries = make_queries(6, accuracy=0.76)
-            records = server.serve_dispatch_batch(queries)
-            single = type(server).serve_query(server, queries[0])
+            records = serve_batch(server, queries)
+            single = serve_one(server, queries[0])
             assert len({r.subnet_name for r in records}) == 1
             assert records[0].served_latency_ms < 6 * single.served_latency_ms
 
@@ -204,22 +221,15 @@ class TestBaselineBatchPaths:
         server = StateUnawareCachingServer(
             self._table(True), cache_update_period=4
         )
-        records = server.serve_dispatch_batch(make_queries(10, accuracy=0.76))
+        records = serve_batch(server, make_queries(10, accuracy=0.76))
         assert sum(1 for r in records if r.cache_load_ms > 0) <= 1
         assert all(r.cache_load_ms == 0.0 for r in records[:-1])
 
 
 # ------------------------------------------------------------ pop_batch
 class SynthServer:
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=1.0,
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return ("synthetic", 0.78, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestPopBatch:
@@ -299,9 +309,9 @@ class TestEngineBatching:
         budgets = []
 
         class Recording(SynthServer):
-            def serve_query(self, query, *, effective_latency_constraint_ms=None):
-                budgets.append(effective_latency_constraint_ms)
-                return super().serve_query(query)
+            def serve_query(self, query, budget_ms, accuracy_floor):
+                budgets.append(budget_ms)
+                return super().serve_query(query, budget_ms, accuracy_floor)
 
         n = 3
         trace = QueryTrace([0.77] * n, [100.0] * n)
@@ -351,7 +361,7 @@ class TestEngineBatching:
         for o in result.outcomes:
             assert o.record.replica_index == o.replica_index
         # The stamped record differs from the backend's only in the index.
-        raw = SynthServer().serve_query(trace[0])
+        raw = serve_one(SynthServer(), trace[0])
         stamped = next(o.record for o in result.outcomes if o.query_index == 0)
         assert dataclasses.replace(stamped, replica_index=0) == raw
 

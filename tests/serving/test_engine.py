@@ -5,6 +5,7 @@ import pytest
 from engine_oracle import EventHeap, build_stack_engine
 from fakes import ConstantServer
 
+from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.serving.engine import (
     AcceleratorReplica,
@@ -117,6 +118,19 @@ class TestRouting:
         replicas[0].enqueue(queued(0, 0.0, 0))
         router = JoinShortestQueueRouter()
         assert router.select(replicas, queued(1, 0.0, 1), 0.0) == 1
+
+    def test_jsq_breaks_ties_to_the_lowest_index(self):
+        replicas = self._replicas(4)
+        router = JoinShortestQueueRouter()
+        assert router.select(replicas, queued(0, 0.0, 0), 0.0) == 0
+        seq = 0
+        for index, depth in enumerate((2, 1, 3, 1)):
+            for _ in range(depth):
+                replicas[index].enqueue(queued(seq, 0.0, seq))
+                seq += 1
+        assert [r.num_in_system for r in replicas] == [2, 1, 3, 1]
+        assert [r.queue_length() for r in replicas] == [2, 1, 3, 1]
+        assert router.select(replicas, queued(seq, 0.0, seq), 0.0) == 1
 
     def test_least_loaded_uses_backlog(self):
         replicas = self._replicas(2)
@@ -397,7 +411,15 @@ class TestEngineWithSushiStack:
         a = mobilenet_stack.clone()
         b = mobilenet_stack.clone()
         batched = a.serve(mobilenet_trace)
-        per_query = [b.serve_query(q) for q in mobilenet_trace]
+        per_query = [
+            QueryRecord(
+                q.index,
+                q.accuracy_constraint,
+                q.latency_constraint_ms,
+                *b.serve_query(q, q.latency_constraint_ms, q.accuracy_constraint),
+            )
+            for q in mobilenet_trace
+        ]
         assert batched == per_query
 
     def test_clone_shares_table_but_not_state(self, mobilenet_stack):

@@ -18,7 +18,6 @@ import pytest
 from engine_oracle import reference_run
 from fakes import single_group_autoscaler
 
-from repro.core.metrics import QueryRecord
 from repro.serving import QueryTrace
 from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.engine import AcceleratorReplica, ServingEngine
@@ -38,15 +37,9 @@ class IndexedServer:
     def __init__(self, services_ms):
         self.services_ms = list(services_ms)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return QueryRecord(
-            query_index=query.index,
-            accuracy_constraint=query.accuracy_constraint,
-            latency_constraint_ms=query.latency_constraint_ms,
-            subnet_name="synthetic",
-            served_accuracy=0.78,
-            served_latency_ms=self.services_ms[query.index % len(self.services_ms)],
-        )
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        service_ms = self.services_ms[query.index % len(self.services_ms)]
+        return ("synthetic", 0.78, service_ms, 0.0, 0.0, 0.0)
 
 
 def make_workload(n, *, seed=0, rate_per_ms=0.6):

@@ -137,9 +137,12 @@ def test_reset_restores_the_initial_membership(monkeypatch, stack_cache):
     engine.reset()
     _assert_membership(engine, {})
     assert engine._live == engine.replicas
-    assert set(engine._group_of) == {
+    assert engine._scaled == {
         i for indices in engine._initial_membership.values() for i in indices
     }
+    assert engine._group_of == [
+        g.name for g in spec.replica_groups for _ in range(g.count)
+    ]
 
 
 def test_reclaimed_draining_replicas_rejoin_routing(monkeypatch):

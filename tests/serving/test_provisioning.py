@@ -660,8 +660,6 @@ class TestSpecFields:
                 replica_groups=groups,
                 autoscaler=AutoscalerSpec(policy="tier_aware", groups=("huge",)),
             )
-        with pytest.raises(ValueError, match="scaled_groups"):
-            spec.scaled_group()
 
 
 class TestFacadeTiersAndDelay:

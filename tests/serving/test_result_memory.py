@@ -1,6 +1,6 @@
 """Memory guard: a run's result holds its table, not objects per query.
 
-``SimulationResult`` keeps one ~109-byte ``ResultTable`` row per offered
+``SimulationResult`` keeps one 93-byte ``ResultTable`` row per offered
 query plus the views' row order; the outcome, drop and record objects are
 built only while a view is read.  Before the table a result held an
 outcome and a replica-stamped record per served query, ~500 bytes per

@@ -90,13 +90,13 @@ class TestSushiStack:
         oracle = stack.clone(seed=7)
 
         def oracle_serve(queries):
-            decision = oracle.scheduler.schedule_shared(
-                accuracy_constraint=max(q.accuracy_constraint for q in queries),
-                latency_constraint_ms=min(q.latency_constraint_ms for q in queries)
-                / len(queries),
-                batch_size=len(queries),
+            current = oracle.scheduler.cache_state_idx
+            subnet_idx = oracle.scheduler.schedule_shared(
+                max(q.accuracy_constraint for q in queries),
+                min(q.latency_constraint_ms for q in queries) / len(queries),
+                len(queries),
             )
-            subnet = oracle.subnets[decision.subnet_idx]
+            subnet = oracle.subnets[subnet_idx]
             breakdown = oracle.accel.subnet_breakdown(subnet, oracle.pb.cached)
             hit_ratio = oracle.pb.vector_hit_ratio(subnet)
             for _ in queries:
@@ -108,8 +108,8 @@ class TestSushiStack:
                 shared = parts.offchip_weight_ms + parts.onchip_weight_ms
                 latency_ms = shared + len(queries) * (parts.total_ms - shared)
             cache_load_ms = 0.0
-            if decision.cache_updated:
-                cache_load_ms = oracle._enact_cache(decision.next_cache_state_idx)
+            if oracle.scheduler.cache_state_idx != current:
+                cache_load_ms = oracle._enact_cache(oracle.scheduler.cache_state_idx)
             return [
                 QueryRecord(
                     query_index=q.index,
@@ -143,15 +143,34 @@ class TestSushiStack:
         assert served.serve(trace) == expected
         assert pb_stats(served) == pb_stats(oracle)
 
+        def record_of(q, served):
+            return QueryRecord(
+                q.index, q.accuracy_constraint, q.latency_constraint_ms, *served
+            )
+
         per_query = stack.clone(seed=7)
-        assert [per_query.serve_query(q) for q in queries] == expected
+        assert [
+            record_of(q, per_query.serve_query(q, q.latency_constraint_ms, q.accuracy_constraint))
+            for q in queries
+        ] == expected
         assert pb_stats(per_query) == pb_stats(oracle)
 
         oracle.reset()
         batches = [queries[k : k + 3] for k in range(0, len(queries), 3)]
         expected = [r for batch in batches for r in oracle_serve(batch)]
         batched = stack.clone(seed=7)
-        got = [r for batch in batches for r in batched.serve_dispatch_batch(batch)]
+        got = [
+            record_of(q, served)
+            for batch in batches
+            for q, served in zip(
+                batch,
+                batched.serve_dispatch_batch(
+                    batch,
+                    [q.latency_constraint_ms for q in batch],
+                    max(q.accuracy_constraint for q in batch),
+                ),
+            )
+        ]
         assert got == expected
         assert pb_stats(batched) == pb_stats(oracle)
 

@@ -29,35 +29,25 @@ import time
 
 import numpy as np
 
-from repro.core.metrics import QueryRecord
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.core import poisson_arrivals
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 
 
 class ConstantWorkServer:
-    """Near-free backend: constant service time, one shared record.
+    """Near-free backend: constant service time, one shared served tuple.
 
-    The engine never reads the record's ``query_index`` (outcomes carry the
-    query's own index), so sharing one record across queries is safe and
-    keeps ``serve_query`` down to an attribute read — the profile then shows
-    the event loop, not record construction.
+    ``serve_query`` is an attribute read — the profile then shows the event
+    loop, not the backend.
     """
 
-    __slots__ = ("record",)
+    __slots__ = ("served",)
 
     def __init__(self, service_ms: float) -> None:
-        self.record = QueryRecord(
-            query_index=-1,
-            accuracy_constraint=0.5,
-            latency_constraint_ms=1e9,
-            subnet_name="profile-stub",
-            served_accuracy=0.9,
-            served_latency_ms=service_ms,
-        )
+        self.served = ("profile-stub", 0.9, service_ms, 0.0, 0.0, 0.0)
 
-    def serve_query(self, query, *, effective_latency_constraint_ms=None):
-        return self.record
+    def serve_query(self, query, budget_ms, accuracy_floor):
+        return self.served
 
 
 def build_workload(num_queries: int, seed: int):
