@@ -156,10 +156,9 @@ class AcceleratorReplica:
         self.in_service: list[InServiceMember] | None = None
         """The pickup being served, one ``(item, served, start_ms,
         service_ms, accuracy_floor)`` member per query (``None`` when
-        idle).  Under
-        ``shared_subnet`` every member starts at the pickup and spans the
-        whole batch evaluation; under ``per_query`` members run back to
-        back, so their starts are cumulative."""
+        idle).  Under ``shared_subnet`` every member starts at the pickup
+        and spans the whole batch evaluation; under ``per_query`` members
+        run back to back, so their starts are cumulative."""
         self.in_service_ms = 0.0
         """Busy time of the pickup in service: one evaluation under
         ``shared_subnet``, the members' summed service otherwise."""
