@@ -24,7 +24,7 @@ functions by cumulative time.  ``schema`` prints the scenario JSON
 reference — every field's default and every closed enum — straight from the
 dataclasses (:func:`repro.serving.spec.scenario_schema`), so it can never
 drift from the code; the prose companion is ``docs/scenario-schema.md``.
-``lint`` runs the AST-based invariant linter (codes RPR001–RPR003 and
+``lint`` runs the AST-based invariant linter (codes RPR001, RPR002 and
 RPR005; see ``docs/invariants.md``) over ``src/`` by default and exits
 nonzero on any violation — CI runs it in the ``static-analysis`` job.
 ``sweep`` expands a declarative grid spec (base scenario × override axes;
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p = sub.add_parser(
         "lint",
         help=(
-            "run the AST-based invariant linter (RPR001-RPR003, RPR005; "
+            "run the AST-based invariant linter (RPR001, RPR002, RPR005; "
             "see docs/invariants.md)"
         ),
     )

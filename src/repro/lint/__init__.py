@@ -18,7 +18,6 @@ RPR000    suppression hygiene (known codes + a ``-- reason``); unsuppressible
 RPR001    determinism: no global RNGs, wall clocks, or set-ordered iteration
 RPR002    slots coverage: hot-path dataclasses slotted; no __dict__ stamps
           or dynamic writes on slotted classes
-RPR003    fast-path field parity: __dict__ stamps match dataclass fields
 RPR005    event ordering: EventKind covered by the documented contract;
           heappush tuples carry the tie-break shape
 ========  ==================================================================
@@ -40,7 +39,6 @@ from repro.lint.base import (
 # Importing the checker modules registers them (via @register).
 from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import events_contract as _events_contract  # noqa: F401
-from repro.lint import fastpath as _fastpath  # noqa: F401
 from repro.lint import slots as _slots  # noqa: F401
 from repro.lint.events_contract import EVENT_ORDER
 from repro.lint.runner import (

@@ -372,8 +372,6 @@ class StampSite:
 
     class_name: str | None
     lineno: int
-    keys: dict[str, int]
-    uses_update: bool
     #: True once the site actually reads ``obj.__dict__`` — a bare
     #: ``Cls.__new__(Cls)`` (pickle-style) is not a stamp.
     touches_dict: bool
@@ -382,21 +380,19 @@ class StampSite:
 def find_stamp_sites(func: ast.FunctionDef) -> list[StampSite]:
     """Locate fast-path construction sites inside one function.
 
-    Recognizes the idiom the engine's ``_simulate`` / ``query_at`` use::
+    Recognizes the idiom that bypasses a constructor::
 
         out_new = Cls.__new__          # optional hoisted alias
         obj = out_new(Cls)             # or obj = Cls.__new__(Cls)
-        d = obj.__dict__               # optional dict alias
-        d["field"] = ...               # stamped keys
-        d.update(mapping)              # marks the site as subset-checked
+        d = obj.__dict__               # any read of obj.__dict__
+        d["field"] = ...
 
     Dynamic classes (``cls = record.__class__``) yield ``class_name=None``
-    and are skipped by the parity checks — "cannot verify" is not "ok",
-    but it is also not a static violation.
+    and are skipped — "cannot verify" is not "ok", but it is also not a
+    static violation.
     """
     new_alias: dict[str, str | None] = {}
     sites: dict[str, StampSite] = {}
-    dict_alias: dict[str, str] = {}
 
     def class_of_new(value: ast.expr) -> str | None | bool:
         """Return the class name for a ``__new__`` call, None if dynamic,
@@ -427,49 +423,17 @@ def find_stamp_sites(func: ast.FunctionDef) -> list[StampSite]:
             sites[target.id] = StampSite(
                 class_name=resolved if isinstance(resolved, str) else None,
                 lineno=node.lineno,
-                keys={},
-                uses_update=False,
                 touches_dict=False,
             )
-            continue
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr == "__dict__"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in sites
-        ):
-            dict_alias[target.id] = value.value.id
-            sites[value.value.id].touches_dict = True
-
-    def site_for_dict_expr(expr: ast.expr) -> StampSite | None:
-        if isinstance(expr, ast.Name) and expr.id in dict_alias:
-            return sites[dict_alias[expr.id]]
-        if (
-            isinstance(expr, ast.Attribute)
-            and expr.attr == "__dict__"
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id in sites
-        ):
-            site = sites[expr.value.id]
-            site.touches_dict = True
-            return site
-        return None
 
     for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    site = site_for_dict_expr(target.value)
-                    if site is not None and isinstance(
-                        target.slice, ast.Constant
-                    ) and isinstance(target.slice.value, str):
-                        site.keys.setdefault(target.slice.value, node.lineno)
-        elif isinstance(node, ast.Call):
-            func_expr = node.func
-            if isinstance(func_expr, ast.Attribute) and func_expr.attr == "update":
-                site = site_for_dict_expr(func_expr.value)
-                if site is not None:
-                    site.uses_update = True
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__dict__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in sites
+        ):
+            sites[node.value.id].touches_dict = True
     return list(sites.values())
 
 

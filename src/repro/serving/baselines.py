@@ -23,7 +23,7 @@ from repro.core.candidates import CandidateSet, truncate_to_capacity
 from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy, subnet_selector
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import QueryLike, QueryTrace
 from repro.serving.stack import ServeEntries, batch_budget_ms, batch_served
 from repro.serving.stack import build_serve_table, serve_trace, supernet_family
 
@@ -84,13 +84,15 @@ class _TableServer:
         return batch_served(size, self._names[idx], table.accuracy_list[idx], entry, load_ms)
 
     def serve_dispatch_batch(
-        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+        self, queries: Sequence[QueryLike], budgets_ms: Sequence[float], accuracy_floor: float
     ) -> list[Served]:
         """Serve a batch on one shared SubNet (weights fetched once)."""
         budget = batch_budget_ms(queries, budgets_ms)
         return self._serve(len(queries), self._select(accuracy_floor, budget))
 
-    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served:
+    def serve_query(
+        self, query: QueryLike, budget_ms: float, accuracy_floor: float
+    ) -> Served:
         """Serve one query at dispatch time: a one-query batch."""
         return self.serve_dispatch_batch([query], [budget_ms], accuracy_floor)[0]
 
@@ -114,7 +116,7 @@ class FixedSubNetServer(_TableServer):
             raise ValueError(f"unknown SubNet {subnet_name!r}; available: {names}")
         self._fixed_idx = names.index(subnet_name)
 
-    def estimate_service_ms(self, query: Query) -> float:
+    def estimate_service_ms(self, query: QueryLike) -> float:
         return self.tables.table.latency(self._fixed_idx, 0)
 
     def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:

@@ -35,7 +35,6 @@ from repro.serving.engine.disciplines import (
     EDFQueue,
     FIFOQueue,
     QueueDiscipline,
-    QueuedQuery,
     SlackPriorityQueue,
     make_discipline,
 )
@@ -59,6 +58,7 @@ from repro.serving.engine.routing import (
     RoutingPolicy,
     make_router,
 )
+from repro.serving.query import QueuedQuery
 
 __all__ = [
     "AcceleratorReplica",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.serving.engine.disciplines import QueuedQuery
+from repro.serving.query import QueuedQuery
 
 
 class AdmissionPolicy(abc.ABC):

@@ -53,7 +53,6 @@ import numpy as np
 from repro.serving.autoscale.controller import AutoscaleController
 from repro.serving.autoscale.policies import GroupStatus
 from repro.serving.engine.admission import AdmissionPolicy, make_admission
-from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
 from repro.serving.engine.replica import AcceleratorReplica
@@ -63,7 +62,7 @@ from repro.serving.engine.results import (
     makespan_ms,
 )
 from repro.serving.engine.routing import RoutingPolicy, make_router
-from repro.serving.query import QueryTrace
+from repro.serving.query import QueryTrace, QueuedQuery
 
 _MIN_EFFECTIVE_LATENCY_MS = 1e-9
 """Floor for the remaining-slack latency budget passed to schedulers."""
@@ -362,7 +361,9 @@ class ServingEngine:
         The one event loop, for every pool: static or autoscaled, with or
         without fault injection, any ``max_batch``.  Events come from an
         :class:`ArrayEventQueue` (arrivals never become objects; each query
-        is built from the trace's columns when it arrives).  The optional
+        becomes one :class:`QueuedQuery`, built from the trace's columns when
+        it arrives, which routing, the queue, admission, the backend and
+        every retry share).  The optional
         layers — autoscaler telemetry, fault injection, the flight recorder
         — are hoisted to locals, so a fixed pool pays one ``is not None``
         check per hook.
@@ -445,7 +446,7 @@ class ServingEngine:
         # discipline's queued-work accumulator, whose exact bits load-aware
         # routers read on later arrivals.
         direct_serve = not needs_estimates
-        get_query = trace.query_at
+        acc_col, lat_col = trace.columns()
         ARRIVAL, COMPLETION, FAULT, RECOVERY, PROVISIONING = (
             int(EventKind.ARRIVAL),
             int(EventKind.COMPLETION),
@@ -464,13 +465,13 @@ class ServingEngine:
             # Admission shed ``item`` at dispatch on ``replica``.
             replica.stats.num_dropped += 1
             write_drop(
-                item.seq, item.arrival_ms, now,
-                item.query.latency_constraint_ms, replica.index, "deadline_expired",
+                item.index, item.arrival_ms, now,
+                item.latency_constraint_ms, replica.index, "deadline_expired",
             )
             if bus is not None and replica.index in scalable:
                 bus.on_drop(now)
             if rec_dropped is not None:
-                rec_dropped(table.dropped_query(item.seq))
+                rec_dropped(table.dropped_query(item.index))
 
         def start(
             replica: AcceleratorReplica, batch: list[QueuedQuery], now: float
@@ -498,17 +499,13 @@ class ServingEngine:
                 )
                 is not None
             ):
-                queries = [item.query for item in batch]
-                floors = [q.accuracy_constraint for q in queries]
+                floors = [item.accuracy_constraint for item in batch]
                 if relax > 0.0:
                     floors = [max(a - relax, min_floor) for a in floors]
                 served = batch_serve(
-                    queries,
+                    batch,
                     [
-                        max(
-                            item.query.latency_constraint_ms - (now - item.arrival_ms),
-                            min_eff,
-                        )
+                        max(item.latency_constraint_ms - (now - item.arrival_ms), min_eff)
                         for item in batch
                     ],
                     max(floors),
@@ -530,13 +527,12 @@ class ServingEngine:
                         replica.num_in_system -= 1
                         drop(item, replica, t)
                         continue
-                    query = item.query
-                    remaining = query.latency_constraint_ms - (t - item.arrival_ms)
-                    floor = query.accuracy_constraint
+                    remaining = item.latency_constraint_ms - (t - item.arrival_ms)
+                    floor = item.accuracy_constraint
                     if relax > 0.0:
                         floor = max(floor - relax, min_floor)
                     served = serve(
-                        query, remaining if remaining > min_eff else min_eff, floor
+                        item, remaining if remaining > min_eff else min_eff, floor
                     )
                     service = served[2]
                     if straggle != 1.0:
@@ -586,11 +582,9 @@ class ServingEngine:
                 # trailing control tick (or provisioning hand-over) after
                 # the last completion must not inflate the cost accounting
                 # relative to a static run of the same trace.  The payload
-                # is the arrival index, which doubles as the queue-entry
-                # sequence number.
+                # is the arrival index: the query's index and result row.
                 run_end = now
-                query = get_query(payload)
-                item = QueuedQuery(query=query, arrival_ms=now, seq=payload)
+                item = QueuedQuery(payload, acc_col[payload], lat_col[payload], now)
                 if routable is None:
                     candidates = replicas
                 else:
@@ -615,12 +609,7 @@ class ServingEngine:
                     # backend's cache state), so it is attached after
                     # routing — and only when a discipline or router will
                     # read it, since it costs a table lookup per arrival.
-                    item = QueuedQuery(
-                        query=query,
-                        arrival_ms=now,
-                        seq=payload,
-                        service_estimate_ms=float(replica.service_estimator(query)),
-                    )
+                    item.service_estimate_ms = float(replica.service_estimator(item))
                 replica.enqueue(item)
                 if replica.in_service is None:
                     dispatch(replica, now)
@@ -644,11 +633,11 @@ class ServingEngine:
                 stats = replica.stats
                 for item, served, start_ms, service, floor in members:
                     write_served(
-                        item.seq, item.arrival_ms, start_ms, service,
-                        item.query.latency_constraint_ms, ridx, size, floor, served,
+                        item.index, item.arrival_ms, start_ms, service,
+                        item.latency_constraint_ms, ridx, size, floor, served,
                     )
                     if rec_served is not None:
-                        rec_served(table.outcome(item.seq))
+                        rec_served(table.outcome(item.index))
                     stats.queueing_ms_total += start_ms - item.arrival_ms
                 stats.num_served += size
                 stats.busy_ms += total
@@ -922,10 +911,10 @@ class ServingEngine:
             else:
                 self.faults.forget(replica.index)
             return
-        # ("retry", item): the backed-off query re-enters routing.  Its
-        # arrival_ms (and deadline) stay original — a retry buys another
-        # attempt, not more slack — and it does not feed bus.on_arrival:
-        # demand telemetry counted it when it first arrived.
+        # ("retry", item): the backed-off query re-enters routing as the
+        # same item.  Its arrival_ms (and deadline) stay original — a retry
+        # buys another attempt, not more slack — and it does not feed
+        # bus.on_arrival: demand telemetry counted it when it first arrived.
         item = payload[1]
         candidates = self._routable()
         bus = None if self.autoscaler is None else self.autoscaler.bus
@@ -937,12 +926,7 @@ class ServingEngine:
         ridx = self.router.select(candidates, item, now)
         replica = candidates[ridx]
         if self._needs_estimates:
-            item = QueuedQuery(
-                query=item.query,
-                arrival_ms=item.arrival_ms,
-                seq=item.seq,
-                service_estimate_ms=float(replica.service_estimator(item.query)),
-            )
+            item.service_estimate_ms = float(replica.service_estimator(item))
         replica.enqueue(item)
         if replica.in_service is None:
             dispatch(replica, now)
@@ -994,11 +978,11 @@ class ServingEngine:
     ) -> None:
         """Write a fault-plane drop of ``item`` and show it to the recorder."""
         table.drop(
-            item.seq, item.arrival_ms, now,
-            item.query.latency_constraint_ms, replica_index, reason,
+            item.index, item.arrival_ms, now,
+            item.latency_constraint_ms, replica_index, reason,
         )
         if self.recorder is not None:
-            self.recorder.on_dropped(table.dropped_query(item.seq))
+            self.recorder.on_dropped(table.dropped_query(item.index))
 
     def _on_capacity_joined(self) -> None:
         """A scale-up replica joined routing: failure pressure eases."""

@@ -13,8 +13,8 @@ provided:
   and a long expected service is more urgent than one with the same deadline
   that will finish quickly.
 
-All orderings break ties by arrival sequence number, so every run is
-deterministic.
+All orderings break ties by query index (the arrival order), so every run
+is deterministic.
 """
 
 from __future__ import annotations
@@ -22,35 +22,8 @@ from __future__ import annotations
 import abc
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
-from repro.serving.query import Query
-
-
-@dataclass(frozen=True, slots=True)
-class QueuedQuery:
-    """A query waiting in a replica queue, with its arrival-time context.
-
-    ``slots=True``: one of these is allocated per arrival, so the instance
-    layout sits on the event loop's hot path for long traces.
-    """
-
-    query: Query
-    arrival_ms: float
-    seq: int
-    """Global arrival sequence number (deterministic tie-breaker)."""
-    service_estimate_ms: float = 0.0
-    """Estimated service time, used by slack ordering and load estimation."""
-
-    @property
-    def deadline_ms(self) -> float:
-        """Absolute time by which the response must complete to meet the SLO."""
-        return self.arrival_ms + self.query.latency_constraint_ms
-
-    @property
-    def slack_key_ms(self) -> float:
-        """Deadline minus estimated service: when service must *start* by."""
-        return self.deadline_ms - self.service_estimate_ms
+from repro.serving.query import QueuedQuery
 
 
 class QueueDiscipline(abc.ABC):
@@ -96,16 +69,11 @@ class FIFOQueue(QueueDiscipline):
 
 
 class _HeapQueue(QueueDiscipline):
-    """Shared heap machinery for priority disciplines."""
+    """Shared heap machinery for priority disciplines: subclasses push
+    ``(key, index, item)``, so equal keys pop in index order."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, QueuedQuery]] = []
-
-    def _key(self, item: QueuedQuery) -> float:
-        raise NotImplementedError
-
-    def push(self, item: QueuedQuery) -> None:
-        heapq.heappush(self._heap, (self._key(item), item.seq, item))
 
     def pop(self) -> QueuedQuery | None:
         if not self._heap:
@@ -121,8 +89,8 @@ class EDFQueue(_HeapQueue):
 
     name = "edf"
 
-    def _key(self, item: QueuedQuery) -> float:
-        return item.deadline_ms
+    def push(self, item: QueuedQuery) -> None:
+        heapq.heappush(self._heap, (item.deadline_ms, item.index, item))
 
 
 class SlackPriorityQueue(_HeapQueue):
@@ -136,8 +104,12 @@ class SlackPriorityQueue(_HeapQueue):
     name = "priority_by_slack"
     needs_service_estimates = True
 
-    def _key(self, item: QueuedQuery) -> float:
-        return item.slack_key_ms
+    def push(self, item: QueuedQuery) -> None:
+        # Keyed on when service must *start* by.
+        heapq.heappush(
+            self._heap,
+            (item.deadline_ms - item.service_estimate_ms, item.index, item),
+        )
 
 
 _DISCIPLINES = {

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 
 class EventKind(enum.IntEnum):
@@ -70,10 +70,11 @@ class ArrayEventQueue:
     its trace; a dynamic event's payload is whatever was pushed with it.
     """
 
-    def __init__(self, arrival_times_ms: Sequence[float]) -> None:
+    def __init__(self, arrival_times_ms: list[float]) -> None:
         # A plain Python list: float comparisons against heap entries are
-        # several times faster than indexing a numpy array per event.
-        self._arrivals = list(arrival_times_ms)
+        # several times faster than indexing a numpy array per event.  The
+        # caller's list is read as is, not copied, and must not change.
+        self._arrivals = arrival_times_ms
         self._cursor = 0
         self._heap: list[tuple[float, int, int, Any]] = []
         self._counter = 0

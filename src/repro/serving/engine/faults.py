@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from numpy.random import default_rng
 
-from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
+from repro.serving.query import QueuedQuery
 
 if TYPE_CHECKING:  # pragma: no cover - spec.py imports the engine package
     from repro.serving.spec import FaultSpec
@@ -212,7 +212,7 @@ class FaultInjector:
         with the ``"failed"`` reason.
         """
         retry = self.spec.retry
-        attempt = self._attempts.get(item.query.index, 1)
+        attempt = self._attempts.get(item.index, 1)
         if attempt >= retry.max_attempts:
             return None
         retry_ms = now_ms + retry.backoff_base_ms * (
@@ -220,7 +220,7 @@ class FaultInjector:
         )
         if retry_ms >= item.deadline_ms:
             return None
-        self._attempts[item.query.index] = attempt + 1
+        self._attempts[item.index] = attempt + 1
         self.num_retries += 1
         return retry_ms
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.metrics import Served
-from repro.serving.engine.disciplines import QueueDiscipline, QueuedQuery, make_discipline
-from repro.serving.query import Query
+from repro.serving.engine.disciplines import QueueDiscipline, make_discipline
+from repro.serving.query import QueryLike, QueuedQuery
 
 
 @runtime_checkable
@@ -25,10 +25,14 @@ class QueryServer(Protocol):
     query's remaining latency budget and its accuracy floor and returns what
     it served.  A backend may also offer ``serve_dispatch_batch(queries,
     budgets_ms, accuracy_floor)``: one shared decision for a pickup, one
-    :data:`~repro.core.metrics.Served` tuple per member.
+    :data:`~repro.core.metrics.Served` tuple per member.  The engine passes
+    each query as its :class:`~repro.serving.query.QueuedQuery`, which has a
+    :class:`~repro.serving.query.Query`'s fields.
     """
 
-    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served: ...
+    def serve_query(
+        self, query: QueryLike, budget_ms: float, accuracy_floor: float
+    ) -> Served: ...
 
 
 InServiceMember = tuple[QueuedQuery, Served, float, float, float]
@@ -36,7 +40,7 @@ InServiceMember = tuple[QueuedQuery, Served, float, float, float]
 service_ms, accuracy_floor)``, the floor being what the backend was given."""
 
 
-def _constraint_estimate(query: Query) -> float:
+def _constraint_estimate(query: QueryLike) -> float:
     """Default service estimate for servers without ``estimate_service_ms``:
     the query's own latency budget (an upper bound on admissible service)."""
     return query.latency_constraint_ms
@@ -123,7 +127,7 @@ class AcceleratorReplica:
         discipline: str | QueueDiscipline = "fifo",
         index: int | None = None,
         name: str | None = None,
-        service_estimator: Callable[[Query], float] | None = None,
+        service_estimator: Callable[[QueryLike], float] | None = None,
         max_batch: int = 1,
         batch_policy: str = "shared_subnet",
         cost_weight: float = 1.0,

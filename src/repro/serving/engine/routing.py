@@ -22,8 +22,8 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.replica import AcceleratorReplica
+from repro.serving.query import QueuedQuery
 
 
 class RoutingPolicy(abc.ABC):
@@ -129,9 +129,7 @@ class FastestExpectedRouter(RoutingPolicy):
     ) -> int:
         def finish_ms(i: int) -> float:
             replica = replicas[i]
-            return replica.backlog_ms(now_ms) + float(
-                replica.service_estimator(item.query)
-            )
+            return replica.backlog_ms(now_ms) + float(replica.service_estimator(item))
 
         return min(range(len(replicas)), key=lambda i: (finish_ms(i), i))
 

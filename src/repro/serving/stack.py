@@ -29,7 +29,8 @@ whole trace, and the one place the stack builds records.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy
 from repro.core.scheduler import CacheDecisionMemo, SushiSched
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import QueryLike, QueryTrace, QueuedQuery
 from repro.supernet.accuracy import AccuracyModel
 from repro.supernet.subnet import SubNet
 from repro.supernet.supernet import SuperNet
@@ -164,7 +165,7 @@ def build_serve_table(
     return table, entries
 
 
-def batch_budget_ms(queries: Sequence[Query], budgets_ms: Sequence[float]) -> float:
+def batch_budget_ms(queries: Sequence[QueryLike], budgets_ms: Sequence[float]) -> float:
     """The latency budget a shared batch decision plans against.
 
     The tightest remaining budget divided by the batch size: serve tables
@@ -206,15 +207,25 @@ def batch_served(
     ]
 
 
-def serve_trace(server, trace: QueryTrace) -> list[QueryRecord]:
+def serve_trace(server, trace: QueryTrace | Iterable[QueryLike]) -> list[QueryRecord]:
     """``server`` serves ``trace`` closed loop: each query with its nominal
-    budget and accuracy floor, one record per query."""
+    budget and accuracy floor, one record per query.
+
+    A :class:`QueryTrace`'s queries reach the backend as
+    :class:`QueuedQuery` items built from its columns (arriving at 0: a
+    closed loop never queues), the query type the engine serves; any other
+    iterable of queries is served as it is.
+    """
+    if isinstance(trace, QueryTrace):
+        acc, lat = trace.columns()
+        trace = map(QueuedQuery, range(len(acc)), acc, lat, repeat(0.0))
+    serve = server.serve_query
     return [
         QueryRecord(
             q.index,
             q.accuracy_constraint,
             q.latency_constraint_ms,
-            *server.serve_query(q, q.latency_constraint_ms, q.accuracy_constraint),
+            *serve(q, q.latency_constraint_ms, q.accuracy_constraint),
         )
         for q in trace
     ]
@@ -293,7 +304,9 @@ class SushiStack:
         self._cached_idx = candidate_idx
         return self.accel.cache_load_latency_ms(fetched)
 
-    def serve_query(self, query: Query, budget_ms: float, accuracy_floor: float) -> Served:
+    def serve_query(
+        self, query: QueryLike, budget_ms: float, accuracy_floor: float
+    ) -> Served:
         """Serve one query at dispatch time; returns what it was served.
 
         ``budget_ms`` is the query's *remaining* latency budget once queueing
@@ -321,7 +334,7 @@ class SushiStack:
         )
 
     def serve_dispatch_batch(
-        self, queries: Sequence[Query], budgets_ms: Sequence[float], accuracy_floor: float
+        self, queries: Sequence[QueryLike], budgets_ms: Sequence[float], accuracy_floor: float
     ) -> list[Served]:
         """Serve a weight-sharing batch with one shared SubNet decision.
 
@@ -361,7 +374,7 @@ class SushiStack:
         """Serve a query stream end to end; returns per-query records."""
         return serve_trace(self, trace)
 
-    def estimate_service_ms(self, query: Query) -> float:
+    def estimate_service_ms(self, query: QueryLike) -> float:
         """Predicted service time of ``query`` at the current cache state.
 
         Side-effect free: consults the latency table without advancing the

@@ -55,9 +55,9 @@ from repro.serving.engine import (
 )
 from repro.serving.engine.admission import AdmissionPolicy
 from repro.serving.engine.core import _MIN_EFFECTIVE_LATENCY_MS
-from repro.serving.engine.disciplines import QueuedQuery
 from repro.serving.engine.events import EventKind
 from repro.serving.engine.results import ResultTable
+from repro.serving.query import QueuedQuery
 
 
 def _relaxed(accuracy_constraint: float, relax: float) -> float:
@@ -101,7 +101,7 @@ def _drop_item(
     """Write ``item`` as shed by admission control at dispatch on ``replica``."""
     replica.stats.num_dropped += 1
     table.drop(
-        item.seq, item.arrival_ms, now,
+        item.index, item.arrival_ms, now,
         item.query.latency_constraint_ms, replica.index, "deadline_expired",
     )
 
@@ -153,7 +153,7 @@ def _serve_pickup(
         if bus is not None:
             bus.on_drop(now)
         if recorder is not None:
-            recorder.on_dropped(table.dropped_query(item.seq))
+            recorder.on_dropped(table.dropped_query(item.index))
     if not batch:
         return None
     straggle = 1.0
@@ -196,7 +196,7 @@ def _serve_pickup(
                 if bus is not None:
                     bus.on_drop(t)
                 if recorder is not None:
-                    recorder.on_dropped(table.dropped_query(item.seq))
+                    recorder.on_dropped(table.dropped_query(item.index))
                 continue
             remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
             effective = (
@@ -402,7 +402,6 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
     def dispatch(replica, now):
         _dispatch(engine, replica, now, heap, table, pickups)
 
-    seq = 0
     while heap:
         event = heap.pop()
         now = event.time_ms
@@ -410,8 +409,9 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
         if kind == EventKind.ARRIVAL:
             engine._run_end_ms = now
             query = event.payload
-            item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
-            seq += 1
+            item = QueuedQuery(
+                query.index, query.accuracy_constraint, query.latency_constraint_ms, now
+            )
             for r in engine.replicas:
                 assert r.num_in_system == r.queue_length(), (
                     f"{r.name}: count {r.num_in_system} != "
@@ -430,12 +430,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
             if bus is not None and replica.index in engine._scaled:
                 bus.on_arrival(now)
             if engine._needs_estimates:
-                item = QueuedQuery(
-                    query=query,
-                    arrival_ms=now,
-                    seq=item.seq,
-                    service_estimate_ms=float(replica.service_estimator(query)),
-                )
+                item.service_estimate_ms = float(replica.service_estimator(query))
             replica.enqueue(item)
             if replica.in_service is None:
                 dispatch(replica, now)
@@ -514,7 +509,7 @@ def _complete(engine, replica, table, now, current):
             record=replace(record, replica_index=ridx),
             batch_size=current.size,
         )
-        table.put(item.seq, outcome)
+        table.put(item.index, outcome)
         if engine.recorder is not None:
             engine.recorder.on_served(outcome)
         stats.queueing_ms_total += start - item.arrival_ms

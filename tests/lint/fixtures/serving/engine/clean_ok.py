@@ -19,7 +19,7 @@ class TinyEvent:
 
 
 @dataclass(frozen=True)
-class TinyOutcome:  # repro-lint: disable=RPR002 -- stamped via __dict__ below, mirroring QueryTrace.query_at
+class TinyOutcome:  # repro-lint: disable=RPR002 -- stamped via __dict__ below
     index: int
     value: float
 

@@ -1,4 +1,4 @@
-"""Tests for the repro invariant linter (codes RPR000–RPR003, RPR005).
+"""Tests for the repro invariant linter (codes RPR000–RPR002, RPR005).
 
 Fixture modules under ``tests/lint/fixtures/`` carry ``# expect: CODE``
 markers on every line a checker must flag; the tests assert the linter
@@ -37,7 +37,6 @@ MARKER_FIXTURES = [
     "serving/engine/bad_slots.py",
     "serving/engine/bad_heappush.py",
     "events/bad_eventkind.py",
-    "fastpath/bad_stamp.py",
 ]
 
 CLEAN_FIXTURES = [
@@ -167,7 +166,6 @@ class TestRegistry:
             "RPR000",
             "RPR001",
             "RPR002",
-            "RPR003",
             "RPR005",
         )
 

@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.admission import make_admission
-from repro.serving.engine.disciplines import QueuedQuery, make_discipline
+from repro.serving.engine.disciplines import make_discipline
 from repro.serving.engine.routing import make_router
-from repro.serving.query import QueryTrace
+from repro.serving.query import QueryTrace, QueuedQuery
 
 EPS = 1e-9
 
@@ -93,7 +93,6 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
     for query, arrival in zip(trace, arrivals):
         heapq.heappush(heap, (float(arrival), ARRIVAL, counter, query))
         counter += 1
-    seq = 0
     outcomes = []
     dropped = []
 
@@ -138,14 +137,12 @@ def reference_run(trace, arrivals, services, *, num_replicas, discipline, router
         if kind == ARRIVAL:
             query = payload
             shims = [_Shim(r, i) for i, r in enumerate(replicas)]
-            item = QueuedQuery(query=query, arrival_ms=now, seq=seq)
-            seq += 1
+            item = QueuedQuery(
+                query.index, query.accuracy_constraint, query.latency_constraint_ms, now
+            )
             ridx = route.select(shims, item, now)
             if needs_estimates:
-                item = QueuedQuery(
-                    query=query, arrival_ms=now, seq=item.seq,
-                    service_estimate_ms=float(query.latency_constraint_ms),
-                )
+                item.service_estimate_ms = float(query.latency_constraint_ms)
             r = replicas[ridx]
             r["queue"].push(item)
             if r["busy"] is None:

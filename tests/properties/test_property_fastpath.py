@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.engine.events import ArrayEventQueue, EventKind
-from repro.serving.query import QueryTrace
+from repro.serving.query import Query, QueryTrace
 from repro.serving.spec import AutoscalerSpec
 
 
@@ -155,6 +155,30 @@ class TestExecutionStrategyIdentity:
             scaling=scaling,
         )
         assert_identical(fast, ref)
+
+
+class TestTraceQueries:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+                st.floats(min_value=1e-9, max_value=1e9),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_trace_query_is_the_checked_construction(self, constraints):
+        """``trace[i] == Query(i, acc[i], lat[i])`` for the input floats:
+        the columns round-trip every double and indexing validates."""
+        acc = [a for a, _ in constraints]
+        lat = [latency for _, latency in constraints]
+        trace = QueryTrace(acc, lat)
+        expected = [Query(i, acc[i], lat[i]) for i in range(len(acc))]
+        assert [trace[i] for i in range(len(acc))] == expected
+        assert list(trace) == expected
+        assert trace.columns() == (acc, lat)
 
 
 # Coarse grids make equal timestamps common, so the tie-break contract —

@@ -38,8 +38,7 @@ from repro.serving.baselines import (
     baseline_table,
 )
 from repro.serving.engine.admission import make_admission
-from repro.serving.engine.disciplines import QueuedQuery
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import Query, QueryTrace, QueuedQuery
 from repro.supernet.zoo import load_supernet, paper_pareto_subnets
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
@@ -235,16 +234,7 @@ class SynthServer:
 class TestPopBatch:
     def _fill(self, replica, deadlines, now=0.0):
         for i, deadline in enumerate(deadlines):
-            replica.enqueue(
-                QueuedQuery(
-                    query=Query(
-                        index=i, accuracy_constraint=0.77,
-                        latency_constraint_ms=deadline,
-                    ),
-                    arrival_ms=now,
-                    seq=i,
-                )
-            )
+            replica.enqueue(QueuedQuery(i, 0.77, deadline, now))
 
     def test_honors_discipline_order(self):
         replica = AcceleratorReplica(SynthServer(), discipline="edf", max_batch=3)
@@ -252,7 +242,7 @@ class TestPopBatch:
         admitted, shed = replica.pop_batch(
             3, now_ms=0.0, admission=make_admission("admit_all")
         )
-        assert [i.query.index for i in admitted] == [3, 1, 2]  # earliest deadlines
+        assert [i.index for i in admitted] == [3, 1, 2]  # earliest deadlines
         assert shed == []
         assert len(replica.queue) == 1
 
@@ -262,8 +252,8 @@ class TestPopBatch:
         admitted, shed = replica.pop_batch(
             4, now_ms=50.0, admission=make_admission("drop_expired")
         )
-        assert [i.query.index for i in admitted] == [1, 3]
-        assert [i.query.index for i in shed] == [0, 2]
+        assert [i.index for i in admitted] == [1, 3]
+        assert [i.index for i in shed] == [0, 2]
 
     def test_max_batch_caps_the_pickup(self):
         replica = AcceleratorReplica(SynthServer(), max_batch=2)

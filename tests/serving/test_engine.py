@@ -35,11 +35,8 @@ def make_trace(n, *, latency_ms=10.0):
     return QueryTrace([0.77] * n, [latency_ms] * n)
 
 
-def queued(index, arrival, seq, *, constraint=10.0, estimate=0.0):
-    q = Query(index=index, accuracy_constraint=0.77, latency_constraint_ms=constraint)
-    return QueuedQuery(
-        query=q, arrival_ms=arrival, seq=seq, service_estimate_ms=estimate
-    )
+def queued(index, arrival, *, constraint=10.0, estimate=0.0):
+    return QueuedQuery(index, 0.77, constraint, arrival, estimate)
 
 
 class TestEventHeap:
@@ -62,22 +59,22 @@ class TestDisciplines:
     def test_fifo_preserves_arrival_order(self):
         q = FIFOQueue()
         for i in range(3):
-            q.push(queued(i, arrival=float(i), seq=i))
-        assert [q.pop().query.index for _ in range(3)] == [0, 1, 2]
+            q.push(queued(i, arrival=float(i)))
+        assert [q.pop().index for _ in range(3)] == [0, 1, 2]
 
     def test_edf_pops_earliest_deadline(self):
         q = EDFQueue()
-        q.push(queued(0, arrival=0.0, seq=0, constraint=50.0))   # deadline 50
-        q.push(queued(1, arrival=5.0, seq=1, constraint=10.0))   # deadline 15
-        q.push(queued(2, arrival=1.0, seq=2, constraint=30.0))   # deadline 31
-        assert [q.pop().query.index for _ in range(3)] == [1, 2, 0]
+        q.push(queued(0, arrival=0.0, constraint=50.0))   # deadline 50
+        q.push(queued(1, arrival=5.0, constraint=10.0))   # deadline 15
+        q.push(queued(2, arrival=1.0, constraint=30.0))   # deadline 31
+        assert [q.pop().index for _ in range(3)] == [1, 2, 0]
 
     def test_slack_accounts_for_service_estimate(self):
         q = SlackPriorityQueue()
         # Same deadline, but index 1 needs much longer service: less slack.
-        q.push(queued(0, arrival=0.0, seq=0, constraint=20.0, estimate=1.0))
-        q.push(queued(1, arrival=0.0, seq=1, constraint=20.0, estimate=15.0))
-        assert q.pop().query.index == 1
+        q.push(queued(0, arrival=0.0, constraint=20.0, estimate=1.0))
+        q.push(queued(1, arrival=0.0, constraint=20.0, estimate=15.0))
+        assert q.pop().index == 1
 
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -87,11 +84,11 @@ class TestDisciplines:
 
 class TestAdmission:
     def test_admit_all(self):
-        assert AdmitAll().admit(queued(0, 0.0, 0, constraint=1.0), now_ms=99.0)
+        assert AdmitAll().admit(queued(0, 0.0, constraint=1.0), now_ms=99.0)
 
     def test_drop_expired_sheds_late_queries(self):
         policy = DropExpired()
-        item = queued(0, arrival=0.0, seq=0, constraint=5.0)
+        item = queued(0, arrival=0.0, constraint=5.0)
         assert policy.admit(item, now_ms=4.9)
         assert not policy.admit(item, now_ms=5.0)
 
@@ -109,35 +106,35 @@ class TestRouting:
     def test_round_robin_cycles(self):
         router = RoundRobinRouter()
         replicas = self._replicas(3)
-        item = queued(0, 0.0, 0)
+        item = queued(0, 0.0)
         picks = [router.select(replicas, item, 0.0) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_jsq_prefers_idle_replica(self):
         replicas = self._replicas(2)
-        replicas[0].enqueue(queued(0, 0.0, 0))
+        replicas[0].enqueue(queued(0, 0.0))
         router = JoinShortestQueueRouter()
-        assert router.select(replicas, queued(1, 0.0, 1), 0.0) == 1
+        assert router.select(replicas, queued(1, 0.0), 0.0) == 1
 
     def test_jsq_breaks_ties_to_the_lowest_index(self):
         replicas = self._replicas(4)
         router = JoinShortestQueueRouter()
-        assert router.select(replicas, queued(0, 0.0, 0), 0.0) == 0
+        assert router.select(replicas, queued(0, 0.0), 0.0) == 0
         seq = 0
         for index, depth in enumerate((2, 1, 3, 1)):
             for _ in range(depth):
-                replicas[index].enqueue(queued(seq, 0.0, seq))
+                replicas[index].enqueue(queued(seq, 0.0))
                 seq += 1
         assert [r.num_in_system for r in replicas] == [2, 1, 3, 1]
         assert [r.queue_length() for r in replicas] == [2, 1, 3, 1]
-        assert router.select(replicas, queued(seq, 0.0, seq), 0.0) == 1
+        assert router.select(replicas, queued(seq, 0.0), 0.0) == 1
 
     def test_least_loaded_uses_backlog(self):
         replicas = self._replicas(2)
-        replicas[0].enqueue(queued(0, 0.0, 0, estimate=1.0))
-        replicas[1].enqueue(queued(1, 0.0, 1, estimate=50.0))
+        replicas[0].enqueue(queued(0, 0.0, estimate=1.0))
+        replicas[1].enqueue(queued(1, 0.0, estimate=50.0))
         router = LeastLoadedRouter()
-        assert router.select(replicas, queued(2, 0.0, 2), 0.0) == 0
+        assert router.select(replicas, queued(2, 0.0), 0.0) == 0
 
     def test_fastest_expected_prefers_fast_server_when_idle(self):
         # Equal backlogs: the replica whose estimator predicts the smaller
@@ -149,7 +146,7 @@ class TestRouting:
                                service_estimator=lambda q: 2.0),
         ]
         router = FastestExpectedRouter()
-        assert router.select(replicas, queued(0, 0.0, 0), 0.0) == 1
+        assert router.select(replicas, queued(0, 0.0), 0.0) == 1
 
     def test_fastest_expected_trades_backlog_against_speed(self):
         # The fast replica is so backlogged that the slow idle one finishes
@@ -160,9 +157,9 @@ class TestRouting:
             AcceleratorReplica(ConstantServer(1.0), index=1,
                                service_estimator=lambda q: 2.0),
         ]
-        replicas[1].enqueue(queued(0, 0.0, 0, estimate=30.0))
+        replicas[1].enqueue(queued(0, 0.0, estimate=30.0))
         router = FastestExpectedRouter()
-        assert router.select(replicas, queued(1, 0.0, 1), 0.0) == 0
+        assert router.select(replicas, queued(1, 0.0), 0.0) == 0
 
     def test_fastest_expected_ties_resolve_to_lowest_index(self):
         replicas = [
@@ -171,7 +168,7 @@ class TestRouting:
             for i in range(3)
         ]
         router = FastestExpectedRouter()
-        assert router.select(replicas, queued(0, 0.0, 0), 0.0) == 0
+        assert router.select(replicas, queued(0, 0.0), 0.0) == 0
 
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):

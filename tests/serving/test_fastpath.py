@@ -18,7 +18,7 @@ import pytest
 from engine_oracle import reference_run
 from fakes import single_group_autoscaler
 
-from repro.serving import QueryTrace
+from repro.serving import Query, QueryTrace
 from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.spec import (
@@ -150,6 +150,15 @@ def scenario(**overrides):
 class TestSpecKnobs:
     def test_build_trace_materializes_lazily_for_fast_specs(self):
         assert isinstance(build_trace(scenario()), QueryTrace)
+
+    def test_trace_queries_are_checked_constructions(self):
+        """Indexing and iterating a scenario trace build plain, validated
+        ``Query`` objects over the columns the engine serves from."""
+        trace = build_trace(scenario())
+        acc, lat = trace.columns()
+        expected = [Query(i, acc[i], lat[i]) for i in range(len(trace))]
+        assert [trace[i] for i in range(len(trace))] == expected
+        assert list(trace) == expected
 
     def test_run_scenario_fast_and_shard_match_reference(self):
         """``run_scenario`` equals the reference loop on the scenario trace."""

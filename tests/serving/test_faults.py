@@ -173,14 +173,8 @@ def _no_dispatch(replica, now):
 
 def _queued(index, *, arrival, deadline_ms):
     from repro.serving.engine import QueuedQuery
-    from repro.serving.query import Query
 
-    q = Query(
-        index=index,
-        accuracy_constraint=0.77,
-        latency_constraint_ms=deadline_ms - arrival,
-    )
-    return QueuedQuery(query=q, arrival_ms=arrival, seq=index, service_estimate_ms=0.0)
+    return QueuedQuery(index, 0.77, deadline_ms - arrival, arrival)
 
 
 class TestEngineFaults:

@@ -1,10 +1,18 @@
-"""Unit tests for Query and QueryTrace."""
+"""Unit tests for Query, QueryTrace and the in-flight QueuedQuery."""
 
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.serving.query import Query, QueryTrace
+from repro.serving.api import build_engine, build_trace
+from repro.serving.engine.disciplines import EDFQueue, SlackPriorityQueue
+from repro.serving.query import Query, QueryTrace, QueuedQuery
+from repro.serving.spec import ScenarioSpec
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 class TestQuery:
@@ -92,3 +100,70 @@ class TestQueryTraceValidation:
     def test_invalid_latency_rejected(self, bad):
         with pytest.raises(ValueError, match=r"query 2: latency constraint"):
             QueryTrace([0.76, 0.77, 0.78], [5.0, 6.0, bad])
+
+
+class TestQueuedQuery:
+    def test_query_equals_the_trace_query(self):
+        rng = np.random.default_rng(0)
+        trace = QueryTrace(rng.uniform(0.7, 0.8, 50), rng.uniform(1.0, 90.0, 50))
+        arrivals = np.cumsum(rng.exponential(1.0, 50)).tolist()
+        acc, lat = trace.columns()
+        for i, arrival in enumerate(arrivals):
+            # Built from the columns, as the engine builds it.
+            item = QueuedQuery(i, acc[i], lat[i], arrival)
+            assert item.query == trace[i]
+            assert (item.index, item.accuracy_constraint, item.latency_constraint_ms) == (
+                trace[i].index, trace[i].accuracy_constraint, trace[i].latency_constraint_ms
+            )
+
+    def test_deadline_is_bit_equal_to_arrival_plus_constraint(self):
+        rng = np.random.default_rng(1)
+        arrivals = [0.1, 0.7, 1e-300, 3.0000000000000004, *rng.uniform(0, 1e6, 200)]
+        latencies = [0.2, 0.1, 5e-324, 1e16, *rng.uniform(1e-3, 1e3, 200)]
+        for i, (arrival, latency) in enumerate(zip(arrivals, latencies)):
+            item = QueuedQuery(i, 0.77, latency, arrival)
+            assert item.deadline_ms.hex() == (arrival + latency).hex()
+            assert item.arrival_ms == arrival
+
+    @pytest.mark.parametrize("discipline", [EDFQueue, SlackPriorityQueue])
+    def test_equal_keys_pop_in_index_order(self, discipline):
+        queue = discipline()
+        order = [5, 2, 7, 0, 3, 6, 1, 4]
+        for i in order:
+            # Deadline 10 for all; slack key 10 - 2 = 8 for all.
+            queue.push(QueuedQuery(i, 0.77, 10.0 - i, float(i), service_estimate_ms=2.0))
+        assert [queue.pop().index for _ in order] == sorted(order)
+        assert queue.pop() is None
+
+    def test_a_retried_item_keeps_its_arrival_and_deadline(self):
+        spec = ScenarioSpec.from_dict(
+            json.loads((SCENARIOS / "faulty_pool.json").read_text())
+        ).override("num_queries", 1500)
+        trace = build_trace(spec)
+        arrivals = spec.arrivals.generate(len(trace))
+        acc, lat = trace.columns()
+        engine = build_engine(spec)
+        routed: dict[int, list] = {}
+        select = engine.router.select
+
+        def watching_select(replicas, item, now_ms):
+            routed.setdefault(item.index, []).append(
+                (item, item.arrival_ms, item.deadline_ms)
+            )
+            return select(replicas, item, now_ms)
+
+        engine.router.select = watching_select
+        result = engine.run(trace, arrivals)
+        # A retry re-enters routing: those queries were routed again.
+        retried = {i: seen for i, seen in routed.items() if len(seen) > 1}
+        assert retried, "the faulty pool retried no query"
+        for i, seen in retried.items():
+            arrival = float(arrivals[i])
+            for item, arrival_ms, deadline_ms in seen:
+                # The same item at every attempt, with its first arrival.
+                assert item is seen[0][0]
+                assert (arrival_ms, deadline_ms) == (arrival, arrival + lat[i])
+                assert (item.index, item.accuracy_constraint) == (i, acc[i])
+        rows = {o.query_index: o.arrival_ms for o in result.outcomes}
+        rows.update({d.query_index: d.arrival_ms for d in result.dropped})
+        assert all(rows[i] == float(arrivals[i]) for i in retried)

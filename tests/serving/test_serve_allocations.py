@@ -1,11 +1,15 @@
-"""Allocation guard: the serve path builds no record and no decision object.
+"""Allocation guard: the serve path builds no record, decision or ``Query``.
 
 A backend returns a plain served tuple per query and the engine writes it
 into the query's result row; the scheduler returns a SubNet index.  So a
 run builds no :class:`~repro.core.metrics.QueryRecord` (the result views
 build them when read) and no :class:`~repro.core.scheduler.SchedulerDecision`
-(``schedule()`` builds one for its own callers).  Counted over whole
-``run_scenario`` calls on the plain, batched and faulty committed pools.
+(``schedule()`` builds one for its own callers).  Each arrival becomes
+exactly one :class:`~repro.serving.query.QueuedQuery`, built from the
+trace's columns: routing, the queue, admission, the backend, service
+estimates and fault retries all reuse it, so no :class:`Query` is built
+either.  Counted over whole ``run_scenario`` calls on the committed pools
+and on a closed-loop :class:`~repro.serving.runner.ExperimentRunner` run.
 """
 
 from __future__ import annotations
@@ -16,19 +20,59 @@ from pathlib import Path
 import pytest
 
 from repro.core.metrics import QueryRecord
+from repro.core.policies import Policy
 from repro.core.scheduler import SchedulerDecision
 from repro.serving.api import run_scenario
+from repro.serving.engine.faults import FaultInjector
+from repro.serving.query import Query, QueuedQuery
+from repro.serving.runner import ExperimentRunner
 from repro.serving.spec import ScenarioSpec
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 NUM_QUERIES = 2000
 
+#: (scenario, overrides): the committed pools, plus slack ordering under a
+#: load-aware router, which attaches a service estimate to every arrival,
+#: and the latency-table router, which estimates each arrival per replica.
+POOLS = [
+    ("poisson_pool", {}),
+    ("batched_pool", {}),
+    ("faulty_pool", {}),
+    ("autoscale_pool", {}),
+    ("hetero_pool", {}),
+    (
+        "poisson_pool",
+        {
+            "router": "least_loaded",
+            "replica_groups.0.discipline": "priority_by_slack",
+        },
+    ),
+    ("hetero_pool", {"router": "fastest_expected"}),
+]
+
+
+def load(name: str, overrides: dict) -> ScenarioSpec:
+    spec = ScenarioSpec.from_dict(
+        json.loads((SCENARIOS / f"{name}.json").read_text())
+    )
+    return spec.override_many([("num_queries", NUM_QUERIES), *overrides.items()])
+
+
+def count_calls(monkeypatch, owner, name: str, counts: dict, key: str) -> None:
+    """Count every call of ``owner.name`` into ``counts[key]``."""
+    original = getattr(owner, name)
+    counts[key] = 0
+
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
 
 @pytest.mark.parametrize("name", ["poisson_pool", "batched_pool", "faulty_pool"])
 def test_a_run_builds_no_record_and_no_decision(name, monkeypatch):
-    spec = ScenarioSpec.from_dict(
-        json.loads((SCENARIOS / f"{name}.json").read_text())
-    ).override("num_queries", NUM_QUERIES)
+    spec = load(name, {})
     built = {"records": 0, "decisions": 0}
     record_init = QueryRecord.__init__
     decision_new = SchedulerDecision.__new__
@@ -49,3 +93,45 @@ def test_a_run_builds_no_record_and_no_decision(name, monkeypatch):
     # Not vacuous: reading the records view builds one record per served query.
     assert sum(1 for _ in result.records) == result.num_served
     assert built["records"] == result.num_served
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    POOLS,
+    ids=["poisson", "batched", "faulty", "autoscale", "hetero",
+         "slack_least_loaded", "hetero_fastest_expected"],
+)
+def test_one_item_per_arrival_and_no_query(name, overrides, monkeypatch):
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, Query, "__init__", counts, "queries")
+    count_calls(monkeypatch, QueuedQuery, "__init__", counts, "items")
+    retries = []
+    next_retry = FaultInjector.next_retry_ms
+
+    def counting_retry(self, item, now_ms):
+        retry_ms = next_retry(self, item, now_ms)
+        if retry_ms is not None:
+            retries.append(item.index)
+        return retry_ms
+
+    monkeypatch.setattr(FaultInjector, "next_retry_ms", counting_retry)
+    result = run_scenario(load(name, overrides))
+    assert counts == {"queries": 0, "items": NUM_QUERIES}
+    assert result.num_served + result.num_dropped == NUM_QUERIES
+    if name == "faulty_pool":
+        # Not vacuous: lost queries re-entered routing as their own items.
+        assert retries
+    # Not vacuous: the counter sees a plain construction.
+    Query(0, 0.5, 1.0)
+    assert counts["queries"] == 1
+
+
+def test_closed_loop_runner_builds_no_query(monkeypatch):
+    runner = ExperimentRunner("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=0)
+    trace = runner.default_workload(num_queries=300)
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, Query, "__init__", counts, "queries")
+    count_calls(monkeypatch, QueuedQuery, "__init__", counts, "items")
+    results = runner.run(trace)
+    assert counts == {"queries": 0, "items": 3 * len(trace)}
+    assert all(len(r.records) == len(trace) for r in results.values())
