@@ -26,7 +26,7 @@ from repro.serving.engine import (
     poisson_arrivals,
 )
 from repro.serving.engine.events import EventKind
-from repro.serving.query import Query, QueryTrace
+from repro.serving.query import QueryTrace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 
