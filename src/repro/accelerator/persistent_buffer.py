@@ -52,6 +52,21 @@ class CachedSubGraph:
                 total += cached_slice.intersect(sub_slice).weight_bytes
         return total
 
+    def fetch_bytes(self, held: "CachedSubGraph") -> int:
+        """Off-chip bytes loading this SubGraph over ``held`` fetches.
+
+        Only bytes not already present (per-layer slice intersection with
+        ``held``) need to cross the off-chip interface.
+        """
+        fetched = 0
+        for name, new_slice in self.slices.items():
+            old_slice = held.slices.get(name)
+            already = (
+                old_slice.intersect(new_slice).weight_bytes if old_slice is not None else 0
+            )
+            fetched += max(0, new_slice.weight_bytes - already)
+        return fetched
+
     def overlap_bytes_per_layer(self, subnet: SubNet) -> dict[str, int]:
         """Per-layer covered bytes for ``subnet`` (used by the latency model)."""
         out: dict[str, int] = {}
@@ -161,21 +176,26 @@ class PersistentBuffer:
     def load(self, subgraph: CachedSubGraph) -> int:
         """Replace the cached SubGraph; returns off-chip bytes fetched.
 
-        Only bytes not already present (per-layer slice intersection with the
-        previous contents) need to cross the off-chip interface.
+        Fits ``subgraph`` to the capacity and intersects it with the
+        current contents layer by layer.  Serving never calls this: a
+        stack switches its PB through a precomputed cache-switch table
+        (:func:`~repro.serving.stack.build_serve_table`) and :meth:`hold`.
         """
         fitted = self.fit_subgraph(subgraph)
-        fetched = 0
-        for name, new_slice in fitted.slices.items():
-            old_slice = self._cached.slices.get(name)
-            already = (
-                old_slice.intersect(new_slice).weight_bytes if old_slice is not None else 0
-            )
-            fetched += max(0, new_slice.weight_bytes - already)
+        fetched = fitted.fetch_bytes(self._cached)
+        self.hold(fitted, fetched)
+        return fetched
+
+    def hold(self, fitted: CachedSubGraph, fetched_bytes: int) -> None:
+        """Hold ``fitted`` after a load that fetched ``fetched_bytes``.
+
+        The one PB state update: :meth:`load` computes its arguments, a
+        serving stack reads them from its cache-switch table.  ``fitted``
+        must already fit the capacity.
+        """
         self._cached = fitted
         self.stats.cache_loads += 1
-        self.stats.cache_load_bytes_total += fetched
-        return fetched
+        self.stats.cache_load_bytes_total += fetched_bytes
 
     def clear(self) -> None:
         self._cached = CachedSubGraph.empty()

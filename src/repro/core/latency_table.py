@@ -12,6 +12,7 @@ query critical path (Table 6 measures lookup time).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,6 +126,11 @@ class LatencyTable:
     @property
     def num_subgraphs(self) -> int:
         return len(self.candidates)
+
+    @cached_property
+    def subnet_names(self) -> list[str]:
+        """Row names, built once and shared by every server of the table."""
+        return [subnet.name for subnet in self.subnets]
 
     def latency(self, subnet_idx: int, subgraph_idx: int) -> float:
         """O(1) lookup of ``L[i][j]``."""

@@ -187,8 +187,11 @@ class AutoscaleController:
             for s in statuses
         }
         clamped = dict(desired)
-        self._enforce_budget(desired, statuses)
-        budgeted = dict(desired)
+        if spec.cost_budget is None:
+            budgeted = clamped  # neither is written below
+        else:
+            self._enforce_budget(desired, statuses, spec.cost_budget)
+            budgeted = dict(desired)
 
         def stages(name: str | None) -> dict[str, int]:
             return {
@@ -259,7 +262,10 @@ class AutoscaleController:
         return desired
 
     def _enforce_budget(
-        self, desired: dict[str | None, int], statuses: Sequence[GroupStatus]
+        self,
+        desired: dict[str | None, int],
+        statuses: Sequence[GroupStatus],
+        budget: float,
     ) -> None:
         """Trim growth so the weighted pool stays within the cost budget.
 
@@ -269,9 +275,6 @@ class AutoscaleController:
         forces a group below what is already incoming — shedding running
         capacity is the policy's decision, not the accountant's.
         """
-        budget = self.spec.cost_budget
-        if budget is None:
-            return
         def weighted() -> float:
             return sum(s.cost_weight * desired[s.name] for s in statuses)
 

@@ -1,7 +1,7 @@
 """Telemetry bus: the control plane's window into the data plane.
 
-The serving engine feeds the bus one call per event — arrivals, dispatches,
-completions, drops and replica failures — and the bus maintains
+The serving engine feeds the bus one call per event — arrivals, dispatch
+pickups, completions, drops and replica failures — and the bus maintains
 *sliding-window* views of them
 (a deque per signal, pruned lazily).  At every control tick the autoscale
 controller asks for a :class:`MetricsSnapshot`: queue depth, windowed arrival
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 
@@ -246,15 +246,26 @@ class TelemetryBus:
         self._arrival_append(now_ms)
         self.total_arrivals += 1
 
-    def on_dispatch(self, now_ms: float, *, replica_index: int, wait_ms: float) -> None:
-        self._wait_time_append(now_ms)
-        self._wait_append(wait_ms)
-        self._in_service_starts[replica_index] = now_ms
-        self.total_dispatches += 1
+    def on_pickup(self, now_ms: float, replica_index: int, members: Sequence) -> None:
+        """One dispatch pickup started on replica ``replica_index``.
 
-    def on_completion(
-        self, now_ms: float, *, replica_index: int, service_ms: float
-    ) -> None:
+        ``members`` are the engine's in-service members, ``(item, ...)``
+        tuples; each one's wait is measured from its item's arrival to the
+        pickup.  Records the pickup's size (1 without batching), then one
+        wait per member in pickup order, and opens the replica's busy
+        interval.
+        """
+        size = len(members)
+        self._batch_append((now_ms, size))
+        self._batch_total += size
+        self.total_batches += 1
+        for member in members:
+            self._wait_time_append(now_ms)
+            self._wait_append(now_ms - member[0].arrival_ms)
+        self._in_service_starts[replica_index] = now_ms
+        self.total_dispatches += size
+
+    def on_completion(self, now_ms: float, replica_index: int, service_ms: float) -> None:
         start = self._in_service_starts.pop(replica_index, now_ms - service_ms)
         self._service_append((start, now_ms))
         self._duration_append(now_ms - start)
@@ -268,12 +279,6 @@ class TelemetryBus:
         """One replica crash (the fault layer's failure-detector feed)."""
         self._failures.append(now_ms)
         self.total_failures += 1
-
-    def on_batch(self, now_ms: float, *, batch_size: int) -> None:
-        """One dispatch pickup of ``batch_size`` queries (1 without batching)."""
-        self._batch_append((now_ms, batch_size))
-        self._batch_total += batch_size
-        self.total_batches += 1
 
     # ------------------------------------------------------------- snapshot
     def _prune(self, horizon_ms: float) -> None:

@@ -24,7 +24,7 @@ from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy, subnet_selector
 from repro.serving.query import QueryLike, QueryTrace
-from repro.serving.stack import ServeEntries, batch_budget_ms, batch_served
+from repro.serving.stack import CacheSwitches, ServeEntries, batch_budget_ms, batch_served
 from repro.serving.stack import build_serve_table, serve_trace, supernet_family
 
 
@@ -32,12 +32,14 @@ class BaselineTable(NamedTuple):
     """The SubNets served against a baseline's cache columns, evaluated once.
 
     Column 0 is the empty PB.  On a model with a PB, column ``s + 1`` holds
-    the truncation of SubNet ``s`` that the state-unaware rule loads.
+    the truncation of SubNet ``s`` that the state-unaware rule loads, and
+    ``switches[c][s + 1]`` is what loading it over column ``c`` costs.
     """
 
     accel: SushiAccelModel
     table: LatencyTable
     entries: ServeEntries
+    switches: CacheSwitches
 
 
 _TABLES: dict[tuple, BaselineTable] = {}
@@ -71,7 +73,7 @@ class _TableServer:
         self.tables = tables
         self.policy = policy
         self._select_in = subnet_selector(tables.table, policy)
-        self._names = [subnet.name for subnet in tables.table.subnets]
+        self._names = tables.table.subnet_names
 
     def _select(self, accuracy_constraint: float, latency_constraint_ms: float) -> int:
         return self._select_in(accuracy_constraint, latency_constraint_ms, 0)
@@ -168,7 +170,8 @@ class StateUnawareCachingServer(_TableServer):
         load_ms = 0.0
         period = self.cache_update_period
         if self._queries_seen // period > seen_before // period:
+            switch = self.tables.switches[column][idx + 1]
+            self.pb.hold(switch.fitted, switch.fetched_bytes)
             self._column = idx + 1
-            fetched = self.pb.load(self.tables.table.candidates[idx + 1])
-            load_ms = self.tables.accel.cache_load_latency_ms(fetched)
+            load_ms = switch.load_ms
         return super()._serve(size, idx, column, load_ms)

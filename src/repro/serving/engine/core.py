@@ -161,6 +161,9 @@ class ServingEngine:
         self._needs_estimates = self.router.needs_service_estimates or any(
             r.queue.needs_service_estimates for r in self.replicas
         )
+        self._estimate_after_routing = (
+            self._needs_estimates and not self.router.sets_service_estimate
+        )
         self._run_end_ms = 0.0
         self.recorder = None
         """Optional flight recorder (a duck-typed
@@ -441,6 +444,7 @@ class ServingEngine:
         min_eff = _MIN_EFFECTIVE_LATENCY_MS
         min_floor = _MIN_ACCURACY_FLOOR
         needs_estimates = self._needs_estimates
+        estimate_after_routing = self._estimate_after_routing
         # Direct serve is gated off when service estimates ride on the
         # items: the estimate's float would otherwise enter and leave the
         # discipline's queued-work accumulator, whose exact bits load-aware
@@ -551,11 +555,7 @@ class ServingEngine:
             replica.stats.num_batches += 1
             ridx = replica.index
             if bus is not None and ridx in scalable:
-                bus.on_batch(now, batch_size=len(members))
-                for member in members:
-                    bus.on_dispatch(
-                        now, replica_index=ridx, wait_ms=now - member[0].arrival_ms
-                    )
+                bus.on_pickup(now, ridx, members)
             push(t, COMPLETION, replica)
             return True
 
@@ -604,11 +604,13 @@ class ServingEngine:
                     else:
                         drop(item, replica, now)
                     continue
-                if needs_estimates:
+                if estimate_after_routing:
                     # The estimate is replica-specific (it consults the
                     # backend's cache state), so it is attached after
                     # routing — and only when a discipline or router will
                     # read it, since it costs a table lookup per arrival.
+                    # A router that estimates every candidate has already
+                    # left the winner's estimate on the item.
                     item.service_estimate_ms = float(replica.service_estimator(item))
                 replica.enqueue(item)
                 if replica.in_service is None:
@@ -627,7 +629,7 @@ class ServingEngine:
                 if bus is not None and ridx in scalable:
                     # One completion per pickup: the bus pairs it with the
                     # dispatch start, so windowed busy time stays exact.
-                    bus.on_completion(now, replica_index=ridx, service_ms=total)
+                    bus.on_completion(now, ridx, total)
                 size = len(members)
                 replica.num_in_system -= size
                 stats = replica.stats
@@ -682,7 +684,7 @@ class ServingEngine:
                     active += 1
                 if r.draining:
                     draining += 1
-                depth += r.queue_length()
+                depth += r.num_in_system  # == r.queue_length(), kept by the engine
             # Crashed replicas left the pool (crash retires), so num_active
             # already excludes them: the min_replicas clamp is what lifts
             # `desired` back up and provisions the replacement.  The failed
@@ -925,7 +927,7 @@ class ServingEngine:
             return
         ridx = self.router.select(candidates, item, now)
         replica = candidates[ridx]
-        if self._needs_estimates:
+        if self._estimate_after_routing:
             item.service_estimate_ms = float(replica.service_estimator(item))
         replica.enqueue(item)
         if replica.in_service is None:

@@ -33,6 +33,9 @@ class RoutingPolicy(abc.ABC):
     needs_service_estimates: bool = False
     """True when routing reads queued-work estimates (engine computes them
     lazily — estimating costs a latency-table lookup per arrival)."""
+    sets_service_estimate: bool = False
+    """True when :meth:`select` leaves the chosen replica's service
+    estimate on the item, so the engine does not estimate it again."""
 
     @abc.abstractmethod
     def select(
@@ -120,6 +123,7 @@ class FastestExpectedRouter(RoutingPolicy):
 
     name = "fastest_expected"
     needs_service_estimates = True
+    sets_service_estimate = True
 
     def select(
         self,
@@ -127,11 +131,13 @@ class FastestExpectedRouter(RoutingPolicy):
         item: QueuedQuery,
         now_ms: float,
     ) -> int:
-        def finish_ms(i: int) -> float:
-            replica = replicas[i]
-            return replica.backlog_ms(now_ms) + float(replica.service_estimator(item))
-
-        return min(range(len(replicas)), key=lambda i: (finish_ms(i), i))
+        estimates = [float(replica.service_estimator(item)) for replica in replicas]
+        best = min(
+            range(len(replicas)),
+            key=lambda i: (replicas[i].backlog_ms(now_ms) + estimates[i], i),
+        )
+        item.service_estimate_ms = estimates[best]
+        return best
 
 
 _ROUTERS = {

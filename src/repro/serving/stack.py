@@ -10,12 +10,15 @@ The accelerator model runs only at set-up: :func:`build_serve_table`
 evaluates every (SubNet, candidate SubGraph) pair once, from per-SubNet
 layer profiles, and both the latency table and the per-pair
 :class:`ServeEntry` records the serve path reads come from that one pass.
-The tables depend on the SuperNet, the platform and ``|S|`` only (the serve
-key), so stacks whose configs differ in policy, seed or ``Q`` can share them
+Beside them it precomputes the cache-switch table: what each (held, new)
+pair of PB contents costs to switch (:class:`CacheSwitch`).  The tables
+depend on the SuperNet, the platform and ``|S|`` only (the serve key), so
+stacks whose configs differ in policy, seed or ``Q`` can share them
 (:func:`repro.serving.api.cached_stack` does); a stack given a table takes
-its candidate set from it.  Clones share both, and the scheduler's
+its candidate set from it.  Clones share all three, and the scheduler's
 caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so
-serving a query is table lookups and a clone encodes nothing.
+serving a query and switching the PB are table lookups, and a clone
+encodes nothing and models no PB.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 — the interface the discrete-event engine dispatches against, with the
@@ -35,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.accelerator.analytic_model import SushiAccelModel
-from repro.accelerator.persistent_buffer import PersistentBuffer
+from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
@@ -120,25 +123,49 @@ class ServeEntry(NamedTuple):
 ServeEntries = tuple[tuple[ServeEntry, ...], ...]
 
 
+class CacheSwitch(NamedTuple):
+    """Switching the PB from what it holds to one candidate SubGraph.
+
+    ``fitted`` is the candidate as the PB holds it (fitted to the
+    capacity), ``fetched_bytes`` the off-chip bytes the switch loads and
+    ``load_ms`` their load latency.  A switch's cost depends on nothing
+    but the (held, new) pair, so it is computed once per serve table.
+    """
+
+    fitted: CachedSubGraph
+    fetched_bytes: int
+    load_ms: float
+
+
+CacheSwitches = tuple[tuple[CacheSwitch, ...], ...]
+"""``switches[i][j]``: the PB holding candidate ``i`` switches to ``j``.
+
+The last row (``i = -1``) is the empty PB every stack starts from."""
+
+
 def build_serve_table(
     subnets: Sequence[SubNet],
     candidates: CandidateSet,
     accel: SushiAccelModel,
     accuracy_model: AccuracyModel,
-) -> tuple[LatencyTable, ServeEntries]:
-    """The latency table and ``entries[i][j]``, from one evaluation per pair.
+) -> tuple[LatencyTable, ServeEntries, CacheSwitches]:
+    """The latency table, ``entries[i][j]`` and the cache-switch table.
 
     Candidate ``j`` is evaluated as the PB holds it after loading it — fitted
     to the PB capacity — so the table plans with the latencies serving
     delivers.  The accelerator model profiles each SubNet's layers once, and
     each pair intersects the candidate with the SubNet once: the
     breakdown's cached bytes are the per-layer overlaps, so they are the
-    pair's PB hit bytes.
+    pair's PB hit bytes.  The switch table intersects every fitted
+    candidate with every possible PB content (each fitted candidate and
+    the empty PB) once.
     """
     pb = accel.make_persistent_buffer()
     columns = []
+    fitted = []
     for candidate in candidates:
         pb.load(candidate)
+        fitted.append(pb.cached)
         column = []
         for subnet in subnets:
             breakdown = accel.subnet_breakdown(subnet, pb.cached)
@@ -162,7 +189,16 @@ def build_serve_table(
         [[entry.total_ms for entry in row] for row in entries],
         [accuracy_model.accuracy(subnet) for subnet in subnets],
     )
-    return table, entries
+
+    def switch(held: CachedSubGraph, new: CachedSubGraph) -> CacheSwitch:
+        fetched = new.fetch_bytes(held)
+        return CacheSwitch(new, fetched, accel.cache_load_latency_ms(fetched))
+
+    switches = tuple(
+        tuple(switch(held, new) for new in fitted)
+        for held in (*fitted, CachedSubGraph.empty())
+    )
+    return table, entries, switches
 
 
 def batch_budget_ms(queries: Sequence[QueryLike], budgets_ms: Sequence[float]) -> float:
@@ -250,6 +286,7 @@ class SushiStack:
         candidates: CandidateSet | None = None,
         table: LatencyTable | None = None,
         entries: ServeEntries | None = None,
+        switches: CacheSwitches | None = None,
         cache_memo: CacheDecisionMemo | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
@@ -263,15 +300,18 @@ class SushiStack:
         self.accel = accel or SushiAccelModel(self.config.platform)
         self.accuracy_model = accuracy_model or AccuracyModel(self.supernet)
 
-        if (table is None) != (entries is None):
-            raise ValueError("pass the latency table and its serve entries together")
+        if not (table is None) == (entries is None) == (switches is None):
+            raise ValueError(
+                "pass the latency table, its serve entries and its cache-switch "
+                "table together"
+            )
         if table is None:
             self.candidates = candidates or build_candidate_set(
                 self.subnets,
                 capacity_bytes=max(self.accel.pb_capacity_bytes, 1),
                 max_size=self.config.candidate_set_size,
             )
-            table, entries = build_serve_table(
+            table, entries, switches = build_serve_table(
                 self.subnets, self.candidates, self.accel, self.accuracy_model
             )
         else:
@@ -280,7 +320,8 @@ class SushiStack:
             self.candidates = table.candidates
         self.table = table
         self.entries = entries
-        self._names = [subnet.name for subnet in self.subnets]
+        self.switches = switches
+        self._names = table.subnet_names
         self._accuracies = table.accuracy_list
         rng = np.random.default_rng(self.config.seed)
         self.scheduler = SushiSched(
@@ -292,17 +333,21 @@ class SushiStack:
             memo=cache_memo,
         )
         self.cache_memo = self.scheduler.memo
-        self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
-        self._cached_idx = -1
-        # Enact the scheduler's initial (random) cache state on the hardware.
-        self._enact_cache(self.scheduler.cache_state_idx)
+        self._start_pb()
 
     # ------------------------------------------------------------ serving
+    def _start_pb(self) -> None:
+        """An empty PB, then the scheduler's cache state enacted on it."""
+        self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
+        self._cached_idx = -1  # the switch table's empty-PB row
+        self._enact_cache(self.scheduler.cache_state_idx)
+
     def _enact_cache(self, candidate_idx: int) -> float:
-        """Load candidate SubGraph ``candidate_idx`` into the PB; return ms spent."""
-        fetched = self.pb.load(self.candidates[candidate_idx])
+        """Switch the PB to candidate SubGraph ``candidate_idx``; return ms spent."""
+        switch = self.switches[self._cached_idx][candidate_idx]
+        self.pb.hold(switch.fitted, switch.fetched_bytes)
         self._cached_idx = candidate_idx
-        return self.accel.cache_load_latency_ms(fetched)
+        return switch.load_ms
 
     def serve_query(
         self, query: QueryLike, budget_ms: float, accuracy_floor: float
@@ -395,17 +440,16 @@ class SushiStack:
     def reset(self) -> None:
         """Reset scheduler history and PB contents (keeps the latency table)."""
         self.scheduler.reset()
-        self.pb = self.accel.make_persistent_buffer()
-        self._enact_cache(self.scheduler.cache_state_idx)
+        self._start_pb()
 
     def clone(self, *, seed: int | None = None) -> "SushiStack":
         """An independent stack sharing this one's immutable substrate.
 
         The SuperNet, SubNet family, accelerator model, candidate set, latency
-        table, serve entries and caching-decision memo are shared (the memo
-        only ever gains entries that are pure functions of the table), so a
-        clone evaluates nothing on the accelerator model and encodes nothing;
-        the clone gets its own
+        table, serve entries, cache-switch table and caching-decision memo
+        are shared (the memo only ever gains entries that are pure functions
+        of the table), so a clone evaluates nothing on the accelerator
+        model, encodes nothing and models no PB; the clone gets its own
         scheduler and Persistent Buffer, so it evolves cache state
         independently — one clone per engine replica.
         """
@@ -419,5 +463,6 @@ class SushiStack:
             candidates=self.candidates,
             table=self.table,
             entries=self.entries,
+            switches=self.switches,
             cache_memo=self.cache_memo,
         )

@@ -273,10 +273,8 @@ def _serve_pickup(
     replica.busy_until_ms = completion_ms
     replica.stats.num_batches += 1
     if bus is not None:
-        bus.on_batch(now, batch_size=size)
-        on_dispatch = bus.on_dispatch
-        for item in batch:
-            on_dispatch(now, replica_index=ridx, wait_ms=now - item.arrival_ms)
+        # The bus reads each member's item (its first field) for the wait.
+        bus.on_pickup(now, ridx, [(item,) for item in batch])
     return completion_ms
 
 
@@ -490,9 +488,7 @@ def _dispatch(engine, replica, now, heap, table, pickups):
 
 def _complete(engine, replica, table, now, current):
     if engine.autoscaler is not None and replica.index in engine._scaled:
-        engine.autoscaler.bus.on_completion(
-            now, replica_index=replica.index, service_ms=current.total_ms
-        )
+        engine.autoscaler.bus.on_completion(now, replica.index, current.total_ms)
     ridx = replica.index
     stats = replica.stats
     for item, record, start, service in zip(

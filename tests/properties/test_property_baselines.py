@@ -262,7 +262,7 @@ def test_selection_breaks_ties_like_numpy(case, policy):
     subnets = [family.subnets[0]] * len(accs)
     empty = CandidateSet("ofa_mobilenetv3", (CachedSubGraph.empty(),), 0)
     table = LatencyTable(subnets, empty, [[lat] for lat in lats], accs)
-    server = NoSushiServer(BaselineTable(None, table, ()), policy=policy)
+    server = NoSushiServer(BaselineTable(None, table, (), ()), policy=policy)
     ref = object.__new__(oracle.NoSushiServer)
     ref.policy = policy
     ref.accuracies = np.array(accs)

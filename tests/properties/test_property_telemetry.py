@@ -9,7 +9,9 @@ sizes on both sides of numpy's pairwise-summation block edges.
 The bus itself is held to ``tests/telemetry_oracle.py``, the bus as it
 rebuilt every field from tuple deques at each tick: fed the same ordered
 event stream, every :class:`MetricsSnapshot` field of the two agrees bit
-for bit, across ``reset()``.
+for bit, across ``reset()``.  The bus takes a dispatch pickup in one
+``on_pickup`` call; the oracle takes it as the engine used to feed it, one
+``on_batch`` and then one ``on_dispatch`` per member.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from telemetry_oracle import TelemetryBus as OracleBus
 
 from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus, mean, p95
+from repro.serving.query import QueuedQuery
 
 finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 waits = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -99,25 +102,25 @@ window = st.one_of(
 replica = st.integers(min_value=0, max_value=3)
 value_ms = st.floats(min_value=0.0, max_value=30.0)
 
+#: A pickup's members, by how long each waited since its arrival.
+ages = st.lists(value_ms, min_size=1, max_size=8)
+
 event = st.one_of(
     st.tuples(st.just("arrival"), gap),
     st.tuples(st.just("drop"), gap),
     st.tuples(st.just("failure"), gap),
-    st.tuples(st.just("dispatch"), gap, replica, value_ms),
+    st.tuples(st.just("pickup"), gap, replica, ages),
     # A completion on a replica with no open dispatch takes the
     # ``now - service_ms`` fallback start.
     st.tuples(st.just("completion"), gap, replica, value_ms),
     # Bursts fill the window past numpy's 8-value unroll, where the
     # pairwise mean and a left-to-right sum part ways, and give p95 long
-    # windows.
+    # windows.  Each member completes and, maybe, picks up again at once.
     st.tuples(
         st.just("burst"),
         gap,
-        st.lists(
-            st.tuples(replica, value_ms, value_ms, st.booleans()), min_size=1, max_size=40
-        ),
+        st.lists(st.tuples(replica, ages, value_ms, st.booleans()), min_size=1, max_size=40),
     ),
-    st.tuples(st.just("batch"), gap, st.integers(min_value=1, max_value=8)),
     st.tuples(
         st.just("snapshot"),
         gap,
@@ -147,6 +150,16 @@ def assert_same_snapshot(got: MetricsSnapshot, want: MetricsSnapshot) -> None:
             assert a == b, field.name
 
 
+def pickup(bus, oracle, now: float, idx: int, ages: list[float]) -> None:
+    """One pickup on replica ``idx``: one call to the bus, the oracle fed
+    ``on_batch`` and then ``on_dispatch`` member by member."""
+    members = [(QueuedQuery(0, 0.5, 10.0, now - age),) for age in ages]
+    bus.on_pickup(now, idx, members)
+    oracle.on_batch(now, batch_size=len(members))
+    for (item,) in members:
+        oracle.on_dispatch(now, replica_index=idx, wait_ms=now - item.arrival_ms)
+
+
 def replay(bus, oracle, events) -> int:
     """Feed both buses ``events``; compare every snapshot.  Returns how many."""
     now = 0.0
@@ -168,26 +181,20 @@ def replay(bus, oracle, events) -> int:
         elif kind == "failure":
             bus.on_failure(now)
             oracle.on_failure(now)
-        elif kind == "dispatch":
-            idx, wait = args
-            bus.on_dispatch(now, replica_index=idx, wait_ms=wait)
-            oracle.on_dispatch(now, replica_index=idx, wait_ms=wait)
+        elif kind == "pickup":
+            idx, waited = args
+            pickup(bus, oracle, now, idx, waited)
         elif kind == "completion":
             idx, service = args
-            bus.on_completion(now, replica_index=idx, service_ms=service)
+            bus.on_completion(now, idx, service)
             oracle.on_completion(now, replica_index=idx, service_ms=service)
         elif kind == "burst":
             (members,) = args
-            for idx, wait, service, redispatch in members:
-                bus.on_completion(now, replica_index=idx, service_ms=service)
+            for idx, waited, service, redispatch in members:
+                bus.on_completion(now, idx, service)
                 oracle.on_completion(now, replica_index=idx, service_ms=service)
                 if redispatch:
-                    bus.on_dispatch(now, replica_index=idx, wait_ms=wait)
-                    oracle.on_dispatch(now, replica_index=idx, wait_ms=wait)
-        elif kind == "batch":
-            (size,) = args
-            bus.on_batch(now, batch_size=size)
-            oracle.on_batch(now, batch_size=size)
+                    pickup(bus, oracle, now, idx, waited)
         else:
             (kwargs,) = args
             assert_same_snapshot(bus.snapshot(now, **kwargs), oracle.snapshot(now, **kwargs))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
+from repro.serving.query import QueuedQuery
 from repro.serving.spec import AutoscalerSpec
 
 
@@ -24,6 +25,14 @@ class ConstantServer:
         self.effective_budgets.append(budget_ms)
         self.accuracy_floors.append(accuracy_floor)
         return ("synthetic", self.accuracy, float(self.service_ms), 0.0, 0.0, 0.0)
+
+
+def member(arrival_ms: float) -> tuple:
+    """An in-service pickup member whose query arrived at ``arrival_ms``.
+
+    ``TelemetryBus.on_pickup`` reads only a member's item (its first field).
+    """
+    return (QueuedQuery(0, 0.5, 10.0, arrival_ms),)
 
 
 def single_group_autoscaler(

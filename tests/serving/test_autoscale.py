@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from fakes import ConstantServer, single_group_autoscaler
+from fakes import ConstantServer, member, single_group_autoscaler
 
 from repro.core.policies import Policy
 from repro.serving import (
@@ -79,9 +79,9 @@ class TestTelemetryBus:
 
     def test_utilization_counts_open_and_closed_intervals(self):
         bus = TelemetryBus(window_ms=100.0)
-        bus.on_dispatch(100.0, replica_index=0, wait_ms=0.0)
-        bus.on_completion(140.0, replica_index=0, service_ms=40.0)
-        bus.on_dispatch(180.0, replica_index=1, wait_ms=5.0)  # still open
+        bus.on_pickup(100.0, 0, [member(arrival_ms=100.0)])
+        bus.on_completion(140.0, 0, 40.0)
+        bus.on_pickup(180.0, 1, [member(arrival_ms=175.0)])  # still open
         snap = bus.snapshot(200.0, num_active=1)
         # 40 ms closed + 20 ms open over a 100 ms window.
         assert snap.utilization == pytest.approx(0.6)
@@ -98,7 +98,7 @@ class TestTelemetryBus:
     def test_p95_wait_and_drop_rate(self):
         bus = TelemetryBus(window_ms=100.0)
         for i, wait in enumerate([1.0, 2.0, 3.0, 4.0]):
-            bus.on_dispatch(50.0 + i, replica_index=i, wait_ms=wait)
+            bus.on_pickup(50.0 + i, i, [member(arrival_ms=50.0 + i - wait)])
         bus.on_drop(60.0)
         snap = bus.snapshot(100.0, num_active=4)
         assert snap.p95_wait_ms == pytest.approx(np.percentile([1, 2, 3, 4], 95))

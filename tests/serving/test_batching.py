@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 import pytest
+from fakes import member
 
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
@@ -582,16 +583,16 @@ class TestBatchingSweep:
 class TestBatchTelemetry:
     def test_snapshot_reports_mean_batch_occupancy(self):
         bus = TelemetryBus(window_ms=100.0)
-        bus.on_batch(10.0, batch_size=4)
-        bus.on_batch(20.0, batch_size=8)
+        bus.on_pickup(10.0, 0, [member(10.0)] * 4)
+        bus.on_pickup(20.0, 1, [member(20.0)] * 8)
         snap = bus.snapshot(50.0, num_active=1)
         assert snap.mean_batch_occupancy == pytest.approx(6.0)
         assert bus.total_batches == 2
 
     def test_occupancy_window_prunes(self):
         bus = TelemetryBus(window_ms=50.0)
-        bus.on_batch(10.0, batch_size=8)
-        bus.on_batch(90.0, batch_size=2)
+        bus.on_pickup(10.0, 0, [member(10.0)] * 8)
+        bus.on_pickup(90.0, 1, [member(90.0)] * 2)
         snap = bus.snapshot(100.0, num_active=1)
         assert snap.mean_batch_occupancy == pytest.approx(2.0)
 
@@ -601,7 +602,7 @@ class TestBatchTelemetry:
 
     def test_reset_clears_batches(self):
         bus = TelemetryBus(window_ms=50.0)
-        bus.on_batch(10.0, batch_size=8)
+        bus.on_pickup(10.0, 0, [member(10.0)] * 8)
         bus.reset()
         assert bus.total_batches == 0
         assert bus.snapshot(20.0, num_active=1).mean_batch_occupancy == 0.0

@@ -146,7 +146,10 @@ class TestRouting:
                                service_estimator=lambda q: 2.0),
         ]
         router = FastestExpectedRouter()
-        assert router.select(replicas, queued(0, 0.0), 0.0) == 1
+        item = queued(0, 0.0)
+        assert router.select(replicas, item, 0.0) == 1
+        # The winner's estimate stays on the item for the queue.
+        assert item.service_estimate_ms == 2.0
 
     def test_fastest_expected_trades_backlog_against_speed(self):
         # The fast replica is so backlogged that the slow idle one finishes
@@ -159,7 +162,9 @@ class TestRouting:
         ]
         replicas[1].enqueue(queued(0, 0.0, estimate=30.0))
         router = FastestExpectedRouter()
-        assert router.select(replicas, queued(1, 0.0), 0.0) == 0
+        item = queued(1, 0.0)
+        assert router.select(replicas, item, 0.0) == 0
+        assert item.service_estimate_ms == 20.0
 
     def test_fastest_expected_ties_resolve_to_lowest_index(self):
         replicas = [

@@ -10,6 +10,12 @@ trace's columns: routing, the queue, admission, the backend, service
 estimates and fault retries all reuse it, so no :class:`Query` is built
 either.  Counted over whole ``run_scenario`` calls on the committed pools
 and on a closed-loop :class:`~repro.serving.runner.ExperimentRunner` run.
+
+Nor does a run model the Persistent Buffer: once the serve tables are
+built, every cache switch — a scale-up clone's first load and a reset's
+included — is a lookup in the precomputed cache-switch table, so no
+``PersistentBuffer.load``, ``fit_subgraph`` or ``LayerSlice.intersect``
+runs while serving.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.accelerator.persistent_buffer import PersistentBuffer
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.core.scheduler import SchedulerDecision
@@ -27,6 +34,9 @@ from repro.serving.engine.faults import FaultInjector
 from repro.serving.query import Query, QueuedQuery
 from repro.serving.runner import ExperimentRunner
 from repro.serving.spec import ScenarioSpec
+from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.workload import WorkloadGenerator, WorkloadSpec
+from repro.supernet.layers import LayerSlice
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 NUM_QUERIES = 2000
@@ -135,3 +145,66 @@ def test_closed_loop_runner_builds_no_query(monkeypatch):
     results = runner.run(trace)
     assert counts == {"queries": 0, "items": 3 * len(trace)}
     assert all(len(r.records) == len(trace) for r in results.values())
+
+
+def test_fastest_expected_estimates_each_candidate_once(monkeypatch):
+    # The router leaves the winner's estimate on the item, so the engine
+    # does not estimate the chosen replica a second time.
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, SushiStack, "estimate_service_ms", counts, "estimates")
+    spec = load("hetero_pool", {"router": "fastest_expected"})
+    replicas = sum(group.count for group in spec.replica_groups)
+    assert replicas == 4 and spec.autoscaler is None and spec.faults is None
+    result = run_scenario(spec)
+    assert result.num_served + result.num_dropped == NUM_QUERIES
+    assert counts["estimates"] == replicas * NUM_QUERIES
+
+
+#: Pools whose runs switch PB contents: SUSHI stacks that scale up, crash
+#: and heal, and the state-unaware baseline's periodic reloads.
+SWITCHING_POOLS = [
+    ("autoscale_pool", {}),
+    ("faulty_pool", {}),
+    ("poisson_pool", {"replica_groups.0.kind": "state_unaware"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides", SWITCHING_POOLS, ids=["autoscale", "faulty", "state_unaware"]
+)
+def test_a_run_models_no_pb_after_set_up(name, overrides, monkeypatch):
+    spec = load(name, overrides)
+    stack_cache: dict = {}
+    run_scenario(spec, stack_cache=stack_cache)  # set-up: templates and tables
+    counts: dict[str, int] = {}
+    count_calls(monkeypatch, PersistentBuffer, "load", counts, "loads")
+    count_calls(monkeypatch, PersistentBuffer, "fit_subgraph", counts, "fits")
+    count_calls(monkeypatch, LayerSlice, "intersect", counts, "intersects")
+    count_calls(monkeypatch, PersistentBuffer, "hold", counts, "switches")
+    count_calls(monkeypatch, SushiStack, "clone", counts, "clones")
+    result = run_scenario(spec, stack_cache=stack_cache)
+    assert (counts["loads"], counts["fits"], counts["intersects"]) == (0, 0, 0)
+    # Not vacuous: the PB switched contents beyond each replica's first load.
+    assert counts["switches"] > len(result.replica_stats)
+    if spec.autoscaler is not None:
+        assert result.autoscale.num_scale_ups > 0
+        assert counts["clones"] > sum(group.count for group in spec.replica_groups)
+
+
+def test_reset_restarts_the_pb_from_empty():
+    # reset() must switch from the empty PB, as a fresh clone does: the
+    # switch table's from-row is the PB's contents, not the last candidate.
+    template = SushiStack(SushiStackConfig(supernet_name="ofa_mobilenetv3", seed=0))
+    workload = WorkloadSpec(
+        num_queries=60, accuracy_range=(0.758, 0.803), latency_range_ms=(0.3, 2.0)
+    )
+    trace = WorkloadGenerator(workload, seed=5).generate()
+    fresh = template.clone(seed=3)
+    want = fresh.serve(trace)
+    used = template.clone(seed=3)
+    used.serve(trace)
+    assert used.pb.stats.cache_loads > 1  # the first run switched caches
+    used.reset()
+    assert used.serve(trace) == want
+    assert used.pb.stats == fresh.pb.stats
+    assert used.pb.cached == fresh.pb.cached

@@ -238,6 +238,7 @@ class TestSushiStack:
             accuracy_model=stack.accuracy_model,
             table=stack.table,
             entries=stack.entries,
+            switches=stack.switches,
         )
         s = SushiStack(replace(stack.config, candidate_set_size=2), **shared)
         assert s.candidates is stack.table.candidates
@@ -252,6 +253,85 @@ class TestSushiStack:
     def test_table_and_entries_come_together(self, stack):
         with pytest.raises(ValueError, match="together"):
             SushiStack(stack.config, supernet=stack.supernet, table=stack.table)
+
+
+def scratch_switch(accel, held, new):
+    """A scratch PB that loads ``held`` (``None``: stays empty), then ``new``."""
+    pb = accel.make_persistent_buffer()
+    if held is not None:
+        pb.load(held)
+    return pb, pb.load(new)
+
+
+def oversized_stack(stack):
+    """``stack``'s serve key with one candidate larger than the PB first."""
+    largest = max(stack.subnets, key=lambda sn: sn.weight_bytes)
+    oversized = CachedSubGraph.from_subnet(largest, name="oversized")
+    assert oversized.weight_bytes > stack.pb.capacity_bytes
+    return SushiStack(
+        stack.config,
+        supernet=stack.supernet,
+        subnets=stack.subnets,
+        accel=stack.accel,
+        accuracy_model=stack.accuracy_model,
+        candidates=replace(
+            stack.candidates, subgraphs=(oversized, *stack.candidates.subgraphs)
+        ),
+    )
+
+
+class TestCacheSwitchTable:
+    """Every (held, new) entry is what a scratch PB's two loads give."""
+
+    @pytest.fixture(
+        scope="class", params=["sushi", "sushi_oversized", "no_pb", "with_pb"]
+    )
+    def tables(self, request, stack):
+        """(accelerator model, candidates, switch table) of one serve table."""
+        if request.param == "sushi":
+            return stack.accel, stack.candidates, stack.switches
+        if request.param == "sushi_oversized":
+            s = oversized_stack(stack)
+            return s.accel, s.candidates, s.switches
+        built = baseline_table(
+            "ofa_mobilenetv3", ANALYTIC_DEFAULT, with_pb=request.param == "with_pb"
+        )
+        return built.accel, built.table.candidates, built.switches
+
+    def test_every_entry_matches_scratch_loads(self, tables):
+        accel, candidates, switches = tables
+        sources = [*candidates, None]  # the last row is the empty PB
+        assert len(switches) == len(sources)
+        for i, held in enumerate(sources):
+            assert len(switches[i]) == len(candidates)
+            for j, new in enumerate(candidates):
+                scratch, fetched = scratch_switch(accel, held, new)
+                switch = switches[i][j]
+                assert switch.fetched_bytes == fetched
+                assert switch.load_ms == accel.cache_load_latency_ms(fetched)
+                pb = accel.make_persistent_buffer()
+                if held is not None:
+                    first = switches[-1][i]
+                    pb.hold(first.fitted, first.fetched_bytes)
+                pb.hold(switch.fitted, switch.fetched_bytes)
+                assert pb.cached == scratch.cached
+                assert pb.stats == scratch.stats
+
+    def test_fitting_shows_in_the_table(self, stack):
+        # Not vacuous: the oversized candidate is held truncated, and
+        # switching to a candidate already held fetches nothing.
+        s = oversized_stack(stack)
+        fitted = s.switches[-1][0].fitted
+        assert fitted != s.candidates[0]
+        assert fitted.weight_bytes <= s.pb.capacity_bytes
+        for j in range(len(s.candidates)):
+            assert s.switches[j][j].fetched_bytes == 0
+            assert s.switches[-1][j].fetched_bytes > 0
+
+    def test_clones_share_the_table_and_names(self, stack):
+        clone = stack.clone(seed=7)
+        assert clone.switches is stack.switches
+        assert clone._names is stack._names is stack.table.subnet_names
 
 
 class TestSharedSchedulerState:
@@ -296,6 +376,7 @@ class TestSharedSchedulerState:
                 candidates=stack.candidates,
                 table=stack.table,
                 entries=stack.entries,
+                switches=stack.switches,
                 cache_memo=stack.cache_memo,
             )
             sched = sushi.scheduler
