@@ -178,8 +178,8 @@ class PersistentBuffer:
 
         Fits ``subgraph`` to the capacity and intersects it with the
         current contents layer by layer.  Serving never calls this: a
-        stack switches its PB through a precomputed cache-switch table
-        (:func:`~repro.serving.stack.build_serve_table`) and :meth:`hold`.
+        stack switches its PB through its cache-switch table
+        (:class:`~repro.serving.stack.CacheSwitchTable`) and :meth:`hold`.
         """
         fitted = self.fit_subgraph(subgraph)
         fetched = fitted.fetch_bytes(self._cached)

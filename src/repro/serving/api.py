@@ -98,10 +98,10 @@ def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStac
     """The template stack of ``config`` (cached; never served directly).
 
     Configs that differ only in policy, seed or ``Q`` share one accelerator
-    model, candidate set, latency table, serve-entry table and cache-switch
-    table: a new template takes them from any cached stack with the same
-    serve key, and builds only its own scheduler (with its own
-    caching-decision memo).
+    model, candidate set and serve table (latency table, serve entries and
+    cache-switch table): a new template takes them from any cached stack
+    with the same serve key, and builds only its own scheduler (with its
+    own caching-decision memo).
     Baseline tables are not kept in ``stack_cache``: like
     :func:`~repro.serving.stack.supernet_family`, each
     :func:`~repro.serving.baselines.baseline_table` is built once per process.
@@ -119,9 +119,7 @@ def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStac
                 subnets=shared.subnets,
                 accel=shared.accel,
                 accuracy_model=shared.accuracy_model,
-                table=shared.table,
-                entries=shared.entries,
-                switches=shared.switches,
+                serve_table=shared.serve_table,
             )
         stack_cache[config] = stack
     return stack

@@ -14,41 +14,31 @@ built once per (SuperNet, platform, PB or not) and process by
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
 from repro.accelerator.platforms import PlatformConfig
 from repro.core.candidates import CandidateSet, truncate_to_capacity
-from repro.core.latency_table import LatencyTable
 from repro.core.metrics import QueryRecord, Served
 from repro.core.policies import Policy, subnet_selector
 from repro.serving.query import QueryLike, QueryTrace
-from repro.serving.stack import CacheSwitches, ServeEntries, batch_budget_ms, batch_served
+from repro.serving.stack import ServeTable, batch_budget_ms, batch_served
 from repro.serving.stack import build_serve_table, serve_trace, supernet_family
 
-
-class BaselineTable(NamedTuple):
-    """The SubNets served against a baseline's cache columns, evaluated once.
-
-    Column 0 is the empty PB.  On a model with a PB, column ``s + 1`` holds
-    the truncation of SubNet ``s`` that the state-unaware rule loads, and
-    ``switches[c][s + 1]`` is what loading it over column ``c`` costs.
-    """
-
-    accel: SushiAccelModel
-    table: LatencyTable
-    entries: ServeEntries
-    switches: CacheSwitches
-
-
-_TABLES: dict[tuple, BaselineTable] = {}
+_TABLES: dict[tuple, ServeTable] = {}
 
 
 def baseline_table(
     supernet_name: str, platform: PlatformConfig, *, with_pb: bool
-) -> BaselineTable:
-    """The process's table of :func:`supernet_family` on ``platform``."""
+) -> ServeTable:
+    """The process's serve table of :func:`supernet_family` on ``platform``.
+
+    Column 0 is the empty PB.  On a model with a PB, column ``s + 1`` holds
+    the truncation of SubNet ``s`` that the state-unaware rule loads, and
+    ``switches.switch(c, s + 1)`` is what loading it over column ``c``
+    costs.
+    """
     key = (supernet_name.lower(), platform, with_pb)
     if key not in _TABLES:
         family = supernet_family(supernet_name)
@@ -59,8 +49,9 @@ def baseline_table(
             truncate_to_capacity(sg, capacity, supernet=family.supernet) for sg in whole
         ]
         candidates = CandidateSet(family.supernet.name, tuple(columns), capacity)
-        built = build_serve_table(family.subnets, candidates, accel, family.accuracy_model)
-        _TABLES[key] = BaselineTable(accel, *built)
+        _TABLES[key] = build_serve_table(
+            family.subnets, candidates, accel, family.accuracy_model
+        )
     return _TABLES[key]
 
 
@@ -68,7 +59,7 @@ class _TableServer:
     """Policy selection on the empty-PB column; served values from serve entries."""
 
     def __init__(
-        self, tables: BaselineTable, *, policy: Policy = Policy.STRICT_ACCURACY
+        self, tables: ServeTable, *, policy: Policy = Policy.STRICT_ACCURACY
     ) -> None:
         self.tables = tables
         self.policy = policy
@@ -109,7 +100,7 @@ class NoSushiServer(_TableServer):
 class FixedSubNetServer(_TableServer):
     """One pinned SubNet for every query (``None``: the most accurate one)."""
 
-    def __init__(self, tables: BaselineTable, *, subnet_name: str | None = None) -> None:
+    def __init__(self, tables: ServeTable, *, subnet_name: str | None = None) -> None:
         super().__init__(tables)
         names = self._names
         if subnet_name is None:
@@ -134,7 +125,7 @@ class StateUnawareCachingServer(_TableServer):
 
     def __init__(
         self,
-        tables: BaselineTable,
+        tables: ServeTable,
         *,
         policy: Policy = Policy.STRICT_ACCURACY,
         cache_update_period: int = 4,
@@ -147,7 +138,7 @@ class StateUnawareCachingServer(_TableServer):
 
     def reset(self) -> None:
         """Empty the PB and restart the caching-period counter."""
-        self.pb: PersistentBuffer = self.tables.accel.make_persistent_buffer()
+        self.pb: PersistentBuffer = self.tables.switches.accel.make_persistent_buffer()
         self._column = 0
         self._queries_seen = 0
 
@@ -170,7 +161,7 @@ class StateUnawareCachingServer(_TableServer):
         load_ms = 0.0
         period = self.cache_update_period
         if self._queries_seen // period > seen_before // period:
-            switch = self.tables.switches[column][idx + 1]
+            switch = self.tables.switches.switch(column, idx + 1)
             self.pb.hold(switch.fitted, switch.fetched_bytes)
             self._column = idx + 1
             load_ms = switch.load_ms

@@ -10,15 +10,16 @@ The accelerator model runs only at set-up: :func:`build_serve_table`
 evaluates every (SubNet, candidate SubGraph) pair once, from per-SubNet
 layer profiles, and both the latency table and the per-pair
 :class:`ServeEntry` records the serve path reads come from that one pass.
-Beside them it precomputes the cache-switch table: what each (held, new)
-pair of PB contents costs to switch (:class:`CacheSwitch`).  The tables
-depend on the SuperNet, the platform and ``|S|`` only (the serve key), so
-stacks whose configs differ in policy, seed or ``Q`` can share them
-(:func:`repro.serving.api.cached_stack` does); a stack given a table takes
-its candidate set from it.  Clones share all three, and the scheduler's
+Beside them sits the cache-switch table (:class:`CacheSwitchTable`): what
+switching the PB between each (held, new) pair of contents costs, computed
+at a pair's first use.  Together they form the :class:`ServeTable`, which
+depends on the SuperNet, the platform and ``|S|`` only (the serve key), so
+stacks whose configs differ in policy, seed or ``Q`` can share it
+(:func:`repro.serving.api.cached_stack` does); a stack given a serve table
+takes its candidate set from it.  Clones share it, and the scheduler's
 caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so
 serving a query and switching the PB are table lookups, and a clone
-encodes nothing and models no PB.
+encodes nothing.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 — the interface the discrete-event engine dispatches against, with the
@@ -128,8 +129,7 @@ class CacheSwitch(NamedTuple):
 
     ``fitted`` is the candidate as the PB holds it (fitted to the
     capacity), ``fetched_bytes`` the off-chip bytes the switch loads and
-    ``load_ms`` their load latency.  A switch's cost depends on nothing
-    but the (held, new) pair, so it is computed once per serve table.
+    ``load_ms`` their load latency.
     """
 
     fitted: CachedSubGraph
@@ -137,10 +137,44 @@ class CacheSwitch(NamedTuple):
     load_ms: float
 
 
-CacheSwitches = tuple[tuple[CacheSwitch, ...], ...]
-"""``switches[i][j]``: the PB holding candidate ``i`` switches to ``j``.
+class CacheSwitchTable:
+    """What switching the PB between candidate SubGraphs costs.
 
-The last row (``i = -1``) is the empty PB every stack starts from."""
+    A switch's cost depends on nothing but the (held, new) pair, so each
+    entry is computed once, at its first use, and kept: every stack sharing
+    the table (clones included) reads it, and a run pays only for the pairs
+    it visits, not for all ``(|S| + 1) x |S|`` of them.  ``fitted[j]`` is
+    candidate ``j`` as the PB holds it.
+    """
+
+    def __init__(self, accel: SushiAccelModel, fitted: Sequence[CachedSubGraph]) -> None:
+        self.accel = accel
+        self.fitted = tuple(fitted)
+        # Row -1 (the last) is the empty PB every stack starts from.
+        self._held = (*self.fitted, CachedSubGraph.empty())
+        self._rows: list[list[CacheSwitch | None]] = [
+            [None] * len(self.fitted) for _ in self._held
+        ]
+
+    def switch(self, held: int, new: int) -> CacheSwitch:
+        """The PB holding candidate ``held`` (-1: empty) switches to ``new``."""
+        row = self._rows[held]
+        entry = row[new]
+        if entry is None:
+            fitted = self.fitted[new]
+            fetched = fitted.fetch_bytes(self._held[held])
+            entry = row[new] = CacheSwitch(
+                fitted, fetched, self.accel.cache_load_latency_ms(fetched)
+            )
+        return entry
+
+
+class ServeTable(NamedTuple):
+    """Everything serving reads for one serve key, built once."""
+
+    table: LatencyTable
+    entries: ServeEntries
+    switches: CacheSwitchTable
 
 
 def build_serve_table(
@@ -148,7 +182,7 @@ def build_serve_table(
     candidates: CandidateSet,
     accel: SushiAccelModel,
     accuracy_model: AccuracyModel,
-) -> tuple[LatencyTable, ServeEntries, CacheSwitches]:
+) -> ServeTable:
     """The latency table, ``entries[i][j]`` and the cache-switch table.
 
     Candidate ``j`` is evaluated as the PB holds it after loading it — fitted
@@ -156,9 +190,8 @@ def build_serve_table(
     delivers.  The accelerator model profiles each SubNet's layers once, and
     each pair intersects the candidate with the SubNet once: the
     breakdown's cached bytes are the per-layer overlaps, so they are the
-    pair's PB hit bytes.  The switch table intersects every fitted
-    candidate with every possible PB content (each fitted candidate and
-    the empty PB) once.
+    pair's PB hit bytes.  The switch table starts from the fitted
+    candidates and fills its entries as they are used.
     """
     pb = accel.make_persistent_buffer()
     columns = []
@@ -189,16 +222,7 @@ def build_serve_table(
         [[entry.total_ms for entry in row] for row in entries],
         [accuracy_model.accuracy(subnet) for subnet in subnets],
     )
-
-    def switch(held: CachedSubGraph, new: CachedSubGraph) -> CacheSwitch:
-        fetched = new.fetch_bytes(held)
-        return CacheSwitch(new, fetched, accel.cache_load_latency_ms(fetched))
-
-    switches = tuple(
-        tuple(switch(held, new) for new in fitted)
-        for held in (*fitted, CachedSubGraph.empty())
-    )
-    return table, entries, switches
+    return ServeTable(table, entries, CacheSwitchTable(accel, fitted))
 
 
 def batch_budget_ms(queries: Sequence[QueryLike], budgets_ms: Sequence[float]) -> float:
@@ -284,9 +308,7 @@ class SushiStack:
         accel: SushiAccelModel | None = None,
         accuracy_model: AccuracyModel | None = None,
         candidates: CandidateSet | None = None,
-        table: LatencyTable | None = None,
-        entries: ServeEntries | None = None,
-        switches: CacheSwitches | None = None,
+        serve_table: ServeTable | None = None,
         cache_memo: CacheDecisionMemo | None = None,
     ) -> None:
         self.config = config or SushiStackConfig()
@@ -300,29 +322,23 @@ class SushiStack:
         self.accel = accel or SushiAccelModel(self.config.platform)
         self.accuracy_model = accuracy_model or AccuracyModel(self.supernet)
 
-        if not (table is None) == (entries is None) == (switches is None):
-            raise ValueError(
-                "pass the latency table, its serve entries and its cache-switch "
-                "table together"
-            )
-        if table is None:
+        if serve_table is None:
             self.candidates = candidates or build_candidate_set(
                 self.subnets,
                 capacity_bytes=max(self.accel.pb_capacity_bytes, 1),
                 max_size=self.config.candidate_set_size,
             )
-            table, entries, switches = build_serve_table(
+            serve_table = build_serve_table(
                 self.subnets, self.candidates, self.accel, self.accuracy_model
             )
         else:
-            if candidates is not None and candidates is not table.candidates:
+            if candidates is not None and candidates is not serve_table.table.candidates:
                 raise ValueError("candidates must be the latency table's own candidate set")
-            self.candidates = table.candidates
-        self.table = table
-        self.entries = entries
-        self.switches = switches
-        self._names = table.subnet_names
-        self._accuracies = table.accuracy_list
+            self.candidates = serve_table.table.candidates
+        self.serve_table = serve_table
+        self.table, self.entries, self.switches = serve_table
+        self._names = self.table.subnet_names
+        self._accuracies = self.table.accuracy_list
         rng = np.random.default_rng(self.config.seed)
         self.scheduler = SushiSched(
             self.table,
@@ -339,12 +355,12 @@ class SushiStack:
     def _start_pb(self) -> None:
         """An empty PB, then the scheduler's cache state enacted on it."""
         self.pb: PersistentBuffer = self.accel.make_persistent_buffer()
-        self._cached_idx = -1  # the switch table's empty-PB row
+        self._cached_idx = -1  # the empty PB
         self._enact_cache(self.scheduler.cache_state_idx)
 
     def _enact_cache(self, candidate_idx: int) -> float:
         """Switch the PB to candidate SubGraph ``candidate_idx``; return ms spent."""
-        switch = self.switches[self._cached_idx][candidate_idx]
+        switch = self.switches.switch(self._cached_idx, candidate_idx)
         self.pb.hold(switch.fitted, switch.fetched_bytes)
         self._cached_idx = candidate_idx
         return switch.load_ms
@@ -445,12 +461,13 @@ class SushiStack:
     def clone(self, *, seed: int | None = None) -> "SushiStack":
         """An independent stack sharing this one's immutable substrate.
 
-        The SuperNet, SubNet family, accelerator model, candidate set, latency
-        table, serve entries, cache-switch table and caching-decision memo
-        are shared (the memo only ever gains entries that are pure functions
-        of the table), so a clone evaluates nothing on the accelerator
-        model, encodes nothing and models no PB; the clone gets its own
-        scheduler and Persistent Buffer, so it evolves cache state
+        The SuperNet, SubNet family, accelerator model, candidate set, serve
+        table (latency table, serve entries and cache-switch table) and
+        caching-decision memo are shared (the memo and the switch table only
+        ever gain entries that are pure functions of the serve key), so a
+        clone evaluates nothing on the accelerator model and encodes
+        nothing, and it models the PB only for a cache switch no stack
+        sharing the table has made yet; the clone gets its own scheduler and Persistent Buffer, so it evolves cache state
         independently — one clone per engine replica.
         """
         config = self.config if seed is None else replace(self.config, seed=seed)
@@ -461,8 +478,6 @@ class SushiStack:
             accel=self.accel,
             accuracy_model=self.accuracy_model,
             candidates=self.candidates,
-            table=self.table,
-            entries=self.entries,
-            switches=self.switches,
+            serve_table=self.serve_table,
             cache_memo=self.cache_memo,
         )

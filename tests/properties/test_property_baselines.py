@@ -31,14 +31,13 @@ from repro.core.candidates import CandidateSet, truncate_to_capacity
 from repro.core.latency_table import LatencyTable
 from repro.core.policies import Policy
 from repro.serving.baselines import (
-    BaselineTable,
     FixedSubNetServer,
     NoSushiServer,
     StateUnawareCachingServer,
     baseline_table,
 )
 from repro.serving.query import Query
-from repro.serving.stack import supernet_family
+from repro.serving.stack import ServeTable, supernet_family
 
 FAMILIES = ("ofa_mobilenetv3", "ofa_resnet50")
 PB_KB = (432.0, 864.0, 1728.0)
@@ -262,7 +261,7 @@ def test_selection_breaks_ties_like_numpy(case, policy):
     subnets = [family.subnets[0]] * len(accs)
     empty = CandidateSet("ofa_mobilenetv3", (CachedSubGraph.empty(),), 0)
     table = LatencyTable(subnets, empty, [[lat] for lat in lats], accs)
-    server = NoSushiServer(BaselineTable(None, table, (), ()), policy=policy)
+    server = NoSushiServer(ServeTable(table, (), None), policy=policy)
     ref = object.__new__(oracle.NoSushiServer)
     ref.policy = policy
     ref.accuracies = np.array(accs)

@@ -11,11 +11,11 @@ estimates and fault retries all reuse it, so no :class:`Query` is built
 either.  Counted over whole ``run_scenario`` calls on the committed pools
 and on a closed-loop :class:`~repro.serving.runner.ExperimentRunner` run.
 
-Nor does a run model the Persistent Buffer: once the serve tables are
-built, every cache switch — a scale-up clone's first load and a reset's
-included — is a lookup in the precomputed cache-switch table, so no
-``PersistentBuffer.load``, ``fit_subgraph`` or ``LayerSlice.intersect``
-runs while serving.
+Nor does a warm run model the Persistent Buffer: once the serve tables are
+built and a run has filled the cache-switch entries it visits, every cache
+switch — a scale-up clone's first load and a reset's included — is a
+lookup in the shared cache-switch table, so no ``PersistentBuffer.load``,
+``fit_subgraph`` or ``LayerSlice.intersect`` runs while serving.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ SWITCHING_POOLS = [
 def test_a_run_models_no_pb_after_set_up(name, overrides, monkeypatch):
     spec = load(name, overrides)
     stack_cache: dict = {}
-    run_scenario(spec, stack_cache=stack_cache)  # set-up: templates and tables
+    # Set-up: templates, serve tables and the switch entries the run visits.
+    run_scenario(spec, stack_cache=stack_cache)
     counts: dict[str, int] = {}
     count_calls(monkeypatch, PersistentBuffer, "load", counts, "loads")
     count_calls(monkeypatch, PersistentBuffer, "fit_subgraph", counts, "fits")

@@ -19,7 +19,8 @@ from repro.serving.baselines import (
 )
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.stack import CacheSwitchTable, SushiStack, SushiStackConfig
+from repro.serving.stack import build_serve_table
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 from repro.supernet.subnet import SubNet
 
@@ -89,6 +90,14 @@ class TestSushiStack:
         """
         oracle = stack.clone(seed=7)
 
+        def oracle_start():
+            # The oracle's PB is modelled from scratch, never switched
+            # through the stack's cache-switch table.
+            oracle.pb = oracle.accel.make_persistent_buffer()
+            oracle.pb.load(oracle.candidates[oracle.scheduler.cache_state_idx])
+
+        oracle_start()
+
         def oracle_serve(queries):
             current = oracle.scheduler.cache_state_idx
             subnet_idx = oracle.scheduler.schedule_shared(
@@ -109,7 +118,8 @@ class TestSushiStack:
                 latency_ms = shared + len(queries) * (parts.total_ms - shared)
             cache_load_ms = 0.0
             if oracle.scheduler.cache_state_idx != current:
-                cache_load_ms = oracle._enact_cache(oracle.scheduler.cache_state_idx)
+                fetched = oracle.pb.load(oracle.candidates[oracle.scheduler.cache_state_idx])
+                cache_load_ms = oracle.accel.cache_load_latency_ms(fetched)
             return [
                 QueryRecord(
                     query_index=q.index,
@@ -156,6 +166,7 @@ class TestSushiStack:
         assert pb_stats(per_query) == pb_stats(oracle)
 
         oracle.reset()
+        oracle_start()
         batches = [queries[k : k + 3] for k in range(0, len(queries), 3)]
         expected = [r for batch in batches for r in oracle_serve(batch)]
         batched = stack.clone(seed=7)
@@ -236,9 +247,7 @@ class TestSushiStack:
             subnets=stack.subnets,
             accel=stack.accel,
             accuracy_model=stack.accuracy_model,
-            table=stack.table,
-            entries=stack.entries,
-            switches=stack.switches,
+            serve_table=stack.serve_table,
         )
         s = SushiStack(replace(stack.config, candidate_set_size=2), **shared)
         assert s.candidates is stack.table.candidates
@@ -249,10 +258,6 @@ class TestSushiStack:
         assert equal_copy == stack.candidates
         with pytest.raises(ValueError, match="candidate set"):
             SushiStack(stack.config, candidates=equal_copy, **shared)
-
-    def test_table_and_entries_come_together(self, stack):
-        with pytest.raises(ValueError, match="together"):
-            SushiStack(stack.config, supernet=stack.supernet, table=stack.table)
 
 
 def scratch_switch(accel, held, new):
@@ -296,22 +301,22 @@ class TestCacheSwitchTable:
         built = baseline_table(
             "ofa_mobilenetv3", ANALYTIC_DEFAULT, with_pb=request.param == "with_pb"
         )
-        return built.accel, built.table.candidates, built.switches
+        return built.switches.accel, built.table.candidates, built.switches
 
     def test_every_entry_matches_scratch_loads(self, tables):
         accel, candidates, switches = tables
-        sources = [*candidates, None]  # the last row is the empty PB
-        assert len(switches) == len(sources)
-        for i, held in enumerate(sources):
-            assert len(switches[i]) == len(candidates)
+        assert len(switches.fitted) == len(candidates)
+        # -1 is the empty PB.
+        sources = [*enumerate(candidates), (-1, None)]
+        for i, held in sources:
             for j, new in enumerate(candidates):
                 scratch, fetched = scratch_switch(accel, held, new)
-                switch = switches[i][j]
+                switch = switches.switch(i, j)
                 assert switch.fetched_bytes == fetched
                 assert switch.load_ms == accel.cache_load_latency_ms(fetched)
                 pb = accel.make_persistent_buffer()
                 if held is not None:
-                    first = switches[-1][i]
+                    first = switches.switch(-1, i)
                     pb.hold(first.fitted, first.fetched_bytes)
                 pb.hold(switch.fitted, switch.fetched_bytes)
                 assert pb.cached == scratch.cached
@@ -321,17 +326,56 @@ class TestCacheSwitchTable:
         # Not vacuous: the oversized candidate is held truncated, and
         # switching to a candidate already held fetches nothing.
         s = oversized_stack(stack)
-        fitted = s.switches[-1][0].fitted
+        fitted = s.switches.switch(-1, 0).fitted
         assert fitted != s.candidates[0]
         assert fitted.weight_bytes <= s.pb.capacity_bytes
         for j in range(len(s.candidates)):
-            assert s.switches[j][j].fetched_bytes == 0
-            assert s.switches[-1][j].fetched_bytes > 0
+            assert s.switches.switch(j, j).fetched_bytes == 0
+            assert s.switches.switch(-1, j).fetched_bytes > 0
 
     def test_clones_share_the_table_and_names(self, stack):
         clone = stack.clone(seed=7)
+        assert clone.serve_table is stack.serve_table
         assert clone.switches is stack.switches
         assert clone._names is stack._names is stack.table.subnet_names
+
+    def test_entries_are_computed_once_at_first_use(self, stack, trace, monkeypatch):
+        # A fresh table computes only the pairs a run visits, each once,
+        # for every stack that shares it.
+        fresh = build_serve_table(
+            stack.subnets, stack.candidates, stack.accel, stack.accuracy_model
+        )
+        fetches = {"calls": 0}
+        fetch_bytes = CachedSubGraph.fetch_bytes
+
+        def counting_fetch_bytes(new, held):
+            fetches["calls"] += 1
+            return fetch_bytes(new, held)
+
+        visited = []
+        switch = CacheSwitchTable.switch
+
+        def recording_switch(table, held, new):
+            visited.append((held, new))
+            return switch(table, held, new)
+
+        monkeypatch.setattr(CachedSubGraph, "fetch_bytes", counting_fetch_bytes)
+        monkeypatch.setattr(CacheSwitchTable, "switch", recording_switch)
+        template = SushiStack(
+            stack.config,
+            supernet=stack.supernet,
+            subnets=stack.subnets,
+            accel=stack.accel,
+            accuracy_model=stack.accuracy_model,
+            serve_table=fresh,
+        )
+        want = template.clone(seed=3).serve(trace)
+        assert len(set(visited)) > 2  # not vacuous: the run switched caches
+        assert fetches["calls"] == len(set(visited))
+        calls, first_run = fetches["calls"], len(visited)
+        assert template.clone(seed=3).serve(trace) == want
+        assert len(visited) - first_run == first_run - 1  # less the template's
+        assert fetches["calls"] == calls
 
 
 class TestSharedSchedulerState:
@@ -374,9 +418,7 @@ class TestSharedSchedulerState:
                 accel=stack.accel,
                 accuracy_model=stack.accuracy_model,
                 candidates=stack.candidates,
-                table=stack.table,
-                entries=stack.entries,
-                switches=stack.switches,
+                serve_table=stack.serve_table,
                 cache_memo=stack.cache_memo,
             )
             sched = sushi.scheduler
