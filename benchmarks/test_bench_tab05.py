@@ -3,10 +3,34 @@
 import pytest
 
 from repro.experiments import tab05_table_size as exp
+from repro.serving import api, baselines
+
+
+@pytest.fixture
+def cold_tables():
+    """Empties the process's table caches before each round; restores them after."""
+    saved = dict(api.PROCESS_STACK_CACHE), dict(baselines._TABLES)
+
+    def empty() -> None:
+        api.PROCESS_STACK_CACHE.clear()
+        baselines._TABLES.clear()
+
+    yield empty
+    for cache, entries in zip((api.PROCESS_STACK_CACHE, baselines._TABLES), saved):
+        cache.clear()
+        cache.update(entries)
 
 
 @pytest.mark.parametrize("supernet", ["ofa_resnet50", "ofa_mobilenetv3"])
-def test_bench_tab05_table_size(benchmark, show, supernet):
-    result = benchmark(exp.run, supernet, column_counts=(10, 40, 80, 100), num_queries=100)
+def test_bench_tab05_table_size(benchmark, show, cold_tables, supernet):
+    # Every round builds its serve tables (|S| up to 100) from cold caches,
+    # so the set-up cost is part of what is recorded, not only warm reruns.
+    result = benchmark.pedantic(
+        exp.run,
+        args=(supernet,),
+        kwargs={"column_counts": (10, 40, 80, 100), "num_queries": 100},
+        setup=cold_tables,
+        rounds=3,
+    )
     show(exp.report(result))
     assert set(result.improvements_percent) == {10, 40, 80, 100}

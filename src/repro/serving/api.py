@@ -56,7 +56,7 @@ from repro.serving.engine import (
 )
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.stack import ServeTable, SushiStack, SushiStackConfig
 from repro.serving.workload import (
     WorkloadGenerator,
     feasible_ranges_from_table,
@@ -65,6 +65,7 @@ from repro.serving.workload import (
 __all__ = [
     "PROCESS_STACK_CACHE",
     "build_engine",
+    "build_tables",
     "build_trace",
     "cached_stack",
     "format_result_summary",
@@ -177,6 +178,35 @@ def build_trace(
     )
 
 
+def _baseline_table(spec: ScenarioSpec, group: ReplicaGroupSpec) -> ServeTable:
+    """The serve table a baseline group's backends share (a PB only for
+    the state-unaware rule)."""
+    return baseline_table(
+        spec.supernet_name,
+        group.resolved_platform(),
+        with_pb=group.kind == "state_unaware",
+    )
+
+
+def build_tables(spec: ScenarioSpec, *, stack_cache: StackCache) -> None:
+    """Build every serve table ``spec`` reads, and no replica.
+
+    The table half of :func:`build_engine`, plus the table
+    :func:`build_trace` draws unresolved constraint ranges from: SUSHI
+    groups' template stacks land in ``stack_cache``, baseline groups'
+    :func:`~repro.serving.baselines.baseline_table` in the process.  A
+    caller that builds them before forking hands every worker the tables
+    copy-on-write, so no worker builds one.
+    """
+    if not spec.workload.has_resolved_ranges:
+        _group_ranges(spec, spec.replica_groups[0], stack_cache)
+    for group in spec.replica_groups:
+        if group.kind == "sushi":
+            cached_stack(_stack_config(spec, group), stack_cache)
+        else:
+            _baseline_table(spec, group)
+
+
 def _server_builder(
     spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
 ) -> Callable[[int], QueryServer]:
@@ -189,21 +219,18 @@ def _server_builder(
         # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
 
-    platform = group.resolved_platform()
+    tables = _baseline_table(spec, group)
     policy = spec.group_policy(group)
     if group.kind == "no_sushi":
-        tables = baseline_table(spec.supernet_name, platform, with_pb=False)
         return lambda position: NoSushiServer(tables, policy=policy)
 
     if group.kind == "state_unaware":
-        tables = baseline_table(spec.supernet_name, platform, with_pb=True)
         period = spec.group_cache_update_period(group)
         return lambda position: StateUnawareCachingServer(
             tables, policy=policy, cache_update_period=period
         )
 
     if group.kind == "static_subnet":
-        tables = baseline_table(spec.supernet_name, platform, with_pb=False)
         return lambda position: FixedSubNetServer(tables, subnet_name=group.subnet_name)
 
     raise ValueError(f"unknown backend kind {group.kind!r}")  # pragma: no cover

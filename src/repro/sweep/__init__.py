@@ -2,12 +2,13 @@
 
 One reproducible runner replacing N ad-hoc sweep scripts: a
 :class:`SweepSpec` (base scenario × override axes) expands into grid cells,
-:func:`run_grid` runs and measures them — optionally across forked worker
-processes with per-process stack caching.  :func:`run_sweep` merges the
-fixed metric set into a :class:`SweepResult` that serializes to JSON/CSV
-artifacts byte-identical regardless of the worker count (the CLI front end
-is ``python -m repro sweep``); the serving experiments measure their own
-points over a :class:`Grid` of labelled sweeps.
+:func:`run_grid` builds every serve table they read, then runs and
+measures them — optionally across forked worker processes that inherit
+those tables.  :func:`run_sweep` merges the fixed metric set into a
+:class:`SweepResult` that serializes to JSON/CSV artifacts byte-identical
+regardless of the worker count (the CLI front end is ``python -m repro
+sweep``); the serving experiments measure their own points over a
+:class:`Grid` of labelled sweeps.
 """
 
 from repro.sweep.spec import SweepAxis, SweepSpec

@@ -13,14 +13,17 @@ labelled sweeps.  Guarantees:
   measurements are pure functions of the (seeded) simulation, and
   nothing wall-clock-dependent is recorded, so the merged JSON/CSV
   artifact is byte-identical however many workers ran the sweep.
-* **Per-cell fault isolation** — a cell whose overrides fail validation or
-  whose run or measurement raises becomes an *error cell* (``error`` set,
-  no measurement); the other cells are unaffected.
-* **Per-process stack caching** — cells share the process's
-  :data:`~repro.serving.api.PROCESS_STACK_CACHE`,
-  so expensive latency tables build once per process, not once per cell
-  (forked workers inherit whatever the parent has already warmed, e.g.
-  through :func:`template_stack`).
+* **Per-cell fault isolation** — a cell whose overrides fail validation,
+  whose tables fail to build, or whose run or measurement raises becomes
+  an *error cell* (``error`` set, no measurement); the other cells are
+  unaffected.
+* **Tables built once, in the caller** — every cell is resolved and every
+  serve table the cells read is built
+  (:func:`~repro.serving.api.build_tables`) into the process's
+  :data:`~repro.serving.api.PROCESS_STACK_CACHE` before any worker forks.
+  Workers receive resolved scenarios, inherit the tables copy-on-write
+  and only simulate; each serve key builds once per process, so a later
+  sweep in the same process builds nothing.
 * **Sequential fallback** — ``workers <= 1``, a single cell, or a platform
   without ``fork`` (spawn would need every backend picklable) all run the
   cells in-process, in grid order, producing the identical artifact.
@@ -34,7 +37,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.serving.api import PROCESS_STACK_CACHE, cached_stack, run_scenario
+from repro.serving.api import (
+    PROCESS_STACK_CACHE,
+    build_tables,
+    cached_stack,
+    run_scenario,
+)
 from repro.serving.engine import SimulationResult
 from repro.serving.spec import JsonSpec, ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
@@ -149,7 +157,7 @@ class SweepResult(JsonSpec):
 #: Module-level functions only: forked workers receive it pickled.
 Measure = Callable[[ScenarioSpec, SimulationResult], Any]
 
-_Payload = tuple[Measure, dict[str, Any], tuple[tuple[str, Any], ...]]
+_Payload = tuple[Measure, ScenarioSpec]
 _CellOutput = tuple[str | None, Any]
 
 
@@ -158,14 +166,27 @@ def template_stack(config: SushiStackConfig) -> SushiStack:
     return cached_stack(config, PROCESS_STACK_CACHE)
 
 
-def _run_cell(payload: _Payload) -> _CellOutput:
-    """Run and measure one grid cell; failures become errors, never raise."""
-    measure, sweep_data, overrides = payload
+def _failure(exc: Exception) -> str:
+    """An error cell's text."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _prepared(scenario: ScenarioSpec) -> ScenarioSpec | str:
+    """``scenario`` with its tables built, or the error text of the build."""
     try:
-        spec = SweepSpec.from_dict(sweep_data).scenario(overrides)
-        return None, measure(spec, run_scenario(spec, stack_cache=PROCESS_STACK_CACHE))
+        build_tables(scenario, stack_cache=PROCESS_STACK_CACHE)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return f"{type(exc).__name__}: {exc}", None
+        return _failure(exc)
+    return scenario
+
+
+def _run_cell(payload: _Payload) -> _CellOutput:
+    """Run and measure one prepared cell; failures become errors, never raise."""
+    measure, scenario = payload
+    try:
+        return None, measure(scenario, run_scenario(scenario, stack_cache=PROCESS_STACK_CACHE))
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return _failure(exc), None
 
 
 def _map_cells(payloads: list[_Payload], workers: int | None) -> list[_CellOutput]:
@@ -186,18 +207,43 @@ def _map_cells(payloads: list[_Payload], workers: int | None) -> list[_CellOutpu
         return pool.map(_run_cell, payloads, chunksize=1)
 
 
+def _measure_cells(
+    cells: Sequence[ScenarioSpec | str], measure: Measure, workers: int | None
+) -> list[_CellOutput]:
+    """``(error, measurement)`` per cell, given as its scenario or as the
+    error text of its overrides.
+
+    Every table the scenarios read is built here, before any worker forks,
+    so workers inherit them and only simulate.
+    """
+    prepared = [c if isinstance(c, str) else _prepared(c) for c in cells]
+    ran = iter(
+        _map_cells([(measure, c) for c in prepared if not isinstance(c, str)], workers)
+    )
+    return [(c, None) if isinstance(c, str) else next(ran) for c in prepared]
+
+
+def _resolved(spec: SweepSpec, cell: tuple[tuple[str, Any], ...]) -> ScenarioSpec | str:
+    """The scenario of one grid cell, or the error text of its overrides."""
+    try:
+        return spec.scenario(cell)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return _failure(exc)
+
+
 def run_grid(
     spec: SweepSpec, measure: Measure, *, workers: int | None = None
 ) -> list[_CellOutput]:
     """Run and measure every grid cell: ``(error, measurement)`` per cell.
 
     The list is in grid order; a failed cell carries its error message and
-    no measurement.  ``workers > 1`` fans cells out over forked processes
-    (falling back to in-process execution where fork is unavailable); the
-    outputs are identical either way.
+    no measurement.  Cells are resolved and their tables built here, in
+    the caller; ``workers > 1`` fans the simulations out over forked
+    processes that inherit those tables (falling back to in-process
+    execution where fork is unavailable).  The outputs are identical
+    either way.
     """
-    sweep_data = spec.to_dict()
-    return _map_cells([(measure, sweep_data, cell) for cell in spec.cells()], workers)
+    return _measure_cells([_resolved(spec, cell) for cell in spec.cells()], measure, workers)
 
 
 def _metrics(spec: ScenarioSpec, result: SimulationResult) -> dict[str, float]:
@@ -269,8 +315,9 @@ class Grid:
         Runs in this process, on its stack cache.  Raises naming the label
         of every cell that failed.
         """
-        labels = [label for label, _ in self.scenarios()]
-        outputs = [out for sweep in self.sweeps for out in run_grid(sweep, measure)]
+        cells = self.scenarios()
+        labels = [label for label, _ in cells]
+        outputs = _measure_cells([spec for _, spec in cells], measure, None)
         failed = [
             f"{label} ({error})"
             for label, (error, _) in zip(labels, outputs)

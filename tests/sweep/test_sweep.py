@@ -9,10 +9,13 @@ run raises) are reported per cell without poisoning the rest of the grid.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.serving import ArrivalSpec, ReplicaGroupSpec, ScenarioSpec, WorkloadSpec
+from repro.serving import api, baselines, stack
 from repro.sweep import (
     METRIC_FIELDS,
     CellResult,
@@ -20,8 +23,11 @@ from repro.sweep import (
     SweepResult,
     SweepSpec,
     format_sweep_summary,
+    run_grid,
     run_sweep,
 )
+
+PB_POLICY_GRID = Path(__file__).resolve().parents[2] / "examples/sweeps/pb_policy_grid.json"
 
 EVENTS = tuple(0.35 * (i + 1) for i in range(20))
 
@@ -185,3 +191,69 @@ class TestErrorCellIsolation:
     def test_error_cells_identical_across_worker_counts(self, poisoned):
         assert poisoned[1].to_json() == poisoned[2].to_json()
         assert "ERROR" in format_sweep_summary(poisoned[1])
+
+
+#: The pid of the process behind every serve-table build; a forked worker
+#: inherits the caller's entries, so its own builds are those with its pid.
+_BUILDS: list[int] = []
+
+
+def own_builds(spec: ScenarioSpec, result) -> int:
+    """A cell measurement: the serve tables the running process built."""
+    return _BUILDS.count(os.getpid())
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Cold table caches, every ``build_serve_table`` call logged in ``_BUILDS``."""
+    real = stack.build_serve_table
+
+    def counting(*args, **kwargs):
+        _BUILDS.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stack, "build_serve_table", counting)
+    monkeypatch.setattr(baselines, "build_serve_table", counting)
+    saved = dict(api.PROCESS_STACK_CACHE), dict(baselines._TABLES)
+    api.PROCESS_STACK_CACHE.clear()
+    baselines._TABLES.clear()
+    _BUILDS.clear()
+    yield
+    for cache, entries in zip((api.PROCESS_STACK_CACHE, baselines._TABLES), saved):
+        cache.clear()
+        cache.update(entries)
+
+
+class TestTablesBuiltInCaller:
+    def test_workers_build_no_table(self, counted_builds):
+        spec = SweepSpec.from_dict(json.loads(PB_POLICY_GRID.read_text()))
+        serve_keys = {
+            (s.supernet_name, g.resolved_platform(), g.candidate_set_size)
+            for s in map(spec.scenario, spec.cells())
+            for g in s.replica_groups
+        }
+        assert len(serve_keys) == 3
+
+        outputs = run_grid(spec, own_builds, workers=2)
+        assert outputs == [(None, 0)] * spec.num_cells
+        assert _BUILDS.count(os.getpid()) == len(serve_keys)
+
+        again = run_sweep(spec, workers=2)
+        assert again.num_ok == spec.num_cells
+        assert len(_BUILDS) == len(serve_keys)
+
+    def test_build_failure_is_an_error_cell_at_any_worker_count(self, counted_builds):
+        # 0.001 KB holds no SubGraph: the stack's candidate set fails to build.
+        spec = SweepSpec(
+            base=base_scenario(),
+            axes=(SweepAxis(path="replica_groups.0.pb_kb", values=(432.0, 0.001, None)),),
+            name="unbuildable",
+        )
+        results = {w: run_sweep(spec, workers=w) for w in (1, 2)}
+        assert results[1].to_json() == results[2].to_json()
+        assert [c.error for c in results[2].cells] == [
+            None,
+            "ValueError: a candidate set needs at least one SubGraph",
+            None,
+        ]
+        assert run_grid(spec, own_builds, workers=2)[::2] == [(None, 0)] * 2
