@@ -423,7 +423,8 @@ class ServingEngine:
 
         Each query's row of the :class:`ResultTable` (its arrival position)
         is written once: at its completion, or where it is dropped.  No
-        outcome object is built unless a flight recorder is attached.
+        outcome object is built, traced or not: a flight recorder reads its
+        query spans from the table (:meth:`ResultTable.spans`).
         """
         table = ResultTable(len(arrivals))
         write_served = table.serve
@@ -433,8 +434,6 @@ class ServingEngine:
         bus = None if ctl is None else ctl.bus
         fi = self.faults
         recorder = self.recorder
-        rec_served = None if recorder is None else recorder.on_served
-        rec_dropped = None if recorder is None else recorder.on_dropped
         scalable = self._scaled
         routable = None if ctl is None and fi is None else self._routable
         router_select = self.router.select
@@ -474,8 +473,6 @@ class ServingEngine:
             )
             if bus is not None and replica.index in scalable:
                 bus.on_drop(now)
-            if rec_dropped is not None:
-                rec_dropped(table.dropped_query(item.index))
 
         def start(
             replica: AcceleratorReplica, batch: list[QueuedQuery], now: float
@@ -638,8 +635,6 @@ class ServingEngine:
                         item.index, item.arrival_ms, start_ms, service,
                         item.latency_constraint_ms, ridx, size, floor, served,
                     )
-                    if rec_served is not None:
-                        rec_served(table.outcome(item.index))
                     stats.queueing_ms_total += start_ms - item.arrival_ms
                 stats.num_served += size
                 stats.busy_ms += total
@@ -921,7 +916,9 @@ class ServingEngine:
         candidates = self._routable()
         bus = None if self.autoscaler is None else self.autoscaler.bus
         if not candidates:
-            self._write_drop(table, item, now, -1, FAILED)
+            table.drop(
+                item.index, item.arrival_ms, now, item.latency_constraint_ms, -1, FAILED
+            )
             if bus is not None:
                 bus.on_drop(now)
             return
@@ -945,7 +942,10 @@ class ServingEngine:
         retry_ms = self.faults.next_retry_ms(item, now)
         if retry_ms is None:
             replica.stats.num_dropped += 1
-            self._write_drop(table, item, now, replica.index, FAILED)
+            table.drop(
+                item.index, item.arrival_ms, now, item.latency_constraint_ms,
+                replica.index, FAILED,
+            )
             bus = None if self.autoscaler is None else self.autoscaler.bus
             if bus is not None and replica.index in self._scaled:
                 bus.on_drop(now)
@@ -965,26 +965,12 @@ class ServingEngine:
         the whole pool crashed are exactly the signal the self-healing
         controller must see to provision replacements.
         """
-        self._write_drop(table, item, now, -1, SHED)
+        table.drop(
+            item.index, item.arrival_ms, now, item.latency_constraint_ms, -1, SHED
+        )
         if bus is not None:
             bus.on_arrival(now)
             bus.on_drop(now)
-
-    def _write_drop(
-        self,
-        table: ResultTable,
-        item: QueuedQuery,
-        now: float,
-        replica_index: int,
-        reason: str,
-    ) -> None:
-        """Write a fault-plane drop of ``item`` and show it to the recorder."""
-        table.drop(
-            item.index, item.arrival_ms, now,
-            item.latency_constraint_ms, replica_index, reason,
-        )
-        if self.recorder is not None:
-            self.recorder.on_dropped(table.dropped_query(item.index))
 
     def _on_capacity_joined(self) -> None:
         """A scale-up replica joined routing: failure pressure eases."""
@@ -1043,6 +1029,7 @@ class ServingEngine:
         trace = None
         if self.recorder is not None:
             trace = self.recorder.finish(
+                spans=table.spans(),
                 duration_ms=duration,
                 scaling_events=() if report is None else report.events,
             )

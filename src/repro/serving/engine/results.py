@@ -9,6 +9,8 @@ read-only views in query-index (row) order that build the
 :class:`SimulatedQueryOutcome` / :class:`DroppedQuery` /
 :class:`~repro.core.metrics.QueryRecord` objects on each access and cache
 none of them, so what a run keeps grows by one fixed-size row per query.
+:meth:`ResultTable.spans` is the same kind of view over every written row;
+a traced run's :class:`RecordedTrace` carries it as its query spans.
 A run additionally accounts for shed queries and exposes offered load,
 achieved throughput, and per-replica statistics — the numbers that make
 overload runs interpretable.
@@ -26,7 +28,7 @@ from repro.core.metrics import QueryRecord, Served
 from repro.serving.autoscale.controller import AutoscaleReport
 from repro.serving.autoscale.telemetry import MetricsSnapshot
 from repro.serving.engine.replica import ReplicaStats
-from repro.serving.obs.recorder import RecordedTrace
+from repro.serving.obs.recorder import QuerySpan, RecordedTrace
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,14 +215,6 @@ class ResultTable:
              r.cache_hit_ratio, r.offchip_energy_mj, r.cache_load_ms),
         )
 
-    def outcome(self, row: int) -> SimulatedQueryOutcome:
-        """The outcome object of served row ``row``."""
-        return _outcomes(self, np.arange(row, row + 1))[0]
-
-    def dropped_query(self, row: int) -> DroppedQuery:
-        """The drop object of dropped row ``row``."""
-        return _drops(self, np.arange(row, row + 1))[0]
-
     def views(self) -> tuple[OutcomeView, DropView]:
         """Served and dropped rows, each in row (query-index) order.
 
@@ -231,6 +225,10 @@ class ResultTable:
             OutcomeView(self, np.flatnonzero(status == SERVED)),
             DropView(self, np.flatnonzero(status > SERVED)),
         )
+
+    def spans(self) -> SpanView:
+        """Every written row as a flight-recorder span, in row order."""
+        return SpanView(self, np.flatnonzero(self.rows["status"]))
 
 
 # ------------------------------------------------------------------- builders
@@ -313,6 +311,36 @@ def _drops(table: ResultTable, rows: np.ndarray) -> list[DroppedQuery]:
     ]
 
 
+def _spans(table: ResultTable, rows: np.ndarray) -> list[QuerySpan]:
+    sel = table.rows[rows]
+    names = table.subnet_names
+    spans = []
+    for qi, status, arrival, start, service, lc, ridx, size, code in zip(
+        rows.tolist(),
+        sel["status"].tolist(),
+        sel["arrival_ms"].tolist(),
+        sel["start_ms"].tolist(),
+        sel["service_ms"].tolist(),
+        sel["latency_constraint_ms"].tolist(),
+        sel["replica_index"].tolist(),
+        sel["batch_size"].tolist(),
+        sel["subnet"].tolist(),
+    ):
+        if status == SERVED:
+            completion = start + service
+            spans.append(QuerySpan(
+                qi, arrival, start, completion, ridx, lc,
+                lc - (completion - arrival), size, names[code], "served",
+            ))
+        else:
+            # A drop's start_ms column holds its drop time.
+            spans.append(QuerySpan(
+                qi, arrival, None, start, ridx, lc, lc - (start - arrival),
+                0, None, "dropped", DROP_REASONS[status - SERVED - 1],
+            ))
+    return spans
+
+
 # ---------------------------------------------------------------------- views
 class _RowView(Sequence):
     """Read-only sequence over chosen rows of a :class:`ResultTable`.
@@ -387,6 +415,15 @@ class DropView(_RowView):
 
     def _build(self, rows: np.ndarray) -> list[DroppedQuery]:
         return _drops(self.table, rows)
+
+
+class SpanView(_RowView):
+    """Written rows as flight-recorder :class:`QuerySpan` objects."""
+
+    __slots__ = ()
+
+    def _build(self, rows: np.ndarray) -> list[QuerySpan]:
+        return _spans(self.table, rows)
 
 
 @dataclass(frozen=True, slots=True)

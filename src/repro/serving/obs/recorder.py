@@ -1,22 +1,25 @@
 """Flight recorder: per-query spans, replica timelines, control decisions.
 
 :class:`TraceRecorder` is the opt-in observability hook the serving engine
-and the autoscale controller feed while a run executes.  It is deliberately
-duck-typed against the engine's result objects (outcomes, drops) so this
-package imports nothing from ``repro.serving.engine`` — the engine can
-attach a recorder without creating an import cycle, and every hook site in
-the hot loops stays a single ``recorder is not None`` check: with no
-recorder attached the engine's behaviour and records are bit-identical to
-a build without this package.
+and the autoscale controller feed while a run executes.  It records only
+what the engine's result table cannot know (replica lifecycles,
+provisioning, control decisions, faults); the per-query spans are a lazy
+view over that table, which the engine hands to :meth:`TraceRecorder.finish`.
+This package imports nothing from ``repro.serving.engine`` — the engine can
+attach a recorder without creating an import cycle, and every hook site
+stays a single ``recorder is not None`` check off the per-query path: with
+no recorder attached the engine's behaviour and records are bit-identical
+to a build without this package.
 
 The recorder accumulates raw events during the run; :meth:`TraceRecorder.finish`
-freezes them into a :class:`RecordedTrace` of derived, immutable spans and
-timelines.  Every timestamp is simulated milliseconds from the engine's
-clock — never wall-clock — so traces are deterministic and replayable.
+freezes them, with the spans, into a :class:`RecordedTrace`.  Every
+timestamp is simulated milliseconds from the engine's clock — never
+wall-clock — so traces are deterministic and replayable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -130,8 +133,10 @@ class FaultEvent:
 class RecordedTrace:
     """Everything the flight recorder saw during one run, frozen."""
 
-    spans: tuple[QuerySpan, ...]
-    """Per-query lifecycle spans, sorted by query index."""
+    spans: Sequence[QuerySpan]
+    """Per-query lifecycle spans in query-index order: a lazy view over the
+    run's result table that builds the spans on each access and equals a
+    tuple of the same spans."""
     replicas: tuple[ReplicaTimeline, ...]
     provisioning: tuple[ProvisioningSegment, ...]
     decisions: tuple[DecisionRecord, ...]
@@ -155,20 +160,18 @@ class TraceRecorder:
 
     Hook methods are grouped by caller:
 
-    * engine data plane: :meth:`on_served`, :meth:`on_dropped`
     * engine fault plane: :meth:`on_fault`
     * engine control plane: :meth:`on_replica_created`,
       :meth:`on_provisioning`, :meth:`on_provisioning_cancelled`,
       :meth:`on_replica_retired`
     * autoscale controller: :meth:`on_decision`
 
-    A recorder records the engine's most recent run: :meth:`begin_run`
-    clears any prior state and registers the starting pool.
+    The data plane has no hook.  A recorder records the engine's most
+    recent run: :meth:`begin_run` clears any prior state and registers the
+    starting pool.
     """
 
     def __init__(self) -> None:
-        self._served: list[Any] = []
-        self._dropped: list[Any] = []
         self._replicas: dict[int, dict[str, Any]] = {}
         self._provisioning: list[dict[str, Any]] = []
         self._decisions: list[DecisionRecord] = []
@@ -176,8 +179,6 @@ class TraceRecorder:
 
     # ------------------------------------------------------------- lifecycle
     def reset(self) -> None:
-        self._served.clear()
-        self._dropped.clear()
         self._replicas.clear()
         self._provisioning.clear()
         self._decisions.clear()
@@ -190,15 +191,6 @@ class TraceRecorder:
             self._replicas[index] = {
                 "name": name, "created_ms": 0.0, "retired_ms": None,
             }
-
-    # ------------------------------------------------------------ data plane
-    def on_served(self, outcome: Any) -> None:
-        """Record a completed query (a ``SimulatedQueryOutcome``)."""
-        self._served.append(outcome)
-
-    def on_dropped(self, drop: Any) -> None:
-        """Record a shed query (a ``DroppedQuery``)."""
-        self._dropped.append(drop)
 
     # ------------------------------------------------------------ fault plane
     def on_fault(
@@ -246,47 +238,14 @@ class TraceRecorder:
 
     # ---------------------------------------------------------------- finish
     def finish(
-        self, *, duration_ms: float, scaling_events: Iterable[Any] = ()
+        self,
+        *,
+        spans: Sequence[QuerySpan],
+        duration_ms: float,
+        scaling_events: Iterable[Any] = (),
     ) -> RecordedTrace:
-        """Freeze the recorded run into an immutable :class:`RecordedTrace`."""
-        spans: list[QuerySpan] = []
-        for o in self._served:
-            completion = o.start_ms + o.service_ms
-            spans.append(
-                QuerySpan(
-                    query_index=o.query_index,
-                    arrival_ms=o.arrival_ms,
-                    start_ms=o.start_ms,
-                    completion_ms=completion,
-                    replica_index=o.replica_index,
-                    latency_constraint_ms=o.latency_constraint_ms,
-                    deadline_slack_ms=(
-                        o.latency_constraint_ms - (completion - o.arrival_ms)
-                    ),
-                    batch_size=o.batch_size,
-                    subnet_name=getattr(o.record, "subnet_name", None),
-                    status="served",
-                )
-            )
-        for d in self._dropped:
-            spans.append(
-                QuerySpan(
-                    query_index=d.query_index,
-                    arrival_ms=d.arrival_ms,
-                    start_ms=None,
-                    completion_ms=d.dropped_at_ms,
-                    replica_index=d.replica_index,
-                    latency_constraint_ms=d.latency_constraint_ms,
-                    deadline_slack_ms=(
-                        d.latency_constraint_ms - (d.dropped_at_ms - d.arrival_ms)
-                    ),
-                    batch_size=0,
-                    subnet_name=None,
-                    status="dropped",
-                    drop_reason=d.reason,
-                )
-            )
-        spans.sort(key=lambda s: s.query_index)
+        """Freeze the recorded run, with its query-index-ordered ``spans``
+        (the result table's span view), into a :class:`RecordedTrace`."""
         replicas = tuple(
             ReplicaTimeline(
                 replica_index=index,
@@ -306,7 +265,7 @@ class TraceRecorder:
             for seg in self._provisioning
         )
         return RecordedTrace(
-            spans=tuple(spans),
+            spans=spans,
             replicas=replicas,
             provisioning=provisioning,
             decisions=tuple(self._decisions),

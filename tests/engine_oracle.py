@@ -113,7 +113,6 @@ def _serve_pickup(
     *,
     admission: AdmissionPolicy,
     bus,
-    recorder=None,
     faults=None,
     fault_sink: list[QueuedQuery] | None = None,
 ) -> float | None:
@@ -152,8 +151,6 @@ def _serve_pickup(
         _drop_item(table, item, replica, now)
         if bus is not None:
             bus.on_drop(now)
-        if recorder is not None:
-            recorder.on_dropped(table.dropped_query(item.index))
     if not batch:
         return None
     straggle = 1.0
@@ -195,8 +192,6 @@ def _serve_pickup(
                 _drop_item(table, item, replica, t)
                 if bus is not None:
                     bus.on_drop(t)
-                if recorder is not None:
-                    recorder.on_dropped(table.dropped_query(item.index))
                 continue
             remaining = item.query.latency_constraint_ms - (t - item.arrival_ms)
             effective = (
@@ -345,9 +340,6 @@ class ObjectWriter:
             ),
         )
 
-    def dropped_query(self, row: int) -> DroppedQuery:
-        return self.objects[row]
-
 
 def reference_run(engine, trace, arrivals, *, arrival_rate_per_ms=None, reset=True):
     """``engine.run(trace, arrivals, ...)`` through the reference loop."""
@@ -461,7 +453,6 @@ def _dispatch(engine, replica, now, heap, table, pickups):
             table,
             admission=engine.admission,
             bus=bus,
-            recorder=engine.recorder,
             faults=engine.faults,
             fault_sink=sink,
         )
@@ -506,8 +497,6 @@ def _complete(engine, replica, table, now, current):
             batch_size=current.size,
         )
         table.put(item.index, outcome)
-        if engine.recorder is not None:
-            engine.recorder.on_served(outcome)
         stats.queueing_ms_total += start - item.arrival_ms
     stats.num_served += current.size
     stats.busy_ms += current.total_ms

@@ -10,16 +10,19 @@ Two families of properties, over hypothesis-generated workloads:
   dataclasses over raw floats, so a 1-ulp divergence fails.
 
 * **Span well-formedness** — the recorded trace accounts for every query
-  exactly once (one span per outcome, one per drop), span timestamps are
-  monotone (arrival ≤ dispatch ≤ completion), and the Chrome trace
-  export opens and closes every async span exactly once with
-  non-decreasing event timestamps.
+  exactly once (one span per outcome, one per drop), its spans equal the
+  ones the recorder's former per-object builder (``obs_oracle``) makes
+  from the run's outcomes and drops, span timestamps are monotone
+  (arrival ≤ dispatch ≤ completion), and the Chrome trace export opens
+  and closes every async span exactly once with non-decreasing event
+  timestamps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from engine_oracle import reference_run
+from obs_oracle import oracle_spans
 from hypothesis import given, settings, strategies as st
 
 from repro.serving.engine import AcceleratorReplica, ServingEngine
@@ -88,6 +91,7 @@ def assert_well_formed(result):
     trace = result.trace
     assert trace is not None
     assert len(trace.spans) == len(result.outcomes) + len(result.dropped)
+    assert trace.spans == oracle_spans(result.outcomes, result.dropped)
     served = {s.query_index: s for s in trace.spans if s.status == "served"}
     dropped = {s.query_index: s for s in trace.spans if s.status == "dropped"}
     # Every dispatched query closes exactly one span, every drop likewise.

@@ -24,7 +24,10 @@ satisfy invariants that no configuration may break:
 * at every ``jsq`` routing decision, each candidate replica's
   ``num_in_system`` count equals its queue plus its in-service members,
   and at the end of the run every replica's count is back to zero;
-* two runs of the same spec are identical.
+* two runs of the same spec are identical, the second one traced: the
+  flight recorder changes no record, and its spans cover every query and
+  equal the ones the recorder's former per-object builder
+  (``obs_oracle``) makes from the run's outcomes and drops.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from obs_oracle import oracle_spans
 
 from repro.serving.api import run_scenario
 from repro.serving.engine import ServingEngine
@@ -225,6 +229,9 @@ def test_generated_scenarios_keep_the_universal_invariants(spec):
     for stats in result.replica_stats:
         assert stats.busy_ms <= stats.active_ms * (1 + 1e-12) + 1e-9, stats
 
-    # Determinism.
-    again, _ = counted_run(spec)
+    # Determinism, with the rerun traced: observation changes nothing.
+    again, _ = counted_run(spec.override_many([("observability", {"trace": True})]))
     assert fingerprint(again) == fingerprint(result)
+    spans = again.trace.spans
+    assert len(spans) == n
+    assert spans == oracle_spans(again.outcomes, again.dropped)
