@@ -20,28 +20,29 @@ import numpy as np
 from repro.accelerator.platforms import ZCU104
 from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
-from repro.serving import ExperimentRunner
-from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
+from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
+from repro.serving import SushiStackConfig
+
+NUM_PHASES = 6
 
 
 def main() -> None:
-    runner = ExperimentRunner(
+    config = SushiStackConfig(
         "ofa_resnet50",
         platform=ZCU104,
         policy=Policy.STRICT_LATENCY,
         cache_update_period=8,
         seed=42,
     )
-    acc_range, lat_range = feasible_ranges_from_table(runner.sushi.table)
-    spec = WorkloadSpec(
-        num_queries=240,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
+    grid = closed_loop_grid(
+        "av-perception",
+        [config],
+        240,
         pattern="phased",     # alternating urban (tight) / suburban (loose) phases
-        num_phases=6,
+        num_phases=NUM_PHASES,
     )
-    trace = WorkloadGenerator(spec, seed=42).generate(name="av-perception")
-    results, summary = runner.compare(trace)
+    [(results, hit_ratio)] = measure_streams(grid)
+    summary = compare_systems(results, sushi_hit_ratio=hit_ratio)
 
     rows = {}
     for name, stream in results.items():
@@ -61,9 +62,9 @@ def main() -> None:
 
     # Per-phase view: which SubNets did the scheduler pick as deadlines changed?
     records = results["sushi"].records
-    phase_len = len(records) // spec.num_phases
+    phase_len = len(records) // NUM_PHASES
     print("\nServed SubNet mix per driving phase (SUSHI):")
-    for p in range(spec.num_phases):
+    for p in range(NUM_PHASES):
         chunk = records[p * phase_len : (p + 1) * phase_len]
         names, counts = np.unique([r.subnet_name for r in chunk], return_counts=True)
         mix = ", ".join(f"{n}x{c}" for n, c in zip(names, counts))

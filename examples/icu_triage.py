@@ -18,26 +18,25 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
-from repro.serving import ExperimentRunner
-from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
+from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
+from repro.serving import SushiStackConfig
 
 
 def main() -> None:
-    runner = ExperimentRunner(
+    config = SushiStackConfig(
         "ofa_mobilenetv3",
         policy=Policy.STRICT_ACCURACY,
         cache_update_period=10,
         seed=7,
     )
-    acc_range, lat_range = feasible_ranges_from_table(runner.sushi.table)
-    spec = WorkloadSpec(
-        num_queries=300,
-        accuracy_range=acc_range,
-        latency_range_ms=lat_range,
+    grid = closed_loop_grid(
+        "icu-triage",
+        [config],
+        300,
         pattern="drift",      # accuracy demands rise as sicker patients arrive
     )
-    trace = WorkloadGenerator(spec, seed=7).generate(name="icu-triage")
-    results, summary = runner.compare(trace)
+    [(results, hit_ratio)] = measure_streams(grid)
+    summary = compare_systems(results, sushi_hit_ratio=hit_ratio)
 
     rows = {}
     for name, stream in results.items():

@@ -2,10 +2,13 @@
 
 This is the smallest end-to-end use of the library's public API:
 
-1. build the three serving systems (No-SUSHI, SUSHI w/o scheduler, SUSHI)
-   over the OFA-MobileNetV3 Pareto family on the paper's analytic platform,
-2. generate a random query stream with (accuracy, latency) constraints,
-3. serve it through all three systems and print the headline comparison.
+1. describe one SUSHI configuration over the OFA-MobileNetV3 Pareto family
+   on the paper's analytic platform,
+2. build its closed-loop grid: one single-replica engine cell for each of
+   the three serving systems (No-SUSHI, SUSHI w/o scheduler, SUSHI), all
+   serving the same random query stream with (accuracy, latency)
+   constraints,
+3. serve the stream through all three and print the headline comparison.
 
 Run with::
 
@@ -16,18 +19,19 @@ from __future__ import annotations
 
 from repro.analysis.reporting import format_kv, format_table
 from repro.core.policies import Policy
-from repro.serving import ExperimentRunner
+from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
+from repro.serving import SushiStackConfig
 
 
 def main() -> None:
-    runner = ExperimentRunner(
+    config = SushiStackConfig(
         "ofa_mobilenetv3",
         policy=Policy.STRICT_ACCURACY,
         cache_update_period=4,
         seed=0,
     )
-    trace = runner.default_workload(num_queries=200)
-    results, summary = runner.compare(trace)
+    [(results, hit_ratio)] = measure_streams(closed_loop_grid("quickstart", [config], 200))
+    summary = compare_systems(results, sushi_hit_ratio=hit_ratio)
 
     rows = {
         name: {
@@ -39,7 +43,8 @@ def main() -> None:
         }
         for name, stream in results.items()
     }
-    print(format_table(rows, title=f"Serving {len(trace)} random queries on OFA-MobileNetV3"))
+    num_queries = len(results["sushi"].records)
+    print(format_table(rows, title=f"Serving {num_queries} random queries on OFA-MobileNetV3"))
     print()
     print(format_kv(summary.as_dict(), title="SUSHI vs baselines (headline)"))
 

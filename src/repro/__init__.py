@@ -18,11 +18,9 @@ Public API overview
 Quickstart
 ----------
 
->>> from repro.serving import ExperimentRunner
->>> runner = ExperimentRunner("ofa_mobilenetv3")
->>> trace = runner.default_workload(num_queries=50)
->>> results, summary = runner.compare(trace)
->>> summary.latency_improvement_vs_no_sushi_percent > 0
+>>> from repro.experiments import fig16_end_to_end
+>>> result = fig16_end_to_end.run("ofa_mobilenetv3", num_queries=50)
+>>> result.summary.latency_improvement_vs_no_sushi_percent > 0
 True
 """
 

@@ -15,11 +15,14 @@ latency budget — the zero-queueing limit of the open-loop engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_kv
 from repro.core.policies import Policy
-from repro.serving.runner import ExperimentRunner
+from repro.experiments.serving_pool import closed_loop_grid, measure_streams
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -47,38 +50,38 @@ class Fig15Result:
     accuracy_series: ScatterSeries
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_resnet50",
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
     num_queries: int = 200,
     seed: int = 0,
-) -> Fig15Result:
-    # STRICT_LATENCY run: served latency vs latency constraint.
-    lat_runner = ExperimentRunner(
-        supernet_name, platform=platform, policy=Policy.STRICT_LATENCY, seed=seed
-    )
-    trace = lat_runner.default_workload(num_queries=num_queries, seed=seed)
-    lat_records = lat_runner.run(trace)["sushi"].records
-    latency_series = ScatterSeries(
-        policy=Policy.STRICT_LATENCY,
-        constraints=tuple(r.latency_constraint_ms for r in lat_records),
-        served=tuple(r.served_latency_ms for r in lat_records),
-    )
-    # STRICT_ACCURACY run: served accuracy vs accuracy constraint.
-    acc_runner = ExperimentRunner(
-        supernet_name, platform=platform, policy=Policy.STRICT_ACCURACY, seed=seed
-    )
-    acc_records = acc_runner.run(trace)["sushi"].records
-    accuracy_series = ScatterSeries(
-        policy=Policy.STRICT_ACCURACY,
-        constraints=tuple(r.accuracy_constraint for r in acc_records),
-        served=tuple(r.served_accuracy for r in acc_records),
-    )
+) -> Grid:
+    """SUSHI under STRICT_LATENCY, then under STRICT_ACCURACY, on one trace."""
+    configs = [
+        SushiStackConfig(supernet_name, platform, policy, seed=seed)
+        for policy in (Policy.STRICT_LATENCY, Policy.STRICT_ACCURACY)
+    ]
+    return closed_loop_grid("fig15", configs, num_queries, ("sushi",))
+
+
+def run(supernet_name: str = "ofa_resnet50", **params: Any) -> Fig15Result:
+    """The two streams of :func:`grid` (same parameters) as scatter series."""
+    (lat, _), (acc, _) = measure_streams(grid(supernet_name, **params))
+    lat_records = lat["sushi"].records
+    acc_records = acc["sushi"].records
     return Fig15Result(
         supernet_name=supernet_name,
-        latency_series=latency_series,
-        accuracy_series=accuracy_series,
+        latency_series=ScatterSeries(
+            policy=Policy.STRICT_LATENCY,
+            constraints=tuple(r.latency_constraint_ms for r in lat_records),
+            served=tuple(r.served_latency_ms for r in lat_records),
+        ),
+        accuracy_series=ScatterSeries(
+            policy=Policy.STRICT_ACCURACY,
+            constraints=tuple(r.accuracy_constraint for r in acc_records),
+            served=tuple(r.served_accuracy for r in acc_records),
+        ),
     )
 
 

@@ -13,11 +13,20 @@ with the open-loop load sweeps that share the same dispatch path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
-from repro.serving.runner import ComparisonSummary, ExperimentRunner, StreamResult
+from repro.experiments.serving_pool import (
+    ComparisonSummary,
+    StreamResult,
+    closed_loop_grid,
+    compare_systems,
+    measure_streams,
+)
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -28,7 +37,7 @@ class Fig16Result:
     summary: ComparisonSummary
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_resnet50",
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
@@ -36,18 +45,21 @@ def run(
     num_queries: int = 200,
     cache_update_period: int = 4,
     seed: int = 0,
-) -> Fig16Result:
-    runner = ExperimentRunner(
-        supernet_name,
-        platform=platform,
-        policy=policy,
-        cache_update_period=cache_update_period,
-        seed=seed,
-    )
-    trace = runner.default_workload(num_queries=num_queries, seed=seed)
-    results, summary = runner.compare(trace)
+) -> Grid:
+    """One stack configuration served by each of the three systems."""
+    config = SushiStackConfig(supernet_name, platform, policy, cache_update_period, seed=seed)
+    return closed_loop_grid("fig16", [config], num_queries)
+
+
+def run(supernet_name: str = "ofa_resnet50", **params: Any) -> Fig16Result:
+    """The streams of :func:`grid` (same parameters), compared."""
+    cells = grid(supernet_name, **params)
+    [(results, hit_ratio)] = measure_streams(cells)
     return Fig16Result(
-        supernet_name=supernet_name, policy=policy, results=results, summary=summary
+        supernet_name=supernet_name,
+        policy=cells.base.policy,
+        results=results,
+        summary=compare_systems(results, sushi_hit_ratio=hit_ratio),
     )
 
 

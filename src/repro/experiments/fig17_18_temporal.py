@@ -10,13 +10,15 @@ ResNet50 and Q~10 for MobileNetV3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_table
 from repro.core.metrics import ServingMetrics
 from repro.core.policies import Policy
-from repro.serving.runner import ExperimentRunner
+from repro.experiments.serving_pool import closed_loop_grid, measure_streams
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 DEFAULT_WINDOWS: tuple[int, ...] = (1, 2, 4, 8, 10, 15)
 
@@ -39,7 +41,7 @@ class Fig17Result:
         return min(self.windows, key=lambda w: w.amortized_latency_ms).window
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_resnet50",
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
@@ -47,23 +49,24 @@ def run(
     windows: Sequence[int] = DEFAULT_WINDOWS,
     num_queries: int = 200,
     seed: int = 0,
-) -> Fig17Result:
+) -> Grid:
+    """SUSHI at each caching window ``Q``, on one trace."""
+    configs = [
+        SushiStackConfig(supernet_name, platform, policy, cache_update_period=q, seed=seed)
+        for q in windows
+    ]
+    return closed_loop_grid("fig17_18", configs, num_queries, ("sushi",))
+
+
+def run(supernet_name: str = "ofa_resnet50", **params: Any) -> Fig17Result:
+    """The windows of :func:`grid` (same parameters), measured."""
+    cells = grid(supernet_name, **params)
     results = []
-    for window in windows:
-        runner = ExperimentRunner(
-            supernet_name,
-            platform=platform,
-            policy=policy,
-            cache_update_period=window,
-            seed=seed,
-        )
-        trace = runner.default_workload(num_queries=num_queries, seed=seed)
-        stream = runner.run(trace)["sushi"]
-        metrics = stream.metrics
+    for sweep, (streams, _) in zip(cells.sweeps, measure_streams(cells)):
+        metrics = streams["sushi"].metrics
         amortized = metrics.mean_latency_ms + metrics.total_cache_load_ms / metrics.num_queries
-        results.append(
-            WindowResult(window=window, metrics=metrics, amortized_latency_ms=amortized)
-        )
+        window = sweep.base.cache_update_period
+        results.append(WindowResult(window, metrics, amortized_latency_ms=amortized))
     return Fig17Result(supernet_name=supernet_name, windows=tuple(results))
 
 

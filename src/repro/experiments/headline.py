@@ -12,11 +12,14 @@ reproduction's corresponding numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
-from repro.serving.runner import ExperimentRunner
+from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -44,36 +47,40 @@ class HeadlineResult:
         return max(r.energy_saving_percent for r in self.rows)
 
 
-def run(
+def grid(
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
     num_queries: int = 200,
     cache_update_period: int = 4,
     seed: int = 0,
-) -> HeadlineResult:
+) -> Grid:
+    """Both SuperNet families under both policies, each served by the three
+    systems."""
+    configs = [
+        SushiStackConfig(name, platform, policy, cache_update_period, seed=seed)
+        for name in ("ofa_resnet50", "ofa_mobilenetv3")
+        for policy in (Policy.STRICT_ACCURACY, Policy.STRICT_LATENCY)
+    ]
+    return closed_loop_grid("headline", configs, num_queries)
+
+
+def run(**params: Any) -> HeadlineResult:
+    """The configurations of :func:`grid` (same parameters), compared."""
+    cells = grid(**params)
     rows = []
-    for supernet_name in ("ofa_resnet50", "ofa_mobilenetv3"):
-        for policy in (Policy.STRICT_ACCURACY, Policy.STRICT_LATENCY):
-            runner = ExperimentRunner(
-                supernet_name,
-                platform=platform,
-                policy=policy,
-                cache_update_period=cache_update_period,
-                seed=seed,
+    for sweep, (results, hit_ratio) in zip(cells.sweeps, measure_streams(cells)):
+        summary = compare_systems(results, sushi_hit_ratio=hit_ratio)
+        rows.append(
+            HeadlineRow(
+                supernet_name=sweep.base.supernet_name,
+                policy=sweep.base.policy,
+                latency_improvement_percent=summary.latency_improvement_vs_no_sushi_percent,
+                accuracy_improvement_points=summary.accuracy_improvement_points,
+                energy_saving_percent=summary.energy_saving_vs_no_sushi_percent,
+                cache_hit_ratio=summary.sushi_cache_hit_ratio,
+                vector_hit_ratio=results["sushi"].metrics.mean_cache_hit_ratio,
             )
-            trace = runner.default_workload(num_queries=num_queries, seed=seed)
-            results, summary = runner.compare(trace)
-            rows.append(
-                HeadlineRow(
-                    supernet_name=supernet_name,
-                    policy=policy,
-                    latency_improvement_percent=summary.latency_improvement_vs_no_sushi_percent,
-                    accuracy_improvement_points=summary.accuracy_improvement_points,
-                    energy_saving_percent=summary.energy_saving_vs_no_sushi_percent,
-                    cache_hit_ratio=summary.sushi_cache_hit_ratio,
-                    vector_hit_ratio=results["sushi"].metrics.mean_cache_hit_ratio,
-                )
-            )
+        )
     return HeadlineResult(rows=tuple(rows))
 
 

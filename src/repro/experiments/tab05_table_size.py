@@ -10,13 +10,15 @@ SubNets mostly fit the PB anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.analysis.reporting import format_table
 from repro.core.metrics import latency_improvement_percent
 from repro.core.policies import Policy
-from repro.serving.runner import ExperimentRunner
+from repro.experiments.serving_pool import closed_loop_grid, measure_streams
+from repro.serving.stack import SushiStackConfig
+from repro.sweep import Grid
 
 DEFAULT_COLUMN_COUNTS: tuple[int, ...] = (10, 40, 80, 100)
 
@@ -32,7 +34,7 @@ class Tab05Result:
         return all(b >= a - 0.5 for a, b in zip(values, values[1:]))
 
 
-def run(
+def grid(
     supernet_name: str = "ofa_resnet50",
     *,
     platform: PlatformConfig = ANALYTIC_DEFAULT,
@@ -40,20 +42,23 @@ def run(
     policy: Policy = Policy.STRICT_ACCURACY,
     num_queries: int = 120,
     seed: int = 0,
-) -> Tab05Result:
+) -> Grid:
+    """SUSHI w/o scheduler and SUSHI at each table size ``|S|``, one sweep each."""
+    configs = [
+        SushiStackConfig(supernet_name, platform, policy, candidate_set_size=cols, seed=seed)
+        for cols in column_counts
+    ]
+    return closed_loop_grid("tab05", configs, num_queries, ("state_unaware", "sushi"))
+
+
+def run(supernet_name: str = "ofa_resnet50", **params: Any) -> Tab05Result:
+    """The table sizes of :func:`grid` (same parameters), measured."""
+    cells = grid(supernet_name, **params)
     improvements: dict[int, float] = {}
-    for cols in column_counts:
-        runner = ExperimentRunner(
-            supernet_name,
-            platform=platform,
-            policy=policy,
-            candidate_set_size=cols,
-            seed=seed,
-        )
-        trace = runner.default_workload(num_queries=num_queries, seed=seed)
-        results = runner.run(trace)
+    for sweep, (streams, _) in zip(cells.sweeps, measure_streams(cells)):
+        cols = sweep.base.replica_groups[0].candidate_set_size
         improvements[cols] = latency_improvement_percent(
-            results["sushi_wo_sched"].metrics, results["sushi"].metrics
+            streams["sushi_wo_sched"].metrics, streams["sushi"].metrics
         )
     return Tab05Result(supernet_name=supernet_name, improvements_percent=improvements)
 

@@ -23,7 +23,6 @@ from repro.serving.baselines import (
     StateUnawareCachingServer,
     baseline_table,
 )
-from repro.serving.runner import ExperimentRunner, StreamResult, compare_systems
 from repro.serving.engine import (
     AcceleratorReplica,
     ServingEngine,
@@ -72,9 +71,6 @@ __all__ = [
     "NoSushiServer",
     "StateUnawareCachingServer",
     "baseline_table",
-    "ExperimentRunner",
-    "StreamResult",
-    "compare_systems",
     "AcceleratorReplica",
     "ServingEngine",
     "SimulationResult",

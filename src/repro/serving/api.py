@@ -70,12 +70,13 @@ __all__ = [
     "cached_stack",
     "format_result_summary",
     "run_scenario",
+    "serve_table",
 ]
 
 StackCache = dict[SushiStackConfig, SushiStack]
 
-#: The process's template stacks, shared by the sweep runner and the
-#: experiment runner (forked sweep workers inherit it copy-on-write).
+#: The process's template stacks, shared by every sweep and experiment
+#: driver (forked sweep workers inherit it copy-on-write).
 PROCESS_STACK_CACHE: StackCache = {}
 
 
@@ -178,9 +179,13 @@ def build_trace(
     )
 
 
-def _baseline_table(spec: ScenarioSpec, group: ReplicaGroupSpec) -> ServeTable:
-    """The serve table a baseline group's backends share (a PB only for
-    the state-unaware rule)."""
+def serve_table(
+    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
+) -> ServeTable:
+    """What ``group``'s backends serve from: its template stack's table, or
+    the shared baseline table (with a PB for the state-unaware rule)."""
+    if group.kind == "sushi":
+        return cached_stack(_stack_config(spec, group), stack_cache).serve_table
     return baseline_table(
         spec.supernet_name,
         group.resolved_platform(),
@@ -201,10 +206,7 @@ def build_tables(spec: ScenarioSpec, *, stack_cache: StackCache) -> None:
     if not spec.workload.has_resolved_ranges:
         _group_ranges(spec, spec.replica_groups[0], stack_cache)
     for group in spec.replica_groups:
-        if group.kind == "sushi":
-            cached_stack(_stack_config(spec, group), stack_cache)
-        else:
-            _baseline_table(spec, group)
+        serve_table(spec, group, stack_cache)
 
 
 def _server_builder(
@@ -219,7 +221,7 @@ def _server_builder(
         # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
 
-    tables = _baseline_table(spec, group)
+    tables = serve_table(spec, group, stack_cache)
     policy = spec.group_policy(group)
     if group.kind == "no_sushi":
         return lambda position: NoSushiServer(tables, policy=policy)

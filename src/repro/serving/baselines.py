@@ -20,11 +20,11 @@ from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
 from repro.accelerator.platforms import PlatformConfig
 from repro.core.candidates import CandidateSet, truncate_to_capacity
-from repro.core.metrics import QueryRecord, Served
+from repro.core.metrics import Served
 from repro.core.policies import Policy, subnet_selector
-from repro.serving.query import QueryLike, QueryTrace
+from repro.serving.query import QueryLike
 from repro.serving.stack import ServeTable, batch_budget_ms, batch_served
-from repro.serving.stack import build_serve_table, serve_trace, supernet_family
+from repro.serving.stack import build_serve_table, supernet_family
 
 _TABLES: dict[tuple, ServeTable] = {}
 
@@ -89,9 +89,6 @@ class _TableServer:
         """Serve one query at dispatch time: a one-query batch."""
         return self.serve_dispatch_batch([query], [budget_ms], accuracy_floor)[0]
 
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        return serve_trace(self, trace)
-
 
 class NoSushiServer(_TableServer):
     """No PB, no SGS-aware scheduler: every query refetches all weights."""
@@ -141,14 +138,6 @@ class StateUnawareCachingServer(_TableServer):
         self.pb: PersistentBuffer = self.tables.switches.accel.make_persistent_buffer()
         self._column = 0
         self._queries_seen = 0
-
-    def begin_stream(self) -> None:
-        """Restart the caching-period counter (the PB stays warm)."""
-        self._queries_seen = 0
-
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        self.begin_stream()
-        return super().serve(trace)
 
     def _serve(self, size: int, idx: int) -> list[Served]:
         column = self._column

@@ -7,8 +7,9 @@ One dispatch-time core behind both serving views of the paper's evaluation:
   time*, when the actual arrival order and remaining slack are known.
 * **Closed loop** — the paper's Fig. 15/16 serving semantics (the next
   query starts when the previous one completes, zero queueing) is the
-  rho → 0 limit of the open loop; ``ExperimentRunner`` serves it by handing
-  the whole trace to each backend's ``serve(trace)``.
+  rho → 0 limit of the open loop: one replica whose arrivals are spaced
+  beyond its longest service (:func:`~repro.experiments.serving_pool.
+  closed_loop_grid`) starts every query at its arrival, with its budget.
 
 The engine is deliberately model-agnostic: a replica's backend is anything
 with a ``serve_query`` method, so the SUSHI stack, the paper's baselines and
@@ -991,11 +992,16 @@ class ServingEngine:
         # data-plane event; a retirement decided on a control tick *after*
         # that is capped at the duration, so autoscaled and static runs of
         # the same trace are charged over the same clock.
+        pb_hit_bytes = pb_weight_bytes = 0
         for replica in self.replicas:
             end = duration
             if replica.is_retired:
                 end = min(replica.retired_at_ms, duration)
             replica.stats.active_ms = max(0.0, end - replica.activated_ms)
+            pb = getattr(replica.server, "pb", None)
+            if pb is not None:
+                pb_hit_bytes += pb.stats.hit_bytes_total
+                pb_weight_bytes += pb.stats.served_weight_bytes_total
         mean_active = (
             sum(r.stats.active_ms for r in self.replicas) / duration
             if duration > 0
@@ -1047,5 +1053,7 @@ class ServingEngine:
             trace=trace,
             metrics=metrics,
             num_crashes=0 if self.faults is None else self.faults.num_crashes,
+            pb_hit_bytes=pb_hit_bytes,
+            pb_weight_bytes=pb_weight_bytes,
         )
 

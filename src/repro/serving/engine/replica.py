@@ -27,7 +27,9 @@ class QueryServer(Protocol):
     budgets_ms, accuracy_floor)``: one shared decision for a pickup, one
     :data:`~repro.core.metrics.Served` tuple per member.  The engine passes
     each query as its :class:`~repro.serving.query.QueuedQuery`, which has a
-    :class:`~repro.serving.query.Query`'s fields.
+    :class:`~repro.serving.query.Query`'s fields.  A backend with a
+    Persistent Buffer exposes it as ``pb``; the engine reads its byte
+    counters once, when it builds the run's result.
     """
 
     def serve_query(

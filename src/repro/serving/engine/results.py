@@ -465,6 +465,10 @@ class SimulationResult:
     asked to keep them (empty otherwise)."""
     num_crashes: int = 0
     """Replica crashes injected during the run (0 without fault injection)."""
+    pb_hit_bytes: int = 0
+    """Served weight bytes found in a replica's Persistent Buffer."""
+    pb_weight_bytes: int = 0
+    """Weight bytes the replicas with a PB served."""
 
     @property
     def num_served(self) -> int:
@@ -600,6 +604,13 @@ class SimulationResult:
         if self.duration_ms <= 0:
             return float(len(self.replica_stats))
         return self.total_replica_active_ms / self.duration_ms
+
+    @property
+    def pb_byte_hit_ratio(self) -> float:
+        """The pool's PB byte hit ratio (0.0 when no PB served)."""
+        if not self.pb_weight_bytes:
+            return 0.0
+        return self.pb_hit_bytes / self.pb_weight_bytes
 
     @property
     def records(self) -> RecordView:

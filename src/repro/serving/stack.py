@@ -26,15 +26,13 @@ The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
 query's remaining latency budget once queueing delay is known and its
 accuracy floor — and returns plain numbers (a
 :data:`~repro.core.metrics.Served` tuple), which the engine writes into its
-result row.  :meth:`SushiStack.serve` is the closed-loop convenience over a
-whole trace, and the one place the stack builds records.
+result row.  The stack builds no records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,10 +41,10 @@ from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.candidates import CandidateSet, build_candidate_set
 from repro.core.latency_table import LatencyTable
-from repro.core.metrics import QueryRecord, Served
+from repro.core.metrics import Served
 from repro.core.policies import Policy
 from repro.core.scheduler import CacheDecisionMemo, SushiSched
-from repro.serving.query import QueryLike, QueryTrace, QueuedQuery
+from repro.serving.query import QueryLike
 from repro.supernet.accuracy import AccuracyModel
 from repro.supernet.subnet import SubNet
 from repro.supernet.supernet import SuperNet
@@ -267,30 +265,6 @@ def batch_served(
     ]
 
 
-def serve_trace(server, trace: QueryTrace | Iterable[QueryLike]) -> list[QueryRecord]:
-    """``server`` serves ``trace`` closed loop: each query with its nominal
-    budget and accuracy floor, one record per query.
-
-    A :class:`QueryTrace`'s queries reach the backend as
-    :class:`QueuedQuery` items built from its columns (arriving at 0: a
-    closed loop never queues), the query type the engine serves; any other
-    iterable of queries is served as it is.
-    """
-    if isinstance(trace, QueryTrace):
-        acc, lat = trace.columns()
-        trace = map(QueuedQuery, range(len(acc)), acc, lat, repeat(0.0))
-    serve = server.serve_query
-    return [
-        QueryRecord(
-            q.index,
-            q.accuracy_constraint,
-            q.latency_constraint_ms,
-            *serve(q, q.latency_constraint_ms, q.accuracy_constraint),
-        )
-        for q in trace
-    ]
-
-
 class SushiStack:
     """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB).
 
@@ -431,10 +405,6 @@ class SushiStack:
             len(queries), self._names[idx], self._accuracies[idx], entry, cache_load_ms
         )
 
-    def serve(self, trace: QueryTrace) -> list[QueryRecord]:
-        """Serve a query stream end to end; returns per-query records."""
-        return serve_trace(self, trace)
-
     def estimate_service_ms(self, query: QueryLike) -> float:
         """Predicted service time of ``query`` at the current cache state.
 
@@ -448,11 +418,6 @@ class SushiStack:
         return self.table.latency(subnet_idx, self.scheduler.cache_state_idx)
 
     # ------------------------------------------------------------- state
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Byte-level PB hit ratio accumulated so far."""
-        return self.pb.stats.byte_hit_ratio
-
     def reset(self) -> None:
         """Reset scheduler history and PB contents (keeps the latency table)."""
         self.scheduler.reset()

@@ -268,10 +268,11 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepResult:
 
 
 class Grid:
-    """An experiment's cells: sweeps over one base scenario, named by ``label``.
+    """An experiment's cells: sweeps over base scenarios, named by ``label``.
 
     Each mapping in ``axes`` (path → values) is the axes of one
-    :class:`SweepSpec` over ``base``.  A grid that is not one cartesian
+    :class:`SweepSpec` over ``base``; a :class:`SweepSpec` in ``axes`` is a
+    sweep over its own base.  A grid that is not one cartesian
     product (static pools vs autoscaled ones, fault-oblivious vs
     self-healing) is several small sweeps.  ``label`` maps a cell's
     scenario to the name the experiment reports it under.
@@ -281,12 +282,14 @@ class Grid:
         self,
         base: ScenarioSpec,
         label: Callable[[ScenarioSpec], str],
-        *axes: Mapping[str, Sequence[Any]],
+        *axes: Mapping[str, Sequence[Any]] | SweepSpec,
     ) -> None:
         self.base = base
         self.label = label
         self.sweeps = tuple(
-            SweepSpec(
+            sweep
+            if isinstance(sweep, SweepSpec)
+            else SweepSpec(
                 name=base.name,
                 base=base,
                 axes=tuple(SweepAxis(path, tuple(v)) for path, v in sweep.items()),

@@ -10,10 +10,10 @@ tuple and record of the two must be bit-identical — compared by ``repr`` and
 by the type of every field, so an ``np.float64`` accuracy or a last-digit
 difference fails —
 on both families, both policies, three PB sizes and ``Q`` in 1..8, over
-streams mixing single and batched dispatches, nominal and effective budgets,
-and constraints that are NaN, infinite or outside the family's range.  The
-state-unaware PB statistics must match too, across ``begin_stream`` and
-``reset``.  The selection rules are also held to numpy's first-index
+streams mixing single and batched dispatches, runs of queries served with
+their nominal budgets, effective budgets, and constraints that are NaN,
+infinite or outside the family's range.  The state-unaware PB statistics
+must match too, across ``reset``.  The selection rules are also held to numpy's first-index
 tie-breaking on synthetic tables full of ties.
 """
 
@@ -133,7 +133,7 @@ def cases(draw):
     ops = []
     index = 0
     for _ in range(draw(st.integers(min_value=1, max_value=25))):
-        op = draw(st.sampled_from(("single", "batch", "batch", "stream", "begin", "reset")))
+        op = draw(st.sampled_from(("single", "batch", "batch", "stream", "reset")))
         size = 1 if op == "single" else draw(st.integers(min_value=1, max_value=8))
         queries = [
             raw_query(index + i, draw(accuracy), draw(latency)) for i in range(size)
@@ -174,12 +174,15 @@ def test_records_match_the_per_query_oracle(case):
             expected = ref.serve_dispatch_batch(queries, budgets, floor)
             got = server.serve_dispatch_batch(queries, budgets, floor)
         elif op == "stream":
-            expected, got = ref.serve(queries), server.serve(queries)
+            # One query at a time, each with its nominal budget and floor.
+            expected, got = (
+                [
+                    s.serve_query(q, q.latency_constraint_ms, q.accuracy_constraint)
+                    for q in queries
+                ]
+                for s in (ref, server)
+            )
         elif kind != "state_unaware":
-            continue
-        elif op == "begin":
-            ref.begin_stream()
-            server.begin_stream()
             continue
         else:
             # reset() is a fresh server: an empty PB and a zero counter.

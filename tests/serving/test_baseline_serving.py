@@ -1,7 +1,7 @@
 """Every backend kind serves from tables built before the run.
 
-* Serving runs no accelerator evaluation: after the engine (or the
-  ``ExperimentRunner``) is built, ``SushiAccelModel.subnet_breakdown`` may
+* Serving runs no accelerator evaluation: after the engine (or a
+  closed-loop grid) is built, ``SushiAccelModel.subnet_breakdown`` may
   raise and a run still completes, for single and batched dispatch.
 * ``ServingEngine.run(..., reset=True)`` reproduces a run's records exactly
   when the same engine runs the same trace again, whatever the kind.
@@ -14,9 +14,10 @@ import pytest
 
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.core.policies import Policy
+from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
 from repro.serving.api import build_engine, build_trace
-from repro.serving.runner import ExperimentRunner
 from repro.serving.spec import ScenarioSpec
+from repro.serving.stack import SushiStackConfig
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 KINDS = ("sushi", "no_sushi", "state_unaware", "static_subnet")
@@ -50,11 +51,12 @@ def test_serving_runs_no_accelerator_evaluation(name, kind, monkeypatch):
     assert result.num_served > 0
 
 
-def test_experiment_runner_compares_without_accelerator_evaluation(monkeypatch):
-    runner = ExperimentRunner("ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=5)
-    trace = runner.default_workload(num_queries=60)
+def test_closed_loop_grid_compares_without_accelerator_evaluation(monkeypatch):
+    config = SushiStackConfig("ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=5)
+    grid = closed_loop_grid("no-evaluation", [config], 60)
     forbid_evaluation(monkeypatch)
-    results, _ = runner.compare(trace)
+    [(results, hit_ratio)] = measure_streams(grid)
+    compare_systems(results, sushi_hit_ratio=hit_ratio)
     assert all(len(stream.records) == 60 for stream in results.values())
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+from closed_loop_oracle import serve_trace
 from engine_oracle import EventHeap, build_stack_engine
 from fakes import ConstantServer
 
@@ -412,7 +414,7 @@ class TestEngineWithSushiStack:
     def test_serve_query_matches_batched_serve(self, mobilenet_stack, mobilenet_trace):
         a = mobilenet_stack.clone()
         b = mobilenet_stack.clone()
-        batched = a.serve(mobilenet_trace)
+        batched = serve_trace(a, mobilenet_trace)
         per_query = [
             QueryRecord(
                 q.index,

@@ -9,7 +9,8 @@ exactly one :class:`~repro.serving.query.QueuedQuery`, built from the
 trace's columns: routing, the queue, admission, the backend, service
 estimates and fault retries all reuse it, so no :class:`Query` is built
 either.  Counted over whole ``run_scenario`` calls on the committed pools
-and on a closed-loop :class:`~repro.serving.runner.ExperimentRunner` run.
+and on the cells of a closed-loop grid
+(:func:`~repro.experiments.serving_pool.closed_loop_grid`).
 
 Nor does a warm run model the Persistent Buffer: once the serve tables are
 built and a run has filled the cache-switch entries it visits, every cache
@@ -25,14 +26,15 @@ from pathlib import Path
 
 import pytest
 
+from closed_loop_oracle import serve_trace
 from repro.accelerator.persistent_buffer import PersistentBuffer
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.core.scheduler import SchedulerDecision
+from repro.experiments.serving_pool import closed_loop_grid, measure_streams
 from repro.serving.api import run_scenario
 from repro.serving.engine.faults import FaultInjector
 from repro.serving.query import Query, QueuedQuery
-from repro.serving.runner import ExperimentRunner
 from repro.serving.spec import ScenarioSpec
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -136,15 +138,16 @@ def test_one_item_per_arrival_and_no_query(name, overrides, monkeypatch):
     assert counts["queries"] == 1
 
 
-def test_closed_loop_runner_builds_no_query(monkeypatch):
-    runner = ExperimentRunner("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=0)
-    trace = runner.default_workload(num_queries=300)
+def test_closed_loop_grid_builds_no_query(monkeypatch):
+    config = SushiStackConfig("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=0)
+    grid = closed_loop_grid("allocations", [config], 300)
     counts: dict[str, int] = {}
     count_calls(monkeypatch, Query, "__init__", counts, "queries")
     count_calls(monkeypatch, QueuedQuery, "__init__", counts, "items")
-    results = runner.run(trace)
-    assert counts == {"queries": 0, "items": 3 * len(trace)}
-    assert all(len(r.records) == len(trace) for r in results.values())
+    [(results, _)] = measure_streams(grid)
+    # One QueuedQuery per query and cell, none for the results.
+    assert counts == {"queries": 0, "items": 3 * 300}
+    assert all(len(r.records) == 300 for r in results.values())
 
 
 def test_fastest_expected_estimates_each_candidate_once(monkeypatch):
@@ -201,11 +204,11 @@ def test_reset_restarts_the_pb_from_empty():
     )
     trace = WorkloadGenerator(workload, seed=5).generate()
     fresh = template.clone(seed=3)
-    want = fresh.serve(trace)
+    want = serve_trace(fresh, trace)
     used = template.clone(seed=3)
-    used.serve(trace)
+    serve_trace(used, trace)
     assert used.pb.stats.cache_loads > 1  # the first run switched caches
     used.reset()
-    assert used.serve(trace) == want
+    assert serve_trace(used, trace) == want
     assert used.pb.stats == fresh.pb.stats
     assert used.pb.cached == fresh.pb.cached

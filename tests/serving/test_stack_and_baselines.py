@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from closed_loop_oracle import serve_trace
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.metrics import QueryRecord
@@ -48,30 +49,30 @@ def stack():
 class TestSushiStack:
     def test_serve_produces_record_per_query(self, stack, trace):
         stack.reset()
-        records = stack.serve(trace)
+        records = serve_trace(stack, trace)
         assert len(records) == len(trace)
 
     def test_records_have_positive_latency(self, stack, trace):
         stack.reset()
-        for r in stack.serve(trace):
+        for r in serve_trace(stack, trace):
             assert r.served_latency_ms > 0
             assert 0.0 <= r.cache_hit_ratio <= 1.0
 
     def test_strict_accuracy_always_met(self, stack, trace):
         stack.reset()
-        records = stack.serve(trace)
+        records = serve_trace(stack, trace)
         assert all(r.served_accuracy >= r.accuracy_constraint - 1e-9 for r in records)
 
     def test_cache_hit_ratio_grows_with_serving(self, stack, trace):
         stack.reset()
-        stack.serve(trace)
-        assert stack.cache_hit_ratio > 0.0
+        serve_trace(stack, trace)
+        assert stack.pb.stats.byte_hit_ratio > 0.0
 
     def test_reset_restores_fresh_state(self, stack, trace):
         stack.reset()
-        first = stack.serve(trace)
+        first = serve_trace(stack, trace)
         stack.reset()
-        second = stack.serve(trace)
+        second = serve_trace(stack, trace)
         assert [r.subnet_name for r in first] == [r.subnet_name for r in second]
         assert [r.served_latency_ms for r in first] == pytest.approx(
             [r.served_latency_ms for r in second]
@@ -150,7 +151,7 @@ class TestSushiStack:
         queries = list(trace)
         expected = [r for q in queries for r in oracle_serve([q])]
         served = stack.clone(seed=7)
-        assert served.serve(trace) == expected
+        assert serve_trace(served, trace) == expected
         assert pb_stats(served) == pb_stats(oracle)
 
         def record_of(q, served):
@@ -203,7 +204,7 @@ class TestSushiStack:
         clone = stack.clone(seed=7)
         proxy = CountingAccel(clone.accel)
         clone.accel = proxy
-        clone.serve(trace)
+        serve_trace(clone, trace)
         assert proxy.calls == 0
 
         proxy = CountingAccel(stack.accel)
@@ -231,7 +232,7 @@ class TestSushiStack:
             candidates=replace(stack.candidates, subgraphs=(oversized,)),
         )
         names = [sn.name for sn in s.subnets]
-        for record in s.serve(trace):
+        for record in serve_trace(s, trace):
             i = names.index(record.subnet_name)
             assert s.table.latency(i, 0) == record.served_latency_ms
         # The unfitted candidate would have promised latencies never served.
@@ -369,11 +370,11 @@ class TestCacheSwitchTable:
             accuracy_model=stack.accuracy_model,
             serve_table=fresh,
         )
-        want = template.clone(seed=3).serve(trace)
+        want = serve_trace(template.clone(seed=3), trace)
         assert len(set(visited)) > 2  # not vacuous: the run switched caches
         assert fetches["calls"] == len(set(visited))
         calls, first_run = fetches["calls"], len(visited)
-        assert template.clone(seed=3).serve(trace) == want
+        assert serve_trace(template.clone(seed=3), trace) == want
         assert len(visited) - first_run == first_run - 1  # less the template's
         assert fetches["calls"] == calls
 
@@ -446,20 +447,20 @@ class TestBaselines:
     def test_no_sushi_serves_all_queries(self, shared, trace):
         _, no_pb = shared
         server = NoSushiServer(no_pb)
-        records = server.serve(trace)
+        records = serve_trace(server, trace)
         assert len(records) == len(trace)
         assert all(r.cache_hit_ratio == 0.0 for r in records)
 
     def test_no_sushi_strict_accuracy_met(self, shared, trace):
         _, no_pb = shared
         server = NoSushiServer(no_pb)
-        for r in server.serve(trace):
+        for r in serve_trace(server, trace):
             assert r.served_accuracy >= r.accuracy_constraint - 1e-9
 
     def test_state_unaware_gets_cache_hits(self, shared, trace):
         with_pb, _ = shared
         server = StateUnawareCachingServer(with_pb, cache_update_period=4)
-        records = server.serve(trace)
+        records = serve_trace(server, trace)
         assert any(r.cache_hit_ratio > 0 for r in records[5:])
 
     def test_state_unaware_invalid_period_rejected(self, shared):
@@ -470,14 +471,14 @@ class TestBaselines:
     def test_sushi_no_worse_than_no_sushi(self, shared, stack, trace):
         _, no_pb = shared
         no_sushi = NoSushiServer(no_pb)
-        base = no_sushi.serve(trace)
+        base = serve_trace(no_sushi, trace)
         stack.reset()
-        sushi = stack.serve(trace)
+        sushi = serve_trace(stack, trace)
         mean = lambda rs: sum(r.served_latency_ms for r in rs) / len(rs)
         assert mean(sushi) <= mean(base) * 1.001
 
     def test_strict_latency_policy_baseline(self, shared, trace):
         _, no_pb = shared
         server = NoSushiServer(no_pb, policy=Policy.STRICT_LATENCY)
-        records = server.serve(trace)
+        records = serve_trace(server, trace)
         assert len(records) == len(trace)
