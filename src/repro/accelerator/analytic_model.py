@@ -85,10 +85,6 @@ class SubNetLatencyBreakdown:
     def latency_ms(self) -> float:
         return self.components.total_ms
 
-    @property
-    def total_energy_mj(self) -> float:
-        return self.offchip_energy_mj + self.onchip_energy_mj
-
     def memory_bound_layers(self) -> list[str]:
         """Names of layers whose exposed memory time exceeds compute time."""
         return [ll.layer_name for ll in self.per_layer if ll.is_memory_bound]
@@ -244,12 +240,6 @@ class SushiAccelModel:
     def cache_load_latency_ms(self, nbytes: float) -> float:
         """Latency of loading ``nbytes`` of SubGraph weights into the PB."""
         return self.dram.transfer_ms(nbytes)
-
-    # ------------------------------------------------------------- energy
-    def subnet_offchip_energy_mj(
-        self, subnet: SubNet, cached: CachedSubGraph | None = None
-    ) -> float:
-        return self.subnet_breakdown(subnet, cached).offchip_energy_mj
 
     # ------------------------------------------------------------- tables
     def latency_matrix_ms(

@@ -205,9 +205,6 @@ class PersistentBuffer:
         """Weight bytes of ``subnet`` currently resident in the PB."""
         return self._cached.overlap_bytes(subnet)
 
-    def hit_bytes_per_layer(self, subnet: SubNet) -> dict[str, int]:
-        return self._cached.overlap_bytes_per_layer(subnet)
-
     def record_serve(self, subnet: SubNet, *, hit_bytes: int | None = None) -> None:
         """Update hit statistics after serving ``subnet``.
 

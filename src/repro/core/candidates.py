@@ -106,9 +106,6 @@ class CandidateSet:
         """Vector encodings of every candidate, in order."""
         return [sg.encode(supernet) for sg in self.subgraphs]
 
-    def sizes_bytes(self) -> list[int]:
-        return [sg.weight_bytes for sg in self.subgraphs]
-
 
 def build_candidate_set(
     subnets: Sequence[SubNet],

@@ -78,6 +78,33 @@ class ServingMetrics:
         }
 
 
+def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
+    """``q``-th percentile of ``values`` (non-empty) by linear interpolation.
+
+    Bit-identical to ``float(np.percentile(values, q))`` for finite values:
+    the same virtual index ``(n - 1) * (q / 100)`` into the sorted values,
+    and numpy's two-sided lerp between its neighbours (from the upper
+    neighbour once the weight reaches 0.5).  An array is partitioned
+    around the two neighbours, as numpy does; any other sequence is sorted
+    in plain Python, which is cheaper for a control tick's few values.
+    ``np.percentile`` itself is avoided because it imports ``numpy.ma``.
+    """
+    last = len(values) - 1
+    virtual = last * (q / 100)
+    lo = int(virtual)
+    if isinstance(values, np.ndarray):
+        ordered = np.partition(values, lo if lo >= last else (lo, lo + 1))
+    else:
+        ordered = sorted(values)
+    if lo >= last:
+        return float(ordered[last])
+    a = float(ordered[lo])
+    b = float(ordered[lo + 1])
+    t = virtual - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def summarize_records(records: Sequence[QueryRecord]) -> ServingMetrics:
     """Aggregate per-query records into stream-level metrics."""
     if not records:
@@ -87,8 +114,8 @@ def summarize_records(records: Sequence[QueryRecord]) -> ServingMetrics:
     return ServingMetrics(
         num_queries=len(records),
         mean_latency_ms=float(latencies.mean()),
-        p50_latency_ms=float(np.percentile(latencies, 50)),
-        p99_latency_ms=float(np.percentile(latencies, 99)),
+        p50_latency_ms=percentile(latencies, 50),
+        p99_latency_ms=percentile(latencies, 99),
         mean_accuracy=float(accuracies.mean()),
         latency_slo_attainment=float(np.mean([r.meets_latency for r in records])),
         accuracy_slo_attainment=float(np.mean([r.meets_accuracy for r in records])),

@@ -174,18 +174,31 @@ class AutoscaleController:
         if self.keep_metrics:
             self.metrics_history.append(snapshot)
         spec = self.spec
-        self._peak = max(self._peak, sum(s.num_incoming for s in statuses))
+        # The policy is asked at every tick, even one that holds: the
+        # predictive policy keeps state across ticks.
         desired_map, reason = self.policy.desired_by_group(
             snapshot, statuses, cost_budget=spec.cost_budget
         )
+        desired = {}
+        holds = True
+        pool = 0
+        for s in statuses:
+            incoming = s.num_incoming
+            pool += incoming
+            size = max(s.min_replicas, min(s.max_replicas, desired_map[s.name]))
+            desired[s.name] = size
+            if size != incoming:
+                holds = False
+        if pool > self._peak:
+            self._peak = pool
+        if holds and self.recorder is None and spec.cost_budget is None:
+            # Every group holds: no event, no recorder line and no budget
+            # trim can follow, and the peak already counts the pool.
+            return desired
         # Record each decision-pipeline stage so events (and the flight
         # recorder) can explain the final action: raw policy ask, after
         # the [min, max] clamp, after the cost-budget trim.
         raw = {s.name: int(desired_map[s.name]) for s in statuses}
-        desired = {
-            s.name: max(s.min_replicas, min(s.max_replicas, desired_map[s.name]))
-            for s in statuses
-        }
         clamped = dict(desired)
         if spec.cost_budget is None:
             budgeted = clamped  # neither is written below

@@ -53,9 +53,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.serving.autoscale.telemetry import MetricsSnapshot
+from repro.serving.autoscale.telemetry import MetricsSnapshot, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class GroupStatus:
     """One scaled replica group as a policy sees it at a control tick.

@@ -570,7 +570,7 @@ class ServingEngine:
                     return
             # A draining replica with nothing left to serve leaves the pool
             # here — the natural end of its drain.
-            if ctl is not None:
+            if ctl is not None and replica.draining:
                 self._maybe_retire(replica, now)
 
         run_end = self._run_end_ms
@@ -586,7 +586,10 @@ class ServingEngine:
                 if routable is None:
                     candidates = replicas
                 else:
-                    candidates = routable()
+                    # The routable list, re-derived only after a transition.
+                    candidates = self._routable_cache
+                    if candidates is None:
+                        candidates = routable()
                     if fi is not None and not candidates:
                         # Every replica crashed (and no replacement is
                         # serving yet): the arrival has nowhere to go.
@@ -644,7 +647,7 @@ class ServingEngine:
                 # dodges that call chain on every idle completion.
                 if len(replica.queue):
                     dispatch(replica, now)
-                elif ctl is not None:
+                elif ctl is not None and replica.draining:
                     self._maybe_retire(replica, now)
             elif kind == FAULT:
                 self._handle_fault(now, payload, queue, table)
@@ -716,7 +719,9 @@ class ServingEngine:
         )
         desired_map = ctl.decide_pool(snapshot, statuses)
         for group, status in zip(ctl.groups, statuses):
-            self._resize_group(group, status, desired_map[group.name], now, queue)
+            desired = desired_map[group.name]
+            if desired != status.num_incoming:  # a holding group has nothing to enact
+                self._resize_group(group, status, desired, now, queue)
         # Keep ticking while the simulation still has work in flight; once
         # the queue is empty and every replica is drained the run is over
         # and the control loop stops with it.  Sampled faults still to come
@@ -726,8 +731,8 @@ class ServingEngine:
         # sampled event sat in the queue.
         fi = self.faults
         if (
-            queue
-            or (fi is not None and fi.tail_ms > now)
+            (fi is not None and fi.tail_ms > now)
+            or queue
             or any(r.is_busy or len(r.queue) for r in self._live)
         ):
             queue.push(now + ctl.control_interval_ms, EventKind.CONTROL, None)

@@ -41,8 +41,10 @@ level is recomputed whenever the pool changes (crash, replacement ready).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, Callable
 
+import numpy as np
 from numpy.random import default_rng
 
 from repro.serving.engine.events import EventKind
@@ -57,6 +59,12 @@ FAILED = "failed"
 #: Drop reason for arrivals shed because no routable replica existed.
 SHED = "shed"
 
+#: Uniforms drawn at once for the per-pickup dispatch-failure process.
+UNIFORM_BLOCK = 256
+#: Straggle draws taken beyond a new replica's expected count; a schedule
+#: that needs more extends its block.
+STRAGGLE_SLACK = 16
+
 
 class FaultInjector:
     """Seeded per-replica fault processes plus retry/brownout state.
@@ -66,16 +74,29 @@ class FaultInjector:
     validated them once, at parse time.  Attached as ``engine.faults``.
     ``reset()`` restores the constructor state — including the RNG — so
     repeated runs of the same engine replay the same faults.
+
+    Draws are taken in bulk but consume the generator exactly as one
+    scalar draw at a time would (see :meth:`_straggle_schedule` and
+    :meth:`dispatch_fails`), so every sampled fault is the scalar one.
     """
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
         # The one field read on every pickup, kept as a plain attribute.
         self._dispatch_failure_prob = spec.dispatch_failure_prob
+        # Each straggle interval's (gap, duration) scales, one row of draws.
+        self._straggle_scales = np.array(
+            [spec.straggler_mtbf_ms or 0.0, spec.straggler_duration_ms]
+        )
         self._rng = default_rng(spec.seed)
         # replica index -> its unplayed straggle times, latest first.
         self._straggles: dict[int, list[float]] = {}
         self._attempts: dict[int, int] = {}
+        # A block of dispatch-failure uniforms, its read position, and the
+        # generator state it was drawn from (see dispatch_fails).
+        self._uniforms: list[float] = []
+        self._next_uniform = 0
+        self._block_state: dict[str, Any] = {}
         self.brownout_level = 0
         self.accuracy_relax = 0.0
         self.num_crashes = 0
@@ -86,6 +107,8 @@ class FaultInjector:
     def reset(self) -> None:
         """Back to the constructor state: same seed, same sampled faults."""
         self._rng = default_rng(self.spec.seed)
+        self._uniforms = []
+        self._next_uniform = 0
         self._straggles.clear()
         self.tail_ms = 0.0
         self._attempts.clear()
@@ -125,32 +148,68 @@ class FaultInjector:
         sampled fault time, which keeps control ticks running as if every
         sampled event were in the queue.
         """
-        rng = self._rng
+        self._settle_uniforms()
         spec = self.spec
         if spec.crash_mtbf_ms is not None:
-            crash_ms = now_ms + float(rng.exponential(spec.crash_mtbf_ms))
+            crash_ms = now_ms + float(self._rng.exponential(spec.crash_mtbf_ms))
             if crash_ms <= self.horizon_ms:
                 push(crash_ms, EventKind.FAULT, ("crash", replica_index))
                 if crash_ms > self.tail_ms:
                     self.tail_ms = crash_ms
         if spec.straggler_mtbf_ms is not None:
-            t = now_ms
-            horizon = self.horizon_ms
-            times: list[float] = []  # onset, end, onset, end, ...
-            while True:
-                t += float(rng.exponential(spec.straggler_mtbf_ms))
-                if t > horizon:
-                    break
-                duration = float(rng.exponential(spec.straggler_duration_ms))
-                times.append(t)
-                times.append(t + duration)
-                t += duration
+            times = self._straggle_schedule(now_ms)
             if times:
-                if times[-1] > self.tail_ms:
-                    self.tail_ms = times[-1]
-                times.reverse()
+                if times[0] > self.tail_ms:
+                    self.tail_ms = times[0]
                 self._straggles[replica_index] = times
                 self.straggle_ended(replica_index, push)
+
+    def _straggle_schedule(self, now_ms: float) -> list[float]:
+        """A new replica's straggle onsets and ends, latest first.
+
+        The scalar process alternates draws: a gap ~ Exp(mtbf) to the next
+        onset, stopping at the first onset past the horizon, and a duration
+        ~ Exp(duration) to its end.  Here one ``standard_exponential`` fill
+        gives the same values (a scalar ``exponential(scale)`` is ``scale``
+        times one standard draw), each scaled by one float multiply, and
+        one ``cumsum`` adds them to ``now_ms`` in the scalar loop's order.
+        The generator is then rewound and redrawn by exactly the scalar
+        loop's count (every kept interval's two draws plus the final gap),
+        so it ends where that loop would.
+        """
+        rng = self._rng
+        spec = self.spec
+        horizon = self.horizon_ms
+        start_state = rng.bit_generator.state
+        # Gap and duration draws alternate, so a block of pairs starts
+        # every row on a gap.  Room for the expected intervals and then
+        # some; a short block is extended by another.
+        pairs = STRAGGLE_SLACK + int(
+            max(horizon - now_ms, 0.0)
+            / (spec.straggler_mtbf_ms + spec.straggler_duration_ms)
+            * 1.25
+        )
+        times: list[float] = []  # onset, end, onset, end, ...
+        last = now_ms
+        while True:
+            steps = rng.standard_exponential((pairs, 2))
+            steps *= self._straggle_scales
+            steps[0, 0] += last
+            times += steps.cumsum().tolist()
+            # The first time past the horizon: an onset ends the schedule
+            # there; an end keeps its interval, and the next onset (later
+            # still) ends it.
+            past = bisect_right(times, horizon)
+            kept = past + (past & 1)
+            if kept < len(times):
+                break
+            last = times[-1]
+        if kept + 1 < len(times):
+            rng.bit_generator.state = start_state
+            rng.standard_exponential(kept + 1)
+        del times[kept:]
+        times.reverse()
+        return times
 
     def straggle_began(
         self, replica_index: int, push: Callable[[float, int, Any], None]
@@ -193,14 +252,41 @@ class FaultInjector:
     the control loop keeps ticking until the clock passes it."""
 
     def dispatch_fails(self) -> bool:
-        """One per-pickup Bernoulli draw of the transient-failure process."""
+        """One per-pickup Bernoulli draw of the transient-failure process.
+
+        The uniforms come from blocks of ``rng.random(UNIFORM_BLOCK)``,
+        which hold the values one ``rng.random()`` per pickup would give.
+        Before the generator serves any other draw,
+        :meth:`_settle_uniforms` hands back the block's unread part.
+        """
         prob = self._dispatch_failure_prob
         if prob <= 0.0:
             return False
-        failed = bool(self._rng.random() < prob)
+        i = self._next_uniform
+        uniforms = self._uniforms
+        if i == len(uniforms):
+            self._block_state = self._rng.bit_generator.state
+            uniforms = self._uniforms = self._rng.random(UNIFORM_BLOCK).tolist()
+            i = 0
+        self._next_uniform = i + 1
+        failed = uniforms[i] < prob
         if failed:
             self.num_dispatch_failures += 1
         return failed
+
+    def _settle_uniforms(self) -> None:
+        """Leave the generator where per-pickup scalar draws would have.
+
+        PCG64 turns one 64-bit output into one double, so the generator is
+        restored to the block's start and advanced by the uniforms read.
+        """
+        read = self._next_uniform
+        if read < len(self._uniforms):
+            bit_generator = self._rng.bit_generator
+            bit_generator.state = self._block_state
+            bit_generator.advance(read)
+        self._uniforms = []
+        self._next_uniform = 0
 
     # ---------------------------------------------------------------- retry
     def next_retry_ms(self, item: QueuedQuery, now_ms: float) -> float | None:

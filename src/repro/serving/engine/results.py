@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.metrics import QueryRecord, Served
+from repro.core.metrics import QueryRecord, Served, percentile
 from repro.serving.autoscale.controller import AutoscaleReport
 from repro.serving.autoscale.telemetry import MetricsSnapshot
 from repro.serving.engine.replica import ReplicaStats
@@ -84,10 +84,6 @@ class DroppedQuery:
     latency_constraint_ms: float
     replica_index: int
     reason: str = "deadline_expired"
-
-    @property
-    def waited_ms(self) -> float:
-        return self.dropped_at_ms - self.arrival_ms
 
 
 # ------------------------------------------------------------------ the table
@@ -524,7 +520,7 @@ class SimulationResult:
     def p99_response_ms(self) -> float:
         if not self.num_served:
             return 0.0
-        return float(np.percentile(self._response_ms(), 99))
+        return percentile(self._response_ms(), 99)
 
     @property
     def mean_queueing_ms(self) -> float:

@@ -56,23 +56,3 @@ def build_pareto_points(
         ParetoPoint(subnet=sn, latency_ms=latency_fn(sn), accuracy=accuracy_fn(sn))
         for sn in subnets
     ]
-
-
-def frontier_coverage(
-    frontier: Sequence[ParetoPoint], candidates: Sequence[ParetoPoint]
-) -> float:
-    """Fraction of candidate points that lie on (or equal) the frontier.
-
-    A diagnostic used in tests: the model-zoo Pareto families should be fully
-    non-dominated (coverage == 1.0 when candidates are the family itself).
-    """
-    if not candidates:
-        return 1.0
-    frontier_set = {(p.subnet.name, p.latency_ms, p.accuracy) for p in frontier}
-    hits = sum(
-        1
-        for c in candidates
-        if (c.subnet.name, c.latency_ms, c.accuracy) in frontier_set
-        or not any(f.dominates(c) for f in frontier)
-    )
-    return hits / len(candidates)

@@ -175,11 +175,6 @@ class SubNet:
         )
 
 
-def build_subnet(supernet: SuperNet, config: SubNetConfig) -> SubNet:
-    """Convenience constructor mirroring ``SubNet(supernet, config)``."""
-    return SubNet(supernet, config)
-
-
 def uniform_config(
     supernet: SuperNet,
     *,

@@ -151,11 +151,6 @@ class SuperNet:
         return sum(layer.weight_bytes for layer in self.max_layers)
 
     @property
-    def fixed_weight_bytes(self) -> int:
-        """Weight bytes of the always-active stem + head."""
-        return self.stem.weight_bytes + self.head.weight_bytes
-
-    @property
     def num_stages(self) -> int:
         return len(self.stages)
 

@@ -1,6 +1,6 @@
 """Property-based tests of the fault plane (``serving/engine/faults``).
 
-Three families of properties, over hypothesis-generated workloads:
+Families of properties, over hypothesis-generated workloads:
 
 * **The ``faults: null`` rung** — an engine with no injector, and an
   engine with an *inert* injector (all processes disabled — the runtime
@@ -26,9 +26,17 @@ Three families of properties, over hypothesis-generated workloads:
   once did.  On small autoscaled faulty pools both give the same
   outcomes, drops, autoscale report (``num_controls`` included), recorded
   fault events and summary metrics, run after run on one engine.
+
+* **Bulk draws ≡ scalar draws** — the injector draws a birth's straggle
+  schedule in one block and dispatch-failure uniforms in blocks of 256;
+  driven directly through any interleaving of births, dispatch draws and
+  resets, it and the oracle's one-draw-at-a-time sampling push the same
+  events, return the same draws and leave the same generator state.
 """
 
 from __future__ import annotations
+
+from unittest.mock import patch
 
 import numpy as np
 from engine_oracle import reference_run
@@ -37,6 +45,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving.autoscale import AutoscaleController, ScaledGroup
 from repro.serving.engine import AcceleratorReplica, FaultInjector, ServingEngine
+from repro.serving.engine import faults as faults_module
 from repro.serving.obs import TraceRecorder
 from repro.serving.query import QueryTrace
 from repro.serving.spec import AutoscalerSpec, FaultSpec, RetryPolicy
@@ -412,3 +421,90 @@ class TestLazyStragglesMatchEager:
             assert summary(got) == summary(want)
             # Every sampled straggle schedule was played out or dropped.
             assert not lazy.faults._straggles
+
+
+#: One step of an injector-level script: a replica born at ``now_ms`` with
+#: faults sampled up to ``horizon_ms``, a run of per-pickup dispatch draws
+#: (long enough to cross uniform blocks), or a reset.
+injector_step = st.one_of(
+    st.tuples(
+        st.just("birth"),
+        st.floats(min_value=0.0, max_value=500.0),
+        # Negative: a replacement born after the last arrival samples
+        # nothing past its horizon.
+        st.floats(min_value=-100.0, max_value=3000.0),
+    ),
+    st.tuples(st.just("draws"), st.integers(min_value=1, max_value=600)),
+    st.tuples(st.just("reset")),
+)
+injector_spec = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=63),
+        "crash_mtbf_ms": st.one_of(st.none(), st.floats(min_value=1.0, max_value=500.0)),
+        "straggler_mtbf_ms": st.one_of(
+            st.none(), st.floats(min_value=1.0, max_value=300.0)
+        ),
+        "straggler_duration_ms": st.one_of(
+            st.floats(min_value=0.5, max_value=60.0), st.just(1e-300)
+        ),
+        "dispatch_failure_prob": st.one_of(
+            st.just(0.0), st.floats(min_value=0.01, max_value=0.9)
+        ),
+    }
+)
+
+
+class TestBulkDrawsMatchScalarDraws:
+    """The injector's bulk draws are the oracle's scalar draws.
+
+    Driven directly, with any interleaving of replica births, dispatch
+    draws and resets, the bulk-drawing injector and the scalar oracle push
+    the same fault events (the lazy schedule played out in full), keep the
+    same ``tail_ms``, return the same dispatch draws and leave their
+    generators in the same state.  ``slack`` 1 starts every straggle block
+    too short, so the block extension runs on nearly every birth.
+    """
+
+    @given(
+        injector_spec,
+        st.lists(injector_step, min_size=1, max_size=25),
+        st.sampled_from([1, faults_module.STRAGGLE_SLACK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_pushes_tails_draws_and_state(self, spec_kwargs, steps, slack):
+        with patch.object(faults_module, "STRAGGLE_SLACK", slack):
+            self.replay(FaultSpec(**spec_kwargs), steps)
+
+    @staticmethod
+    def replay(spec, steps):
+        bulk, scalar = FaultInjector(spec), EagerFaultInjector(spec)
+        tail = 0.0
+        index = 0
+        for step in steps:
+            if step[0] == "birth":
+                _, now_ms, ahead_ms = step
+                bulk.horizon_ms = scalar.horizon_ms = now_ms + ahead_ms
+                got, want = [], []
+                bulk.schedule_replica(index, now_ms, lambda *event: got.append(event))
+                while index in bulk._straggles:
+                    bulk.straggle_began(index, lambda *event: got.append(event))
+                    bulk.straggle_ended(index, lambda *event: got.append(event))
+                scalar.schedule_replica(index, now_ms, lambda *event: want.append(event))
+                assert got == want
+                tail = max(
+                    [tail] + [t for t, _, payload in want if payload[0] != "straggle"]
+                )
+                assert bulk.tail_ms == tail
+                index += 1
+            elif step[0] == "draws":
+                (_, count) = step
+                assert [bulk.dispatch_fails() for _ in range(count)] == [
+                    scalar.dispatch_fails() for _ in range(count)
+                ]
+                assert bulk.num_dispatch_failures == scalar.num_dispatch_failures
+            else:
+                bulk.reset()
+                scalar.reset()
+                tail = 0.0
+        bulk._settle_uniforms()
+        assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state

@@ -11,6 +11,9 @@ sized for the peak.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from fakes import ConstantServer, member, single_group_autoscaler
@@ -37,6 +40,7 @@ from repro.serving.autoscale import (
     TargetUtilizationPolicy,
     make_policy,
 )
+from repro.serving.autoscale.telemetry import slot_init
 from repro.serving.engine import AcceleratorReplica, ServingEngine
 from repro.serving.query import Query, QueryTrace
 
@@ -75,7 +79,6 @@ class TestTelemetryBus:
         # Only the arrivals inside [100, 200] remain.
         assert snap.arrival_rate_per_ms == pytest.approx(2 / 100.0)
         assert snap.drop_rate == 1.0  # one drop, no dispatches in window
-        assert bus.total_arrivals == 4
 
     def test_utilization_counts_open_and_closed_intervals(self):
         bus = TelemetryBus(window_ms=100.0)
@@ -112,7 +115,6 @@ class TestTelemetryBus:
         snap = bus.snapshot(5.0, num_active=1)
         assert snap.arrival_rate_per_ms == 0.0
         assert snap.drop_rate == 0.0
-        assert bus.total_arrivals == 0
 
 
 # ---------------------------------------------------------------- policies
@@ -707,3 +709,38 @@ class TestFrontier:
         assert {p["label"] for p in dump["points"]} == {
             p.label for p in frontier.points
         }
+
+
+# ------------------------------------------------------------ slot_init
+class TestSlotInit:
+    """``slot_init`` keeps the dataclass ``__init__``'s contract."""
+
+    @pytest.mark.parametrize("cls", [MetricsSnapshot, GroupStatus])
+    def test_signature_is_the_fields_in_order_with_their_defaults(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == [f.name for f in dataclasses.fields(cls)]
+        for p, f in zip(params, dataclasses.fields(cls)):
+            want = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            assert p.default == want
+
+    def test_values_land_in_their_fields_and_stay_frozen(self):
+        values = {f.name: i + 0.5 for i, f in enumerate(dataclasses.fields(MetricsSnapshot))}
+        by_keyword = MetricsSnapshot(**values)
+        by_position = MetricsSnapshot(*values.values())
+        assert by_keyword == by_position
+        assert dataclasses.asdict(by_keyword) == values
+        assert dataclasses.replace(by_keyword, time_ms=-1.0).time_ms == -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_keyword.time_ms = 2.0  # type: ignore[misc]
+        short = MetricsSnapshot(*list(values.values())[:10])
+        assert short.failure_rate_per_ms == 0.0 and short.num_provisioning == 0
+        with pytest.raises(TypeError):
+            MetricsSnapshot(time_ms=1.0)
+
+    def test_rejects_fields_it_cannot_set(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class WithFactory:
+            items: list = dataclasses.field(default_factory=list)
+
+        with pytest.raises(TypeError):
+            slot_init(WithFactory)

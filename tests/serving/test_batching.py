@@ -587,7 +587,6 @@ class TestBatchTelemetry:
         bus.on_pickup(20.0, 1, [member(20.0)] * 8)
         snap = bus.snapshot(50.0, num_active=1)
         assert snap.mean_batch_occupancy == pytest.approx(6.0)
-        assert bus.total_batches == 2
 
     def test_occupancy_window_prunes(self):
         bus = TelemetryBus(window_ms=50.0)
@@ -604,7 +603,6 @@ class TestBatchTelemetry:
         bus = TelemetryBus(window_ms=50.0)
         bus.on_pickup(10.0, 0, [member(10.0)] * 8)
         bus.reset()
-        assert bus.total_batches == 0
         assert bus.snapshot(20.0, num_active=1).mean_batch_occupancy == 0.0
 
     def test_engine_feeds_batch_occupancy(self, stack):
@@ -633,9 +631,11 @@ class TestBatchTelemetry:
         from repro.serving.api import build_trace
 
         trace = build_trace(trace_spec, stack_cache={stack.config: stack})
+        engine.autoscaler.keep_metrics = True
         engine.run(trace, spec.arrivals.generate(len(trace)))
-        assert engine.autoscaler.bus.total_batches > 0
-        assert (
-            engine.autoscaler.bus.total_dispatches
-            >= engine.autoscaler.bus.total_batches
-        )
+        occupancies = [
+            snap.mean_batch_occupancy for snap in engine.autoscaler.metrics_history
+        ]
+        # Some window saw pickups, and every pickup holds at least one query.
+        assert any(occupancies)
+        assert all(o == 0.0 or o >= 1.0 for o in occupancies)

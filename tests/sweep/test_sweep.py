@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,3 +259,38 @@ class TestTablesBuiltInCaller:
             None,
         ]
         assert run_grid(spec, own_builds, workers=2)[::2] == [(None, 0)] * 2
+
+
+class TestWorkersImportNoMaskedArrays:
+    """A cell's metrics never import ``numpy.ma``.
+
+    ``np.percentile`` imports ``numpy.ma`` on its first call (about 12 ms
+    in a fresh interpreter), and the caller of a sweep computes no
+    percentile before it forks, so every forked worker would pay the
+    import.  ``repro.core.metrics.percentile`` gives the same bits without
+    it; a fresh interpreter that runs a faulty, autoscaled scenario and
+    reads every cell metric must not have loaded ``numpy.ma``.
+    """
+
+    def test_run_and_result_metrics_leave_numpy_ma_unloaded(self):
+        repo = Path(__file__).resolve().parents[2]
+        script = (
+            "import json, sys\n"
+            "from repro.serving.api import run_scenario\n"
+            "from repro.serving.spec import ScenarioSpec\n"
+            "from repro.sweep.runner import result_metrics\n"
+            "data = json.loads(open(sys.argv[1]).read())\n"
+            "spec = ScenarioSpec.from_dict(data).override_many([('num_queries', 300)])\n"
+            "metrics = result_metrics(run_scenario(spec))\n"
+            "assert metrics['p99_response_ms'] > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(repo / "examples/scenarios/faulty_pool.json")],
+            capture_output=True,
+            text=True,
+            cwd=repo,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,11 +1,12 @@
 """The telemetry bus as it computed every snapshot field, kept as an oracle.
 
-A literal copy of ``repro.serving.autoscale.telemetry.TelemetryBus`` before
-its snapshot was made cheaper: a generator count for the rate slope,
-``min``/``max`` clipping of the busy intervals, ``np.mean`` of the service
-times and a list of the batch sizes, all rebuilt from ``(time, value)``
-tuple deques at every tick.  The bus under test keeps value deques beside
-its time deques, bisects for the slope and replays numpy's pairwise sum in
+A copy of ``repro.serving.autoscale.telemetry.TelemetryBus`` before its
+snapshot was made cheaper (less its event counters, which no snapshot
+reads): a generator count for the rate slope, ``min``/``max`` clipping of
+the busy intervals, ``np.mean`` of the service times and a list of the
+batch sizes, all rebuilt from ``(time, value)`` tuple deques pruned one
+event at a time.  The bus under test keeps append-only columns whose
+window starts it finds by ``bisect``, and replays numpy's pairwise sum in
 plain Python; every :class:`MetricsSnapshot` field must come out with the
 same bits.  ``tests/properties/test_property_telemetry.py`` compares them
 field by field.
@@ -17,7 +18,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.serving.autoscale.telemetry import MetricsSnapshot, p95
+from repro.core.metrics import percentile
+from repro.serving.autoscale.telemetry import MetricsSnapshot
 
 
 class TelemetryBus:
@@ -50,43 +52,31 @@ class TelemetryBus:
         self._wait_append = self._waits.append
         self._service_append = self._services.append
         self._batch_append = self._batches.append
-        self.total_arrivals = 0
-        self.total_dispatches = 0
-        self.total_completions = 0
-        self.total_drops = 0
-        self.total_batches = 0
-        self.total_failures = 0
 
     # ------------------------------------------------------------ event feed
     def on_arrival(self, now_ms: float) -> None:
         self._arrival_append(now_ms)
-        self.total_arrivals += 1
 
     def on_dispatch(self, now_ms: float, *, replica_index: int, wait_ms: float) -> None:
         self._wait_append((now_ms, wait_ms))
         self._in_service_starts[replica_index] = now_ms
-        self.total_dispatches += 1
 
     def on_completion(
         self, now_ms: float, *, replica_index: int, service_ms: float
     ) -> None:
         start = self._in_service_starts.pop(replica_index, now_ms - service_ms)
         self._service_append((start, now_ms))
-        self.total_completions += 1
 
     def on_drop(self, now_ms: float) -> None:
         self._drop_append(now_ms)
-        self.total_drops += 1
 
     def on_failure(self, now_ms: float) -> None:
         """One replica crash (the fault layer's failure-detector feed)."""
         self._failures.append(now_ms)
-        self.total_failures += 1
 
     def on_batch(self, now_ms: float, *, batch_size: int) -> None:
         """One dispatch pickup of ``batch_size`` queries (1 without batching)."""
         self._batch_append((now_ms, batch_size))
-        self.total_batches += 1
 
     # ------------------------------------------------------------- snapshot
     def _prune(self, horizon_ms: float) -> None:
@@ -154,7 +144,7 @@ class TelemetryBus:
         capacity = window * max(capacity_replicas, 1)
         utilization = min(1.0, busy / capacity) if capacity > 0 else 0.0
 
-        p95_wait = p95([w for _, w in self._waits]) if self._waits else 0.0
+        p95_wait = percentile([w for _, w in self._waits], 95) if self._waits else 0.0
         services = [end - start for start, end in self._services]
         mean_service = float(np.mean(services)) if services else 0.0
         batches = [size for _, size in self._batches]
@@ -190,9 +180,3 @@ class TelemetryBus:
         self._services.clear()
         self._batches.clear()
         self._in_service_starts.clear()
-        self.total_arrivals = 0
-        self.total_dispatches = 0
-        self.total_completions = 0
-        self.total_drops = 0
-        self.total_batches = 0
-        self.total_failures = 0
