@@ -153,7 +153,9 @@ def build_trace(
     may carry per-request constraint columns: a ``slo_ms`` column replaces
     the drawn latency constraints, an ``accuracy_floor`` column the drawn
     accuracy constraints, so query ``i`` serves exactly what request ``i``
-    of the log demanded (see :mod:`repro.serving.trace_io`).
+    of the log demanded (see :mod:`repro.serving.trace_io`).  The log is
+    the process's one parse of the file, which the run's arrivals and
+    nominal rate read too.
     """
     if stack_cache is None:
         stack_cache = {}
@@ -167,15 +169,11 @@ def build_trace(
             accuracy_range=workload.accuracy_range or acc_range,
             latency_range_ms=workload.latency_range_ms or lat_range,
         )
-    accuracy_override = latency_override = None
     log = spec.arrivals.trace_log()
-    if log is not None:
-        accuracy_override = log.accuracy_floor
-        latency_override = log.slo_ms
     return WorkloadGenerator(workload, seed=spec.seed).generate(
         name=spec.name,
-        accuracy_override=accuracy_override,
-        latency_override=latency_override,
+        accuracy_override=None if log is None else log.accuracy_floor,
+        latency_override=None if log is None else log.slo_ms,
     )
 
 

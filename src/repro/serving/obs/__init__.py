@@ -12,7 +12,6 @@ from repro.serving.obs.exporters import (
     metrics_rows,
     snapshot_rows,
     summarize_chrome_trace,
-    summarize_trace,
     write_chrome_trace,
     write_metrics,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "metrics_rows",
     "snapshot_rows",
     "summarize_chrome_trace",
-    "summarize_trace",
     "write_chrome_trace",
     "write_metrics",
 ]

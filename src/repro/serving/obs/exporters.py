@@ -12,8 +12,8 @@ Three formats:
 * :func:`metrics_rows` / :func:`snapshot_rows` — a metrics timeseries
   (queue depth, utilization, drop rate, batch occupancy) as rows of
   plain dicts, written as CSV or JSON by :func:`write_metrics`.
-* :func:`summarize_trace` / :func:`summarize_chrome_trace` — a compact
-  text summary for humans (``repro trace summarize``).
+* :func:`summarize_chrome_trace` — a compact text summary of an exported
+  trace for humans (``repro trace summarize``).
 
 Trace-event timestamps (``ts``/``dur``) are microseconds per the format
 spec; the recorder's millisecond clock is scaled by 1000 on export.
@@ -270,55 +270,6 @@ def write_metrics(path: str, rows: Sequence[Mapping[str, float]]) -> None:
 
 
 # ------------------------------------------------------------------ summary
-def summarize_trace(trace: RecordedTrace) -> str:
-    """A human-readable text summary of a recorded run."""
-    lines = [
-        f"duration: {trace.duration_ms:.1f} ms",
-        f"queries: {len(trace.spans)} offered, "
-        f"{trace.num_served} served, {trace.num_dropped} dropped",
-        f"replicas: {len(trace.replicas)} "
-        f"({sum(1 for r in trace.replicas if r.retired_ms is None)} live at end)",
-    ]
-    if trace.provisioning:
-        cancelled = sum(1 for p in trace.provisioning if p.cancelled_ms is not None)
-        lines.append(
-            f"provisioning segments: {len(trace.provisioning)} "
-            f"({cancelled} cancelled)"
-        )
-    by_reason: dict[str, int] = {}
-    for span in trace.spans:
-        if span.status == "dropped":
-            reason = span.drop_reason or "deadline_expired"
-            by_reason[reason] = by_reason.get(reason, 0) + 1
-    if by_reason:
-        reasons = ", ".join(f"{k}={v}" for k, v in sorted(by_reason.items()))
-        lines.append(f"drops by reason: {reasons}")
-    if trace.scaling_events:
-        by_action: dict[str, int] = {}
-        for event in trace.scaling_events:
-            by_action[event.action] = by_action.get(event.action, 0) + 1
-        actions = ", ".join(f"{k}={v}" for k, v in sorted(by_action.items()))
-        lines.append(f"scaling events: {len(trace.scaling_events)} ({actions})")
-    if trace.decisions:
-        lines.append(f"control decisions: {len(trace.decisions)}")
-    if trace.faults:
-        by_kind: dict[str, int] = {}
-        for fault in trace.faults:
-            by_kind[fault.kind] = by_kind.get(fault.kind, 0) + 1
-        kinds = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items()))
-        lines.append(f"faults: {len(trace.faults)} ({kinds})")
-        # Crashed replicas never recover, so downtime runs to the end of
-        # the trace (replacements are new replicas, not the crashed one).
-        for fault in trace.faults:
-            if fault.kind == "crash":
-                down = max(0.0, trace.duration_ms - fault.time_ms)
-                lines.append(
-                    f"  replica {fault.replica_index}: crashed at "
-                    f"{fault.time_ms:.1f} ms ({down:.1f} ms down)"
-                )
-    return "\n".join(lines)
-
-
 def summarize_chrome_trace(payload: Mapping[str, Any]) -> str:
     """Summarize an exported Chrome trace JSON (``repro trace summarize``)."""
     events = payload.get("traceEvents", [])

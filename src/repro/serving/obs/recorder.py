@@ -146,14 +146,6 @@ class RecordedTrace:
     faults: tuple[FaultEvent, ...] = ()
     """Injected faults in event order (empty without fault injection)."""
 
-    @property
-    def num_served(self) -> int:
-        return sum(1 for s in self.spans if s.status == "served")
-
-    @property
-    def num_dropped(self) -> int:
-        return sum(1 for s in self.spans if s.status == "dropped")
-
 
 class TraceRecorder:
     """Mutable sink the engine and controller feed during a traced run.

@@ -380,9 +380,9 @@ class ArrivalSpec(JsonSpec):
         ``trace`` replays are deterministic; the seed is inert for them.
     path:
         ``trace`` only: request-log file to replay (``.csv`` / ``.jsonl``;
-        relative paths resolve against the working directory).  The file
-        is read when arrivals are generated, not at spec validation, so
-        scenario files parse anywhere.  Mutually exclusive with ``events``.
+        relative paths resolve against the working directory).  Parsed
+        once per process and content when first replayed, not at spec
+        validation, so scenario files parse anywhere.  Not with ``events``.
     events:
         ``trace`` only: inline arrival timestamps in ms (non-negative,
         non-decreasing).  The self-contained replay form — a scenario
@@ -468,28 +468,19 @@ class ArrivalSpec(JsonSpec):
                 (self.path is None) != (len(self.events) == 0),
                 "trace arrivals need exactly one of path or events",
             )
+            for name in ("rate_scale", "time_scale", "limit"):
+                value = getattr(self, name)
+                _require(
+                    value is None or value > 0, f"{name} must be positive, got {value}"
+                )
             _require(
-                self.rate_scale > 0, f"rate_scale must be positive, got {self.rate_scale}"
+                all(t >= 0.0 for t in self.events),
+                "inline trace events must be non-negative timestamps",
             )
             _require(
-                self.time_scale > 0, f"time_scale must be positive, got {self.time_scale}"
+                all(a <= b for a, b in zip(self.events, self.events[1:])),
+                "inline trace events must be non-decreasing",
             )
-            if self.limit is not None:
-                _require(
-                    self.limit > 0, f"limit must be positive, got {self.limit}"
-                )
-            if self.events:
-                _require(
-                    all(t >= 0.0 for t in self.events),
-                    "inline trace events must be non-negative timestamps",
-                )
-                _require(
-                    all(
-                        a <= b
-                        for a, b in zip(self.events, self.events[1:])
-                    ),
-                    "inline trace events must be non-decreasing",
-                )
 
     # ------------------------------------------------------------- generate
     def generate(self, num_queries: int) -> npt.NDArray[np.float64]:
@@ -510,40 +501,33 @@ class ArrivalSpec(JsonSpec):
             spaced = np.arange(1, num_queries + 1, dtype=np.float64) / rate
             return np.asarray(spaced, dtype=np.float64)
         if self.kind == "trace":
-            events = self._trace_events()
+            events = self._replayed_ms()
             if num_queries > events.size:
                 raise ValueError(
                     f"trace provides {events.size} arrivals but the "
                     f"scenario needs {num_queries}; lower num_queries "
                     "(or raise/remove the limit)"
                 )
-            return np.asarray(events[:num_queries].copy(), dtype=np.float64)
+            return events[:num_queries].copy()
         return self._time_varying(num_queries)
 
-    def _trace_events(self) -> npt.NDArray[np.float64]:
-        """The replayed log's timestamps, limited and scaled, in ms.
-
-        With ``rate_scale == time_scale == 1.0`` the timestamps pass
-        through untouched — an inline ``events`` replay is bit-identical
-        to the same timestamps from any other source.
-        """
-        if self.path is not None:
-            from repro.serving.trace_io import load_trace_log
-
-            events = load_trace_log(self.path, limit=self.limit).timestamps_ms
+    def _replayed_ms(self) -> npt.NDArray[np.float64]:
+        """:meth:`trace_log`'s timestamps (or the limited inline ``events``)
+        times ``time_scale / rate_scale``; a factor of 1.0 keeps the bits."""
+        log = self.trace_log()
+        if log is not None:
+            events = log.timestamps_ms
         else:
-            arr = np.asarray(self.events, dtype=np.float64)
-            events = arr if self.limit is None else arr[: self.limit]
-        _require(events.size > 0, "the replayed trace has no arrivals")
+            events = np.asarray(self.events[: self.limit], dtype=np.float64)
         _require(
             float(events[-1]) > 0.0,
             "the replayed trace must span positive time "
             "(its last timestamp is 0)",
         )
         factor = self.time_scale / self.rate_scale
-        if factor != 1.0:
-            events = events * factor
-        return np.asarray(events, dtype=np.float64)
+        if factor == 1.0:
+            return events
+        return np.asarray(events * factor, dtype=np.float64)
 
     def _time_varying(self, num_queries: int) -> npt.NDArray[np.float64]:
         """Exact piecewise-constant-rate Poisson process via unit hazards.
@@ -593,7 +577,7 @@ class ArrivalSpec(JsonSpec):
             assert rate is not None  # validated in __post_init__
             return float(rate)
         if self.kind == "trace":
-            events = self._trace_events()
+            events = self._replayed_ms()
             return float(events.size / events[-1])
         total_time = sum(d for d, _ in self.segments)
         total_arrivals = sum(d * r for d, r in self.segments)
@@ -606,7 +590,7 @@ class ArrivalSpec(JsonSpec):
         (which carry no annotation columns).  The log is limited but
         *not* time-scaled: its ``slo_ms`` / ``accuracy_floor`` columns
         are constraints, not timestamps (``repro.serving.api`` feeds them
-        into the workload).
+        into the workload).  Every call shares the process's one parse.
         """
         if self.kind != "trace" or self.path is None:
             return None

@@ -19,6 +19,7 @@ Contracts:
 * **All-or-nothing columns** — an optional column is either present for
   every request or absent entirely; a partially filled column is a data
   error, reported at load time.
+* **One parse per content** — see :func:`load_trace_log`.
 
 The **fitter** (:func:`fit_piecewise_poisson`) estimates a piecewise-Poisson
 model plus burstiness statistics from a log's timestamps and emits a
@@ -30,10 +31,13 @@ parametric workload instead of raw data — the ``repro trace fit`` command.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -61,18 +65,12 @@ SLO_FIELD = "slo_ms"
 #: Optional column: per-request accuracy floor, as a fraction in (0, 1).
 ACCURACY_FIELD = "accuracy_floor"
 
-_OPTIONAL_FIELDS = (SLO_FIELD, ACCURACY_FIELD)
-
-#: Column name -> TraceLog attribute (only the timestamp column differs).
+#: Column name -> TraceLog attribute, in canonical column order.
 _ATTR_BY_FIELD = {
     TIMESTAMP_FIELD: "timestamps_ms",
     SLO_FIELD: "slo_ms",
     ACCURACY_FIELD: "accuracy_floor",
 }
-
-
-def _as_float64(values: Sequence[float] | npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +79,8 @@ class TraceLog:
 
     Rows are canonicalized on construction: sorted stably by timestamp
     (annotations travel with their row) and validated — timestamps finite
-    and non-negative, SLOs positive, accuracy floors in (0, 1).
+    and non-negative, SLOs positive, accuracy floors in (0, 1).  The
+    sorted arrays are read-only copies.
     """
 
     timestamps_ms: npt.NDArray[np.float64]
@@ -89,7 +88,7 @@ class TraceLog:
     accuracy_floor: npt.NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
-        ts = _as_float64(self.timestamps_ms)
+        ts = np.asarray(self.timestamps_ms, dtype=np.float64)
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("a trace log needs at least one timestamp")
         if not np.all(np.isfinite(ts)):
@@ -97,27 +96,27 @@ class TraceLog:
         if float(ts.min()) < 0.0:
             raise ValueError("trace timestamps must be non-negative")
         order = np.argsort(ts, kind="stable")
-        object.__setattr__(self, "timestamps_ms", ts[order])
-        for name in _OPTIONAL_FIELDS:
-            column = getattr(self, name)
+        for name, column in zip(_ATTR_BY_FIELD.values(), self._arrays()):
             if column is None:
                 continue
-            col = _as_float64(column)
+            col = np.asarray(column, dtype=np.float64)
             if col.shape != ts.shape:
                 raise ValueError(
-                    f"{name} column has {col.size} values for {ts.size} "
-                    "timestamps"
+                    f"{name} column has {col.size} values for {ts.size} timestamps"
                 )
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"{name} values must be finite")
-            object.__setattr__(self, name, col[order])
+            col = col[order]
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
         if self.slo_ms is not None and float(self.slo_ms.min()) <= 0.0:
             raise ValueError("slo_ms values must be positive")
-        if self.accuracy_floor is not None:
-            lo = float(self.accuracy_floor.min())
-            hi = float(self.accuracy_floor.max())
-            if not (0.0 < lo and hi < 1.0):
-                raise ValueError("accuracy_floor values must lie in (0, 1)")
+        acc = self.accuracy_floor
+        if acc is not None and not (0.0 < float(acc.min()) and float(acc.max()) < 1.0):
+            raise ValueError("accuracy_floor values must lie in (0, 1)")
+
+    def _arrays(self) -> list[npt.NDArray[np.float64] | None]:
+        return [getattr(self, attr) for attr in _ATTR_BY_FIELD.values()]
 
     def __len__(self) -> int:
         return int(self.timestamps_ms.size)
@@ -125,13 +124,9 @@ class TraceLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceLog):
             return NotImplemented
-        for name in ("timestamps_ms",) + _OPTIONAL_FIELDS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is not None and not np.array_equal(mine, theirs):
-                return False
-        return True
+        return self.columns() == other.columns() and all(
+            map(np.array_equal, self._arrays(), other._arrays())
+        )
 
     def head(self, limit: int | None) -> "TraceLog":
         """The first ``limit`` arrivals (``None`` keeps the whole log)."""
@@ -139,124 +134,144 @@ class TraceLog:
             return self
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
-        return TraceLog(
-            timestamps_ms=self.timestamps_ms[:limit],
-            slo_ms=None if self.slo_ms is None else self.slo_ms[:limit],
-            accuracy_floor=(
-                None
-                if self.accuracy_floor is None
-                else self.accuracy_floor[:limit]
-            ),
-        )
+        return TraceLog(*(None if a is None else a[:limit] for a in self._arrays()))
 
     def columns(self) -> tuple[str, ...]:
         """The column names present, in canonical order."""
-        names = [TIMESTAMP_FIELD]
-        names.extend(f for f in _OPTIONAL_FIELDS if getattr(self, f) is not None)
-        return tuple(names)
+        return tuple(f for f, a in zip(_ATTR_BY_FIELD, self._arrays()) if a is not None)
 
     def rows(self) -> list[dict[str, float]]:
         """One plain-float dict per request, in arrival order."""
-        columns = self.columns()
-        arrays = [
-            getattr(self, _ATTR_BY_FIELD[name]).tolist() for name in columns
-        ]
-        return [dict(zip(columns, values)) for values in zip(*arrays)]
+        arrays = [a.tolist() for a in self._arrays() if a is not None]
+        return [dict(zip(self.columns(), values)) for values in zip(*arrays)]
 
 
 # ------------------------------------------------------------------ readers
+#: Parsed logs by (row reader, sha256 of the file's bytes).
+_PARSED: dict[tuple[Any, bytes], TraceLog] = {}
+
+_PARTIAL = "(optional columns must be present for every request or absent entirely)"
+
+
+def _check_names(source: str, names: Sequence[str]) -> None:
+    unknown = [name for name in names if name not in _ATTR_BY_FIELD]
+    if unknown:
+        raise ValueError(
+            f"{source}: unknown trace log columns {unknown}; expected a "
+            f"subset of {list(_ATTR_BY_FIELD)}"
+        )
+    if len(set(names)) != len(names):
+        raise ValueError(f"{source}: repeated trace log columns {list(names)}")
+
+
+def _csv_rows(path: str, text: str) -> tuple[list[str] | None, list[tuple]]:
+    """A CSV log's header and non-blank data rows."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    _check_names(path, header or ())
+    # Tuples of strings drop out of GC tracking; a million row lists would not.
+    return header, list(map(tuple, filter(None, reader)))
+
+
+def _jsonl_rows(path: str, text: str) -> tuple[list[str] | None, list[tuple]]:
+    """A JSONL log's first keys, and each object's values under them."""
+    header: list[str] | None = None
+    rows: list[tuple] = []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ValueError(
+                f"{path}:{lineno}: each line must be a JSON object, "
+                f"got {type(row).__name__}"
+            )
+        if header is None:
+            header, keys = list(row), row.keys()
+            _check_names(f"{path}:{lineno}", header)
+        elif row.keys() != keys:
+            _check_names(f"{path}:{lineno}", [k for k in row if k not in keys])
+            extra = [f for f in _ATTR_BY_FIELD if f in row and f not in keys]
+            if extra:
+                raise ValueError(
+                    f"{path}: row {len(rows)} introduces {extra} midway {_PARTIAL}"
+                )
+        rows.append(tuple(map(row.get, header)))
+    return header, rows
+
+
+def _floats(
+    source: str, name: str, cells: Sequence[Any], number: frozenset[type]
+) -> npt.NDArray[np.float64]:
+    """One column as float64, given the types ``number`` its format writes
+    numbers as; the per-row scan runs only to word an error."""
+    try:
+        if set(map(type, cells)) <= number:
+            return np.fromiter(map(float, cells), np.float64, len(cells))
+    except (ValueError, OverflowError):
+        pass
+    i, cell = next((i, c) for i, c in enumerate(cells) if not _is_number(c, number))
+    if cell is None or cell == "":
+        raise ValueError(f"{source}: row {i} is missing {name!r} {_PARTIAL}")
+    raise ValueError(f"{source}: row {i} field {name!r}: {cell!r} is not a number")
+
+
+def _is_number(cell: Any, number: frozenset[type]) -> bool:
+    try:
+        float(cell)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return type(cell) in number
+
+
 def _log_from_rows(
-    rows: list[Mapping[str, Any]], *, source: str
+    source: str, header: list[str] | None, rows: list[tuple], number: frozenset[type]
 ) -> TraceLog:
-    if not rows:
+    """A log's rows as float columns, converted one column at a time."""
+    if header is None or not rows:
         raise ValueError(f"{source}: empty trace log")
-    first = rows[0]
-    if TIMESTAMP_FIELD not in first:
+    if TIMESTAMP_FIELD not in header:
         raise ValueError(
             f"{source}: trace logs need a {TIMESTAMP_FIELD!r} column, "
-            f"got {sorted(first)}"
+            f"got {sorted(header)}"
         )
-    present = [f for f in _OPTIONAL_FIELDS if f in first]
-    columns: dict[str, list[float]] = {
-        name: [] for name in [TIMESTAMP_FIELD, *present]
-    }
-    for i, row in enumerate(rows):
-        for name, values in columns.items():
-            if name not in row or row[name] in (None, ""):
-                raise ValueError(
-                    f"{source}: row {i} is missing {name!r} (optional "
-                    "columns must be present for every request or absent "
-                    "entirely)"
-                )
-            try:
-                values.append(float(row[name]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{source}: row {i} field {name!r}: {row[name]!r} is "
-                    "not a number"
-                ) from exc
-        extra = [
-            f
-            for f in _OPTIONAL_FIELDS
-            if f in row and f not in columns
-        ]
-        if extra:
-            raise ValueError(
-                f"{source}: row {i} introduces {extra} midway (optional "
-                "columns must be present for every request or absent "
-                "entirely)"
-            )
-    return TraceLog(
-        timestamps_ms=_as_float64(columns[TIMESTAMP_FIELD]),
-        slo_ms=(
-            _as_float64(columns[SLO_FIELD]) if SLO_FIELD in columns else None
-        ),
-        accuracy_floor=(
-            _as_float64(columns[ACCURACY_FIELD])
-            if ACCURACY_FIELD in columns
-            else None
-        ),
-    )
+    width = len(header)
+    if set(map(len, rows)) != {width}:
+        i = next((i for i, row in enumerate(rows) if len(row) > width), None)
+        if i is not None:
+            raise ValueError(f"{source}: row {i} is wider than the header {header}")
+        rows = [row + (None,) * (width - len(row)) for row in rows]
+    columns = {name: list(map(itemgetter(j), rows)) for j, name in enumerate(header)}
+    return TraceLog(**{
+        attr: _floats(source, name, columns[name], number)
+        for name, attr in _ATTR_BY_FIELD.items() if name in columns
+    })
 
 
-def read_csv_log(path: str) -> TraceLog:
+def _parsed(
+    path: str | os.PathLike[str], rows_of: Any, number: frozenset[type]
+) -> TraceLog:
+    """The log at ``path`` as ``rows_of`` reads it, parsed once per content."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = (rows_of, hashlib.sha256(data).digest())
+    if key not in _PARSED:
+        source = os.fspath(path)
+        _PARSED[key] = _log_from_rows(source, *rows_of(source, data.decode()), number)
+    return _PARSED[key]
+
+
+def read_csv_log(path: str | os.PathLike[str]) -> TraceLog:
     """Load a CSV request log (header row + one request per data row)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty trace log")
-        unknown = [
-            name
-            for name in reader.fieldnames
-            if name not in (TIMESTAMP_FIELD, *_OPTIONAL_FIELDS)
-        ]
-        if unknown:
-            raise ValueError(
-                f"{path}: unknown trace log columns {unknown}; expected a "
-                f"subset of {[TIMESTAMP_FIELD, *_OPTIONAL_FIELDS]}"
-            )
-        rows: list[Mapping[str, Any]] = list(reader)
-    return _log_from_rows(rows, source=path)
+    return _parsed(path, _csv_rows, frozenset({str}))
 
 
-def read_jsonl_log(path: str) -> TraceLog:
+def read_jsonl_log(path: str | os.PathLike[str]) -> TraceLog:
     """Load a JSONL request log (one JSON object per line)."""
-    rows: list[Mapping[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: each line must be a JSON object, "
-                    f"got {type(row).__name__}"
-                )
-            rows.append(row)
-    return _log_from_rows(rows, source=path)
+    return _parsed(path, _jsonl_rows, frozenset({int, float}))
 
 
 def load_trace_log(
@@ -264,8 +279,11 @@ def load_trace_log(
 ) -> TraceLog:
     """Load a request log, dispatching on extension (.csv / .jsonl).
 
-    ``limit`` keeps only the first ``limit`` arrivals *after* the canonical
-    timestamp sort, matching ``ArrivalSpec.limit`` semantics.
+    A content is read, checked and sorted once per process: the log is kept,
+    read-only, under a digest of the file's bytes (an edited file is a new
+    key).  ``limit`` keeps the first ``limit`` arrivals *after* the timestamp
+    sort (``ArrivalSpec.limit``), which reads the whole file: any later line
+    may carry an earlier timestamp.
     """
     path = os.fspath(path)
     lower = path.lower()
@@ -284,14 +302,12 @@ def load_trace_log(
 # ------------------------------------------------------------------ writers
 def write_csv_log(path: str, log: TraceLog) -> None:
     """Write a CSV request log that :func:`read_csv_log` inverts exactly."""
-    columns = log.columns()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in log.rows():
-            # repr round-trips IEEE doubles exactly, so the written text
-            # parses back to the same bits.
-            writer.writerow([repr(row[name]) for name in columns])
+        writer.writerow(log.columns())
+        # repr round-trips IEEE doubles exactly, so the written text parses
+        # back to the same bits.
+        writer.writerows(map(repr, row.values()) for row in log.rows())
 
 
 def write_jsonl_log(path: str, log: TraceLog) -> None:
@@ -357,7 +373,7 @@ def fit_piecewise_poisson(
     ``merge_tolerance`` (relative) are pooled — a constant-rate log
     collapses to a single segment, a flash crowd keeps its spike.
     """
-    ts = _as_float64(timestamps_ms)
+    ts = np.asarray(timestamps_ms, dtype=np.float64)
     if ts.ndim != 1 or ts.size < 2:
         raise ValueError("fitting needs at least two timestamps")
     if not np.all(np.isfinite(ts)):

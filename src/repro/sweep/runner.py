@@ -20,10 +20,12 @@ labelled sweeps.  Guarantees:
 * **Tables built once, in the caller** — every cell is resolved and every
   serve table the cells read is built
   (:func:`~repro.serving.api.build_tables`) into the process's
-  :data:`~repro.serving.api.PROCESS_STACK_CACHE` before any worker forks.
-  Workers receive resolved scenarios, inherit the tables copy-on-write
-  and only simulate; each serve key builds once per process, so a later
-  sweep in the same process builds nothing.
+  :data:`~repro.serving.api.PROCESS_STACK_CACHE`, and every replayed
+  request log parsed (:func:`~repro.serving.trace_io.load_trace_log`),
+  before any worker forks.  Workers receive resolved scenarios, inherit
+  the tables and logs copy-on-write and only simulate; each serve key
+  builds and each log parses once per process, so a later sweep in the
+  same process builds and parses nothing.
 * **Sequential fallback** — ``workers <= 1``, a single cell, or a platform
   without ``fork`` (spawn would need every backend picklable) all run the
   cells in-process, in grid order, producing the identical artifact.
@@ -172,9 +174,11 @@ def _failure(exc: Exception) -> str:
 
 
 def _prepared(scenario: ScenarioSpec) -> ScenarioSpec | str:
-    """``scenario`` with its tables built, or the error text of the build."""
+    """``scenario`` with its tables built and its request log parsed, or the
+    error text of either."""
     try:
         build_tables(scenario, stack_cache=PROCESS_STACK_CACHE)
+        scenario.arrivals.trace_log()
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return _failure(exc)
     return scenario
@@ -213,8 +217,9 @@ def _measure_cells(
     """``(error, measurement)`` per cell, given as its scenario or as the
     error text of its overrides.
 
-    Every table the scenarios read is built here, before any worker forks,
-    so workers inherit them and only simulate.
+    Every table and request log the scenarios read is built or parsed
+    here, before any worker forks, so workers inherit them and only
+    simulate.
     """
     prepared = [c if isinstance(c, str) else _prepared(c) for c in cells]
     ran = iter(

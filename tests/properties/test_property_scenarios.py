@@ -1,7 +1,9 @@
 """Whole-scenario invariants on generated scenarios.
 
 A hypothesis strategy overrides the committed ``poisson``, ``batched``,
-``faulty``, ``autoscale`` and ``hetero`` scenarios at 50–600 queries.  Per
+``faulty``, ``autoscale`` and ``hetero`` scenarios at 50–600 queries, and
+the ``replayed`` one (trace arrivals from the committed 60-request log) at
+up to 60, with its ``rate_scale``, ``time_scale`` and ``limit``.  Per
 replica group it draws the backend ``kind``, the queue ``discipline``,
 ``max_batch``, the batching policy, the replica ``count`` and the cold-start
 ``startup_delay_ms``; scenario-wide the router, the admission policy, the
@@ -49,25 +51,43 @@ from repro.serving.engine.results import ResultTable
 from repro.serving.engine.routing import ROUTER_NAMES, JoinShortestQueueRouter
 from repro.serving.spec import BACKEND_KINDS, BATCHING_POLICIES, ScenarioSpec
 
-SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SCENARIOS = REPO_ROOT / "examples" / "scenarios"
 BASES = {
     name: ScenarioSpec.from_dict(json.loads((SCENARIOS / f"{name}.json").read_text()))
-    for name in ("poisson_pool", "batched_pool", "faulty_pool", "autoscale_pool", "hetero_pool")
+    for name in (
+        "poisson_pool", "batched_pool", "faulty_pool", "autoscale_pool", "hetero_pool",
+        "replayed_pool",
+    )
 }
+# The committed log path is relative to the repository root.
+BASES["replayed_pool"] = BASES["replayed_pool"].override(
+    "arrivals.path", str(REPO_ROOT / BASES["replayed_pool"].arrivals.path)
+)
+#: Requests in the replayed log (``examples/traces/replay_sample.csv``).
+LOG_ROWS = 60
 STACK_CACHE: dict = {}
 
 
 @st.composite
 def scenarios(draw) -> ScenarioSpec:
     base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    replay = base.arrivals.kind == "trace"
+    num_queries = draw(st.integers(1, LOG_ROWS) if replay else st.integers(50, 600))
     overrides = [
-        ("num_queries", draw(st.integers(50, 600))),
+        ("num_queries", num_queries),
         ("router", draw(st.sampled_from(ROUTER_NAMES))),
         ("admission", draw(st.sampled_from(ADMISSION_NAMES))),
         ("seed", draw(st.integers(0, 2**16))),
     ]
     if base.arrivals.kind == "poisson":
         overrides.append(("arrivals.rate_per_ms", draw(st.floats(0.2, 6.0))))
+    if replay:
+        overrides += [
+            ("arrivals.rate_scale", draw(st.floats(0.2, 5.0))),
+            ("arrivals.time_scale", draw(st.floats(0.2, 5.0))),
+            ("arrivals.limit", draw(st.none() | st.integers(num_queries, LOG_ROWS))),
+        ]
     if base.faults is not None:
         overrides += [
             ("faults.seed", draw(st.integers(0, 2**16))),

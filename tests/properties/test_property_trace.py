@@ -14,6 +14,12 @@ Three families of properties:
   and the reference loop (``engine_oracle.reference_run``).  Replay is a
   pure arrival source, never a behavioral fork.
 
+* **Malformed logs fail as data errors** — a valid CSV or JSONL log with
+  cells dropped, duplicated, blanked or replaced by junk, columns or keys
+  added, the header edited or a line truncated either loads or raises one
+  ``ValueError``: never a ``KeyError``, ``TypeError`` or ``IndexError``
+  from inside the reader.
+
 * **Fitter recovery** — on an evenly spaced log the piecewise-Poisson
   fitter recovers the exact nominal rate, near-zero interarrival CV, and
   a synthetic ``ArrivalSpec`` recipe that parses and round-trips.
@@ -42,6 +48,7 @@ from repro.serving import (
 from repro.serving.api import build_engine, build_trace, run_scenario
 from repro.serving.trace_io import (
     TraceFit,
+    load_trace_log,
     read_csv_log,
     read_jsonl_log,
     write_csv_log,
@@ -103,6 +110,66 @@ class TestLogRoundTrip:
         write_csv_log(root / "log.csv", log)
         write_jsonl_log(root / "log.jsonl", log)
         assert read_csv_log(root / "log.csv") == read_jsonl_log(root / "log.jsonl")
+
+
+#: What a mutation writes into a cell, a column name or a key.
+junk = st.sampled_from(
+    ["", " ", "x", "nan", "inf", "-1", "1e999", "0", "true", "null", '"5"', "[1]",
+     "{}", "1,2", '"', "timestamp_ms", "slo_ms", "accuracy_floor", "foo"]
+) | st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+#: Keys a JSONL row wider than its header gets, in order.
+EXTRA_KEYS = ("slo_ms", "accuracy_floor", "foo", "timestamp_ms")
+
+
+def _jsonl_line(header: list[str], cells: list[str]) -> str:
+    keys = header + list(EXTRA_KEYS)[: max(0, len(cells) - len(header))]
+    pairs = [f"{json.dumps(k)}: {c or json.dumps(c)}" for k, c in zip(keys, cells)]
+    return "{" + ", ".join(pairs) + "}"
+
+
+@st.composite
+def mutated_logs(draw):
+    """``(extension, text)``: a written log, then one to three mutations."""
+    log = draw(trace_logs())
+    table = [list(log.columns())] + [list(map(repr, r.values())) for r in log.rows()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "blank", "put", "add", "header"]))
+        row = table[0 if op == "header" else draw(st.integers(0, len(table) - 1))]
+        j = draw(st.integers(0, len(row)))
+        if op == "add":
+            row.append(draw(junk))
+        elif j < len(row):
+            if op == "drop":
+                del row[j]
+            elif op == "duplicate":
+                row.insert(j, row[j])
+            else:
+                row[j] = "" if op == "blank" else draw(junk)
+    extension = draw(st.sampled_from([".csv", ".jsonl"]))
+    if extension == ".csv":
+        lines = [",".join(row) for row in table]
+    else:
+        lines = [_jsonl_line(table[0], row) for row in table[1:]]
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k][: draw(st.integers(0, len(lines[k])))]
+    return extension, "\n".join(lines) + "\n"
+
+
+class TestMalformedLogs:
+    @given(case=mutated_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_log_loads_or_raises_one_value_error(self, case, tmp_path_factory):
+        extension, text = case
+        path = tmp_path_factory.mktemp("fuzz") / f"log{extension}"
+        path.write_text(text, encoding="utf-8")
+        try:
+            log = load_trace_log(path)
+        except ValueError:
+            return
+        assert isinstance(log, TraceLog)
+        assert len(log) >= 1
 
 
 nondecreasing_events = st.lists(

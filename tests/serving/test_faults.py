@@ -51,7 +51,6 @@ from repro.serving.obs import (
     TraceRecorder,
     chrome_trace,
     summarize_chrome_trace,
-    summarize_trace,
 )
 from repro.serving.query import QueryTrace
 
@@ -558,10 +557,14 @@ class TestFaultObservability:
         return result
 
     def test_summary_reports_drop_reasons_and_downtime(self, traced):
-        text = summarize_trace(traced.trace)
-        assert "drops by reason:" in text
-        assert "faults:" in text
-        assert "crashed at" in text and "ms down" in text
+        trace = traced.trace
+        text = summarize_chrome_trace(chrome_trace(trace))
+        reasons = {s.drop_reason for s in trace.spans if s.status == "dropped"}
+        assert "drops by reason: " in text
+        assert all(f"{reason}=" in text for reason in reasons - {None})
+        assert f"fault instants: {len(trace.faults)}\n" in text
+        crashes = sum(1 for fault in trace.faults if fault.kind == "crash")
+        assert text.count(" ms down)") == crashes > 0
 
     def test_chrome_trace_gains_a_fault_track(self, traced):
         payload = chrome_trace(traced.trace)

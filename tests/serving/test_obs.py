@@ -37,7 +37,6 @@ from repro.serving.obs import (
     metrics_rows,
     snapshot_rows,
     summarize_chrome_trace,
-    summarize_trace,
     write_chrome_trace,
     write_metrics,
 )
@@ -147,8 +146,9 @@ class TestRecordedRun:
         trace = result.trace
         assert trace is not None
         assert len(trace.spans) == len(result.outcomes) + len(result.dropped)
-        assert trace.num_served == len(result.outcomes)
-        assert trace.num_dropped == len(result.dropped)
+        statuses = [span.status for span in trace.spans]
+        assert statuses.count("served") == len(result.outcomes)
+        assert statuses.count("dropped") == len(result.dropped)
         assert trace.duration_ms == result.duration_ms
         assert len(trace.replicas) == 2
 
@@ -279,12 +279,13 @@ class TestExporters:
         ]
 
     def test_text_summaries(self, traced):
-        text = summarize_trace(traced.trace)
-        assert f"{traced.trace.num_served} served" in text
-        assert "scaling events" in text
-        exported = summarize_chrome_trace(chrome_trace(traced.trace))
-        assert "query spans" in exported
-        assert "scaling instants" in exported
+        trace = traced.trace
+        text = summarize_chrome_trace(chrome_trace(trace))
+        dropped = sum(1 for span in trace.spans if span.status == "dropped")
+        # Offered and dropped spans pin the served count too.
+        assert f"query spans: {len(trace.spans)} ({dropped} dropped)" in text
+        assert trace.scaling_events
+        assert f"scaling instants: {len(trace.scaling_events)}\n" in text
 
 
 class TestCli:

@@ -7,9 +7,16 @@ messages — malformed logs must fail loudly at load time, never mid-run.
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.serving import trace_io
+from repro.serving.api import run_scenario
+from repro.serving.spec import ScenarioSpec
 from repro.serving.trace_io import (
     TraceLog,
     fit_piecewise_poisson,
@@ -19,6 +26,15 @@ from repro.serving.trace_io import (
     write_csv_log,
     write_jsonl_log,
 )
+from repro.sweep import SweepSpec, run_grid
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+REPLAYED_POOL = REPO_ROOT / "examples" / "scenarios" / "replayed_pool.json"
+REPLAY_GRID = REPO_ROOT / "examples" / "sweeps" / "replay_grid.json"
+
+_PARSES: list[int] = []
+"""The pid of every log parse since the ``parses`` fixture began."""
 
 
 def write(path, text):
@@ -125,6 +141,110 @@ class TestReaders:
         path = write(tmp_path / "log.jsonl", "[1.0]\n")
         with pytest.raises(ValueError):
             read_jsonl_log(path)
+
+    @pytest.mark.parametrize(
+        "name, text, match",
+        [
+            # JSONL keys obey the CSV header's column schema.
+            (
+                "log.jsonl",
+                '{"timestamp_ms": 1, "foo": 2}\n',
+                r"log\.jsonl:1: unknown trace log columns \['foo'\]",
+            ),
+            (
+                "log.jsonl",
+                '{"timestamp_ms": 1}\n{"timestamp_ms": 2, "foo": 3}\n',
+                r"log\.jsonl:2: unknown trace log columns \['foo'\]",
+            ),
+            # A JSON bool or string is not a number, as in the spec codec.
+            (
+                "log.jsonl",
+                '{"timestamp_ms": true}\n',
+                r"log\.jsonl: row 0 field 'timestamp_ms': True is not a number",
+            ),
+            (
+                "log.jsonl",
+                '{"timestamp_ms": 1}\n{"timestamp_ms": "5"}\n',
+                r"log\.jsonl: row 1 field 'timestamp_ms': '5' is not a number",
+            ),
+            # A CSV value past the header is not silently dropped ...
+            (
+                "log.csv",
+                "timestamp_ms\n0.5\n1,2\n",
+                r"log\.csv: row 1 is wider than the header \['timestamp_ms'\]",
+            ),
+            # ... and a repeated header column does not silently win.
+            (
+                "log.csv",
+                "timestamp_ms,timestamp_ms\n1,2\n",
+                r"log\.csv: repeated trace log columns",
+            ),
+        ],
+    )
+    def test_malformed_log_names_file_and_row(self, tmp_path, name, text, match):
+        path = write(tmp_path / name, text)
+        with pytest.raises(ValueError, match=match) as raised:
+            load_trace_log(path)
+        assert str(path) in str(raised.value)
+
+    def test_short_csv_row_is_a_missing_value(self, tmp_path):
+        path = write(tmp_path / "log.csv", "timestamp_ms,slo_ms\n1.0,2.0\n2.0\n")
+        with pytest.raises(ValueError, match="row 1 is missing 'slo_ms'"):
+            read_csv_log(path)
+
+
+class TestOneParse:
+    """A log is parsed once per process and content, into read-only arrays."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """A cold log cache, every parse's pid logged in ``_PARSES``."""
+        real = trace_io._log_from_rows
+
+        def counting(*args):
+            _PARSES.append(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(trace_io, "_PARSED", {})
+        monkeypatch.setattr(trace_io, "_log_from_rows", counting)
+        _PARSES.clear()
+        return _PARSES
+
+    def test_content_is_parsed_once_and_kept_read_only(self, tmp_path, parses):
+        path = write(tmp_path / "log.csv", "timestamp_ms,slo_ms\n2.0,5.0\n1.0,4.0\n")
+        log = load_trace_log(path)
+        assert load_trace_log(path, limit=1).timestamps_ms.tolist() == [1.0]
+        copy = write(tmp_path / "copy.csv", path.read_text())
+        assert read_csv_log(copy) is log
+        assert len(parses) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            log.timestamps_ms[0] = 7.0
+        # An edited file is a new content: it is parsed, never served stale.
+        write(path, "timestamp_ms\n3.0\n")
+        assert load_trace_log(path).timestamps_ms.tolist() == [3.0]
+        assert len(parses) == 2
+
+    def test_one_parse_per_replayed_run(self, parses, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        spec = ScenarioSpec.from_dict(json.loads(REPLAYED_POOL.read_text()))
+        result = run_scenario(spec)
+        assert result.num_offered == 60
+        assert parses == [os.getpid()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_parse_per_replayed_sweep(self, parses, monkeypatch, workers):
+        monkeypatch.chdir(REPO_ROOT)
+        spec = SweepSpec.from_dict(json.loads(REPLAY_GRID.read_text()))
+        outputs = run_grid(spec, own_parses, workers=workers)
+        assert parses == [os.getpid()]
+        # In-process cells see the caller's one parse; a forked worker
+        # inherits it and parses nothing.
+        assert outputs == [(None, 1 if workers == 1 else 0)] * spec.num_cells
+
+
+def own_parses(spec, result) -> int:
+    """A sweep cell's measurement: the log parses its own process made."""
+    return _PARSES.count(os.getpid())
 
 
 class TestLoadDispatch:
