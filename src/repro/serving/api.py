@@ -57,6 +57,7 @@ from repro.serving.engine import (
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
 from repro.serving.stack import ServeTable, SushiStack, SushiStackConfig
+from repro.serving.trace_io import TraceLog
 from repro.serving.workload import (
     WorkloadGenerator,
     feasible_ranges_from_table,
@@ -140,7 +141,10 @@ def _group_ranges(
 
 
 def build_trace(
-    spec: ScenarioSpec, *, stack_cache: StackCache | None = None
+    spec: ScenarioSpec,
+    *,
+    stack_cache: StackCache | None = None,
+    log: TraceLog | None = None,
 ) -> QueryTrace:
     """The scenario's query trace, with deferred constraint ranges resolved.
 
@@ -153,9 +157,9 @@ def build_trace(
     may carry per-request constraint columns: a ``slo_ms`` column replaces
     the drawn latency constraints, an ``accuracy_floor`` column the drawn
     accuracy constraints, so query ``i`` serves exactly what request ``i``
-    of the log demanded (see :mod:`repro.serving.trace_io`).  The log is
-    the process's one parse of the file, which the run's arrivals and
-    nominal rate read too.
+    of the log demanded (see :mod:`repro.serving.trace_io`).  ``log`` is
+    the spec's :meth:`~repro.serving.spec.ArrivalSpec.trace_log`, when the
+    caller holds it already; ``None`` reads it.
     """
     if stack_cache is None:
         stack_cache = {}
@@ -169,7 +173,8 @@ def build_trace(
             accuracy_range=workload.accuracy_range or acc_range,
             latency_range_ms=workload.latency_range_ms or lat_range,
         )
-    log = spec.arrivals.trace_log()
+    if log is None:
+        log = spec.arrivals.trace_log()
     return WorkloadGenerator(workload, seed=spec.seed).generate(
         name=spec.name,
         accuracy_override=None if log is None else log.accuracy_floor,
@@ -329,13 +334,16 @@ def run_scenario(
     """
     if stack_cache is None:
         stack_cache = {}
-    trace = build_trace(spec, stack_cache=stack_cache)
+    # The log file (if any) is read once; the trace, arrivals and nominal
+    # rate all read this one copy.
+    log = spec.arrivals.trace_log()
+    trace = build_trace(spec, stack_cache=stack_cache, log=log)
     engine = build_engine(spec, stack_cache=stack_cache)
-    arrivals = spec.arrivals.generate(len(trace))
+    arrivals = spec.arrivals.generate(len(trace), log=log)
     return engine.run(
         trace,
         arrivals,
-        arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(),
+        arrival_rate_per_ms=spec.arrivals.nominal_rate_per_ms(log=log),
     )
 
 

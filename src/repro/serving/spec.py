@@ -483,8 +483,14 @@ class ArrivalSpec(JsonSpec):
             )
 
     # ------------------------------------------------------------- generate
-    def generate(self, num_queries: int) -> npt.NDArray[np.float64]:
-        """Cumulative arrival timestamps (ms) for ``num_queries`` queries."""
+    def generate(
+        self, num_queries: int, *, log: "TraceLog | None" = None
+    ) -> npt.NDArray[np.float64]:
+        """Cumulative arrival timestamps (ms) for ``num_queries`` queries.
+
+        ``log`` is this spec's :meth:`trace_log`, when the caller holds it
+        already (one run reads its log file once); ``None`` reads it.
+        """
         if num_queries <= 0:
             raise ValueError("num_queries must be positive")
         if self.kind == "poisson":
@@ -501,7 +507,7 @@ class ArrivalSpec(JsonSpec):
             spaced = np.arange(1, num_queries + 1, dtype=np.float64) / rate
             return np.asarray(spaced, dtype=np.float64)
         if self.kind == "trace":
-            events = self._replayed_ms()
+            events = self._replayed_ms(log)
             if num_queries > events.size:
                 raise ValueError(
                     f"trace provides {events.size} arrivals but the "
@@ -511,10 +517,12 @@ class ArrivalSpec(JsonSpec):
             return events[:num_queries].copy()
         return self._time_varying(num_queries)
 
-    def _replayed_ms(self) -> npt.NDArray[np.float64]:
-        """:meth:`trace_log`'s timestamps (or the limited inline ``events``)
-        times ``time_scale / rate_scale``; a factor of 1.0 keeps the bits."""
-        log = self.trace_log()
+    def _replayed_ms(self, log: "TraceLog | None") -> npt.NDArray[np.float64]:
+        """:meth:`trace_log`'s timestamps (``log``, or read when ``None``)
+        or the limited inline ``events``, times ``time_scale / rate_scale``;
+        a factor of 1.0 keeps the bits."""
+        if log is None:
+            log = self.trace_log()
         if log is not None:
             events = log.timestamps_ms
         else:
@@ -570,14 +578,15 @@ class ArrivalSpec(JsonSpec):
             append(t)
         return np.asarray(arrivals, dtype=np.float64)
 
-    def nominal_rate_per_ms(self) -> float:
-        """The long-run mean arrival rate implied by the spec."""
+    def nominal_rate_per_ms(self, *, log: "TraceLog | None" = None) -> float:
+        """The long-run mean arrival rate implied by the spec (``log`` as
+        in :meth:`generate`)."""
         if self.kind in ("poisson", "deterministic"):
             rate = self.rate_per_ms
             assert rate is not None  # validated in __post_init__
             return float(rate)
         if self.kind == "trace":
-            events = self._replayed_ms()
+            events = self._replayed_ms(log)
             return float(events.size / events[-1])
         total_time = sum(d for d, _ in self.segments)
         total_arrivals = sum(d * r for d, r in self.segments)

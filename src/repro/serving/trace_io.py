@@ -37,7 +37,7 @@ import json
 import os
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -73,14 +73,32 @@ _ATTR_BY_FIELD = {
 }
 
 
+#: Column name -> (row test, what a failing row must be).
+_RANGES: dict[str, tuple[Callable[[Any], Any], str]] = {
+    TIMESTAMP_FIELD: (lambda c: c >= 0.0, "must be non-negative"),
+    SLO_FIELD: (lambda c: c > 0.0, "must be positive"),
+    ACCURACY_FIELD: (lambda c: (c > 0.0) & (c < 1.0), "must lie in (0, 1)"),
+}
+
+
+def _check_rows(
+    name: str, column: npt.NDArray[np.float64], ok: npt.NDArray[np.bool_], rule: str
+) -> None:
+    """Raise naming the first row of ``column`` that ``ok`` rejects."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"row {i} field {name!r}: {float(column[i])!r} {rule}")
+
+
 @dataclass(frozen=True, eq=False)
 class TraceLog:
     """An in-memory request log: timestamps plus optional annotations.
 
-    Rows are canonicalized on construction: sorted stably by timestamp
-    (annotations travel with their row) and validated — timestamps finite
-    and non-negative, SLOs positive, accuracy floors in (0, 1).  The
-    sorted arrays are read-only copies.
+    Rows are canonicalized on construction: validated — timestamps finite
+    and non-negative, SLOs positive, accuracy floors in (0, 1), an error
+    naming the first bad row in the order given — then sorted stably by
+    timestamp (annotations travel with their row).  The sorted arrays are
+    read-only copies.
     """
 
     timestamps_ms: npt.NDArray[np.float64]
@@ -91,29 +109,21 @@ class TraceLog:
         ts = np.asarray(self.timestamps_ms, dtype=np.float64)
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("a trace log needs at least one timestamp")
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("trace timestamps must be finite")
-        if float(ts.min()) < 0.0:
-            raise ValueError("trace timestamps must be non-negative")
         order = np.argsort(ts, kind="stable")
-        for name, column in zip(_ATTR_BY_FIELD.values(), self._arrays()):
+        for (name, attr), column in zip(_ATTR_BY_FIELD.items(), self._arrays()):
             if column is None:
                 continue
             col = np.asarray(column, dtype=np.float64)
             if col.shape != ts.shape:
                 raise ValueError(
-                    f"{name} column has {col.size} values for {ts.size} timestamps"
+                    f"{attr} column has {col.size} values for {ts.size} timestamps"
                 )
-            if not np.all(np.isfinite(col)):
-                raise ValueError(f"{name} values must be finite")
+            _check_rows(name, col, np.isfinite(col), "is not finite")
+            in_range, rule = _RANGES[name]
+            _check_rows(name, col, in_range(col), rule)
             col = col[order]
             col.flags.writeable = False
-            object.__setattr__(self, name, col)
-        if self.slo_ms is not None and float(self.slo_ms.min()) <= 0.0:
-            raise ValueError("slo_ms values must be positive")
-        acc = self.accuracy_floor
-        if acc is not None and not (0.0 < float(acc.min()) and float(acc.max()) < 1.0):
-            raise ValueError("accuracy_floor values must lie in (0, 1)")
+            object.__setattr__(self, attr, col)
 
     def _arrays(self) -> list[npt.NDArray[np.float64] | None]:
         return [getattr(self, attr) for attr in _ATTR_BY_FIELD.values()]
@@ -173,17 +183,32 @@ def _csv_rows(path: str, text: str) -> tuple[list[str] | None, list[tuple]]:
     return header, list(map(tuple, filter(None, reader)))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object whose keys are distinct (``json`` keeps the last of
+    repeated keys)."""
+    row = dict(pairs)
+    if len(row) != len(pairs):
+        raise ValueError(f"repeated trace log columns {[key for key, _ in pairs]}")
+    return row
+
+
+_JSONL_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _jsonl_rows(path: str, text: str) -> tuple[list[str] | None, list[tuple]]:
     """A JSONL log's first keys, and each object's values under them."""
     header: list[str] | None = None
     rows: list[tuple] = []
+    decode = _JSONL_DECODER.decode
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = decode(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(row, dict):
             raise ValueError(
                 f"{path}:{lineno}: each line must be a JSON object, "
@@ -245,10 +270,14 @@ def _log_from_rows(
             raise ValueError(f"{source}: row {i} is wider than the header {header}")
         rows = [row + (None,) * (width - len(row)) for row in rows]
     columns = {name: list(map(itemgetter(j), rows)) for j, name in enumerate(header)}
-    return TraceLog(**{
+    arrays = {
         attr: _floats(source, name, columns[name], number)
         for name, attr in _ATTR_BY_FIELD.items() if name in columns
-    })
+    }
+    try:
+        return TraceLog(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _parsed(

@@ -22,22 +22,43 @@ labelled sweeps.  Guarantees:
   (:func:`~repro.serving.api.build_tables`) into the process's
   :data:`~repro.serving.api.PROCESS_STACK_CACHE`, and every replayed
   request log parsed (:func:`~repro.serving.trace_io.load_trace_log`),
-  before any worker forks.  Workers receive resolved scenarios, inherit
-  the tables and logs copy-on-write and only simulate; each serve key
+  before any worker forks.  Workers inherit the resolved scenarios, the
+  tables and the logs copy-on-write and only simulate; each serve key
   builds and each log parses once per process, so a later sweep in the
   same process builds and parses nothing.
+* **Forked fan-out** — ``workers > 1`` forks ``min(workers, cells)``
+  children that inherit the prepared cells, so no input is pickled; only
+  each cell's ``(error, measurement)`` output is, sent back through the
+  child's own pipe as soon as the cell ends.  Cells are claimed
+  dynamically, so long cells don't serialize behind short ones: each
+  child starts on one cell, and the caller writes the next cell's index
+  into the child's task pipe when it reads the child's result.  Nothing
+  is shared between children, so no lock can be held by a killed one.
+  The caller reads every pipe as data arrives and reaps every child,
+  also when it raises or is interrupted.
+* **Lost workers lose one cell** — a child that dies (killed, say, by the
+  OOM killer) loses only its in-flight cell, which becomes an error cell
+  naming the worker's pid and wait status; while cells remain unclaimed
+  a fresh child takes its place.
 * **Sequential fallback** — ``workers <= 1``, a single cell, or a platform
-  without ``fork`` (spawn would need every backend picklable) all run the
-  cells in-process, in grid order, producing the identical artifact.
+  without ``os.fork`` run the cells in-process, in grid order, producing
+  the identical artifact.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+import os
+import pickle
+import selectors
+import signal
+import struct
+import sys
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from repro.serving.api import (
     PROCESS_STACK_CACHE,
@@ -156,7 +177,7 @@ class SweepResult(JsonSpec):
 
 # ------------------------------------------------------------------ running
 #: A per-cell measurement, called with the cell's scenario and its result.
-#: Module-level functions only: forked workers receive it pickled.
+#: Forked workers inherit it; only what it returns must pickle.
 Measure = Callable[[ScenarioSpec, SimulationResult], Any]
 
 _Payload = tuple[Measure, ScenarioSpec]
@@ -194,21 +215,175 @@ def _run_cell(payload: _Payload) -> _CellOutput:
 
 
 def _map_cells(payloads: list[_Payload], workers: int | None) -> list[_CellOutput]:
-    if workers is None or workers <= 1 or len(payloads) <= 1:
+    if workers is None or workers <= 1 or len(payloads) <= 1 or not hasattr(os, "fork"):
         return [_run_cell(p) for p in payloads]
-    import multiprocessing
+    return _fan_out(payloads, min(workers, len(payloads)))
 
+
+#: A claimed cell's index, caller -> child (one write of 4 bytes is atomic).
+_INDEX = struct.Struct("<I")
+#: A pickled cell output's length, child -> caller, ahead of the output.
+_LENGTH = struct.Struct("<Q")
+
+
+@dataclass
+class _Child:
+    """A forked worker as the caller sees it: its pid, the caller's ends of
+    its two pipes, the cell it is running and its unread result bytes."""
+
+    pid: int
+    results: int
+    tasks: int
+    cell: int | None
+    received: bytearray = field(default_factory=bytearray)
+
+    def output(self) -> _CellOutput | None:
+        """The next whole output received, or ``None`` while it is partial."""
+        if len(self.received) < _LENGTH.size:
+            return None
+        (size,) = _LENGTH.unpack_from(self.received)
+        end = _LENGTH.size + size
+        if len(self.received) < end:
+            return None
+        data = bytes(self.received[_LENGTH.size:end])
+        del self.received[:end]
+        try:
+            return pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            return _failure(exc), None
+
+    def close(self) -> None:
+        for fd in (self.results, self.tasks):
+            if fd >= 0:
+                os.close(fd)
+        self.results = self.tasks = -1
+
+
+def _lost(pid: int, status: int) -> str:
+    """The error text of a cell whose worker died running it."""
+    if os.WIFSIGNALED(status):
+        how = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    else:
+        how = f"exit code {os.waitstatus_to_exitcode(status)}"
+    return (
+        f"WorkerLost: sweep worker {pid} died running this cell "
+        f"(wait status {status}: {how})"
+    )
+
+
+def _flush_std_streams() -> None:
+    """Flush what a fork would otherwise print twice (a closed or missing
+    stream has nothing to flush)."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+def _serve(
+    payloads: list[_Payload], cell: int, results: int, tasks: int, inherited: list[int]
+) -> NoReturn:
+    """A forked child's life: close the ``inherited`` caller-side fds, run
+    ``cell``, send its output, read the next index, until the caller closes
+    the task pipe.  Never returns."""
+    status = 1
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        # No fork on this platform; spawn would need every backend
-        # importable-picklable.  The sequential path produces the identical
-        # artifact, just slower.
-        return [_run_cell(p) for p in payloads]
-    with ctx.Pool(processes=min(workers, len(payloads))) as pool:
-        # chunksize=1 so long cells don't serialize behind short ones; map
-        # returns the outputs in grid order whichever worker ran them.
-        return pool.map(_run_cell, payloads, chunksize=1)
+        for fd in inherited:
+            os.close(fd)
+        while True:
+            output = _run_cell(payloads[cell])
+            try:
+                data = pickle.dumps(output, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                data = pickle.dumps((_failure(exc), None), pickle.HIGHEST_PROTOCOL)
+            frame = memoryview(_LENGTH.pack(len(data)) + data)
+            while frame:
+                frame = frame[os.write(results, frame):]
+            claim = os.read(tasks, _INDEX.size)
+            if not claim:
+                break
+            (cell,) = _INDEX.unpack(claim)
+        status = 0
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(status)
+
+
+def _fan_out(payloads: list[_Payload], workers: int) -> list[_CellOutput]:
+    """Run ``payloads`` on ``workers`` forked children; outputs in payload order."""
+    outputs: dict[int, _CellOutput] = {}
+    unclaimed = collections.deque(range(len(payloads)))
+    children: dict[int, _Child] = {}  # by pid
+    selector = selectors.DefaultSelector()
+
+    def fork(cell: int) -> None:
+        results_r, results_w = os.pipe()
+        tasks_r, tasks_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # A child holding a sibling's task pipe open would keep the
+            # sibling waiting for a next cell after the caller closed its
+            # end, or died.
+            inherited = [fd for c in children.values() for fd in (c.results, c.tasks)]
+            inherited += [results_r, tasks_w]
+            _serve(payloads, cell, results_w, tasks_r, [fd for fd in inherited if fd >= 0])
+        os.close(results_w)
+        os.close(tasks_r)
+        child = children[pid] = _Child(pid, results_r, tasks_w, cell)
+        selector.register(results_r, selectors.EVENT_READ, child)
+
+    def hand_next(child: _Child) -> None:
+        """Give ``child`` the next unclaimed cell, or close its task pipe."""
+        if not unclaimed:
+            child.cell = None
+            os.close(child.tasks)
+            child.tasks = -1
+            return
+        child.cell = unclaimed.popleft()
+        try:
+            os.write(child.tasks, _INDEX.pack(child.cell))
+        except BrokenPipeError:
+            # The child exited before it could claim the cell; the
+            # replacement its end of file forks takes the cell instead.
+            unclaimed.appendleft(child.cell)
+            child.cell = None
+
+    _flush_std_streams()
+    try:
+        for _ in range(workers):
+            fork(unclaimed.popleft())
+        while children:
+            for key, _ in selector.select():
+                child = key.data
+                chunk = os.read(child.results, 1 << 16)
+                if chunk:
+                    child.received += chunk
+                    while child.cell is not None and (output := child.output()) is not None:
+                        outputs[child.cell] = output
+                        hand_next(child)
+                    continue
+                # End of file: the child has exited, or died mid-cell.
+                selector.unregister(child.results)
+                child.close()
+                _, status = os.waitpid(child.pid, 0)
+                del children[child.pid]
+                if child.cell is not None:
+                    outputs[child.cell] = _lost(child.pid, status), None
+                if unclaimed:
+                    fork(unclaimed.popleft())
+    finally:
+        selector.close()
+        for child in children.values():
+            child.close()
+            try:
+                os.kill(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(child.pid, 0)
+    return [outputs[cell] for cell in range(len(payloads))]
 
 
 def _measure_cells(

@@ -116,9 +116,8 @@ class SweepSpec(JsonSpec):
         return tuple(itertools.product(*per_axis))
 
     def scenario(self, cell: tuple[tuple[str, Any], ...]) -> ScenarioSpec:
-        """The concrete scenario of one grid cell (overrides applied)."""
-        spec = self.base.override_many(cell)
+        """The concrete scenario of one grid cell: its overrides, then its
+        ``name`` label, applied and validated in one pass."""
         labels = ",".join(f"{path}={value}" for path, value in cell)
-        if labels:
-            spec = spec.override("name", f"{self.base.name}[{labels}]")
-        return spec
+        named = [("name", f"{self.base.name}[{labels}]")] if labels else []
+        return self.base.override_many([*cell, *named])

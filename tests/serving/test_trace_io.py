@@ -173,11 +173,44 @@ class TestReaders:
                 "timestamp_ms\n0.5\n1,2\n",
                 r"log\.csv: row 1 is wider than the header \['timestamp_ms'\]",
             ),
-            # ... and a repeated header column does not silently win.
+            # ... and a repeated header column does not silently win,
             (
                 "log.csv",
                 "timestamp_ms,timestamp_ms\n1,2\n",
                 r"log\.csv: repeated trace log columns",
+            ),
+            # ... nor does a repeated JSONL key.
+            (
+                "log.jsonl",
+                '{"timestamp_ms": 0}\n{"timestamp_ms": 1, "timestamp_ms": 2}\n',
+                r"log\.jsonl:2: repeated trace log columns "
+                r"\['timestamp_ms', 'timestamp_ms'\]",
+            ),
+            # Values out of range name the row, in the file's order.
+            (
+                "log.csv",
+                "timestamp_ms\n2\n-1\n",
+                r"log\.csv: row 1 field 'timestamp_ms': -1\.0 must be non-negative",
+            ),
+            (
+                "log.csv",
+                "timestamp_ms,slo_ms\n2,1\n1,0\n",
+                r"log\.csv: row 1 field 'slo_ms': 0\.0 must be positive",
+            ),
+            (
+                "log.jsonl",
+                '{"timestamp_ms": 1, "accuracy_floor": 1.5}\n',
+                r"log\.jsonl: row 0 field 'accuracy_floor': 1\.5 must lie in \(0, 1\)",
+            ),
+            (
+                "log.csv",
+                "timestamp_ms,accuracy_floor\n1,0.5\n2,0\n",
+                r"log\.csv: row 1 field 'accuracy_floor': 0\.0 must lie in \(0, 1\)",
+            ),
+            (
+                "log.csv",
+                "timestamp_ms\n1\nnan\n",
+                r"log\.csv: row 1 field 'timestamp_ms': nan is not finite",
             ),
         ],
     )
@@ -227,9 +260,22 @@ class TestOneParse:
     def test_one_parse_per_replayed_run(self, parses, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         spec = ScenarioSpec.from_dict(json.loads(REPLAYED_POOL.read_text()))
+        reads: list[str] = []
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(os.fspath(path))
+            return open(path, *args, **kwargs)
+
+        # The trace, the arrivals and the nominal rate read one copy of the
+        # log: its file is read (and hashed) once per run, not per reader.
+        monkeypatch.setattr(trace_io, "open", counting_open, raising=False)
         result = run_scenario(spec)
         assert result.num_offered == 60
         assert parses == [os.getpid()]
+        assert reads == [spec.arrivals.path]
+        run_scenario(spec)
+        assert parses == [os.getpid()]
+        assert reads == [spec.arrivals.path] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_parse_per_replayed_sweep(self, parses, monkeypatch, workers):

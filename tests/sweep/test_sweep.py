@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +260,116 @@ class TestTablesBuiltInCaller:
             None,
         ]
         assert run_grid(spec, own_builds, workers=2)[::2] == [(None, 0)] * 2
+
+
+#: Runs ``run_grid(workers=2)`` over the sweep read from stdin, where each
+#: cell whose replica count is in ``argv[2:]`` does ``argv[1]`` from inside
+#: its worker: ``kill`` SIGKILLs the worker, ``interrupt`` sends the caller
+#: SIGINT and sleeps.  Prints the outputs (or ``"interrupted"``) and
+#: whether any child is left.
+_LOST_WORKER_SCRIPT = """\
+import json, os, signal, sys, time
+from repro.sweep import SweepSpec, run_grid
+
+def measure(spec, result):
+    if str(spec.replica_groups[0].count) in sys.argv[2:]:
+        if sys.argv[1] == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+    return result.num_served
+
+spec = SweepSpec.from_json(sys.stdin.read())
+try:
+    outputs = run_grid(spec, measure, workers=2)
+except KeyboardInterrupt:
+    outputs = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"outputs": outputs, "children_left": left}))
+"""
+
+
+def lost_worker_spec() -> SweepSpec:
+    return SweepSpec(
+        base=base_scenario(),
+        axes=(SweepAxis(path="replica_groups.0.count", values=(1, 2, 3)),),
+        name="lost-worker",
+    )
+
+
+def num_served(spec: ScenarioSpec, result) -> int:
+    return result.num_served
+
+
+def run_lost_worker_script(action: str, *counts: int, timeout_s: float = 30.0) -> dict:
+    """The script's report; fails if it outlives ``timeout_s``.
+
+    The script leads its own process group, which is killed however this
+    returns, so a hung sweep leaves no worker behind either.
+    """
+    spec = lost_worker_spec()
+    repo = Path(__file__).resolve().parents[2]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LOST_WORKER_SCRIPT, action, *map(str, counts)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=repo,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(spec.to_json(), timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"run_grid({action!r}) still running after {timeout_s} s")
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+class TestLostWorkers:
+    """A worker that dies loses only its own cell, and no worker outlives
+    ``run_grid``."""
+
+    def test_killed_worker_is_an_error_cell_and_the_sweep_returns(self):
+        report = run_lost_worker_script("kill", 2)
+        first, (error, measured), last = map(tuple, report["outputs"])
+        in_process = run_grid(lost_worker_spec(), num_served, workers=1)
+        assert [first, last] == in_process[::2]
+        assert all(error is None for error, _ in in_process)
+        assert measured is None
+        assert error.startswith("WorkerLost: sweep worker ")
+        assert "wait status 9: killed by SIGKILL" in error
+        assert not report["children_left"]
+
+    def test_a_lost_worker_is_replaced_while_cells_remain(self):
+        # Both first workers die; a fresh one still runs the last cell.
+        report = run_lost_worker_script("kill", 1, 2)
+        lost = [error for error, _ in report["outputs"][:2]]
+        assert all(error.startswith("WorkerLost: ") for error in lost)
+        assert tuple(report["outputs"][2]) == run_grid(lost_worker_spec(), num_served)[2]
+        assert not report["children_left"]
+
+    def test_interrupted_caller_reaps_every_worker(self):
+        report = run_lost_worker_script("interrupt", 2)
+        assert report == {"outputs": "interrupted", "children_left": False}
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-worker sweep forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_sweep(grid_spec(), workers=1).num_ok == 4
 
 
 class TestWorkersImportNoMaskedArrays:
