@@ -78,14 +78,13 @@ def test_bench_batching_overload(benchmark, show):
             seed=0,
         )
     )
-    stack_cache = {stack.config: stack}
     # 4x one replica's fastest possible service: the 2-replica pool is
     # overloaded (rho >= 2) even at the table's minimum latency.
     (overload_rate,) = overload_rates(stack, (4.0,))
 
     def cells():
         return {
-            b: run_scenario(_scenario(b, overload_rate), stack_cache=stack_cache)
+            b: run_scenario(_scenario(b, overload_rate))
             for b in (1, 8)
         }
 

@@ -46,14 +46,13 @@ def test_bench_multi_replica_sweep(benchmark, show):
             supernet_name="ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0
         )
     )
-    stack_cache = {stack.config: stack}
     # A light rate and one that overloads a single replica even if every
     # query were served at the table's minimum latency (rho_1 >= 1.5).
     light_rate, overload_rate = overload_rates(stack, (0.375, 1.5))
 
     def sweep():
         return {
-            (n, rate): run_scenario(_scenario(n, rate), stack_cache=stack_cache)
+            (n, rate): run_scenario(_scenario(n, rate))
             for n in REPLICA_COUNTS
             for rate in (light_rate, overload_rate)
         }
@@ -90,7 +89,6 @@ def test_bench_heterogeneous_pool(benchmark, show):
             supernet_name="ofa_mobilenetv3", policy=Policy.STRICT_LATENCY, seed=0
         )
     )
-    stack_cache = {stack.config: stack}
     (overload_rate,) = overload_rates(stack, (1.5,))
     hetero = ScenarioSpec(
         name="bench-hetero",
@@ -109,8 +107,8 @@ def test_bench_heterogeneous_pool(benchmark, show):
         seed=0,
     )
 
-    result = benchmark(lambda: run_scenario(hetero, stack_cache=stack_cache))
-    single = run_scenario(_scenario(1, overload_rate), stack_cache=stack_cache)
+    result = benchmark(lambda: run_scenario(hetero))
+    single = run_scenario(_scenario(1, overload_rate))
     show(
         f"hetero 1 large + 1 small PB: rho={result.offered_load:.3f} "
         f"attainment={result.slo_attainment:.3f} vs single {single.slo_attainment:.3f}"

@@ -3,22 +3,14 @@
 import pytest
 
 from repro.experiments import tab05_table_size as exp
-from repro.serving import api, baselines
+from repro.serving import stack
 
 
 @pytest.fixture
-def cold_tables():
-    """Empties the process's table caches before each round; restores them after."""
-    saved = dict(api.PROCESS_STACK_CACHE), dict(baselines._TABLES)
-
-    def empty() -> None:
-        api.PROCESS_STACK_CACHE.clear()
-        baselines._TABLES.clear()
-
-    yield empty
-    for cache, entries in zip((api.PROCESS_STACK_CACHE, baselines._TABLES), saved):
-        cache.clear()
-        cache.update(entries)
+def cold_tables(monkeypatch):
+    """Empties the process's table cache before each round; restores it after."""
+    monkeypatch.setattr(stack, "_TABLES", {})
+    return stack._TABLES.clear
 
 
 @pytest.mark.parametrize("supernet", ["ofa_resnet50", "ofa_mobilenetv3"])

@@ -32,9 +32,7 @@ SCENARIO = Path(__file__).parent / "scenarios" / "autoscale_pool.json"
 
 def main() -> None:
     spec = ScenarioSpec.from_json(SCENARIO.read_text())
-    stack_cache: dict = {}
-
-    result = run_scenario(spec, stack_cache=stack_cache)
+    result = run_scenario(spec)
     print(format_result_summary(spec, result))
     print()
 
@@ -50,7 +48,7 @@ def main() -> None:
     static = spec.override("autoscaler", None)
     for count in (1, 2, 3, 4):
         scaled = static.override("replica_groups.0.count", count)
-        r = run_scenario(scaled, stack_cache=stack_cache)
+        r = run_scenario(scaled)
         rows.append((f"static-{count}", r.slo_attainment, r.replica_seconds, float(count)))
     for label, slo, cost, mean_replicas in rows:
         print(

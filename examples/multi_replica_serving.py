@@ -58,10 +58,9 @@ def main() -> None:
         arrivals=ArrivalSpec(kind="poisson", rate_per_ms=rate, seed=0),
         seed=0,
     )
-    stack_cache = {stack.config: stack}
     for num_replicas in (1, 2, 4):
         scaled = spec.override("replica_groups.0.count", num_replicas)
-        result = run_scenario(scaled, stack_cache=stack_cache)
+        result = run_scenario(scaled)
         print(format_result_summary(scaled, result))
         print()
 

@@ -31,9 +31,9 @@ from repro.experiments.serving_pool import (
 )
 from repro.serving.engine import SimulationResult
 from repro.serving.spec import ArrivalSpec, BatchingSpec, ScenarioSpec
-from repro.serving.stack import SushiStackConfig
+from repro.serving.stack import SushiStackConfig, sushi_table
 from repro.serving.workload import feasible_ranges_from_table
-from repro.sweep import Grid, template_stack
+from repro.sweep import Grid
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def grid(
         cache_update_period=cache_update_period,
         seed=seed,
     )
-    table = template_stack(config).table
+    table = sushi_table(config).table
     acc_range, (fastest_ms, slowest_ms) = feasible_ranges_from_table(table)
     segments = tuple(
         (duration, rate * rate_scale)

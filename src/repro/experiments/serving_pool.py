@@ -29,12 +29,12 @@ from repro.core.metrics import (
     latency_improvement_percent,
     summarize_records,
 )
-from repro.serving.api import PROCESS_STACK_CACHE, serve_table
+from repro.serving.api import serve_table
 from repro.serving.engine import SimulationResult
 from repro.serving.spec import ArrivalSpec, ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import SushiStackConfig
+from repro.serving.stack import SushiStackConfig, sushi_table
 from repro.serving.workload import Pattern, WorkloadSpec, feasible_ranges_from_table
-from repro.sweep import Grid, SweepAxis, SweepSpec, template_stack
+from repro.sweep import Grid, SweepAxis, SweepSpec
 
 _P = TypeVar("_P")
 
@@ -66,8 +66,8 @@ def measured(cls: type[_P], result: SimulationResult, **fields: Any) -> _P:
 
 
 def fastest_service_ms(config: SushiStackConfig) -> float:
-    """The fastest SubNet latency of ``config``'s cached template stack."""
-    return float(template_stack(config).table.latencies_ms.min())
+    """The fastest SubNet latency of ``config``'s serve table."""
+    return float(sushi_table(config).table.latencies_ms.min())
 
 
 def pool_scenario(
@@ -201,7 +201,7 @@ def closed_loop_grid(
     the tables the sweep's kinds read.  So every query finds the replica
     idle and starts at its arrival with its whole latency budget: the
     closed loop of the paper's stream figures.  The constraint ranges are
-    the feasible ranges of the config's SUSHI template table whatever the
+    the feasible ranges of the config's SUSHI serve table whatever the
     kind, so every system of a sweep serves the same trace; ``workload``
     holds further :class:`~repro.serving.workload.WorkloadSpec` fields.
     """
@@ -214,11 +214,11 @@ def closed_loop_grid(
         )
         group = cell.replica_groups[0]
         longest = max(
-            serve_table(cell, replace(group, kind=kind), PROCESS_STACK_CACHE)
+            serve_table(cell, replace(group, kind=kind))
             .table.latencies_ms.max()
             for kind in kinds
         )
-        ranges = feasible_ranges_from_table(template_stack(config).table)
+        ranges = feasible_ranges_from_table(sushi_table(config).table)
         cell = replace(
             cell,
             workload=WorkloadSpec(num_queries, *ranges, **workload),

@@ -26,13 +26,14 @@ Guarantees:
   path (one ``AcceleratorReplica`` per ``stack.clone(seed=seed + i)`` in a
   ``ServingEngine``, then ``run_open_loop(trace, ...)``): the same stack
   seeds, clone seeds, workload and arrival draws are used.
-* Stacks passed in via ``stack_cache`` are never mutated — replicas always
-  serve through clones — so one expensive latency table can be shared
-  across many scenarios (sweeps, benchmarks, the CLI).  The table is built
-  once per serve key (SuperNet, platform, ``|S|``), never per policy, seed
-  or ``Q``: stack configs that differ only in those share it.  Baseline
-  backends share :func:`~repro.serving.baselines.baseline_table`, built
-  once per (SuperNet, platform, PB or not) and process.
+* Serve tables live in one process cache
+  (:func:`~repro.serving.stack.process_table`): a SUSHI table (with its
+  caching-decision memo) is built once per serve key (SuperNet, platform,
+  ``|S|``), never per policy, seed or ``Q``, and a baseline table once per
+  (SuperNet, platform, PB or not).  Every scenario, sweep cell, benchmark
+  and CLI run in the process serves from them; replicas serve through
+  their own stacks and servers, so the tables only ever gain memoized
+  entries that are pure functions of their key.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.serving.engine import (
 )
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ReplicaGroupSpec, ScenarioSpec
-from repro.serving.stack import ServeTable, SushiStack, SushiStackConfig
+from repro.serving.stack import ServeTable, SushiStack, SushiStackConfig, sushi_table
 from repro.serving.trace_io import TraceLog
 from repro.serving.workload import (
     WorkloadGenerator,
@@ -64,21 +65,13 @@ from repro.serving.workload import (
 )
 
 __all__ = [
-    "PROCESS_STACK_CACHE",
     "build_engine",
     "build_tables",
     "build_trace",
-    "cached_stack",
     "format_result_summary",
     "run_scenario",
     "serve_table",
 ]
-
-StackCache = dict[SushiStackConfig, SushiStack]
-
-#: The process's template stacks, shared by every sweep and experiment
-#: driver (forked sweep workers inherit it copy-on-write).
-PROCESS_STACK_CACHE: StackCache = {}
 
 
 def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConfig:
@@ -92,60 +85,19 @@ def _stack_config(spec: ScenarioSpec, group: ReplicaGroupSpec) -> SushiStackConf
     )
 
 
-def _serve_key(config: SushiStackConfig) -> tuple:
-    """What a stack's candidates, latency table and serve entries depend on."""
-    return (config.supernet_name, config.platform, config.candidate_set_size)
-
-
-def cached_stack(config: SushiStackConfig, stack_cache: StackCache) -> SushiStack:
-    """The template stack of ``config`` (cached; never served directly).
-
-    Configs that differ only in policy, seed or ``Q`` share one accelerator
-    model, candidate set and serve table (latency table, serve entries and
-    cache-switch table): a new template takes them from any cached stack
-    with the same serve key, and builds only its own scheduler (with its
-    own caching-decision memo).
-    Baseline tables are not kept in ``stack_cache``: like
-    :func:`~repro.serving.stack.supernet_family`, each
-    :func:`~repro.serving.baselines.baseline_table` is built once per process.
-    """
-    stack = stack_cache.get(config)
-    if stack is None:
-        key = _serve_key(config)
-        shared = next((s for c, s in stack_cache.items() if _serve_key(c) == key), None)
-        if shared is None:
-            stack = SushiStack(config)
-        else:
-            stack = SushiStack(
-                config,
-                supernet=shared.supernet,
-                subnets=shared.subnets,
-                accel=shared.accel,
-                accuracy_model=shared.accuracy_model,
-                serve_table=shared.serve_table,
-            )
-        stack_cache[config] = stack
-    return stack
-
-
 def _group_ranges(
-    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
+    spec: ScenarioSpec, group: ReplicaGroupSpec
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Feasible (accuracy, latency) constraint ranges for one group."""
     if group.kind == "sushi":
-        table = cached_stack(_stack_config(spec, group), stack_cache).table
+        table = sushi_table(_stack_config(spec, group)).table
     else:
         platform = group.resolved_platform()
         table = baseline_table(spec.supernet_name, platform, with_pb=False).table
     return feasible_ranges_from_table(table)
 
 
-def build_trace(
-    spec: ScenarioSpec,
-    *,
-    stack_cache: StackCache | None = None,
-    log: TraceLog | None = None,
-) -> QueryTrace:
+def build_trace(spec: ScenarioSpec, *, log: TraceLog | None = None) -> QueryTrace:
     """The scenario's query trace, with deferred constraint ranges resolved.
 
     ``None`` ranges in the workload spec resolve to the feasible ranges of
@@ -161,13 +113,11 @@ def build_trace(
     the spec's :meth:`~repro.serving.spec.ArrivalSpec.trace_log`, when the
     caller holds it already; ``None`` reads it.
     """
-    if stack_cache is None:
-        stack_cache = {}
     workload = spec.workload
     if spec.num_queries is not None:
         workload = replace(workload, num_queries=spec.num_queries)
     if not workload.has_resolved_ranges:
-        acc_range, lat_range = _group_ranges(spec, spec.replica_groups[0], stack_cache)
+        acc_range, lat_range = _group_ranges(spec, spec.replica_groups[0])
         workload = replace(
             workload,
             accuracy_range=workload.accuracy_range or acc_range,
@@ -182,13 +132,12 @@ def build_trace(
     )
 
 
-def serve_table(
-    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
-) -> ServeTable:
-    """What ``group``'s backends serve from: its template stack's table, or
-    the shared baseline table (with a PB for the state-unaware rule)."""
+def serve_table(spec: ScenarioSpec, group: ReplicaGroupSpec) -> ServeTable:
+    """What ``group``'s backends serve from: the process's SUSHI table of
+    its serve key, or the baseline table (with a PB for the state-unaware
+    rule)."""
     if group.kind == "sushi":
-        return cached_stack(_stack_config(spec, group), stack_cache).serve_table
+        return sushi_table(_stack_config(spec, group))
     return baseline_table(
         spec.supernet_name,
         group.resolved_platform(),
@@ -196,35 +145,34 @@ def serve_table(
     )
 
 
-def build_tables(spec: ScenarioSpec, *, stack_cache: StackCache) -> None:
+def build_tables(spec: ScenarioSpec) -> None:
     """Build every serve table ``spec`` reads, and no replica.
 
     The table half of :func:`build_engine`, plus the table
-    :func:`build_trace` draws unresolved constraint ranges from: SUSHI
-    groups' template stacks land in ``stack_cache``, baseline groups'
-    :func:`~repro.serving.baselines.baseline_table` in the process.  A
-    caller that builds them before forking hands every worker the tables
-    copy-on-write, so no worker builds one.
+    :func:`build_trace` draws unresolved constraint ranges from, all into
+    the process's one table cache.  A caller that builds them before
+    forking hands every worker the tables copy-on-write, so no worker
+    builds one.
     """
     if not spec.workload.has_resolved_ranges:
-        _group_ranges(spec, spec.replica_groups[0], stack_cache)
+        _group_ranges(spec, spec.replica_groups[0])
     for group in spec.replica_groups:
-        serve_table(spec, group, stack_cache)
+        serve_table(spec, group)
 
 
 def _server_builder(
-    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
+    spec: ScenarioSpec, group: ReplicaGroupSpec
 ) -> Callable[[int], QueryServer]:
     """A factory producing one group's backends, by engine-global position."""
     if group.kind == "sushi":
-        base = cached_stack(_stack_config(spec, group), stack_cache)
+        base = SushiStack(_stack_config(spec, group))
         seed = base.config.seed
         # The builder receives the engine-global replica position, so two
         # groups sharing a stack config still get decorrelated clones (a
         # single group gets the stack seed + 0..N-1).
         return lambda position: base.clone(seed=seed + position)
 
-    tables = serve_table(spec, group, stack_cache)
+    tables = serve_table(spec, group)
     policy = spec.group_policy(group)
     if group.kind == "no_sushi":
         return lambda position: NoSushiServer(tables, policy=policy)
@@ -242,16 +190,16 @@ def _server_builder(
 
 
 def _replica_builder(
-    spec: ScenarioSpec, group: ReplicaGroupSpec, stack_cache: StackCache
+    spec: ScenarioSpec, group: ReplicaGroupSpec
 ) -> Callable[..., AcceleratorReplica]:
     """``make(position, ordinal=None)``: one replica of ``group``.
 
-    ``position`` is the engine-global replica index (SUSHI groups clone the
-    template stack — cold PB, shared table — seeded by it).  Build-time
-    replicas are named ``{group}-{ordinal}`` by their ordinal within the
-    group; a scale-up passes no ordinal and is named ``{group}-{position}``.
+    ``position`` is the engine-global replica index (SUSHI groups clone one
+    stack — cold PB, shared table — seeded by it).  Build-time replicas are
+    named ``{group}-{ordinal}`` by their ordinal within the group; a
+    scale-up passes no ordinal and is named ``{group}-{position}``.
     """
-    make_server = _server_builder(spec, group, stack_cache)
+    make_server = _server_builder(spec, group)
 
     def make(position: int, ordinal: int | None = None) -> AcceleratorReplica:
         suffix = position if ordinal is None else ordinal
@@ -267,26 +215,20 @@ def _replica_builder(
     return make
 
 
-def build_engine(
-    spec: ScenarioSpec, *, stack_cache: StackCache | None = None
-) -> ServingEngine:
+def build_engine(spec: ScenarioSpec, *, stack_cache: object = None) -> ServingEngine:
     """Construct the serving engine a :class:`ScenarioSpec` describes.
 
     Walks the replica groups in order, builds each group's backend per
-    replica (SUSHI groups clone one template stack, seeded stack seed +
-    global replica position), and lets the engine assign global
-    replica indices.  ``stack_cache`` (config → stack) lets callers reuse
-    expensive latency tables across scenarios; cached stacks are only ever
-    cloned, never served.  Baseline backends serve from the process-global
-    :func:`~repro.serving.baselines.baseline_table`, whatever ``stack_cache``.
+    replica (SUSHI groups clone one stack, seeded stack seed + global
+    replica position), and lets the engine assign global replica indices.
+    Every backend serves from the process's serve tables.
     """
-    if stack_cache is None:
-        stack_cache = {}
+    # Ignored: benchmarks/e2e/worker.py passes it until the next benchmark change (ROADMAP item 1).
     scaled = spec.scaled_groups() if spec.autoscaler is not None else ()
     scaled_groups: list[ScaledGroup] = []
     replicas: list[AcceleratorReplica] = []
     for group in spec.replica_groups:
-        make = _replica_builder(spec, group, stack_cache)
+        make = _replica_builder(spec, group)
         if any(g is group for g in scaled):
             scaled_groups.append(
                 ScaledGroup(
@@ -321,9 +263,7 @@ def build_engine(
     return engine
 
 
-def run_scenario(
-    spec: ScenarioSpec, *, stack_cache: StackCache | None = None
-) -> SimulationResult:
+def run_scenario(spec: ScenarioSpec, *, stack_cache: object = None) -> SimulationResult:
     """Run a scenario end to end: trace + arrivals + engine → result.
 
     The single entry point behind the CLI (``python -m repro serve``), the
@@ -332,13 +272,15 @@ def run_scenario(
     scenario this is record-identical to a hand-wired engine over stack
     clones (see the module docstring).
     """
-    if stack_cache is None:
-        stack_cache = {}
-    # The log file (if any) is read once; the trace, arrivals and nominal
-    # rate all read this one copy.
-    log = spec.arrivals.trace_log()
-    trace = build_trace(spec, stack_cache=stack_cache, log=log)
-    engine = build_engine(spec, stack_cache=stack_cache)
+    # Ignored: benchmarks/e2e/worker.py passes it until the next benchmark change (ROADMAP item 1).
+    return _run_with_log(spec, spec.arrivals.trace_log())
+
+
+def _run_with_log(spec: ScenarioSpec, log: TraceLog | None) -> SimulationResult:
+    """:func:`run_scenario` on the spec's request log ``log``, read already:
+    the trace, arrivals and nominal rate all read this one copy."""
+    trace = build_trace(spec, log=log)
+    engine = build_engine(spec)
     arrivals = spec.arrivals.generate(len(trace), log=log)
     return engine.run(
         trace,

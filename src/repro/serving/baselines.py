@@ -2,7 +2,9 @@
 
 Each baseline is a caching rule over indices into a :func:`baseline_table`,
 built once per (SuperNet, platform, PB or not) and process by
-:func:`~repro.serving.stack.build_serve_table`, so serving is table lookups:
+:func:`~repro.serving.stack.build_serve_table` and kept in the process's
+one table cache (:func:`~repro.serving.stack.process_table`), so serving is
+table lookups:
 
 * :class:`NoSushiServer` ("No-SUSHI") — no Persistent Buffer, no SGS-aware
   scheduling.
@@ -24,10 +26,7 @@ from repro.core.metrics import Served
 from repro.core.policies import Policy, subnet_selector
 from repro.serving.query import QueryLike
 from repro.serving.stack import ServeTable, batch_budget_ms, batch_served
-from repro.serving.stack import build_serve_table, supernet_family
-
-_TABLES: dict[tuple, ServeTable] = {}
-
+from repro.serving.stack import build_serve_table, process_table, supernet_family
 
 def baseline_table(
     supernet_name: str, platform: PlatformConfig, *, with_pb: bool
@@ -39,8 +38,8 @@ def baseline_table(
     ``switches.switch(c, s + 1)`` is what loading it over column ``c``
     costs.
     """
-    key = (supernet_name.lower(), platform, with_pb)
-    if key not in _TABLES:
+
+    def build() -> ServeTable:
         family = supernet_family(supernet_name)
         accel = SushiAccelModel(platform, with_pb=with_pb)
         capacity = accel.pb_capacity_bytes
@@ -49,10 +48,9 @@ def baseline_table(
             truncate_to_capacity(sg, capacity, supernet=family.supernet) for sg in whole
         ]
         candidates = CandidateSet(family.supernet.name, tuple(columns), capacity)
-        _TABLES[key] = build_serve_table(
-            family.subnets, candidates, accel, family.accuracy_model
-        )
-    return _TABLES[key]
+        return build_serve_table(family.subnets, candidates, accel, family.accuracy_model)
+
+    return process_table(("baseline", supernet_name.lower(), platform, with_pb), build)
 
 
 class _TableServer:

@@ -13,12 +13,12 @@ layer profiles, and both the latency table and the per-pair
 Beside them sits the cache-switch table (:class:`CacheSwitchTable`): what
 switching the PB between each (held, new) pair of contents costs, computed
 at a pair's first use.  Together they form the :class:`ServeTable`, which
-depends on the SuperNet, the platform and ``|S|`` only (the serve key), so
-stacks whose configs differ in policy, seed or ``Q`` can share it
-(:func:`repro.serving.api.cached_stack` does); a stack given a serve table
-takes its candidate set from it.  Clones share it, and the scheduler's
-caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`), so
-serving a query and switching the PB are table lookups, and a clone
+depends on the SuperNet, the platform and ``|S|`` only (the serve key).
+The process keeps one of each (:func:`process_table`, which keeps the
+baseline backends' tables too), built at its first use with one
+caching-decision memo (:class:`~repro.core.scheduler.CacheDecisionMemo`),
+and every stack of that key serves from them, whatever its policy, seed or
+``Q``: serving a query and switching the PB are table lookups, and a stack
 encodes nothing.
 
 The stack serves *one query at a time* through :meth:`SushiStack.serve_query`
@@ -32,7 +32,7 @@ result row.  The stack builds no records.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -223,6 +223,50 @@ def build_serve_table(
     return ServeTable(table, entries, CacheSwitchTable(accel, fitted))
 
 
+_T = TypeVar("_T")
+
+_TABLES: dict[tuple, Any] = {}
+"""The process's serve tables, by kind and key, each built at its first use.
+
+Forked workers inherit them copy-on-write."""
+
+
+def process_table(key: tuple, build: Callable[[], _T]) -> _T:
+    """The process's table under ``key``: ``build()`` at its first use, then kept."""
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = build()
+    return table
+
+
+def _sushi_tables(config: SushiStackConfig) -> tuple[ServeTable, CacheDecisionMemo]:
+    """The serve table of ``config``'s serve key and its caching-decision memo.
+
+    The serve key is (SuperNet, platform, ``|S|``), never policy, seed or
+    ``Q``: configs that differ only in those share one table and one memo,
+    each a pure function of the key.
+    """
+
+    def build() -> tuple[ServeTable, CacheDecisionMemo]:
+        family = supernet_family(config.supernet_name)
+        accel = SushiAccelModel(config.platform)
+        candidates = build_candidate_set(
+            family.subnets,
+            capacity_bytes=max(accel.pb_capacity_bytes, 1),
+            max_size=config.candidate_set_size,
+        )
+        tables = build_serve_table(family.subnets, candidates, accel, family.accuracy_model)
+        return tables, CacheDecisionMemo(tables.table, family.supernet)
+
+    key = ("sushi", config.supernet_name.lower(), config.platform, config.candidate_set_size)
+    return process_table(key, build)
+
+
+def sushi_table(config: SushiStackConfig) -> ServeTable:
+    """The process's serve table every :class:`SushiStack` of ``config`` serves."""
+    return _sushi_tables(config)[0]
+
+
 def batch_budget_ms(queries: Sequence[QueryLike], budgets_ms: Sequence[float]) -> float:
     """The latency budget a shared batch decision plans against.
 
@@ -268,61 +312,48 @@ def batch_served(
 class SushiStack:
     """The full SUSHI stack: SushiSched + SushiAbs + SushiAccel (+ PB).
 
-    Without a ``supernet`` the stack serves the process's shared
-    :func:`supernet_family` of ``config.supernet_name`` (its SuperNet, the
-    paper's SubNet family and accuracy model, unless given).
+    The stack serves the process's shared :func:`supernet_family` of
+    ``config.supernet_name`` from the process's serve table of its serve key
+    (:func:`sushi_table`), on that table's one caching-decision memo.  A
+    ``serve_table`` built elsewhere (over other candidates, say) is served
+    instead, with a memo of its own that the stack's clones share.
     """
 
     def __init__(
-        self,
-        config: SushiStackConfig | None = None,
-        *,
-        supernet: SuperNet | None = None,
-        subnets: Sequence[SubNet] | None = None,
-        accel: SushiAccelModel | None = None,
-        accuracy_model: AccuracyModel | None = None,
-        candidates: CandidateSet | None = None,
-        serve_table: ServeTable | None = None,
-        cache_memo: CacheDecisionMemo | None = None,
+        self, config: SushiStackConfig | None = None, *, serve_table: ServeTable | None = None
     ) -> None:
-        self.config = config or SushiStackConfig()
-        if supernet is None:
-            family = supernet_family(self.config.supernet_name)
-            supernet = family.supernet
-            subnets = family.subnets if subnets is None else subnets
-            accuracy_model = accuracy_model or family.accuracy_model
-        self.supernet = supernet
-        self.subnets = list(subnets) if subnets is not None else paper_pareto_subnets(self.supernet)
-        self.accel = accel or SushiAccelModel(self.config.platform)
-        self.accuracy_model = accuracy_model or AccuracyModel(self.supernet)
-
+        config = config or SushiStackConfig()
         if serve_table is None:
-            self.candidates = candidates or build_candidate_set(
-                self.subnets,
-                capacity_bytes=max(self.accel.pb_capacity_bytes, 1),
-                max_size=self.config.candidate_set_size,
-            )
-            serve_table = build_serve_table(
-                self.subnets, self.candidates, self.accel, self.accuracy_model
-            )
+            serve_table, memo = _sushi_tables(config)
         else:
-            if candidates is not None and candidates is not serve_table.table.candidates:
-                raise ValueError("candidates must be the latency table's own candidate set")
-            self.candidates = serve_table.table.candidates
+            supernet = supernet_family(config.supernet_name).supernet
+            memo = CacheDecisionMemo(serve_table.table, supernet)
+        self._build(config, serve_table, memo)
+
+    def _build(
+        self, config: SushiStackConfig, serve_table: ServeTable, memo: CacheDecisionMemo
+    ) -> None:
+        """Serve ``serve_table`` on ``memo``, with a fresh scheduler and PB."""
+        family = supernet_family(config.supernet_name)
+        self.config = config
+        self.supernet = family.supernet
+        self.accuracy_model = family.accuracy_model
         self.serve_table = serve_table
         self.table, self.entries, self.switches = serve_table
+        self.subnets = self.table.subnets
+        self.candidates = self.table.candidates
+        self.accel = self.switches.accel
         self._names = self.table.subnet_names
         self._accuracies = self.table.accuracy_list
-        rng = np.random.default_rng(self.config.seed)
+        self.cache_memo = memo
         self.scheduler = SushiSched(
             self.table,
             self.supernet,
-            policy=self.config.policy,
-            cache_update_period=self.config.cache_update_period,
-            rng=rng,
-            memo=cache_memo,
+            policy=config.policy,
+            cache_update_period=config.cache_update_period,
+            rng=np.random.default_rng(config.seed),
+            memo=memo,
         )
-        self.cache_memo = self.scheduler.memo
         self._start_pb()
 
     # ------------------------------------------------------------ serving
@@ -429,20 +460,16 @@ class SushiStack:
         The SuperNet, SubNet family, accelerator model, candidate set, serve
         table (latency table, serve entries and cache-switch table) and
         caching-decision memo are shared (the memo and the switch table only
-        ever gain entries that are pure functions of the serve key), so a
-        clone evaluates nothing on the accelerator model and encodes
-        nothing, and it models the PB only for a cache switch no stack
-        sharing the table has made yet; the clone gets its own scheduler and Persistent Buffer, so it evolves cache state
-        independently — one clone per engine replica.
+        ever gain entries that are pure functions of the table), so a clone
+        evaluates nothing on the accelerator model and encodes nothing, and
+        it models the PB only for a cache switch no stack sharing the table
+        has made yet; the clone gets its own scheduler and Persistent
+        Buffer, so it evolves cache state independently — one clone per
+        engine replica.
         """
         config = self.config if seed is None else replace(self.config, seed=seed)
-        return SushiStack(
-            config,
-            supernet=self.supernet,
-            subnets=self.subnets,
-            accel=self.accel,
-            accuracy_model=self.accuracy_model,
-            candidates=self.candidates,
-            serve_table=self.serve_table,
-            cache_memo=self.cache_memo,
-        )
+        # Not copy.copy: a copied instance dict makes every attribute read
+        # on the serve path slower (about 13% per serve_query).
+        stack = SushiStack.__new__(SushiStack)
+        stack._build(config, self.serve_table, self.cache_memo)
+        return stack

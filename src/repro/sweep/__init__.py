@@ -21,7 +21,6 @@ from repro.sweep.runner import (
     result_metrics,
     run_grid,
     run_sweep,
-    template_stack,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "result_metrics",
     "run_grid",
     "run_sweep",
-    "template_stack",
 ]

@@ -19,13 +19,13 @@ labelled sweeps.  Guarantees:
   unaffected.
 * **Tables built once, in the caller** — every cell is resolved and every
   serve table the cells read is built
-  (:func:`~repro.serving.api.build_tables`) into the process's
-  :data:`~repro.serving.api.PROCESS_STACK_CACHE`, and every replayed
-  request log parsed (:func:`~repro.serving.trace_io.load_trace_log`),
-  before any worker forks.  Workers inherit the resolved scenarios, the
-  tables and the logs copy-on-write and only simulate; each serve key
-  builds and each log parses once per process, so a later sweep in the
-  same process builds and parses nothing.
+  (:func:`~repro.serving.api.build_tables`) into the process's one table
+  cache, and every replayed request log parsed
+  (:func:`~repro.serving.trace_io.load_trace_log`), before any worker
+  forks.  Workers inherit the resolved scenarios, the tables and the logs
+  copy-on-write and only simulate, each cell on the log its caller read;
+  each serve key builds and each log parses once per process, so a later
+  sweep in the same process builds and parses nothing.
 * **Forked fan-out** — ``workers > 1`` forks ``min(workers, cells)``
   children that inherit the prepared cells, so no input is pickled; only
   each cell's ``(error, measurement)`` output is, sent back through the
@@ -60,15 +60,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
-from repro.serving.api import (
-    PROCESS_STACK_CACHE,
-    build_tables,
-    cached_stack,
-    run_scenario,
-)
+from repro.serving.api import _run_with_log, build_tables
 from repro.serving.engine import SimulationResult
 from repro.serving.spec import JsonSpec, ScenarioSpec
-from repro.serving.stack import SushiStack, SushiStackConfig
+from repro.serving.trace_io import TraceLog
 from repro.sweep.spec import SweepAxis, SweepSpec
 
 __all__ = [
@@ -80,7 +75,6 @@ __all__ = [
     "result_metrics",
     "run_grid",
     "run_sweep",
-    "template_stack",
 ]
 
 #: The fixed, ordered metric set every cell reports — a closed list so the
@@ -180,13 +174,10 @@ class SweepResult(JsonSpec):
 #: Forked workers inherit it; only what it returns must pickle.
 Measure = Callable[[ScenarioSpec, SimulationResult], Any]
 
-_Payload = tuple[Measure, ScenarioSpec]
+#: A scenario and its parsed request log (``None``: it replays none).
+_Prepared = tuple[ScenarioSpec, TraceLog | None]
+_Payload = tuple[Measure, ScenarioSpec, TraceLog | None]
 _CellOutput = tuple[str | None, Any]
-
-
-def template_stack(config: SushiStackConfig) -> SushiStack:
-    """The process's cached template stack for ``config`` (clone, never serve)."""
-    return cached_stack(config, PROCESS_STACK_CACHE)
 
 
 def _failure(exc: Exception) -> str:
@@ -194,22 +185,21 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _prepared(scenario: ScenarioSpec) -> ScenarioSpec | str:
+def _prepared(scenario: ScenarioSpec) -> _Prepared | str:
     """``scenario`` with its tables built and its request log parsed, or the
     error text of either."""
     try:
-        build_tables(scenario, stack_cache=PROCESS_STACK_CACHE)
-        scenario.arrivals.trace_log()
+        build_tables(scenario)
+        return scenario, scenario.arrivals.trace_log()
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return _failure(exc)
-    return scenario
 
 
 def _run_cell(payload: _Payload) -> _CellOutput:
     """Run and measure one prepared cell; failures become errors, never raise."""
-    measure, scenario = payload
+    measure, scenario, log = payload
     try:
-        return None, measure(scenario, run_scenario(scenario, stack_cache=PROCESS_STACK_CACHE))
+        return None, measure(scenario, _run_with_log(scenario, log))
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return _failure(exc), None
 
@@ -398,7 +388,7 @@ def _measure_cells(
     """
     prepared = [c if isinstance(c, str) else _prepared(c) for c in cells]
     ran = iter(
-        _map_cells([(measure, c) for c in prepared if not isinstance(c, str)], workers)
+        _map_cells([(measure, *c) for c in prepared if not isinstance(c, str)], workers)
     )
     return [(c, None) if isinstance(c, str) else next(ran) for c in prepared]
 

@@ -4,11 +4,13 @@
 one backend: each query with its nominal latency budget and accuracy floor,
 one :class:`~repro.core.metrics.QueryRecord` per query, nothing queued.
 ``ExperimentRunner`` is a literal copy of the runner that drove it for
-Fig. 15–18, Table 5 and the headline numbers: SUSHI as a clone of the
-process's template stack, reset before every stream, and the two baselines
+Fig. 15–18, Table 5 and the headline numbers: SUSHI as a stack of the
+process's serve table, reset before every stream, and the two baselines
 over the shared baseline tables.  The only edits: each backend's
-``serve(trace)`` (now gone) is ``serve_trace(backend, trace)``, and the
-state-unaware counter restart of its ``begin_stream`` is written out.
+``serve(trace)`` (now gone) is ``serve_trace(backend, trace)``, the
+state-unaware counter restart of its ``begin_stream`` is written out, and
+SUSHI is ``SushiStack(config)``, not a clone of a cached template stack
+(the same scheduler seed and table, so the same records).
 
 The paper's figures now serve each stream on a one-replica engine cell
 (:func:`repro.experiments.serving_pool.closed_loop_grid`);
@@ -25,10 +27,9 @@ from repro.accelerator.platforms import ANALYTIC_DEFAULT, PlatformConfig
 from repro.core.metrics import QueryRecord
 from repro.core.policies import Policy
 from repro.experiments.serving_pool import StreamResult
-from repro.serving.api import PROCESS_STACK_CACHE, cached_stack
 from repro.serving.baselines import NoSushiServer, StateUnawareCachingServer, baseline_table
 from repro.serving.query import QueryLike, QueryTrace, QueuedQuery
-from repro.serving.stack import SushiStackConfig
+from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
 
 
@@ -78,7 +79,7 @@ class ExperimentRunner:
             candidate_set_size=candidate_set_size,
             seed=seed,
         )
-        self.sushi = cached_stack(config, PROCESS_STACK_CACHE).clone()
+        self.sushi = SushiStack(config)
         self.no_sushi = NoSushiServer(
             baseline_table(supernet_name, platform, with_pb=False), policy=policy
         )

@@ -9,9 +9,8 @@ from repro.experiments.serving_pool import (
     compare_systems,
     measure_streams,
 )
-from repro.serving.api import PROCESS_STACK_CACHE, build_trace, run_scenario
-from repro.serving.stack import SushiStackConfig
-from repro.sweep import template_stack
+from repro.serving.api import build_trace, run_scenario
+from repro.serving.stack import SushiStackConfig, sushi_table
 
 CONFIG = SushiStackConfig("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=0)
 
@@ -23,12 +22,12 @@ def grid():
 
 @pytest.fixture(scope="module")
 def trace(grid):
-    return build_trace(grid.base, stack_cache=PROCESS_STACK_CACHE)
+    return build_trace(grid.base)
 
 
 class TestClosedLoopGrid:
     def test_default_workload_spans_feasible_ranges(self, trace):
-        table = template_stack(CONFIG).table
+        table = sushi_table(CONFIG).table
         accs = [q.accuracy_constraint for q in trace]
         lats = [q.latency_constraint_ms for q in trace]
         assert min(accs) >= float(table.accuracies.min()) - 1e-9
@@ -63,7 +62,7 @@ class TestClosedLoopGrid:
 
     def test_stream_result_from_records(self, grid, trace):
         _, no_sushi = grid.scenarios()[0]
-        records = run_scenario(no_sushi, stack_cache=PROCESS_STACK_CACHE).records
+        records = run_scenario(no_sushi).records
         result = StreamResult.from_records("no_sushi", records)
         assert result.system == "no_sushi"
         assert result.metrics.num_queries == len(records) == len(trace)

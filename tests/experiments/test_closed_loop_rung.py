@@ -25,7 +25,7 @@ from repro.experiments import (
     tab05_table_size,
 )
 from repro.experiments.serving_pool import SYSTEMS, closed_loop_grid
-from repro.serving.api import PROCESS_STACK_CACHE, build_trace, run_scenario
+from repro.serving.api import build_trace, run_scenario
 from repro.serving.stack import SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
 
@@ -131,8 +131,8 @@ def test_closed_loop_is_a_one_replica_deterministic_pool(config, num_queries, wo
     cells = grid.scenarios()
     assert [spec.replica_groups[0].kind for _, spec in cells] == list(SYSTEMS)
     for (_, spec), system in zip(cells, SYSTEMS.values()):
-        assert build_trace(spec, stack_cache=PROCESS_STACK_CACHE).columns() == trace.columns()
-        result = run_scenario(spec, stack_cache=PROCESS_STACK_CACHE)
+        assert build_trace(spec).columns() == trace.columns()
+        result = run_scenario(spec)
         assert result.num_dropped == 0
         outcomes = result.outcomes
         assert np.array_equal(outcomes.column("start_ms"), outcomes.column("arrival_ms"))

@@ -294,14 +294,14 @@ class TestServingGrids:
     def test_failed_cell_raises_naming_its_label(self, eid, monkeypatch):
         module = SERVING_DRIVERS[eid]
         label, poisoned = module.grid().scenarios()[-1]
-        run_scenario = sweep_runner.run_scenario
+        run_cell = sweep_runner._run_with_log
 
-        def failing(spec, **kwargs):
+        def failing(spec, log):
             if spec == poisoned:
                 raise RuntimeError("injected cell failure")
-            return run_scenario(spec, **kwargs)
+            return run_cell(spec, log)
 
-        monkeypatch.setattr(sweep_runner, "run_scenario", failing)
+        monkeypatch.setattr(sweep_runner, "_run_with_log", failing)
         message = re.escape(f"{label} (RuntimeError: injected cell failure)")
         with pytest.raises(RuntimeError, match=message):
             module.run()

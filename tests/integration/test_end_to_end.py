@@ -4,7 +4,7 @@ These exercise SuperNet -> candidate set -> latency table -> scheduler ->
 accelerator (+PB) -> metrics as one pipeline, checking the cross-module
 invariants the paper's evaluation relies on.  Where a test reads the
 stack's state after a stream, it serves the stream query by query on a
-clone of the process's template stack.
+stack of the process's serve table.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from closed_loop_oracle import serve_trace
 from repro.core.policies import Policy
 from repro.experiments.serving_pool import closed_loop_grid, compare_systems, measure_streams
-from repro.serving.api import PROCESS_STACK_CACHE, build_trace, cached_stack
+from repro.serving.api import build_trace
 from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
 
@@ -27,11 +27,11 @@ class TestEndToEndConsistency:
 
     @pytest.fixture(scope="class")
     def trace(self, grid):
-        return build_trace(grid.base, stack_cache=PROCESS_STACK_CACHE)
+        return build_trace(grid.base)
 
     @pytest.fixture
     def sushi(self):
-        return cached_stack(CONFIG, PROCESS_STACK_CACHE).clone()
+        return SushiStack(CONFIG)
 
     def test_scheduler_and_pb_stay_in_sync(self, sushi, trace):
         serve_trace(sushi, trace)
@@ -72,10 +72,9 @@ class TestEndToEndConsistency:
         assert summary.energy_saving_vs_no_sushi_percent > 0
 
     def test_drifting_workload_triggers_cache_updates(self):
-        sushi = cached_stack(
-            SushiStackConfig("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=4),
-            PROCESS_STACK_CACHE,
-        ).clone()
+        sushi = SushiStack(
+            SushiStackConfig("ofa_mobilenetv3", policy=Policy.STRICT_ACCURACY, seed=4)
+        )
         acc_range, lat_range = (0.758, 0.803), (0.3, 2.0)
         spec = WorkloadSpec(
             num_queries=80, accuracy_range=acc_range, latency_range_ms=lat_range, pattern="drift"

@@ -66,7 +66,6 @@ BASES["replayed_pool"] = BASES["replayed_pool"].override(
 )
 #: Requests in the replayed log (``examples/traces/replay_sample.csv``).
 LOG_ROWS = 60
-STACK_CACHE: dict = {}
 
 
 @st.composite
@@ -190,7 +189,7 @@ def counted_run(spec: ScenarioSpec):
     with mock.patch("repro.serving.engine.core.ResultTable", CountingTable), \
             mock.patch.object(JoinShortestQueueRouter, "select", checked_jsq_select), \
             mock.patch.object(ServingEngine, "_build_result", checked_build_result):
-        result = run_scenario(spec, stack_cache=STACK_CACHE)
+        result = run_scenario(spec)
     (table,) = TABLES
     return result, table.writes
 
@@ -211,6 +210,8 @@ def fingerprint(result) -> str:
 @given(scenarios())
 @settings(max_examples=150, deadline=None)
 def test_generated_scenarios_keep_the_universal_invariants(spec):
+    # Every drawn spec survives its own JSON round trip.
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
     result, writes = counted_run(spec)
     n = spec.effective_num_queries
 

@@ -39,8 +39,6 @@ from repro.serving import (
     ArrivalSpec,
     ReplicaGroupSpec,
     ScenarioSpec,
-    SushiStack,
-    SushiStackConfig,
     TraceLog,
     WorkloadSpec,
     fit_piecewise_poisson,
@@ -56,10 +54,6 @@ from repro.serving.trace_io import (
 )
 
 SUPERNET = "ofa_mobilenetv3"
-
-# One template stack shared by every hypothesis example: run_scenario only
-# clones cached stacks, so the expensive latency table is built once.
-_STACK_CACHE: dict[SushiStackConfig, SushiStack] = {}
 
 finite_ts = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -226,9 +220,9 @@ def _scenario(arrivals: ArrivalSpec, *, n: int) -> ScenarioSpec:
 def _run(spec: ScenarioSpec, *, oracle: bool):
     """``run_scenario(spec)``, or the same run through the reference loop."""
     if not oracle:
-        return run_scenario(spec, stack_cache=_STACK_CACHE)
-    trace = build_trace(spec, stack_cache=_STACK_CACHE)
-    engine = build_engine(spec, stack_cache=_STACK_CACHE)
+        return run_scenario(spec)
+    trace = build_trace(spec)
+    engine = build_engine(spec)
     return reference_run(
         engine,
         trace,

@@ -8,9 +8,7 @@ generated workload) — the spec layer adds expressiveness, never drift.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from engine_oracle import build_stack_engine
@@ -27,12 +25,12 @@ from repro.serving import (
     WorkloadSpec,
 )
 from repro.accelerator.platforms import ZCU104
-from repro.serving.api import (
-    build_engine,
-    cached_stack,
-    format_result_summary,
-    run_scenario,
-)
+from repro.accelerator.analytic_model import SushiAccelModel
+from repro.core.candidates import build_candidate_set
+from repro.serving import baselines
+from repro.serving import stack as stack_module
+from repro.serving.api import build_engine, format_result_summary, run_scenario
+from repro.serving.stack import build_serve_table, supernet_family
 from repro.serving.workload import WorkloadGenerator, feasible_ranges_from_table
 
 SUPERNET = "ofa_mobilenetv3"
@@ -45,11 +43,6 @@ def stack():
             supernet_name=SUPERNET, policy=Policy.STRICT_LATENCY, seed=0
         )
     )
-
-
-@pytest.fixture(scope="module")
-def stack_cache(stack):
-    return {stack.config: stack}
 
 
 def poisson_spec(num_replicas: int = 2, *, rate: float = 1.0, n: int = 60) -> ScenarioSpec:
@@ -87,11 +80,9 @@ class TestEquivalenceWithHandWiredPath:
         return engine.run_open_loop(trace, arrival_rate_per_ms=rate, seed=0)
 
     @pytest.mark.parametrize("num_replicas", [1, 2])
-    def test_records_identical(self, stack, stack_cache, num_replicas):
+    def test_records_identical(self, stack, num_replicas):
         hand = self.hand_wired(stack, num_replicas=num_replicas, rate=1.0, n=60)
-        facade = run_scenario(
-            poisson_spec(num_replicas, rate=1.0, n=60), stack_cache=stack_cache
-        )
+        facade = run_scenario(poisson_spec(num_replicas, rate=1.0, n=60))
         assert facade.records == hand.records
         assert facade.offered_load == hand.offered_load
         assert facade.dropped == hand.dropped
@@ -102,13 +93,7 @@ class TestEquivalenceWithHandWiredPath:
             o.arrival_ms for o in hand.outcomes
         ]
 
-    def test_records_identical_without_cache(self, stack):
-        """The facade rebuilds the stack from config and still matches."""
-        hand = self.hand_wired(stack, num_replicas=2, rate=1.0, n=40)
-        facade = run_scenario(poisson_spec(2, rate=1.0, n=40))
-        assert facade.records == hand.records
-
-    def test_load_sweep_matches_hand_wired_engine(self, stack, stack_cache):
+    def test_load_sweep_matches_hand_wired_engine(self, stack):
         """The facade-migrated load_sweep reproduces the PR 1 engine loop."""
         from repro.experiments import load_sweep
 
@@ -128,10 +113,10 @@ class TestEquivalenceWithHandWiredPath:
         assert cell.achieved_throughput_per_ms == hand.achieved_throughput_per_ms
         assert cell.mean_accuracy == hand.mean_accuracy
 
-    def test_cached_stack_never_mutated(self, stack, stack_cache):
+    def test_callers_stack_never_mutated(self, stack):
         before_pb = stack.pb.cached
         before_window = stack.scheduler.cache_state_idx
-        run_scenario(poisson_spec(2, n=40), stack_cache=stack_cache)
+        run_scenario(poisson_spec(2, n=40))
         assert stack.pb.cached is before_pb
         assert stack.scheduler.cache_state_idx == before_window
 
@@ -156,9 +141,9 @@ class TestHeterogeneousPools:
             seed=0,
         )
 
-    def test_mixed_pb_sizes_build_distinct_backends(self, stack_cache):
+    def test_mixed_pb_sizes_build_distinct_backends(self):
         spec = self.hetero_spec()
-        engine = build_engine(spec, stack_cache=stack_cache)
+        engine = build_engine(spec)
         assert engine.num_replicas == 4
         assert [r.name for r in engine.replicas] == [
             "large-0", "large-1", "small-0", "small-1",
@@ -170,7 +155,7 @@ class TestHeterogeneousPools:
         assert engine.replicas[0].server.table is engine.replicas[1].server.table
         assert engine.replicas[0].server.table is not engine.replicas[2].server.table
 
-    def test_same_config_groups_get_decorrelated_clones(self, stack_cache):
+    def test_same_config_groups_get_decorrelated_clones(self):
         """Splitting one pool into labeled groups must not twin the replicas."""
         spec = ScenarioSpec(
             supernet_name=SUPERNET,
@@ -182,34 +167,33 @@ class TestHeterogeneousPools:
             arrivals=ArrivalSpec(kind="poisson", rate_per_ms=0.5),
             seed=0,
         )
-        engine = build_engine(spec, stack_cache=stack_cache)
+        engine = build_engine(spec)
         seeds = [r.server.config.seed for r in engine.replicas]
         assert seeds == [0, 1]
 
-    def test_hetero_pool_serves_on_both_tiers(self, stack_cache):
-        result = run_scenario(self.hetero_spec(), stack_cache=stack_cache)
+    def test_hetero_pool_serves_on_both_tiers(self):
+        result = run_scenario(self.hetero_spec())
         by_name = {s.name: s for s in result.replica_stats}
         assert result.num_offered == 80
         assert by_name["large-0"].num_served > 0
         assert by_name["small-0"].num_served > 0
 
-    def test_fastest_expected_routing_on_hetero_pool(self, stack_cache):
+    def test_fastest_expected_routing_on_hetero_pool(self):
         """The latency-table-aware router serves the whole stream and keeps
         per-replica estimates distinct across PB tiers."""
         spec = self.hetero_spec()
         spec = ScenarioSpec.from_dict({**spec.to_dict(), "router": "fastest_expected"})
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         assert result.num_offered == 80
         assert result.num_served > 0
         served_by = {o.replica_index for o in result.outcomes}
         assert len(served_by) > 1
 
-    def test_time_varying_arrivals_run_end_to_end(self, stack_cache):
+    def test_time_varying_arrivals_run_end_to_end(self):
         result = run_scenario(
             self.hetero_spec(
                 kind="time_varying", segments=((30.0, 1.0), (20.0, 6.0)), seed=0
             ),
-            stack_cache=stack_cache,
         )
         assert result.num_offered == 80
         assert result.num_served > 0
@@ -230,23 +214,23 @@ class TestBackendKinds:
             seed=0,
         )
 
-    def test_no_sushi_backend(self, stack_cache):
-        result = run_scenario(self.spec_for("no_sushi"), stack_cache=stack_cache)
+    def test_no_sushi_backend(self):
+        result = run_scenario(self.spec_for("no_sushi"))
         assert result.num_served == 24
         assert all(r.cache_hit_ratio == 0.0 for r in result.records)
 
-    def test_state_unaware_backend(self, stack_cache):
-        result = run_scenario(self.spec_for("state_unaware"), stack_cache=stack_cache)
+    def test_state_unaware_backend(self):
+        result = run_scenario(self.spec_for("state_unaware"))
         assert result.num_served == 24
 
-    def test_static_subnet_backend_pins_one_subnet(self, stack_cache):
+    def test_static_subnet_backend_pins_one_subnet(self):
         result = run_scenario(
-            self.spec_for("static_subnet", subnet_name="C"), stack_cache=stack_cache
+            self.spec_for("static_subnet", subnet_name="C")
         )
         assert {r.subnet_name for r in result.records} == {"C"}
 
-    def test_static_subnet_defaults_to_most_accurate(self, stack_cache):
-        result = run_scenario(self.spec_for("static_subnet"), stack_cache=stack_cache)
+    def test_static_subnet_defaults_to_most_accurate(self):
+        result = run_scenario(self.spec_for("static_subnet"))
         served = {r.subnet_name for r in result.records}
         assert len(served) == 1
 
@@ -298,9 +282,9 @@ class TestEngineIndexAssignment:
 
 
 class TestSummary:
-    def test_format_result_summary_mentions_replicas(self, stack_cache):
+    def test_format_result_summary_mentions_replicas(self):
         spec = poisson_spec(2, n=30)
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         text = format_result_summary(spec, result)
         assert "SLO attainment" in text
         assert "replica0" in text and "replica1" in text
@@ -311,9 +295,23 @@ class TestServeTableSharing:
 
     BASE = SushiStackConfig(supernet_name=SUPERNET, policy=Policy.STRICT_LATENCY)
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A cold process table cache; every ``build_serve_table`` call logged."""
+        calls: list[int] = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_serve_table(*args, **kwargs)
+
+        monkeypatch.setattr(stack_module, "build_serve_table", counting)
+        monkeypatch.setattr(baselines, "build_serve_table", counting)
+        monkeypatch.setattr(stack_module, "_TABLES", {})
+        return calls
+
     @staticmethod
     def shares(a: SushiStack, b: SushiStack) -> bool:
-        parts = ("accel", "candidates", "table", "entries")
+        parts = ("accel", "candidates", "table", "entries", "switches", "cache_memo")
         same = [getattr(a, p) is getattr(b, p) for p in parts]
         assert all(same) or not any(same), dict(zip(parts, same))
         return all(same)
@@ -327,17 +325,15 @@ class TestServeTableSharing:
             dict(policy=Policy.STRICT_ACCURACY, seed=3, cache_update_period=2),
         ],
     )
-    def test_policy_seed_and_period_share_the_table(self, change):
-        cache: dict = {}
-        first = cached_stack(self.BASE, cache)
-        other = cached_stack(replace(self.BASE, **change), cache)
-        assert other is not first and len(cache) == 2
+    def test_policy_seed_and_period_share_the_table(self, change, builds):
+        first = SushiStack(self.BASE)
+        other = SushiStack(replace(self.BASE, **change))
+        assert len(builds) == 1
         assert self.shares(first, other)
-        # Each stack schedules on its own memo, bound to the shared table.
-        assert other.cache_memo is not first.cache_memo
-        assert other.scheduler.memo is other.cache_memo
-        assert other.cache_memo.table is first.table
-        assert other.scheduler.table is first.table
+        # One memo per table, bound to it; each stack its own scheduler.
+        assert other.scheduler is not first.scheduler
+        assert other.scheduler.memo is first.cache_memo
+        assert first.cache_memo.table is first.table
 
     @pytest.mark.parametrize(
         "change",
@@ -349,32 +345,42 @@ class TestServeTableSharing:
         ],
     )
     def test_serve_inputs_never_share(self, change):
-        cache: dict = {}
-        first = cached_stack(self.BASE, cache)
+        first = SushiStack(self.BASE)
         for config in (replace(self.BASE, **change), replace(self.BASE, seed=9, **change)):
-            assert not self.shares(first, cached_stack(config, cache))
+            assert not self.shares(first, SushiStack(config))
 
-    def test_shared_table_serves_identical_records(self):
-        path = Path(__file__).resolve().parents[2] / "examples" / "scenarios" / "poisson_pool.json"
-        spec = ScenarioSpec.from_dict(json.loads(path.read_text()))
-        spec = spec.override("num_queries", 1500)
-        fresh = result_digest(run_scenario(spec, stack_cache={}))
+    @pytest.mark.parametrize(
+        "kind", ["sushi", "no_sushi", "state_unaware", "static_subnet"]
+    )
+    def test_two_runs_build_one_table(self, kind, builds):
+        spec = poisson_spec(2, n=40).override("replica_groups.0.kind", kind)
+        first = run_scenario(spec)
+        assert len(builds) == 1 + (kind == "state_unaware")  # + the ranges table
+        assert result_digest(run_scenario(spec)) == result_digest(first)
+        assert len(builds) == 1 + (kind == "state_unaware")
+        assert len(stack_module._TABLES) == len(builds)
 
-        cache: dict = {}
-        # Warm the cache with the other policy and seed: the spec's own
-        # template then takes that stack's table instead of building one.
-        group = spec.replica_groups[0]
-        warm = cached_stack(
-            SushiStackConfig(
-                supernet_name=spec.supernet_name,
-                platform=group.resolved_platform(),
-                policy=Policy.STRICT_ACCURACY,
-                candidate_set_size=group.candidate_set_size,
-                seed=11,
-            ),
-            cache,
+    def test_shared_table_serves_what_a_fresh_one_serves(self):
+        """The rung: a process table, warmed by another policy and seed,
+        serves the records a directly built table serves."""
+        run_scenario(
+            replace(poisson_spec(2, n=200), policy=Policy.STRICT_ACCURACY, seed=11)
         )
-        shared = result_digest(run_scenario(spec, stack_cache=cache))
-        (template,) = (s for s in cache.values() if s is not warm)
-        assert self.shares(template, warm)
-        assert shared == fresh
+        shared = SushiStack(self.BASE)
+        assert shared.cache_memo.decisions  # warm: not vacuous
+        family = supernet_family(SUPERNET)
+        accel = SushiAccelModel(self.BASE.platform)
+        candidates = build_candidate_set(
+            family.subnets, capacity_bytes=max(accel.pb_capacity_bytes, 1)
+        )
+        fresh = SushiStack(
+            self.BASE,
+            serve_table=build_serve_table(
+                family.subnets, candidates, accel, family.accuracy_model
+            ),
+        )
+        assert not self.shares(shared, fresh)
+        hand = TestEquivalenceWithHandWiredPath().hand_wired
+        want = hand(fresh, num_replicas=2, rate=1.0, n=300).records
+        assert hand(shared, num_replicas=2, rate=1.0, n=300).records == want
+        assert run_scenario(poisson_spec(2, n=300)).records == want

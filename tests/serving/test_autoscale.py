@@ -24,8 +24,6 @@ from repro.serving import (
     AutoscalerSpec,
     ReplicaGroupSpec,
     ScenarioSpec,
-    SushiStack,
-    SushiStackConfig,
     TelemetryBus,
     WorkloadSpec,
     run_scenario,
@@ -481,20 +479,6 @@ class TestEngineLifecycle:
 
 
 # ----------------------------------------------------------- spec + facade
-@pytest.fixture(scope="module")
-def stack():
-    return SushiStack(
-        SushiStackConfig(
-            supernet_name=SUPERNET, policy=Policy.STRICT_LATENCY, seed=0
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def stack_cache(stack):
-    return {stack.config: stack}
-
-
 def autoscaled_spec(autoscaler, *, groups=None, n=200) -> ScenarioSpec:
     return ScenarioSpec(
         name="autoscale",
@@ -596,26 +580,26 @@ class TestAutoscalerSpec:
 
 
 class TestFacadeAutoscaling:
-    def test_null_autoscaler_is_record_identical(self, stack_cache):
+    def test_null_autoscaler_is_record_identical(self):
         """autoscaler=None must not perturb the fixed-pool path at all."""
         base = autoscaled_spec(None, n=120)
         with_field = ScenarioSpec.from_dict(
             {**base.to_dict(), "autoscaler": None}
         )
-        a = run_scenario(base, stack_cache=stack_cache)
-        b = run_scenario(with_field, stack_cache=stack_cache)
+        a = run_scenario(base)
+        b = run_scenario(with_field)
         assert a.records == b.records
         assert a.dropped == b.dropped
         assert a.offered_load == b.offered_load
         assert b.autoscale is None
 
-    def test_autoscaled_scenario_runs_and_reports(self, stack_cache):
+    def test_autoscaled_scenario_runs_and_reports(self):
         spec = autoscaled_spec(
             AutoscalerSpec(
                 control_interval_ms=8.0, max_replicas=5, group="pool"
             )
         )
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         assert result.num_offered == 200
         assert result.autoscale is not None
         assert result.autoscale.num_scale_ups > 0
@@ -625,14 +609,14 @@ class TestFacadeAutoscaling:
         assert len(result.replica_stats) > 1
         assert all(s.name.startswith("pool-") for s in result.replica_stats)
 
-    def test_scaled_clones_share_table_and_decorrelate_seeds(self, stack_cache):
+    def test_scaled_clones_share_table_and_decorrelate_seeds(self):
         from repro.serving.api import build_engine, build_trace
 
         spec = autoscaled_spec(
             AutoscalerSpec(control_interval_ms=8.0, max_replicas=5)
         )
-        trace = build_trace(spec, stack_cache=stack_cache)
-        engine = build_engine(spec, stack_cache=stack_cache)
+        trace = build_trace(spec)
+        engine = build_engine(spec)
         engine.run(trace, spec.arrivals.generate(len(trace)))
         assert len(engine.replicas) > 1
         tables = {id(r.server.table) for r in engine.replicas}
@@ -640,7 +624,7 @@ class TestFacadeAutoscaling:
         seeds = [r.server.config.seed for r in engine.replicas]
         assert len(set(seeds)) == len(seeds), "clone seeds must decorrelate"
 
-    def test_mixed_pool_scales_named_group_only(self, stack_cache):
+    def test_mixed_pool_scales_named_group_only(self):
         groups = (
             ReplicaGroupSpec(count=1, discipline="edf", name="static"),
             ReplicaGroupSpec(
@@ -653,7 +637,7 @@ class TestFacadeAutoscaling:
             ),
             groups=groups,
         )
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         names = [s.name for s in result.replica_stats]
         assert names[0] == "static-0"
         assert sum(1 for n in names if n.startswith("elastic")) >= 1

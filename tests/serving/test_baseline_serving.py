@@ -29,9 +29,8 @@ def scenario(name: str, kind: str, num_queries: int) -> ScenarioSpec:
 
 
 def built(spec: ScenarioSpec):
-    cache: dict = {}
-    trace = build_trace(spec, stack_cache=cache)
-    engine = build_engine(spec, stack_cache=cache)
+    trace = build_trace(spec)
+    engine = build_engine(spec)
     return engine, trace, spec.arrivals.generate(len(trace))
 
 

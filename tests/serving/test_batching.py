@@ -40,8 +40,6 @@ from repro.serving.baselines import (
 )
 from repro.serving.engine.admission import make_admission
 from repro.serving.query import Query, QueryTrace, QueuedQuery
-from repro.supernet.zoo import load_supernet, paper_pareto_subnets
-from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 
 
@@ -55,13 +53,6 @@ def stack():
             seed=0,
         )
     )
-
-
-@pytest.fixture(scope="module")
-def family():
-    supernet = load_supernet("ofa_mobilenetv3")
-    subnets = paper_pareto_subnets(supernet)
-    return supernet, subnets
 
 
 def make_queries(n, *, accuracy=0.74, latency_ms=50.0):
@@ -158,18 +149,13 @@ class TestServeDispatchBatch:
         assert batch_ms < k * single.served_latency_ms
         assert batch_ms > single.served_latency_ms
 
-    def test_shared_decision_meets_strictest_accuracy(self, family):
-        supernet, subnets = family
-        accel = SushiAccelModel(ANALYTIC_DEFAULT)
+    def test_shared_decision_meets_strictest_accuracy(self):
         stack = SushiStack(
             SushiStackConfig(
                 supernet_name="ofa_mobilenetv3",
                 policy=Policy.STRICT_ACCURACY,
                 seed=0,
-            ),
-            supernet=supernet,
-            subnets=subnets,
-            accel=accel,
+            )
         )
         accuracies = [0.74, 0.78, 0.76]
         queries = [
@@ -407,7 +393,7 @@ class TestBatchingSpec:
         tuned = spec.override("replica_groups.0.batching.max_batch", 8)
         assert tuned.replica_groups[0].batching.max_batch == 8
 
-    def test_build_engine_wires_batching(self, stack):
+    def test_build_engine_wires_batching(self):
         spec = ScenarioSpec(
             supernet_name="ofa_mobilenetv3",
             policy=Policy.STRICT_LATENCY,
@@ -417,7 +403,7 @@ class TestBatchingSpec:
                 ),
             ),
         )
-        engine = build_engine(spec, stack_cache={stack.config: stack})
+        engine = build_engine(spec)
         assert all(r.max_batch == 8 for r in engine.replicas)
         assert all(r.batch_policy == "per_query" for r in engine.replicas)
 
@@ -448,9 +434,8 @@ class TestBatchedScenarios:
             **overrides,
         )
 
-    def test_batch_one_scenario_matches_unbatched_spec(self, stack):
-        cache = {stack.config: stack}
-        batched = run_scenario(self._spec(max_batch=1), stack_cache=cache)
+    def test_batch_one_scenario_matches_unbatched_spec(self):
+        batched = run_scenario(self._spec(max_batch=1))
         spec = self._spec(max_batch=1)
         unbatched = run_scenario(
             dataclasses.replace(
@@ -461,15 +446,13 @@ class TestBatchedScenarios:
                     ),
                 ),
             ),
-            stack_cache=cache,
         )
         assert batched.outcomes == unbatched.outcomes
         assert batched.dropped == unbatched.dropped
 
-    def test_batching_raises_goodput_at_overload(self, stack):
-        cache = {stack.config: stack}
-        b1 = run_scenario(self._spec(max_batch=1), stack_cache=cache)
-        b8 = run_scenario(self._spec(max_batch=8), stack_cache=cache)
+    def test_batching_raises_goodput_at_overload(self):
+        b1 = run_scenario(self._spec(max_batch=1))
+        b8 = run_scenario(self._spec(max_batch=8))
         assert b1.offered_load > 1.0
         assert b8.goodput_per_ms > b1.goodput_per_ms
         assert b8.mean_batch_occupancy > 1.5
@@ -510,7 +493,7 @@ class TestBatchedScenarios:
             if o.record.accuracy_constraint <= max_accuracy:
                 assert o.served_accuracy >= o.record.accuracy_constraint
 
-    def test_draining_replicas_finish_their_queues_in_batches(self, stack):
+    def test_draining_replicas_finish_their_queues_in_batches(self):
         from repro.serving.spec import AutoscalerSpec
 
         spec = self._spec(
@@ -524,7 +507,7 @@ class TestBatchedScenarios:
                 max_replicas=2,
             ),
         )
-        result = run_scenario(spec, stack_cache={stack.config: stack})
+        result = run_scenario(spec)
         assert result.autoscale is not None
         assert result.autoscale.num_scale_downs >= 1
         # Every query routed to the drained replica was still served or
@@ -605,7 +588,7 @@ class TestBatchTelemetry:
         bus.reset()
         assert bus.snapshot(20.0, num_active=1).mean_batch_occupancy == 0.0
 
-    def test_engine_feeds_batch_occupancy(self, stack):
+    def test_engine_feeds_batch_occupancy(self):
         from repro.serving.spec import AutoscalerSpec
 
         spec = ScenarioSpec(
@@ -626,11 +609,11 @@ class TestBatchTelemetry:
             ),
             seed=0,
         )
-        engine = build_engine(spec, stack_cache={stack.config: stack})
+        engine = build_engine(spec)
         trace_spec = spec
         from repro.serving.api import build_trace
 
-        trace = build_trace(trace_spec, stack_cache={stack.config: stack})
+        trace = build_trace(trace_spec)
         engine.autoscaler.keep_metrics = True
         engine.run(trace, spec.arrivals.generate(len(trace)))
         occupancies = [

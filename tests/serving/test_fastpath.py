@@ -163,14 +163,13 @@ class TestSpecKnobs:
     def test_run_scenario_fast_and_shard_match_reference(self):
         """``run_scenario`` equals the reference loop on the scenario trace."""
         spec = scenario()
-        cache: dict = {}
-        trace = build_trace(spec, stack_cache=cache)
+        trace = build_trace(spec)
         ref = reference_run(
-            build_engine(spec, stack_cache=cache),
+            build_engine(spec),
             trace,
             spec.arrivals.generate(len(trace)),
         )
-        assert_identical(run_scenario(spec, stack_cache=cache), ref)
+        assert_identical(run_scenario(spec), ref)
 
 
 # ---------------------------------------------------------------- CLI profile

@@ -170,17 +170,12 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def scenario_digest(path: Path, stack_cache: dict) -> str:
+def scenario_digest(path: Path) -> str:
     spec = ScenarioSpec.from_dict(json.loads(path.read_text()))
     if spec.arrivals.kind != "trace":
         # A replayed log fixes its own length.
         spec = spec.override("num_queries", NUM_QUERIES)
-    return result_digest(run_scenario(spec, stack_cache=stack_cache))
-
-
-@pytest.fixture(scope="module")
-def stack_cache() -> dict:
-    return {}
+    return result_digest(run_scenario(spec))
 
 
 def test_every_scenario_has_a_golden_digest():
@@ -188,15 +183,15 @@ def test_every_scenario_has_a_golden_digest():
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_scenario_reproduces_golden_records(path, stack_cache, monkeypatch):
+def test_scenario_reproduces_golden_records(path, monkeypatch):
     # Trace-replay scenarios name their request log relative to the root.
     monkeypatch.chdir(ROOT)
     golden = json.loads(GOLDEN.read_text())
-    assert scenario_digest(path, stack_cache) == golden[path.name]
+    assert scenario_digest(path) == golden[path.name]
 
 
 @pytest.mark.parametrize("key", sorted(BASELINE_DIGESTS), ids="-".join)
-def test_baseline_kind_reproduces_pinned_records(key, stack_cache):
+def test_baseline_kind_reproduces_pinned_records(key):
     scenario, router, kind = key
     spec = ScenarioSpec.from_dict(
         json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
@@ -206,7 +201,7 @@ def test_baseline_kind_reproduces_pinned_records(key, stack_cache):
         .override("replica_groups.0.kind", kind)
         .override("router", router)
     )
-    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == BASELINE_DIGESTS[key]
+    assert result_digest(run_scenario(spec)) == BASELINE_DIGESTS[key]
 
 
 
@@ -216,30 +211,29 @@ def _dispatch_case_id(key) -> str:
 
 
 @pytest.mark.parametrize("key", list(DISPATCH_DIGESTS), ids=_dispatch_case_id)
-def test_dispatch_path_reproduces_pinned_records(key, stack_cache):
+def test_dispatch_path_reproduces_pinned_records(key):
     scenario, overrides = key
     spec = ScenarioSpec.from_dict(
         json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
     )
     spec = spec.override_many([("num_queries", NUM_QUERIES), *overrides])
-    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == DISPATCH_DIGESTS[key]
+    assert result_digest(run_scenario(spec)) == DISPATCH_DIGESTS[key]
 
 
 @pytest.mark.parametrize("case", list(CONTROL_DIGESTS))
-def test_control_plane_reproduces_pinned_records(case, stack_cache):
+def test_control_plane_reproduces_pinned_records(case):
     scenario, overrides, digest = CONTROL_DIGESTS[case]
     spec = ScenarioSpec.from_dict(
         json.loads((ROOT / "examples" / "scenarios" / f"{scenario}.json").read_text())
     )
     spec = spec.override_many([("num_queries", NUM_QUERIES), *overrides])
-    assert result_digest(run_scenario(spec, stack_cache=stack_cache)) == digest
+    assert result_digest(run_scenario(spec)) == digest
 
 
 if __name__ == "__main__":
     import os
 
     os.chdir(ROOT)
-    cache: dict = {}
-    digests = {p.name: scenario_digest(p, cache) for p in SCENARIOS}
+    digests = {p.name: scenario_digest(p) for p in SCENARIOS}
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -67,9 +67,9 @@ def _assert_membership(engine, created: dict[int, str | None]) -> None:
         assert engine._group_crashes[name] == sum(1 for r in members if r.failed)
 
 
-def _run_spec(spec: ScenarioSpec, monkeypatch, stack_cache: dict):
-    engine = build_engine(spec, stack_cache=stack_cache)
-    trace = build_trace(spec, stack_cache=stack_cache)
+def _run_spec(spec: ScenarioSpec, monkeypatch):
+    engine = build_engine(spec)
+    trace = build_trace(spec)
     return _run_checked(engine, trace, spec.arrivals.generate(len(trace)), monkeypatch)
 
 
@@ -103,11 +103,6 @@ def _run_checked(engine, trace, arrivals, monkeypatch):
     return engine, created, result
 
 
-@pytest.fixture(scope="module")
-def stack_cache() -> dict:
-    return {}
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -117,11 +112,9 @@ def stack_cache() -> dict:
         pytest.param(_multi_group_faulty, id="multi_group_faulty"),
     ],
 )
-def test_maintained_membership_equals_scan_after_every_event(
-    spec, monkeypatch, stack_cache
-):
+def test_maintained_membership_equals_scan_after_every_event(spec, monkeypatch):
     spec = spec()
-    engine, created, result = _run_spec(spec, monkeypatch, stack_cache)
+    engine, created, result = _run_spec(spec, monkeypatch)
     # Not vacuous: the pool really scaled, and drained or crashed replicas
     # really left it.
     assert created
@@ -131,9 +124,9 @@ def test_maintained_membership_equals_scan_after_every_event(
         assert sum(engine._group_crashes.values()) == result.num_crashes
 
 
-def test_reset_restores_the_initial_membership(monkeypatch, stack_cache):
+def test_reset_restores_the_initial_membership(monkeypatch):
     spec = _spec("faulty_pool.json")
-    engine, _, _ = _run_spec(spec, monkeypatch, stack_cache)
+    engine, _, _ = _run_spec(spec, monkeypatch)
     engine.reset()
     _assert_membership(engine, {})
     assert engine._live == engine.replicas

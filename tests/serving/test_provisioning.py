@@ -26,8 +26,6 @@ from repro.serving import (
     AutoscalerSpec,
     ReplicaGroupSpec,
     ScenarioSpec,
-    SushiStack,
-    SushiStackConfig,
     WorkloadSpec,
     run_scenario,
 )
@@ -558,20 +556,6 @@ class TestTierEngine:
 
 
 # ------------------------------------------------------- declarative layer
-@pytest.fixture(scope="module")
-def stack():
-    return SushiStack(
-        SushiStackConfig(
-            supernet_name=SUPERNET, policy=Policy.STRICT_LATENCY, seed=0
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def stack_cache(stack):
-    return {stack.config: stack}
-
-
 class TestSpecFields:
     def test_group_fields_roundtrip(self):
         import json
@@ -681,7 +665,7 @@ class TestFacadeTiersAndDelay:
             seed=0,
         )
 
-    def test_tier_scenario_runs_with_budget_and_delay(self, stack_cache):
+    def test_tier_scenario_runs_with_budget_and_delay(self):
         groups = (
             ReplicaGroupSpec(
                 count=1,
@@ -709,7 +693,7 @@ class TestFacadeTiersAndDelay:
             ),
             groups=groups,
         )
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         report = result.autoscale
         assert report is not None
         assert report.policy == "tier_aware"
@@ -721,7 +705,7 @@ class TestFacadeTiersAndDelay:
         ups = [e for e in report.events if e.action == "scale_up"]
         assert all(e.group in ("large", "small") for e in ups)
 
-    def test_predictive_scenario_with_cold_start(self, stack_cache):
+    def test_predictive_scenario_with_cold_start(self):
         groups = (
             ReplicaGroupSpec(
                 count=1, discipline="edf", name="pool", startup_delay_ms=4.0
@@ -734,11 +718,11 @@ class TestFacadeTiersAndDelay:
             groups=groups,
             n=250,
         )
-        result = run_scenario(spec, stack_cache=stack_cache)
+        result = run_scenario(spec)
         assert result.autoscale.num_scale_ups > 0
         assert result.num_offered == 250
         # Repeat runs are identical through the facade too.
-        again = run_scenario(spec, stack_cache=stack_cache)
+        again = run_scenario(spec)
         assert result.records == again.records
         assert result.autoscale.events == again.autoscale.events
 

@@ -5,7 +5,7 @@ query plus the views' row order; the outcome, drop and record objects are
 built only while a view is read.  Before the table a result held an
 outcome and a replica-stamped record per served query, ~500 bytes per
 query on ``poisson_pool``.  Traced with ``tracemalloc`` around one
-20k-query ``run_scenario`` after a warm-up run (the stack cache and the
+20k-query ``run_scenario`` after a warm-up run (the serve table and the
 scheduler's caching-decision memo are full by then).
 """
 
@@ -35,13 +35,12 @@ def held() -> tuple[int, int]:
     spec = ScenarioSpec.from_dict(json.loads(SCENARIO.read_text())).override(
         "num_queries", NUM_QUERIES
     )
-    cache: dict = {}
-    run_scenario(spec, stack_cache=cache)
+    run_scenario(spec)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = run_scenario(spec, stack_cache=cache)
+        result = run_scenario(spec)
         gc.collect()
         after_run = tracemalloc.get_traced_memory()[0] - before
         for _ in range(2):

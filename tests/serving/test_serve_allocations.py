@@ -177,16 +177,15 @@ SWITCHING_POOLS = [
 )
 def test_a_run_models_no_pb_after_set_up(name, overrides, monkeypatch):
     spec = load(name, overrides)
-    stack_cache: dict = {}
-    # Set-up: templates, serve tables and the switch entries the run visits.
-    run_scenario(spec, stack_cache=stack_cache)
+    # Set-up: serve tables and the switch entries the run visits.
+    run_scenario(spec)
     counts: dict[str, int] = {}
     count_calls(monkeypatch, PersistentBuffer, "load", counts, "loads")
     count_calls(monkeypatch, PersistentBuffer, "fit_subgraph", counts, "fits")
     count_calls(monkeypatch, LayerSlice, "intersect", counts, "intersects")
     count_calls(monkeypatch, PersistentBuffer, "hold", counts, "switches")
     count_calls(monkeypatch, SushiStack, "clone", counts, "clones")
-    result = run_scenario(spec, stack_cache=stack_cache)
+    result = run_scenario(spec)
     assert (counts["loads"], counts["fits"], counts["intersects"]) == (0, 0, 0)
     # Not vacuous: the PB switched contents beyond each replica's first load.
     assert counts["switches"] > len(result.replica_stats)

@@ -20,6 +20,7 @@ from repro.serving.baselines import (
 )
 from repro.serving.query import QueryTrace
 from repro.serving.spec import ScenarioSpec
+from repro.serving import stack as stack_module
 from repro.serving.stack import CacheSwitchTable, SushiStack, SushiStackConfig
 from repro.serving.stack import build_serve_table
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec
@@ -208,14 +209,7 @@ class TestSushiStack:
         assert proxy.calls == 0
 
         proxy = CountingAccel(stack.accel)
-        SushiStack(
-            stack.config,
-            supernet=stack.supernet,
-            subnets=stack.subnets,
-            accel=proxy,
-            accuracy_model=stack.accuracy_model,
-            candidates=stack.candidates,
-        )
+        build_serve_table(stack.subnets, stack.candidates, proxy, stack.accuracy_model)
         assert proxy.calls == len(stack.subnets) * len(stack.candidates)
 
     def test_table_describes_the_fitted_subgraph(self, stack, trace):
@@ -223,14 +217,7 @@ class TestSushiStack:
         largest = max(stack.subnets, key=lambda sn: sn.weight_bytes)
         oversized = CachedSubGraph.from_subnet(largest, name="oversized")
         assert oversized.weight_bytes > stack.pb.capacity_bytes
-        s = SushiStack(
-            stack.config,
-            supernet=stack.supernet,
-            subnets=stack.subnets,
-            accel=stack.accel,
-            accuracy_model=stack.accuracy_model,
-            candidates=replace(stack.candidates, subgraphs=(oversized,)),
-        )
+        s = stack_on(stack, (oversized,))
         names = [sn.name for sn in s.subnets]
         for record in serve_trace(s, trace):
             i = names.index(record.subnet_name)
@@ -243,22 +230,16 @@ class TestSushiStack:
 
 
     def test_a_given_table_brings_its_own_candidates(self, stack):
-        shared = dict(
-            supernet=stack.supernet,
-            subnets=stack.subnets,
-            accel=stack.accel,
-            accuracy_model=stack.accuracy_model,
-            serve_table=stack.serve_table,
+        s = SushiStack(
+            replace(stack.config, candidate_set_size=2), serve_table=stack.serve_table
         )
-        s = SushiStack(replace(stack.config, candidate_set_size=2), **shared)
         assert s.candidates is stack.table.candidates
-        assert SushiStack(stack.config, candidates=stack.candidates, **shared).candidates is (
-            stack.candidates
-        )
-        equal_copy = replace(stack.candidates)
-        assert equal_copy == stack.candidates
-        with pytest.raises(ValueError, match="candidate set"):
-            SushiStack(stack.config, candidates=equal_copy, **shared)
+        assert s.subnets is stack.table.subnets
+        assert s.accel is stack.switches.accel
+        # A given table gets a memo of its own, which its clones share.
+        assert s.cache_memo is not stack.cache_memo
+        assert s.cache_memo.table is stack.table
+        assert s.clone(seed=1).cache_memo is s.cache_memo
 
 
 def scratch_switch(accel, held, new):
@@ -269,21 +250,23 @@ def scratch_switch(accel, held, new):
     return pb, pb.load(new)
 
 
+def stack_on(stack, subgraphs):
+    """A stack of ``stack``'s config serving a table built over ``subgraphs``."""
+    candidates = replace(stack.candidates, subgraphs=tuple(subgraphs))
+    return SushiStack(
+        stack.config,
+        serve_table=build_serve_table(
+            stack.subnets, candidates, stack.accel, stack.accuracy_model
+        ),
+    )
+
+
 def oversized_stack(stack):
     """``stack``'s serve key with one candidate larger than the PB first."""
     largest = max(stack.subnets, key=lambda sn: sn.weight_bytes)
     oversized = CachedSubGraph.from_subnet(largest, name="oversized")
     assert oversized.weight_bytes > stack.pb.capacity_bytes
-    return SushiStack(
-        stack.config,
-        supernet=stack.supernet,
-        subnets=stack.subnets,
-        accel=stack.accel,
-        accuracy_model=stack.accuracy_model,
-        candidates=replace(
-            stack.candidates, subgraphs=(oversized, *stack.candidates.subgraphs)
-        ),
-    )
+    return stack_on(stack, (oversized, *stack.candidates.subgraphs))
 
 
 class TestCacheSwitchTable:
@@ -362,14 +345,7 @@ class TestCacheSwitchTable:
 
         monkeypatch.setattr(CachedSubGraph, "fetch_bytes", counting_fetch_bytes)
         monkeypatch.setattr(CacheSwitchTable, "switch", recording_switch)
-        template = SushiStack(
-            stack.config,
-            supernet=stack.supernet,
-            subnets=stack.subnets,
-            accel=stack.accel,
-            accuracy_model=stack.accuracy_model,
-            serve_table=fresh,
-        )
+        template = SushiStack(stack.config, serve_table=fresh)
         want = serve_trace(template.clone(seed=3), trace)
         assert len(set(visited)) > 2  # not vacuous: the run switched caches
         assert fetches["calls"] == len(set(visited))
@@ -398,30 +374,22 @@ class TestSharedSchedulerState:
             assert clone.cache_memo is stack.cache_memo
             assert clone.scheduler.memo is stack.scheduler.memo
 
-    def test_memo_stays_within_the_multiset_bound(self):
+    def test_memo_stays_within_the_multiset_bound(self, monkeypatch):
+        # A cold cache: the process memo also holds other periods' windows.
+        monkeypatch.setattr(stack_module, "_TABLES", {})
         spec = ScenarioSpec.from_dict(json.loads(POISSON_POOL.read_text()))
         spec = spec.override("num_queries", 4000)
-        stack_cache = {}
-        run_scenario(spec, stack_cache=stack_cache)
-        (template,) = stack_cache.values()
-        memo = template.cache_memo
-        num_subnets = template.table.num_subnets
-        period = template.config.cache_update_period
+        run_scenario(spec)
+        ((tables, memo),) = stack_module._TABLES.values()
+        num_subnets = tables.table.num_subnets
+        period = spec.group_cache_update_period(spec.replica_groups[0])
         assert 0 < len(memo.decisions) <= comb(num_subnets + period - 1, period)
         assert all(len(key) == period for key in memo.decisions)
 
     def test_estimate_is_the_latency_schedule_would_pick(self, stack, trace):
         for policy in Policy:
-            sushi = SushiStack(
-                replace(stack.config, policy=policy),
-                supernet=stack.supernet,
-                subnets=stack.subnets,
-                accel=stack.accel,
-                accuracy_model=stack.accuracy_model,
-                candidates=stack.candidates,
-                serve_table=stack.serve_table,
-                cache_memo=stack.cache_memo,
-            )
+            sushi = SushiStack(replace(stack.config, policy=policy))
+            assert sushi.cache_memo is stack.cache_memo
             sched = sushi.scheduler
             for query in trace:
                 state = (sched.cache_state_idx, sched.queries_seen, sched.decisions_made)

@@ -257,18 +257,23 @@ class TestOneParse:
         assert load_trace_log(path).timestamps_ms.tolist() == [3.0]
         assert len(parses) == 2
 
-    def test_one_parse_per_replayed_run(self, parses, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        spec = ScenarioSpec.from_dict(json.loads(REPLAYED_POOL.read_text()))
-        reads: list[str] = []
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every file ``trace_io`` opens, in order."""
+        opened: list[str] = []
 
         def counting_open(path, *args, **kwargs):
-            reads.append(os.fspath(path))
+            opened.append(os.fspath(path))
             return open(path, *args, **kwargs)
 
+        monkeypatch.setattr(trace_io, "open", counting_open, raising=False)
+        return opened
+
+    def test_one_parse_per_replayed_run(self, parses, reads, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        spec = ScenarioSpec.from_dict(json.loads(REPLAYED_POOL.read_text()))
         # The trace, the arrivals and the nominal rate read one copy of the
         # log: its file is read (and hashed) once per run, not per reader.
-        monkeypatch.setattr(trace_io, "open", counting_open, raising=False)
         result = run_scenario(spec)
         assert result.num_offered == 60
         assert parses == [os.getpid()]
@@ -278,11 +283,14 @@ class TestOneParse:
         assert reads == [spec.arrivals.path] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_parse_per_replayed_sweep(self, parses, monkeypatch, workers):
+    def test_one_parse_per_replayed_sweep(self, parses, reads, monkeypatch, workers):
         monkeypatch.chdir(REPO_ROOT)
         spec = SweepSpec.from_dict(json.loads(REPLAY_GRID.read_text()))
         outputs = run_grid(spec, own_parses, workers=workers)
         assert parses == [os.getpid()]
+        # The caller reads each cell's log once, before any worker forks,
+        # and the cell's run serves that copy: no second read per cell.
+        assert len(reads) == spec.num_cells == 12
         # In-process cells see the caller's one parse; a forked worker
         # inherits it and parses nothing.
         assert outputs == [(None, 1 if workers == 1 else 0)] * spec.num_cells

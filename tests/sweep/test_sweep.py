@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.serving import ArrivalSpec, ReplicaGroupSpec, ScenarioSpec, WorkloadSpec
-from repro.serving import api, baselines, stack
+from repro.serving import baselines, stack
 from repro.sweep import (
     METRIC_FIELDS,
     CellResult,
@@ -208,7 +208,7 @@ def own_builds(spec: ScenarioSpec, result) -> int:
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """Cold table caches, every ``build_serve_table`` call logged in ``_BUILDS``."""
+    """A cold table cache, every ``build_serve_table`` call logged in ``_BUILDS``."""
     real = stack.build_serve_table
 
     def counting(*args, **kwargs):
@@ -217,14 +217,8 @@ def counted_builds(monkeypatch):
 
     monkeypatch.setattr(stack, "build_serve_table", counting)
     monkeypatch.setattr(baselines, "build_serve_table", counting)
-    saved = dict(api.PROCESS_STACK_CACHE), dict(baselines._TABLES)
-    api.PROCESS_STACK_CACHE.clear()
-    baselines._TABLES.clear()
+    monkeypatch.setattr(stack, "_TABLES", {})
     _BUILDS.clear()
-    yield
-    for cache, entries in zip((api.PROCESS_STACK_CACHE, baselines._TABLES), saved):
-        cache.clear()
-        cache.update(entries)
 
 
 class TestTablesBuiltInCaller:
