@@ -21,9 +21,9 @@ curated ``to_jsonable``; anything else is converted field by field) — CI
 uploads these as workflow artifacts.  ``run --profile FILE`` wraps the run
 in cProfile, dumps the pstats data to ``FILE`` and prints the top 10
 functions by cumulative time.  ``schema`` prints the scenario JSON
-reference — every field's default and every closed enum — straight from the
-dataclasses (:func:`repro.serving.spec.scenario_schema`), so it can never
-drift from the code; the prose companion is ``docs/scenario-schema.md``.
+reference — every field's default, closed enum and numeric domain —
+straight from the dataclasses (:func:`repro.serving.spec.scenario_schema`),
+so it can never drift from the code; the prose companion is ``docs/scenario-schema.md``.
 ``lint`` runs the AST-based invariant linter (codes RPR001, RPR002 and
 RPR005; see ``docs/invariants.md``) over ``src/`` by default and exits
 nonzero on any violation — CI runs it in the ``static-analysis`` job.
@@ -211,7 +211,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # interdependent fields — e.g. autoscaler.policy=scheduled plus its
         # autoscaler.schedule — can be overridden together.
         spec = spec.override_many(args.override or ())
-    except (OSError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     if args.dump_spec:
@@ -243,7 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 axes=spec.axes,
                 name=spec.name,
             )
-    except (OSError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return 2
     result = run_sweep(spec, workers=args.workers)
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     schema_p = sub.add_parser(
         "schema",
-        help="print the scenario JSON schema (field defaults and enums)",
+        help="print the scenario JSON schema (field defaults, enums and domains)",
     )
     schema_p.set_defaults(func=_cmd_schema)
 

@@ -38,19 +38,6 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine distance (1 - cosine similarity); an alternative ``Dist``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"encoding shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return float(1.0 - np.dot(a, b) / (na * nb))
-
-
 def normalized_overlap(subnet_vec: np.ndarray, subgraph_vec: np.ndarray) -> float:
     """The paper's cache-hit proxy ``||SN ∩ G||_2 / ||SN||_2`` (Appendix A.4).
 

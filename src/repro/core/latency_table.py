@@ -143,12 +143,6 @@ class LatencyTable:
     def accuracy(self, subnet_idx: int) -> float:
         return self.accuracy_list[subnet_idx]
 
-    def subnet_index(self, subnet: SubNet) -> int:
-        for i, sn in enumerate(self.subnets):
-            if sn == subnet:
-                return i
-        raise KeyError(f"SubNet {subnet.name} not in latency table")
-
     def fastest(self, subgraph_idx: int) -> int:
         """The fastest SubNet under SubGraph ``j`` (STRICT_LATENCY's fallback)."""
         return self._fastest_from[subgraph_idx][0]

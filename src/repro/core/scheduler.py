@@ -153,7 +153,7 @@ class SushiSched:
         self._window: deque[int] = deque(maxlen=cache_update_period)
         self._latency_rows = table.latency_rows
         self._accuracies = table.accuracy_list
-        self._queries_seen = 0
+        self.queries_seen = 0
         self.decisions_made = 0
         """Decisions returned so far (a shared batch decision counts once)."""
         self.cache_updates = 0
@@ -173,7 +173,7 @@ class SushiSched:
     ) -> SchedulerDecision:
         """Make the control decision for the next query in the stream."""
         current_cache = self.cache_state_idx
-        seen_before = self._queries_seen
+        seen_before = self.queries_seen
         subnet_idx = self.schedule_shared(accuracy_constraint, latency_constraint_ms)
         next_cache = self.cache_state_idx
         return SchedulerDecision(
@@ -215,8 +215,8 @@ class SushiSched:
             self._window.append(subnet_idx)
         else:
             self._window.extend([subnet_idx] * min(batch_size, period))
-        seen_before = self._queries_seen
-        self._queries_seen = seen = seen_before + batch_size
+        seen_before = self.queries_seen
+        self.queries_seen = seen = seen_before + batch_size
         self.decisions_made += 1
         if seen // period > seen_before // period:
             next_cache = self.memo.nearest(self._window)
@@ -226,10 +226,6 @@ class SushiSched:
         return subnet_idx
 
     # ------------------------------------------------------------- helpers
-    @property
-    def queries_seen(self) -> int:
-        return self._queries_seen
-
     def reset(self, *, initial_cache_idx: int | None = None) -> None:
         """Forget all history (used between experiment repetitions).
 
@@ -239,7 +235,7 @@ class SushiSched:
         The shared memo is kept: it is a pure function of the table.
         """
         self._window.clear()
-        self._queries_seen = 0
+        self.queries_seen = 0
         self.decisions_made = 0
         self.cache_updates = 0
         if initial_cache_idx is None:
@@ -251,7 +247,3 @@ class SushiSched:
                     f"[0, {self.table.num_subgraphs})"
                 )
             self.cache_state_idx = initial_cache_idx
-
-    def cache_update_count(self) -> int:
-        """How many times the cached SubGraph actually changed."""
-        return self.cache_updates

@@ -144,14 +144,6 @@ class ReactivePolicy(ScalingPolicy):
         scale_up_step: int = 1,
         scale_down_step: int = 1,
     ) -> None:
-        if not (0.0 <= max_drop_rate <= 1.0):
-            raise ValueError("max_drop_rate must be in [0, 1]")
-        if max_queue_per_replica <= 0:
-            raise ValueError("max_queue_per_replica must be positive")
-        if not (0.0 <= min_utilization <= 1.0):
-            raise ValueError("min_utilization must be in [0, 1]")
-        if scale_up_step <= 0 or scale_down_step <= 0:
-            raise ValueError("scale steps must be positive")
         self.max_drop_rate = max_drop_rate
         self.max_queue_per_replica = max_queue_per_replica
         self.min_utilization = min_utilization
@@ -200,10 +192,6 @@ class TargetUtilizationPolicy(ScalingPolicy):
     def __init__(
         self, *, target_utilization: float = 0.60, deadband: float = 0.10
     ) -> None:
-        if not (0.0 < target_utilization <= 1.0):
-            raise ValueError("target_utilization must be in (0, 1]")
-        if not (0.0 <= deadband < 1.0):
-            raise ValueError("deadband must be in [0, 1)")
         self.target_utilization = target_utilization
         self.deadband = deadband
 
@@ -254,8 +242,6 @@ class SchedulePolicy(ScalingPolicy):
         entries = tuple((float(t), int(n)) for t, n in schedule)
         if not entries:
             raise ValueError("scheduled policy needs at least one (time, count) entry")
-        if any(n <= 0 for _, n in entries):
-            raise ValueError("scheduled replica counts must be positive")
         if list(entries) != sorted(entries, key=lambda e: e[0]):
             raise ValueError("schedule entries must be sorted by start time")
         if period_ms is not None and period_ms <= entries[-1][0]:
@@ -315,12 +301,6 @@ class PredictivePolicy(ScalingPolicy):
         deadband: float = 0.10,
         smoothing: float = 0.4,
     ) -> None:
-        if horizon_ms is not None and horizon_ms < 0:
-            raise ValueError("horizon_ms must be non-negative")
-        if not (0.0 < target_utilization <= 1.0):
-            raise ValueError("target_utilization must be in (0, 1]")
-        if not (0.0 <= deadband < 1.0):
-            raise ValueError("deadband must be in [0, 1)")
         if not (0.0 < smoothing <= 1.0):
             raise ValueError("smoothing must be in (0, 1]")
         self.horizon_ms = horizon_ms
@@ -405,12 +385,6 @@ class TierAwarePolicy(ScalingPolicy):
         max_queue_per_replica: float = 4.0,
         min_utilization: float = 0.40,
     ) -> None:
-        if not (0.0 <= max_drop_rate <= 1.0):
-            raise ValueError("max_drop_rate must be in [0, 1]")
-        if max_queue_per_replica <= 0:
-            raise ValueError("max_queue_per_replica must be positive")
-        if not (0.0 <= min_utilization <= 1.0):
-            raise ValueError("min_utilization must be in [0, 1]")
         self.max_drop_rate = max_drop_rate
         self.max_queue_per_replica = max_queue_per_replica
         self.min_utilization = min_utilization

@@ -61,10 +61,6 @@ class SimulatedQueryOutcome:
         """Queueing delay plus service time — what the SLO is judged against."""
         return self.completion_ms - self.arrival_ms
 
-    @property
-    def meets_slo(self) -> bool:
-        return self.response_ms <= self.latency_constraint_ms
-
 
 @dataclass(frozen=True, slots=True)
 class DroppedQuery:

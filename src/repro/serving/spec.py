@@ -25,12 +25,15 @@ Contracts every consumer relies on:
   and scenarios can live in version-controlled ``.json`` files
   (see ``examples/scenarios/``) and be run from the command line with
   ``python -m repro serve --scenario <file>``.  ``python -m repro schema``
-  prints the full field/default/enum reference
+  prints the full field/default/enum/domain reference
   (:func:`scenario_schema`; prose version in ``docs/scenario-schema.md``).
-* **Validation at construction** — every spec validates its fields in
-  ``__post_init__``; an invalid scenario fails when parsed, never mid-run.
-  ``from_dict`` rejects a key the spec does not declare, or a value of the
-  wrong JSON type, with one ``ValueError`` naming its dotted path.
+* **Validation at construction** — every numeric and closed-string field
+  declares its domain next to itself (:mod:`repro.serving.domain`), and
+  one check enforces the declarations in ``__post_init__``, beside the
+  cross-field rules; an invalid scenario fails when parsed, never mid-run.
+  ``from_dict`` rejects a key the spec does not declare, a value of the
+  wrong JSON type or outside its domain, or a broken cross-field rule,
+  with one ``ValueError`` naming its dotted path.
 * **Neutral defaults are inert** — fields added after PR 2 default to
   values that leave earlier behavior bit-identical: ``autoscaler: null``
   matches the fixed-pool engine path, ``batching.max_batch = 1`` the
@@ -77,10 +80,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-checking only imports
 from repro.accelerator.platforms import PlatformConfig, platform_by_name
 from repro.core.policies import Policy
 from repro.serving.autoscale.policies import POLICY_NAMES, ScalingPolicy, make_policy
+from repro.serving.domain import (
+    MAX_MS, MAX_QUERIES, Choice, FieldError, Known, Number, check_fields, declare
+)
 from repro.serving.engine.admission import ADMISSION_NAMES
 from repro.serving.engine.disciplines import DISCIPLINE_NAMES
 from repro.serving.engine.routing import ROUTER_NAMES
-from repro.serving.workload import PATTERNS, WorkloadSpec
+from repro.serving.workload import WorkloadSpec
 from repro.supernet.zoo import resolve_supernet_name
 
 __all__ = [
@@ -111,13 +117,17 @@ BACKEND_KINDS: tuple[str, ...] = (
     "static_subnet",  # serve one fixed SubNet for every query
 )
 
+#: The fields each supported arrival process reads besides ``kind`` and
+#: ``seed``; every other field of its :class:`ArrivalSpec` keeps its default.
+_KIND_FIELDS: dict[str, tuple[str, ...]] = {
+    "poisson": ("rate_per_ms",),
+    "deterministic": ("rate_per_ms",),
+    "time_varying": ("segments",),
+    "trace": ("path", "events", "rate_scale", "time_scale", "limit"),
+}
+
 #: Supported arrival processes.
-ARRIVAL_KINDS: tuple[str, ...] = (
-    "poisson",
-    "deterministic",
-    "time_varying",
-    "trace",
-)
+ARRIVAL_KINDS: tuple[str, ...] = tuple(_KIND_FIELDS)
 
 #: Batched-dispatch policies a replica group can run under.
 BATCHING_POLICIES: tuple[str, ...] = (
@@ -126,9 +136,28 @@ BATCHING_POLICIES: tuple[str, ...] = (
 )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
+#: Largest replica pool a group, scale step or autoscaler bound names:
+#: routing and control scan every live replica, so pools stay in the tens.
+MAX_REPLICAS = 1024
+
+#: Smallest Persistent Buffer a ``sushi`` replica serves from: the smallest
+#: that holds one SubGraph of every bundled SuperNet (``ofa_resnet50``
+#: needs 1.25 KB); a smaller one leaves its candidate set empty.
+MIN_SUSHI_PB_KB = 2.0
+
+_SEED = Number("int", ge=0, unbounded="numpy's default_rng takes any int >= 0")
+_QUERIES = Number("int", ge=1, le=MAX_QUERIES)
+_REPLICAS = Number("int", ge=1, le=MAX_REPLICAS)
+_FRACTION = Number("float", ge=0, le=1)
+_TIME = Number("float", ge=0, le=MAX_MS)
+_SPAN = Number("float", gt=0, le=MAX_MS)
+#: Floor of a control or sampling interval: one tick per 0.1 ms of run.
+_INTERVAL = Number("float", ge=0.1, le=MAX_MS)
+#: A cold start or straggle keeps the control loop ticking until it ends.
+_DELAY = Number("float", ge=0, le=60_000.0)
+#: Arrival rates in queries/ms: one query per second is the floor.
+_RATE = Number("float", ge=0.001, le=1e6)
+_SCALE = Number("float", ge=1e-6, le=1e6)
 
 
 def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
@@ -186,9 +215,16 @@ class JsonSpec:
     each field's resolved type hint, so ``from_dict(to_dict(spec)) == spec``
     holds for every field by construction.  Decoding raises one
     ``ValueError`` naming the dotted path (from the outermost spec) of the
-    first key the class does not declare, required key it lacks, or value
-    of the wrong JSON type.
+    first key the class does not declare, required key it lacks, value of
+    the wrong JSON type, or value its constructor rejects.
+
+    ``__post_init__`` checks every field against its declared domain; a
+    subclass with cross-field rules calls it first, then raises
+    :class:`~repro.serving.domain.FieldError` naming the field at fault.
     """
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -265,7 +301,14 @@ def _decode_dataclass(cls: Any, data: Any, path: str) -> Any:
     for key, (_, has_default) in known.items():
         if not has_default and key not in kwargs:
             raise ValueError(f"missing key {_join(path, key)!r} in {cls.__name__}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except FieldError as exc:
+        raise FieldError(_join(path, exc.path), exc.reason) from None
+    except ValueError as exc:
+        if not path:
+            raise
+        raise FieldError(path, str(exc)) from None
 
 
 def _decode(tp: Any, value: Any, path: str) -> Any:
@@ -310,19 +353,13 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
         item_type = get_args(tp)[1]
         return {k: _decode(item_type, v, _join(path, k)) for k, v in value.items()}
     if origin is Literal:
-        if value not in get_args(tp):
-            raise ValueError(
-                f"unknown value at {path!r}: expected one of "
-                f"{list(get_args(tp))}, got {value!r}"
-            )
-        return value
+        return value  # the field's declared Choice checks it
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return tp(value)
         except ValueError:
-            raise ValueError(
-                f"unknown value at {path!r}: expected one of "
-                f"{[m.value for m in tp]}, got {value!r}"
+            raise FieldError(
+                path, f"expected one of {[m.value for m in tp]}, got {value!r}"
             ) from None
     # Scalars.  ``bool`` is not a number; an ``int`` stays an ``int`` in a
     # ``float`` field so the serialized bytes round-trip unchanged.
@@ -347,6 +384,10 @@ def _type_error(tp: Any, value: Any, path: str) -> ValueError:
 
 def _join(path: str, key: str | int) -> str:
     return f"{path}.{key}" if path else str(key)
+
+
+def _indexed(path: str, names: tuple[str, ...]) -> list[tuple[str, str | None]]:
+    return [(_join(path, i), name) for i, name in enumerate(names)]
 
 
 def _as_tuple(value: Any) -> Any:
@@ -400,87 +441,33 @@ class ArrivalSpec(JsonSpec):
         (timestamp-sorted) log.  ``null`` replays everything.
     """
 
-    kind: str = "poisson"
-    rate_per_ms: float | None = None
-    segments: tuple[tuple[float, float], ...] = ()
-    seed: int = 0
+    kind: str = declare("poisson", Choice(ARRIVAL_KINDS))
+    rate_per_ms: float | None = declare(None, _RATE)
+    segments: tuple[tuple[float, float], ...] = declare((), items=(_SPAN, _RATE))
+    seed: int = declare(0, _SEED)
     path: str | None = None
-    events: tuple[float, ...] = ()
-    rate_scale: float = 1.0
-    time_scale: float = 1.0
-    limit: int | None = None
+    events: tuple[float, ...] = declare((), items=_TIME)
+    rate_scale: float = declare(1.0, _SCALE)
+    time_scale: float = declare(1.0, _SCALE)
+    limit: int | None = declare(None, _QUERIES)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", _as_tuple(self.segments))
-        object.__setattr__(
-            self, "events", tuple(float(e) for e in _as_tuple(self.events))
-        )
-        _require(
-            self.kind in ARRIVAL_KINDS,
-            f"unknown arrival kind {self.kind!r}; expected one of {ARRIVAL_KINDS}",
-        )
-        if self.kind != "trace":
-            _require(
-                self.path is None and not self.events,
-                f"{self.kind} arrivals take no path/events "
-                "(use kind=\"trace\" to replay a request log)",
-            )
-            _require(
-                self.rate_scale == 1.0
-                and self.time_scale == 1.0
-                and self.limit is None,
-                f"rate_scale/time_scale/limit only apply to trace arrivals "
-                f"(kind={self.kind!r})",
-            )
-        if self.kind in ("poisson", "deterministic"):
-            _require(
-                self.rate_per_ms is not None and self.rate_per_ms > 0,
-                f"{self.kind} arrivals need a positive rate_per_ms "
-                f"(got {self.rate_per_ms})",
-            )
-            _require(
-                not self.segments,
-                f"{self.kind} arrivals take no segments (got {self.segments})",
-            )
-        elif self.kind == "time_varying":
-            _require(
-                self.rate_per_ms is None,
-                "time_varying arrivals are described by segments, not rate_per_ms",
-            )
-            _require(bool(self.segments), "time_varying arrivals need segments")
-            for seg in self.segments:
-                _require(
-                    isinstance(seg, tuple) and len(seg) == 2,
-                    f"each segment must be (duration_ms, rate_per_ms), got {seg!r}",
-                )
-                duration, rate = seg
-                _require(
-                    duration > 0 and rate > 0,
-                    f"segment durations and rates must be positive, got {seg}",
-                )
-        else:  # trace
-            _require(
-                self.rate_per_ms is None and not self.segments,
-                "trace arrivals replay a request log; they take no "
-                "rate_per_ms or segments",
-            )
-            _require(
-                (self.path is None) != (len(self.events) == 0),
-                "trace arrivals need exactly one of path or events",
-            )
-            for name in ("rate_scale", "time_scale", "limit"):
-                value = getattr(self, name)
-                _require(
-                    value is None or value > 0, f"{name} must be positive, got {value}"
-                )
-            _require(
-                all(t >= 0.0 for t in self.events),
-                "inline trace events must be non-negative timestamps",
-            )
-            _require(
-                all(a <= b for a, b in zip(self.events, self.events[1:])),
-                "inline trace events must be non-decreasing",
-            )
+        object.__setattr__(self, "events", tuple(self.events))
+        super().__post_init__()
+        object.__setattr__(self, "events", tuple(float(e) for e in self.events))
+        takes = ("kind", "seed", *_KIND_FIELDS[self.kind])
+        for f in fields(self):
+            if f.name not in takes and getattr(self, f.name) != f.default:
+                raise FieldError(f.name, f"{self.kind} arrivals take no {f.name}")
+        if self.kind in ("poisson", "deterministic") and self.rate_per_ms is None:
+            raise FieldError("rate_per_ms", f"{self.kind} arrivals need a rate")
+        if self.kind == "time_varying" and not self.segments:
+            raise FieldError("segments", "time_varying arrivals need segments")
+        if self.kind == "trace" and (self.path is None) == (not self.events):
+            raise FieldError("path", "trace arrivals need exactly one of path or events")
+        if any(a > b for a, b in zip(self.events, self.events[1:])):
+            raise FieldError("events", "inline trace events must be non-decreasing")
 
     # ------------------------------------------------------------- generate
     def generate(
@@ -527,11 +514,10 @@ class ArrivalSpec(JsonSpec):
             events = log.timestamps_ms
         else:
             events = np.asarray(self.events[: self.limit], dtype=np.float64)
-        _require(
-            float(events[-1]) > 0.0,
-            "the replayed trace must span positive time "
-            "(its last timestamp is 0)",
-        )
+        if float(events[-1]) <= 0.0:
+            raise ValueError(
+                "the replayed trace must span positive time (its last timestamp is 0)"
+            )
         factor = self.time_scale / self.rate_scale
         if factor == 1.0:
             return events
@@ -629,19 +615,8 @@ class BatchingSpec(JsonSpec):
         comparison point).
     """
 
-    max_batch: int = 1
-    policy: str = "shared_subnet"
-
-    def __post_init__(self) -> None:
-        _require(
-            self.max_batch >= 1,
-            f"max_batch must be >= 1, got {self.max_batch}",
-        )
-        _require(
-            self.policy in BATCHING_POLICIES,
-            f"unknown batching policy {self.policy!r}; "
-            f"expected one of {BATCHING_POLICIES}",
-        )
+    max_batch: int = declare(1, _QUERIES)
+    policy: str = declare("shared_subnet", Choice(BATCHING_POLICIES))
 
 
 @dataclass(frozen=True)
@@ -660,7 +635,9 @@ class ReplicaGroupSpec(JsonSpec):
     pb_kb:
         Persistent Buffer size override in KB (None keeps the platform's).
         The knob that makes pools heterogeneous: groups sharing a platform
-        but differing in PB size model big/small accelerator tiers.
+        but differing in PB size model big/small accelerator tiers.  At
+        most the platform's on-chip budget; a ``sushi`` group's PB (this or
+        the platform's) holds at least :data:`MIN_SUSHI_PB_KB`.
     policy, cache_update_period, candidate_set_size, seed:
         Per-group overrides of the scenario-level values (None inherits).
     discipline:
@@ -689,18 +666,22 @@ class ReplicaGroupSpec(JsonSpec):
         ``"{name}-{i}"`` (default names follow the engine's global index).
     """
 
-    count: int = 1
-    kind: str = "sushi"
-    platform: str | PlatformConfig = "analytic-default"
-    pb_kb: float | None = None
+    count: int = declare(1, _REPLICAS)
+    kind: str = declare("sushi", Choice(BACKEND_KINDS))
+    platform: str | PlatformConfig = declare(
+        "analytic-default", Known(platform_by_name)
+    )
+    pb_kb: float | None = declare(
+        None, Number("float", ge=0, unbounded="the platform's on-chip budget bounds it")
+    )
     policy: Policy | None = None
-    cache_update_period: int | None = None
-    candidate_set_size: int | None = None
-    seed: int | None = None
-    discipline: str = "fifo"
+    cache_update_period: int | None = declare(None, _QUERIES)
+    candidate_set_size: int | None = declare(None, Number("int", ge=1, le=256))
+    seed: int | None = declare(None, _SEED)
+    discipline: str = declare("fifo", Choice(DISCIPLINE_NAMES))
     batching: BatchingSpec = field(default_factory=BatchingSpec)
-    cost_weight: float = 1.0
-    startup_delay_ms: float = 0.0
+    cost_weight: float = declare(1.0, Number("float", gt=0, le=1e6))
+    startup_delay_ms: float = declare(0.0, _DELAY)
     subnet_name: str | None = None
     name: str | None = None
 
@@ -710,46 +691,25 @@ class ReplicaGroupSpec(JsonSpec):
             # the nullable autoscaler field.
             object.__setattr__(self, "batching", BatchingSpec())
         elif isinstance(self.batching, Mapping):
-            object.__setattr__(self, "batching", BatchingSpec.from_dict(self.batching))
-        _require(self.count > 0, f"replica count must be positive, got {self.count}")
-        _require(
-            self.kind in BACKEND_KINDS,
-            f"unknown backend kind {self.kind!r}; expected one of {BACKEND_KINDS}",
-        )
+            batching = BatchingSpec.from_dict(self.batching, path="batching")
+            object.__setattr__(self, "batching", batching)
         if isinstance(self.policy, str):
             object.__setattr__(self, "policy", Policy(self.policy))
-        if self.pb_kb is not None:
-            _require(self.pb_kb >= 0, f"pb_kb must be >= 0, got {self.pb_kb}")
-        if self.cache_update_period is not None:
-            _require(
-                self.cache_update_period > 0,
-                f"cache_update_period must be positive, got {self.cache_update_period}",
+        super().__post_init__()
+        if self.subnet_name is not None and self.kind != "static_subnet":
+            raise FieldError(
+                "subnet_name", f"only static_subnet groups pin one (kind={self.kind!r})"
             )
-        if self.candidate_set_size is not None:
-            _require(
-                self.candidate_set_size > 0,
-                f"candidate_set_size must be positive, got {self.candidate_set_size}",
-            )
-        _require(
-            self.discipline in DISCIPLINE_NAMES,
-            f"unknown queue discipline {self.discipline!r}; expected one of "
-            f"{DISCIPLINE_NAMES}",
-        )
-        _require(
-            self.cost_weight > 0,
-            f"cost_weight must be positive, got {self.cost_weight}",
-        )
-        _require(
-            self.startup_delay_ms >= 0,
-            f"startup_delay_ms must be non-negative, got {self.startup_delay_ms}",
-        )
-        if isinstance(self.platform, str):
-            # Fail at spec time, not at build time.
-            platform_by_name(self.platform)
-        if self.subnet_name is not None:
-            _require(
-                self.kind == "static_subnet",
-                f"subnet_name only applies to static_subnet backends (kind={self.kind!r})",
+        try:
+            pb_kb = self.resolved_platform().pb_kb
+        except ValueError as exc:
+            raise FieldError("pb_kb", str(exc)) from None
+        if self.kind == "sushi" and pb_kb < MIN_SUSHI_PB_KB:
+            raise FieldError(
+                "pb_kb",
+                f"a sushi replica needs a Persistent Buffer of at least "
+                f"{MIN_SUSHI_PB_KB} KB to cache a SubGraph in, got {pb_kb} KB "
+                "(kind no_sushi serves without one)",
             )
 
     def resolved_platform(self) -> PlatformConfig:
@@ -773,7 +733,8 @@ class AutoscalerSpec(JsonSpec):
     evaluate, how often, over what telemetry window, within which pool
     bounds, and which replica group it scales.  Policy-specific knobs are
     flat fields; only the ones belonging to ``policy`` are consumed (the
-    rest keep their defaults so the JSON form stays stable).
+    rest keep their defaults so the JSON form stays stable), but every
+    knob must lie in its domain whatever the policy.
 
     Attributes
     ----------
@@ -817,90 +778,59 @@ class AutoscalerSpec(JsonSpec):
         an optional cycle period for diurnal plans.
     """
 
-    policy: str = "reactive"
-    control_interval_ms: float = 50.0
-    window_ms: float | None = None
-    min_replicas: int = 1
-    max_replicas: int = 8
-    up_cooldown_ms: float = 0.0
-    down_cooldown_ms: float = 0.0
+    policy: str = declare("reactive", Choice(SCALING_POLICY_NAMES))
+    control_interval_ms: float = declare(50.0, _INTERVAL)
+    window_ms: float | None = declare(None, _SPAN)
+    min_replicas: int = declare(1, _REPLICAS)
+    max_replicas: int = declare(8, _REPLICAS)
+    up_cooldown_ms: float = declare(0.0, _TIME)
+    down_cooldown_ms: float = declare(0.0, _TIME)
     group: str | None = None
     groups: tuple[str, ...] = ()
-    cost_budget: float | None = None
-    max_drop_rate: float = 0.05
-    max_queue_per_replica: float = 4.0
-    min_utilization: float = 0.40
-    scale_up_step: int = 1
-    scale_down_step: int = 1
-    target_utilization: float = 0.60
-    deadband: float = 0.10
-    horizon_ms: float | None = None
-    schedule: tuple[tuple[float, int], ...] = ()
-    period_ms: float | None = None
+    cost_budget: float | None = declare(
+        None, Number("float", gt=0, unbounded="a budget above the pool never binds")
+    )
+    max_drop_rate: float = declare(0.05, _FRACTION)
+    max_queue_per_replica: float = declare(
+        4.0, Number("float", gt=0, unbounded="a huge threshold turns the trigger off")
+    )
+    min_utilization: float = declare(0.40, _FRACTION)
+    scale_up_step: int = declare(1, _REPLICAS)
+    scale_down_step: int = declare(1, _REPLICAS)
+    target_utilization: float = declare(0.60, Number("float", gt=0, le=1))
+    deadband: float = declare(0.10, Number("float", ge=0, lt=1))
+    horizon_ms: float | None = declare(None, _TIME)
+    schedule: tuple[tuple[float, int], ...] = declare((), items=(_TIME, _REPLICAS))
+    period_ms: float | None = declare(None, _SPAN)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", _as_tuple(self.schedule))
         object.__setattr__(self, "groups", tuple(self.groups))
-        _require(
-            self.policy in SCALING_POLICY_NAMES,
-            f"unknown scaling policy {self.policy!r}; "
-            f"expected one of {SCALING_POLICY_NAMES}",
-        )
-        _require(
-            self.control_interval_ms > 0, "control_interval_ms must be positive"
-        )
-        if self.window_ms is not None:
-            _require(self.window_ms > 0, "window_ms must be positive")
-        _require(self.min_replicas > 0, "min_replicas must be positive")
-        _require(
-            self.max_replicas >= self.min_replicas,
-            f"max_replicas ({self.max_replicas}) must be >= min_replicas "
-            f"({self.min_replicas})",
-        )
-        _require(
-            self.up_cooldown_ms >= 0 and self.down_cooldown_ms >= 0,
-            "cooldowns must be non-negative",
-        )
-        if self.policy == "scheduled":
-            _require(
-                bool(self.schedule), "scheduled autoscalers need a schedule"
+        super().__post_init__()
+        if self.max_replicas < self.min_replicas:
+            raise FieldError(
+                "max_replicas",
+                f"must be >= min_replicas ({self.min_replicas}), got {self.max_replicas}",
             )
-        else:
-            _require(
-                not self.schedule,
-                f"{self.policy} autoscalers take no schedule (got {self.schedule})",
-            )
-        if self.groups:
-            _require(
-                self.policy == "tier_aware",
-                f"groups (multi-tier scaling) needs the tier_aware policy, "
-                f"not {self.policy!r}",
-            )
-            _require(
-                self.group is None,
-                "pass either group or groups, not both",
-            )
-            _require(
-                len(set(self.groups)) == len(self.groups),
-                f"groups must be unique, got {self.groups}",
-            )
-        if self.cost_budget is not None:
-            _require(
-                self.policy == "tier_aware",
-                f"cost_budget applies to the tier_aware policy, "
-                f"not {self.policy!r}",
-            )
-            _require(self.cost_budget > 0, "cost_budget must be positive")
-        if self.horizon_ms is not None:
-            _require(
-                self.policy == "predictive",
-                f"horizon_ms applies to the predictive policy, "
-                f"not {self.policy!r}",
-            )
-            _require(self.horizon_ms >= 0, "horizon_ms must be non-negative")
-        # Building the policy validates its knobs at spec time, not at run
-        # time; the instance is discarded.
-        self.build_policy()
+        for name, owner in (
+            ("groups", "tier_aware"),
+            ("cost_budget", "tier_aware"),
+            ("horizon_ms", "predictive"),
+            ("schedule", "scheduled"),
+        ):
+            if getattr(self, name) not in (None, ()) and self.policy != owner:
+                raise FieldError(name, f"applies to the {owner} policy, not {self.policy!r}")
+        if self.groups and self.group is not None:
+            raise FieldError("groups", "pass either group or groups, not both")
+        if len(set(self.groups)) != len(self.groups):
+            raise FieldError("groups", f"names must be unique, got {self.groups}")
+        # Building the policy checks what no single field's domain can (a
+        # scheduled policy's plan: present, sorted, shorter than its
+        # period); the instance is discarded.
+        try:
+            self.build_policy()
+        except ValueError as exc:
+            raise FieldError("schedule", str(exc)) from None
 
     # ------------------------------------------------------------- building
     def build_policy(self) -> ScalingPolicy:
@@ -956,20 +886,17 @@ class ObservabilitySpec(JsonSpec):
     """Keep the autoscaler's per-tick ``MetricsSnapshot`` history on
     ``SimulationResult.metrics`` (autoscaled runs only; a fixed pool has
     no control ticks to snapshot)."""
-    metrics_interval_ms: float | None = None
+    metrics_interval_ms: float | None = declare(None, _INTERVAL)
     """Sampling interval of the trace-derived metrics timeseries exporter
     (``null``: one percent of the run's duration)."""
 
     def __post_init__(self) -> None:
-        _require(
-            self.trace or self.keep_metrics,
-            "an ObservabilitySpec must enable trace or keep_metrics "
-            "(use observability: null to turn observability off)",
-        )
-        if self.metrics_interval_ms is not None:
-            _require(
-                self.metrics_interval_ms > 0,
-                "metrics_interval_ms must be positive",
+        super().__post_init__()
+        if not (self.trace or self.keep_metrics):
+            raise FieldError(
+                "trace",
+                "an ObservabilitySpec must enable trace or keep_metrics "
+                "(use observability: null to turn observability off)",
             )
 
 
@@ -985,23 +912,10 @@ class RetryPolicy(JsonSpec):
     immediately), the fault-oblivious baseline configuration.
     """
 
-    max_attempts: int = 3
-    backoff_base_ms: float = 1.0
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        _require(
-            self.max_attempts >= 1,
-            f"max_attempts must be >= 1, got {self.max_attempts}",
-        )
-        _require(
-            self.backoff_base_ms > 0,
-            f"backoff_base_ms must be positive, got {self.backoff_base_ms}",
-        )
-        _require(
-            self.backoff_multiplier >= 1.0,
-            f"backoff_multiplier must be >= 1.0, got {self.backoff_multiplier}",
-        )
+    max_attempts: int = declare(3, Number("int", ge=1, le=100))
+    backoff_base_ms: float = declare(1.0, _SPAN)
+    # 1000 ** 99 * MAX_MS stays a float: the longest backoff never overflows.
+    backoff_multiplier: float = declare(2.0, Number("float", ge=1, le=1000))
 
 
 @dataclass(frozen=True)
@@ -1049,16 +963,16 @@ class FaultSpec(JsonSpec):
         group).  Every name must match a replica group.
     """
 
-    seed: int = 0
-    crash_mtbf_ms: float | None = None
-    straggler_mtbf_ms: float | None = None
-    straggler_duration_ms: float = 0.0
-    straggler_factor: float = 1.0
-    dispatch_failure_prob: float = 0.0
+    seed: int = declare(0, _SEED)
+    crash_mtbf_ms: float | None = declare(None, _SPAN)
+    straggler_mtbf_ms: float | None = declare(None, _INTERVAL)
+    straggler_duration_ms: float = declare(0.0, _DELAY)
+    straggler_factor: float = declare(1.0, Number("float", ge=1, le=1000))
+    dispatch_failure_prob: float = declare(0.0, Number("float", ge=0, lt=1))
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    brownout_threshold: float | None = None
-    brownout_accuracy_step: float = 0.01
-    brownout_max_steps: int = 3
+    brownout_threshold: float | None = declare(None, Number("float", gt=0, le=1))
+    brownout_accuracy_step: float = declare(0.01, Number("float", gt=0, le=1))
+    brownout_max_steps: int = declare(3, Number("int", ge=1, le=100))
     groups: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -1067,51 +981,15 @@ class FaultSpec(JsonSpec):
             # the nullable batching field.
             object.__setattr__(self, "retry", RetryPolicy())
         elif isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
+            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry, path="retry"))
         object.__setattr__(self, "groups", tuple(self.groups))
-        if self.crash_mtbf_ms is not None:
-            _require(
-                self.crash_mtbf_ms > 0,
-                f"crash_mtbf_ms must be positive, got {self.crash_mtbf_ms}",
+        super().__post_init__()
+        if self.straggler_mtbf_ms is not None and self.straggler_duration_ms <= 0:
+            raise FieldError(
+                "straggler_duration_ms", "must be positive when stragglers are enabled"
             )
-        if self.straggler_mtbf_ms is not None:
-            _require(
-                self.straggler_mtbf_ms > 0,
-                f"straggler_mtbf_ms must be positive, got {self.straggler_mtbf_ms}",
-            )
-            _require(
-                self.straggler_duration_ms > 0,
-                "straggler_duration_ms must be positive when stragglers are "
-                f"enabled, got {self.straggler_duration_ms}",
-            )
-            _require(
-                self.straggler_factor >= 1.0,
-                f"straggler_factor must be >= 1.0, got {self.straggler_factor}",
-            )
-        _require(
-            0.0 <= self.dispatch_failure_prob < 1.0,
-            f"dispatch_failure_prob must be in [0, 1), "
-            f"got {self.dispatch_failure_prob}",
-        )
-        if self.brownout_threshold is not None:
-            _require(
-                0.0 < self.brownout_threshold <= 1.0,
-                f"brownout_threshold must be in (0, 1], "
-                f"got {self.brownout_threshold}",
-            )
-            _require(
-                self.brownout_accuracy_step > 0,
-                "brownout_accuracy_step must be positive, "
-                f"got {self.brownout_accuracy_step}",
-            )
-            _require(
-                self.brownout_max_steps >= 1,
-                f"brownout_max_steps must be >= 1, got {self.brownout_max_steps}",
-            )
-        _require(
-            len(set(self.groups)) == len(self.groups),
-            f"fault groups must be unique, got {self.groups}",
-        )
+        if len(set(self.groups)) != len(self.groups):
+            raise FieldError("groups", f"names must be unique, got {self.groups}")
 
 
 @dataclass(frozen=True)
@@ -1166,19 +1044,19 @@ class ScenarioSpec(JsonSpec):
     """
 
     name: str = "scenario"
-    supernet_name: str = "ofa_resnet50"
+    supernet_name: str = declare("ofa_resnet50", Known(resolve_supernet_name))
     policy: Policy = Policy.STRICT_ACCURACY
-    cache_update_period: int = 4
+    cache_update_period: int = declare(4, _QUERIES)
     replica_groups: tuple[ReplicaGroupSpec, ...] = (ReplicaGroupSpec(),)
-    router: str = "round_robin"
-    admission: str = "admit_all"
+    router: str = declare("round_robin", Choice(ROUTER_NAMES))
+    admission: str = declare("admit_all", Choice(ADMISSION_NAMES))
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     arrivals: ArrivalSpec = field(
         default_factory=lambda: ArrivalSpec(kind="poisson", rate_per_ms=0.1)
     )
     autoscaler: AutoscalerSpec | None = None
-    num_queries: int | None = None
-    seed: int = 0
+    num_queries: int | None = declare(None, _QUERIES)
+    seed: int = declare(0, _SEED)
     observability: ObservabilitySpec | None = None
     faults: FaultSpec | None = None
 
@@ -1186,48 +1064,29 @@ class ScenarioSpec(JsonSpec):
         if isinstance(self.policy, str):
             object.__setattr__(self, "policy", Policy(self.policy))
         object.__setattr__(self, "replica_groups", tuple(self.replica_groups))
-        _require(bool(self.replica_groups), "a scenario needs at least one replica group")
-        named = [g.name for g in self.replica_groups if g.name is not None]
-        _require(
-            len(set(named)) == len(named),
-            f"replica group names must be unique, got {named}",
-        )
-        _require(self.cache_update_period > 0, "cache_update_period must be positive")
-        # Fail at spec time, not at build time; aliases such as "mobv3" parse.
-        resolve_supernet_name(self.supernet_name)
-        _require(
-            self.router in ROUTER_NAMES,
-            f"unknown router {self.router!r}; expected one of {ROUTER_NAMES}",
-        )
-        _require(
-            self.admission in ADMISSION_NAMES,
-            f"unknown admission policy {self.admission!r}; expected one of "
-            f"{ADMISSION_NAMES}",
-        )
-        if self.num_queries is not None:
-            _require(self.num_queries > 0, "num_queries must be positive")
+        super().__post_init__()
+        if not self.replica_groups:
+            raise FieldError("replica_groups", "a scenario needs at least one group")
+        names = [g.name for g in self.replica_groups]
+        named = [n for n in names if n is not None]
+        if len(set(named)) != len(named):
+            raise FieldError("replica_groups", f"group names must be unique, got {named}")
+        references: list[tuple[str, str | None]] = []
         if self.autoscaler is not None:
-            names = [g.name for g in self.replica_groups]
-            if self.autoscaler.group is not None:
-                _require(
-                    self.autoscaler.group in names,
-                    f"autoscaler.group {self.autoscaler.group!r} names no "
-                    f"replica group (groups: {names})",
-                )
-            for name in self.autoscaler.groups:
-                _require(
-                    name in names,
-                    f"autoscaler.groups entry {name!r} names no replica "
-                    f"group (groups: {names})",
-                )
+            references.append(("autoscaler.group", self.autoscaler.group))
+            references += _indexed("autoscaler.groups", self.autoscaler.groups)
         if self.faults is not None:
-            names = [g.name for g in self.replica_groups]
-            for name in self.faults.groups:
-                _require(
-                    name in names,
-                    f"faults.groups entry {name!r} names no replica "
-                    f"group (groups: {names})",
-                )
+            references += _indexed("faults.groups", self.faults.groups)
+        for path, name in references:
+            if name is not None and name not in names:
+                raise FieldError(path, f"{name!r} names no replica group (groups: {names})")
+        limit = self.arrivals.limit
+        if limit is not None and limit < self.effective_num_queries:
+            raise FieldError(
+                "arrivals.limit",
+                f"replays {limit} arrivals but the scenario needs "
+                f"{self.effective_num_queries}",
+            )
 
     # ------------------------------------------------------------- derived
     @property
@@ -1298,11 +1157,16 @@ def scenario_schema() -> dict[str, Any]:
 
     Returns the serialized *defaults* of every spec (each key of the
     ``defaults`` sections is exactly a key of the corresponding JSON
-    object) plus the closed ``enums`` each string field accepts.  This is
-    what ``python -m repro schema`` prints, and what the docs sync test
-    holds ``docs/scenario-schema.md`` against — the prose reference cannot
-    silently drift from the dataclasses.
+    object), the closed ``enums`` each string field accepts, and the
+    ``domains`` of the numeric fields (``[]`` marks a list's items, a list
+    of domains a row's entries), both read off the field declarations.
+    This is what ``python -m repro schema`` prints, and what the docs sync
+    test holds ``docs/scenario-schema.md`` against — the prose reference
+    cannot silently drift from the dataclasses.
     """
+    enums: dict[str, list[str]] = {}
+    domains: dict[str, Any] = {}
+    _publish(ScenarioSpec, "", enums, domains)
     return {
         "defaults": {
             "scenario": ScenarioSpec().to_dict(),
@@ -1315,15 +1179,33 @@ def scenario_schema() -> dict[str, Any]:
             "faults": FaultSpec().to_dict(),
             "retry": RetryPolicy().to_dict(),
         },
-        "enums": {
-            "policy": [p.value for p in Policy],
-            "router": list(ROUTER_NAMES),
-            "admission": list(ADMISSION_NAMES),
-            "replica_groups[].kind": list(BACKEND_KINDS),
-            "replica_groups[].discipline": list(DISCIPLINE_NAMES),
-            "replica_groups[].batching.policy": list(BATCHING_POLICIES),
-            "workload.pattern": list(PATTERNS),
-            "arrivals.kind": list(ARRIVAL_KINDS),
-            "autoscaler.policy": list(SCALING_POLICY_NAMES),
-        },
+        "enums": enums,
+        "domains": domains,
     }
+
+
+def _publish(
+    cls: Any, prefix: str, enums: dict[str, list[str]], domains: dict[str, Any]
+) -> None:
+    """Add the declared choices and number domains of dataclass ``cls``
+    and of the spec objects it nests, under their dotted paths."""
+    for f in fields(cls):
+        path = prefix + f.name
+        domain, items = f.metadata.get("domain"), f.metadata.get("items")
+        if isinstance(domain, Choice):
+            enums[path] = list(domain.names)
+        elif isinstance(domain, Number):
+            domains[path] = domain.to_dict()
+        elif isinstance(items, tuple):
+            domains[path + "[]"] = [d.to_dict() for d in items]
+        elif isinstance(items, Number):
+            domains[path + "[]"] = items.to_dict()
+        elif domain is None:
+            tp = _field_types(cls)[f.name][0]
+            if get_origin(tp) is tuple:
+                tp, path = get_args(tp)[0], path + "[]"
+            for arm in get_args(tp) or (tp,):
+                if dataclasses.is_dataclass(arm):
+                    _publish(arm, path + ".", enums, domains)
+                elif isinstance(arm, type) and issubclass(arm, Enum):
+                    enums[path] = [m.value for m in arm]

@@ -19,11 +19,12 @@ All generators take an explicit seed so experiments are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
 
+from repro.serving.domain import MAX_MS, MAX_QUERIES, Choice, FieldError, Number, check_fields, declare
 from repro.serving.query import QueryTrace
 
 Pattern = Literal["uniform", "phased", "drift", "bursty"]
@@ -57,30 +58,24 @@ class WorkloadSpec:
         Fraction of queries inside bursts for the ``bursty`` pattern.
     """
 
-    num_queries: int = 200
-    accuracy_range: tuple[float, float] | None = (0.75, 0.80)
-    latency_range_ms: tuple[float, float] | None = (2.0, 20.0)
-    pattern: Pattern = "uniform"
-    num_phases: int = 4
-    burst_fraction: float = 0.2
+    num_queries: int = declare(200, Number("int", ge=1, le=MAX_QUERIES))
+    accuracy_range: tuple[float, float] | None = declare(
+        (0.75, 0.80), items=Number("float", gt=0, lt=1)
+    )
+    latency_range_ms: tuple[float, float] | None = declare(
+        (2.0, 20.0), items=Number("float", gt=0, le=MAX_MS)
+    )
+    pattern: Pattern = declare("uniform", Choice(PATTERNS))
+    # The phased pattern loops once per phase.
+    num_phases: int = declare(4, Number("int", ge=1, le=10_000))
+    burst_fraction: float = declare(0.2, Number("float", ge=0, le=1))
 
     def __post_init__(self) -> None:
-        if self.num_queries <= 0:
-            raise ValueError("num_queries must be positive")
-        if self.accuracy_range is not None:
-            lo, hi = self.accuracy_range
-            if not (0.0 < lo <= hi < 1.0):
-                raise ValueError(f"invalid accuracy_range {self.accuracy_range}")
-        if self.latency_range_ms is not None:
-            llo, lhi = self.latency_range_ms
-            if not (0.0 < llo <= lhi):
-                raise ValueError(f"invalid latency_range_ms {self.latency_range_ms}")
-        if self.pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r}; expected one of {PATTERNS}")
-        if self.num_phases <= 0:
-            raise ValueError("num_phases must be positive")
-        if not (0.0 <= self.burst_fraction <= 1.0):
-            raise ValueError("burst_fraction must be in [0, 1]")
+        check_fields(self)
+        for name in ("accuracy_range", "latency_range_ms"):
+            bounds = getattr(self, name)
+            if bounds is not None and not (len(bounds) == 2 and bounds[0] <= bounds[1]):
+                raise FieldError(name, f"needs a [lo, hi] pair with lo <= hi, got {bounds}")
 
     @property
     def has_resolved_ranges(self) -> bool:

@@ -20,7 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.serving.spec import JsonSpec, ScenarioSpec, _as_tuple, _require
+from repro.serving.domain import FieldError
+from repro.serving.spec import JsonSpec, ScenarioSpec, _as_tuple
 
 __all__ = ["SweepAxis", "SweepSpec"]
 
@@ -45,14 +46,10 @@ class SweepAxis(JsonSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_tuple(self.values))
-        _require(
-            isinstance(self.path, str) and bool(self.path),
-            f"axis path must be a non-empty string, got {self.path!r}",
-        )
-        _require(
-            bool(self.values),
-            f"axis {self.path!r} needs at least one value",
-        )
+        if not (isinstance(self.path, str) and self.path):
+            raise FieldError("path", f"must be a non-empty string, got {self.path!r}")
+        if not self.values:
+            raise FieldError("values", f"axis {self.path!r} needs at least one value")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -79,7 +76,7 @@ class SweepSpec(JsonSpec):
 
     def __post_init__(self) -> None:
         if isinstance(self.base, Mapping):
-            object.__setattr__(self, "base", ScenarioSpec.from_dict(self.base))
+            object.__setattr__(self, "base", ScenarioSpec.from_dict(self.base, path="base"))
         object.__setattr__(
             self,
             "axes",
@@ -89,10 +86,8 @@ class SweepSpec(JsonSpec):
             ),
         )
         paths = [a.path for a in self.axes]
-        _require(
-            len(set(paths)) == len(paths),
-            f"axis paths must be unique, got {paths}",
-        )
+        if len(set(paths)) != len(paths):
+            raise FieldError("axes", f"axis paths must be unique, got {paths}")
 
     # --------------------------------------------------------------- derived
     @property

@@ -5,7 +5,6 @@ import pytest
 
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.core.encoding import (
-    cosine_distance,
     encode_subgraph,
     encode_subnet,
     euclidean_distance,
@@ -27,15 +26,21 @@ class TestDistances:
         with pytest.raises(ValueError):
             euclidean_distance(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
-            cosine_distance(np.zeros(3), np.zeros(4))
+            nearest_index(np.zeros(3), [np.zeros(4)], metric="cosine")
 
     def test_cosine_bounds(self):
+        # Orthogonal encodings sit at cosine distance 1, identical ones at 0.
         a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert cosine_distance(a, b) == pytest.approx(1.0)
-        assert cosine_distance(a, a) == pytest.approx(0.0)
+        assert nearest_index(a, [b, a], metric="cosine") == 1
+        assert nearest_index(a, [b, 2.0 * a], metric="cosine") == 1
 
     def test_cosine_zero_vector(self):
-        assert cosine_distance(np.zeros(3), np.ones(3)) == 1.0
+        # A zero encoding is at distance 1: it ties an orthogonal one (the
+        # lower index wins) and beats an opposite one (distance 2).
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert nearest_index(a, [np.zeros(2), b], metric="cosine") == 0
+        assert nearest_index(a, [b, np.zeros(2)], metric="cosine") == 0
+        assert nearest_index(a, [-a, np.zeros(2)], metric="cosine") == 1
 
 
 class TestNormalizedOverlap:

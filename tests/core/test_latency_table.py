@@ -92,13 +92,12 @@ class TestLookups:
         col = table.column(0)
         assert col.shape == (table.num_subnets,)
 
-    def test_subnet_index_roundtrip(self, table):
+    def test_each_subnet_has_its_own_row(self, table):
         for i, sn in enumerate(table.subnets):
-            assert table.subnet_index(sn) == i
+            assert table.subnets.index(sn) == i
 
-    def test_unknown_subnet_raises(self, table, resnet50_subnets):
-        with pytest.raises(KeyError):
-            table.subnet_index(resnet50_subnets[0])
+    def test_unknown_subnet_has_no_row(self, table, resnet50_subnets):
+        assert resnet50_subnets[0] not in table.subnets
 
     def test_best_under_accuracy_feasible(self, table):
         idx = table.best_under_accuracy(0.76, 0)

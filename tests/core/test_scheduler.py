@@ -109,8 +109,8 @@ class TestScheduling:
             sched.schedule(accuracy_constraint=0.79, latency_constraint_ms=5.0)
             for _ in range(10)
         ]
-        assert 0 <= sched.cache_update_count() <= 5
-        assert sched.cache_update_count() == sum(d.cache_updated for d in decisions)
+        assert 0 <= sched.cache_updates <= 5
+        assert sched.cache_updates == sum(d.cache_updated for d in decisions)
 
 
 class TestResetSemantics:

@@ -176,7 +176,7 @@ def object_summaries(result) -> dict:
     outcomes = tuple(result.outcomes)
     dropped = tuple(result.dropped)
     offered = len(outcomes) + len(dropped)
-    met = sum(o.meets_slo for o in outcomes)
+    met = sum(o.response_ms <= o.latency_constraint_ms for o in outcomes)
     reasons: dict[str, int] = {}
     for d in dropped:
         reasons[d.reason] = reasons.get(d.reason, 0) + 1

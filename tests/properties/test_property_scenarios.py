@@ -5,8 +5,10 @@ A hypothesis strategy overrides the committed ``poisson``, ``batched``,
 the ``replayed`` one (trace arrivals from the committed 60-request log) at
 up to 60, with its ``rate_scale``, ``time_scale`` and ``limit``.  Per
 replica group it draws the backend ``kind``, the queue ``discipline``,
-``max_batch``, the batching policy, the replica ``count`` and the cold-start
-``startup_delay_ms``; scenario-wide the router, the admission policy, the
+``max_batch``, the batching policy, the replica ``count``, the cold-start
+``startup_delay_ms`` and the ``cost_weight``, which may be drawn infinite
+(the spec must refuse it by its path: JSON cannot write it); scenario-wide
+the router, the admission policy, the
 seed, the Poisson rate and the fault seed.  On an autoscaled base it draws
 the control plane too: the policy (``reactive``, ``target_utilization`` or
 ``predictive``), the replica bounds, both cooldowns and the control
@@ -26,6 +28,8 @@ satisfy invariants that no configuration may break:
 * at every ``jsq`` routing decision, each candidate replica's
   ``num_in_system`` count equals its queue plus its in-service members,
   and at the end of the run every replica's count is back to zero;
+* every drawn spec writes strict JSON (no ``NaN`` or ``Infinity``) that
+  reads back as the same spec;
 * two runs of the same spec are identical, the second one traced: the
   flight recorder changes no record, and its spans cover every query and
   equal the ones the recorder's former per-object builder
@@ -35,12 +39,13 @@ satisfy invariants that no configuration may break:
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, defaultdict
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from obs_oracle import oracle_spans
 
 from repro.serving.api import run_scenario
@@ -121,8 +126,18 @@ def scenarios(draw) -> ScenarioSpec:
             (f"{group}.batching.policy", draw(st.sampled_from(BATCHING_POLICIES))),
             (f"{group}.count", draw(st.integers(1, 3))),
             (f"{group}.startup_delay_ms", draw(st.sampled_from([0.0, 2.0, 10.0]))),
+            (f"{group}.cost_weight", draw(st.sampled_from(COST_WEIGHTS))),
         ]
-    return base.override_many(overrides)
+    try:
+        return base.override_many(overrides)
+    except ValueError as exc:
+        # Only an infinite cost weight is out of its domain here.
+        assert "cost_weight': expected float in (0, " in str(exc), str(exc)
+        reject()
+
+
+#: Tier prices, one of them one no JSON document can hold.
+COST_WEIGHTS = (0.5, 1.0, 1.0, 2.0, 2.0, 4.0, math.inf)
 
 
 SINGLE_GROUP_POLICIES = ("reactive", "target_utilization", "predictive")
@@ -183,6 +198,10 @@ def checked_build_result(self, table, **kwargs):
     return _build_result(self, table, **kwargs)
 
 
+def no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def counted_run(spec: ScenarioSpec):
     """``run_scenario(spec)`` and the per-row write counts of its table."""
     TABLES.clear()
@@ -210,8 +229,8 @@ def fingerprint(result) -> str:
 @given(scenarios())
 @settings(max_examples=150, deadline=None)
 def test_generated_scenarios_keep_the_universal_invariants(spec):
-    # Every drawn spec survives its own JSON round trip.
-    assert ScenarioSpec.from_json(spec.to_json()) == spec
+    # Every drawn spec survives its own JSON round trip, in strict JSON.
+    assert ScenarioSpec.from_dict(json.loads(spec.to_json(), parse_constant=no_constant)) == spec
     result, writes = counted_run(spec)
     n = spec.effective_num_queries
 

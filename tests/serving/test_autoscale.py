@@ -196,13 +196,15 @@ class TestPolicies:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: ReactivePolicy(max_drop_rate=1.5),
-            lambda: ReactivePolicy(max_queue_per_replica=0.0),
-            lambda: ReactivePolicy(scale_up_step=0),
-            lambda: TargetUtilizationPolicy(target_utilization=0.0),
-            lambda: TargetUtilizationPolicy(deadband=1.0),
+            # A policy's knobs are checked where they are declared, on
+            # the AutoscalerSpec every policy is built from.
+            lambda: AutoscalerSpec(max_drop_rate=1.5),
+            lambda: AutoscalerSpec(max_queue_per_replica=0.0),
+            lambda: AutoscalerSpec(scale_up_step=0),
+            lambda: AutoscalerSpec(policy="target_utilization", target_utilization=0.0),
+            lambda: AutoscalerSpec(policy="target_utilization", deadband=1.0),
             lambda: SchedulePolicy([]),
-            lambda: SchedulePolicy([(0.0, 0)]),
+            lambda: AutoscalerSpec(policy="scheduled", schedule=((0.0, 0),)),
             lambda: SchedulePolicy([(10.0, 1), (0.0, 2)]),
             lambda: SchedulePolicy([(10.0, 1)], period_ms=5.0),
         ],

@@ -385,7 +385,7 @@ class TestBatchingSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
             BatchingSpec(max_batch=0)
-        with pytest.raises(ValueError, match="batching policy"):
+        with pytest.raises(ValueError, match="at 'policy': expected one of"):
             BatchingSpec(policy="mega")
 
     def test_override_path_reaches_batching(self):

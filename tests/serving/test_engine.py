@@ -221,7 +221,7 @@ class TestEngineOpenLoop:
         assert result.drop_rate == pytest.approx(result.num_dropped / len(trace))
         assert result.replica_stats[0].num_dropped == result.num_dropped
         # Dropped queries count as SLO violations.
-        met = sum(o.meets_slo for o in result.outcomes)
+        met = sum(o.response_ms <= o.latency_constraint_ms for o in result.outcomes)
         assert result.slo_attainment == pytest.approx(met / len(trace))
 
     def test_two_replicas_halve_the_backlog(self):
@@ -378,7 +378,7 @@ class TestSimulationResultAccounting:
         )
         # Without drops, attainment is the served-query mean.
         assert result.slo_attainment == pytest.approx(
-            np.mean([o.meets_slo for o in result.outcomes])
+            np.mean([o.response_ms <= o.latency_constraint_ms for o in result.outcomes])
         )
 
     def test_per_replica_stats_exposed(self):

@@ -223,18 +223,20 @@ class TestPredictivePolicy:
         assert ctl.policy.horizon_ms == 42.0
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "factory",
         [
-            dict(horizon_ms=-1.0),
-            dict(target_utilization=0.0),
-            dict(deadband=1.0),
-            dict(smoothing=0.0),
-            dict(smoothing=1.5),
+            # Knobs the AutoscalerSpec declares are checked there, where
+            # every policy is built from; smoothing has no spec field.
+            lambda: AutoscalerSpec(policy="predictive", horizon_ms=-1.0),
+            lambda: AutoscalerSpec(policy="predictive", target_utilization=0.0),
+            lambda: AutoscalerSpec(policy="predictive", deadband=1.0),
+            lambda: PredictivePolicy(smoothing=0.0),
+            lambda: PredictivePolicy(smoothing=1.5),
         ],
     )
-    def test_invalid_rejected(self, kwargs):
+    def test_invalid_rejected(self, factory):
         with pytest.raises(ValueError):
-            PredictivePolicy(**kwargs)
+            factory()
 
 
 # -------------------------------------------------------- tier-aware policy

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, ZCU104
 from repro.core.policies import Policy
+from repro.serving.api import run_scenario
 from repro.serving.spec import (
     ARRIVAL_KINDS,
     BACKEND_KINDS,
+    MIN_SUSHI_PB_KB,
     ArrivalSpec,
     AutoscalerSpec,
     ReplicaGroupSpec,
@@ -30,6 +33,8 @@ from repro.serving.spec import (
 from repro.serving.trace_io import TraceFit
 from repro.serving.workload import PATTERNS, WorkloadSpec
 from repro.sweep import CellResult, SweepAxis, SweepResult, SweepSpec
+
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 INLINE_PLATFORM = ScenarioSpec(
@@ -336,10 +341,14 @@ class TestScenarioSpec:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            ("router", "random", "unknown router 'random'"),
-            ("admission", "admit_some", "unknown admission policy 'admit_some'"),
-            ("replica_groups.0.discipline", "lifo", "unknown queue discipline 'lifo'"),
-            ("supernet_name", "vgg16", "unknown SuperNet 'vgg16'"),
+            ("router", "random", "at 'router': expected one of .*, got 'random'"),
+            ("admission", "admit_some", "at 'admission': expected one of .*'admit_some'"),
+            (
+                "replica_groups.0.discipline",
+                "lifo",
+                "at 'replica_groups.0.discipline': expected one of .*'lifo'",
+            ),
+            ("supernet_name", "vgg16", "at 'supernet_name': unknown SuperNet 'vgg16'"),
         ],
     )
     def test_unknown_names_fail_at_parse(self, path, value, message):
@@ -443,6 +452,58 @@ class TestScenarioSpec:
             SweepSpec.from_dict(data)
 
 
+# ------------------------------------------------- values that failed mid-run
+def committed(name: str) -> ScenarioSpec:
+    return ScenarioSpec.from_json((SCENARIOS / f"{name}.json").read_text())
+
+
+#: Values that used to parse and then fail or hang inside the run, with
+#: what each does now: ``None`` is refused at parse time by one
+#: ``ValueError`` naming ``path``; ``"runs"`` is ruled legal and runs.
+MID_RUN_FAILURES = [
+    ("poisson_pool", "arrivals.seed", -1, None),
+    ("poisson_pool", "seed", -5, None),
+    ("faulty_pool", "faults.seed", -1, None),
+    ("poisson_pool", "replica_groups.0.pb_kb", 0, None),
+    ("poisson_pool", "replica_groups.0.pb_kb", 1e308, None),
+    ("poisson_pool", "replica_groups.0.cache_update_period", 2**70, None),
+    ("poisson_pool", "num_queries", 2**70, None),
+    ("poisson_pool", "replica_groups.0.candidate_set_size", 2**70, None),
+    ("poisson_pool", "replica_groups.0.count", 2**70, None),
+    ("faulty_pool", "faults.straggler_factor", float("inf"), None),
+    ("autoscale_pool", "autoscaler.control_interval_ms", 1e-300, None),
+    ("poisson_pool", "arrivals.rate_per_ms", float("inf"), None),
+    ("poisson_pool", "replica_groups.0.cost_weight", float("inf"), None),
+    ("autoscale_pool", "autoscaler.control_interval_ms", float("inf"), None),
+    # A knob of a policy the autoscaler does not run is still checked.
+    ("autoscale_pool", "autoscaler.target_utilization", 5.0, None),
+    # The smallest PB a sushi replica serves from, and the control-interval
+    # floor, are legal and run.
+    ("poisson_pool", "replica_groups.0.pb_kb", MIN_SUSHI_PB_KB, "runs"),
+    ("autoscale_pool", "autoscaler.control_interval_ms", 0.1, "runs"),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "path", "value", "outcome"),
+    MID_RUN_FAILURES,
+    ids=[f"{name}:{path}={value!r}" for name, path, value, _ in MID_RUN_FAILURES],
+)
+def test_value_that_failed_mid_run_is_refused_at_parse_or_runs(name, path, value, outcome):
+    base = committed(name)
+    if outcome == "runs":
+        spec = base.override_many([(path, value), ("num_queries", 100)])
+        result = run_scenario(spec)
+        assert result.num_served + result.num_dropped == 100
+        return
+    with pytest.raises(ValueError, match=f"at {path!r}: "):
+        base.override(path, value)
+    # The same value in a scenario file (json.loads reads Infinity too).
+    text = json.dumps(with_value(base.to_dict(), path, value))
+    with pytest.raises(ValueError, match=f"at {path!r}: "):
+        ScenarioSpec.from_json(text)
+
+
 # ----------------------------------------------------------- property-based
 arrival_specs = st.one_of(
     st.builds(
@@ -468,7 +529,7 @@ replica_groups = st.builds(
     count=st.integers(1, 8),
     kind=st.sampled_from([k for k in BACKEND_KINDS if k != "static_subnet"]),
     platform=st.sampled_from(["analytic-default", "zcu104", "alveo-u50"]),
-    pb_kb=st.one_of(st.none(), st.floats(0.0, 1024.0)),
+    pb_kb=st.one_of(st.none(), st.floats(MIN_SUSHI_PB_KB, 1024.0)),
     policy=st.one_of(st.none(), st.sampled_from(list(Policy))),
     cache_update_period=st.one_of(st.none(), st.integers(1, 16)),
     seed=st.one_of(st.none(), st.integers(0, 100)),

@@ -188,7 +188,8 @@ class TestErrorCellIsolation:
             assert result.num_failed == 1
             bad = result.cells[1]
             assert not bad.ok
-            assert bad.error is not None and "ValueError" in bad.error
+            assert bad.error is not None
+            assert bad.error.startswith("FieldError: invalid value at 'replica_groups.0.count'")
             assert result.cells[0].ok and result.cells[2].ok
 
     def test_error_cells_identical_across_worker_counts(self, poisoned):
@@ -239,11 +240,22 @@ class TestTablesBuiltInCaller:
         assert again.num_ok == spec.num_cells
         assert len(_BUILDS) == len(serve_keys)
 
-    def test_build_failure_is_an_error_cell_at_any_worker_count(self, counted_builds):
-        # 0.001 KB holds no SubGraph: the stack's candidate set fails to build.
+    def test_build_failure_is_an_error_cell_at_any_worker_count(
+        self, counted_builds, monkeypatch
+    ):
+        # A spec that parses but whose table build raises (here every
+        # candidate set of an 864 KB PB) fails only its own cell.
+        real = stack.build_candidate_set
+
+        def failing(subnets, *, capacity_bytes, **kwargs):
+            if capacity_bytes == 864 * 1024:
+                raise ValueError("a candidate set needs at least one SubGraph")
+            return real(subnets, capacity_bytes=capacity_bytes, **kwargs)
+
+        monkeypatch.setattr(stack, "build_candidate_set", failing)
         spec = SweepSpec(
             base=base_scenario(),
-            axes=(SweepAxis(path="replica_groups.0.pb_kb", values=(432.0, 0.001, None)),),
+            axes=(SweepAxis(path="replica_groups.0.pb_kb", values=(432.0, 864.0, None)),),
             name="unbuildable",
         )
         results = {w: run_sweep(spec, workers=w) for w in (1, 2)}

@@ -419,7 +419,8 @@ class TestModuleEntryPoint:
     def test_schema_prints_field_reference(self, capsys):
         assert main(["schema"]) == 0
         schema = json.loads(capsys.readouterr().out)
-        assert set(schema) == {"defaults", "enums"}
+        assert set(schema) == {"defaults", "enums", "domains"}
+        assert schema["domains"]["arrivals.seed"]["ge"] == 0
         scenario = schema["defaults"]["scenario"]
         # The schema's defaults are exactly the serialized default spec.
         assert scenario == ScenarioSpec().to_dict()

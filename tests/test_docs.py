@@ -2,10 +2,11 @@
 
 Four guarantees:
 
-* ``docs/scenario-schema.md`` documents every field and every enum value
-  that :func:`repro.serving.spec.scenario_schema` (the source of truth
-  behind ``python -m repro schema``) exposes — adding a spec field without
-  documenting it fails here.
+* ``docs/scenario-schema.md`` documents every field, every enum value
+  and every numeric domain that :func:`repro.serving.spec.scenario_schema`
+  (the source of truth behind ``python -m repro schema``) exposes —
+  adding a spec field, or changing a bound, without documenting it fails
+  here.
 * ``docs/experiments.md`` documents every registered experiment id.
 * ``docs/invariants.md`` round-trips exactly against the invariant
   linter's registered checker codes (``repro.lint``) — a new checker
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS
+from repro.serving.domain import Number
 from repro.serving.spec import (
     ArrivalSpec,
     ReplicaGroupSpec,
@@ -76,6 +78,24 @@ class TestSchemaDocSync:
         ]
         assert not missing, (
             f"enum values missing from docs/scenario-schema.md: {missing}"
+        )
+
+    def test_every_domain_documented(self, schema_doc):
+        """Each published domain appears, as the text its errors print, in
+        the table row of its field."""
+        rows: dict[str, list[str]] = {}
+        for row in re.findall(r"^\| `\w+` \|.*$", schema_doc, flags=re.M):
+            rows.setdefault(row.split("`")[1], []).append(row)
+        missing = []
+        for key, domain in scenario_schema()["domains"].items():
+            field = key.rsplit(".", 1)[-1].removesuffix("[]")
+            texts = [
+                f"`{Number(**d)}`" for d in (domain if isinstance(domain, list) else [domain])
+            ]
+            if not any(all(t in row for t in texts) for row in rows.get(field, [])):
+                missing.append(f"{key}: {' × '.join(texts)}")
+        assert not missing, (
+            f"domains missing from docs/scenario-schema.md: {missing}"
         )
 
     def test_no_phantom_autoscaler_fields_documented(self, schema_doc):
@@ -199,7 +219,7 @@ def replay_sample_fit() -> TraceFit:
 PINNED_DIGESTS = {
     "schema": (
         scenario_schema,
-        "cd9a221ffd861aeb725dd39eb8dcdb0d4a8214d0fc21897e290c0ff46022ba0f",
+        "de95d51bf3e335ac314532558b8d98bd57810fed2c75b9856cf3d0791f6d32c1",
     ),
     "sweep_result": (
         lambda: pinned_sweep_result().to_dict(),
