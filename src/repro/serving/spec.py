@@ -468,6 +468,11 @@ class ArrivalSpec(JsonSpec):
             raise FieldError("path", "trace arrivals need exactly one of path or events")
         if any(a > b for a, b in zip(self.events, self.events[1:])):
             raise FieldError("events", "inline trace events must be non-decreasing")
+        if self.events and self.events[: self.limit][-1] <= 0.0:
+            at_fault = "events" if self.events[-1] <= 0.0 else "limit"
+            raise FieldError(
+                at_fault, "the replayed events must span positive time (the last one is 0)"
+            )
 
     # ------------------------------------------------------------- generate
     def generate(

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 from engine_oracle import reference_run
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.serving import (
     ArrivalSpec,
@@ -184,6 +184,7 @@ class TestTraceSpecRoundTrip:
     def test_inline_trace_spec_round_trips_exactly(
         self, events, rate_scale, time_scale, limit
     ):
+        assume(events[:limit][-1] > 0.0)  # a replay must span positive time
         spec = ArrivalSpec(
             kind="trace",
             events=events,

@@ -139,11 +139,21 @@ class TestArrivalSpec:
             dict(kind="poisson", rate_per_ms=1.0, rate_scale=2.0),
             dict(kind="poisson", rate_per_ms=1.0, events=(1.0,)),
             dict(kind="poisson", rate_per_ms=1.0, path="x.csv"),
+            dict(kind="trace", events=(0.0, 0.0)),  # spans no time
+            dict(kind="trace", events=(0.0, 1.0), limit=1),  # limited to none
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ArrivalSpec(**kwargs)
+
+    def test_a_limit_that_cuts_events_to_zero_time_is_named(self):
+        inline = ScenarioSpec().override_many(
+            [("arrivals", {"kind": "trace", "events": [0.0, 0.5, 1.0]}), ("num_queries", 1)]
+        )
+        with pytest.raises(ValueError, match="at 'arrivals.limit': .*positive time"):
+            inline.override("arrivals.limit", 1)
+        assert inline.override("arrivals.limit", 2).arrivals.generate(2).tolist() == [0.0, 0.5]
 
     def test_trace_replays_inline_events_exactly(self):
         spec = ArrivalSpec(kind="trace", events=(0.5, 1.0, 2.5, 7.0))
