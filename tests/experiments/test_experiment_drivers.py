@@ -244,6 +244,52 @@ RUNNER_DIGESTS = {
     ),
 }
 
+# The accelerator-model drivers (no serving): the same two sha256 per
+# experiment.  tab06 is left out: it times table lookups on the wall clock,
+# so two runs of it print different numbers.
+MODEL_DIGESTS = {
+    "fig02": (
+        "f60c15be92ecf4e077df5645b132356fed08cb46f0895bd109ddeec4906fdfd4",
+        "09b2f03e2025e37b236e76a8209fe2c1fcc580d45cbe1081e6d0edd8f71f797f",
+    ),
+    "fig10": (
+        "c2e47657817cfac5c58475c3149d5e71c2713969d9e5361ee4f7d7b68b984435",
+        "a9ccca2aa40f069c1b6f7646d3fb225cf06b4d097d8f45c022ecc4135422a05f",
+    ),
+    "fig11": (
+        "be4f5738cb9a16ca357f67502bb92be58fc171b53625bf2fe6d000f179a4ba0e",
+        "990c7dd000cefb5668965608fde822a6bf1a3a337b4874c250327e5c90968f5f",
+    ),
+    "fig12": (
+        "e2155cd161017c6866efb3996913203fcab3e8f45daa55b12255f42d009fce19",
+        "0c2077ddbdbf145eb5cfe574ac2253f60cd250fbb2c2f8b890e23a0fe1a0fe2d",
+    ),
+    "fig13": (
+        "43c5b8148a1feb426a1c3d5f16a3b1cd2d89b63ddf5ea5d62cb8fc5bd285563a",
+        "f58cf6c8d9789aa350910791d27268a05614101511ae0d599e1d83d114eab92a",
+    ),
+    "fig14": (
+        "162ed09573dc6d5bd33908853c2b23e4c608a198b567a2dd9831a0a2ac189566",
+        "c259f401219da4e92255fe913964a0dda3827d05f5204d40f76b3f677919adfe",
+    ),
+    "tab01": (
+        "381712becd3d625f126aa9e22f82c42859ca94b03c5bf6ea035230307deb8160",
+        "1442964f935c8c602b382cbb6c5a6b844bedd48dc1d31ed3124324d5dd904d58",
+    ),
+    "tab02": (
+        "6e96a2c4372327a84c19d4b6496ed2df92ca36bf88a1fe9a61e93cabb78b4126",
+        "af8252860fa9b68e1057e12815ff279306856439dc4263651c3f865caae7ccc3",
+    ),
+    "tab03": (
+        "d5bd07e179411609fb9fe364bb33024cbb7f2e3fd29ad1c9ef7e4c18e8bda500",
+        "e0e5cd12b837f0ec5f33542625fb9e1143a469467fbbc270fb71b2cb689e6c28",
+    ),
+    "tab04": (
+        "5336fc7cc81b3d75be276e2924d639d660b93c6b7da0a7e4374a65d445ce1e3f",
+        "7dbe3427bbe40d1ec5e3ad9c21fa15de35416b01486cb4c0b3162c97f2824a2d",
+    ),
+}
+
 SERVING_DRIVERS = {
     "load_sweep": load_sweep,
     "batching_sweep": batching_sweep,
@@ -271,6 +317,11 @@ def run_digests(eid, tmp_path, capsys):
 @pytest.mark.parametrize("eid", sorted(RUNNER_DIGESTS))
 def test_runner_report_and_json_artifact_are_pinned(eid, tmp_path, capsys):
     assert run_digests(eid, tmp_path, capsys) == RUNNER_DIGESTS[eid]
+
+
+@pytest.mark.parametrize("eid", sorted(MODEL_DIGESTS))
+def test_model_report_and_json_artifact_are_pinned(eid, tmp_path, capsys):
+    assert run_digests(eid, tmp_path, capsys) == MODEL_DIGESTS[eid]
 
 
 class TestServingGrids:
