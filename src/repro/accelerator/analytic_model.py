@@ -14,7 +14,6 @@ the result is bit-identical to evaluating every layer from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.accelerator.buffers import BufferHierarchy, default_hierarchy
 from repro.accelerator.dataflow import (
@@ -84,10 +83,6 @@ class SubNetLatencyBreakdown:
     @property
     def latency_ms(self) -> float:
         return self.components.total_ms
-
-    def memory_bound_layers(self) -> list[str]:
-        """Names of layers whose exposed memory time exceeds compute time."""
-        return [ll.layer_name for ll in self.per_layer if ll.is_memory_bound]
 
 
 class SushiAccelModel:
@@ -240,14 +235,3 @@ class SushiAccelModel:
     def cache_load_latency_ms(self, nbytes: float) -> float:
         """Latency of loading ``nbytes`` of SubGraph weights into the PB."""
         return self.dram.transfer_ms(nbytes)
-
-    # ------------------------------------------------------------- tables
-    def latency_matrix_ms(
-        self,
-        subnets: Sequence[SubNet],
-        subgraphs: Sequence[CachedSubGraph],
-    ) -> list[list[float]]:
-        """The raw ``L[i][j]`` latency matrix backing SushiAbs's lookup table."""
-        return [
-            [self.subnet_latency_ms(sn, sg) for sg in subgraphs] for sn in subnets
-        ]

@@ -103,11 +103,6 @@ class BufferHierarchy:
         return self.buffers["PB"]
 
     @property
-    def db_bytes(self) -> int:
-        """Total dynamic (ping + pong) weight buffer capacity."""
-        return self.buffers["DB-Ping"].capacity_bytes + self.buffers["DB-Pong"].capacity_bytes
-
-    @property
     def total_bytes(self) -> int:
         return sum(spec.capacity_bytes for spec in self.buffers.values())
 

@@ -105,10 +105,6 @@ class DPEArrayConfig:
             return 0.0
         return min(1.0, layer.macs / (cycles * self.macs_per_cycle))
 
-    def effective_macs_per_cycle(self, layer: ConvLayerSpec) -> float:
-        """MACs per cycle actually achieved on this layer."""
-        return self.utilization(layer) * self.macs_per_cycle
-
     # -------------------------------------------------------- requirements
     def demanded_weight_bytes_per_cycle(self, weight_bits: int = 8) -> float:
         """On-chip weight bandwidth the array can consume per cycle.

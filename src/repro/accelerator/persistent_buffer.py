@@ -39,10 +39,6 @@ class CachedSubGraph:
     def num_layers(self) -> int:
         return len(self.slices)
 
-    def layer_bytes(self, layer_name: str) -> int:
-        sl = self.slices.get(layer_name)
-        return 0 if sl is None else sl.weight_bytes
-
     def overlap_bytes(self, subnet: SubNet) -> int:
         """Weight bytes of ``subnet`` that this SubGraph covers."""
         total = 0
@@ -108,13 +104,6 @@ class PBStats:
     cache_loads: int = 0
     cache_load_bytes_total: int = 0
 
-    @property
-    def byte_hit_ratio(self) -> float:
-        """Fraction of served weight bytes that were PB hits."""
-        if self.served_weight_bytes_total == 0:
-            return 0.0
-        return self.hit_bytes_total / self.served_weight_bytes_total
-
 
 class PersistentBuffer:
     """Capacity-limited cache holding one SubGraph at a time.
@@ -142,12 +131,6 @@ class PersistentBuffer:
     @property
     def occupancy_bytes(self) -> int:
         return self._cached.weight_bytes
-
-    @property
-    def occupancy_fraction(self) -> float:
-        if self.capacity_bytes == 0:
-            return 0.0
-        return self.occupancy_bytes / self.capacity_bytes
 
     # ------------------------------------------------------------ loading
     def fit_subgraph(self, subgraph: CachedSubGraph) -> CachedSubGraph:

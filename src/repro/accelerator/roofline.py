@@ -121,11 +121,3 @@ class RooflineModel:
             attainable_tflops=tflops,
             is_compute_bound=ai >= self.ridge_point,
         )
-
-    def family_points(
-        self,
-        subnets: Sequence[SubNet],
-        cached: CachedSubGraph | None = None,
-    ) -> list[RooflinePoint]:
-        """Roofline points for a family of SubNets (Fig. 11 blue/red dots)."""
-        return [self.subnet_point(sn, cached) for sn in subnets]

@@ -16,9 +16,12 @@ applies any ``--override key=value`` pairs (dotted paths into the serialized
 spec; values are parsed as JSON, falling back to strings) and prints the
 result summary.  ``--dump-spec`` echoes the effective spec after overrides,
 so a tweaked scenario can be piped back into a file.  ``run --json FILE``
-additionally dumps the experiment result as JSON (drivers may provide a
-curated ``to_jsonable``; anything else is converted field by field) — CI
-uploads these as workflow artifacts.  ``run --profile FILE`` wraps the run
+additionally dumps the experiment result as JSON, converted field by field
+by :func:`repro.analysis.reporting.jsonable` (only ``frontier_autoscale``
+adds to that dump, through its ``to_jsonable``, with its Pareto labels) —
+CI uploads these as workflow artifacts.  ``run <id>`` is the entry point
+of every registered experiment (see ``docs/experiments.md`` for the few
+drivers that also keep a ``main()``).  ``run --profile FILE`` wraps the run
 in cProfile, dumps the pstats data to ``FILE`` and prints the top 10
 functions by cumulative time.  ``schema`` prints the scenario JSON
 reference — every field's default, closed enum and numeric domain —
@@ -165,8 +168,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = experiment.run()
         print(experiment.report(result))
     if args.json:
-        # Drivers may provide a curated dump; anything else is converted
-        # field by field (CI uploads these files as workflow artifacts).
+        # The field-by-field jsonable dump is the one artifact path; only
+        # frontier_autoscale's to_jsonable adds to it (its Pareto labels).
         to_jsonable = getattr(experiment.module, "to_jsonable", jsonable)
         try:
             with open(args.json, "w", encoding="utf-8") as fh:

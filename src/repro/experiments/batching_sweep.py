@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.reporting import format_table, jsonable
+from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
 from repro.experiments.frontier_autoscale import diurnal_flash_segments
 from repro.experiments.serving_pool import (
@@ -185,16 +185,3 @@ def report(result: BatchingResult) -> str:
         ),
         precision=3,
     )
-
-
-def to_jsonable(result: BatchingResult) -> dict:
-    """A JSON-safe dump of the sweep (CI gates regressions against this)."""
-    return jsonable(result)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

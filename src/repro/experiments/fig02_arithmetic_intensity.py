@@ -61,11 +61,3 @@ def report(result: Fig02Result) -> str:
         )
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

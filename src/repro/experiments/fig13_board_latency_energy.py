@@ -159,11 +159,3 @@ def report(result: Fig13Result) -> str:
         f"off-chip energy saving {elo:.0f}%..{ehi:.0f}%"
     )
     return format_table(rows, title=title, precision=2)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -94,11 +94,3 @@ def report(result: Fig14Result) -> str:
         f"DPU wins {result.num_layers_dpu_wins}/{len(result.layers)} layers)"
     )
     return format_table(rows, title=title, precision=3)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

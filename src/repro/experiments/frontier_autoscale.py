@@ -292,11 +292,3 @@ def report(result: FrontierResult) -> str:
 def to_jsonable(result: FrontierResult) -> dict:
     """A JSON-safe dump of the frontier (CI uploads this as an artifact)."""
     return {**jsonable(result), "pareto": [p.label for p in result.pareto()]}
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

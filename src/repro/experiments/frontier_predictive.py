@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.analysis.reporting import format_table, jsonable
+from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
 from repro.experiments.serving_pool import (
     LabelledPoints,
@@ -232,16 +232,3 @@ def report(result: PredictiveFrontierResult) -> str:
         ),
         precision=3,
     )
-
-
-def to_jsonable(result: PredictiveFrontierResult) -> dict:
-    """A JSON-safe dump of the sweep (CI uploads this as an artifact)."""
-    return jsonable(result)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

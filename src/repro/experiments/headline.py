@@ -102,11 +102,3 @@ def report(result: HeadlineResult) -> str:
         f"energy -{result.best_energy_saving():.1f}%)"
     )
     return format_table(rows, title=title, precision=3)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -175,11 +175,3 @@ def report(result: LoadSweepResult) -> str:
         ),
         precision=3,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.reporting import format_table, jsonable
+from repro.analysis.reporting import format_table
 from repro.core.policies import Policy
 from repro.experiments.serving_pool import (
     LabelledPoints,
@@ -248,16 +248,3 @@ def report(result: ResilienceResult) -> str:
         ),
         precision=3,
     )
-
-
-def to_jsonable(result: ResilienceResult) -> dict:
-    """A JSON-safe dump of the sweep (CI uploads this as an artifact)."""
-    return jsonable(result)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

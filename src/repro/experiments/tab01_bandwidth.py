@@ -37,11 +37,3 @@ def report(result: Tab01Result) -> str:
         f"(off-chip {result.off_chip_bytes_per_cycle:.1f} B/cycle)"
     )
     return format_table(rows, title=title, precision=1)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,11 +32,3 @@ def run() -> Tab02Result:
 
 def report(result: Tab02Result) -> str:
     return format_table(result.rows, title="Table 2 — resource comparison", precision=1)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,11 +33,3 @@ def report(result: Tab03Result) -> str:
         title=f"Table 3 — buffer configuration (KB) on {result.platform_name}",
         precision=1,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

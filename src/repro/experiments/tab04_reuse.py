@@ -19,11 +19,3 @@ def run() -> Tab04Result:
 
 def report(result: Tab04Result) -> str:
     return format_table(result.rows, title="Table 4 — reuse comparison", precision=0)
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,11 +28,6 @@ class Tab05Result:
     supernet_name: str
     improvements_percent: dict[int, float]
 
-    def is_monotone_saturating(self) -> bool:
-        """True if improvements never decrease substantially with table size."""
-        values = [self.improvements_percent[k] for k in sorted(self.improvements_percent)]
-        return all(b >= a - 0.5 for a, b in zip(values, values[1:]))
-
 
 def grid(
     supernet_name: str = "ofa_resnet50",

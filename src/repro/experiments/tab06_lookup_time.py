@@ -89,11 +89,3 @@ def report(result: Tab06Result) -> str:
         ),
         precision=2,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

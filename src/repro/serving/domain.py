@@ -4,7 +4,9 @@ A numeric field declares a :class:`Number` (int or float, a lower bound, an
 upper bound or the reason it has none), a closed string field a
 :class:`Choice`, a name a registry resolves (aliases included) a
 :class:`Known`; a tuple field declares its ``items``' domain, or one domain
-per entry of its rows.  Every number must be finite: JSON has no ``NaN`` or
+per entry of its rows; a field that may hold an inline object of a class
+declared outside the spec layer (a ``PlatformConfig``) declares that
+object's field domains.  Every number must be finite: JSON has no ``NaN`` or
 ``Infinity``.  :func:`check_fields`, run by every spec's ``__post_init__``,
 is the one check (direct construction, ``dataclasses.replace`` and decoding
 alike); :func:`repro.serving.spec.scenario_schema` publishes the domains.
@@ -17,10 +19,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 __all__ = [
-    "Choice", "FieldError", "Known", "MAX_MS", "MAX_QUERIES", "Number", "check_fields", "declare"
+    "Choice", "FieldError", "Known", "MAX_MS", "MAX_QUERIES", "Number", "check_fields",
+    "check_inline", "declare",
 ]
 
 #: Longest simulated time any time field accepts: one week, in ms.
@@ -115,29 +118,35 @@ def declare(
     domain: Domain | None = None,
     *,
     items: Domain | tuple[Domain, ...] | None = None,
+    inline: Mapping[str, Domain] | None = None,
 ) -> Any:
     """A dataclass field defaulting to ``default`` whose value (or each
-    item, or row) lies in its domain; ``None`` passes, as the type allows."""
+    item, or row) lies in its domain; ``None`` passes, as the type allows.
+    ``inline`` maps the fields of an inline object the value may be to
+    their domains."""
     return dataclasses.field(
-        default=default, metadata={"domain": domain, "items": items}
+        default=default, metadata={"domain": domain, "items": items, "inline": inline}
     )
 
 
 @functools.cache
-def _declared(cls: type[Any]) -> tuple[tuple[str, Any, Any], ...]:
-    return tuple(
-        (f.name, f.metadata.get("domain"), f.metadata.get("items"))
+def _declared(cls: type[Any]) -> tuple[tuple[str, Any, Any, Any], ...]:
+    declared = (
+        (f.name, f.metadata.get("domain"), f.metadata.get("items"), f.metadata.get("inline"))
         for f in dataclasses.fields(cls)
-        if f.metadata.get("domain") is not None or f.metadata.get("items") is not None
     )
+    return tuple(d for d in declared if any(x is not None for x in d[1:]))
 
 
 def check_fields(spec: Any) -> None:
     """Raise :class:`FieldError` for the first field of dataclass ``spec``
     whose value lies outside its declared domain."""
-    for name, domain, items in _declared(type(spec)):
+    for name, domain, items, inline in _declared(type(spec)):
         value = getattr(spec, name)
         if value is None:
+            continue
+        if inline is not None and dataclasses.is_dataclass(value):
+            check_inline(vars(value), inline, name)
             continue
         if domain is not None:
             _check(domain, value, name)
@@ -154,6 +163,14 @@ def check_fields(spec: Any) -> None:
                 raise FieldError(
                     f"{name}.{i}", f"expected {len(items)} entries, got {item!r}"
                 )
+
+
+def check_inline(values: Mapping[str, Any], inline: Mapping[str, Domain], path: str) -> None:
+    """Raise :class:`FieldError` for the first of an inline object's
+    ``values`` (at ``path``) outside its domain in ``inline``."""
+    for name, domain in inline.items():
+        if values.get(name) is not None:
+            _check(domain, values[name], f"{path}.{name}")
 
 
 def _check(domain: Domain, value: Any, path: str) -> None:

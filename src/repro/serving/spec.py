@@ -77,11 +77,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-checking only imports
     # runtime import of trace_io below stays lazy.
     from repro.serving.trace_io import TraceLog
 
+from repro.accelerator.buffers import default_hierarchy
 from repro.accelerator.platforms import PlatformConfig, platform_by_name
 from repro.core.policies import Policy
 from repro.serving.autoscale.policies import POLICY_NAMES, ScalingPolicy, make_policy
 from repro.serving.domain import (
-    MAX_MS, MAX_QUERIES, Choice, FieldError, Known, Number, check_fields, declare
+    MAX_MS, MAX_QUERIES, Choice, FieldError, Known, Number, check_fields, check_inline, declare
 )
 from repro.serving.engine.admission import ADMISSION_NAMES
 from repro.serving.engine.disciplines import DISCIPLINE_NAMES
@@ -158,6 +159,27 @@ _DELAY = Number("float", ge=0, le=60_000.0)
 #: Arrival rates in queries/ms: one query per second is the floor.
 _RATE = Number("float", ge=0.001, le=1e6)
 _SCALE = Number("float", ge=1e-6, le=1e6)
+_ENERGY = Number("float", ge=0, le=1e6)
+
+#: The numbers of an inline ``platform`` object.  ``PlatformConfig`` is the
+#: accelerator model's type and checks only signs and the PB against the
+#: budget when built; these bounds keep a served query's latency finite
+#: (at most about 100x the bundled platforms' clock and bandwidth spread).
+PLATFORM_DOMAINS = {
+    "clock_mhz": Number("float", ge=1, le=1e5),
+    "kp": Number("int", ge=1, le=4096),
+    "cp": Number("int", ge=1, le=4096),
+    "dpe_size": Number("int", ge=1, le=64),
+    "off_chip_bandwidth_gbps": Number("float", ge=0.1, le=1e4),
+    "on_chip_bandwidth_bytes_per_cycle": Number("float", ge=1, le=1e6),
+    "total_buffer_kb": Number("float", gt=0, le=1e6),
+    "pb_kb": Number("float", ge=0, le=1e6),
+    "dram_pj_per_byte": _ENERGY,
+    "sram_pj_per_byte": _ENERGY,
+    "board_power_w": _ENERGY,
+    "dram_contention_factor": Number("float", ge=1, le=1e3),
+    "query_overhead_cycles": Number("float", ge=0, le=1e8),
+}
 
 
 def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
@@ -269,14 +291,16 @@ def _encode(value: Any) -> Any:
 
 
 @functools.cache
-def _field_types(cls: type[Any]) -> dict[str, tuple[Any, bool]]:
-    """Each field of dataclass ``cls``: its resolved type, has-a-default."""
+def _field_types(cls: type[Any]) -> dict[str, tuple[Any, bool, Any]]:
+    """Each field of dataclass ``cls``: its resolved type, has-a-default,
+    and the field domains of an inline object it may hold (or ``None``)."""
     hints = get_type_hints(cls)
     return {
         f.name: (
             hints[f.name],
             f.default is not dataclasses.MISSING
             or f.default_factory is not dataclasses.MISSING,
+            f.metadata.get("inline"),
         )
         for f in fields(cls)
     }
@@ -294,11 +318,15 @@ def _decode_dataclass(cls: Any, data: Any, path: str) -> Any:
                 f"unknown key {_join(path, key)!r} in {cls.__name__}; "
                 f"known keys: {list(known)}"
             )
-        tp, has_default = known[key]
+        tp, has_default, inline = known[key]
         if value is None and has_default and dataclasses.is_dataclass(tp):
             continue  # a null nested object (``"batching": null``) = key absent
+        if inline is not None and isinstance(value, Mapping):
+            # Before the object is built, so its own checks cannot name
+            # only the object.
+            check_inline(value, inline, _join(path, key))
         kwargs[key] = _decode(tp, value, _join(path, key))
-    for key, (_, has_default) in known.items():
+    for key, (_, has_default, _) in known.items():
         if not has_default and key not in kwargs:
             raise ValueError(f"missing key {_join(path, key)!r} in {cls.__name__}")
     try:
@@ -674,7 +702,7 @@ class ReplicaGroupSpec(JsonSpec):
     count: int = declare(1, _REPLICAS)
     kind: str = declare("sushi", Choice(BACKEND_KINDS))
     platform: str | PlatformConfig = declare(
-        "analytic-default", Known(platform_by_name)
+        "analytic-default", Known(platform_by_name), inline=PLATFORM_DOMAINS
     )
     pb_kb: float | None = declare(
         None, Number("float", ge=0, unbounded="the platform's on-chip budget bounds it")
@@ -699,16 +727,24 @@ class ReplicaGroupSpec(JsonSpec):
             batching = BatchingSpec.from_dict(self.batching, path="batching")
             object.__setattr__(self, "batching", batching)
         if isinstance(self.policy, str):
-            object.__setattr__(self, "policy", Policy(self.policy))
+            object.__setattr__(self, "policy", _decode(Policy, self.policy, "policy"))
         super().__post_init__()
         if self.subnet_name is not None and self.kind != "static_subnet":
             raise FieldError(
                 "subnet_name", f"only static_subnet groups pin one (kind={self.kind!r})"
             )
         try:
-            pb_kb = self.resolved_platform().pb_kb
+            platform = self.resolved_platform()
         except ValueError as exc:
             raise FieldError("pb_kb", str(exc)) from None
+        pb_kb = platform.pb_kb
+        if isinstance(self.platform, PlatformConfig):
+            # An inline platform's fixed buffers must fit its budget; its PB
+            # is what they leave of the request.
+            try:
+                pb_kb = default_hierarchy(platform).pb.capacity_kb
+            except ValueError as exc:
+                raise FieldError("platform", str(exc)) from None
         if self.kind == "sushi" and pb_kb < MIN_SUSHI_PB_KB:
             raise FieldError(
                 "pb_kb",
@@ -1067,7 +1103,7 @@ class ScenarioSpec(JsonSpec):
 
     def __post_init__(self) -> None:
         if isinstance(self.policy, str):
-            object.__setattr__(self, "policy", Policy(self.policy))
+            object.__setattr__(self, "policy", _decode(Policy, self.policy, "policy"))
         object.__setattr__(self, "replica_groups", tuple(self.replica_groups))
         super().__post_init__()
         if not self.replica_groups:
@@ -1197,6 +1233,8 @@ def _publish(
     for f in fields(cls):
         path = prefix + f.name
         domain, items = f.metadata.get("domain"), f.metadata.get("items")
+        for name, inline in (f.metadata.get("inline") or {}).items():
+            domains[f"{path}.{name}"] = inline.to_dict()
         if isinstance(domain, Choice):
             enums[path] = list(domain.names)
         elif isinstance(domain, Number):

@@ -239,14 +239,6 @@ class MBConvBlock(BlockSpec):
         return layers
 
 
-def block_weight_bytes(block: BlockSpec, *, expand_ratio: float, width_mult: float = 1.0) -> int:
-    """Total weight bytes of a block at the given elastic configuration."""
-    return sum(
-        layer.weight_bytes
-        for layer in block.materialize(expand_ratio=expand_ratio, width_mult=width_mult)
-    )
-
-
 def validate_block_chain(blocks: Sequence[BlockSpec]) -> None:
     """Check that consecutive blocks have compatible channel/spatial shapes."""
     for prev, nxt in zip(blocks, blocks[1:]):

@@ -247,13 +247,6 @@ class LayerSlice:
     def is_empty(self) -> bool:
         return self.kernels == 0 or self.channels == 0
 
-    @property
-    def is_full(self) -> bool:
-        return (
-            self.kernels == self.layer.out_channels
-            and self.channels == self.layer.in_channels
-        )
-
     def intersect(self, other: "LayerSlice") -> "LayerSlice":
         """Largest common slice of the same layer (kernel/channel-wise min)."""
         if self.layer.name != other.layer.name:
@@ -265,12 +258,4 @@ class LayerSlice:
             layer=self.layer,
             kernels=min(self.kernels, other.kernels),
             channels=min(self.channels, other.channels),
-        )
-
-    def contains(self, other: "LayerSlice") -> bool:
-        """True if ``other`` is a (non-strict) sub-slice of this slice."""
-        return (
-            self.layer.name == other.layer.name
-            and self.kernels >= other.kernels
-            and self.channels >= other.channels
         )

@@ -9,7 +9,7 @@ scheduler's feasibility analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from repro.supernet.subnet import SubNet
 
@@ -44,15 +44,3 @@ def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
             frontier.append(p)
             best_acc = p.accuracy
     return frontier
-
-
-def build_pareto_points(
-    subnets: Sequence[SubNet],
-    latency_fn: Callable[[SubNet], float],
-    accuracy_fn: Callable[[SubNet], float],
-) -> list[ParetoPoint]:
-    """Evaluate latency/accuracy for each SubNet and wrap into ParetoPoints."""
-    return [
-        ParetoPoint(subnet=sn, latency_ms=latency_fn(sn), accuracy=accuracy_fn(sn))
-        for sn in subnets
-    ]

@@ -9,7 +9,6 @@ the natural unit over which depth elasticity is expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.supernet.blocks import BlockSpec, validate_block_chain
 from repro.supernet.layers import ConvLayerSpec
@@ -120,8 +119,3 @@ class HeadSpec:
     @property
     def weight_bytes(self) -> int:
         return sum(layer.weight_bytes for layer in self.layers)
-
-
-def stage_names(stages: Sequence[StageSpec]) -> list[str]:
-    """Names of all stages in order (convenience for reporting)."""
-    return [stage.name for stage in stages]

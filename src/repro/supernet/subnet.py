@@ -175,24 +175,6 @@ class SubNet:
         )
 
 
-def uniform_config(
-    supernet: SuperNet,
-    *,
-    depth: int,
-    expand_ratio: float,
-    width_mult: float = 1.0,
-    name: str = "",
-) -> SubNetConfig:
-    """A configuration with the same depth in every stage (clamped per stage)."""
-    depths = tuple(
-        min(max(depth, stage.depth_choices[0]), stage.max_depth)
-        for stage in supernet.stages
-    )
-    return SubNetConfig(
-        depths=depths, expand_ratio=expand_ratio, width_mult=width_mult, name=name
-    )
-
-
 def max_subnet(supernet: SuperNet, name: str = "max") -> SubNet:
     """The largest SubNet (all blocks, max expand, max width)."""
     config = SubNetConfig(

@@ -159,13 +159,6 @@ class SuperNet:
         return self.elastic.design_space_size(self.num_stages)
 
     # ------------------------------------------------------------- subnets
-    def full_slices(self) -> dict[str, LayerSlice]:
-        """Slices covering every maximal layer completely (the max SubNet)."""
-        return {
-            name: LayerSlice(layer=layer, kernels=layer.out_channels, channels=layer.in_channels)
-            for name, layer in self._max_layers.items()
-        }
-
     def slices_for(
         self,
         *,
@@ -225,39 +218,6 @@ class SuperNet:
             raise ValueError(
                 f"{self.name}: width_mult {width_mult} not in {self.elastic.width_choices}"
             )
-
-    def enumerate_configs(
-        self, *, max_configs: int | None = None
-    ) -> Iterator[tuple[tuple[int, ...], float, float]]:
-        """Iterate (depths, expand_ratio, width_mult) over the design space.
-
-        The full space is exponential; ``max_configs`` bounds the iteration
-        (uniform depth per stage is enumerated first so small limits still see
-        diverse sizes).
-        """
-        count = 0
-        # Uniform-depth configurations first: these span the size range.
-        for depth in self.elastic.depth_choices:
-            for expand in self.elastic.expand_choices:
-                for width in self.elastic.width_choices:
-                    depths = tuple(
-                        min(depth, stage.max_depth) for stage in self.stages
-                    )
-                    yield depths, expand, width
-                    count += 1
-                    if max_configs is not None and count >= max_configs:
-                        return
-        # Then the mixed per-stage depth configurations.
-        per_stage_choices = [stage.depth_choices for stage in self.stages]
-        for depths in itertools.product(*per_stage_choices):
-            if len(set(depths)) == 1:
-                continue  # already emitted above
-            for expand in self.elastic.expand_choices:
-                for width in self.elastic.width_choices:
-                    yield tuple(depths), expand, width
-                    count += 1
-                    if max_configs is not None and count >= max_configs:
-                        return
 
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:

@@ -11,9 +11,7 @@ traffic, hit ratios — and avoids shipping hundreds of MB of checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from repro.supernet.layers import LayerSlice
 from repro.supernet.subnet import SubNet
@@ -38,12 +36,10 @@ class WeightStore:
 
     Each maximal layer is assigned a contiguous extent; a layer slice maps to
     a prefix of its layer's extent proportional to the slice's byte footprint.
-    The store can optionally materialize synthetic int8 weight arrays (useful
-    in examples that want to show end-to-end data flow), but all accounting is
-    done on byte counts only.
+    All accounting is done on byte counts only.
     """
 
-    def __init__(self, supernet: SuperNet, *, materialize: bool = False, seed: int = 0) -> None:
+    def __init__(self, supernet: SuperNet) -> None:
         self.supernet = supernet
         self._extents: dict[str, WeightExtent] = {}
         offset = 0
@@ -53,12 +49,6 @@ class WeightStore:
             )
             offset += layer.weight_bytes
         self._total_bytes = offset
-        self._data: np.ndarray | None = None
-        if materialize:
-            rng = np.random.default_rng(seed)
-            self._data = rng.integers(
-                -128, 128, size=self._total_bytes, dtype=np.int8
-            )
 
     # ------------------------------------------------------------ extents
     @property
@@ -83,20 +73,6 @@ class WeightStore:
     def subnet_extents(self, subnet: SubNet) -> list[WeightExtent]:
         """All byte extents a SubNet touches, in network order."""
         return [self.slice_extent(sl) for sl in subnet.ordered_slices]
-
-    def subnet_bytes(self, subnet: SubNet) -> int:
-        return sum(ext.nbytes for ext in self.subnet_extents(subnet))
-
-    # ------------------------------------------------------------ raw data
-    def read_slice(self, sl: LayerSlice) -> np.ndarray:
-        """Return the synthetic int8 weights of a slice (requires materialize)."""
-        if self._data is None:
-            raise RuntimeError(
-                "WeightStore was constructed without materialize=True; "
-                "no raw weight data is available"
-            )
-        ext = self.slice_extent(sl)
-        return self._data[ext.offset : ext.end]
 
 
 class SharedWeightIndex:
@@ -138,18 +114,6 @@ class SharedWeightIndex:
         """Weight bytes shared by every SubNet in the family."""
         return sum(sl.weight_bytes for sl in self.common_slices().values())
 
-    def pairwise_shared_bytes(self) -> np.ndarray:
-        """Matrix ``M[i, j]`` = bytes shared between SubNet i and SubNet j."""
-        n = len(self.subnets)
-        mat = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            mat[i, i] = self.subnets[i].weight_bytes
-            for j in range(i + 1, n):
-                shared = self.subnets[i].shared_bytes_with(self.subnets[j])
-                mat[i, j] = shared
-                mat[j, i] = shared
-        return mat
-
     def sharing_fraction(self) -> float:
         """Globally shared bytes as a fraction of the smallest SubNet."""
         smallest = min(sn.weight_bytes for sn in self.subnets)
@@ -167,12 +131,3 @@ class SharedWeightIndex:
             "shared_mb": self.shared_bytes() / 1e6,
             "sharing_fraction_of_min": self.sharing_fraction(),
         }
-
-
-def total_distinct_bytes(subnets: Iterable[SubNet]) -> int:
-    """Bytes needed to store the given SubNets *without* weight sharing.
-
-    This is the counterfactual the paper contrasts weight sharing against:
-    independently exported models would each carry their full weights.
-    """
-    return sum(sn.weight_bytes for sn in subnets)

@@ -243,10 +243,14 @@ class _Child:
             return _failure(exc), None
 
     def close(self) -> None:
-        for fd in (self.results, self.tasks):
+        """Close the caller's pipe ends.  Each is forgotten before it is
+        closed: an interrupt in between leaks it, never closes it twice
+        (the cleanup that follows would fail on it, and leave workers)."""
+        fds = (self.results, self.tasks)
+        self.results = self.tasks = -1
+        for fd in fds:
             if fd >= 0:
                 os.close(fd)
-        self.results = self.tasks = -1
 
 
 def _lost(pid: int, status: int) -> str:
@@ -329,8 +333,8 @@ def _fan_out(payloads: list[_Payload], workers: int) -> list[_CellOutput]:
         """Give ``child`` the next unclaimed cell, or close its task pipe."""
         if not unclaimed:
             child.cell = None
-            os.close(child.tasks)
-            child.tasks = -1
+            tasks, child.tasks = child.tasks, -1  # forgotten first, as in close()
+            os.close(tasks)
             return
         child.cell = unclaimed.popleft()
         try:

@@ -5,6 +5,7 @@ import pytest
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, ZCU104
+from repro.core.latency_table import LatencyTable
 from repro.supernet.layers import LayerKind
 
 
@@ -82,8 +83,7 @@ class TestSubnetBreakdown:
 
     def test_memory_bound_layers_listed(self, analytic_model, resnet50_subnets):
         breakdown = analytic_model.subnet_breakdown(resnet50_subnets[-1])
-        names = set(l.layer_name for l in breakdown.per_layer)
-        assert set(breakdown.memory_bound_layers()) <= names
+        assert any(l.is_memory_bound for l in breakdown.per_layer)
 
 
 class TestModelConfiguration:
@@ -100,9 +100,14 @@ class TestModelConfiguration:
 
     def test_latency_matrix_shape(self, analytic_model, resnet50_subnets):
         subgraphs = [CachedSubGraph.from_subnet(sn) for sn in resnet50_subnets[:2]]
-        matrix = analytic_model.latency_matrix_ms(resnet50_subnets[:3], subgraphs)
-        assert len(matrix) == 3
-        assert all(len(row) == 2 for row in matrix)
+        subnets = resnet50_subnets[:3]
+        table = LatencyTable.build(
+            subnets, subgraphs, analytic_model.subnet_latency_ms, lambda sn: 0.5
+        )
+        assert table.latencies_ms.shape == (3, 2)
+        for i, sn in enumerate(subnets):
+            for j, sg in enumerate(subgraphs):
+                assert table.latency(i, j) == analytic_model.subnet_latency_ms(sn, sg)
 
     def test_zcu104_slower_than_analytic(self, zcu104_model, analytic_model, resnet50_subnets):
         # The embedded board has 5x less compute than the analytic config.

@@ -70,7 +70,10 @@ class TestDefaultHierarchy:
         # w/o-PB variant redirects the PB budget to the dynamic buffers.
         with_pb = default_hierarchy(ZCU104, with_pb=True)
         without_pb = default_hierarchy(ZCU104, with_pb=False)
-        assert without_pb.db_bytes > with_pb.db_bytes
+        def db_bytes(h):
+            return h["DB-Ping"].capacity_bytes + h["DB-Pong"].capacity_bytes
+
+        assert db_bytes(without_pb) > db_bytes(with_pb)
         assert abs(with_pb.total_bytes - without_pb.total_bytes) <= with_pb.pb.capacity_bytes
 
     def test_summary_has_overall(self):

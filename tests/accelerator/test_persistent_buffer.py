@@ -36,8 +36,8 @@ class TestCachedSubGraph:
         subnet = resnet50_subnets[0]
         sg = CachedSubGraph.from_subnet(subnet)
         name = subnet.layer_names[0]
-        assert sg.layer_bytes(name) > 0
-        assert sg.layer_bytes("missing") == 0
+        assert sg.slices[name].weight_bytes == subnet.layer_slices[name].weight_bytes > 0
+        assert "missing" not in sg.slices
 
 
 class TestPersistentBuffer:
@@ -90,14 +90,15 @@ class TestPersistentBuffer:
         pb.load(CachedSubGraph.from_subnet(subnet))
         assert pb.hit_bytes(subnet) == subnet.weight_bytes
         pb.record_serve(subnet)
-        assert pb.stats.byte_hit_ratio == pytest.approx(1.0)
+        assert pb.stats.hit_bytes_total == pb.stats.served_weight_bytes_total
+        assert pb.stats.served_weight_bytes_total == subnet.weight_bytes
 
     def test_zero_capacity_never_hits(self, resnet50_subnets):
         subnet = resnet50_subnets[0]
         pb = PersistentBuffer(0)
         pb.load(CachedSubGraph.from_subnet(subnet))
         assert pb.hit_bytes(subnet) == 0
-        assert pb.occupancy_fraction == 0.0
+        assert pb.occupancy_bytes == 0
 
     def test_vector_hit_ratio_bounds(self, resnet50_subnets):
         subnet = resnet50_subnets[0]

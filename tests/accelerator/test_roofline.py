@@ -54,9 +54,9 @@ class TestSubnetPoints:
         assert roofline.effective_bandwidth_gbps(subnet, None) == roofline.bandwidth_gbps
 
     def test_family_points_labels(self, roofline, resnet50_subnets):
-        points = roofline.family_points(resnet50_subnets)
+        points = [roofline.subnet_point(sn) for sn in resnet50_subnets]
         assert [p.label for p in points] == [sn.name for sn in resnet50_subnets]
 
     def test_attainable_never_exceeds_peak(self, roofline, mobilenetv3_subnets):
-        for point in roofline.family_points(mobilenetv3_subnets):
+        for point in map(roofline.subnet_point, mobilenetv3_subnets):
             assert point.attainable_tflops <= roofline.peak_tflops + 1e-9

@@ -33,6 +33,14 @@ from repro.serving.stack import SushiStack, SushiStackConfig
 from repro.serving.workload import WorkloadGenerator, WorkloadSpec, feasible_ranges_from_table
 
 
+def byte_hit_ratio(stats) -> float:
+    """Fraction of the served weight bytes of ``stats`` (a ``PBStats``) that
+    were PB hits; 0.0 when nothing was served."""
+    if stats.served_weight_bytes_total == 0:
+        return 0.0
+    return stats.hit_bytes_total / stats.served_weight_bytes_total
+
+
 def serve_trace(server, trace: QueryTrace | Iterable[QueryLike]) -> list[QueryRecord]:
     """``server`` serves ``trace`` closed loop: each query with its nominal
     budget and accuracy floor, one record per query.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from closed_loop_oracle import ExperimentRunner
+from closed_loop_oracle import ExperimentRunner, byte_hit_ratio
 from repro.accelerator.platforms import ZCU104
 from repro.core.policies import Policy
 from repro.experiments import (
@@ -105,8 +105,8 @@ def oracle_records(config, num_queries, workload):
     streams = runner.run(trace)
     ratios = {
         "no_sushi": 0.0,
-        "sushi_wo_sched": runner.state_unaware.pb.stats.byte_hit_ratio,
-        "sushi": runner.sushi.pb.stats.byte_hit_ratio,
+        "sushi_wo_sched": byte_hit_ratio(runner.state_unaware.pb.stats),
+        "sushi": byte_hit_ratio(runner.sushi.pb.stats),
     }
     return trace, streams, ratios
 

@@ -176,7 +176,8 @@ class TestTableShapes:
             "ofa_mobilenetv3", column_counts=(10, 40), num_queries=40
         )
         assert set(result.improvements_percent) == {10, 40}
-        assert result.is_monotone_saturating() or True  # sanity: runs and reports
+        # A denser table never costs SUSHI more than half a point.
+        assert result.improvements_percent[40] >= result.improvements_percent[10] - 0.5
         assert "Table 5" in tab05_table_size.report(result)
 
     def test_tab06_lookup_far_below_inference(self):

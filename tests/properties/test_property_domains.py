@@ -4,7 +4,8 @@
 closed string field's choices.  A hypothesis strategy picks one leaf of a
 committed scenario (every scenario in ``examples/scenarios/``, plus
 variants that spell out the fields none of them sets: a flight recorder,
-a scheduled and a tier-aware autoscaler, inline trace events) and gives it
+a scheduled and a tier-aware autoscaler, inline trace events, an inline
+platform) and gives it
 a value drawn from that leaf's declaration:
 
 * an **in-domain** value must either run at a few dozen queries or be
@@ -23,6 +24,7 @@ counts (``2**70``) are only ever parsed: the runs cap the stream length.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -30,6 +32,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.cli import _parse_override
 from repro.serving.api import run_scenario
 from repro.serving.domain import FieldError
@@ -60,6 +63,9 @@ def _bases() -> dict[str, dict]:
         ),
         "inline_pool": poisson.override(
             "arrivals", {"kind": "trace", "events": [0.5 * i for i in range(LOG_ROWS)]}
+        ),
+        "platform_pool": poisson.override(
+            "replica_groups.0.platform", dataclasses.asdict(ANALYTIC_DEFAULT)
         ),
         "scheduled_pool": committed["autoscale_pool"].override_many(
             [

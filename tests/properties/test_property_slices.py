@@ -39,7 +39,7 @@ class TestSliceProperties:
         a, b = slice_of(k1, c1), slice_of(k2, c2)
         inter = a.intersect(b)
         assert inter.weight_bytes <= min(a.weight_bytes, b.weight_bytes)
-        assert a.contains(inter) and b.contains(inter)
+        assert a.intersect(inter) == inter and b.intersect(inter) == inter
 
     @given(kernels, channels)
     def test_intersection_idempotent(self, k, c):

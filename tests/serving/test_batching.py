@@ -550,12 +550,13 @@ class TestBatchingSweep:
         assert sweep.point("B=1").mean_batch_occupancy == pytest.approx(1.0)
 
     def test_report_and_json_dump(self, sweep):
+        from repro.analysis.reporting import jsonable
         from repro.experiments import batching_sweep
 
         text = batching_sweep.report(sweep)
         assert "goodput" in text
         assert "cache loads" in text
-        dump = batching_sweep.to_jsonable(sweep)
+        dump = jsonable(sweep)
         json.dumps(dump)  # JSON-safe
         assert {p["label"] for p in dump["points"]} == {
             p.label for p in sweep.points

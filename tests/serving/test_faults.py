@@ -26,6 +26,7 @@ from engine_oracle import EventHeap
 from fakes import ConstantServer
 from numpy.random import default_rng
 
+from repro.analysis.reporting import jsonable
 from repro.core.policies import Policy
 from repro.experiments import resilience_frontier
 from repro.experiments.registry import EXPERIMENTS
@@ -657,4 +658,4 @@ class TestResilienceFrontier:
         assert fault_free.num_crashes == 0
         report = resilience_frontier.report(result)
         assert "Resilience frontier" in report
-        json.dumps(resilience_frontier.to_jsonable(result))  # JSON-safe
+        json.dumps(jsonable(result))  # JSON-safe

@@ -770,11 +770,12 @@ class TestPredictiveFrontier:
     def test_report_and_json_dump(self, frontier):
         import json
 
+        from repro.analysis.reporting import jsonable
         from repro.experiments import frontier_predictive
 
         text = frontier_predictive.report(frontier)
         assert "cold start" in text
-        dump = frontier_predictive.to_jsonable(frontier)
+        dump = jsonable(frontier)
         json.dumps(dump)
         assert dump["startup_delays_ms"] == list(frontier.startup_delays_ms)
         assert {p["label"] for p in dump["points"]} == {

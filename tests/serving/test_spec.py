@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.accelerator.platforms import ANALYTIC_DEFAULT, ZCU104
 from repro.core.policies import Policy
 from repro.serving.api import run_scenario
+from repro.serving.domain import FieldError
 from repro.serving.spec import (
     ARRIVAL_KINDS,
     BACKEND_KINDS,
@@ -205,6 +206,49 @@ class TestReplicaGroupSpec:
     def test_policy_accepts_string(self):
         assert ReplicaGroupSpec(policy="strict_latency").policy is Policy.STRICT_LATENCY
 
+    def test_bad_policy_string_names_the_field(self):
+        # Built in Python, the same error decoding raises.
+        message = (
+            "invalid value at 'policy': expected one of "
+            "['strict_accuracy', 'strict_latency'], got 'bogus'"
+        )
+        with pytest.raises(FieldError) as built:
+            ReplicaGroupSpec(policy="bogus")
+        assert str(built.value) == message
+        with pytest.raises(FieldError) as decoded:
+            ScenarioSpec.from_dict({"replica_groups": [{"policy": "bogus"}]})
+        assert str(decoded.value) == message.replace("'policy'", "'replica_groups.0.policy'")
+
+    def test_non_finite_inline_platform_refused_at_parse_by_path(self):
+        # Parsed, then written back as ``Infinity``, which is not JSON.
+        data = ScenarioSpec(replica_groups=(ReplicaGroupSpec(platform=ZCU104),)).to_dict()
+        data["replica_groups"][0]["platform"]["clock_mhz"] = float("inf")
+        with pytest.raises(FieldError) as decoded:
+            ScenarioSpec.from_json(json.dumps(data))
+        assert str(decoded.value) == (
+            "invalid value at 'replica_groups.0.platform.clock_mhz': "
+            "expected float in [1, 100000.0], got inf"
+        )
+        with pytest.raises(FieldError, match="at 'platform.clock_mhz': "):
+            ReplicaGroupSpec(platform=dataclasses.replace(ZCU104, clock_mhz=float("inf")))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clock_mhz", -1.0), ("kp", 0), ("kp", 1.5), ("off_chip_bandwidth_gbps", float("nan")),
+         ("dram_contention_factor", 0.5), ("query_overhead_cycles", 2**70)],
+    )
+    def test_out_of_range_inline_platform_value_names_its_path(self, field, value):
+        data = ReplicaGroupSpec(platform=ZCU104).to_dict()
+        data["platform"][field] = value
+        with pytest.raises(FieldError, match=f"at 'replica_groups.0.platform.{field}': expected "):
+            ReplicaGroupSpec.from_dict(data, path="replica_groups.0")
+
+    def test_inline_platform_whose_buffers_overflow_its_budget_is_refused(self):
+        # The DPE array's fixed buffers outgrow the on-chip budget: refused
+        # at parse, not when the first stack is built.
+        with pytest.raises(FieldError, match="at 'platform': .*too small for the fixed buffers"):
+            ReplicaGroupSpec(platform=dataclasses.replace(ZCU104, kp=4096))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -347,6 +391,17 @@ class TestScenarioSpec:
             ScenarioSpec(num_queries=0)
         with pytest.raises(ValueError):
             ScenarioSpec(cache_update_period=0)
+
+    def test_bad_policy_string_names_the_field(self):
+        # Built in Python, the same error decoding raises.
+        with pytest.raises(FieldError) as built:
+            ScenarioSpec(policy="bogus")
+        with pytest.raises(FieldError) as decoded:
+            ScenarioSpec.from_dict({"policy": "bogus"})
+        assert str(built.value) == str(decoded.value) == (
+            "invalid value at 'policy': expected one of "
+            "['strict_accuracy', 'strict_latency'], got 'bogus'"
+        )
 
     @pytest.mark.parametrize(
         "path, value, message",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from closed_loop_oracle import serve_trace
+from closed_loop_oracle import byte_hit_ratio, serve_trace
 from repro.accelerator.persistent_buffer import CachedSubGraph
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
 from repro.core.metrics import QueryRecord
@@ -67,7 +67,7 @@ class TestSushiStack:
     def test_cache_hit_ratio_grows_with_serving(self, stack, trace):
         stack.reset()
         serve_trace(stack, trace)
-        assert stack.pb.stats.byte_hit_ratio > 0.0
+        assert byte_hit_ratio(stack.pb.stats) > 0.0
 
     def test_reset_restores_fresh_state(self, stack, trace):
         stack.reset()

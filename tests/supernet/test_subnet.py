@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.supernet.subnet import SubNet, SubNetConfig, max_subnet, min_subnet, uniform_config
+from repro.supernet.subnet import SubNet, SubNetConfig, max_subnet, min_subnet
 
 
 class TestSubNetConstruction:
@@ -18,9 +18,13 @@ class TestSubNetConstruction:
     def test_max_subnet_matches_supernet_bytes(self, resnet50):
         assert max_subnet(resnet50).weight_bytes == resnet50.max_weight_bytes
 
-    def test_uniform_config_clamps_depth(self, resnet50):
-        config = uniform_config(resnet50, depth=10, expand_ratio=0.35)
-        assert all(d <= stage.max_depth for d, stage in zip(config.depths, resnet50.stages))
+    def test_extreme_configs_stay_in_stage_depths(self, resnet50):
+        for subnet in (min_subnet(resnet50), max_subnet(resnet50)):
+            config = subnet.config
+            assert all(
+                stage.depth_choices[0] <= d <= stage.max_depth
+                for d, stage in zip(config.depths, resnet50.stages)
+            )
 
     def test_equality_and_hash(self, resnet50):
         a = min_subnet(resnet50)

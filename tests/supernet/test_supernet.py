@@ -3,7 +3,7 @@
 import pytest
 
 from repro.supernet.supernet import ElasticConfig
-from repro.supernet.subnet import SubNetConfig
+from repro.supernet.subnet import SubNetConfig, max_subnet, min_subnet
 
 
 class TestElasticConfig:
@@ -52,10 +52,13 @@ class TestSuperNet:
         # should be large (thousands of configurations).
         assert resnet50.design_space_size() > 1_000
 
-    def test_full_slices_cover_every_layer(self, resnet50):
-        slices = resnet50.full_slices()
+    def test_max_subnet_slices_cover_every_layer(self, resnet50):
+        slices = max_subnet(resnet50).layer_slices
         assert set(slices) == set(resnet50.layer_names)
-        assert all(sl.is_full for sl in slices.values())
+        assert all(
+            (sl.kernels, sl.channels) == (sl.layer.out_channels, sl.layer.in_channels)
+            for sl in slices.values()
+        )
 
     def test_slices_for_validates_depth_count(self, resnet50):
         with pytest.raises(ValueError):
@@ -71,13 +74,10 @@ class TestSuperNet:
         with pytest.raises(ValueError):
             resnet50.validate_config(depths, expand_ratio=0.35, width_mult=0.5)
 
-    def test_enumerate_configs_respects_limit(self, resnet50):
-        configs = list(resnet50.enumerate_configs(max_configs=10))
-        assert len(configs) == 10
-
-    def test_enumerate_configs_are_valid(self, resnet50):
-        for depths, expand, width in resnet50.enumerate_configs(max_configs=30):
-            resnet50.validate_config(depths, expand, width)  # should not raise
+    def test_served_configs_are_valid(self, resnet50, resnet50_subnets):
+        for subnet in (min_subnet(resnet50), max_subnet(resnet50), *resnet50_subnets):
+            config = subnet.config
+            resnet50.validate_config(config.depths, config.expand_ratio, config.width_mult)
 
     def test_describe_contains_stage_info(self, resnet50):
         text = resnet50.describe()

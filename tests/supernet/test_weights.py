@@ -3,7 +3,7 @@
 import pytest
 
 from repro.supernet.subnet import max_subnet, min_subnet
-from repro.supernet.weights import SharedWeightIndex, WeightStore, total_distinct_bytes
+from repro.supernet.weights import SharedWeightIndex, WeightStore
 
 
 class TestWeightStore:
@@ -20,7 +20,7 @@ class TestWeightStore:
     def test_subnet_bytes_matches_subnet(self, resnet50):
         store = WeightStore(resnet50)
         subnet = min_subnet(resnet50)
-        assert store.subnet_bytes(subnet) == subnet.weight_bytes
+        assert sum(ext.nbytes for ext in store.subnet_extents(subnet)) == subnet.weight_bytes
 
     def test_slice_extent_is_prefix(self, resnet50):
         store = WeightStore(resnet50)
@@ -36,25 +36,10 @@ class TestWeightStore:
         with pytest.raises(KeyError):
             store.extent("nope")
 
-    def test_read_slice_requires_materialization(self, mobilenetv3):
+    def test_slice_extent_bytes_match_slice(self, mobilenetv3):
         store = WeightStore(mobilenetv3)
-        subnet = min_subnet(mobilenetv3)
-        with pytest.raises(RuntimeError):
-            store.read_slice(subnet.ordered_slices[0])
-
-    def test_read_slice_materialized(self, mobilenetv3):
-        store = WeightStore(mobilenetv3, materialize=True, seed=1)
-        subnet = min_subnet(mobilenetv3)
-        sl = subnet.ordered_slices[0]
-        data = store.read_slice(sl)
-        assert data.nbytes == store.slice_extent(sl).nbytes
-
-    def test_materialized_data_deterministic(self, mobilenetv3):
-        a = WeightStore(mobilenetv3, materialize=True, seed=7)
-        b = WeightStore(mobilenetv3, materialize=True, seed=7)
-        subnet = min_subnet(mobilenetv3)
-        sl = subnet.ordered_slices[1]
-        assert (a.read_slice(sl) == b.read_slice(sl)).all()
+        for sl in min_subnet(mobilenetv3).ordered_slices:
+            assert store.slice_extent(sl).nbytes == sl.weight_bytes
 
 
 class TestSharedWeightIndex:
@@ -65,18 +50,14 @@ class TestSharedWeightIndex:
         smallest = min(sn.weight_bytes for sn in resnet50_subnets)
         assert idx.shared_bytes() == pytest.approx(smallest, rel=0.05)
 
-    def test_pairwise_matrix_shape_and_symmetry(self, resnet50_subnets):
-        idx = SharedWeightIndex(resnet50_subnets)
-        mat = idx.pairwise_shared_bytes()
-        n = len(resnet50_subnets)
-        assert mat.shape == (n, n)
-        assert (mat == mat.T).all()
+    def test_pairwise_sharing_is_symmetric(self, resnet50_subnets):
+        for a in resnet50_subnets:
+            for b in resnet50_subnets:
+                assert a.shared_bytes_with(b) == b.shared_bytes_with(a)
 
-    def test_diagonal_is_subnet_size(self, resnet50_subnets):
-        idx = SharedWeightIndex(resnet50_subnets)
-        mat = idx.pairwise_shared_bytes()
-        for i, sn in enumerate(resnet50_subnets):
-            assert mat[i, i] == sn.weight_bytes
+    def test_self_sharing_is_subnet_size(self, resnet50_subnets):
+        for sn in resnet50_subnets:
+            assert sn.shared_bytes_with(sn) == sn.weight_bytes
 
     def test_sharing_fraction_near_one(self, mobilenetv3_subnets):
         idx = SharedWeightIndex(mobilenetv3_subnets)
@@ -96,4 +77,4 @@ class TestSharedWeightIndex:
 
     def test_weight_sharing_saves_memory(self, resnet50, resnet50_subnets):
         # Storing the family without sharing costs far more than the SuperNet.
-        assert total_distinct_bytes(resnet50_subnets) > resnet50.max_weight_bytes
+        assert sum(sn.weight_bytes for sn in resnet50_subnets) > resnet50.max_weight_bytes

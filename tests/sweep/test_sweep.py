@@ -29,6 +29,7 @@ from repro.sweep import (
     run_grid,
     run_sweep,
 )
+from repro.sweep import runner as sweep_runner
 
 PB_POLICY_GRID = Path(__file__).resolve().parents[2] / "examples/sweeps/pb_policy_grid.json"
 
@@ -369,6 +370,25 @@ class TestLostWorkers:
     def test_interrupted_caller_reaps_every_worker(self):
         report = run_lost_worker_script("interrupt", 2)
         assert report == {"outputs": "interrupted", "children_left": False}
+
+    def test_an_interrupted_close_closes_no_pipe_twice(self, monkeypatch):
+        # An interrupt right after the caller closed a worker's pipe used to
+        # leave the fd recorded: the cleanup closed it again, failed with
+        # EBADF and left the other workers running.
+        results, tasks = os.pipe()
+        child = sweep_runner._Child(pid=0, results=results, tasks=tasks, cell=None)
+        close = os.close
+
+        def interrupted(fd):
+            close(fd)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "close", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            child.close()
+        monkeypatch.setattr(os, "close", close)
+        child.close()  # the cleanup's close: nothing left to close twice
+        close(tasks)  # the one the interrupt leaked
 
     def test_one_worker_forks_nothing(self, monkeypatch):
         def no_fork():

@@ -219,7 +219,7 @@ def replay_sample_fit() -> TraceFit:
 PINNED_DIGESTS = {
     "schema": (
         scenario_schema,
-        "de95d51bf3e335ac314532558b8d98bd57810fed2c75b9856cf3d0791f6d32c1",
+        "50760041c873ba3d2ab3d91916964e22b6358101ebf1c8162ca74782653e20f1",
     ),
     "sweep_result": (
         lambda: pinned_sweep_result().to_dict(),
