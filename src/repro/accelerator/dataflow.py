@@ -76,15 +76,6 @@ class LayerLatency:
             + self.onchip_weight_cycles
         )
 
-    @property
-    def exposed_memory_cycles(self) -> float:
-        return self.total_cycles - self.compute_cycles
-
-    @property
-    def is_memory_bound(self) -> bool:
-        """True when exposed off-chip time dominates this layer."""
-        return self.exposed_memory_cycles > self.compute_cycles
-
 
 @dataclass(frozen=True)
 class LayerProfile:

@@ -81,6 +81,22 @@ class CacheDecisionMemo:
             )
         self.decisions: dict[tuple[int, ...], int] = {}
         """Window multiset (sorted SubNet indices) -> nearest candidate."""
+        self.initial_indices: dict[int, int] = {}
+        """Seed -> the random initial cache index a scheduler of that seed
+        starts from (:meth:`initial_index`)."""
+
+    def initial_index(self, seed: int) -> int:
+        """The initial cache index ``np.random.default_rng(seed)`` draws.
+
+        It depends only on the seed and ``|S|``, so it is drawn once per
+        seed and kept: a scheduler built again at a seed already seen (a
+        scale-up clone in a repeated run, say) seeds no generator.
+        """
+        idx = self.initial_indices.get(seed)
+        if idx is None:
+            rng = np.random.default_rng(seed)
+            idx = self.initial_indices[seed] = int(rng.integers(0, self.table.num_subgraphs))
+        return idx
 
     def nearest(self, window: Collection[int]) -> int:
         """The candidate nearest to the average encoding of ``window``."""
@@ -140,8 +156,8 @@ class SushiSched:
         self.policy = policy
         self.cache_update_period = cache_update_period
         self.memo = memo
-        rng = rng or np.random.default_rng(0)
         if initial_cache_idx is None:
+            rng = rng or np.random.default_rng(0)
             initial_cache_idx = int(rng.integers(0, table.num_subgraphs))
         if not (0 <= initial_cache_idx < table.num_subgraphs):
             raise IndexError(

@@ -5,7 +5,9 @@ Three layers, mirroring a production autoscaler:
 * **Telemetry** (:mod:`.telemetry`) — the engine feeds a
   :class:`TelemetryBus` per event; policies read sliding-window
   :class:`MetricsSnapshot`\\ s (queue depth, drop rate, utilization,
-  p95 wait, arrival-rate trend).
+  p95 wait, arrival-rate trend).  The bus keeps and reduces only the
+  fields somebody reads: the policy's ``reads``, or all of them when the
+  run keeps its snapshots or records its decisions.
 * **Policies** (:mod:`.policies`) — pluggable desired-size functions:
   ``reactive`` thresholds, ``target_utilization`` proportional control,
   ``predictive`` short-horizon forecast control (extrapolates the rate

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.serving.autoscale.policies import GroupStatus, PredictivePolicy
-from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus
+from repro.serving.autoscale.telemetry import SNAPSHOT_FIELDS, MetricsSnapshot, TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover - spec.py imports this package
     from repro.serving.spec import AutoscalerSpec
@@ -156,11 +156,26 @@ class AutoscaleController:
         self._peak = 0
         self.recorder = None
         """Optional flight recorder (duck-typed ``TraceRecorder``); when
-        set, every control tick emits one decision record per group."""
+        set, every control tick emits one decision record per group.  Set
+        it through :meth:`begin_run`."""
         self.keep_metrics = False
         """When True, every tick's :class:`MetricsSnapshot` is appended to
         :attr:`metrics_history` (opt-in via ``ObservabilitySpec``)."""
         self.metrics_history: list[MetricsSnapshot] = []
+
+    def begin_run(self, recorder) -> None:
+        """Attach the run's flight recorder (or None) and size the bus's feed.
+
+        The bus tracks every snapshot field when the run keeps its snapshots
+        or records its decisions (both read the whole snapshot), and only
+        the policy's :attr:`~repro.serving.autoscale.policies.ScalingPolicy.reads`
+        otherwise.
+        """
+        self.recorder = recorder
+        if recorder is not None or self.keep_metrics:
+            self.bus.track(SNAPSHOT_FIELDS)
+        else:
+            self.bus.track(self.policy.reads)
 
     # ------------------------------------------------------------- decisions
     def decide_pool(

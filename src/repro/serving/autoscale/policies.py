@@ -44,6 +44,11 @@ Invariants:
 * The controller clamps every decision to ``[min_replicas, max_replicas]``
   (per group), enforces the cost budget, and applies directional cooldowns;
   policies only propose.
+* A policy declares the snapshot fields it reads (:attr:`ScalingPolicy.reads`,
+  a class attribute no spec sets); a run that keeps no snapshots and
+  records no decisions computes only those, so a policy must read no other
+  field (``tests/properties/test_property_telemetry.py`` runs every
+  registered policy on snapshots whose other fields raise).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.serving.autoscale.telemetry import MetricsSnapshot, slot_init
+from repro.serving.autoscale.telemetry import SNAPSHOT_FIELDS, MetricsSnapshot, slot_init
 
 
 @slot_init
@@ -91,6 +96,12 @@ class ScalingPolicy(abc.ABC):
     """Map windowed telemetry to a desired scalable-pool size."""
 
     name: str
+    reads: frozenset[str] = SNAPSHOT_FIELDS
+    """The :class:`MetricsSnapshot` fields the policy reads, properties'
+    inputs included (``num_incoming`` reads ``num_active`` and
+    ``num_provisioning``).  The telemetry bus of a run that neither keeps
+    its snapshots nor records its decisions computes only these; every
+    other windowed field is NaN.  Every field unless a policy narrows it."""
 
     @abc.abstractmethod
     def desired_replicas(self, snapshot: MetricsSnapshot) -> tuple[int, str]:
@@ -134,6 +145,9 @@ class ReactivePolicy(ScalingPolicy):
     """
 
     name = "reactive"
+    reads = frozenset(
+        {"drop_rate", "queue_depth", "utilization", "num_active", "num_provisioning"}
+    )
 
     def __init__(
         self,
@@ -188,6 +202,7 @@ class TargetUtilizationPolicy(ScalingPolicy):
     """
 
     name = "target_utilization"
+    reads = frozenset({"utilization", "num_active", "num_draining"})
 
     def __init__(
         self, *, target_utilization: float = 0.60, deadband: float = 0.10
@@ -232,6 +247,7 @@ class SchedulePolicy(ScalingPolicy):
     """
 
     name = "scheduled"
+    reads = frozenset({"time_ms"})
 
     def __init__(
         self,
@@ -292,6 +308,12 @@ class PredictivePolicy(ScalingPolicy):
     """
 
     name = "predictive"
+    reads = frozenset(
+        {
+            "mean_service_ms", "arrival_rate_per_ms", "arrival_rate_slope_per_ms2",
+            "queue_depth", "time_ms", "window_ms", "num_active", "num_provisioning",
+        }
+    )
 
     def __init__(
         self,
@@ -377,6 +399,7 @@ class TierAwarePolicy(ScalingPolicy):
     """
 
     name = "tier_aware"
+    reads = ReactivePolicy.reads
 
     def __init__(
         self,

@@ -13,6 +13,16 @@ half and reports the arrival-rate slope between the two halves
 (``arrival_rate_slope_per_ms2``), which predictive policies extrapolate over
 the provisioning horizon to scale ahead of a ramp instead of chasing it.
 
+The bus keeps and reduces only what its readers read.
+:meth:`TelemetryBus.track` takes the snapshot fields somebody reads (a
+policy's :attr:`~repro.serving.autoscale.policies.ScalingPolicy.reads`,
+or every field when the run keeps its snapshots or records its
+decisions) and derives the *signals* they need (:data:`FIELD_SIGNALS`):
+arrivals, member waits, service durations, pickups, service intervals,
+drops and failures.  The engine feeds only the tracked signals
+(:attr:`TelemetryBus.signals`), and a snapshot computes only the tracked
+fields; every other windowed field holds NaN.
+
 Invariants:
 
 * The bus never looks inside the engine: instantaneous state (queue depth,
@@ -27,13 +37,14 @@ Invariants:
   window.
 * All metrics are computed from plain event timestamps; replaying the same
   event feed yields bit-identical snapshots (the engine's determinism
-  guarantee extends through the control plane).
+  guarantee extends through the control plane).  A tracked field has the
+  same bits whatever else is tracked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 
@@ -127,6 +138,12 @@ def slot_init(cls: type) -> type:
 class MetricsSnapshot:
     """Sliding-window metrics handed to a scaling policy at a control tick.
 
+    The pool facts (``time_ms``, ``window_ms`` and the ``num_*`` and
+    ``queue_depth`` counts) are always set.  A windowed field the bus does
+    not track (:meth:`TelemetryBus.track`) holds NaN: a run that neither
+    keeps its snapshots nor records its decisions computes only the fields
+    its policy reads.
+
     Attributes
     ----------
     time_ms:
@@ -209,6 +226,47 @@ class MetricsSnapshot:
         return max(0.0, self.arrival_rate_per_ms + self.arrival_rate_slope_per_ms2 * span)
 
 
+# The signals the engine can feed the bus, each kept in its own columns.
+ARRIVALS = "arrivals"  # on_arrival: arrival times (rate and slope)
+WAITS = "waits"  # on_pickup: one wait per member (p95)
+DURATIONS = "durations"  # on_completion: service durations (mean service)
+PICKUPS = "pickups"  # on_pickup: pickup times and sizes
+SERVICES = "services"  # on_pickup + on_completion: busy intervals
+DROPS = "drops"  # on_drop
+FAILURES = "failures"  # on_failure
+
+#: The windowed snapshot fields, each with the signals computing it reads.
+#: A pickup's waits leave the window with it, and a completion's duration
+#: with its busy interval, so waits need pickups and durations services.
+FIELD_SIGNALS: dict[str, frozenset[str]] = {
+    "arrival_rate_per_ms": frozenset({ARRIVALS}),
+    "arrival_rate_slope_per_ms2": frozenset({ARRIVALS}),
+    "drop_rate": frozenset({DROPS, PICKUPS}),
+    "utilization": frozenset({SERVICES}),
+    "p95_wait_ms": frozenset({WAITS, PICKUPS}),
+    "mean_service_ms": frozenset({DURATIONS, SERVICES}),
+    "mean_batch_occupancy": frozenset({PICKUPS}),
+    "failure_rate_per_ms": frozenset({FAILURES}),
+}
+
+#: Every :class:`MetricsSnapshot` field: the pool facts the caller passes
+#: in at a tick, which cost nothing to keep, and the windowed ones.
+SNAPSHOT_FIELDS: frozenset[str] = frozenset(f.name for f in fields(MetricsSnapshot))
+
+
+def signals_for(names: Iterable[str]) -> frozenset[str]:
+    """The signals a bus must keep to compute the snapshot fields ``names``."""
+    signals: set[str] = set()
+    for name in names:
+        if name not in SNAPSHOT_FIELDS:
+            raise ValueError(f"{name!r} is not a MetricsSnapshot field")
+        signals.update(FIELD_SIGNALS.get(name, ()))
+    return frozenset(signals)
+
+
+_NAN = float("nan")
+
+
 class TelemetryBus:
     """Accumulates per-event serving telemetry over a sliding window.
 
@@ -228,6 +286,9 @@ class TelemetryBus:
     columns in event order, exactly as a full rebuild would: no running
     float sum is kept, since one would drift by an ulp from what the
     window holds.
+
+    A new bus tracks every field; :meth:`track` narrows it to the fields
+    somebody reads.
     """
 
     def __init__(self, window_ms: float) -> None:
@@ -244,10 +305,10 @@ class TelemetryBus:
         self._durations: list[float] = []
         self._in_service_starts: dict[int, float] = {}  # replica idx -> start
         # Window starts: each column's first live row.  A pickup's waits
-        # leave the window with it, so the waits' cursor follows the
-        # pickups'.
+        # leave the window with it, so the waits' start is derived from
+        # the pickups' (the last ``dispatches`` waits are live).
         self._arrival_lo = self._drop_lo = self._failure_lo = 0
-        self._pickup_lo = self._wait_lo = self._service_lo = 0
+        self._pickup_lo = self._service_lo = 0
         # Bound-method hoists for the per-event feed: the engine calls these
         # once per data-plane event, and reset() and compaction change the
         # columns in place, so the binds stay valid for the bus's whole life.
@@ -258,6 +319,28 @@ class TelemetryBus:
         self._wait_append = self._waits.append
         self._service_append = self._services.append
         self._duration_append = self._durations.append
+        self.fields: frozenset[str] = frozenset()
+        """The snapshot fields computed; every other field holds NaN."""
+        self.signals: frozenset[str] = frozenset()
+        """The signals kept: the engine feeds only these."""
+        self.track(SNAPSHOT_FIELDS)
+
+    def track(self, names: Iterable[str]) -> None:
+        """Compute only the snapshot fields ``names``, keeping only their signals.
+
+        The pool facts are always set.  Call it between runs: a bus whose
+        signal set changes forgets what it holds (:meth:`reset`), since a
+        newly tracked signal was not fed before.
+        """
+        self.fields = frozenset(names)
+        signals = signals_for(self.fields)
+        if signals != self.signals:
+            self.signals = signals
+            self._keeps_pickups = PICKUPS in signals
+            self._keeps_waits = WAITS in signals
+            self._keeps_services = SERVICES in signals
+            self._keeps_durations = DURATIONS in signals
+            self.reset()
 
     # ------------------------------------------------------------ event feed
     def on_arrival(self, now_ms: float) -> None:
@@ -270,18 +353,22 @@ class TelemetryBus:
         tuples; each one's wait is measured from its item's arrival to the
         pickup.  Records the pickup's time and size (1 without batching),
         then one wait per member in pickup order, and opens the replica's
-        busy interval.
+        busy interval: each only when its signal is tracked.
         """
-        self._pickup_time_append(now_ms)
-        self._pickup_size_append(len(members))
-        for member in members:
-            self._wait_append(now_ms - member[0].arrival_ms)
-        self._in_service_starts[replica_index] = now_ms
+        if self._keeps_pickups:
+            self._pickup_time_append(now_ms)
+            self._pickup_size_append(len(members))
+            if self._keeps_waits:
+                for member in members:
+                    self._wait_append(now_ms - member[0].arrival_ms)
+        if self._keeps_services:
+            self._in_service_starts[replica_index] = now_ms
 
     def on_completion(self, now_ms: float, replica_index: int, service_ms: float) -> None:
         start = self._in_service_starts.pop(replica_index, now_ms - service_ms)
         self._service_append((start, now_ms))
-        self._duration_append(now_ms - start)
+        if self._keeps_durations:
+            self._duration_append(now_ms - start)
 
     def on_drop(self, now_ms: float) -> None:
         self._drop_append(now_ms)
@@ -311,10 +398,15 @@ class TelemetryBus:
         replicas whose busy time can appear in the feed (the engine passes
         active *plus draining*, since draining replicas still serve their
         queues; provisioning replicas cannot serve and are excluded); it
-        defaults to ``num_active``.
+        defaults to ``num_active``.  A windowed field outside
+        :attr:`fields` is NaN, and its reduction is skipped.
         """
         window = min(self.window_ms, now_ms) if now_ms > 0 else self.window_ms
         horizon = now_ms - window
+        wanted = self.fields
+        signals = self.signals
+        rate = slope = drop_rate = utilization = _NAN
+        p95_wait = mean_service = occupancy = failure_rate = _NAN
         # Each cursor moves to the first row at or after the horizon, the
         # first row a deque pruned with ``while q[0] < horizon: popleft()``
         # would keep.  Arrivals, pickups, completions and failures are fed
@@ -322,83 +414,101 @@ class TelemetryBus:
         # drop inside a per-query pickup is stamped with the member's own
         # (later) start, so the drops' cursor steps row by row.  A column
         # whose dead prefix outgrows its live rows is compacted.
-        arrivals = self._arrivals
-        arrival_lo = bisect_left(arrivals, horizon, self._arrival_lo)
-        if arrival_lo > len(arrivals) - arrival_lo:
-            arrival_lo = _compact((arrivals,), arrival_lo)
-        self._arrival_lo = arrival_lo
-        num_arrivals = len(arrivals) - arrival_lo
+        if ARRIVALS in signals:
+            arrivals = self._arrivals
+            arrival_lo = bisect_left(arrivals, horizon, self._arrival_lo)
+            if arrival_lo > len(arrivals) - arrival_lo:
+                arrival_lo = _compact((arrivals,), arrival_lo)
+            self._arrival_lo = arrival_lo
+            num_arrivals = len(arrivals) - arrival_lo
+            if "arrival_rate_per_ms" in wanted:
+                rate = num_arrivals / window if window > 0 else 0.0
+            if "arrival_rate_slope_per_ms2" in wanted:
+                # The window split in half, recent-half rate minus
+                # older-half rate over the half width.  Zero for a
+                # degenerate (zero-length) window.  Arrivals are fed in
+                # time order, so the recent half is the column's tail past
+                # the bisection point.
+                slope = 0.0
+                half = window / 2.0
+                if half > 0:
+                    recent = len(arrivals) - bisect_left(arrivals, now_ms - half, arrival_lo)
+                    older = num_arrivals - recent
+                    slope = (recent - older) / half / half
 
-        pickup_times = self._pickup_times
-        old = self._pickup_lo
-        pickup_lo = bisect_left(pickup_times, horizon, old)
-        if pickup_lo > old:
-            waits = self._waits
-            wait_lo = self._wait_lo + sum(self._pickup_sizes[old:pickup_lo])
-            if wait_lo > len(waits) - wait_lo:
-                wait_lo = _compact((waits,), wait_lo)
-            self._wait_lo = wait_lo
+        dispatches = 0
+        if PICKUPS in signals:
+            pickup_times = self._pickup_times
+            sizes = self._pickup_sizes
+            pickup_lo = bisect_left(pickup_times, horizon, self._pickup_lo)
             if pickup_lo > len(pickup_times) - pickup_lo:
-                pickup_lo = _compact((pickup_times, self._pickup_sizes), pickup_lo)
+                pickup_lo = _compact((pickup_times, sizes), pickup_lo)
             self._pickup_lo = pickup_lo
-        pickups = len(pickup_times) - pickup_lo
+            pickups = len(pickup_times) - pickup_lo
+            # Integer sizes: the window's dispatch count is exact.
+            dispatches = sum(sizes[pickup_lo:])
+            if WAITS in signals:
+                # A pickup's size is its count of waits, so the window's
+                # waits are the column's last ``dispatches`` rows.
+                waits = self._waits
+                wait_lo = len(waits) - dispatches
+                if wait_lo > dispatches:
+                    wait_lo = _compact((waits,), wait_lo)
+                if "p95_wait_ms" in wanted:
+                    p95_wait = percentile(waits[wait_lo:], 95) if dispatches else 0.0
+            if "mean_batch_occupancy" in wanted:
+                occupancy = dispatches / pickups if pickups else 0.0
 
-        services = self._services
-        lo = bisect_left(services, horizon, self._service_lo, key=_END)
-        if lo > len(services) - lo:
-            lo = _compact((services, self._durations), lo)
-        self._service_lo = lo
+        if SERVICES in signals:
+            services = self._services
+            lo = bisect_left(services, horizon, self._service_lo, key=_END)
+            if lo > len(services) - lo:
+                lo = _compact((services, self._durations), lo)
+            self._service_lo = lo
+            if "utilization" in wanted:
+                # Busy time inside the window: closed service intervals
+                # clipped to the window, plus the open interval of
+                # anything still in service.  The conditionals pick what
+                # min(end, now) / max(start, horizon) would, ties
+                # included, in the same summation order.
+                busy = 0.0
+                for start, end in services[lo:]:
+                    busy += (now_ms if now_ms < end else end) - (
+                        horizon if horizon > start else start
+                    )
+                for start in self._in_service_starts.values():
+                    busy += now_ms - (horizon if horizon > start else start)
+                if capacity_replicas is None:
+                    capacity_replicas = num_active
+                capacity = window * max(capacity_replicas, 1)
+                utilization = min(1.0, busy / capacity) if capacity > 0 else 0.0
+            if "mean_service_ms" in wanted:
+                mean_service = mean(self._durations, lo) if len(services) > lo else 0.0
 
-        drops = 0
-        if self._drops:
-            column = self._drops
-            drop_lo = self._drop_lo
-            while drop_lo < len(column) and column[drop_lo] < horizon:
-                drop_lo += 1
-            if drop_lo > len(column) - drop_lo:
-                drop_lo = _compact((column,), drop_lo)
-            self._drop_lo = drop_lo
-            drops = len(column) - drop_lo
-        failures = 0
-        if self._failures:
-            column = self._failures
-            failure_lo = bisect_left(column, horizon, self._failure_lo)
-            if failure_lo > len(column) - failure_lo:
-                failure_lo = _compact((column,), failure_lo)
-            self._failure_lo = failure_lo
-            failures = len(column) - failure_lo
+        if DROPS in signals:
+            drops = 0
+            if self._drops:
+                column = self._drops
+                drop_lo = self._drop_lo
+                while drop_lo < len(column) and column[drop_lo] < horizon:
+                    drop_lo += 1
+                if drop_lo > len(column) - drop_lo:
+                    drop_lo = _compact((column,), drop_lo)
+                self._drop_lo = drop_lo
+                drops = len(column) - drop_lo
+            attempted = drops + dispatches
+            drop_rate = drops / attempted if attempted else 0.0
 
-        # Rate slope: the window split in half, recent-half rate minus
-        # older-half rate over the half width.  Zero for a degenerate
-        # (zero-length) window.  Arrivals are fed in time order, so the
-        # recent half is the column's tail past the bisection point.
-        slope = 0.0
-        half = window / 2.0
-        if half > 0:
-            recent = len(arrivals) - bisect_left(arrivals, now_ms - half, arrival_lo)
-            older = num_arrivals - recent
-            slope = (recent - older) / half / half
-        waits = self._waits
-        wait_lo = self._wait_lo
-        dispatches = len(waits) - wait_lo
-        attempted = drops + dispatches
-        drop_rate = drops / attempted if attempted else 0.0
-
-        # Busy time inside the window: closed service intervals clipped to
-        # the window, plus the open interval of anything still in service.
-        # The conditionals pick what min(end, now) / max(start, horizon)
-        # would, ties included, in the same summation order.
-        busy = 0.0
-        for start, end in services[lo:]:
-            busy += (now_ms if now_ms < end else end) - (
-                horizon if horizon > start else start
-            )
-        for start in self._in_service_starts.values():
-            busy += now_ms - (horizon if horizon > start else start)
-        if capacity_replicas is None:
-            capacity_replicas = num_active
-        capacity = window * max(capacity_replicas, 1)
-        utilization = min(1.0, busy / capacity) if capacity > 0 else 0.0
+        if FAILURES in signals:
+            failures = 0
+            if self._failures:
+                column = self._failures
+                failure_lo = bisect_left(column, horizon, self._failure_lo)
+                if failure_lo > len(column) - failure_lo:
+                    failure_lo = _compact((column,), failure_lo)
+                self._failure_lo = failure_lo
+                failures = len(column) - failure_lo
+            failure_rate = failures / window if window > 0 else 0.0
 
         return MetricsSnapshot(
             time_ms=now_ms,
@@ -406,18 +516,16 @@ class TelemetryBus:
             num_active=num_active,
             num_draining=num_draining,
             queue_depth=queue_depth,
-            arrival_rate_per_ms=num_arrivals / window if window > 0 else 0.0,
+            arrival_rate_per_ms=rate,
             drop_rate=drop_rate,
             utilization=utilization,
-            p95_wait_ms=percentile(waits[wait_lo:], 95) if dispatches else 0.0,
-            mean_service_ms=mean(self._durations, lo) if len(services) > lo else 0.0,
-            # A pickup's size is its count of waits, so the window's
-            # pickups hold exactly its dispatches.
-            mean_batch_occupancy=dispatches / pickups if pickups else 0.0,
+            p95_wait_ms=p95_wait,
+            mean_service_ms=mean_service,
+            mean_batch_occupancy=occupancy,
             num_provisioning=num_provisioning,
             arrival_rate_slope_per_ms2=slope,
             num_failed_replicas=num_failed_replicas,
-            failure_rate_per_ms=failures / window if window > 0 else 0.0,
+            failure_rate_per_ms=failure_rate,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -431,7 +539,7 @@ class TelemetryBus:
             column.clear()
         self._in_service_starts.clear()
         self._arrival_lo = self._drop_lo = self._failure_lo = 0
-        self._pickup_lo = self._wait_lo = self._service_lo = 0
+        self._pickup_lo = self._service_lo = 0
 
 
 #: A closed busy interval's end, the key its column is bisected by.

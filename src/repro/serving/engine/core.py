@@ -53,6 +53,14 @@ import numpy as np
 
 from repro.serving.autoscale.controller import AutoscaleController
 from repro.serving.autoscale.policies import GroupStatus
+from repro.serving.autoscale.telemetry import (
+    ARRIVALS,
+    DROPS,
+    FAILURES,
+    PICKUPS,
+    SERVICES,
+    TelemetryBus,
+)
 from repro.serving.engine.admission import AdmissionPolicy, make_admission
 from repro.serving.engine.events import ArrayEventQueue, EventKind
 from repro.serving.engine.faults import FAILED, SHED
@@ -99,7 +107,8 @@ class ServingEngine:
         applied at dispatch time.
     autoscaler:
         Optional :class:`~repro.serving.autoscale.AutoscaleController`.
-        When set, the engine feeds its telemetry bus per event and fires a
+        When set, the engine feeds its telemetry bus the events of the
+        signals it tracks (:attr:`TelemetryBus.signals`) and fires a
         CONTROL event every control interval: scale-up appends replicas from
         the controller's per-group factories (cold ones provision for the
         group's ``startup_delay_ms`` before joining routing), scale-down
@@ -339,7 +348,7 @@ class ServingEngine:
         if recorder is not None:
             recorder.begin_run((r.index, r.name) for r in self.replicas)
         if self.autoscaler is not None:
-            self.autoscaler.recorder = recorder
+            self.autoscaler.begin_run(recorder)
         table = self._simulate(trace, arrivals)
         return self._build_result(table, arrival_rate_per_ms=arrival_rate_per_ms)
 
@@ -432,7 +441,12 @@ class ServingEngine:
         write_drop = table.drop
         replicas = self.replicas  # scale-ups append to this very list
         ctl = self.autoscaler
-        bus = None if ctl is None else ctl.bus
+        # The bus is fed only the signals it tracks: one hoisted feed per
+        # hook, None when no reader needs that hook's events.
+        arrival_bus = self._feed(ARRIVALS)
+        pickup_bus = self._feed(PICKUPS) or self._feed(SERVICES)
+        completion_bus = self._feed(SERVICES)
+        drop_bus = self._feed(DROPS)
         fi = self.faults
         recorder = self.recorder
         scalable = self._scaled
@@ -472,8 +486,8 @@ class ServingEngine:
                 item.index, item.arrival_ms, now,
                 item.latency_constraint_ms, replica.index, "deadline_expired",
             )
-            if bus is not None and replica.index in scalable:
-                bus.on_drop(now)
+            if drop_bus is not None and replica.index in scalable:
+                drop_bus.on_drop(now)
 
         def start(
             replica: AcceleratorReplica, batch: list[QueuedQuery], now: float
@@ -552,8 +566,8 @@ class ServingEngine:
             replica.busy_until_ms = t
             replica.stats.num_batches += 1
             ridx = replica.index
-            if bus is not None and ridx in scalable:
-                bus.on_pickup(now, ridx, members)
+            if pickup_bus is not None and ridx in scalable:
+                pickup_bus.on_pickup(now, ridx, members)
             push(t, COMPLETION, replica)
             return True
 
@@ -593,11 +607,11 @@ class ServingEngine:
                     if fi is not None and not candidates:
                         # Every replica crashed (and no replacement is
                         # serving yet): the arrival has nowhere to go.
-                        self._shed_arrival(item, now, table, bus)
+                        self._shed_arrival(item, now, table)
                         continue
                 replica = candidates[router_select(candidates, item, now)]
-                if bus is not None and replica.index in scalable:
-                    bus.on_arrival(now)
+                if arrival_bus is not None and replica.index in scalable:
+                    arrival_bus.on_arrival(now)
                 if direct_serve and replica.in_service is None and not len(replica.queue):
                     if admit(item, now):
                         replica.num_in_system += 1
@@ -627,10 +641,10 @@ class ServingEngine:
                 ridx = replica.index
                 members = replica.in_service
                 total = replica.in_service_ms
-                if bus is not None and ridx in scalable:
+                if completion_bus is not None and ridx in scalable:
                     # One completion per pickup: the bus pairs it with the
                     # dispatch start, so windowed busy time stays exact.
-                    bus.on_completion(now, ridx, total)
+                    completion_bus.on_completion(now, ridx, total)
                 size = len(members)
                 replica.num_in_system -= size
                 stats = replica.stats
@@ -884,7 +898,7 @@ class ServingEngine:
         if self.recorder is not None:
             self.recorder.on_fault(now, "crash", replica.index)
             self.recorder.on_replica_retired(replica.index, now)
-        bus = None if self.autoscaler is None else self.autoscaler.bus
+        bus = self._feed(FAILURES)
         if bus is not None and replica.index in self._scaled:
             bus.on_failure(now)
         for item in lost:
@@ -920,7 +934,7 @@ class ServingEngine:
         # bus.on_arrival: demand telemetry counted it when it first arrived.
         item = payload[1]
         candidates = self._routable()
-        bus = None if self.autoscaler is None else self.autoscaler.bus
+        bus = self._feed(DROPS)
         if not candidates:
             table.drop(
                 item.index, item.arrival_ms, now, item.latency_constraint_ms, -1, FAILED
@@ -952,19 +966,13 @@ class ServingEngine:
                 item.index, item.arrival_ms, now, item.latency_constraint_ms,
                 replica.index, FAILED,
             )
-            bus = None if self.autoscaler is None else self.autoscaler.bus
+            bus = self._feed(DROPS)
             if bus is not None and replica.index in self._scaled:
                 bus.on_drop(now)
         else:
             queue.push(retry_ms, EventKind.RECOVERY, ("retry", item))
 
-    def _shed_arrival(
-        self,
-        item: QueuedQuery,
-        now: float,
-        table: ResultTable,
-        bus,
-    ) -> None:
+    def _shed_arrival(self, item: QueuedQuery, now: float, table: ResultTable) -> None:
         """Drop an arrival that found no routable replica (fault mode only).
 
         The demand still feeds the telemetry bus — arrivals shed because
@@ -974,9 +982,20 @@ class ServingEngine:
         table.drop(
             item.index, item.arrival_ms, now, item.latency_constraint_ms, -1, SHED
         )
+        bus = self._feed(ARRIVALS)
         if bus is not None:
             bus.on_arrival(now)
+        bus = self._feed(DROPS)
+        if bus is not None:
             bus.on_drop(now)
+
+    def _feed(self, signal: str) -> TelemetryBus | None:
+        """The autoscaler's bus if it tracks ``signal``; else None (the
+        engine feeds that signal's events to nobody)."""
+        ctl = self.autoscaler
+        if ctl is None or signal not in ctl.bus.signals:
+            return None
+        return ctl.bus
 
     def _on_capacity_joined(self) -> None:
         """A scale-up replica joined routing: failure pressure eases."""

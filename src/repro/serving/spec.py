@@ -159,6 +159,10 @@ _DELAY = Number("float", ge=0, le=60_000.0)
 #: Arrival rates in queries/ms: one query per second is the floor.
 _RATE = Number("float", ge=0.001, le=1e6)
 _SCALE = Number("float", ge=1e-6, le=1e6)
+#: Floor of a ``time_varying`` cycle's expected arrivals, ``sum(d * r)``.
+#: Generating a query walks about ``1 / sum(d * r)`` segments, so a cycle
+#: of a few thousandths of an arrival would spend seconds per query.
+MIN_CYCLE_ARRIVALS = 0.01
 _ENERGY = Number("float", ge=0, le=1e6)
 
 #: The numbers of an inline ``platform`` object.  ``PlatformConfig`` is the
@@ -490,8 +494,16 @@ class ArrivalSpec(JsonSpec):
                 raise FieldError(f.name, f"{self.kind} arrivals take no {f.name}")
         if self.kind in ("poisson", "deterministic") and self.rate_per_ms is None:
             raise FieldError("rate_per_ms", f"{self.kind} arrivals need a rate")
-        if self.kind == "time_varying" and not self.segments:
-            raise FieldError("segments", "time_varying arrivals need segments")
+        if self.kind == "time_varying":
+            if not self.segments:
+                raise FieldError("segments", "time_varying arrivals need segments")
+            expected = sum(d * r for d, r in self.segments)
+            if expected < MIN_CYCLE_ARRIVALS:
+                raise FieldError(
+                    "segments",
+                    f"a cycle must expect at least {MIN_CYCLE_ARRIVALS} arrivals "
+                    f"(sum of duration_ms x rate_per_ms is {expected:.6g})",
+                )
         if self.kind == "trace" and (self.path is None) == (not self.events):
             raise FieldError("path", "trace arrivals need exactly one of path or events")
         if any(a > b for a, b in zip(self.events, self.events[1:])):

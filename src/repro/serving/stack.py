@@ -31,10 +31,8 @@ result row.  The stack builds no records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence, TypeVar
-
-import numpy as np
 
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.persistent_buffer import CachedSubGraph, PersistentBuffer
@@ -351,7 +349,8 @@ class SushiStack:
             self.supernet,
             policy=config.policy,
             cache_update_period=config.cache_update_period,
-            rng=np.random.default_rng(config.seed),
+            # The index ``default_rng(config.seed)`` draws, drawn once per seed.
+            initial_cache_idx=memo.initial_index(config.seed),
             memo=memo,
         )
         self._start_pb()
@@ -467,7 +466,12 @@ class SushiStack:
         Buffer, so it evolves cache state independently — one clone per
         engine replica.
         """
-        config = self.config if seed is None else replace(self.config, seed=seed)
+        config = self.config
+        if seed is not None and seed != config.seed:
+            # ``dataclasses.replace(config, seed=seed)`` without its
+            # ``fields()`` walk: the same field values, one changed.
+            config = object.__new__(type(self.config))
+            config.__dict__.update(self.config.__dict__, seed=seed)
         # Not copy.copy: a copied instance dict makes every attribute read
         # on the serve path slower (about 13% per serve_query).
         stack = SushiStack.__new__(SushiStack)

@@ -14,9 +14,7 @@ from repro.supernet.blocks import BlockSpec, BottleneckBlock, MBConvBlock
 from repro.supernet.stages import StageSpec
 from repro.supernet.supernet import SuperNet, ElasticConfig
 from repro.supernet.subnet import SubNet, SubNetConfig
-from repro.supernet.weights import WeightStore, SharedWeightIndex
 from repro.supernet.accuracy import AccuracyModel
-from repro.supernet.pareto import pareto_frontier, ParetoPoint
 from repro.supernet.ofa_resnet50 import build_ofa_resnet50
 from repro.supernet.ofa_mobilenetv3 import build_ofa_mobilenetv3
 from repro.supernet.zoo import (
@@ -36,11 +34,7 @@ __all__ = [
     "ElasticConfig",
     "SubNet",
     "SubNetConfig",
-    "WeightStore",
-    "SharedWeightIndex",
     "AccuracyModel",
-    "pareto_frontier",
-    "ParetoPoint",
     "build_ofa_resnet50",
     "build_ofa_mobilenetv3",
     "load_supernet",

@@ -363,7 +363,7 @@ def reference_objects(
     if recorder is not None:
         recorder.begin_run((r.index, r.name) for r in engine.replicas)
     if engine.autoscaler is not None:
-        engine.autoscaler.recorder = recorder
+        engine.autoscaler.begin_run(recorder)
     heap = EventHeap()
     for query, arrival in zip(trace, arrivals):
         heap.push(float(arrival), EventKind.ARRIVAL, query)
@@ -414,7 +414,7 @@ def _drain(engine, heap: EventHeap, table: ObjectWriter) -> None:
                 f"scan {[r.index for r in candidates]} at t={now}"
             )
             if fi is not None and not candidates:
-                engine._shed_arrival(item, now, table, bus)
+                engine._shed_arrival(item, now, table)
                 continue
             replica = candidates[engine.router.select(candidates, item, now)]
             if bus is not None and replica.index in engine._scaled:

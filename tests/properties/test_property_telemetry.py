@@ -12,7 +12,13 @@ rebuilt every field from tuple deques at each tick: fed the same ordered
 event stream, every :class:`MetricsSnapshot` field of the two agrees bit
 for bit, across ``reset()``.  The bus takes a dispatch pickup in one
 ``on_pickup`` call; the oracle takes it as the engine used to feed it, one
-``on_batch`` and then one ``on_dispatch`` per member.
+``on_batch`` and then one ``on_dispatch`` per member.  A bus tracking only
+a registered policy's ``reads`` is fed only the events of its signals, as
+the engine feeds it, and must still agree with the oracle, fed everything,
+on every field the policy reads.
+
+Every registered policy keeps to its ``reads``: it decides on drawn
+snapshots whose other fields raise when read.
 """
 
 from __future__ import annotations
@@ -25,7 +31,19 @@ from hypothesis import given, settings, strategies as st
 from telemetry_oracle import TelemetryBus as OracleBus
 
 from repro.core.metrics import percentile
-from repro.serving.autoscale.telemetry import MetricsSnapshot, TelemetryBus, mean
+from repro.serving.autoscale.policies import POLICY_NAMES, GroupStatus, make_policy
+from repro.serving.autoscale.telemetry import (
+    ARRIVALS,
+    DROPS,
+    FAILURES,
+    FIELD_SIGNALS,
+    PICKUPS,
+    SERVICES,
+    SNAPSHOT_FIELDS,
+    MetricsSnapshot,
+    TelemetryBus,
+    mean,
+)
 from repro.serving.query import QueuedQuery
 
 finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -156,29 +174,47 @@ event = st.one_of(
 )
 
 
-def assert_same_snapshot(got: MetricsSnapshot, want: MetricsSnapshot) -> None:
+def assert_same_snapshot(
+    got: MetricsSnapshot, want: MetricsSnapshot, tracked=SNAPSHOT_FIELDS
+) -> None:
+    """``got`` has ``want``'s bits on every ``tracked`` field and the pool
+    facts, and NaN on every other windowed field."""
     for field in dataclasses.fields(MetricsSnapshot):
         a = getattr(got, field.name)
         b = getattr(want, field.name)
-        if isinstance(b, float):
+        if field.name not in tracked and field.name in FIELD_SIGNALS:
+            assert a != a, field.name  # NaN
+        elif isinstance(b, float):
             assert isinstance(a, float), field.name
             assert a.hex() == b.hex(), field.name
         else:
             assert a == b, field.name
 
 
-def pickup(bus, oracle, now: float, idx: int, ages: list[float]) -> None:
-    """One pickup on replica ``idx``: one call to the bus, the oracle fed
-    ``on_batch`` and then ``on_dispatch`` member by member."""
+def pickup(bus, oracle, now: float, idx: int, ages: list[float], feed: bool = True) -> None:
+    """One pickup on replica ``idx``: one call to the bus (when ``feed``),
+    the oracle fed ``on_batch`` and then ``on_dispatch`` member by member."""
     members = [(QueuedQuery(0, 0.5, 10.0, now - age),) for age in ages]
-    bus.on_pickup(now, idx, members)
+    if feed:
+        bus.on_pickup(now, idx, members)
     oracle.on_batch(now, batch_size=len(members))
     for (item,) in members:
         oracle.on_dispatch(now, replica_index=idx, wait_ms=now - item.arrival_ms)
 
 
 def replay(bus, oracle, events) -> int:
-    """Feed both buses ``events``; compare every snapshot.  Returns how many."""
+    """Feed both buses ``events``; compare every snapshot.  Returns how many.
+
+    The oracle is fed every event; the bus only the events of the signals
+    it tracks, as the engine feeds it, and its snapshots are compared on
+    the fields it tracks.
+    """
+    signals = bus.signals
+    arrivals = ARRIVALS in signals
+    pickups = PICKUPS in signals or SERVICES in signals
+    completions = SERVICES in signals
+    drops = DROPS in signals
+    failures = FAILURES in signals
     now = 0.0
     snapshots = 0
     for kind, step, *args in events:
@@ -190,35 +226,43 @@ def replay(bus, oracle, events) -> int:
             continue
         now += step
         if kind == "arrival":
-            bus.on_arrival(now)
+            if arrivals:
+                bus.on_arrival(now)
             oracle.on_arrival(now)
         elif kind == "drop":
-            bus.on_drop(now)
+            if drops:
+                bus.on_drop(now)
             oracle.on_drop(now)
         elif kind == "late_drop":
             (ahead,) = args
-            bus.on_drop(now + ahead)
+            if drops:
+                bus.on_drop(now + ahead)
             oracle.on_drop(now + ahead)
         elif kind == "failure":
-            bus.on_failure(now)
+            if failures:
+                bus.on_failure(now)
             oracle.on_failure(now)
         elif kind == "pickup":
             idx, waited = args
-            pickup(bus, oracle, now, idx, waited)
+            pickup(bus, oracle, now, idx, waited, pickups)
         elif kind == "completion":
             idx, service = args
-            bus.on_completion(now, idx, service)
+            if completions:
+                bus.on_completion(now, idx, service)
             oracle.on_completion(now, replica_index=idx, service_ms=service)
         elif kind == "burst":
             (members,) = args
             for idx, waited, service, redispatch in members:
-                bus.on_completion(now, idx, service)
+                if completions:
+                    bus.on_completion(now, idx, service)
                 oracle.on_completion(now, replica_index=idx, service_ms=service)
                 if redispatch:
-                    pickup(bus, oracle, now, idx, waited)
+                    pickup(bus, oracle, now, idx, waited, pickups)
         else:
             (kwargs,) = args
-            assert_same_snapshot(bus.snapshot(now, **kwargs), oracle.snapshot(now, **kwargs))
+            assert_same_snapshot(
+                bus.snapshot(now, **kwargs), oracle.snapshot(now, **kwargs), bus.fields
+            )
             snapshots += 1
     return snapshots
 
@@ -242,3 +286,99 @@ def test_bus_snapshot_every_event(window_ms, events):
     bus.reset()
     oracle.reset()
     replay(bus, oracle, stream)
+
+
+# ------------------------------------------------------- signal sets
+#: Knobs a registered policy needs beyond its defaults: a plan for
+#: ``scheduled``, and a horizon (the controller's derived one) so
+#: ``predictive`` takes its backlog branch.
+KNOBS = {"scheduled": {"schedule": [(0.0, 1)]}, "predictive": {"horizon_ms": 4.0}}
+
+
+def registered_policy(name: str):
+    """The registered policy ``name``."""
+    return make_policy(name, **KNOBS.get(name, {}))
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@settings(max_examples=150, deadline=None)
+@given(window_ms=window, events=st.lists(event, min_size=1, max_size=300))
+def test_a_policys_bus_matches_the_oracle_on_its_reads(name, window_ms, events):
+    bus = TelemetryBus(window_ms)
+    bus.track(registered_policy(name).reads)
+    replay(bus, OracleBus(window_ms), events)
+
+
+class ReadsOnly:
+    """A snapshot whose fields outside ``reads`` raise when read.
+
+    Properties and methods of :class:`MetricsSnapshot` run on the guarded
+    view, so the fields they read are checked too.
+    """
+
+    def __init__(self, snapshot: MetricsSnapshot, reads: frozenset[str]) -> None:
+        self._snapshot = snapshot
+        self._reads = reads
+
+    def __getattr__(self, name: str):
+        if name in SNAPSHOT_FIELDS:
+            if name not in self._reads:
+                raise AssertionError(f"read {name!r}, which is not in its reads")
+            return getattr(self._snapshot, name)
+        member = getattr(MetricsSnapshot, name)
+        if isinstance(member, property):
+            return member.fget(self)
+        return member.__get__(self)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+snapshots = st.builds(
+    MetricsSnapshot,
+    time_ms=st.floats(min_value=0.0, max_value=1e4),
+    window_ms=st.floats(min_value=0.5, max_value=100.0),
+    num_active=st.integers(0, 8),
+    num_draining=st.integers(0, 3),
+    queue_depth=st.integers(0, 60),
+    arrival_rate_per_ms=st.floats(min_value=0.0, max_value=20.0),
+    drop_rate=unit,
+    utilization=unit,
+    p95_wait_ms=st.floats(min_value=0.0, max_value=50.0),
+    mean_service_ms=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+    mean_batch_occupancy=st.floats(min_value=0.0, max_value=8.0),
+    num_provisioning=st.integers(0, 3),
+    arrival_rate_slope_per_ms2=st.floats(min_value=-1.0, max_value=1.0),
+    num_failed_replicas=st.integers(0, 3),
+    failure_rate_per_ms=st.floats(min_value=0.0, max_value=1.0),
+)
+statuses = st.builds(
+    GroupStatus,
+    name=st.just(None),
+    cost_weight=st.floats(min_value=0.5, max_value=4.0),
+    startup_delay_ms=st.floats(min_value=0.0, max_value=10.0),
+    min_replicas=st.integers(0, 2),
+    max_replicas=st.integers(2, 8),
+    num_active=st.integers(0, 8),
+    num_provisioning=st.integers(0, 3),
+    num_draining=st.integers(0, 3),
+    queue_depth=st.integers(0, 30),
+)
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@settings(max_examples=200, deadline=None)
+@given(
+    ticks=st.lists(snapshots, min_size=1, max_size=4),
+    groups=st.lists(statuses, min_size=1, max_size=3),
+    cost_budget=st.one_of(st.none(), st.floats(min_value=1.0, max_value=30.0)),
+)
+def test_a_policy_reads_only_its_declared_fields(name, ticks, groups, cost_budget):
+    policy = registered_policy(name)
+    if name != "tier_aware":
+        groups = groups[:1]
+    groups = [dataclasses.replace(g, name=f"g{i}") for i, g in enumerate(groups)]
+    # Consecutive ticks, so a stateful policy (predictive) reads its
+    # state's inputs too.
+    for snapshot in ticks:
+        policy.desired_by_group(
+            ReadsOnly(snapshot, policy.reads), groups, cost_budget=cost_budget
+        )

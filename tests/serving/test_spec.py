@@ -24,6 +24,7 @@ from repro.serving.domain import FieldError
 from repro.serving.spec import (
     ARRIVAL_KINDS,
     BACKEND_KINDS,
+    MIN_CYCLE_ARRIVALS,
     MIN_SUSHI_PB_KB,
     ArrivalSpec,
     AutoscalerSpec,
@@ -129,6 +130,7 @@ class TestArrivalSpec:
             dict(kind="time_varying", segments=((0.0, 1.0),)),
             dict(kind="time_varying", segments=((1.0, -2.0),)),
             dict(kind="time_varying", rate_per_ms=1.0, segments=((1.0, 1.0),)),
+            dict(kind="time_varying", segments=((0.001, 0.001),)),  # ~0 per cycle
             dict(kind="trace"),  # needs path or events
             dict(kind="trace", path="x.csv", events=(1.0,)),  # not both
             dict(kind="trace", rate_per_ms=1.0, events=(1.0,)),
@@ -155,6 +157,19 @@ class TestArrivalSpec:
         with pytest.raises(ValueError, match="at 'arrivals.limit': .*positive time"):
             inline.override("arrivals.limit", 1)
         assert inline.override("arrivals.limit", 2).arrivals.generate(2).tolist() == [0.0, 0.5]
+
+    def test_a_cycle_expecting_almost_no_arrivals_is_named(self):
+        # Each query would walk ~1 / sum(d * r) segments: 10^6 here.
+        base = ScenarioSpec().override("num_queries", 3)
+        tiny = {"kind": "time_varying", "segments": [[0.001, 0.001]]}
+        with pytest.raises(ValueError, match="at 'arrivals.segments': .*at least 0.01"):
+            base.override("arrivals", tiny)
+        with pytest.raises(ValueError, match="arrivals.segments"):
+            base.override("arrivals", {**tiny, "segments": [[1.0, 0.001], [4.0, 0.001]]})
+        # At the floor the cycle parses and generates (100 segments a query).
+        floor = base.override("arrivals", {**tiny, "segments": [[10.0, 0.001]]})
+        assert floor.arrivals.nominal_rate_per_ms() == pytest.approx(0.001)
+        assert len(floor.arrivals.generate(3)) == 3
 
     def test_trace_replays_inline_events_exactly(self):
         spec = ArrivalSpec(kind="trace", events=(0.5, 1.0, 2.5, 7.0))
@@ -580,11 +595,14 @@ arrival_specs = st.one_of(
     st.builds(
         ArrivalSpec,
         kind=st.just("time_varying"),
+        # A valid cycle expects at least MIN_CYCLE_ARRIVALS arrivals.
         segments=st.lists(
             st.tuples(st.floats(0.5, 100.0), st.floats(0.01, 10.0)),
             min_size=1,
             max_size=4,
-        ).map(tuple),
+        )
+        .filter(lambda segments: sum(d * r for d, r in segments) >= MIN_CYCLE_ARRIVALS)
+        .map(tuple),
         seed=st.integers(0, 2**16),
     ),
 )

@@ -5,6 +5,7 @@ from dataclasses import replace
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from closed_loop_oracle import byte_hit_ratio, serve_trace
@@ -373,6 +374,33 @@ class TestSharedSchedulerState:
         for clone in clones:
             assert clone.cache_memo is stack.cache_memo
             assert clone.scheduler.memo is stack.scheduler.memo
+
+    def test_a_clone_is_configured_and_seeded_as_replace_and_default_rng_would(
+        self, stack, monkeypatch
+    ):
+        num_subgraphs = stack.table.num_subgraphs
+        seeds = [0, 1, 7, 123_456, 2**40]
+        for seed in seeds:
+            clone = stack.clone(seed=seed)
+            want = replace(stack.config, seed=seed)
+            assert clone.config == want and hash(clone.config) == hash(want)
+            assert type(clone.config) is SushiStackConfig
+            drawn = int(np.random.default_rng(seed).integers(0, num_subgraphs))
+            assert clone.scheduler.initial_cache_idx == drawn
+            assert clone.scheduler.cache_state_idx == drawn
+        assert stack.clone().config is stack.config
+        # A seed already seen seeds no generator: a birth in a repeated run
+        # only looks its initial index up.
+        seeded = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a: seeded.append(a) or default_rng(*a)
+        )
+        again = [stack.clone(seed=seed) for seed in seeds]
+        assert seeded == []
+        assert [c.scheduler.initial_cache_idx for c in again] == [
+            stack.cache_memo.initial_indices[seed] for seed in seeds
+        ]
 
     def test_memo_stays_within_the_multiset_bound(self, monkeypatch):
         # A cold cache: the process memo also holds other periods' windows.

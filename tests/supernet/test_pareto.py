@@ -1,11 +1,48 @@
-"""Unit tests for Pareto-frontier extraction."""
+"""The zoo's SubNet families lie on the latency/accuracy Pareto frontier.
 
-import pytest
+The paper serves SubNets drawn from the frontier of the latency/accuracy
+trade-off (6 for ResNet50, 7 for MobileNetV3).  The zoo lists them by
+hand; the frontier extraction below checks that the analytic model agrees
+that none of them is dominated.
+"""
 
-from repro.supernet.pareto import ParetoPoint, pareto_frontier
-from repro.supernet.accuracy import AccuracyModel
+from dataclasses import dataclass
+from typing import Iterable
+
 from repro.accelerator.analytic_model import SushiAccelModel
 from repro.accelerator.platforms import ANALYTIC_DEFAULT
+from repro.supernet.accuracy import AccuracyModel
+from repro.supernet.subnet import SubNet
+
+
+@dataclass(frozen=True)
+class ParetoPoint:
+    """One point of the latency/accuracy trade-off space."""
+
+    subnet: SubNet
+    latency_ms: float
+    accuracy: float
+
+    def dominates(self, other: "ParetoPoint") -> bool:
+        """True if this point is no worse in both objectives and better in one."""
+        no_worse = self.latency_ms <= other.latency_ms and self.accuracy >= other.accuracy
+        better = self.latency_ms < other.latency_ms or self.accuracy > other.accuracy
+        return no_worse and better
+
+
+def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
+    """The non-dominated subset, sorted by ascending latency.
+
+    Ties in latency keep only the highest-accuracy point; the result is
+    strictly increasing in both latency and accuracy.
+    """
+    frontier: list[ParetoPoint] = []
+    best_acc = float("-inf")
+    for p in sorted(points, key=lambda p: (p.latency_ms, -p.accuracy)):
+        if p.accuracy > best_acc:
+            frontier.append(p)
+            best_acc = p.accuracy
+    return frontier
 
 
 def _point(subnet, latency, accuracy):
